@@ -3,13 +3,14 @@
     compiled = compile_program(program, options=CompilerOptions(device="gpu"))
     outputs, trace = compiled.run(storage)
     report = compiled.price(trace)          # simulated seconds on the device
-    print(compiled.source)                  # generated Python kernel code
+    print(compiled.source)                  # generated Python kernel code (lazy)
     print(compiled.opencl)                  # pseudo-OpenCL rendering
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Mapping
 
 from repro.compiler.codegen import compile_source, generate_source
@@ -34,8 +35,6 @@ class CompiledProgram:
     program: Program
     options: CompilerOptions
     plan: FragmentPlan
-    source: str
-    entry: Callable
     device: DeviceProfile
     #: wall-clock fast path (None when options.fastpath/fuse are off):
     #: raw-array kernels, no tracing — see repro.compiler.rt_fast
@@ -43,6 +42,19 @@ class CompiledProgram:
     fused_entry: Callable | None = None
     #: run untraced executions on the native C tier (repro.native)
     native: bool = False
+
+    @cached_property
+    def source(self) -> str:
+        """Kernel source of the traced (simulated) runtime.  Generated on
+        first access: an engine serving untraced runs from the fused or
+        native tier never pays for code it does not run."""
+        return generate_source(self.plan)
+
+    @cached_property
+    def entry(self) -> Callable:
+        """Entry point of the traced runtime (``compile()`` of
+        :attr:`source`, on the first traced run)."""
+        return compile_source(self.source)
 
     @property
     def opencl(self) -> str:
@@ -133,15 +145,15 @@ def compile_program(
 
     Pipeline: optimizer (CSE) → control-vector metadata inference →
     fragment assignment (extent/intent) → kernel source generation →
-    ``compile()``.
+    ``compile()``.  The fused fast-path kernels are generated here; the
+    traced runtime's source waits for its first use
+    (:attr:`CompiledProgram.source`).
     """
     if run_optimizer:
         program = optimize(program)
     options = options or CompilerOptions()
     metadata = MetadataPass(program)
     plan = FragmentPlan(program, options, metadata)
-    source = generate_source(plan)
-    entry = compile_source(source)
     fused_source = fused_entry = None
     native = False
     if options.fastpath and options.fuse:
@@ -157,8 +169,6 @@ def compile_program(
         program=program,
         options=options,
         plan=plan,
-        source=source,
-        entry=entry,
         device=get_device(options.device),
         fused_source=fused_source,
         fused_entry=fused_entry,

@@ -117,6 +117,7 @@ class FragmentPlan:
 
     def _assign(self) -> None:
         meta = self.metadata
+        fold_only = self._fold_only_scatters()
         for node in self.program:
             if meta.is_virtual(node) or isinstance(node, ops.Load):
                 continue  # no runtime fragment: metadata / storage input
@@ -140,7 +141,7 @@ class FragmentPlan:
                 continue
 
             if isinstance(node, ops.Scatter):
-                if self.options.virtual_scatter and self._all_fold_consumers(node):
+                if self.options.virtual_scatter and id(node) in fold_only:
                     self.virtual_scatters.add(id(node))
                     frag = self._candidate(node) or self._new_fragment()
                     self._place(node, frag)
@@ -191,16 +192,18 @@ class FragmentPlan:
             return FULL
         return self.metadata.static_run_length(node.source, node.fold_kp)
 
-    def _all_fold_consumers(self, node: ops.Scatter) -> bool:
-        consumers = [
-            other
-            for other in self.program
-            if any(child is node for child in other.inputs())
-        ]
-        in_outputs = any(out is node for out in self.program.outputs.values())
-        return bool(consumers) and not in_outputs and all(
-            isinstance(c, ops.FoldOp) for c in consumers
-        )
+    def _fold_only_scatters(self) -> set[int]:
+        """Scatters that only folds read (and that are no program output):
+        the ones that can stay virtual.  One pass over the program."""
+        verdict: dict[int, bool] = {}
+        for reader in self.program:
+            by_fold = isinstance(reader, ops.FoldOp)
+            for child in reader.inputs():
+                if isinstance(child, ops.Scatter):
+                    verdict[id(child)] = by_fold and verdict.get(id(child), True)
+        for out in self.program.outputs.values():
+            verdict[id(out)] = False
+        return {node for node, fold_only in verdict.items() if fold_only}
 
     # -- seams --------------------------------------------------------------------------
 

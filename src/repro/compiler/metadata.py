@@ -11,6 +11,7 @@ operators of the paper's Figure 8).
 from __future__ import annotations
 
 from fractions import Fraction
+from types import MappingProxyType
 
 from repro.core import ops
 from repro.core.controlvector import RunInfo, constant_run
@@ -19,13 +20,17 @@ from repro.core.program import Program
 from repro.errors import ControlVectorError
 
 
+#: what a node without control-vector metadata carries
+_NONE: MappingProxyType = MappingProxyType({})
+
+
 class MetadataPass:
     """Infers RunInfo per (node, attribute) and the set of virtual nodes."""
 
     def __init__(self, program: Program):
         self.program = program
-        #: (id(node), Keypath) -> RunInfo
-        self.runinfo: dict[tuple[int, Keypath], RunInfo] = {}
+        #: id(node) -> {attribute: RunInfo}, for nodes carrying any
+        self.runinfo: dict[int, dict[Keypath, RunInfo]] = {}
         #: id(node) -> scalar value, for Constant nodes
         self.constants: dict[int, int | float | bool] = {}
         #: ids of nodes that need no runtime representation
@@ -35,7 +40,7 @@ class MetadataPass:
     # -- queries --------------------------------------------------------------
 
     def info(self, node: ops.Op, path: Keypath) -> RunInfo | None:
-        return self.runinfo.get((id(node), path))
+        return self.runinfo.get(id(node), _NONE).get(path)
 
     def is_virtual(self, node: ops.Op) -> bool:
         return id(node) in self.virtual
@@ -68,7 +73,7 @@ class MetadataPass:
                 handler(node)
 
     def _set(self, node: ops.Op, path: Keypath, info: RunInfo) -> None:
-        self.runinfo[(id(node), path)] = info
+        self.runinfo.setdefault(id(node), {})[path] = info
 
     def _visit_range(self, node: ops.Range) -> None:
         self._set(node, node.out, RunInfo(start=node.start, step=Fraction(node.step)))
@@ -81,7 +86,7 @@ class MetadataPass:
         self.virtual.add(id(node))
 
     def _visit_binary(self, node: ops.Binary) -> None:
-        info = self.runinfo.get((id(node.left), node.left_kp))
+        info = self.info(node.left, node.left_kp)
         if info is None:
             return
         other = self.constants.get(id(node.right))
@@ -113,9 +118,7 @@ class MetadataPass:
     def _propagate_side(
         self, node: ops.Op, source: ops.Op, kp: Keypath | None, out: Keypath | None
     ) -> None:
-        for (src_id, path), info in list(self.runinfo.items()):
-            if src_id != id(source):
-                continue
+        for path, info in self.runinfo.get(id(source), _NONE).items():
             if kp is None:
                 self._set(node, path, info)
             elif path == kp:
@@ -127,10 +130,10 @@ class MetadataPass:
         self._propagate_side(node, node.source, node.kp, node.out)
 
     def _visit_upsert(self, node: ops.Upsert) -> None:
-        for (src_id, path), info in list(self.runinfo.items()):
-            if src_id == id(node.target) and path != node.out:
+        for path, info in self.runinfo.get(id(node.target), _NONE).items():
+            if path != node.out:
                 self._set(node, path, info)
-        value_info = self.runinfo.get((id(node.value), node.kp))
+        value_info = self.info(node.value, node.kp)
         if value_info is not None:
             self._set(node, node.out, value_info)
 
@@ -144,6 +147,5 @@ class MetadataPass:
         self._passthrough(node, node.source)
 
     def _passthrough(self, node: ops.Op, source: ops.Op) -> None:
-        for (src_id, path), info in list(self.runinfo.items()):
-            if src_id == id(source):
-                self._set(node, path, info)
+        for path, info in self.runinfo.get(id(source), _NONE).items():
+            self._set(node, path, info)

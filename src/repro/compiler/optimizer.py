@@ -7,28 +7,15 @@
 ``Program`` construction already guarantees reachability (only nodes
 reachable from an output exist), so classic dead-code elimination is
 implicit.  The :class:`~repro.core.program.Interner` used by the builder
-gives CSE at construction time; this pass re-establishes it for programs
-assembled mechanically (e.g. by the relational translator).
+gives CSE at construction time and marks its programs
+``Program.canonical`` (everything the relational translator emits); this
+pass establishes it for programs assembled from raw operator nodes.
 """
 
 from __future__ import annotations
 
-from dataclasses import fields
-
 from repro.core import ops
 from repro.core.program import Program, clone_with_inputs
-
-
-def _structural_key(node: ops.Op, input_keys: tuple[int, ...]) -> tuple:
-    params = []
-    for f in fields(node):
-        value = getattr(node, f.name)
-        if isinstance(value, ops.Op):
-            continue
-        if isinstance(value, tuple) and value and all(isinstance(v, ops.Op) for v in value):
-            continue
-        params.append((f.name, repr(value)))
-    return (type(node).__name__, tuple(params), input_keys)
 
 
 def cse(program: Program) -> Program:
@@ -36,15 +23,17 @@ def cse(program: Program) -> Program:
 
     ``Persist`` nodes are never merged (they have external effects); all
     pure operators with equal type, parameters and (already canonicalized)
-    inputs become one node.
+    inputs become one node.  A program that is already canonical is
+    returned as it is.
     """
+    if program.canonical:
+        return program
     canonical: dict[tuple, ops.Op] = {}
     replacement: dict[int, ops.Op] = {}
 
     for node in program:
         new_inputs = tuple(replacement[id(child)] for child in node.inputs())
-        input_keys = tuple(id(i) for i in new_inputs)
-        key = _structural_key(node, input_keys)
+        key = (node.structural_key(), tuple(map(id, new_inputs)))
         if key in canonical and not isinstance(node, ops.Persist):
             replacement[id(node)] = canonical[key]
         else:
@@ -52,7 +41,9 @@ def cse(program: Program) -> Program:
             canonical[key] = rebuilt
             replacement[id(node)] = rebuilt
 
-    return Program({name: replacement[id(node)] for name, node in program.outputs.items()})
+    merged = Program({name: replacement[id(node)] for name, node in program.outputs.items()})
+    merged.canonical = True
+    return merged
 
 
 def optimize(program: Program) -> Program:

@@ -391,4 +391,8 @@ class Builder:
             raise ProgramError("build() needs at least one named output")
         nodes = dict(self._outputs)
         nodes.update({name: v.node for name, v in outputs.items()})
-        return Program(nodes)
+        program = Program(nodes)
+        # every node hash-consed here: CSE by construction (handles of
+        # another builder can smuggle in structural twins)
+        program.canonical = self._interner.owns(program.order)
+        return program

@@ -25,7 +25,7 @@ class Keypath:
     they can key schema dictionaries deterministically.
     """
 
-    __slots__ = ("_components",)
+    __slots__ = ("_components", "_hash")
 
     def __init__(self, components: Iterable[str]):
         parts = tuple(components)
@@ -35,6 +35,7 @@ class Keypath:
             if not _COMPONENT_RE.match(part):
                 raise KeypathError(f"invalid keypath component: {part!r}")
         self._components = parts
+        self._hash = hash(parts)  # keypaths key every schema and interner lookup
 
     # -- construction -----------------------------------------------------
 
@@ -111,7 +112,12 @@ class Keypath:
         return self._components < other._components
 
     def __hash__(self) -> int:
-        return hash(self._components)
+        return self._hash
+
+    def __reduce__(self):
+        # rebuild through __init__: str hashes are salted per process, so
+        # the stored hash must not travel to a pool worker
+        return (Keypath, (self._components,))
 
     def __str__(self) -> str:
         return "." + ".".join(self._components)
@@ -122,4 +128,4 @@ class Keypath:
 
 def kp(text: "str | Keypath") -> Keypath:
     """Shorthand coercion used throughout the library."""
-    return Keypath.of(text)
+    return text if isinstance(text, Keypath) else Keypath.parse(text)

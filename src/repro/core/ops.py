@@ -48,28 +48,56 @@ class Op:
     def opname(self) -> str:
         return type(self).__name__
 
+    @classmethod
+    def field_names(cls) -> tuple[str, ...]:
+        """Declared field names in declaration order, reflected once per class."""
+        names = cls.__dict__.get("_field_names")
+        if names is None:
+            names = tuple(f.name for f in fields(cls))
+            cls._field_names = names
+        return names
+
     def inputs(self) -> tuple["Op", ...]:
-        """Input nodes, in declaration order."""
-        found = []
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, Op):
-                found.append(value)
-            elif isinstance(value, tuple) and value and all(isinstance(v, Op) for v in value):
-                found.extend(value)
-        return tuple(found)
+        """Input nodes, in declaration order (split off the fields once:
+        nodes are frozen, so which fields hold nodes never changes)."""
+        try:
+            return self._inputs
+        except AttributeError:
+            found: list[Op] = []
+            for name in self.field_names():
+                value = getattr(self, name)
+                if isinstance(value, Op):
+                    found.append(value)
+                elif isinstance(value, tuple) and value and all(isinstance(v, Op) for v in value):
+                    found.extend(value)
+            object.__setattr__(self, "_inputs", tuple(found))
+            return self._inputs
 
     def params(self) -> dict[str, object]:
-        """Non-node parameters, for printing and hashing diagnostics."""
+        """Non-node parameters, for printing and diagnostics."""
         out: dict[str, object] = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
+        for name in self.field_names():
+            value = getattr(self, name)
             if isinstance(value, Op):
                 continue
             if isinstance(value, tuple) and value and all(isinstance(v, Op) for v in value):
                 continue
-            out[f.name] = value
+            out[name] = value
         return out
+
+    def structural_key(self) -> tuple:
+        """Operator type plus parameters, in field order: with the
+        identities of the (canonical) inputs it decides whether two nodes
+        are the same subexpression (:class:`~repro.core.program.Interner`,
+        :func:`repro.compiler.optimizer.cse`).  Keypaths, names and None
+        key as themselves (hashable, equal only to their own kind);
+        numbers key by repr, which keeps 1 / 1.0 / True and 0.0 / -0.0
+        apart."""
+        key: list[object] = [type(self).__name__]
+        for value in self.params().values():
+            plain = value is None or isinstance(value, (Keypath, str))
+            key.append(value if plain else repr(value))
+        return tuple(key)
 
     def walk(self) -> Iterator["Op"]:
         """Pre-order traversal visiting every reachable node exactly once."""

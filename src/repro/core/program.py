@@ -25,17 +25,17 @@ class Interner:
         self._table: dict[tuple, ops.Op] = {}
 
     def intern(self, node: ops.Op) -> ops.Op:
-        key = self._key(node)
-        existing = self._table.get(key)
-        if existing is not None:
-            return existing
-        self._table[key] = node
-        return node
+        """The canonical node for *node*'s structure (*node* itself when
+        it is the first of its kind)."""
+        return self._table.setdefault(
+            (node.structural_key(), tuple(map(id, node.inputs()))), node
+        )
 
-    @staticmethod
-    def _key(node: ops.Op) -> tuple:
-        params = tuple(sorted((k, repr(v)) for k, v in node.params().items()))
-        return (type(node).__name__, params, tuple(id(i) for i in node.inputs()))
+    def owns(self, nodes: Iterable[ops.Op]) -> bool:
+        """True when every one of *nodes* is a canonical object of this
+        table — then no two of them are structurally identical."""
+        canonical = set(map(id, self._table.values()))
+        return all(id(node) in canonical for node in nodes)
 
     def __len__(self) -> int:
         return len(self._table)
@@ -76,7 +76,11 @@ class Program:
             raise ProgramError("a program needs at least one output")
         self.outputs = dict(outputs)
         self.order = topological_order(self.outputs.values())
-        self._consumers = self._count_consumers()
+        #: set by whoever knows that no two nodes are structurally
+        #: identical (a Builder that hash-consed them all, the CSE pass):
+        #: the optimizer then has nothing to merge
+        self.canonical = False
+        self._consumers: dict[int, int] | None = None
         self.validate()
 
     # -- structure ----------------------------------------------------------
@@ -88,7 +92,16 @@ class Program:
         return len(self.order)
 
     def consumers(self, node: ops.Op) -> int:
-        """How many operator inputs reference *node* (DAG fan-out)."""
+        """How many operator inputs and program outputs reference *node*
+        (DAG fan-out; counted on first use, once per program)."""
+        if self._consumers is None:
+            counts: dict[int, int] = {}
+            for reader in self.order:
+                for child in reader.inputs():
+                    counts[id(child)] = counts.get(id(child), 0) + 1
+            for out in self.outputs.values():
+                counts[id(out)] = counts.get(id(out), 0) + 1
+            self._consumers = counts
         return self._consumers.get(id(node), 0)
 
     def is_shared(self, node: ops.Op) -> bool:
@@ -96,15 +109,6 @@ class Program:
 
     def loads(self) -> list[ops.Load]:
         return [n for n in self.order if isinstance(n, ops.Load)]
-
-    def _count_consumers(self) -> dict[int, int]:
-        counts: dict[int, int] = {}
-        for node in self.order:
-            for child in node.inputs():
-                counts[id(child)] = counts.get(id(child), 0) + 1
-        for out in self.outputs.values():
-            counts[id(out)] = counts.get(id(out), 0) + 1
-        return counts
 
     # -- validation -----------------------------------------------------------
 
@@ -152,15 +156,13 @@ def clone_with_inputs(node: ops.Op, new_inputs: tuple[ops.Op, ...]) -> ops.Op:
     if all(a is b for a, b in zip(old_inputs, new_inputs)):
         return node
     mapping = {id(old): new for old, new in zip(old_inputs, new_inputs)}
-    from dataclasses import fields
-
     kwargs: dict[str, object] = {}
-    for f in fields(node):
-        value = getattr(node, f.name)
+    for name in node.field_names():
+        value = getattr(node, name)
         if isinstance(value, ops.Op):
-            kwargs[f.name] = mapping[id(value)]
+            kwargs[name] = mapping[id(value)]
         elif isinstance(value, tuple) and value and all(isinstance(v, ops.Op) for v in value):
-            kwargs[f.name] = tuple(mapping[id(v)] for v in value)
+            kwargs[name] = tuple(mapping[id(v)] for v in value)
         else:
-            kwargs[f.name] = value
+            kwargs[name] = value
     return type(node)(**kwargs)

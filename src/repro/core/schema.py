@@ -39,7 +39,8 @@ class Schema:
     __slots__ = ("_fields",)
 
     def __init__(self, fields: Mapping[Keypath | str, np.dtype | str] | Iterable[tuple]):
-        items = fields.items() if isinstance(fields, Mapping) else fields
+        # dict first: the abstract Mapping check costs more than the rest
+        items = fields.items() if isinstance(fields, (dict, Mapping)) else fields
         resolved: dict[Keypath, np.dtype] = {}
         for path, dtype in items:
             path = kp(path)
@@ -49,16 +50,31 @@ class Schema:
         self._check_no_prefix_conflicts(resolved)
         self._fields = resolved
 
+    @classmethod
+    def of_fields(cls, fields: dict[Keypath, np.dtype]) -> "Schema":
+        """A schema over fields taken from existing schemas: paths and
+        dtypes are already normalised, so only their combination is
+        checked (schema inference derives one schema per operator)."""
+        cls._check_no_prefix_conflicts(fields)
+        schema = object.__new__(cls)
+        schema._fields = fields
+        return schema
+
     @staticmethod
     def _check_no_prefix_conflicts(fields: Mapping[Keypath, np.dtype]) -> None:
         # A leaf cannot also be an interior struct node: ``.a`` conflicts
         # with ``.a.b`` because ``.a`` would be both scalar and struct.
-        paths = sorted(fields, key=lambda p: len(p))
-        for i, shorter in enumerate(paths):
-            for longer in paths[i + 1 :]:
-                nested = longer.startswith(shorter) and len(longer) > len(shorter)
-                if longer is not shorter and nested:
-                    raise SchemaError(f"field {shorter} conflicts with nested field {longer}")
+        nested = [path.components for path in fields if len(path.components) > 1]
+        if not nested:
+            return
+        leaves = {path.components for path in fields}
+        for parts in nested:
+            for cut in range(1, len(parts)):
+                if parts[:cut] in leaves:
+                    raise SchemaError(
+                        f"field {Keypath(parts[:cut])} conflicts with "
+                        f"nested field {Keypath(parts)}"
+                    )
 
     # -- mapping interface ---------------------------------------------------
 
@@ -94,7 +110,7 @@ class Schema:
         """
         prefix = kp(prefix)
         if prefix in self._fields:
-            return Schema({Keypath([prefix.leaf]): self._fields[prefix]})
+            return Schema.of_fields({Keypath([prefix.leaf]): self._fields[prefix]})
         nested = {
             path.strip_prefix(prefix): dtype
             for path, dtype in self._fields.items()
@@ -102,7 +118,7 @@ class Schema:
         }
         if not nested:
             raise SchemaError(f"no field or struct {prefix} in schema {self}")
-        return Schema(nested)
+        return Schema.of_fields(nested)
 
     def resolve(self, path: Keypath | str) -> tuple[Keypath, ...]:
         """All leaf paths designated by *path* (itself, or its struct leaves)."""
@@ -117,7 +133,7 @@ class Schema:
     # -- combination -----------------------------------------------------------
 
     def project(self, paths: Iterable[Keypath | str]) -> "Schema":
-        return Schema({p: self[p] for p in map(kp, paths)})
+        return Schema.of_fields({p: self[p] for p in map(kp, paths)})
 
     def rename(self, old: Keypath | str, new: Keypath | str) -> "Schema":
         old, new = kp(old), kp(new)
@@ -129,18 +145,20 @@ class Schema:
                 out[path] = dtype
         if len(out) != len(self._fields):
             raise SchemaError(f"rename {old} -> {new} collides with existing fields")
-        return Schema(out)
+        return Schema.of_fields(out)
 
     def merge(self, other: "Schema") -> "Schema":
         """Union of two schemas; *other* wins on equal paths."""
         combined = dict(self._fields)
         combined.update(other._fields)
-        return Schema(combined)
+        return Schema.of_fields(combined)
 
     def nest(self, prefix: Keypath | str) -> "Schema":
         """Push every field below *prefix* (inverse of :meth:`subschema`)."""
         prefix = kp(prefix)
-        return Schema({prefix.concat(path): dtype for path, dtype in self._fields.items()})
+        return Schema.of_fields(
+            {prefix.concat(path): dtype for path, dtype in self._fields.items()}
+        )
 
     # -- properties -------------------------------------------------------------
 

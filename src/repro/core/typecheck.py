@@ -44,15 +44,22 @@ class TypeChecker:
         return dict(self._cache)
 
     def schema_of(self, node: ops.Op) -> Schema:
-        if id(node) not in self._cache:
-            # visit-once traversal: Op.walk() would revisit shared DAG
-            # nodes exponentially often on join-heavy plans
-            from repro.core.program import topological_order
-
-            for dep in topological_order([node]):
-                if id(dep) not in self._cache:
-                    self._cache[id(dep)] = self._infer(dep)
-        return self._cache[id(node)]
+        cache = self._cache
+        if id(node) not in cache:
+            # inputs-first walk over the *untyped* ancestors only: typed
+            # nodes end the walk, so a program typed while it is built
+            # infers every node once and never re-walks what it has seen
+            stack = [node]
+            while stack:
+                top = stack[-1]
+                untyped = [c for c in top.inputs() if id(c) not in cache]
+                if untyped:
+                    stack.extend(untyped)
+                    continue
+                stack.pop()
+                if id(top) not in cache:
+                    cache[id(top)] = self._infer(top)
+        return cache[id(node)]
 
     # -- per-operator rules -------------------------------------------------
 
@@ -136,7 +143,7 @@ class TypeChecker:
         dtype = self._scalar(self._in(node.value), node.kp, "Upsert")
         fields = {p: d for p, d in base.items() if p != node.out}
         fields[node.out] = dtype
-        return Schema(fields)
+        return Schema.of_fields(fields)
 
     def _infer_gather(self, node: ops.Gather) -> Schema:
         self._scalar(self._in(node.positions), node.pos_kp, "Gather")

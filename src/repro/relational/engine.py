@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import threading
 import warnings
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,6 +22,7 @@ from repro.hardware.trace import Trace
 from repro.parallel import ParallelInterpreter
 from repro.relational.algebra import Query
 from repro.relational.config import EngineConfig
+from repro.relational.expressions import node_fields
 from repro.relational.prepared import PreparedQuery
 from repro.relational.translate import Translator
 from repro.storage.columnstore import ColumnStore
@@ -38,10 +39,11 @@ def structural_fingerprint(obj) -> tuple:
     """
     if isinstance(obj, (str, int, float, bool, frozenset, bytes)) or obj is None:
         return (type(obj).__name__, obj)
-    if is_dataclass(obj) and not isinstance(obj, type):
+    names = node_fields(type(obj))
+    if names is not None:
         return (
             type(obj).__name__,
-            tuple((f.name, structural_fingerprint(getattr(obj, f.name))) for f in fields(obj)),
+            tuple((name, structural_fingerprint(getattr(obj, name))) for name in names),
         )
     if isinstance(obj, dict):
         return ("dict", tuple(
@@ -234,8 +236,13 @@ class VoodooEngine:
     def cache_key(self, query: Query) -> tuple:
         """Everything a compiled plan depends on (satisfies invalidation:
         schema changes and option changes produce different keys)."""
+        return self._plan_key(query, None)
+
+    def _plan_key(self, query: Query, fingerprint: tuple | None) -> tuple:
+        """:meth:`cache_key`, reusing *query*'s structural fingerprint
+        when the caller already holds it (a prepared query does)."""
         return (
-            structural_fingerprint(query),
+            fingerprint if fingerprint is not None else structural_fingerprint(query),
             self.store.fingerprint(),
             self.options,
             self.execution,
@@ -299,10 +306,10 @@ class VoodooEngine:
         if len(cache) >= cls.CACHE_CAPACITY:
             cache.pop(next(iter(cache)))
 
-    def compile(self, query: Query) -> CompiledProgram:
+    def compile(self, query: Query, fingerprint: tuple | None = None) -> CompiledProgram:
         if self._plan_cache is None:
             return compile_program(self.translate(query), self.options)
-        key = self.cache_key(query)
+        key = self._plan_key(query, fingerprint)
         compiled = self._plan_cache.get(key)
         if compiled is not None:
             self.plan_cache_hits += 1
@@ -394,7 +401,7 @@ class VoodooEngine:
         key = structural_fingerprint(query)
         prepared = self._prepared.get(key)
         if prepared is None:
-            prepared = PreparedQuery(self, query)
+            prepared = PreparedQuery(self, query, fingerprint=key)
             self._evict(self._prepared)
             self._prepared[key] = prepared
         return prepared
@@ -407,9 +414,10 @@ class VoodooEngine:
     def query(self, query: Query | str, **params) -> ResultTable:
         return self.execute(query, **params).table
 
-    def _execute_bound(self, query: Query) -> QueryResult:
+    def _execute_bound(self, query: Query, fingerprint: tuple | None = None) -> QueryResult:
         """Run one fully bound query (every execution funnels through
-        here: ad-hoc, prepared, and tuned-delegate alike)."""
+        here: ad-hoc, prepared, and tuned-delegate alike); ``fingerprint``
+        as in :meth:`_plan_key`."""
         self._check_open()
         if self.tuning == "auto":
             # the delegate shares this engine's store (and so its I/O
@@ -420,10 +428,10 @@ class VoodooEngine:
             # the parallel backend is stateful (reset_storage + plan reuse):
             # concurrent serving threads take turns
             with self._parallel_lock:
-                result = self._execute_parallel(query)
+                result = self._execute_parallel(query, fingerprint)
                 result.io = self.store.io.delta(before)
                 return result
-        compiled = self.compile(query)
+        compiled = self.compile(query, fingerprint)
         if not self.tracing:
             outputs, trace = compiled.run(self.vectors(), collect_trace=False)
             table = self._extract(query, outputs["result"])
@@ -441,10 +449,10 @@ class VoodooEngine:
             compiled=compiled, io=self.store.io.delta(before),
         )
 
-    def _translate_cached(self, query: Query):
+    def _translate_cached(self, query: Query, fingerprint: tuple | None = None):
         if self._plan_cache is None:
             return self.translate(query)
-        key = self.cache_key(query)
+        key = self._plan_key(query, fingerprint)
         program = self._program_cache.get(key)
         if program is not None:
             self.program_cache_hits += 1
@@ -460,7 +468,7 @@ class VoodooEngine:
             self._program_cache[key] = program
             return program
 
-    def _execute_parallel(self, query: Query) -> QueryResult:
+    def _execute_parallel(self, query: Query, fingerprint: tuple | None = None) -> QueryResult:
         """Multicore end-to-end: translate, then chunk over the engine's
         persistent worker pool (fused chunk kernels by default)."""
         if self._parallel_backend is None:
@@ -476,7 +484,7 @@ class VoodooEngine:
             )
         backend = self._parallel_backend
         backend.reset_storage(self.vectors())
-        outputs = backend.run(self._translate_cached(query))
+        outputs = backend.run(self._translate_cached(query, fingerprint))
         table = self._extract(query, outputs["result"])
         if backend.native:
             mode = "native"
@@ -553,17 +561,15 @@ class VoodooEngine:
 
     @staticmethod
     def _sort_order(query: Query, arrays: dict[str, np.ndarray]):
+        """Row permutation for ORDER BY: stable, so ties keep result order
+        in either direction.  A DESC key sorts by its negated dense rank
+        — exact for every dtype, where negating the values wraps unsigned
+        columns and int64-min and is undefined for bools (NaN ranks as the
+        largest value in both directions)."""
         if not query.order_by:
             return None
         keys = []
-        for name, desc in reversed(query.order_by):
+        for name, desc in reversed(query.order_by):  # lexsort: last key is primary
             col = arrays[name]
-            keys.append(-col if desc and col.dtype.kind in "iuf" else col)
-        order = np.lexsort(keys)
-        # lexsort cannot negate non-numeric keys; handle a trailing desc sort
-        for name, desc in query.order_by:
-            col = arrays[name]
-            if desc and col.dtype.kind not in "iuf":
-                order = order[::-1]
-                break
-        return order
+            keys.append(-np.unique(col, return_inverse=True)[1] if desc else col)
+        return np.lexsort(keys)

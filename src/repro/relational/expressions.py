@@ -15,11 +15,23 @@ translations:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
+from functools import cache
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.relational.algebra import Plan
+
+
+
+@cache
+def node_fields(cls: type) -> tuple[str, ...] | None:
+    """Field names of a plan/expression node class in declaration order,
+    reflected once per class; ``None`` for every other type.  What the
+    walkers over query trees (structural fingerprint, parameter
+    discovery, binding) consult per node instead of ``dataclasses.fields``."""
+    return tuple(f.name for f in fields(cls)) if is_dataclass(cls) else None
+
 
 ARITH_OPS = frozenset({"add", "sub", "mul", "div", "idiv", "mod"})
 CMP_OPS = frozenset({"gt", "ge", "lt", "le", "eq", "ne"})

@@ -20,7 +20,7 @@ a fixed parameter set re-executes cached plans and compiles nothing.
 
 from __future__ import annotations
 
-from dataclasses import fields, is_dataclass, replace
+from dataclasses import replace
 from typing import TYPE_CHECKING
 
 from repro.errors import ExecutionError
@@ -40,15 +40,15 @@ def find_params(obj) -> tuple[str, ...]:
         if isinstance(node, ex.Param):
             if node.name not in seen:
                 seen.append(node.name)
-        elif is_dataclass(node) and not isinstance(node, type):
-            for f in fields(node):
-                visit(getattr(node, f.name))
         elif isinstance(node, dict):
             for value in node.values():
                 visit(value)
         elif isinstance(node, (list, tuple)):
             for value in node:
                 visit(value)
+        else:
+            for name in ex.node_fields(type(node)) or ():
+                visit(getattr(node, name))
 
     visit(obj)
     return tuple(seen)
@@ -73,11 +73,9 @@ def bind_params(query: Query, values: dict) -> Query:
     def rebuild(node):
         if isinstance(node, ex.Param):
             return ex.Lit(values[node.name])
-        if is_dataclass(node) and not isinstance(node, type):
-            changes = {
-                f.name: rebuild(getattr(node, f.name)) for f in fields(node)
-            }
-            return replace(node, **changes)
+        names = ex.node_fields(type(node))
+        if names is not None:
+            return replace(node, **{name: rebuild(getattr(node, name)) for name in names})
         if isinstance(node, dict):
             return {key: rebuild(value) for key, value in node.items()}
         if isinstance(node, tuple):
@@ -101,9 +99,12 @@ class PreparedQuery:
     #: memoized bound-query cap (mirrors the engine's cache capacity)
     BIND_CAPACITY = 256
 
-    def __init__(self, engine: "VoodooEngine", query: Query):
+    def __init__(self, engine: "VoodooEngine", query: Query, fingerprint: tuple):
         self.engine = engine
         self.query = query
+        #: structural fingerprint of the (unbound) query, computed by
+        #: ``engine.prepare`` — the plan-cache key of an identity bind
+        self.fingerprint = fingerprint
         self.params: tuple[str, ...] = find_params(query)
         self._bound: dict[tuple, Query] = {}
 
@@ -138,7 +139,10 @@ class PreparedQuery:
 
     def execute(self, **params) -> "QueryResult":
         """Bind and execute; the engine's caches serve repeated shapes."""
-        return self.engine._execute_bound(self.bind(**params))
+        bound = self.bind(**params)
+        # a parameterless query binds to itself: its fingerprint is known
+        known = self.fingerprint if bound is self.query else None
+        return self.engine._execute_bound(bound, known)
 
     def table(self, **params) -> "ResultTable":
         """:meth:`execute`'s result table (the common serving call)."""

@@ -31,6 +31,25 @@ from repro.relational.expressions import columns_used
 from repro.storage.columnstore import ColumnStore
 
 
+#: the translator's own attributes: parsed once, shared by every program
+_C = Keypath(["__c"])
+_CHUNK = Keypath(["__chunk"])
+_DOM = Keypath(["__dom"])
+_EXISTS = Keypath(["__exists"])
+_F = Keypath(["__f"])
+_GID = Keypath(["__gid"])
+_ID = Keypath(["__id"])
+_K = Keypath(["__k"])
+_LIVE = Keypath(["__live"])
+_ONE = Keypath(["__one"])
+_PARTIAL = Keypath(["__partial"])
+_POS = Keypath(["__pos"])
+_PV = Keypath(["__pv"])
+_T = Keypath(["__t"])
+_V = Keypath(["__v"])
+_W = Keypath(["__w"])
+
+
 def _col(name: str) -> Keypath:
     return Keypath([name])
 
@@ -89,9 +108,9 @@ class Translator:
         sel_name = self._temp("sel")
         chunked = self._with_chunks(self.b.upsert(rel, sel_name, pred_v, pred_kp))
         positions = self.b.fold_select(
-            chunked, sel_kp=sel_name, fold_kp=".__chunk", out=".__pos"
+            chunked, sel_kp=sel_name, fold_kp=_CHUNK, out=_POS
         )
-        return self.b.gather(rel, positions, pos_kp=".__pos")
+        return self.b.gather(rel, positions, pos_kp=_POS)
 
     def _plan_map(self, plan: ra.Map) -> V:
         rel = self.translate(plan.child)
@@ -106,15 +125,15 @@ class Translator:
 
         if self._positional_build(plan):
             build_rel = self.translate(plan.build)
-            matched = self.b.gather(build_rel, probe_pos, pos_kp=".__pos")
+            matched = self.b.gather(build_rel, probe_pos, pos_kp=_POS)
         else:
             build_rel = self.translate(plan.build)
             build_pos = self._key_positions(plan.dim_key, build_rel, plan.offset)
-            table_size = self.b.range(plan.domain, out=".__dom")
+            table_size = self.b.range(plan.domain, out=_DOM)
             hash_table = self.b.scatter(
-                build_rel, build_pos, pos_kp=".__pos", sizeref=table_size
+                build_rel, build_pos, pos_kp=_POS, sizeref=table_size
             )
-            matched = self.b.gather(hash_table, probe_pos, pos_kp=".__pos")
+            matched = self.b.gather(hash_table, probe_pos, pos_kp=_POS)
 
         for out_name, dim_col in plan.pull.items():
             rel = self.b.upsert(rel, _col(out_name), matched, _col(dim_col))
@@ -125,23 +144,23 @@ class Translator:
         build_rel = self.translate(plan.build)
         build_key_v, build_key_kp = self.emit(plan.dim_key, build_rel)
         build_pos = self._key_positions(plan.dim_key, build_rel, plan.offset)
-        table_size = self.b.range(plan.domain, out=".__dom")
+        table_size = self.b.range(plan.domain, out=_DOM)
         membership = self.b.scatter(
-            self.b.project(build_key_v, build_key_kp, out=".__k"),
+            self.b.project(build_key_v, build_key_kp, out=_K),
             build_pos,
-            pos_kp=".__pos",
+            pos_kp=_POS,
             sizeref=table_size,
         )
         probe_pos = self._key_positions(plan.fact_key, rel, plan.offset)
-        probed = self.b.gather(membership, probe_pos, pos_kp=".__pos")
-        exists = self.b.is_present(probed, out=".__exists", source_kp=".__k")
+        probed = self.b.gather(membership, probe_pos, pos_kp=_POS)
+        exists = self.b.is_present(probed, out=_EXISTS, source_kp=_K)
         if plan.negated:
-            exists = self.b.logical_not(exists, out=".__exists")
-        chunked = self._with_chunks(self.b.upsert(rel, ".__exists", exists, ".__exists"))
+            exists = self.b.logical_not(exists, out=_EXISTS)
+        chunked = self._with_chunks(self.b.upsert(rel, _EXISTS, exists, _EXISTS))
         positions = self.b.fold_select(
-            chunked, sel_kp=".__exists", fold_kp=".__chunk", out=".__pos"
+            chunked, sel_kp=_EXISTS, fold_kp=_CHUNK, out=_POS
         )
-        return self.b.gather(rel, positions, pos_kp=".__pos")
+        return self.b.gather(rel, positions, pos_kp=_POS)
 
     def _plan_groupby(self, plan: ra.GroupBy) -> V:
         rel = self.translate(plan.child)
@@ -185,23 +204,23 @@ class Translator:
                     # count over spec.expr (not count(*)): avg's denominator
                     # is the number of slots where the expression is present
                     sub_spec = ra.AggSpec(fn, spec.expr)
-                    partial, final_fn = self._partial_fold(sub_spec, chunked, attr, ".__chunk")
+                    partial, final_fn = self._partial_fold(sub_spec, chunked, attr, _CHUNK)
                     total = self._final_fold(final_fn, partial, _col(sub))
                     out_rel = total if out_rel is None else self.b.zip(out_rel, total)
                 continue
-            partial, final_fn = self._partial_fold(spec, chunked, attr, ".__chunk")
+            partial, final_fn = self._partial_fold(spec, chunked, attr, _CHUNK)
             total = self._final_fold(final_fn, partial, _col(out_name))
             out_rel = total if out_rel is None else self.b.zip(out_rel, total)
         return self._finish_avgs(avgs, out_rel)
 
     def _grouped_aggregate(self, plan: ra.GroupBy, rel: V, agg_inputs) -> V:
         gid_v, gid_kp, domain = self._group_id(plan.keys, rel)
-        rel = self.b.upsert(rel, ".__gid", gid_v, gid_kp)
-        pivots = self.b.range(domain, out=".__pv")
+        rel = self.b.upsert(rel, _GID, gid_v, gid_kp)
+        pivots = self.b.range(domain, out=_PV)
         positions = self.b.partition(
-            self.b.project(rel, ".__gid"), pivots, out=".__pos"
+            self.b.project(rel, _GID), pivots, out=_POS
         )
-        scattered = self.b.scatter(rel, positions, pos_kp=".__pos")
+        scattered = self.b.scatter(rel, positions, pos_kp=_POS)
 
         out_rel: V | None = None
         avgs: list[str] = []
@@ -228,7 +247,7 @@ class Translator:
             carried.setdefault(key.name, key.expr.name)  # type: ignore[union-attr]
         for out_name, src_col in carried.items():
             extracted = self.b.fold_max(
-                scattered, agg_kp=_col(src_col), fold_kp=".__gid", out=_col(out_name)
+                scattered, agg_kp=_col(src_col), fold_kp=_GID, out=_col(out_name)
             )
             out_rel = self.b.zip(out_rel, extracted)
         return self._finish_avgs(avgs, out_rel)
@@ -237,38 +256,38 @@ class Translator:
         if spec.fn == "count":
             counted = attr if attr is not None else self._any_column(chunked)
             partial = self.b.fold_count(
-                chunked, counted_kp=counted, fold_kp=fold_kp, out=".__partial"
+                chunked, counted_kp=counted, fold_kp=fold_kp, out=_PARTIAL
             )
             return partial, "sum"
         fn = {"sum": "sum", "avg": "sum", "min": "min", "max": "max"}[spec.fn]
         partial = getattr(self.b, f"fold_{fn}")(
-            chunked, agg_kp=attr, fold_kp=fold_kp, out=".__partial"
+            chunked, agg_kp=attr, fold_kp=fold_kp, out=_PARTIAL
         )
         return partial, fn
 
     def _final_fold(self, fn: str, partial: V, out: Keypath) -> V:
-        return getattr(self.b, f"fold_{fn}")(partial, agg_kp=".__partial", out=out)
+        return getattr(self.b, f"fold_{fn}")(partial, agg_kp=_PARTIAL, out=out)
 
     def _scattered_fold(self, spec: ra.AggSpec, scattered: V, attr, out: Keypath) -> V:
         if spec.fn == "count":
-            counted = attr if attr is not None else ".__gid"
+            counted = attr if attr is not None else _GID
             return self.b.fold_count(
-                scattered, counted_kp=counted, fold_kp=".__gid", out=out
+                scattered, counted_kp=counted, fold_kp=_GID, out=out
             )
         fn = {"sum": "sum", "avg": "sum", "min": "min", "max": "max"}[spec.fn]
         return getattr(self.b, f"fold_{fn}")(
-            scattered, agg_kp=attr, fold_kp=".__gid", out=out
+            scattered, agg_kp=attr, fold_kp=_GID, out=out
         )
 
     def _finish_avgs(self, avgs: list[str], out_rel: V) -> V:
         """avg = sum / count over the (slot-aligned) fold outputs."""
         for out_name in avgs:
             sums = self.b.cast(
-                out_rel, "float64", out=".__f", source_kp=f".__sum_{out_name}"
+                out_rel, "float64", out=_F, source_kp=f".__sum_{out_name}"
             )
             quotient = self.b.divide(
                 sums, out_rel, out=_col(out_name),
-                left_kp=".__f", right_kp=f".__cnt_{out_name}",
+                left_kp=_F, right_kp=f".__cnt_{out_name}",
             )
             out_rel = self.b.zip(out_rel, quotient)
         return out_rel
@@ -292,28 +311,28 @@ class Translator:
         ``count(*)`` uses — whose mask is exactly "this slot survived
         every upstream Filter/SemiJoin".
         """
-        live = self.b.is_present(rel, out=".__live", source_kp=self._any_column(rel))
-        chunked = self._with_chunks(self.b.upsert(rel, ".__live", live, ".__live"))
+        live = self.b.is_present(rel, out=_LIVE, source_kp=self._any_column(rel))
+        chunked = self._with_chunks(self.b.upsert(rel, _LIVE, live, _LIVE))
         positions = self.b.fold_select(
-            chunked, sel_kp=".__live", fold_kp=".__chunk", out=".__pos"
+            chunked, sel_kp=_LIVE, fold_kp=_CHUNK, out=_POS
         )
-        return self.b.gather(rel, positions, pos_kp=".__pos")
+        return self.b.gather(rel, positions, pos_kp=_POS)
 
     def _with_chunks(self, rel: V, grain: int | None = None) -> V:
         """Attach the parallelism control vector (paper's $intent knob)."""
         grain = grain or self.grain
-        ids = self.b.range(rel, out=".__id")
-        ctrl = self.b.divide(ids, self.b.constant(grain), out=".__chunk")
+        ids = self.b.range(rel, out=_ID)
+        ctrl = self.b.divide(ids, self.b.constant(grain), out=_CHUNK)
         return self.b.zip(rel, ctrl)
 
     def _key_positions(self, key: ex.Expr, rel: V, offset: int) -> V:
         key_v, key_kp = self.emit(key, rel)
         if offset:
             key_v = self.b.subtract(
-                key_v, self.b.constant(offset), out=".__pos", left_kp=key_kp
+                key_v, self.b.constant(offset), out=_POS, left_kp=key_kp
             )
         else:
-            key_v = self.b.project(key_v, key_kp, out=".__pos")
+            key_v = self.b.project(key_v, key_kp, out=_POS)
         return key_v
 
     def _positional_build(self, plan: ra.Join) -> bool:
@@ -352,19 +371,19 @@ class Translator:
             term_v, term_kp = self.emit(key.expr, rel)
             if key.offset:
                 term_v = self.b.subtract(
-                    term_v, self.b.constant(key.offset), out=".__t", left_kp=term_kp
+                    term_v, self.b.constant(key.offset), out=_T, left_kp=term_kp
                 )
-                term_kp = Keypath(["__t"])
+                term_kp = _T
             if stride != 1:
                 term_v = self.b.multiply(
-                    term_v, self.b.constant(stride), out=".__t", left_kp=term_kp
+                    term_v, self.b.constant(stride), out=_T, left_kp=term_kp
                 )
-                term_kp = Keypath(["__t"])
+                term_kp = _T
             if gid is None:
-                gid = self.b.project(term_v, term_kp, out=".__gid")
+                gid = self.b.project(term_v, term_kp, out=_GID)
             else:
-                gid = self.b.add(gid, term_v, out=".__gid", left_kp=".__gid", right_kp=term_kp)
-        return gid, Keypath(["__gid"]), domain
+                gid = self.b.add(gid, term_v, out=_GID, left_kp=_GID, right_kp=term_kp)
+        return gid, _GID, domain
 
     # -- expressions ------------------------------------------------------------------------
 
@@ -399,8 +418,8 @@ class Translator:
             return self._emit_binary("logical_or", expr.left, expr.right, rel)
         if isinstance(expr, ex.Not):
             v, kp = self.emit(expr.operand, rel)
-            out = self.b.logical_not(v, out=".__v", source_kp=kp)
-            return out, Keypath(["__v"])
+            out = self.b.logical_not(v, out=_V, source_kp=kp)
+            return out, _V
         if isinstance(expr, ex.InSet):
             return self._emit_inset(expr, rel)
         if isinstance(expr, ex.Membership):
@@ -409,8 +428,8 @@ class Translator:
             return self._emit_ifthenelse(expr, rel)
         if isinstance(expr, ex.Cast):
             v, kp = self.emit(expr.operand, rel)
-            out = self.b.cast(v, expr.dtype, out=".__v", source_kp=kp)
-            return out, Keypath(["__v"])
+            out = self.b.cast(v, expr.dtype, out=_V, source_kp=kp)
+            return out, _V
         if isinstance(expr, ex.ScalarOf):
             return self._emit_scalar_of(expr)
         raise TranslationError(f"cannot translate expression {type(expr).__name__}")
@@ -418,8 +437,8 @@ class Translator:
     def _emit_binary(self, fn: str, left: ex.Expr, right: ex.Expr, rel: V):
         lv, lkp = self.emit(left, rel)
         rv, rkp = self.emit(right, rel)
-        out = getattr(self.b, fn)(lv, rv, out=".__v", left_kp=lkp, right_kp=rkp)
-        return out, Keypath(["__v"])
+        out = getattr(self.b, fn)(lv, rv, out=_V, left_kp=lkp, right_kp=rkp)
+        return out, _V
 
     def _emit_arith(self, expr: ex.Arith, rel: V):
         lv, lkp = self.emit(expr.left, rel)
@@ -427,27 +446,27 @@ class Translator:
         if expr.op == "div":
             # SQL division is exact: promote integer operands to float.
             if lv.schema[lkp].kind in "iub":
-                lv = self.b.cast(lv, "float64", out=".__f", source_kp=lkp)
-                lkp = Keypath(["__f"])
+                lv = self.b.cast(lv, "float64", out=_F, source_kp=lkp)
+                lkp = _F
         fn = {"add": "add", "sub": "subtract", "mul": "multiply",
               "div": "divide", "idiv": "divide", "mod": "modulo"}[expr.op]
-        out = getattr(self.b, fn)(lv, rv, out=".__v", left_kp=lkp, right_kp=rkp)
-        return out, Keypath(["__v"])
+        out = getattr(self.b, fn)(lv, rv, out=_V, left_kp=lkp, right_kp=rkp)
+        return out, _V
 
     def _emit_inset(self, expr: ex.InSet, rel: V):
         v, kp = self.emit(expr.operand, rel)
         acc: V | None = None
         for value in expr.values:
-            term = self.b.equals(v, self.b.constant(value), out=".__v", left_kp=kp)
+            term = self.b.equals(v, self.b.constant(value), out=_V, left_kp=kp)
             acc = term if acc is None else self.b.logical_or(
-                acc, term, out=".__v", left_kp=".__v", right_kp=".__v"
+                acc, term, out=_V, left_kp=_V, right_kp=_V
             )
-        return acc, Keypath(["__v"])
+        return acc, _V
 
     def _emit_membership(self, expr: ex.Membership, rel: V):
         aux = self.b.load(expr.aux_name)
         pos = self._key_positions(expr.operand, rel, expr.offset)
-        probed = self.b.gather(aux, pos, pos_kp=".__pos")
+        probed = self.b.gather(aux, pos, pos_kp=_POS)
         flag_kp = probed.only_attr()
         return probed, flag_kp
 
@@ -456,17 +475,17 @@ class Translator:
         cond_v, cond_kp = self.emit(expr.cond, rel)
         then_v, then_kp = self.emit(expr.then, rel)
         else_v, else_kp = self.emit(expr.otherwise, rel)
-        cond_i = self.b.cast(cond_v, "int64", out=".__c", source_kp=cond_kp)
-        picked = self.b.multiply(cond_i, then_v, out=".__v", left_kp=".__c", right_kp=then_kp)
-        inverse = self.b.subtract(self.b.constant(1), cond_i, out=".__c", right_kp=".__c")
-        rejected = self.b.multiply(inverse, else_v, out=".__w", left_kp=".__c", right_kp=else_kp)
-        out = self.b.add(picked, rejected, out=".__v", left_kp=".__v", right_kp=".__w")
-        return out, Keypath(["__v"])
+        cond_i = self.b.cast(cond_v, "int64", out=_C, source_kp=cond_kp)
+        picked = self.b.multiply(cond_i, then_v, out=_V, left_kp=_C, right_kp=then_kp)
+        inverse = self.b.subtract(self.b.constant(1), cond_i, out=_C, right_kp=_C)
+        rejected = self.b.multiply(inverse, else_v, out=_W, left_kp=_C, right_kp=else_kp)
+        out = self.b.add(picked, rejected, out=_V, left_kp=_V, right_kp=_W)
+        return out, _V
 
     def _emit_scalar_of(self, expr: ex.ScalarOf):
         sub_rel = self.translate(expr.plan)
-        first = self.b.range(1, out=".__one")
-        scalar = self.b.gather(sub_rel, first, pos_kp=".__one")
+        first = self.b.range(1, out=_ONE)
+        scalar = self.b.gather(sub_rel, first, pos_kp=_ONE)
         return scalar, _col(expr.column)
 
 

@@ -34,7 +34,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from repro.core.keypath import Keypath
-from repro.core.schema import check_dtype
+from repro.core.schema import Schema, check_dtype
 from repro.core.vector import StructuredVector
 from repro.errors import StorageError
 from repro.storage.dictionary import StringDictionary
@@ -520,8 +520,15 @@ class ColumnStore:
         out.update(self._aux)
         return out
 
-    def schemas(self) -> dict[str, "object"]:
-        return {name: vec.schema for name, vec in self.vectors().items()}
+    def schemas(self) -> dict[str, Schema]:
+        """Load name -> schema (what :meth:`vectors` would carry), read
+        off the column dtypes without building a column view."""
+        out = {
+            name: Schema({Keypath([col.name]): col.dtype for col in table.columns.values()})
+            for name, table in self._tables.items()
+        }
+        out.update({name: vector.schema for name, vector in self._aux.items()})
+        return out
 
     def stats(self, table: str, column: str) -> ColumnStats:
         col = self.table(table).column(column)

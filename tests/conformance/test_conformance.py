@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.compiler import kernels
+from repro.relational import EngineConfig
 from repro.relational.engine import VoodooEngine
 from repro.testing import (
     case_from_json,
@@ -60,8 +61,8 @@ class TestSerialization:
     def test_roundtrip_preserves_results(self, tmp_path):
         case = generate_case(2, 11)
         reloaded = load_case(save_case(case, tmp_path / "case.json"))
-        with VoodooEngine(case.store, grain=case.grain) as a, \
-                VoodooEngine(reloaded.store, grain=reloaded.grain) as b:
+        with VoodooEngine(case.store, config=EngineConfig(grain=case.grain)) as a, \
+                VoodooEngine(reloaded.store, config=EngineConfig(grain=reloaded.grain)) as b:
             left = a.query(case.query)
             right = b.query(reloaded.query)
         assert left.columns == right.columns
@@ -95,7 +96,7 @@ def _find_grouped_sum_case(limit: int = 60):
                   if s.fn == "sum" and n in case.query.select]
         if not wanted:
             continue
-        with VoodooEngine(case.store, grain=case.grain) as engine:
+        with VoodooEngine(case.store, config=EngineConfig(grain=case.grain)) as engine:
             if len(engine.query(case.query)) >= 2:
                 return case
     raise AssertionError("no grouped-sum case found in the first cases")
@@ -136,7 +137,7 @@ class TestBrokenBackendIsCaught:
         """A bug in code *every* backend shares only the oracle can see."""
         for index in range(40):  # a case whose result has rows to drop
             case = generate_case(0, index)
-            with VoodooEngine(case.store, grain=case.grain) as engine:
+            with VoodooEngine(case.store, config=EngineConfig(grain=case.grain)) as engine:
                 if len(engine.query(case.query)):
                     break
         orig = VoodooEngine._extract

@@ -12,12 +12,15 @@ import pytest
 
 from repro.compiler import CompilerOptions, ExecutionOptions
 from repro.errors import ExecutionError
-from repro.relational import VoodooEngine
+from repro.relational import EngineConfig, VoodooEngine
 from repro.relational.algebra import AggSpec, Filter, GroupBy, Query, Scan
 from repro.relational.expressions import Col, Lit
 from repro.storage import ColumnStore, Table
 from repro.testing.conformance import run_case
 from repro.testing.serialize import Case
+
+
+TWO_WORKERS = EngineConfig(execution=ExecutionOptions(workers=2))
 
 
 def make_store(n: int = 40) -> ColumnStore:
@@ -44,12 +47,10 @@ def make_query(threshold: int = 50) -> Query:
 class TestTracingWorkersConflict:
     def test_tracing_with_workers_raises(self):
         with pytest.raises(ExecutionError, match="tracing"):
-            VoodooEngine(make_store(), execution=ExecutionOptions(workers=2),
-                         tracing=True)
+            VoodooEngine(make_store(), config=TWO_WORKERS.with_(tracing=True))
 
     def test_parallel_engine_defaults_to_untraced(self):
-        with VoodooEngine(make_store(),
-                          execution=ExecutionOptions(workers=2)) as engine:
+        with VoodooEngine(make_store(), config=TWO_WORKERS) as engine:
             assert engine.tracing is False
             result = engine.execute(make_query())
             assert result.compiled is None          # no simulated artifact
@@ -71,7 +72,7 @@ class TestPlanCacheFastpathFlip:
         serve the other's plan.
         """
         store = make_store()
-        with VoodooEngine(store, execution=ExecutionOptions(workers=2)) as engine:
+        with VoodooEngine(store, config=TWO_WORKERS) as engine:
             first = engine.query(make_query())
             assert engine.cache_info()["program_misses"] == 1
             engine.query(make_query())
@@ -93,8 +94,12 @@ class TestPlanCacheFastpathFlip:
     def test_compiler_fastpath_flip_changes_cache_key(self):
         store = make_store()
         query = make_query()
-        on = VoodooEngine(store, CompilerOptions(fastpath=True)).cache_key(query)
-        off = VoodooEngine(store, CompilerOptions(fastpath=False)).cache_key(query)
+        on, off = (
+            VoodooEngine(
+                store, config=EngineConfig(options=CompilerOptions(fastpath=fastpath))
+            ).cache_key(query)
+            for fastpath in (True, False)
+        )
         assert on != off
 
     def test_execution_fastpath_results_bit_identical(self):
@@ -102,7 +107,7 @@ class TestPlanCacheFastpathFlip:
         tables = []
         for fastpath in (True, False):
             execution = ExecutionOptions(workers=2, fastpath=fastpath)
-            with VoodooEngine(store, execution=execution) as engine:
+            with VoodooEngine(store, config=EngineConfig(execution=execution)) as engine:
                 tables.append(engine.query(make_query()))
         assert tables[0].rows() == tables[1].rows()
 
@@ -133,9 +138,9 @@ class TestFoldSelectFullyFilteredChunk:
         plan = GroupBy(plan, keys=[], aggs={"c": AggSpec("count"),
                                             "s": AggSpec("sum", Col("k"))}, grain=5)
         query = Query(plan=plan, select=["c", "s"])
-        sequential = VoodooEngine(store, grain=5).query(query)
-        with VoodooEngine(store, grain=5,
-                          execution=ExecutionOptions(workers=workers)) as engine:
+        sequential = VoodooEngine(store, config=EngineConfig(grain=5)).query(query)
+        config = EngineConfig(grain=5, execution=ExecutionOptions(workers=workers))
+        with VoodooEngine(store, config=config) as engine:
             parallel = engine.query(query)
         assert sequential.rows() == parallel.rows()
 
@@ -145,5 +150,5 @@ class TestFoldSelectFullyFilteredChunk:
         case = Case(seed=0, index=1, grain=5, store=store,
                     query=Query(plan=plan, select=["k"]))
         assert run_case(case) == []
-        assert len(VoodooEngine(store, grain=5).query(
+        assert len(VoodooEngine(store, config=EngineConfig(grain=5)).query(
             Query(plan=plan, select=["k"]))) == 0

@@ -18,8 +18,11 @@ from repro.core import Builder, Schema, StructuredVector
 from repro.errors import ExecutionError
 from repro.interpreter import Interpreter
 from repro.parallel import ParallelInterpreter
-from repro.relational import VoodooEngine
+from repro.relational import EngineConfig, VoodooEngine
 from repro.tpch import QUERIES, build, generate
+
+
+TWO_WORKERS = EngineConfig(execution=ExecutionOptions(workers=2))
 
 
 def assert_bit_identical(expected: dict, got: dict, context=()) -> None:
@@ -64,7 +67,7 @@ def test_tpch_fused_parallel_bit_identical(store, engine, number, workers):
 def test_engine_fused_parallel_tables_agree(store, engine):
     """The parallelism= knob (fused chunks by default) returns the same
     result tables as the sequential traced engine."""
-    with VoodooEngine(store, parallelism=2) as parallel_engine:
+    with VoodooEngine(store, config=TWO_WORKERS) as parallel_engine:
         for number in sorted(QUERIES):
             reference = engine.execute(build(store, number)).table
             table = parallel_engine.execute(build(store, number)).table
@@ -175,7 +178,7 @@ class TestPersistentPool:
 
     def test_engine_reuses_backend_and_closes(self):
         store = generate(0.002, seed=3)
-        engine = VoodooEngine(store, parallelism=2)
+        engine = VoodooEngine(store, config=TWO_WORKERS)
         engine.execute(build(store, 6))
         backend = engine._parallel_backend
         assert backend is not None
@@ -186,7 +189,7 @@ class TestPersistentPool:
 
     def test_engine_context_manager(self):
         store = generate(0.002, seed=3)
-        with VoodooEngine(store, parallelism=2) as engine:
+        with VoodooEngine(store, config=TWO_WORKERS) as engine:
             engine.query(build(store, 6))
         assert engine._parallel_backend is None
 
@@ -272,16 +275,18 @@ class TestTracingConflict:
     def test_explicit_tracing_with_workers_raises(self):
         store = generate(0.002, seed=3)
         with pytest.raises(ExecutionError, match="tracing"):
-            VoodooEngine(store, parallelism=2, tracing=True)
+            VoodooEngine(store, config=TWO_WORKERS.with_(tracing=True))
 
     def test_explicit_tracing_with_execution_options_raises(self):
         store = generate(0.002, seed=3)
         with pytest.raises(ExecutionError, match="tracing"):
-            VoodooEngine(store, execution=ExecutionOptions(workers=4), tracing=True)
+            VoodooEngine(
+                store, config=EngineConfig(execution=ExecutionOptions(workers=4), tracing=True)
+            )
 
     def test_parallel_engine_defaults_to_untraced(self):
         store = generate(0.002, seed=3)
-        with VoodooEngine(store, parallelism=2) as engine:
+        with VoodooEngine(store, config=TWO_WORKERS) as engine:
             assert engine.tracing is False
             result = engine.execute(build(store, 6))
             assert result.compiled is None

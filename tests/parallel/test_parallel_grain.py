@@ -18,7 +18,7 @@ from repro.core import Builder, Schema, StructuredVector
 from repro.errors import CompilationError
 from repro.parallel import ParallelInterpreter
 from repro.parallel.planner import chunk_ranges
-from repro.relational import VoodooEngine
+from repro.relational import EngineConfig, VoodooEngine
 from repro.tpch import build, generate
 
 
@@ -152,7 +152,7 @@ def test_engine_threads_parallel_grain_to_backend():
     store = generate(0.005, seed=7)
     execution = ExecutionOptions(workers=2, parallel_grain=700)
     with VoodooEngine(store) as reference, \
-            VoodooEngine(store, execution=execution) as tuned:
+            VoodooEngine(store, config=EngineConfig(execution=execution)) as tuned:
         query = build(store, 6)
         expected = reference.query(query)
         got = tuned.query(build(store, 6))
@@ -170,12 +170,11 @@ def test_engine_program_cache_invalidated_by_grain():
     """parallel_grain is part of ExecutionOptions, so the engine's program
     cache key changes with it — no stale plan reuse across grains."""
     store = generate(0.002, seed=3)
-    with VoodooEngine(store, execution=ExecutionOptions(workers=2)) as a:
+    with VoodooEngine(store, config=EngineConfig(execution=ExecutionOptions(workers=2))) as a:
         a.execute(build(store, 6))
         key_default = a.cache_key(build(store, 6))
-    with VoodooEngine(
-        store, execution=ExecutionOptions(workers=2, parallel_grain=512)
-    ) as b:
+    grained = EngineConfig(execution=ExecutionOptions(workers=2, parallel_grain=512))
+    with VoodooEngine(store, config=grained) as b:
         b.execute(build(store, 6))
         key_grained = b.cache_key(build(store, 6))
     assert key_default != key_grained

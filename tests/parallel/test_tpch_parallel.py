@@ -11,7 +11,8 @@ import pytest
 
 from repro.interpreter import Interpreter
 from repro.parallel import ParallelInterpreter
-from repro.relational import VoodooEngine
+from repro.compiler import ExecutionOptions
+from repro.relational import EngineConfig, VoodooEngine
 from repro.relational.translate import Translator
 from repro.tpch import QUERIES, build, generate
 
@@ -28,7 +29,7 @@ def engine(store):
 
 @pytest.fixture(scope="module")
 def parallel_engine(store):
-    return VoodooEngine(store, parallelism=4)
+    return VoodooEngine(store, config=EngineConfig(execution=ExecutionOptions(workers=4)))
 
 
 @pytest.mark.parametrize("number", sorted(QUERIES))

@@ -5,7 +5,7 @@ ColumnStore schema and the engine's device/workers/fuse knobs)."""
 import numpy as np
 
 from repro.compiler import CompilerOptions, ExecutionOptions
-from repro.relational import VoodooEngine
+from repro.relational import EngineConfig, VoodooEngine
 from repro.relational.algebra import AggSpec, GroupBy, KeySpec, Query, Scan
 from repro.relational.engine import structural_fingerprint
 from repro.relational.expressions import Col, Lit
@@ -67,7 +67,7 @@ class TestPlanCache:
         assert engine.cache_info()["plan_misses"] == 2
 
     def test_disabled_cache(self):
-        engine = VoodooEngine(make_store(), plan_cache=False)
+        engine = VoodooEngine(make_store(), config=EngineConfig(plan_cache=False))
         engine.execute(make_query())
         engine.execute(make_query())
         assert engine.cache_info() == {
@@ -80,7 +80,8 @@ class TestPlanCache:
     def test_parallel_path_caches_programs(self):
         """The parallel path populates only the program cache — and the
         split counters keep it from polluting plan-cache accounting."""
-        with VoodooEngine(make_store(), parallelism=2) as engine:
+        config = EngineConfig(execution=ExecutionOptions(workers=2))
+        with VoodooEngine(make_store(), config=config) as engine:
             first = engine.execute(make_query())
             second = engine.execute(make_query())
             info = engine.cache_info()
@@ -98,6 +99,11 @@ class TestPlanCache:
         engine.clear_plan_cache()
         engine.execute(make_query())
         assert engine.cache_info()["plan_misses"] == 2
+
+
+def key_under(store, **config) -> tuple:
+    """The plan-cache key of ``make_query()`` on an engine so configured."""
+    return VoodooEngine(store, config=EngineConfig(**config)).cache_key(make_query())
 
 
 class TestInvalidation:
@@ -121,20 +127,20 @@ class TestInvalidation:
     def test_device_and_fuse_in_key(self):
         store = make_store()
         keys = {
-            VoodooEngine(store, CompilerOptions()).cache_key(make_query()),
-            VoodooEngine(store, CompilerOptions(device="gpu")).cache_key(make_query()),
-            VoodooEngine(store, CompilerOptions(fuse=False)).cache_key(make_query()),
-            VoodooEngine(store, CompilerOptions(fastpath=False)).cache_key(make_query()),
-            VoodooEngine(store, CompilerOptions(selection="branch-free")).cache_key(make_query()),
+            key_under(store, options=CompilerOptions()),
+            key_under(store, options=CompilerOptions(device="gpu")),
+            key_under(store, options=CompilerOptions(fuse=False)),
+            key_under(store, options=CompilerOptions(fastpath=False)),
+            key_under(store, options=CompilerOptions(selection="branch-free")),
         }
         assert len(keys) == 5
 
     def test_workers_and_grain_in_key(self):
         store = make_store()
         keys = {
-            VoodooEngine(store).cache_key(make_query()),
-            VoodooEngine(store, execution=ExecutionOptions(workers=4)).cache_key(make_query()),
-            VoodooEngine(store, grain=128).cache_key(make_query()),
+            key_under(store),
+            key_under(store, execution=ExecutionOptions(workers=4)),
+            key_under(store, grain=128),
         }
         assert len(keys) == 3
 
@@ -143,8 +149,8 @@ class TestInvalidation:
         (same store, same options, same grain) must not share cache keys."""
         store = make_store()
         keys = {
-            VoodooEngine(store, execution=ExecutionOptions(workers=2)).cache_key(make_query()),
-            VoodooEngine(store, execution=ExecutionOptions(workers=4)).cache_key(make_query()),
+            key_under(store, execution=ExecutionOptions(workers=2)),
+            key_under(store, execution=ExecutionOptions(workers=4)),
         }
         assert len(keys) == 2
 
@@ -152,12 +158,8 @@ class TestInvalidation:
         """The fastpath × workers mode is part of the plan identity."""
         store = make_store()
         keys = {
-            VoodooEngine(
-                store, execution=ExecutionOptions(workers=2, fastpath=True)
-            ).cache_key(make_query()),
-            VoodooEngine(
-                store, execution=ExecutionOptions(workers=2, fastpath=False)
-            ).cache_key(make_query()),
+            key_under(store, execution=ExecutionOptions(workers=2, fastpath=True)),
+            key_under(store, execution=ExecutionOptions(workers=2, fastpath=False)),
         }
         assert len(keys) == 2
 

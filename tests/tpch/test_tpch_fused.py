@@ -10,9 +10,9 @@ partition-parallel engine return the same result tables.
 import numpy as np
 import pytest
 
-from repro.compiler import compile_program
+from repro.compiler import ExecutionOptions, compile_program
 from repro.interpreter import Interpreter
-from repro.relational import VoodooEngine
+from repro.relational import EngineConfig, VoodooEngine
 from repro.tpch import QUERIES, build, generate
 
 
@@ -52,8 +52,10 @@ def test_query_fused_bit_identical(store, engine, number):
 def test_engine_tables_agree_across_backends(store, engine, number):
     """Traced, fused-untraced and workers=2 engines: same result tables."""
     reference = engine.execute(build(store, number)).table
-    fused_engine = VoodooEngine(store, tracing=False)
-    parallel_engine = VoodooEngine(store, parallelism=2)
+    fused_engine = VoodooEngine(store, config=EngineConfig(tracing=False))
+    parallel_engine = VoodooEngine(
+        store, config=EngineConfig(execution=ExecutionOptions(workers=2))
+    )
     for other_engine in (fused_engine, parallel_engine):
         table = other_engine.execute(build(store, number)).table
         assert table.columns == reference.columns, number

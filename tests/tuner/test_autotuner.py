@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ExecutionError
-from repro.relational import VoodooEngine
+from repro.relational import EngineConfig, VoodooEngine
 from repro.tpch import QUERIES, build, generate
 from repro.tuner import (
     AutoTuner,
@@ -319,22 +319,21 @@ class TestMemoization:
 class TestEngineIntegration:
     def test_tuning_argument_validated(self, store):
         with pytest.raises(ExecutionError, match="tuning"):
-            VoodooEngine(store, tuning="sometimes")
+            VoodooEngine(store, config=EngineConfig(tuning="sometimes"))
 
     def test_tuned_engine_rejects_tracing(self, store):
         with pytest.raises(ExecutionError, match="tuning"):
-            VoodooEngine(store, tuning="auto", tracing=True)
+            VoodooEngine(store, config=EngineConfig(tuning="auto", tracing=True))
 
     def test_tuned_engine_rejects_explicit_execution(self, store):
         """tuning="auto" owns the ExecutionOptions — passing them too
         would be silently ignored, so it raises instead."""
         from repro.compiler import ExecutionOptions
 
-        with pytest.raises(ExecutionError, match="ExecutionOptions"):
-            VoodooEngine(store, tuning="auto",
-                         execution=ExecutionOptions(workers=2))
-        with pytest.raises(ExecutionError, match="ExecutionOptions"):
-            VoodooEngine(store, tuning="auto", parallelism=4)
+        for workers in (2, 4):
+            config = EngineConfig(tuning="auto", execution=ExecutionOptions(workers=workers))
+            with pytest.raises(ExecutionError, match="ExecutionOptions"):
+                VoodooEngine(store, config=config)
 
     def test_explain_requires_auto(self, store):
         with VoodooEngine(store) as engine:
@@ -345,7 +344,7 @@ class TestEngineIntegration:
         """The tuned plan-cache key must not name the chosen options —
         only query structure, store, and hardware."""
         tuner = fast_tuner(store)
-        with VoodooEngine(store, tuning="auto", tuner=tuner) as engine:
+        with VoodooEngine(store, config=EngineConfig(tuning="auto", tuner=tuner)) as engine:
             engine.query(build(store, 6))
             (token,) = engine._tuned_decisions
             key = tuner.key_for(build(store, 6), engine.grain)
@@ -355,7 +354,7 @@ class TestEngineIntegration:
 
     def test_delegate_reuse_and_close(self, store):
         tuner = fast_tuner(store)
-        engine = VoodooEngine(store, tuning="auto", tuner=tuner)
+        engine = VoodooEngine(store, config=EngineConfig(tuning="auto", tuner=tuner))
         engine.query(build(store, 6))
         engine.query(build(store, 6))
         assert len(engine._delegates) == 1  # one config, one delegate
@@ -366,7 +365,7 @@ class TestEngineIntegration:
 
     def test_cache_info_extends_with_tuning_counters(self, store):
         tuner = fast_tuner(store)
-        with VoodooEngine(store, tuning="auto", tuner=tuner) as engine:
+        with VoodooEngine(store, config=EngineConfig(tuning="auto", tuner=tuner)) as engine:
             engine.query(build(store, 6))
             info = engine.cache_info()
             assert info["tuning_misses"] == 1
@@ -374,7 +373,7 @@ class TestEngineIntegration:
 
     def test_explain_tuning_via_engine(self, store):
         tuner = fast_tuner(store)
-        with VoodooEngine(store, tuning="auto", tuner=tuner) as engine:
+        with VoodooEngine(store, config=EngineConfig(tuning="auto", tuner=tuner)) as engine:
             report = engine.explain_tuning(build(store, 6))
             assert report.chosen in tuner.space
             engine.query(build(store, 6))
@@ -390,8 +389,8 @@ def test_tpch_tuned_bit_identical_to_untuned(store, number):
     """The acceptance bar: tuning="auto" returns exactly the bits of
     tuning="off" on all 14 evaluated TPC-H queries."""
     tuner = fast_tuner(store, space=knob_space(cpu_count=2))
-    with VoodooEngine(store, tracing=False) as reference, \
-            VoodooEngine(store, tuning="auto", tuner=tuner) as tuned:
+    with VoodooEngine(store, config=EngineConfig(tracing=False)) as reference, \
+            VoodooEngine(store, config=EngineConfig(tuning="auto", tuner=tuner)) as tuned:
         expected = reference.query(build(store, number))
         got = tuned.query(build(store, number))
     assert got.columns == expected.columns
