@@ -1,10 +1,10 @@
 """Wall-clock regression harness for the fused fast path.
 
 Unlike the figure benchmarks (simulated device seconds), this measures
-real seconds of interpreter / compiled-traced / compiled-untraced /
-compiled-fused on the selection & projection microbenchmarks and a TPC-H
-subset, and writes the trajectory to ``BENCH_fused.json`` at the repo
-root (uploaded as a CI artifact so the perf history is tracked per PR).
+real seconds of interpreter / compiled-traced / compiled-fused on the
+selection & projection microbenchmarks and a TPC-H subset, and writes
+the trajectory to ``BENCH_fused.json`` at the repo root (uploaded as a
+CI artifact so the perf history is tracked per PR).
 
 The smoke test runs small sizes and asserts loose floors (CI machines
 are noisy); the ``slow`` variant runs the acceptance sizes and enforces

@@ -1,17 +1,16 @@
 """Wall-clock benchmark: does fusion pay off in real seconds?
 
 Everything else in :mod:`repro.bench` reports *simulated* device seconds;
-this module measures actual Python/NumPy wall-clock of the four execution
-backends on the same programs:
+this module measures actual Python/NumPy wall-clock of the three
+evaluators on the same programs:
 
 * ``interpreter`` — the reference bulk processor;
 * ``compiled_traced`` — the simulating compiled backend (the seed
   behaviour: ground-truth semantics + full trace emission);
-* ``compiled_untraced`` — the same kernels with the recorder disabled
-  (``fastpath=False``), isolating pure tracing overhead;
-* ``compiled_fused`` — the fused fast path
-  (:mod:`repro.compiler.rt_fast`): raw-array kernels, virtual
-  control vectors, uniform-run fold shortcuts, zero accounting.
+* ``compiled_fused`` — the untraced node runner
+  (:mod:`repro.compiler.runner` over :mod:`repro.compiler.rt_fast`):
+  raw-array kernels, virtual control vectors, uniform-run fold
+  shortcuts, zero accounting.
 
 Results are written to ``BENCH_fused.json`` so CI can track the
 wall-clock trajectory per PR; ``summary`` holds the headline numbers
@@ -20,7 +19,7 @@ a warm :class:`~repro.relational.engine.VoodooEngine` avoids.
 
 The **multicore section** (:func:`run_multicore`, written to
 ``BENCH_fused_mc.json``) measures the *composed* fast path — the
-partition-parallel backend executing fused chunk kernels
+partition-parallel backend scheduling the same runner per chunk
 (``fused_parallel_wN``) — against the sequential traced and fused
 backends, on the microbenchmarks (including a Q1-class grouped
 aggregation) and the aggregation-bound TPC-H laggards.  Read
@@ -51,7 +50,7 @@ from repro.relational.config import EngineConfig
 from repro.relational.engine import VoodooEngine
 from repro.tpch import build, generate
 
-MODES = ("interpreter", "compiled_traced", "compiled_untraced", "compiled_fused")
+MODES = ("interpreter", "compiled_traced", "compiled_fused")
 MC_WORKERS = (2, 4)
 MC_MODES = ("compiled_traced", "compiled_fused") + tuple(
     f"fused_parallel_w{w}" for w in MC_WORKERS
@@ -68,17 +67,13 @@ def _best_of(fn, repeats: int) -> float:
 
 
 def _time_backends(program, storage, repeats: int) -> dict[str, float]:
-    fused = compile_program(program, CompilerOptions())
-    plain = compile_program(program, CompilerOptions(fastpath=False))
+    compiled = compile_program(program, CompilerOptions())
     interpreter = Interpreter(storage)
     times = {
         "interpreter": _best_of(lambda: interpreter.run(program), repeats),
-        "compiled_traced": _best_of(lambda: plain.run(storage), repeats),
-        "compiled_untraced": _best_of(
-            lambda: plain.run(storage, collect_trace=False), repeats
-        ),
+        "compiled_traced": _best_of(lambda: compiled.run(storage), repeats),
         "compiled_fused": _best_of(
-            lambda: fused.run(storage, collect_trace=False), repeats
+            lambda: compiled.run(storage, collect_trace=False), repeats
         ),
     }
     times["speedup_fused_vs_traced"] = (
@@ -209,16 +204,15 @@ def groupby_store(n: int, cards: int = 12,
 
 def _time_multicore(program, storage, repeats: int) -> dict[str, float]:
     """Best-of-k seconds of the sequential backends vs fused-parallel."""
-    fused = compile_program(program, CompilerOptions())
-    plain = compile_program(program, CompilerOptions(fastpath=False))
+    compiled = compile_program(program, CompilerOptions())
     times = {
-        "compiled_traced": _best_of(lambda: plain.run(storage), repeats),
+        "compiled_traced": _best_of(lambda: compiled.run(storage), repeats),
         "compiled_fused": _best_of(
-            lambda: fused.run(storage, collect_trace=False), repeats
+            lambda: compiled.run(storage, collect_trace=False), repeats
         ),
     }
     for workers in MC_WORKERS:
-        with ParallelInterpreter(storage, workers=workers, fastpath=True) as runner:
+        with ParallelInterpreter(storage, workers=workers) as runner:
             times[f"fused_parallel_w{workers}"] = _best_of(
                 lambda: runner.run(program), repeats
             )

@@ -69,9 +69,7 @@ def _time_native(program, storage, repeats: int) -> dict[str, float]:
             lambda: native.run(storage, collect_trace=False), repeats
         ),
     }
-    with ParallelInterpreter(
-        storage, workers=2, fastpath=True, native=True
-    ) as runner:
+    with ParallelInterpreter(storage, workers=2, native=True) as runner:
         runner.run(program)
         times["native_parallel_w2"] = _best_of(
             lambda: runner.run(program), repeats

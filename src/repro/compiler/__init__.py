@@ -3,7 +3,8 @@
 Compiles Voodoo programs into fused kernels with declaratively controlled
 parallelism: control-vector metadata → extent/intent fragments → generated
 kernel source, with virtual scatters and empty-slot suppression.  Executed
-kernels emit operation traces priced by :mod:`repro.hardware`.
+kernels emit operation traces priced by :mod:`repro.hardware`; untraced
+runs execute on the node runner (:mod:`repro.compiler.runner`).
 """
 
 from repro.compiler.compiled import CompiledProgram, compile_program

@@ -8,24 +8,15 @@ compiled with :func:`compile`, cached per program, and inspectable via
 OpenCL kernels (a pseudo-OpenCL rendering of the same fragments is
 available from :mod:`repro.compiler.opencl_emit`).
 
-Two generation modes share this generator:
-
-* **simulated** (default): calls into :class:`repro.compiler.rt.Runtime`,
-  which computes results *and* emits the priced operation trace;
-* **fused** (``fused=True``): the wall-clock fast path.  Straight-line
-  chains of map-like operators (Binary/Unary over columns and constants)
-  are emitted as raw NumPy statements over ``(array, mask)`` locals — no
-  per-operator value wrapping, no mask copies — and only re-enter the
-  :class:`repro.compiler.rt_fast.FusedRuntime` value world at chain ends
-  (folds, gathers, structural ops, outputs).  Fragment bookkeeping
-  (``begin_kernel`` / ``seam``) is cost-model machinery and is not
-  emitted at all.
+The generated code calls into :class:`repro.compiler.rt.Runtime`, which
+computes results *and* emits the priced operation trace.  Untraced runs
+need no generated code at all: :mod:`repro.compiler.runner` dispatches
+the program node by node.
 """
 
 from __future__ import annotations
 
 from repro.compiler.fragments import FragmentPlan
-from repro.compiler.rt_fast import FUSED_NAMESPACE
 from repro.core import ops
 from repro.core.keypath import Keypath
 from repro.core.program import Program
@@ -36,118 +27,34 @@ def _kp(path: Keypath | None) -> str:
     return "None" if path is None else f"KP({str(path)!r})"
 
 
-def _classify(metadata, src: ops.Op, kp: Keypath | None, raw: set[int]):
-    """How a fused map operator reads one operand, or None if the
-    operator cannot be emitted as a raw statement."""
-    if kp is None:
-        return None
-    if isinstance(src, ops.Constant):
-        return ("const", src)
-    if id(src) in raw:
-        # a raw producer exposes exactly its `out` attribute as locals
-        return ("local", src) if kp == src.out else ("ext", src, kp)
-    if metadata.is_virtual(src):
-        return None  # keep Range/constant chains symbolic in the runtime
-    if metadata.info(src, kp) is not None:
-        return None  # control-vector metadata: the runtime derives it
-    return ("ext", src, kp)
-
-
-def plan_raw_chains(program: Program, metadata) -> tuple[dict[int, list[tuple]], set[int]]:
-    """Plan the raw map chains of a program for fused execution.
-
-    Returns ``(raw_sides, needs_fv)``: the operand classes of every
-    Binary/Unary that can run over bare ``(array, mask)`` pairs, and the
-    subset whose results re-enter the FusedVal world.  Shared by the
-    fused Python codegen below and the native C chain planner
-    (:mod:`repro.native.plan`), so both tiers agree on what "a chain" is.
-    """
-    raw: set[int] = set()
-    raw_sides: dict[int, list[tuple]] = {}
-    needs_fv: set[int] = set()
-    for node in program.order:
-        if isinstance(node, ops.Binary):
-            if metadata.is_virtual(node) or metadata.info(node, node.out) is not None:
-                continue
-            left = _classify(metadata, node.left, node.left_kp, raw)
-            right = _classify(metadata, node.right, node.right_kp, raw)
-            if left is None or right is None:
-                continue
-            if left[0] == "const" and right[0] == "const":
-                continue  # length-1 results stay in the runtime
-            raw.add(id(node))
-            raw_sides[id(node)] = [left, right]
-        elif isinstance(node, ops.Unary):
-            if metadata.is_virtual(node):
-                continue
-            source = _classify(metadata, node.source, node.source_kp, raw)
-            if source is None:
-                continue
-            raw.add(id(node))
-            raw_sides[id(node)] = [source]
-
-    # a raw node needs a FusedVal wrapper when any consumer reads it
-    # generically (or through _ext), or when it is a program output
-    for node in program.order:
-        sides = raw_sides.get(id(node))
-        for child in node.inputs():
-            if id(child) not in raw:
-                continue
-            if sides is not None and any(
-                s[0] == "local" and s[1] is child for s in sides
-            ) and not any(
-                s[0] == "ext" and s[1] is child for s in sides
-            ):
-                continue  # consumed purely as raw locals
-            needs_fv.add(id(child))
-    for out in program.outputs.values():
-        if id(out) in raw:
-            needs_fv.add(id(out))
-    return raw_sides, needs_fv
-
-
 class CodeGenerator:
     """Emits the Python source of one compiled program."""
 
-    def __init__(self, plan: FragmentPlan, fused: bool = False):
+    def __init__(self, plan: FragmentPlan):
         self.plan = plan
         self.program: Program = plan.program
-        self.fused = fused
         self.names: dict[int, str] = {}
         self.lines: list[str] = []
-        #: raw-chain planning (fused mode): node id -> operand classes
-        self._raw_sides: dict[int, list[tuple]] = {}
-        #: raw nodes that also need a FusedVal wrapper emitted
-        self._needs_fv: set[int] = set()
-        if fused:
-            self._raw_sides, self._needs_fv = plan_raw_chains(
-                self.program, plan.metadata
-            )
 
     def generate(self) -> str:
-        entry = "__voodoo_fused__" if self.fused else "__voodoo_main__"
         self.lines = [
-            f"def {entry}(rt):",
+            "def __voodoo_main__(rt):",
             "    # generated by repro.compiler.codegen — do not edit",
         ]
         current_fragment: int | None = None
         for index, node in enumerate(self.program.order):
             name = f"n{index}"
             self.names[id(node)] = name
-            if not self.fused:
-                frag = self.plan.fragment_of.get(id(node))
-                if frag is not None and frag != current_fragment:
-                    fragment = self.plan.fragments[frag]
-                    self._line(
-                        f"rt.begin_kernel({frag}, intent={fragment.intent}, "
-                        f"segmented={fragment.segmented})"
-                    )
-                    current_fragment = frag
-            if self.fused and id(node) in self._raw_sides:
-                self._emit_raw(index, node)
-                continue
+            frag = self.plan.fragment_of.get(id(node))
+            if frag is not None and frag != current_fragment:
+                fragment = self.plan.fragments[frag]
+                self._line(
+                    f"rt.begin_kernel({frag}, intent={fragment.intent}, "
+                    f"segmented={fragment.segmented})"
+                )
+                current_fragment = frag
             self._emit_node(name, node)
-            if not self.fused and self.plan.is_materialized(node) and not isinstance(
+            if self.plan.is_materialized(node) and not isinstance(
                 node, (ops.Load, ops.Persist, ops.Break, ops.Materialize)
             ):
                 self._line(f"{name} = rt.seam({name})")
@@ -163,37 +70,6 @@ class CodeGenerator:
 
     def _ref(self, node: ops.Op) -> str:
         return self.names[id(node)]
-
-    # -- raw-chain emission (fused mode) ------------------------------------
-
-    def _operand(self, cls: tuple) -> str:
-        kind = cls[0]
-        if kind == "local":
-            i = self._index_of(cls[1])
-            return f"a{i}, m{i}"
-        if kind == "const":
-            node = cls[1]
-            return f"_lit({node.dtype!r}, {node.value!r}), None"
-        _, src, kp = cls
-        return f"*_ext({self._ref(src)}, {_kp(kp)})"
-
-    def _index_of(self, node: ops.Op) -> str:
-        return self.names[id(node)][1:]  # "n17" -> "17"
-
-    def _emit_raw(self, index: int, node: ops.Op) -> None:
-        sides = self._raw_sides[id(node)]
-        if isinstance(node, ops.Binary):
-            self._line(
-                f"a{index}, m{index} = _fb({node.fn!r}, "
-                f"{self._operand(sides[0])}, {self._operand(sides[1])})"
-            )
-        else:
-            self._line(
-                f"a{index}, m{index} = _fu({node.fn!r}, "
-                f"{self._operand(sides[0])}, {node.dtype!r})"
-            )
-        if id(node) in self._needs_fv:
-            self._line(f"n{index} = rt.wrap({_kp(node.out)}, a{index}, m{index})")
 
     # -- per-operator emission --------------------------------------------------
 
@@ -313,16 +189,14 @@ class CodeGenerator:
         )
 
 
-def generate_source(plan: FragmentPlan, fused: bool = False) -> str:
+def generate_source(plan: FragmentPlan) -> str:
     """The executable Python source for a fragment plan."""
-    return CodeGenerator(plan, fused=fused).generate()
+    return CodeGenerator(plan).generate()
 
 
-def compile_source(source: str, fused: bool = False):
+def compile_source(source: str):
     """Compile generated source into the kernel entry point."""
     namespace: dict = {"KP": Keypath.parse}
-    if fused:
-        namespace.update(FUSED_NAMESPACE)
     code = compile(source, "<voodoo-kernel>", "exec")
     exec(code, namespace)
-    return namespace["__voodoo_fused__" if fused else "__voodoo_main__"]
+    return namespace["__voodoo_main__"]

@@ -20,7 +20,7 @@ from repro.compiler.opencl_emit import emit_opencl
 from repro.compiler.optimizer import optimize
 from repro.compiler.options import CompilerOptions, ExecutionOptions
 from repro.compiler.rt import Runtime
-from repro.compiler.rt_fast import FusedRuntime
+from repro.compiler.runner import run_program
 from repro.core.program import Program
 from repro.core.vector import StructuredVector
 from repro.hardware.cost import CostModel, CostReport
@@ -36,18 +36,15 @@ class CompiledProgram:
     options: CompilerOptions
     plan: FragmentPlan
     device: DeviceProfile
-    #: wall-clock fast path (None when options.fastpath/fuse are off):
-    #: raw-array kernels, no tracing — see repro.compiler.rt_fast
-    fused_source: str | None = None
-    fused_entry: Callable | None = None
-    #: run untraced executions on the native C tier (repro.native)
-    native: bool = False
+    #: untraced runs have no generated source (repro.compiler.runner);
+    #: last reader: perfbench/replay.py, which falls back to ``source``
+    fused_source = None
 
     @cached_property
     def source(self) -> str:
         """Kernel source of the traced (simulated) runtime.  Generated on
-        first access: an engine serving untraced runs from the fused or
-        native tier never pays for code it does not run."""
+        first access: an engine serving untraced runs never pays for
+        code it does not run."""
         return generate_source(self.plan)
 
     @cached_property
@@ -55,6 +52,11 @@ class CompiledProgram:
         """Entry point of the traced runtime (``compile()`` of
         :attr:`source`, on the first traced run)."""
         return compile_source(self.source)
+
+    @property
+    def native(self) -> bool:
+        """Untraced executions run on the native C tier (:mod:`repro.native`)."""
+        return self.options.native and self.options.fuse
 
     @property
     def opencl(self) -> str:
@@ -80,24 +82,17 @@ class CompiledProgram:
         ``execution`` carries the multicore knob: the runtime charges
         per-core footprints for ``execution.workers`` cores.
 
-        With ``collect_trace=False`` there is nothing to simulate, so the
-        run is dispatched to the fused wall-clock kernels when the program
-        was compiled with ``options.fastpath`` (the default) — bit-identical
+        With ``collect_trace=False`` there is nothing to simulate, so a
+        program compiled with ``options.fuse`` (the default) runs on the
+        node runner (:mod:`repro.compiler.runner`) — bit-identical
         outputs, an empty trace, and no accounting overhead.
         """
-        if not collect_trace and self.fused_entry is not None:
-            if self.native:
-                from repro.native.runner import run_native_program
-                outputs = run_native_program(
-                    self.program, storage,
-                    virtual_scatter=self.options.virtual_scatter,
-                )
-                return dict(outputs), Trace()
-            runtime = FusedRuntime(
-                storage, virtual_scatter=self.options.virtual_scatter
+        if not collect_trace and self.options.fuse:
+            outputs = run_program(
+                self.program, storage, native=self.native,
+                virtual_scatter=self.options.virtual_scatter,
             )
-            outputs = self.fused_entry(runtime)
-            return dict(outputs), Trace()
+            return outputs, Trace()
         recorder = TraceRecorder(enabled=collect_trace)
         runtime = Runtime(
             storage=storage,
@@ -144,33 +139,24 @@ def compile_program(
     """Compile a Voodoo program for a device (the OpenCL-backend analogue).
 
     Pipeline: optimizer (CSE) → control-vector metadata inference →
-    fragment assignment (extent/intent) → kernel source generation →
-    ``compile()``.  The fused fast-path kernels are generated here; the
-    traced runtime's source waits for its first use
-    (:attr:`CompiledProgram.source`).
+    fragment assignment (extent/intent).  Kernel source generation and
+    ``compile()`` wait for the first traced run
+    (:attr:`CompiledProgram.source`); untraced runs need neither.
     """
     if run_optimizer:
         program = optimize(program)
     options = options or CompilerOptions()
     metadata = MetadataPass(program)
     plan = FragmentPlan(program, options, metadata)
-    fused_source = fused_entry = None
-    native = False
-    if options.fastpath and options.fuse:
-        fused_source = generate_source(plan, fused=True)
-        fused_entry = compile_source(fused_source, fused=True)
-        if options.native:
-            # plan (and memoize) the chain index at compile time so the
-            # first run never pays the planning walk
-            from repro.native.runner import chain_index
-            chain_index(program, metadata)
-            native = True
-    return CompiledProgram(
+    compiled = CompiledProgram(
         program=program,
         options=options,
         plan=plan,
         device=get_device(options.device),
-        fused_source=fused_source,
-        fused_entry=fused_entry,
-        native=native,
     )
+    if compiled.native:
+        # plan the chain index now, while the metadata pass is at hand,
+        # so the first run does not repeat it
+        from repro.native.runner import chain_index
+        chain_index(program, metadata)
+    return compiled

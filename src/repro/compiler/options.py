@@ -13,7 +13,6 @@ from dataclasses import dataclass, replace
 from repro.errors import CompilationError
 
 SELECTION_STRATEGIES = ("branching", "branch-free")
-POOL_KINDS = ("thread", "process")
 
 
 @dataclass(frozen=True)
@@ -35,24 +34,21 @@ class CompilerOptions:
     fuse:
         Inline operators between pipeline breakers into one fragment; off
         = operator-at-a-time (Ocelot-style) execution, for ablations.
-    fastpath:
-        Also generate the *fused wall-clock* kernels (raw-array NumPy,
-        no per-operator value wrapping, no trace machinery) and dispatch
-        untraced runs (``run(collect_trace=False)``) to them.  Outputs
-        are bit-identical to the simulated path; only the operation
-        trace (empty) differs.  Ignored when ``fuse`` is off — the
+        Untraced runs (``run(collect_trace=False)``) execute on the node
+        runner (:mod:`repro.compiler.runner`) when on; when off they stay
+        on the traced runtime with a disabled recorder — the
         operator-at-a-time ablation must execute operator-at-a-time.
     parallel_grain:
         Default intent for folds whose control vector carries no static
         metadata; ``None`` lets the backend pick per device.
     native:
-        Execute untraced runs on the native CPU tier
-        (:mod:`repro.native`): map chains and uniform-run folds are
-        lowered to C, compiled with the system compiler through an
-        on-disk ``.so`` cache, and called over the raw column buffers.
-        Bit-identical to the fused path; degrades to it per kernel when
-        the machine has no compiler or a dtype is not servable.
-        Requires ``fastpath``/``fuse`` (off otherwise, like fastpath).
+        Execute untraced runs — sequential and partition-parallel alike —
+        on the native CPU tier (:mod:`repro.native`): map chains and
+        uniform-run folds are lowered to C, compiled with the system
+        compiler through an on-disk ``.so`` cache, and called over the
+        raw column buffers.  Bit-identical to the NumPy kernels; degrades
+        to them per kernel when the machine has no compiler or a dtype
+        is not servable.  Requires ``fuse`` (off otherwise).
     """
 
     device: str = "cpu-mt"
@@ -60,7 +56,6 @@ class CompilerOptions:
     virtual_scatter: bool = True
     slot_suppression: bool = True
     fuse: bool = True
-    fastpath: bool = True
     parallel_grain: int | None = None
     native: bool = False
 
@@ -83,18 +78,9 @@ class ExecutionOptions:
     compiled/simulated path it overrides the device profile's hardware
     thread count, so trace events are priced with per-core compute spread
     over exactly *workers* lanes (the scaling-curve benchmarks sweep it);
-    for the interpreting path it is the
+    for untraced runs it is the
     :class:`~repro.parallel.ParallelInterpreter` pool width, delivering
-    real wall-clock parallelism.  ``pool`` picks the worker pool kind.
-
-    ``fastpath`` composes the two headline optimizations: when True (the
-    default) the partition-parallel backend executes each chunk — and the
-    global/sequential zones — through the fused wall-clock runtime
-    (:mod:`repro.compiler.rt_fast`) instead of the materializing
-    interpreter, so fusion × multicore multiply instead of excluding
-    each other.  It only takes effect when the compiler-side
-    ``CompilerOptions.fastpath``/``fuse`` flags are on too; results stay
-    bit-identical either way.
+    real wall-clock parallelism.
 
     ``parallel_grain`` is the chunk-granularity knob of the
     partition-parallel backend: target *rows per chunk* when slicing the
@@ -106,27 +92,14 @@ class ExecutionOptions:
     ``Range``, rebased ``FoldSelect``) at the requested granularity.
     Results are bit-identical at every grain: the planner only chunks
     exactly-associative merges.
-
-    ``native`` composes the native C tier with the parallel backend the
-    same way ``fastpath`` composes fusion: chunk workers (and the
-    global/sequential zones) evaluate through the native runner, so
-    native × multicore multiply.  Takes effect only when ``fastpath``
-    is effective; bit-identical either way.
     """
 
     workers: int = 1
-    pool: str = "thread"
-    fastpath: bool = True
     parallel_grain: int | None = None
-    native: bool = False
 
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise CompilationError(f"workers must be >= 1, got {self.workers}")
-        if self.pool not in POOL_KINDS:
-            raise CompilationError(
-                f"pool must be one of {POOL_KINDS}, got {self.pool!r}"
-            )
         if self.parallel_grain is not None and self.parallel_grain < 1:
             raise CompilationError(
                 f"parallel_grain must be >= 1 or None, got {self.parallel_grain}"

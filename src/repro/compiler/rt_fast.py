@@ -6,10 +6,11 @@ its result in a :class:`StructuredVector` so the accounting can inspect
 it.  That is the right tool for simulation, but it pays real wall-clock
 for bookkeeping the default execution path never uses.
 
-This module is the fast path: the same generated kernel shape runs over
-:class:`FusedVal` values — bare ``{keypath: ndarray}`` dictionaries with
-shared (never copied) presence masks and virtual :class:`RunInfo`
-attributes that stay symbolic until an operator actually needs a buffer.
+This module is the fast path: :mod:`repro.compiler.runner` dispatches
+each operator onto a method here, over :class:`FusedVal` values — bare
+``{keypath: ndarray}`` dictionaries with shared (never copied) presence
+masks and virtual :class:`RunInfo` attributes that stay symbolic until
+an operator actually needs a buffer.
 No trace events, no per-operator ``StructuredVector`` construction, no
 footprint sampling; folds whose control vectors carry static uniform-run
 metadata dispatch to the direct kernels in
@@ -151,16 +152,20 @@ def literal(dtype: str, value) -> np.ndarray:
 
 
 class FusedRuntime:
-    """Execution context for fused kernels: semantics only, zero tracing.
+    """Execution context for untraced runs: semantics only, zero tracing.
 
-    Method names and signatures mirror :class:`repro.compiler.rt.Runtime`
-    so the code generator can emit the same call shapes for both paths.
+    Method names and signatures mirror :class:`repro.compiler.rt.Runtime`.
+    ``kernels`` provides the four uniform-run kernels the native tier
+    replaces (``fold_select_uniform``, ``fold_aggregate_uniform``,
+    ``fold_count_uniform``, ``gather_compacted``): the NumPy ones of
+    :mod:`repro.compiler.kernels` by default, :mod:`repro.native.runner`
+    for C with a per-call NumPy fallback.
     """
 
-    def __init__(self, storage, virtual_scatter: bool = True):
+    def __init__(self, storage, virtual_scatter: bool = True, kernels=kernels):
         self.storage = storage
         self.virtual_scatter_enabled = virtual_scatter
-        self.outputs: dict[str, StructuredVector] = {}
+        self.kernels = kernels
 
     # -- maintenance --------------------------------------------------------
 
@@ -181,15 +186,6 @@ class FusedRuntime:
             cols[p] = vector.attr(p)
             masks[p] = None if vector.is_dense(p) else vector.present(p)
         return FusedVal(len(vector), cols, masks, lazy=lazy)
-
-    def output(self, name: str, val: FusedVal) -> StructuredVector:
-        vector = self.force(val)
-        self.outputs[name] = vector
-        return vector
-
-    def wrap(self, path: Keypath, array: np.ndarray, mask: np.ndarray | None) -> FusedVal:
-        """Promote a raw (array, mask) chain value back to a FusedVal."""
-        return FusedVal(len(array), {path: array}, {path: mask})
 
     def force(self, val: FusedVal) -> StructuredVector:
         """Materialize into a plain Structured Vector (output boundary)."""
@@ -410,7 +406,7 @@ class FusedRuntime:
         # both kernels are bit-identical, this is purely a cost choice
         compacted = pos_mask is not None and np.count_nonzero(pos_mask) * 2 < len(pos)
         if compacted:
-            out_cols, out_masks = self._gather_compacted(
+            out_cols, out_masks = self.kernels.gather_compacted(
                 pos, pos_mask, source.length, cols, masks
             )
         else:
@@ -456,14 +452,6 @@ class FusedRuntime:
             return self._apply_scatter(source)
         return source
 
-    def seam(self, val: FusedVal, useful: int | None = None) -> FusedVal:
-        # Fragment seams exist for the cost model; the fused path keeps
-        # values raw (and virtuals symbolic) straight through them.
-        return val
-
-    def begin_kernel(self, fragment: int, intent: int, segmented: bool) -> None:
-        return None
-
     def partition(self, out: Keypath, source: FusedVal, kp: Keypath,
                   pivots: FusedVal, pivot_kp: Keypath) -> FusedVal:
         values, mask = extract(source, kp)
@@ -480,14 +468,6 @@ class FusedRuntime:
         )
 
     # -- folds --------------------------------------------------------------
-
-    # uniform-run kernel hooks: the native tier
-    # (:class:`repro.native.runner.NativeFusedRuntime`) overrides these
-    # with C kernels; everything else about the fold methods is shared
-    _fold_select_uniform = staticmethod(kernels.fold_select_uniform)
-    _fold_aggregate_uniform = staticmethod(kernels.fold_aggregate_uniform)
-    _fold_count_uniform = staticmethod(kernels.fold_count_uniform)
-    _gather_compacted = staticmethod(kernels.gather_compacted)
 
     def _control_arrays(self, val: FusedVal, fold_kp: Keypath | None, n: int):
         """(control, control_present, static_run_length) — mirrors
@@ -512,7 +492,7 @@ class FusedRuntime:
         control, cmask, static_rl = self._control_arrays(val, fold_kp, n)
         sel, sel_mask = extract(val, sel_kp)
         if control is None:
-            values, present = self._fold_select_uniform(
+            values, present = self.kernels.fold_select_uniform(
                 sel, sel_mask, static_rl or 0, n
             )
         else:
@@ -560,7 +540,7 @@ class FusedRuntime:
                     return FusedVal(n, {out: result}, {out: present})
         values, mask = extract(val, agg_kp)
         if control is None:
-            result, present = self._fold_aggregate_uniform(
+            result, present = self.kernels.fold_aggregate_uniform(
                 fn, values, mask, static_rl or 0, n
             )
         else:
@@ -640,7 +620,7 @@ class FusedRuntime:
         control, cmask, static_rl = self._control_arrays(val, fold_kp, n)
         counted_mask = None if kp is None else val.mask(kp)
         if control is None:
-            result, present = self._fold_count_uniform(
+            result, present = self.kernels.fold_count_uniform(
                 counted_mask, static_rl or 0, n
             )
         else:
@@ -703,13 +683,3 @@ def _normalized(masks: dict) -> dict:
     return {
         p: (None if (m is not None and m.all()) else m) for p, m in masks.items()
     }
-
-
-#: names injected into generated fused kernel source
-FUSED_NAMESPACE = {
-    "np": np,
-    "_fb": fused_binary,
-    "_fu": fused_unary,
-    "_ext": extract,
-    "_lit": literal,
-}

@@ -1,33 +1,37 @@
-"""Fused execution for the partition-parallel backend.
+"""The node runner: the one way a program executes untraced.
 
-PR 1 made the multicore backend real and PR 2 made the compiled backend
-fast — but a ``workers > 1`` engine still executed every chunk on the
-materializing reference :class:`~repro.interpreter.engine.Interpreter`,
-so the two headline optimizations excluded each other.  This module
-composes them: it drives the fused wall-clock runtime
-(:class:`~repro.compiler.rt_fast.FusedRuntime`) per *zone* of a
-:class:`~repro.parallel.planner.PartitionPlan` —
+A :class:`ProgramRunner` dispatches each operator of a
+:class:`~repro.core.program.Program` onto the wall-clock runtime
+(:class:`~repro.compiler.rt_fast.FusedRuntime`: raw arrays, shared
+masks, symbolic control vectors, direct fold kernels).  Two entry points
+cover every untraced execution in the repo:
 
-* :class:`FusedProgramRunner` evaluates the GLOBAL and SEQ zones over
-  full vectors (raw arrays, shared masks, symbolic control vectors,
-  direct fold kernels — exactly what the generated fused kernels do);
-* :class:`FusedChunkRunner` evaluates the PARTITIONED/GFOLD/GSELECT
-  zones over one chunk ``[lo, hi)``, overriding exactly the operators
-  whose chunk-local evaluation would diverge from the slots sequential
-  execution produces: ``Range`` starts are offset symbolically by the
-  chunk origin (the :class:`~repro.core.controlvector.RunInfo` stays
-  virtual, so uniform-run fold kernels still engage inside a chunk),
-  ``FoldSelect`` hit positions are rebased to global row numbers, and a
-  ``Gather`` into partitioned data verifies at runtime that positions
-  stay inside the chunk (raising :class:`ChunkCrossing` otherwise).
+* :func:`run_program` evaluates a whole program over full vectors —
+  ``CompiledProgram.run(collect_trace=False)`` and every sequential run
+  of the partition-parallel backend;
+* :func:`run_chunk` evaluates the chunked zones of a
+  :class:`~repro.parallel.planner.PartitionPlan` over one chunk
+  ``[lo, hi)`` through a :class:`ChunkRunner`, which overrides exactly
+  the operators whose chunk-local evaluation would diverge from the
+  slots sequential execution produces: ``Range`` starts are offset
+  symbolically by the chunk origin (the
+  :class:`~repro.core.controlvector.RunInfo` stays virtual, so
+  uniform-run fold kernels still engage inside a chunk), ``FoldSelect``
+  hit positions are rebased to global row numbers, and a ``Gather`` into
+  partitioned data verifies at runtime that positions stay inside the
+  chunk (raising :class:`ChunkCrossing` otherwise).
+
+``native=True`` swaps the kernels, not the runner: the runtime's four
+uniform-run kernels come from :mod:`repro.native.runner`, and planned
+map chains are intercepted at their head and computed by one C kernel.
 
 Chunk inputs are *views*: the driving vector's columns and presence
 masks are sliced, never copied, before crossing the chunk boundary —
 masks are shared into the workers under the FusedVal contract that no
 consumer mutates them.  Everything here is bit-identity-preserving: the
-fused-parallel backend produces exactly the vectors the sequential
-interpreter produces, enforced on every TPC-H query and property-tested
-across chunk boundaries that cut group-by runs.
+runner produces exactly the vectors the reference interpreter produces,
+enforced on every TPC-H query and property-tested across chunk
+boundaries that cut group-by runs.
 """
 
 from __future__ import annotations
@@ -50,14 +54,8 @@ class ChunkCrossing(Exception):
     """A Gather into partitioned data chased positions outside the chunk.
 
     Raised by chunk workers; the executor responds by re-running the
-    whole program sequentially (on the fused runtime), which is always
-    correct.
+    whole program through :func:`run_program`, which is always correct.
     """
-
-
-class FusedUnsupported(Exception):
-    """The fused dispatch cannot evaluate this program; callers fall back
-    to the interpreter backend."""
 
 
 def to_fused(vector: StructuredVector, lo: int = 0, hi: int | None = None) -> FusedVal:
@@ -93,52 +91,65 @@ def fused_slice(val: FusedVal, lo: int, hi: int) -> FusedVal:
     return FusedVal(hi - lo, cols, masks, lazy=lazy)
 
 
-class FusedProgramRunner:
-    """Per-node dispatch into the fused runtime (the GLOBAL/SEQ zones).
-
-    Emits the same runtime call shapes the code generator emits for the
-    compiled fused path, so outputs are bit-identical to both the
-    generated fused kernels and the interpreter.  Scatters stay virtual
-    under the same rule the fragment planner applies (every consumer is
-    a fold and the scatter is not a program output).
-    """
-
-    _dispatch: dict[type, object] | None = None
-    #: the runtime to instantiate — the native tier substitutes its own
-    runtime_class = FusedRuntime
-
-    def __init__(self, program: Program, storage: Mapping[str, StructuredVector]
-                 | None = None, virtual_scatter: bool = True,
-                 keep_virtual: frozenset | None = None):
-        self.program = program
-        self.rt = self.runtime_class(
-            dict(storage or {}), virtual_scatter=virtual_scatter
-        )
-        if keep_virtual is not None:
-            self._keep_virtual = keep_virtual
-        else:
-            self._keep_virtual = (
-                self._virtual_scatters(program) if virtual_scatter else frozenset()
-            )
-        self._forced: dict[int, StructuredVector] = {}
-
-    @staticmethod
-    def _virtual_scatters(program: Program) -> set[int]:
+def _virtual_scatters(program: Program) -> frozenset:
+    """Ids of the scatters that stay virtual: every consumer is a fold
+    and the scatter is not a program output (the fragment planner's
+    rule).  Memoized on the program, so a warm run never walks it."""
+    keep = program.memo.get("virtual_scatters")
+    if keep is None:
         consumers: dict[int, list[ops.Op]] = {}
         for node in program.order:
             for child in node.inputs():
                 consumers.setdefault(id(child), []).append(node)
         out_ids = {id(out) for out in program.outputs.values()}
-        keep: set[int] = set()
-        for node in program.order:
-            if not isinstance(node, ops.Scatter):
-                continue
-            cons = consumers.get(id(node), [])
-            if cons and id(node) not in out_ids and all(
-                isinstance(c, ops.FoldOp) for c in cons
-            ):
-                keep.add(id(node))
-        return keep
+        keep = program.memo.setdefault("virtual_scatters", frozenset(
+            id(node) for node in program.order
+            if isinstance(node, ops.Scatter)
+            and id(node) not in out_ids
+            and consumers.get(id(node))
+            and all(isinstance(c, ops.FoldOp) for c in consumers[id(node)])
+        ))
+    return keep
+
+
+class ProgramRunner:
+    """Per-node dispatch of one program into the wall-clock runtime.
+
+    Outputs are bit-identical to the interpreter's.  All per-program
+    derived state (the virtual-scatter set, the native chain index) is
+    memoized on ``program.memo``, so constructing a runner for a warm
+    program costs O(1) in program size.
+    """
+
+    _dispatch: dict[type, object] | None = None
+
+    def __init__(
+        self,
+        program: Program,
+        storage: Mapping[str, StructuredVector] | None = None,
+        virtual_scatter: bool = True,
+        native: bool = False,
+    ):
+        self.program = program
+        if storage is None:
+            storage = {}
+        self._keep_virtual = (
+            _virtual_scatters(program) if virtual_scatter else frozenset()
+        )
+        self._forced: dict[int, StructuredVector] = {}
+        #: native tier: {chain head id: (chain, kernel)}, and the values
+        #: a head's kernel computed for the other members of its chain
+        self._chains: dict | None = None
+        self._stash: dict[int, FusedVal] = {}
+        if native:
+            # imported on demand: repro.native builds on this package
+            from repro.native import runner as native_kernels
+
+            self.rt = FusedRuntime(storage, virtual_scatter, kernels=native_kernels)
+            self._chains = native_kernels.chain_index(program)
+            self._eval_chain = native_kernels.eval_chain
+        else:
+            self.rt = FusedRuntime(storage, virtual_scatter)
 
     @classmethod
     def _dispatch_table(cls) -> dict[type, object]:
@@ -152,9 +163,22 @@ class FusedProgramRunner:
         return cls._dispatch
 
     def eval(self, node: ops.Op, values: dict[int, FusedVal]) -> FusedVal:
+        if self._chains is not None:
+            # a chain head whose inputs are all evaluated computes every
+            # member in one C kernel and stashes the members' values, so
+            # their own eval just pops; otherwise (out-of-order scheduling)
+            # the head evaluates like any node — same results either way
+            stashed = self._stash.pop(id(node), None)
+            if stashed is not None:
+                return stashed
+            entry = self._chains.get(id(node))
+            if entry is not None:
+                head = self._eval_chain(entry, values, self._stash)
+                if head is not None:
+                    return head
         method = self._dispatch_table().get(type(node))
         if method is None:
-            raise FusedUnsupported(f"fused dispatch does not implement {node.opname}")
+            raise ExecutionError(f"the runner does not implement {node.opname}")
         return method(self, node, values)
 
     def force(self, val: FusedVal) -> StructuredVector:
@@ -164,6 +188,18 @@ class FusedProgramRunner:
             vec = self.rt.force(val)
             self._forced[id(val)] = vec
         return vec
+
+    def capture(self, values: dict[int, FusedVal]) -> dict[str, StructuredVector]:
+        """Forced program outputs plus every evaluated Persist
+        (``Interpreter.run``'s return contract)."""
+        outputs = {
+            name: self.force(values[id(node)])
+            for name, node in self.program.outputs.items()
+        }
+        for node in self.program.order:
+            if isinstance(node, ops.Persist) and id(node) in values:
+                outputs[node.name] = self.force(values[id(node)])
+        return outputs
 
     def prepare_feed(self, val: FusedVal, mode: str) -> FusedVal:
         """Ready a GLOBAL value for seeding into chunk workers.
@@ -296,13 +332,11 @@ class FusedProgramRunner:
         )
 
 
-class FusedChunkRunner(FusedProgramRunner):
+class ChunkRunner(ProgramRunner):
     """Evaluates the chunked zones over one chunk ``[lo, hi)``.
 
-    Mirrors the overrides of the interpreter's chunk worker exactly, but
-    on fused values: every slot of every produced value is bit-identical
-    to the slot sequential (fused or interpreted) execution assigns to
-    that global row.
+    Every slot of every produced value is bit-identical to the slot
+    sequential execution assigns to that global row.
     """
 
     def __init__(
@@ -314,10 +348,9 @@ class FusedChunkRunner(FusedProgramRunner):
         lo: int,
         hi: int,
         extent: int,
+        native: bool = False,
     ):
-        # chunk zones never contain a Scatter (the planner keeps them
-        # SEQ), so skip the per-chunk consumers walk entirely
-        super().__init__(program, storage=None, keep_virtual=frozenset())
+        super().__init__(program, native=native)
         self._driving_slice = driving_slice
         self._driving_id = driving_id
         self._chunked_ids = chunked_ids
@@ -380,7 +413,21 @@ class FusedChunkRunner(FusedProgramRunner):
         return FusedVal(len(pos), out_cols, _normalized(out_masks))
 
 
-def run_fused_chunk(
+def run_program(
+    program: Program,
+    storage: Mapping[str, StructuredVector],
+    native: bool = False,
+    virtual_scatter: bool = True,
+) -> dict[str, StructuredVector]:
+    """Evaluate a whole program untraced: named outputs plus Persists."""
+    runner = ProgramRunner(program, storage, virtual_scatter, native)
+    values: dict[int, FusedVal] = {}
+    for node in program.order:
+        values[id(node)] = runner.eval(node, values)
+    return runner.capture(values)
+
+
+def run_chunk(
     program: Program,
     chunk_indices: list[int],
     frontier: list[int],
@@ -391,26 +438,18 @@ def run_fused_chunk(
     extent: int,
     native: bool = False,
 ) -> dict[int, FusedVal]:
-    """Worker body: evaluate the chunk subgraph fused, return frontier values.
-
-    Module-level (not a closure) and keyed by topological-order indices
-    so the same function serves thread and process pools.
-    """
+    """Worker body: evaluate the chunk subgraph, return frontier values
+    (keyed, like the plan, by topological-order indices)."""
     order = program.order
-    chunked_ids = frozenset(id(order[i]) for i in chunk_indices)
-    if native:
-        from repro.native.runner import NativeChunkRunner
-        runner_class = NativeChunkRunner
-    else:
-        runner_class = FusedChunkRunner
-    runner = runner_class(
+    runner = ChunkRunner(
         program,
         driving_slice=seeded[driving],
         driving_id=id(order[driving]),
-        chunked_ids=chunked_ids,
+        chunked_ids=frozenset(id(order[i]) for i in chunk_indices),
         lo=lo,
         hi=hi,
         extent=extent,
+        native=native,
     )
     values: dict[int, FusedVal] = {id(order[i]): val for i, val in seeded.items()}
     for i in chunk_indices:

@@ -81,6 +81,13 @@ class Program:
         #: the optimizer then has nothing to merge
         self.canonical = False
         self._consumers: dict[int, int] | None = None
+        #: state executors derive from this program and want back on the
+        #: next run (virtual-scatter set, native chain index, partition
+        #: plan).  It lives and dies with the program — a plan evicted
+        #: from an engine's cache takes all of it along.  Publish only
+        #: fully built values, in one ``setdefault`` or item assignment:
+        #: concurrent runs may both build, but must agree on what they read.
+        self.memo: dict = {}
         self.validate()
 
     # -- structure ----------------------------------------------------------

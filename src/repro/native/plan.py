@@ -1,8 +1,8 @@
 """Chain planning for the native tier.
 
-The fused Python codegen already identifies the map chains worth
-running over raw arrays (:func:`repro.compiler.codegen.plan_raw_chains`).
-This module reuses that exact plan and groups consecutive raw operators
+Identifies the map operators worth running over raw arrays
+(:func:`plan_raw_chains`: Binary/Unary over concrete columns and
+constants, never symbolic control vectors) and groups consecutive ones
 into :class:`NativeChain` specs — the unit one C kernel computes in a
 single pass over its inputs.  Operators whose NumPy semantics cannot be
 replicated exactly in portable C (``BitShift`` count overflow,
@@ -14,9 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.compiler.codegen import plan_raw_chains
 from repro.compiler.metadata import MetadataPass
 from repro.core import ops
+from repro.core.keypath import Keypath
 from repro.core.program import Program
 
 #: Binary ops the C emitter replicates bit-exactly (BitShift excluded:
@@ -35,6 +35,51 @@ SUPPORTED_UNARY = frozenset({"LogicalNot", "Negate", "Cast"})
 #: Minimum operators per chain: a single operator gains nothing over the
 #: already-raw Python statement, so it is not worth a kernel launch.
 MIN_STEPS = 2
+
+
+def _classify(metadata, src: ops.Op, kp: Keypath | None, raw: set[int]):
+    """How a raw map operator reads one operand, or None if the
+    operator must stay in the runtime's value world."""
+    if kp is None:
+        return None
+    if isinstance(src, ops.Constant):
+        return ("const", src)
+    if id(src) in raw:
+        # a raw producer exposes exactly its `out` attribute as locals
+        return ("local", src) if kp == src.out else ("ext", src, kp)
+    if metadata.is_virtual(src):
+        return None  # keep Range/constant chains symbolic in the runtime
+    if metadata.info(src, kp) is not None:
+        return None  # control-vector metadata: the runtime derives it
+    return ("ext", src, kp)
+
+
+def plan_raw_chains(program: Program, metadata) -> dict[int, list[tuple]]:
+    """The operand classes of every Binary/Unary of *program* that can
+    run over bare ``(array, mask)`` pairs, keyed by node id."""
+    raw: set[int] = set()
+    raw_sides: dict[int, list[tuple]] = {}
+    for node in program.order:
+        if isinstance(node, ops.Binary):
+            if metadata.is_virtual(node) or metadata.info(node, node.out) is not None:
+                continue
+            left = _classify(metadata, node.left, node.left_kp, raw)
+            right = _classify(metadata, node.right, node.right_kp, raw)
+            if left is None or right is None:
+                continue
+            if left[0] == "const" and right[0] == "const":
+                continue  # length-1 results stay in the runtime
+            raw.add(id(node))
+            raw_sides[id(node)] = [left, right]
+        elif isinstance(node, ops.Unary):
+            if metadata.is_virtual(node):
+                continue
+            source = _classify(metadata, node.source, node.source_kp, raw)
+            if source is None:
+                continue
+            raw.add(id(node))
+            raw_sides[id(node)] = [source]
+    return raw_sides
 
 
 @dataclass
@@ -73,7 +118,7 @@ def plan_native_chains(
 ) -> list[NativeChain]:
     """All native-servable chains of a program, in program order."""
     metadata = metadata or MetadataPass(program)
-    raw_sides, _ = plan_raw_chains(program, metadata)
+    raw_sides = plan_raw_chains(program, metadata)
 
     # maximal consecutive runs of supported raw nodes in program order
     groups: list[list[ops.Op]] = []

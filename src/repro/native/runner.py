@@ -1,33 +1,32 @@
-"""Native program execution: fused dispatch with C chain/fold kernels.
+"""The native kernel provider of the node runner.
 
-:class:`NativeProgramRunner` / :class:`NativeChunkRunner` are the fused
-runners of :mod:`repro.parallel.fused` with two substitutions:
+``ProgramRunner(..., native=True)`` (:mod:`repro.compiler.runner`) takes
+two things from this module:
 
-* the runtime is :class:`NativeFusedRuntime`, whose uniform-run fold
-  kernels call the compiled fold library when the dtype is servable
-  (NumPy otherwise — per call, silently);
-* ``eval`` intercepts planned chain heads: when every external input of
-  the chain is already available, one C kernel computes all member
-  operators in a single pass and the member results are stashed, so the
-  members' own ``eval`` calls just pop their value.  Members never
-  consumed outside the chain stash a sentinel — nothing reads them.
+* the four uniform-run kernels of its runtime —
+  :func:`fold_select_uniform`, :func:`fold_aggregate_uniform`,
+  :func:`fold_count_uniform`, :func:`gather_compacted` — which call the
+  compiled fold library when the dtype is servable (NumPy otherwise —
+  per call, silently);
+* chain interception: :func:`chain_index` plans the program's map chains
+  once, and :func:`eval_chain` computes all member operators of a chain
+  in one C kernel when every external input is already available.
 
 If a chain's inputs are not all available (out-of-order evaluation in
 the parallel scheduler), the head simply evaluates normally — native
 execution degrades node by node, never changing results.
 
-Chain plans and their :class:`~repro.native.exec.ChainKernel`
-specialization memos are cached per program identity, so a warm engine
-(or serving window) executes without planning or compiling anything.
+The chain index and its :class:`~repro.native.exec.ChainKernel`
+specialization memos live on the program they were planned for
+(``program.memo``), so a warm engine (or serving window) executes
+without planning or compiling anything, and an evicted plan takes its
+kernels with it.
 """
 
 from __future__ import annotations
 
-import threading
-
 from repro.compiler import kernels
-from repro.compiler.rt_fast import FusedRuntime, FusedVal, extract
-from repro.core import ops
+from repro.compiler.rt_fast import FusedVal, extract
 from repro.core.program import Program
 from repro.native.exec import (
     ChainKernel,
@@ -37,138 +36,80 @@ from repro.native.exec import (
     native_gather_compacted,
 )
 from repro.native.plan import plan_native_chains
-from repro.parallel.fused import FusedChunkRunner, FusedProgramRunner
 
 
-class NativeFusedRuntime(FusedRuntime):
-    """FusedRuntime with native uniform-run fold kernels."""
-
-    def _fold_select_uniform(self, sel, sel_mask, run_length, n):
-        res = native_fold_select(sel, sel_mask, run_length, n)
-        if res is not None:
-            return res
-        return kernels.fold_select_uniform(sel, sel_mask, run_length, n)
-
-    def _fold_aggregate_uniform(self, fn, values, mask, run_length, n):
-        res = native_fold_aggregate(fn, values, mask, run_length, n)
-        if res is not None:
-            return res
-        return kernels.fold_aggregate_uniform(fn, values, mask, run_length, n)
-
-    def _fold_count_uniform(self, counted_mask, run_length, n):
-        res = native_fold_count(counted_mask, run_length, n)
-        if res is not None:
-            return res
-        return kernels.fold_count_uniform(counted_mask, run_length, n)
-
-    def _gather_compacted(self, positions, pos_present, source_len, columns, masks):
-        res = native_gather_compacted(positions, pos_present, source_len,
-                                      columns, masks)
-        if res is not None:
-            return res
-        return kernels.gather_compacted(positions, pos_present, source_len,
-                                        columns, masks)
+def fold_select_uniform(sel, sel_mask, run_length, n):
+    res = native_fold_select(sel, sel_mask, run_length, n)
+    if res is not None:
+        return res
+    return kernels.fold_select_uniform(sel, sel_mask, run_length, n)
 
 
-# ------------------------------------------------- per-program chain index
+def fold_aggregate_uniform(fn, values, mask, run_length, n):
+    res = native_fold_aggregate(fn, values, mask, run_length, n)
+    if res is not None:
+        return res
+    return kernels.fold_aggregate_uniform(fn, values, mask, run_length, n)
 
-_index_lock = threading.Lock()
-#: id(program) -> (program, {head id: (chain, kernel)}); the strong
-#: program reference pins identity against id() reuse
-_chain_index: dict[int, tuple[Program, dict]] = {}
-_INDEX_LIMIT = 64
+
+def fold_count_uniform(counted_mask, run_length, n):
+    res = native_fold_count(counted_mask, run_length, n)
+    if res is not None:
+        return res
+    return kernels.fold_count_uniform(counted_mask, run_length, n)
+
+
+def gather_compacted(positions, pos_present, source_len, columns, masks):
+    res = native_gather_compacted(positions, pos_present, source_len,
+                                  columns, masks)
+    if res is not None:
+        return res
+    return kernels.gather_compacted(positions, pos_present, source_len,
+                                    columns, masks)
 
 
 def chain_index(program: Program, metadata=None) -> dict:
-    """{head node id: (chain, kernel)} for a program, memoized."""
-    with _index_lock:
-        entry = _chain_index.get(id(program))
-        if entry is not None and entry[0] is program:
-            return entry[1]
-    chains = plan_native_chains(program, metadata)
-    index = {id(c.head): (c, ChainKernel(c)) for c in chains}
-    with _index_lock:
-        if len(_chain_index) >= _INDEX_LIMIT:
-            _chain_index.pop(next(iter(_chain_index)))
-        _chain_index[id(program)] = (program, index)
+    """{head node id: (chain, kernel)} for a program, planned once.
+
+    Two threads racing the first run may both plan; ``setdefault``
+    publishes one fully built index and both use it."""
+    index = program.memo.get("native_chains")
+    if index is None:
+        chains = plan_native_chains(program, metadata)
+        index = program.memo.setdefault(
+            "native_chains", {id(c.head): (c, ChainKernel(c)) for c in chains}
+        )
     return index
 
 
-_MISSING = object()
 #: stash sentinel for chain members nothing outside the chain reads
 _INTERNAL = FusedVal(0, {}, {})
 
 
-class _NativeEvalMixin:
-    """Chain interception layered over a fused runner."""
-
-    runtime_class = NativeFusedRuntime
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._chains = chain_index(self.program)
-        self._stash: dict[int, FusedVal] = {}
-
-    def eval(self, node: ops.Op, values: dict[int, FusedVal]) -> FusedVal:
-        stashed = self._stash.pop(id(node), _MISSING)
-        if stashed is not _MISSING:
-            return stashed
-        entry = self._chains.get(id(node))
-        if entry is not None:
-            result = self._eval_chain(entry, values)
-            if result is not _MISSING:
-                return result
-        return super().eval(node, values)
-
-    def _eval_chain(self, entry, values):
-        chain, kernel = entry
-        pairs = []
-        for src, kp in chain.inputs:
-            val = values.get(id(src))
-            if val is None:
-                return _MISSING  # input not evaluated yet: run node by node
-            pairs.append(extract(val, kp))
-        results = kernel(pairs)
-        by_step = dict(zip(chain.outputs, results))
-        head = _INTERNAL
-        for j, step in enumerate(chain.steps):
-            out = by_step.get(j)
-            if out is None:
-                wrapped = _INTERNAL
-            else:
-                array, mask = out
-                wrapped = FusedVal(len(array), {step.node.out: array},
-                                   {step.node.out: mask})
-            if j == 0:
-                head = wrapped
-            else:
-                self._stash[id(step.node)] = wrapped
-        return head
-
-
-class NativeProgramRunner(_NativeEvalMixin, FusedProgramRunner):
-    """The GLOBAL/SEQ-zone fused runner, natively accelerated."""
-
-
-class NativeChunkRunner(_NativeEvalMixin, FusedChunkRunner):
-    """The chunk-zone fused runner, natively accelerated."""
-
-
-def run_native_program(program: Program, storage, virtual_scatter: bool = True):
-    """Run a whole program on the native runner (the sequential backend).
-
-    Mirrors the generated fused kernel's output protocol: Persist names
-    first (in program order), then the program outputs — all forced to
-    StructuredVectors.
-    """
-    runner = NativeProgramRunner(program, storage, virtual_scatter=virtual_scatter)
-    values: dict[int, FusedVal] = {}
-    for node in program.order:
-        values[id(node)] = runner.eval(node, values)
-    outputs: dict[str, object] = {}
-    for node in program.order:
-        if isinstance(node, ops.Persist):
-            outputs[node.name] = runner.force(values[id(node)])
-    for name, node in program.outputs.items():
-        outputs[name] = runner.force(values[id(node)])
-    return outputs
+def eval_chain(entry, values: dict[int, FusedVal], stash: dict[int, FusedVal]):
+    """The chain head's value, with every other member's value put in
+    *stash* — or None when an input is not evaluated yet (the caller
+    then runs the head node by node)."""
+    chain, kernel = entry
+    pairs = []
+    for src, kp in chain.inputs:
+        val = values.get(id(src))
+        if val is None:
+            return None
+        pairs.append(extract(val, kp))
+    results = kernel(pairs)
+    by_step = dict(zip(chain.outputs, results))
+    head = _INTERNAL
+    for j, step in enumerate(chain.steps):
+        out = by_step.get(j)
+        if out is None:
+            wrapped = _INTERNAL
+        else:
+            array, mask = out
+            wrapped = FusedVal(len(array), {step.node.out: array},
+                               {step.node.out: mask})
+        if j == 0:
+            head = wrapped
+        else:
+            stash[id(step.node)] = wrapped
+    return head

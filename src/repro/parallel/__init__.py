@@ -6,24 +6,13 @@ package makes the multicore half real: a planner that classifies a
 program into per-chunk / global / sequential zones along ``Partition``-
 style control-vector semantics, and an executor that runs the chunks on a
 worker pool and merges results bit-identically to the sequential
-interpreter.
+interpreter.  The executor is a schedule, not an evaluator: every zone
+and every chunk runs on the node runner of :mod:`repro.compiler.runner`.
 """
 
-from repro.parallel.executor import ChunkCrossing, ParallelInterpreter
-from repro.parallel.fused import (
-    FusedChunkRunner,
-    FusedProgramRunner,
-    FusedUnsupported,
-    to_fused,
-)
-from repro.parallel.merge import (
-    concat_chunks,
-    concat_fused,
-    merge_fold,
-    merge_fold_fused,
-    merge_select,
-    merge_select_fused,
-)
+from repro.compiler.runner import ChunkCrossing, to_fused
+from repro.parallel.executor import ParallelInterpreter
+from repro.parallel.merge import concat_fused, merge_fold_fused, merge_select_fused
 from repro.parallel.planner import (
     GFOLD,
     GLOBAL,
@@ -41,15 +30,9 @@ __all__ = [
     "REGISTRY",
     "PoolLease",
     "PoolRegistry",
-    "FusedChunkRunner",
-    "FusedProgramRunner",
-    "FusedUnsupported",
     "ParallelInterpreter",
-    "concat_chunks",
     "concat_fused",
-    "merge_fold",
     "merge_fold_fused",
-    "merge_select",
     "merge_select_fused",
     "to_fused",
     "GFOLD",

@@ -2,62 +2,48 @@
 
 ``ParallelInterpreter`` is a drop-in replacement for the sequential
 :class:`~repro.interpreter.engine.Interpreter`: same constructor shape,
-same ``run()`` contract, bit-identical outputs.  Internally it asks the
-:class:`~repro.parallel.planner.PartitionPlanner` how to split the
-program, evaluates the GLOBAL zone once, fans the PARTITIONED zone out
-over a persistent ``concurrent.futures`` pool (threads by default —
-NumPy releases the GIL on the hot kernels; processes optionally),
-merges the chunk results, and finishes the SEQ zone sequentially.
+same ``run()`` contract, bit-identical outputs.  It is a *schedule* over
+the node runner (:mod:`repro.compiler.runner`), not another evaluator:
+it asks the :class:`~repro.parallel.planner.PartitionPlanner` how to
+split the program, evaluates the GLOBAL zone once, fans the chunked
+zones out over a persistent thread pool (NumPy and the native kernels
+release the GIL) as :func:`~repro.compiler.runner.run_chunk` calls
+seeded with column/mask *views*, merges the chunk results as raw arrays,
+and finishes the SEQ zone over the merged values.  Everything that does
+not split — one worker, a plan with a single chunk, a ``Gather`` that
+turns out to chase positions across chunk boundaries at runtime — is one
+:func:`~repro.compiler.runner.run_program` call.
 
-With ``fastpath=True`` (the default) every zone executes on the fused
-wall-clock runtime (:mod:`repro.parallel.fused` driving
-:mod:`repro.compiler.rt_fast`): chunks are seeded with column/mask
-*views*, evaluated through raw-array kernels with symbolic chunk-offset
-control vectors, and merged as raw arrays — fusion × multicore compose
-on the same program.  ``fastpath=False`` keeps the PR 1 behavior of
-evaluating chunks on the materializing reference interpreter.
-
-The worker pool is created lazily on first parallel run and **reused
-across runs** (constructing a pool — especially a process pool — per
-query dominated short queries).  Call :meth:`ParallelInterpreter.close`
-(or use the instance as a context manager) for deterministic shutdown.
+The worker pool is leased lazily on first parallel run and **reused
+across runs**.  Call :meth:`ParallelInterpreter.close` (or use the
+instance as a context manager) for deterministic shutdown.
 
 Correctness is structural, not statistical: every partitioned slot is the
 very slot sequential execution would produce (chunk workers offset
 ``Range`` starts and ``FoldSelect`` positions by the chunk origin, and
-chunk boundaries never split a control run), so merging is exact.  When a
-program cannot be proven partitionable — or a ``Gather`` turns out to
-chase positions across chunk boundaries at runtime — execution falls back
-to sequential evaluation, trading speed for certainty.
+chunk boundaries never split a control run), so merging is exact.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import Executor
-from fractions import Fraction
 from typing import Mapping
 
-import numpy as np
-
-from repro.compiler.options import POOL_KINDS
+from repro.compiler.rt_fast import FusedVal
+from repro.compiler.runner import (
+    ChunkCrossing,
+    ProgramRunner,
+    fused_slice,
+    run_chunk,
+    run_program,
+    to_fused,
+)
 from repro.core import ops
-from repro.core.controlvector import RunInfo
 from repro.core.program import Program
 from repro.core.vector import StructuredVector
 from repro.errors import ExecutionError
-from repro.interpreter import semantics
-from repro.interpreter.engine import Interpreter
 from repro.parallel import merge
-from repro.parallel.fused import (
-    ChunkCrossing,
-    FusedProgramRunner,
-    FusedUnsupported,
-    FusedVal,
-    fused_slice,
-    run_fused_chunk,
-    to_fused,
-)
 from repro.parallel.planner import (
     GFOLD,
     GLOBAL,
@@ -70,117 +56,6 @@ from repro.parallel.planner import (
 from repro.parallel.registry import REGISTRY, PoolLease
 
 
-class _ChunkInterpreter(Interpreter):
-    """Evaluates the partitioned subgraph over one chunk ``[lo, hi)``.
-
-    Overrides exactly the operators whose chunk-local evaluation would
-    otherwise diverge from the slots sequential execution produces.
-    """
-
-    def __init__(
-        self,
-        driving_slice: StructuredVector,
-        driving_id: int,
-        chunked_ids: frozenset,
-        lo: int,
-        hi: int,
-        extent: int,
-    ):
-        super().__init__({})
-        self._driving_slice = driving_slice
-        self._driving_id = driving_id
-        self._chunked_ids = chunked_ids
-        self.lo = lo
-        self.hi = hi
-        self.extent = extent
-
-    def _eval_load(self, node: ops.Load, values) -> StructuredVector:
-        if id(node) != self._driving_id:  # pragma: no cover - planner invariant
-            raise ExecutionError(f"chunk worker asked to load {node.name!r}")
-        return self._driving_slice
-
-    def _eval_range(self, node: ops.Range, values) -> StructuredVector:
-        # The chunk starts at global row `lo`: shift the generator so every
-        # slot holds the value sequential execution assigns to that row.
-        length = len(self._get(values, node.sizeref))
-        start = node.start + self.lo * node.step
-        info = RunInfo(start=start, step=Fraction(node.step))
-        return StructuredVector(
-            length, {node.out: info.materialize(length)}, runinfo={node.out: info}
-        )
-
-    def _eval_foldselect(self, node: ops.FoldSelect, values) -> StructuredVector:
-        result = super()._eval_foldselect(node, values)
-        if self.lo == 0:
-            return result
-        out = result.attr(node.out).copy()
-        mask = result.present(node.out)
-        out[mask] += self.lo  # local hit positions -> global positions
-        return StructuredVector(
-            len(result), {node.out: out}, {node.out: None if mask.all() else mask}
-        )
-
-    def _eval_gather(self, node: ops.Gather, values) -> StructuredVector:
-        if id(node.source) not in self._chunked_ids:
-            return super()._eval_gather(node, values)  # global source, as-is
-        # Partitioned source: positions are global, the source is a chunk.
-        source = self._get(values, node.source)
-        positions = self._get(values, node.positions)
-        pos = positions.attr(node.pos_kp)
-        pos_mask = (
-            None if positions.is_dense(node.pos_kp) else positions.present(node.pos_kp)
-        )
-        valid = (pos >= 0) & (pos < self.extent)
-        if pos_mask is not None:
-            valid &= pos_mask
-        if bool(np.any(valid & ((pos < self.lo) | (pos >= self.hi)))):
-            raise ChunkCrossing(
-                f"gather positions escape chunk [{self.lo}, {self.hi})"
-            )
-        local = pos.astype(np.int64) - self.lo
-        cols = {p: source.attr(p) for p in source.paths}
-        masks = {
-            p: (None if source.is_dense(p) else source.present(p)) for p in source.paths
-        }
-        out_cols, out_masks = semantics.gather(local, pos_mask, len(source), cols, masks)
-        return StructuredVector(len(pos), out_cols, out_masks)
-
-
-def _run_chunk(
-    program: Program,
-    chunk_indices: list[int],
-    frontier: list[int],
-    seeded: dict[int, StructuredVector],
-    driving: int,
-    lo: int,
-    hi: int,
-    extent: int,
-) -> dict[int, StructuredVector]:
-    """Worker body: evaluate the chunk subgraph, return frontier values.
-
-    Module-level (not a closure) and keyed by topological-order indices so
-    the same function serves thread and process pools.
-    """
-    order = program.order
-    chunked_ids = frozenset(id(order[i]) for i in chunk_indices)
-    interp = _ChunkInterpreter(
-        driving_slice=seeded[driving],
-        driving_id=id(order[driving]),
-        chunked_ids=chunked_ids,
-        lo=lo,
-        hi=hi,
-        extent=extent,
-    )
-    values: dict[int, StructuredVector] = {
-        id(order[i]): vec for i, vec in seeded.items()
-    }
-    for i in chunk_indices:
-        node = order[i]
-        if id(node) not in values:
-            values[id(node)] = interp._eval(node, values)
-    return {i: values[id(order[i])] for i in frontier}
-
-
 class ParallelInterpreter:
     """Partition-parallel drop-in for the sequential :class:`Interpreter`.
 
@@ -190,15 +65,7 @@ class ParallelInterpreter:
         Named-vector Load context, as for the sequential interpreter.
     workers:
         Worker-pool width; defaults to ``os.cpu_count()``.  ``workers=1``
-        short-circuits to the sequential interpreter.
-    pool:
-        ``"thread"`` (default; NumPy kernels release the GIL) or
-        ``"process"`` (full isolation, pays pickling per chunk).
-    fastpath:
-        Execute every zone — per-chunk and sequential — on the fused
-        wall-clock runtime (default).  ``False`` evaluates chunks on the
-        materializing reference interpreter instead.  Outputs are
-        bit-identical either way.
+        runs every program whole, without planning.
     grain:
         Target rows per chunk (``ExecutionOptions.parallel_grain``).
         ``None`` (default) slices one chunk per worker.  The grain is
@@ -207,11 +74,10 @@ class ParallelInterpreter:
         exactly the same boundaries, with ``Range`` starts and
         ``FoldSelect`` positions rebased identically.
     native:
-        Evaluate the fused zones — per-chunk and sequential — through
-        the native C tier (:mod:`repro.native`): chain kernels and
+        Evaluate every zone — per-chunk and sequential — through the
+        native C tier (:mod:`repro.native`): chain kernels and
         uniform-run folds run as compiled code, degrading per kernel to
-        the NumPy fused path.  Only meaningful with ``fastpath``
-        (ignored otherwise); outputs stay bit-identical.
+        NumPy.  Outputs stay bit-identical.
 
     The underlying worker pool is persistent: created on first parallel
     ``run()``, reused by every later one.  ``close()`` (or ``with``)
@@ -223,23 +89,17 @@ class ParallelInterpreter:
         self,
         storage: Mapping[str, StructuredVector] | None = None,
         workers: int | None = None,
-        pool: str = "thread",
-        fastpath: bool = True,
         grain: int | None = None,
         native: bool = False,
     ):
-        if pool not in POOL_KINDS:
-            raise ExecutionError(f"pool must be one of {POOL_KINDS}, got {pool!r}")
         self._storage = dict(storage or {})
         self.workers = (os.cpu_count() or 1) if workers is None else int(workers)
         if self.workers < 1:
             raise ExecutionError(f"workers must be >= 1, got {self.workers}")
         if grain is not None and grain < 1:
             raise ExecutionError(f"grain must be >= 1 or None, got {grain}")
-        self.pool = pool
-        self.fastpath = fastpath
         self.grain = grain
-        self.native = bool(native) and fastpath
+        self.native = bool(native)
         #: hardware threads actually available; with one core the chunked
         #: zones still execute chunk-by-chunk (same plans, same offsets,
         #: same merges — the correctness path stays exercised) but inline,
@@ -247,11 +107,6 @@ class ParallelInterpreter:
         self._effective = min(self.workers, os.cpu_count() or 1)
         self._executor: Executor | None = None
         self._lease: PoolLease | None = None
-        #: memoized plans keyed on program identity + storage shape
-        #: (vectors are immutable per the ColumnStore contract, so shape
-        #: captures everything the planner reads that can change between
-        #: runs — e.g. a late-registered auxiliary vector)
-        self._plan_cache: dict[int, tuple[Program, tuple, PartitionPlan]] = {}
         #: plan of the most recent run (observability/testing hook)
         self.last_plan: PartitionPlan | None = None
 
@@ -269,16 +124,16 @@ class ParallelInterpreter:
         """The persistent worker pool, leased lazily on first use from the
         process-wide :data:`~repro.parallel.registry.REGISTRY` — pools
         are shared across every interpreter (and the serving scheduler)
-        asking for the same ``(pool, workers)`` shape."""
+        asking for the same width."""
         if self._lease is None:
-            self._lease = REGISTRY.lease(self.pool, self.workers)
+            self._lease = REGISTRY.lease(self.workers)
             self._executor = self._lease.executor
         return self._lease.executor
 
     @staticmethod
     def _collect(futures: list) -> list:
         """Results of all chunk futures; on failure, cancel what is still
-        pending and drain the rest so the sequential fallback does not
+        pending and drain the rest so the whole-program re-run does not
         compete with doomed tasks on the shared persistent pool."""
         try:
             return [f.result() for f in futures]
@@ -311,40 +166,25 @@ class ParallelInterpreter:
 
     def run(self, program: Program) -> dict[str, StructuredVector]:
         """Execute and return named outputs, bit-identical to sequential."""
-        if self.workers <= 1:
-            self.last_plan = None
-            if self.fastpath:
-                try:
-                    return self._run_sequential_fused(program)
-                except FusedUnsupported:
-                    pass
-            return self._run_sequential(program)
-        plan = self._plan(program)
+        plan = self._plan(program) if self.workers > 1 else None
         self.last_plan = plan
-        if self.fastpath:
+        if plan is not None and plan.parallel:
             try:
-                try:
-                    if not plan.parallel:
-                        return self._run_sequential_fused(program)
-                    return self._run_parallel_fused(program, plan)
-                except ChunkCrossing:
-                    return self._run_sequential_fused(program)
-            except FusedUnsupported:
-                pass  # fall through to the interpreter backend
-        if not plan.parallel:
-            return self._run_sequential(program)
-        try:
-            return self._run_parallel(program, plan)
-        except ChunkCrossing:
-            return self._run_sequential(program)
+                return self._store_persists(program, self._run_parallel(program, plan))
+            except ChunkCrossing:
+                pass  # proven wrong at runtime: the whole-program run is always right
+        return self._store_persists(
+            program, run_program(program, self._storage, native=self.native)
+        )
 
     def _plan(self, program: Program) -> PartitionPlan:
-        """Plan (or reuse the memoized plan for) *program*.
+        """Plan *program*, or reuse the plan memoized on it.
 
-        Repeated engine queries hand the very same translated program
-        object back; re-planning (zone classification + schema
-        inference) per run was measurable on short queries.  The key
-        covers everything the planner reads from storage: names,
+        Repeated engine queries hand the very same program object back;
+        re-planning (zone classification + schema inference) per run was
+        measurable on short queries.  The plan is kept on the program
+        (``program.memo``) beside the storage shape it was made for,
+        which covers everything the planner reads from storage: names,
         lengths, per-attribute dtypes — a float sum is only exact
         sequentially, so swapping an int column for a float one of the
         same shape must invalidate the cached zone classification — and
@@ -363,118 +203,39 @@ class ParallelInterpreter:
             )
             for name, vec in self._storage.items()
         ))
-        shape = (self.grain, shape)  # a grain change re-plans the chunking
-        cached = self._plan_cache.get(id(program))
-        if cached is not None and cached[0] is program and cached[1] == shape:
-            return cached[2]
+        key = ("partition_plan", self.workers, self.grain)
+        cached = program.memo.get(key)
+        if cached is not None and cached[0] == shape:
+            return cached[1]
         plan = PartitionPlanner(
             program, self._storage, self.workers, grain=self.grain
         ).plan()
-        if len(self._plan_cache) >= 64:
-            self._plan_cache.pop(next(iter(self._plan_cache)))
-        self._plan_cache[id(program)] = (program, shape, plan)
+        program.memo[key] = (shape, plan)
         return plan
 
-    def _run_sequential(self, program: Program) -> dict[str, StructuredVector]:
-        """Reference-interpreter fallback, with Persist results synced back
-        (the Interpreter copies its storage dict, so persists would
-        otherwise be invisible to later run() calls)."""
-        outputs = Interpreter(self._storage).run(program)
+    def _store_persists(
+        self, program: Program, outputs: dict[str, StructuredVector]
+    ) -> dict[str, StructuredVector]:
+        """Make Persist results visible to later ``run()`` calls."""
         for node in program.order:
-            if isinstance(node, ops.Persist):
+            if isinstance(node, ops.Persist) and node.name in outputs:
                 self._storage[node.name] = outputs[node.name]
         return outputs
 
-    def _make_runner(self, program: Program) -> FusedProgramRunner:
-        """The fused whole-program runner — native-accelerated on demand."""
-        if self.native:
-            from repro.native.runner import NativeProgramRunner
-
-            return NativeProgramRunner(program, self._storage)
-        return FusedProgramRunner(program, self._storage)
-
-    def _run_sequential_fused(self, program: Program) -> dict[str, StructuredVector]:
-        """Whole-program fused evaluation (the single-core fast path)."""
-        runner = self._make_runner(program)
-        values: dict[int, FusedVal] = {}
-        for node in program.order:
-            values[id(node)] = runner.eval(node, values)
-        return self._capture_outputs(program, values, runner)
-
-    def _capture_outputs(
-        self,
-        program: Program,
-        values: dict[int, FusedVal],
-        runner: FusedProgramRunner,
-    ) -> dict[str, StructuredVector]:
-        """Force outputs and Persist captures, exactly as sequential run()."""
-        persisted: dict[str, StructuredVector] = {}
-        for node in program.order:
-            if isinstance(node, ops.Persist) and id(node) in values:
-                vector = runner.force(values[id(node)])
-                persisted[node.name] = vector
-                self._storage[node.name] = vector
-        outputs = {
-            name: runner.force(values[id(node)])
-            for name, node in program.outputs.items()
-        }
-        outputs.update(persisted)
-        return outputs
-
-    def _run_parallel(self, program: Program, plan: PartitionPlan) -> dict[str, StructuredVector]:
-        order = program.order
-        interp = Interpreter(self._storage)
-        values: dict[int, StructuredVector] = {}
-
-        # 1. GLOBAL zone: dimension-side values, computed once.
-        for i, node in enumerate(order):
-            if plan.zones[i] == GLOBAL:
-                values[id(node)] = interp._eval(node, values)
-
-        # 2. Fan the PARTITIONED zone out over the worker pool.
-        chunk_results = self._map_chunks(program, plan, values)
-
-        # 3. Merge chunk results back into full vectors.
-        for i in plan.frontier:
-            node = order[i]
-            if i == plan.driving:
-                # the driving table is untouched: no need to rebuild it
-                # from its own slices
-                values[id(node)] = self._storage[node.name]
-                continue
-            chunks = [result[i] for result in chunk_results]
-            values[id(node)] = self._merge(plan.zones[i], node, chunks)
-
-        # 4. SEQ zone: everything the planner could not prove partitionable.
-        for i, node in enumerate(order):
-            if plan.zones[i] == SEQ:
-                values[id(node)] = interp._eval(node, values)
-
-        # 5. Outputs and Persist capture, exactly as the sequential run().
-        persisted: dict[str, StructuredVector] = {}
-        for node in order:
-            if isinstance(node, ops.Persist) and id(node) in values:
-                persisted[node.name] = values[id(node)]
-                self._storage[node.name] = values[id(node)]
-        outputs = {name: values[id(node)] for name, node in program.outputs.items()}
-        outputs.update(persisted)
-        return outputs
-
-    def _run_parallel_fused(
+    def _run_parallel(
         self, program: Program, plan: PartitionPlan
     ) -> dict[str, StructuredVector]:
-        """The composed fast path: fused kernels inside every zone."""
         order = program.order
-        runner = self._make_runner(program)
+        runner = ProgramRunner(program, self._storage, native=self.native)
         values: dict[int, FusedVal] = {}
 
-        # 1. GLOBAL zone, fused, computed once.
+        # 1. GLOBAL zone: dimension-side values, computed once.
         for i, node in enumerate(order):
             if plan.zones[i] == GLOBAL:
                 values[id(node)] = runner.eval(node, values)
 
         # 2. Fan the chunked zones out over the worker pool.
-        chunk_results = self._map_chunks_fused(program, plan, values, runner)
+        chunk_results = self._map_chunks(program, plan, values, runner)
 
         # 3. Merge chunk results as raw arrays (no per-chunk wrapping).
         for i in plan.frontier:
@@ -483,25 +244,25 @@ class ParallelInterpreter:
                 values[id(node)] = to_fused(self._storage[node.name])
                 continue
             chunks = [result[i] for result in chunk_results]
-            values[id(node)] = self._merge_fused(plan.zones[i], node, chunks)
+            values[id(node)] = self._merge(plan.zones[i], node, chunks)
 
-        # 4. SEQ zone, fused, over the merged full-length values.  A
+        # 4. SEQ zone, over the merged full-length values.  A
         #    grouped query's aggregates are independent folds over one
         #    shared scatter — fan ready folds out over the worker pool.
-        self._run_seq_fused(
+        self._run_seq(
             [i for i, zone in enumerate(plan.zones) if zone == SEQ],
             order, values, runner,
         )
 
-        # 5. Outputs and Persist capture.
-        return self._capture_outputs(program, values, runner)
+        # 5. Outputs and Persists, forced.
+        return runner.capture(values)
 
-    def _run_seq_fused(
+    def _run_seq(
         self,
         seq_indices: list[int],
         order,
         values: dict[int, FusedVal],
-        runner: FusedProgramRunner,
+        runner: ProgramRunner,
     ) -> None:
         """Evaluate the SEQ zone, fanning independent kernels onto the pool.
 
@@ -522,10 +283,7 @@ class ParallelInterpreter:
         def ready(node: ops.Op) -> bool:
             return all(id(inp) in values for inp in node.inputs())
 
-        # fan-out only makes sense for threads: workers share the values
-        # dict (keyed by parent-process node ids) and the arrays in place;
-        # a process worker would see re-pickled nodes with different ids
-        fan_out = self._effective > 1 and self.pool == "thread"
+        fan_out = self._effective > 1
         while pending:
             batch = [
                 node for node in nodes
@@ -560,41 +318,8 @@ class ParallelInterpreter:
         self,
         program: Program,
         plan: PartitionPlan,
-        values: dict[int, StructuredVector],
-    ) -> list[dict[int, StructuredVector]]:
-        order = program.order
-        chunk_indices = plan.chunk_nodes()
-        driving_vec = self._storage[order[plan.driving].name]
-        tasks = []
-        for lo, hi in plan.chunks:
-            seeded: dict[int, StructuredVector] = {plan.driving: driving_vec.slice(lo, hi)}
-            for j, mode in plan.global_feeds.items():
-                vec = values[id(order[j])]
-                seeded[j] = vec.slice(lo, hi) if mode == "sliced" else vec
-            tasks.append((lo, hi, seeded))
-        pool = self._pool()
-        futures = [
-            pool.submit(
-                _run_chunk,
-                program,
-                chunk_indices,
-                plan.frontier,
-                seeded,
-                plan.driving,
-                lo,
-                hi,
-                plan.extent,
-            )
-            for lo, hi, seeded in tasks
-        ]
-        return self._collect(futures)
-
-    def _map_chunks_fused(
-        self,
-        program: Program,
-        plan: PartitionPlan,
         values: dict[int, FusedVal],
-        runner: FusedProgramRunner,
+        runner: ProgramRunner,
     ) -> list[dict[int, FusedVal]]:
         order = program.order
         chunk_indices = plan.chunk_nodes()
@@ -613,7 +338,7 @@ class ParallelInterpreter:
             tasks.append((lo, hi, seeded))
         if self._effective <= 1:
             return [
-                run_fused_chunk(
+                run_chunk(
                     program, chunk_indices, plan.frontier, seeded,
                     plan.driving, lo, hi, plan.extent, native=self.native,
                 )
@@ -622,7 +347,7 @@ class ParallelInterpreter:
         pool = self._pool()
         futures = [
             pool.submit(
-                run_fused_chunk,
+                run_chunk,
                 program,
                 chunk_indices,
                 plan.frontier,
@@ -638,18 +363,7 @@ class ParallelInterpreter:
         return self._collect(futures)
 
     @staticmethod
-    def _merge(zone: str, node: ops.Op, chunks: list[StructuredVector]) -> StructuredVector:
-        if zone == PARTITIONED:
-            return merge.concat_chunks(chunks)
-        if zone == GSELECT:
-            return merge.merge_select(chunks, node.out)
-        if zone == GFOLD:
-            fn = "sum" if isinstance(node, ops.FoldCount) else node.fn
-            return merge.merge_fold(fn, chunks, node.out)
-        raise ExecutionError(f"cannot merge zone {zone!r}")  # pragma: no cover
-
-    @staticmethod
-    def _merge_fused(zone: str, node: ops.Op, chunks: list[FusedVal]) -> FusedVal:
+    def _merge(zone: str, node: ops.Op, chunks: list[FusedVal]) -> FusedVal:
         if zone == PARTITIONED:
             return merge.concat_fused(chunks)
         if zone == GSELECT:

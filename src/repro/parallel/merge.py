@@ -1,20 +1,17 @@
 """Merging per-chunk results back into full vectors.
 
-Three merge kinds, matching the planner's zones — each in two flavors:
-over :class:`~repro.core.vector.StructuredVector` chunks (the
-interpreter backend) and over raw :class:`~repro.compiler.rt_fast.FusedVal`
-chunks (the fused backend, which merges column arrays and shared masks
-directly without round-tripping every chunk through a Structured
-Vector):
+Three merge kinds, matching the planner's zones, over the raw
+:class:`~repro.compiler.rt_fast.FusedVal` chunks the workers return
+(column arrays and shared masks merge directly, without round-tripping
+every chunk through a Structured Vector):
 
 * **concat** — partitioned values are slot-for-slot identical to the
   sequential result, so merging is pure concatenation (ε masks included:
-  a dense chunk contributes all-True; the constructor re-suppresses a
-  merged mask that ends up fully dense, exactly as sequential execution
-  would).
+  a dense chunk contributes all-True; a merged mask that ends up fully
+  dense is re-suppressed, exactly as sequential execution would).
 * **select** — a global ``FoldSelect`` compacts qualifying positions from
   slot 0.  Chunk partials already hold *global* positions (the chunk
-  interpreter offsets them), so the merge concatenates the present values
+  runner offsets them), so the merge concatenates the present values
   of every chunk, in chunk order, from slot 0 — a stable remap.
 * **fold** — a global aggregate re-folds the per-chunk partials.  Only
   exactly-associative combinations reach this path (the planner keeps
@@ -28,80 +25,18 @@ import numpy as np
 
 from repro.compiler.rt_fast import FusedVal
 from repro.core.keypath import Keypath
-from repro.core.vector import StructuredVector
 from repro.errors import ExecutionError
 from repro.interpreter.semantics import _AGG_UFUNC as _COMBINE
 
 
-def concat_chunks(chunks: list[StructuredVector]) -> StructuredVector:
-    """Concatenate chunk vectors attribute-wise, preserving ε masks."""
-    if not chunks:
-        raise ExecutionError("merge: no chunks to concatenate")
-    if len(chunks) == 1:
-        return chunks[0]
-    paths = chunks[0].paths
-    length = sum(len(c) for c in chunks)
-    columns: dict[Keypath, np.ndarray] = {}
-    present: dict[Keypath, np.ndarray | None] = {}
-    for path in paths:
-        columns[path] = np.concatenate([c.attr(path) for c in chunks])
-        if all(c.is_dense(path) for c in chunks):
-            present[path] = None
-        else:
-            present[path] = np.concatenate([c.present(path) for c in chunks])
-    return StructuredVector(length, columns, present)
-
-
-def merge_select(chunks: list[StructuredVector], path: Keypath) -> StructuredVector:
-    """Re-compact global-fold-select partials: all hits from slot 0."""
-    length = sum(len(c) for c in chunks)
-    hits = [c.attr(path)[c.present(path)] for c in chunks]
-    out = np.zeros(length, dtype=np.int64)
-    mask = np.zeros(length, dtype=bool)
-    if hits:
-        values = np.concatenate(hits)
-        out[: len(values)] = values
-        mask[: len(values)] = True
-    return StructuredVector(length, {path: out}, {path: mask})
-
-
-def merge_fold(fn: str, chunks: list[StructuredVector], path: Keypath) -> StructuredVector:
-    """Re-fold per-chunk partial aggregates (result at global slot 0).
-
-    Each chunk carries its partial at local slot 0 (ε when the chunk had
-    no present input slot).  Combination is a left fold in chunk order —
-    bit-identical to sequential execution for every combination the
-    planner routes here.
-    """
-    try:
-        combine = _COMBINE[fn]
-    except KeyError:
-        raise ExecutionError(f"merge: unknown fold combiner {fn!r}") from None
-    length = sum(len(c) for c in chunks)
-    partials = [c.attr(path)[0] for c in chunks if len(c) and c.present(path)[0]]
-    dtype = chunks[0].attr(path).dtype
-    out = np.zeros(length, dtype=dtype)
-    mask = np.zeros(length, dtype=bool)
-    if partials:
-        total = partials[0]
-        for value in partials[1:]:
-            total = combine(total, value)
-        out[0] = total
-        mask[0] = True
-    return StructuredVector(length, {path: out}, {path: mask})
-
-
-# ------------------------------------------------------------ fused chunks
-
-
 def concat_fused(chunks: list[FusedVal]) -> FusedVal:
-    """:func:`concat_chunks` over fused values.
+    """Concatenate chunk values attribute-wise, preserving ε masks.
 
     Column arrays and presence masks concatenate directly; chunks that
     kept an attribute virtual (symbolic Range metadata) materialize it
     here, at the merge boundary, not inside the workers.  A mask that
     merges fully dense is re-suppressed to ``None``, exactly as the
-    Structured Vector constructor does on the interpreter path.
+    Structured Vector constructor does for the interpreter.
     """
     if not chunks:
         raise ExecutionError("merge: no chunks to concatenate")
@@ -125,7 +60,7 @@ def concat_fused(chunks: list[FusedVal]) -> FusedVal:
 
 
 def merge_select_fused(chunks: list[FusedVal], path: Keypath) -> FusedVal:
-    """:func:`merge_select` over fused values (hits from slot 0)."""
+    """Re-compact global-fold-select partials: all hits from slot 0."""
     length = sum(c.length for c in chunks)
     hits = []
     for c in chunks:
@@ -141,7 +76,13 @@ def merge_select_fused(chunks: list[FusedVal], path: Keypath) -> FusedVal:
 
 
 def merge_fold_fused(fn: str, chunks: list[FusedVal], path: Keypath) -> FusedVal:
-    """:func:`merge_fold` over fused values (re-folded partials at slot 0)."""
+    """Re-fold per-chunk partial aggregates (result at global slot 0).
+
+    Each chunk carries its partial at local slot 0 (ε when the chunk had
+    no present input slot).  Combination is a left fold in chunk order —
+    bit-identical to sequential execution for every combination the
+    planner routes here.
+    """
     try:
         combine = _COMBINE[fn]
     except KeyError:

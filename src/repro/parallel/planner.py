@@ -11,11 +11,9 @@ and a storage context, it classifies every node into one of four zones
 * **PARTITIONED** — evaluated per chunk on the worker pool.  Every slot of
   a partitioned value is bit-identical to the slot the sequential
   interpreter would produce, because the chunk worker offsets
-  ``Range`` starts and ``FoldSelect`` positions by the chunk origin.
-  Two chunk backends honor this contract: the materializing
-  interpreter (``_ChunkInterpreter``) and the fused runtime
-  (:mod:`repro.parallel.fused`, the default), which keeps the offset
-  ``Range`` symbolic so uniform-run fold kernels engage inside chunks.
+  ``Range`` starts and ``FoldSelect`` positions by the chunk origin
+  (:class:`repro.compiler.runner.ChunkRunner`, which keeps the offset
+  ``Range`` symbolic so uniform-run fold kernels engage inside chunks).
 * **GFOLD / GSELECT** — folds whose single run spans the whole vector.
   Workers compute per-chunk *partials* which the executor re-folds
   (``sum``/``max``/``min``/count) or re-compacts (select positions).  Only
@@ -58,8 +56,7 @@ _CHUNKED_ZONES = (PARTITIONED, GFOLD, GSELECT)
 class PartitionPlan:
     """Everything the executor needs to run one program partition-parallel.
 
-    Node references use *topological order indices* into ``program.order``
-    (not ``id()``) so a plan survives pickling to process-pool workers.
+    Node references use *topological order indices* into ``program.order``.
     """
 
     program: Program
@@ -322,7 +319,7 @@ class PartitionPlanner:
         if isinstance(node, ops.Range):
             sizeref = node.sizeref
             if sizeref is not None and zones[self.index[id(sizeref)]] == PARTITIONED:
-                return PARTITIONED, 1  # chunk interpreter offsets the start
+                return PARTITIONED, 1  # chunk runner offsets the start
             return SEQ, 1
         if isinstance(node, ops.Gather):
             src, pos = self.index[id(node.source)], self.index[id(node.positions)]

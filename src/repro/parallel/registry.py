@@ -3,12 +3,12 @@
 Worker pools used to be owned per engine: every
 :class:`~repro.parallel.executor.ParallelInterpreter` constructed its own
 ``concurrent.futures`` executor, so ten concurrent serving engines meant
-ten thread pools fighting over the same cores (and ten process pools'
-startup cost).  This module moves ownership to one process-wide registry:
-pools are keyed by ``(kind, workers)``, shared by every leaseholder, and
-shut down when the last lease is released.
+ten thread pools fighting over the same cores.  This module moves
+ownership to one process-wide registry: thread pools are keyed by their
+width, shared by every leaseholder, and shut down when the last lease is
+released.
 
-    lease = REGISTRY.lease("thread", 4)
+    lease = REGISTRY.lease(4)
     lease.executor.submit(fn, ...)
     lease.release()                  # refcounted; last release shuts down
 
@@ -20,9 +20,8 @@ chunk fan-out draw from the same accounted set of pools.
 from __future__ import annotations
 
 import threading
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Executor, ThreadPoolExecutor
 
-from repro.compiler.options import POOL_KINDS
 from repro.errors import ExecutionError
 
 
@@ -31,7 +30,7 @@ class PoolLease:
 
     __slots__ = ("_registry", "key", "_executor", "_released")
 
-    def __init__(self, registry: "PoolRegistry", key: tuple[str, int], executor: Executor):
+    def __init__(self, registry: "PoolRegistry", key: int, executor: Executor):
         self._registry = registry
         self.key = key
         self._executor = executor
@@ -59,32 +58,27 @@ class PoolLease:
 
 
 class PoolRegistry:
-    """Refcounted ``(kind, workers) -> Executor`` map (thread-safe)."""
+    """Refcounted ``workers -> ThreadPoolExecutor`` map (thread-safe)."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._pools: dict[tuple[str, int], Executor] = {}
-        self._refs: dict[tuple[str, int], int] = {}
+        self._pools: dict[int, Executor] = {}
+        self._refs: dict[int, int] = {}
         #: lifetime counters (observability: the /stats endpoint shows them)
         self.created = 0
         self.reused = 0
         self.released = 0
 
-    def lease(self, kind: str, workers: int) -> PoolLease:
-        """A lease on the shared pool for ``(kind, workers)``, creating
-        the executor when this is the first claim."""
-        if kind not in POOL_KINDS:
-            raise ExecutionError(f"pool must be one of {POOL_KINDS}, got {kind!r}")
+    def lease(self, workers: int) -> PoolLease:
+        """A lease on the shared *workers*-wide pool, creating the
+        executor when this is the first claim."""
         if workers < 1:
             raise ExecutionError(f"workers must be >= 1, got {workers}")
-        key = (kind, int(workers))
+        key = int(workers)
         with self._lock:
             executor = self._pools.get(key)
             if executor is None:
-                executor_cls = (
-                    ThreadPoolExecutor if kind == "thread" else ProcessPoolExecutor
-                )
-                executor = executor_cls(max_workers=workers)
+                executor = ThreadPoolExecutor(max_workers=key)
                 self._pools[key] = executor
                 self.created += 1
             else:
@@ -92,7 +86,7 @@ class PoolRegistry:
             self._refs[key] = self._refs.get(key, 0) + 1
             return PoolLease(self, key, executor)
 
-    def _release(self, key: tuple[str, int]) -> None:
+    def _release(self, key: int) -> None:
         with self._lock:
             remaining = self._refs.get(key, 0) - 1
             self.released += 1
@@ -103,7 +97,7 @@ class PoolRegistry:
             else:
                 self._refs[key] = remaining
         if executor is not None:
-            # outside the lock: a process pool's shutdown waits on workers
+            # outside the lock: shutdown waits on running workers
             executor.shutdown(wait=True)
 
     def stats(self) -> dict:
@@ -115,8 +109,8 @@ class PoolRegistry:
                 "leases_reused": self.reused,
                 "leases_released": self.released,
                 "pools": {
-                    f"{kind}:{workers}": self._refs.get((kind, workers), 0)
-                    for kind, workers in sorted(self._pools)
+                    str(workers): self._refs.get(workers, 0)
+                    for workers in sorted(self._pools)
                 },
             }
 

@@ -1,18 +1,10 @@
 """Engine configuration: every :class:`VoodooEngine` knob in one object.
 
-Historically the engine grew ten loose constructor keywords
-(``options``/``grain``/``parallelism``/``execution``/``tracing``/
-``plan_cache``/``tuning``/``tuner``/``tuning_cache``); every subsystem
+:class:`EngineConfig` is the one validated description every subsystem
 that builds engines — the serving catalog, the tuner's delegates, the
-conformance grid — re-implemented the same normalization and conflict
-checks.  :class:`EngineConfig` is the one validated description they all
-construct engines from now:
+conformance grid — constructs them from:
 
     engine = VoodooEngine(store, config=EngineConfig(tracing=False))
-
-The old keyword form still works through a thin shim that normalizes to
-an ``EngineConfig`` and emits a :class:`DeprecationWarning`; see
-``EngineConfig.from_kwargs``.
 """
 
 from __future__ import annotations
@@ -44,14 +36,12 @@ class EngineConfig:
         historical default: on for sequential untuned engines, off for
         parallel or auto-tuned ones.
     plan_cache:
-        Memoize compiled plans / translated programs per query structure.
+        Memoize compiled plans per query structure.
     native:
-        Convenience switch for the native C execution tier: ``True``
-        sets ``options.native`` and (when ``execution`` is present)
-        ``execution.native`` in one go, so untraced sequential runs and
-        parallel chunk workers all execute compiled chain/fold kernels.
-        ``None`` (default) leaves whatever the nested options say;
-        ``False`` forces the tier off in both.  Incompatible with
+        Shorthand for ``options.native``, the native C execution tier
+        (untraced sequential runs and parallel chunk workers alike
+        execute compiled chain/fold kernels).  ``None`` (default) leaves
+        whatever ``options`` says.  Incompatible with
         ``tuning="auto"`` — the tuner explores the native axis itself.
     tuning:
         ``"off"`` (static knobs) or ``"auto"`` (the adaptive tuner picks
@@ -123,48 +113,13 @@ class EngineConfig:
         tracing = self.tracing
         if tracing is None:
             tracing = not self.parallel and self.tuning == "off"
-        options, execution = self.options, self.execution
+        options = self.options
         if self.native is not None:
             options = options.with_(native=self.native)
-            if execution is not None:
-                execution = execution.with_(native=self.native)
         return replace(
-            self, grain=grain, tracing=tracing,
-            options=options, execution=execution,
+            self, grain=grain, tracing=tracing, options=options,
         ).validate()
 
     def with_(self, **changes) -> "EngineConfig":
         """A copy with the given fields replaced."""
         return replace(self, **changes)
-
-    @classmethod
-    def from_kwargs(
-        cls,
-        *,
-        options: CompilerOptions | None = None,
-        grain: int | None = None,
-        parallelism: int | None = None,
-        execution: ExecutionOptions | None = None,
-        tracing: bool | None = None,
-        plan_cache: bool = True,
-        tuning: str = "off",
-        tuner=None,
-        tuning_cache=None,
-    ) -> "EngineConfig":
-        """Normalize the legacy keyword form (the deprecation shim's body).
-
-        ``parallelism=N`` was sugar for ``execution=ExecutionOptions(
-        workers=N)``; everything else maps one-to-one.
-        """
-        if execution is None and parallelism is not None:
-            execution = ExecutionOptions(workers=parallelism)
-        return cls(
-            options=options or CompilerOptions(),
-            grain=grain,
-            execution=execution,
-            tracing=tracing,
-            plan_cache=plan_cache,
-            tuning=tuning,
-            tuner=tuner,
-            tuning_cache=tuning_cache,
-        )

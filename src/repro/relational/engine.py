@@ -9,12 +9,11 @@ decoded, order-by/limit applied as post-processing, as in section 5.2).
 from __future__ import annotations
 
 import threading
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.compiler import CompiledProgram, CompilerOptions, compile_program
+from repro.compiler import CompiledProgram, compile_program
 from repro.core.keypath import Keypath
 from repro.errors import ExecutionError, TranslationError
 from repro.hardware.cost import CostReport
@@ -83,16 +82,15 @@ class ResultTable:
 class QueryResult:
     """Result plus everything observability needs.
 
-    ``compiled`` is ``None`` when the query ran on the partition-parallel
-    backend (``parallelism=``), which executes real (fused, by default)
-    kernels on real cores instead of simulating a device — there is no
-    priced trace to report, so ``trace``/``cost`` are empty.
+    Untraced and partition-parallel runs execute real kernels instead of
+    simulating a device — there is no priced trace to report, so
+    ``trace``/``cost`` are empty.
     """
 
     table: ResultTable
     trace: Trace
     cost: CostReport
-    compiled: CompiledProgram | None
+    compiled: CompiledProgram
     #: storage I/O this query caused (``bytes_scanned`` /
     #: ``bytes_decompressed`` deltas of the store's counters) — the
     #: observable difference between scanning plain segments, decoding
@@ -108,10 +106,9 @@ class VoodooEngine:
     """Executes relational queries through the Voodoo backend.
 
     Configured by one validated :class:`~repro.relational.config.EngineConfig`
-    (``VoodooEngine(store, config=EngineConfig(...))``); the historical
-    loose keywords still work through a deprecation shim that normalizes
-    to the same config.  Every execution — ``query()``, ``execute()``,
-    SQL text or :class:`Query` objects — routes through a
+    (``VoodooEngine(store, config=EngineConfig(...))``).  Every execution —
+    ``query()``, ``execute()``, SQL text or :class:`Query` objects — routes
+    through a
     :class:`~repro.relational.prepared.PreparedQuery` (see
     :meth:`prepare`), so prepared and ad-hoc execution share one entry
     point and one set of caches.
@@ -119,13 +116,13 @@ class VoodooEngine:
     ``execution.workers=N`` (N > 1) switches execution to the partition-parallel
     backend: queries are translated as usual, then split into chunks
     along control-vector runs and run on an N-wide worker pool, producing
-    results bit-identical to the sequential backends.  By default the
-    chunks execute on the *fused* wall-clock kernels
-    (``ExecutionOptions.fastpath``) — fusion and multicore compose.
+    results bit-identical to the sequential backends.  Chunks and whole
+    programs execute on the same node runner
+    (:mod:`repro.compiler.runner`) — fusion and multicore compose.
 
-    ``tracing=False`` runs queries on the fused wall-clock kernels
-    (:mod:`repro.compiler.rt_fast`): identical results, no operation
-    trace, no simulated cost — the serving configuration.  ``tracing``
+    ``tracing=False`` runs queries on the node runner's wall-clock
+    kernels (:mod:`repro.compiler.rt_fast`): identical results, no
+    operation trace, no simulated cost — the serving configuration.  ``tracing``
     defaults to ``True`` for sequential engines and ``False`` for
     parallel ones (the parallel backend executes real kernels on real
     cores; there is no priced trace to collect).  Asking explicitly for
@@ -133,7 +130,7 @@ class VoodooEngine:
     :class:`~repro.errors.ExecutionError` instead of silently returning
     a trace that prices to zero.
 
-    The parallel backend — and with it its thread/process worker pool —
+    The parallel backend — and with it its worker-pool lease —
     is constructed once and **reused across queries**.  Call
     :meth:`close` (or use the engine as a context manager) to shut the
     pool down deterministically.
@@ -141,8 +138,8 @@ class VoodooEngine:
     Compilation artifacts are memoized in a **plan cache** keyed on the
     relational query *structure* (not object identity), the store's
     schema fingerprint, and every option that influences code generation
-    or execution (device, selection strategy, fuse/fastpath, grain,
-    workers, pool kind).  A repeated query skips translate + optimize +
+    or execution (device, selection strategy, fuse, native, grain,
+    workers).  A repeated query skips translate + optimize +
     codegen entirely; changing the schema or any knob invalidates the
     entry.
 
@@ -161,40 +158,7 @@ class VoodooEngine:
     space preserves semantics, only latency changes.
     """
 
-    #: the legacy keyword arguments the deprecation shim still accepts
-    _LEGACY_KWARGS = frozenset({
-        "options", "grain", "parallelism", "execution", "tracing",
-        "plan_cache", "tuning", "tuner", "tuning_cache",
-    })
-
-    def __init__(
-        self,
-        store: ColumnStore,
-        config: EngineConfig | CompilerOptions | None = None,
-        **legacy,
-    ):
-        if isinstance(config, CompilerOptions):
-            # the pre-EngineConfig positional form: VoodooEngine(store, opts)
-            legacy.setdefault("options", config)
-            config = None
-        if legacy:
-            unknown = sorted(set(legacy) - self._LEGACY_KWARGS)
-            if unknown:
-                raise TypeError(f"unknown VoodooEngine argument(s) {unknown}")
-            if config is not None:
-                raise ExecutionError(
-                    "pass either config=EngineConfig(...) or the legacy "
-                    "keyword arguments, not both"
-                )
-            warnings.warn(
-                "VoodooEngine's loose keyword arguments (options=, grain=, "
-                "parallelism=, execution=, tracing=, plan_cache=, tuning=, "
-                "tuner=, tuning_cache=) are deprecated; pass "
-                "config=EngineConfig(...) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            config = EngineConfig.from_kwargs(**legacy)
+    def __init__(self, store: ColumnStore, config: EngineConfig | None = None):
         config = (config if config is not None else EngineConfig()).resolved()
         self.config = config
         self.store = store
@@ -205,11 +169,8 @@ class VoodooEngine:
         self.tuning = config.tuning
         self._parallel_backend: ParallelInterpreter | None = None
         self._plan_cache: dict | None = {} if config.plan_cache else None
-        self._program_cache: dict = {}
         self.plan_cache_hits = 0
         self.plan_cache_misses = 0
-        self.program_cache_hits = 0
-        self.program_cache_misses = 0
         self._tuner = config.tuner
         self._tuning_cache_arg = config.tuning_cache
         #: tuned plan-cache: key = (query structure, store, hardware);
@@ -250,22 +211,19 @@ class VoodooEngine:
         )
 
     def cache_info(self) -> dict[str, int]:
-        """Per-cache hit/miss counters and sizes.
-
-        ``plan_*`` describes the compiled-plan cache used by the
-        sequential path (``size`` entries); ``program_*`` the
-        translated-program cache used by the parallel path (``programs``
-        entries).  The two are separate caches with separate counters —
-        a parallel engine never touches the plan cache and vice versa.
-        """
+        """Hit/miss counters and size of the plan cache every backend —
+        sequential and parallel — compiles through."""
         size = len(self._plan_cache) if self._plan_cache is not None else 0
         info = {
             "plan_hits": self.plan_cache_hits,
             "plan_misses": self.plan_cache_misses,
-            "program_hits": self.program_cache_hits,
-            "program_misses": self.program_cache_misses,
+            # always 0: there is one cache; the keys stay for their last
+            # reader, perfbench/analytics.py, which sums them into its
+            # hit ratio
+            "program_hits": 0,
+            "program_misses": 0,
             "size": size,
-            "programs": len(self._program_cache),
+            "programs": 0,
         }
         if self.tuning == "auto" and self._tuner is not None:
             info.update(self._tuner.cache.info())
@@ -276,9 +234,7 @@ class VoodooEngine:
         # segments.  Per-query deltas live on QueryResult.io.
         info["storage_bytes_scanned"] = self.store.io.bytes_scanned
         info["storage_bytes_decompressed"] = self.store.io.bytes_decompressed
-        if self.options.native or (
-            self.execution is not None and self.execution.native
-        ):
+        if self.options.native:
             from repro.native import snapshot
 
             for key, value in snapshot().items():
@@ -289,7 +245,6 @@ class VoodooEngine:
     def clear_plan_cache(self) -> None:
         if self._plan_cache is not None:
             self._plan_cache.clear()
-        self._program_cache.clear()
 
     # -- compilation ---------------------------------------------------------
 
@@ -424,14 +379,14 @@ class VoodooEngine:
             # counters); its result already carries the accurate delta
             return self._delegate(self._tuned_config(query))._execute_bound(query)
         before = self.store.io.snapshot()
+        compiled = self.compile(query, fingerprint)
         if self.execution is not None and self.execution.workers > 1:
-            # the parallel backend is stateful (reset_storage + plan reuse):
+            # the parallel backend is stateful (reset_storage):
             # concurrent serving threads take turns
             with self._parallel_lock:
-                result = self._execute_parallel(query, fingerprint)
+                result = self._execute_parallel(query, compiled)
                 result.io = self.store.io.delta(before)
                 return result
-        compiled = self.compile(query, fingerprint)
         if not self.tracing:
             outputs, trace = compiled.run(self.vectors(), collect_trace=False)
             table = self._extract(query, outputs["result"])
@@ -449,61 +404,35 @@ class VoodooEngine:
             compiled=compiled, io=self.store.io.delta(before),
         )
 
-    def _translate_cached(self, query: Query, fingerprint: tuple | None = None):
-        if self._plan_cache is None:
-            return self.translate(query)
-        key = self._plan_key(query, fingerprint)
-        program = self._program_cache.get(key)
-        if program is not None:
-            self.program_cache_hits += 1
-            return program
-        with self._compile_lock:
-            program = self._program_cache.get(key)
-            if program is not None:
-                self.program_cache_hits += 1
-                return program
-            self.program_cache_misses += 1
-            program = self.translate(query)
-            self._evict(self._program_cache)
-            self._program_cache[key] = program
-            return program
-
-    def _execute_parallel(self, query: Query, fingerprint: tuple | None = None) -> QueryResult:
-        """Multicore end-to-end: translate, then chunk over the engine's
-        persistent worker pool (fused chunk kernels by default)."""
+    def _execute_parallel(
+        self, query: Query, compiled: CompiledProgram
+    ) -> QueryResult:
+        """Multicore end-to-end: chunk the compiled program over the
+        engine's persistent worker pool."""
         if self._parallel_backend is None:
-            fastpath = (
-                self.execution.fastpath and self.options.fastpath and self.options.fuse
-            )
             self._parallel_backend = ParallelInterpreter(
                 workers=self.execution.workers,
-                pool=self.execution.pool,
-                fastpath=fastpath,
                 grain=self.execution.parallel_grain or self.options.parallel_grain,
-                native=fastpath and self.execution.native,
+                native=compiled.native,
             )
         backend = self._parallel_backend
         backend.reset_storage(self.vectors())
-        outputs = backend.run(self._translate_cached(query, fingerprint))
+        outputs = backend.run(compiled.program)
         table = self._extract(query, outputs["result"])
-        if backend.native:
-            mode = "native"
-        else:
-            mode = "fused" if backend.fastpath else "interpreted"
+        mode = "native" if backend.native else "numpy"
         return QueryResult(
             table=table,
             trace=Trace(),
             cost=CostReport(device=f"{self.execution.workers}-core pool ({mode})"),
-            compiled=None,
+            compiled=compiled,
         )
 
     def close(self) -> None:
         """Release worker-pool leases and delegates (idempotent, terminal).
 
-        Sequential engines have little to release; parallel engines —
-        especially with ``pool="process"`` — should be closed (or used
-        as context managers) so worker pools are released
-        deterministically.  A closed engine raises
+        Sequential engines have little to release; parallel engines
+        should be closed (or used as context managers) so worker-pool
+        leases are released deterministically.  A closed engine raises
         :class:`~repro.errors.ExecutionError` on any further execution:
         the serving layer leases and releases engines, and a released
         engine silently re-opening pools would leak them.

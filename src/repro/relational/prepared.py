@@ -161,26 +161,27 @@ class PreparedQuery:
         if engine.tuning == "auto":
             lines.append(engine.explain_tuning(bound).render())
             return "\n".join(lines)
+        cached = (
+            engine._plan_cache is not None
+            and engine.cache_key(bound) in engine._plan_cache
+        )
+        compiled = engine.compile(bound)
+        kernels = "native" if compiled.native else "numpy"
         if engine.execution is not None and engine.execution.workers > 1:
-            cached = engine.cache_key(bound) in engine._program_cache
             lines.append(
-                f"backend: partition-parallel ({engine.execution.workers} "
-                f"workers, {engine.execution.pool} pool)"
+                f"backend: node runner, {kernels} kernels, thread pool "
+                f"({engine.execution.workers} workers)"
             )
-            lines.append(f"translated program cached: {cached}")
+        elif engine.tracing:
+            lines.append(
+                f"backend: traced runtime (simulated cost), device {engine.options.device}"
+            )
+        elif engine.options.fuse:
+            lines.append(f"backend: node runner, {kernels} kernels, inline")
         else:
-            cached = (
-                engine._plan_cache is not None
-                and engine.cache_key(bound) in engine._plan_cache
-            )
-            compiled = engine.compile(bound)
-            mode = "traced (simulated cost)" if engine.tracing else (
-                "fused wall-clock" if compiled.fused_entry is not None
-                else "untraced"
-            )
-            lines.append(f"backend: sequential, {mode}, device {engine.options.device}")
-            lines.append(f"compiled plan cached before this call: {cached}")
-            lines.append(f"kernels: {compiled.kernel_count()}")
+            lines.append("backend: traced runtime, recorder off (operator-at-a-time)")
+        lines.append(f"compiled plan cached before this call: {cached}")
+        lines.append(f"kernels: {compiled.kernel_count()}")
         return "\n".join(lines)
 
     def __repr__(self) -> str:

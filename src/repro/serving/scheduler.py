@@ -47,9 +47,7 @@ class QueryScheduler:
 
     def __init__(self, config: ServingConfig | None = None):
         self.config = config or ServingConfig()
-        self._lease: PoolLease | None = REGISTRY.lease(
-            "thread", self.config.workers
-        )
+        self._lease: PoolLease | None = REGISTRY.lease(self.config.workers)
         self.inflight = 0
         self.submitted = 0
         self.completed = 0

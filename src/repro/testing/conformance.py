@@ -51,9 +51,6 @@ class BackendConfig:
     name: str
     options: CompilerOptions = CompilerOptions()
     workers: int = 1
-    exec_fastpath: bool = True
-    #: run chunk workers through the native C tier (composes with workers)
-    exec_native: bool = False
     tracing: bool | None = None
     #: run through the adaptive auto-tuner (``tuning="auto"``): whatever
     #: configuration the tuner picks for this case must still bit-match
@@ -86,13 +83,7 @@ class BackendConfig:
             )
             return VoodooEngine(store, config=EngineConfig(
                 grain=grain, tuning="auto", tuner=tuner))
-        execution = None
-        if self.workers > 1 or not self.exec_fastpath or self.exec_native:
-            execution = ExecutionOptions(
-                workers=self.workers,
-                fastpath=self.exec_fastpath,
-                native=self.exec_native,
-            )
+        execution = ExecutionOptions(workers=self.workers) if self.workers > 1 else None
         return VoodooEngine(store, config=EngineConfig(
             options=self.options,
             grain=grain,
@@ -112,14 +103,13 @@ BACKEND_GRID: tuple[BackendConfig, ...] = (
                   tracing=True),
     BackendConfig("traced-no-slot-suppression", CompilerOptions(slot_suppression=False),
                   tracing=True),
-    BackendConfig("fused-fastpath", CompilerOptions(), tracing=False),
-    BackendConfig("untraced-no-fastpath", CompilerOptions(fastpath=False), tracing=False),
+    BackendConfig("untraced-fused", CompilerOptions(), tracing=False),
+    # the traced runtime with its recorder off: keeps the
+    # disabled-recorder branches of rt.py fuzzed
+    BackendConfig("untraced-op-at-a-time", CompilerOptions(fuse=False), tracing=False),
     BackendConfig("native", CompilerOptions(native=True), tracing=False),
     BackendConfig("parallel-w2-fused", CompilerOptions(), workers=2),
-    BackendConfig("parallel-w2-native", CompilerOptions(native=True), workers=2,
-                  exec_native=True),
-    BackendConfig("parallel-w2-interp", CompilerOptions(), workers=2,
-                  exec_fastpath=False),
+    BackendConfig("parallel-w2-native", CompilerOptions(native=True), workers=2),
     BackendConfig("parallel-w4-fused", CompilerOptions(), workers=4),
     BackendConfig("tuned", tuned=True),
     BackendConfig("segmented", CompilerOptions(), tracing=False,

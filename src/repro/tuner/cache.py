@@ -24,7 +24,9 @@ from pathlib import Path
 from repro.errors import VoodooError
 from repro.tuner.space import TunedConfig
 
-_VERSION = 1
+#: version-1 files name knobs (fastpath, pool, execution.native) the
+#: option classes reject; a version mismatch loads as empty and re-tunes
+_VERSION = 2
 
 
 def digest(obj) -> str:

@@ -15,11 +15,9 @@ knob                 paper section    search range
 ===================  ===============  ==================================
 ``selection``        4 / 5.3 (F.15)   ``branching`` | ``branch-free``
 ``fuse``             3.1 / 5.2        on | off (operator-at-a-time)
-``fastpath``         (this repro)     fused wall-clock kernels on | off
 ``virtual_scatter``  3.1.3            on | off
 ``slot_suppression`` 3.1.2            on | off
 ``workers``          2.2 / 5.3        1, 2, 4, ``cpu_count``
-``pool``             (this repro)     ``thread`` | ``process``
 ``parallel_grain``   2.2 / 4 (F.4)    None (one chunk/worker) + sweep
 ``native``           4 (OpenCL)       C tier on | off (× sequential/parallel)
 ===================  ===============  ==================================
@@ -53,7 +51,7 @@ class TunedConfig:
 
     @property
     def native(self) -> bool:
-        return self.options.native or self.execution.native
+        return self.options.native
 
     def describe(self) -> str:
         """Compact human-readable label (for reports and bench JSON)."""
@@ -61,14 +59,12 @@ class TunedConfig:
         parts.append("fused" if self.options.fuse else "op-at-a-time")
         if self.native:
             parts.append("native")
-        if self.options.fuse and not self.options.fastpath:
-            parts.append("no-fastpath")
         if not self.options.virtual_scatter:
             parts.append("no-virtual-scatter")
         if not self.options.slot_suppression:
             parts.append("no-slot-suppression")
         if self.execution.workers > 1:
-            parts.append(f"w{self.execution.workers}-{self.execution.pool}")
+            parts.append(f"w{self.execution.workers}")
             if self.execution.parallel_grain is not None:
                 parts.append(f"grain{self.execution.parallel_grain}")
         return "+".join(parts)
@@ -81,16 +77,12 @@ class TunedConfig:
                 "virtual_scatter": self.options.virtual_scatter,
                 "slot_suppression": self.options.slot_suppression,
                 "fuse": self.options.fuse,
-                "fastpath": self.options.fastpath,
                 "parallel_grain": self.options.parallel_grain,
                 "native": self.options.native,
             },
             "execution": {
                 "workers": self.execution.workers,
-                "pool": self.execution.pool,
-                "fastpath": self.execution.fastpath,
                 "parallel_grain": self.execution.parallel_grain,
-                "native": self.execution.native,
             },
         }
 
@@ -136,22 +128,17 @@ def knob_space(
             CompilerOptions(device=device, selection="branch-free", fuse=False), seq
         ),
     ]
-    # fused wall-clock kernels off (simulating runtime without the trace)
-    candidates.append(TunedConfig(CompilerOptions(device=device, fastpath=False), seq))
     # materialization ablations (sections 3.1.2 / 3.1.3)
     candidates += [
         TunedConfig(CompilerOptions(device=device, virtual_scatter=False), seq),
         TunedConfig(CompilerOptions(device=device, slot_suppression=False), seq),
     ]
-    # multicore: workers x pool kind, plus a parallel_grain sweep at the
-    # widest width (grain only changes chunking when workers > 1)
+    # multicore: workers, plus a parallel_grain sweep at the widest
+    # width (grain only changes chunking when workers > 1)
     widths = sorted({w for w in (*WORKER_SWEEP, cpu_count) if w > 1})
     base = CompilerOptions(device=device)
     for workers in widths:
-        for pool in ("thread", "process"):
-            candidates.append(
-                TunedConfig(base, ExecutionOptions(workers=workers, pool=pool))
-            )
+        candidates.append(TunedConfig(base, ExecutionOptions(workers=workers)))
     if widths:
         widest = max(widths)
         for grain in grains:
@@ -165,18 +152,13 @@ def knob_space(
     native = CompilerOptions(device=device, native=True)
     candidates.append(TunedConfig(native, seq))
     if widths:
-        candidates.append(
-            TunedConfig(
-                native, ExecutionOptions(workers=max(widths), native=True)
-            )
-        )
+        candidates.append(TunedConfig(native, ExecutionOptions(workers=max(widths))))
     return candidates
 
 
 def compact_space(device: str = "cpu-mt") -> list[TunedConfig]:
     """A reduced space for high-volume callers (the conformance fuzzer):
-    one representative per knob family, no process pools (spawning one
-    per fuzz case would dominate the run)."""
+    one representative per knob family."""
     seq = ExecutionOptions()
     return [
         default_config(device),

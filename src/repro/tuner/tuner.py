@@ -53,13 +53,13 @@ from repro.tuner.space import TunedConfig, default_config, knob_space
 
 #: pool-overhead priors (seconds) the trace-based cost model cannot see:
 #: spinning the pool up and handing one chunk over.  Deliberately rough —
-#: their only job is to keep hopeless parallel candidates (process pools
-#: on tiny inputs, oversubscribed workers) out of the measured shortlist.
+#: their only job is to keep hopeless parallel candidates (pools on tiny
+#: inputs, oversubscribed workers) out of the measured shortlist.
 #: They only apply when the pool is actually exercised: with a single
-#: effective core the backend executes chunks *inline* (no pool, no
-#: pickling), leaving just a per-chunk dispatch cost.
-_POOL_STARTUP = {"thread": 2e-3, "process": 0.15}
-_CHUNK_OVERHEAD = {"thread": 2e-4, "process": 2e-3}
+#: effective core the backend executes chunks *inline* (no pool),
+#: leaving just a per-chunk dispatch cost.
+_POOL_STARTUP = 2e-3
+_CHUNK_OVERHEAD = 2e-4
 _INLINE_CHUNK_OVERHEAD = 5e-5
 
 
@@ -247,9 +247,9 @@ class AutoTuner:
         sample_extent = max((len(t) for t in self.sample.tables()), default=0)
         for outcome in outcomes:
             options = outcome.config.options
-            # fastpath/native only affect untraced dispatch; drop them so
-            # variants differing only there share one compile + traced run
-            variant = options.with_(fastpath=False, native=False)
+            # native only affects untraced dispatch; drop it so variants
+            # differing only there share one compile + traced run
+            variant = options.with_(native=False)
             if variant not in compiled_by_variant:
                 engine = VoodooEngine(self.sample, config=EngineConfig(
                     options=variant, grain=grain, tracing=True))
@@ -271,8 +271,7 @@ class AutoTuner:
                 )
                 chunks = max(1, -(-sample_extent // chunk))
                 if effective > 1:
-                    seconds += _POOL_STARTUP[execution.pool]
-                    seconds += chunks * _CHUNK_OVERHEAD[execution.pool]
+                    seconds += _POOL_STARTUP + chunks * _CHUNK_OVERHEAD
                 else:
                     # chunks execute inline: no pool is ever constructed
                     seconds += chunks * _INLINE_CHUNK_OVERHEAD

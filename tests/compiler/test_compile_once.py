@@ -37,7 +37,6 @@ from repro.tpch import QUERIES, build, generate
 #: sha256 over the 14 TPC-H kernel sources (SF 0.002, seed 3, default
 #: options) as generated before ``CompiledProgram.source`` became lazy
 TRACED_SOURCES = "82f24ef60995a4acee21ea1342a74716a836ae66513393b6bce4b67f3e7ed90a"
-FUSED_SOURCES = "1ef92034973dcb2587e30cc901f4b9ff20e7e1e76f01c93e4f674eaa171b6030"
 
 
 @pytest.fixture(scope="module")
@@ -185,13 +184,25 @@ class TestCanonicalPrograms:
 
 
 class TestLazyTracedSource:
-    def test_untraced_run_generates_no_traced_source(self, store, engine, queries):
-        compiled = engine.compile(queries[6])
-        assert compiled.fused_entry is not None
+    def test_untraced_run_generates_no_source_at_all(
+        self, store, engine, queries, monkeypatch
+    ):
+        """Compiling and running untraced never generates or compile()s
+        kernel source — the node runner needs none."""
+        import repro.compiler.compiled as compiled_module
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an untraced run generated kernel source")
+
+        monkeypatch.setattr(compiled_module, "generate_source", refuse)
+        monkeypatch.setattr(compiled_module, "compile_source", refuse)
+        compiled = compile_program(engine.translate(queries[6]), engine.options)
         compiled.run(engine.vectors(), collect_trace=False)
         assert "source" not in vars(compiled) and "entry" not in vars(compiled)
+        assert compiled.fused_source is None
+        cached = engine.compile(queries[6])
         engine.execute(queries[6])
-        assert "source" not in vars(compiled)
+        assert "source" not in vars(cached) and "entry" not in vars(cached)
 
     def test_traced_run_generates_it_once(self, store, queries):
         with VoodooEngine(store) as traced_engine:
@@ -205,10 +216,8 @@ class TestLazyTracedSource:
             assert compiled.source == generate_source(compiled.plan)
 
     def test_sources_are_bit_identical_to_the_eager_ones(self, engine, queries):
-        traced, fused = hashlib.sha256(), hashlib.sha256()
+        traced = hashlib.sha256()
         for number in sorted(QUERIES):
             compiled = compile_program(engine.translate(queries[number]), engine.options)
             traced.update(compiled.source.encode())
-            fused.update(compiled.fused_source.encode())
         assert traced.hexdigest() == TRACED_SOURCES
-        assert fused.hexdigest() == FUSED_SOURCES

@@ -1,11 +1,11 @@
-"""The fused fast path is bit-identical to the interpreter.
+"""Untraced runs are bit-identical to the interpreter.
 
-The fused runtime (:mod:`repro.compiler.rt_fast`) executes raw-array
-kernels with uniform-run fold shortcuts and shared masks; hypothesis
-builds the same adversarial program shapes as ``test_agreement`` and
-every output vector must match the interpreter exactly — values, dtypes
-and ε masks — plus the trace/pricing contract: traced runs are
-unaffected by the ``fastpath`` knob, untraced runs produce no events.
+The node runner (:mod:`repro.compiler.runner` over
+:mod:`repro.compiler.rt_fast`) executes raw-array kernels with
+uniform-run fold shortcuts and shared masks; hypothesis builds the same
+adversarial program shapes as ``test_agreement`` and every output vector
+must match the interpreter exactly — values, dtypes and ε masks — and
+untraced runs produce no events.
 """
 
 import numpy as np
@@ -30,7 +30,6 @@ def assert_fused_identical(program, store):
     expected = Interpreter(store).run(program)
     for opts in FUSED_OPTIONS:
         compiled = compile_program(program, opts)
-        assert compiled.fused_entry is not None, opts
         got, trace = compiled.run(store, collect_trace=False)
         assert len(trace) == 0
         assert set(expected) == set(got)
@@ -111,7 +110,7 @@ def test_fused_map_chains_and_scans(groups, values, grain):
     zipped = b.zip(b.zip(t, pred), ctrl)
     positions = b.fold_select(zipped, sel_kp=".sel", fold_kp=".chunk", out=".pos")
     payload = b.gather(t, positions, pos_kp=".pos")
-    # chain over masked gathered data: stays raw in the fused source
+    # chain over masked gathered data
     scaled = b.multiply(payload.project(".f"), b.constant(3.0, dtype="float64"),
                         out=".x")
     shifted = b.subtract(scaled, b.constant(1.5, dtype="float64"), out=".y")
@@ -122,46 +121,6 @@ def test_fused_map_chains_and_scans(groups, values, grain):
     total = b.fold_count(b.zip(payload.project(".v"), ctrl),
                          counted_kp=".v", fold_kp=".chunk", out=".n")
     assert_fused_identical(b.build(scan=scan, n=total, c=casted), store)
-
-
-def test_fused_source_inlines_map_chains():
-    """The fused source really is raw straight-line NumPy for map chains."""
-    b = Builder({"t": StructuredVector.from_arrays(v=np.arange(8)).schema})
-    t = b.load("t")
-    pred = b.greater(t.project(".v"), b.constant(3), out=".sel")
-    chain = b.multiply(b.cast(pred, "int64", out=".x"), b.constant(7), out=".y")
-    compiled = compile_program(b.build(out=chain))
-    src = compiled.fused_source
-    assert "_fb('Greater'" in src
-    assert "_fu('Cast'" in src
-    assert "_lit(" in src
-    # the intermediate chain values never become runtime-wrapped vectors
-    assert src.count("rt.wrap") == 1  # only the program output
-
-
-def test_traced_runs_unaffected_by_fastpath():
-    """Pricing fidelity: the fused compile must not change traced runs."""
-    rng = np.random.default_rng(3)
-    store = {"t": StructuredVector.from_arrays(v=rng.integers(0, 50, 512))}
-    b = Builder({"t": store["t"].schema})
-    t = b.load("t")
-    pred = b.greater(t.project(".v"), b.constant(25), out=".sel")
-    ctrl = b.divide(b.range(t), b.constant(64), out=".chunk")
-    zipped = b.zip(b.zip(t, pred), ctrl)
-    positions = b.fold_select(zipped, sel_kp=".sel", fold_kp=".chunk", out=".pos")
-    payload = b.gather(t, positions, pos_kp=".pos")
-    total = b.fold_sum(b.zip(payload, ctrl), agg_kp=".v", fold_kp=".chunk", out=".s")
-    program = b.build(total=total)
-
-    on = compile_program(program, CompilerOptions(fastpath=True))
-    off = compile_program(program, CompilerOptions(fastpath=False))
-    assert on.fused_entry is not None and off.fused_entry is None
-    _, trace_on = on.run(store)
-    _, trace_off = off.run(store)
-    events_on = [vars(e) for e in trace_on.events()]
-    events_off = [vars(e) for e in trace_off.events()]
-    assert events_on == events_off
-    assert on.price(trace_on).seconds == off.price(trace_off).seconds
 
 
 def test_disabled_recorder_is_free_and_identical():
@@ -181,7 +140,8 @@ def test_disabled_recorder_is_free_and_identical():
     gsum = b.fold_sum(scattered, agg_kp=".f", fold_kp=".g", out=".s")
     program = b.build(s=gsum)
 
-    compiled = compile_program(program, CompilerOptions(fastpath=False))
+    # fuse=False is what keeps an untraced run on the traced runtime
+    compiled = compile_program(program, CompilerOptions(fuse=False))
     traced, trace = compiled.run(store)
     untraced, empty = compiled.run(store, collect_trace=False)
     assert len(trace) > 0 and len(empty) == 0
@@ -193,12 +153,20 @@ def test_disabled_recorder_is_free_and_identical():
                                   untraced[name].attr(path)[em])
 
 
-def test_fastpath_off_and_unfused_skip_fused_entry():
-    b = Builder({"t": StructuredVector.from_arrays(v=np.arange(4)).schema})
+def test_untraced_runs_use_the_runner_iff_fuse():
+    """The operator-at-a-time ablation must execute operator-at-a-time:
+    with fuse off an untraced run compiles and calls the traced kernels
+    (recorder disabled); with fuse on it needs no generated code."""
+    store = {"t": StructuredVector.from_arrays(v=np.arange(4))}
+    b = Builder({"t": store["t"].schema})
     out = b.add(b.load("t").project(".v"), b.constant(1), out=".r")
     program = b.build(out=out)
-    assert compile_program(program, CompilerOptions(fuse=False)).fused_entry is None
-    assert compile_program(program, CompilerOptions(fastpath=False)).fused_entry is None
+    fused = compile_program(program, CompilerOptions())
+    unfused = compile_program(program, CompilerOptions(fuse=False))
+    a, _ = fused.run(store, collect_trace=False)
+    c, _ = unfused.run(store, collect_trace=False)
+    assert "entry" not in vars(fused) and "entry" in vars(unfused)
+    assert np.array_equal(a["out"].attr(".r"), c["out"].attr(".r"))
 
 
 def test_fused_val_scalar_and_paths():

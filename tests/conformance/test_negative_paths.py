@@ -1,8 +1,8 @@
 """Negative-path regression guards for the PR 2/3 edge cases.
 
 Locks in behaviors the conformance matrix relies on: the tracing ×
-workers conflict must fail loudly, plan-cache entries must not survive
-an ``ExecutionOptions.fastpath`` flip, and FoldSelect must stay exact
+workers conflict must fail loudly, the removed execution knobs must be
+rejected rather than ignored, and FoldSelect must stay exact
 when a whole chunk of the partition-parallel backend filters to
 nothing.
 """
@@ -53,7 +53,7 @@ class TestTracingWorkersConflict:
         with VoodooEngine(make_store(), config=TWO_WORKERS) as engine:
             assert engine.tracing is False
             result = engine.execute(make_query())
-            assert result.compiled is None          # no simulated artifact
+            assert result.cost.seconds == 0.0       # nothing simulated
             assert list(result.trace.events()) == []
 
     def test_sequential_engine_still_traces(self):
@@ -62,54 +62,32 @@ class TestTracingWorkersConflict:
         assert engine.execute(make_query()).milliseconds > 0
 
 
-class TestPlanCacheFastpathFlip:
-    def test_execution_fastpath_flip_is_a_cache_miss(self):
-        """Flipping ExecutionOptions.fastpath must re-translate, not reuse.
+class TestRemovedKnobs:
+    """One executor: the options that selected the others are gone, and a
+    caller still passing one hears about it instead of being ignored."""
 
-        An engine is immutable once built (``close()`` is terminal), so
-        the flip happens by deriving a second engine from the first's
-        config; the cache keys must differ so neither engine could ever
-        serve the other's plan.
-        """
-        store = make_store()
-        with VoodooEngine(store, config=TWO_WORKERS) as engine:
-            first = engine.query(make_query())
-            assert engine.cache_info()["program_misses"] == 1
-            engine.query(make_query())
-            assert engine.cache_info()["program_hits"] == 1
-            flipped_config = engine.config.with_(
-                execution=engine.execution.with_(fastpath=False)
-            )
-            key_on = engine.cache_key(make_query())
+    @pytest.mark.parametrize("build", [
+        lambda: CompilerOptions(fastpath=False),
+        lambda: ExecutionOptions(pool="process"),
+        lambda: ExecutionOptions(fastpath=False),
+        lambda: ExecutionOptions(native=True),
+    ], ids=["compiler-fastpath", "pool", "execution-fastpath", "execution-native"])
+    def test_removed_option_is_a_type_error(self, build):
+        with pytest.raises(TypeError):
+            build()
 
-        with VoodooEngine(store, config=flipped_config) as flipped:
-            assert flipped.cache_key(make_query()) != key_on, (
-                "fastpath flip must change the cache key"
-            )
-            second = flipped.query(make_query())
-            info = flipped.cache_info()
-            assert info["program_misses"] == 1, "fastpath flip reused a stale plan"
-            assert first.rows() == second.rows()
+    def test_option_classes_have_nine_fields(self):
+        import dataclasses
 
-    def test_compiler_fastpath_flip_changes_cache_key(self):
-        store = make_store()
-        query = make_query()
-        on, off = (
-            VoodooEngine(
-                store, config=EngineConfig(options=CompilerOptions(fastpath=fastpath))
-            ).cache_key(query)
-            for fastpath in (True, False)
-        )
-        assert on != off
+        assert len(dataclasses.fields(CompilerOptions)) == 7
+        assert len(dataclasses.fields(ExecutionOptions)) == 2
 
-    def test_execution_fastpath_results_bit_identical(self):
-        store = make_store()
-        tables = []
-        for fastpath in (True, False):
-            execution = ExecutionOptions(workers=2, fastpath=fastpath)
-            with VoodooEngine(store, config=EngineConfig(execution=execution)) as engine:
-                tables.append(engine.query(make_query()))
-        assert tables[0].rows() == tables[1].rows()
+    def test_parallel_engine_follows_the_native_shorthand(self):
+        with VoodooEngine(make_store(), config=TWO_WORKERS.with_(native=True)) as engine:
+            assert engine.options.native
+            result = engine.execute(make_query())
+            assert result.compiled.native
+            assert engine._parallel_backend.native
 
 
 class TestFoldSelectFullyFilteredChunk:

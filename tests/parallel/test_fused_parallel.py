@@ -55,7 +55,7 @@ def test_tpch_fused_parallel_bit_identical(store, engine, number, workers):
     program = engine.translate(query)
     compiled = compile_program(program, engine.options)
     fused_seq, _ = compiled.run(store.vectors(), collect_trace=False)
-    runner = ParallelInterpreter(store.vectors(), workers=workers, fastpath=True)
+    runner = ParallelInterpreter(store.vectors(), workers=workers)
     fused_par = runner.run(program)
     assert runner.last_plan is not None and runner.last_plan.parallel, (
         f"Q{number} did not parallelize: {runner.last_plan.reason}"
@@ -125,7 +125,7 @@ def test_property_groupby_runs_split_mid_group(seed, workers, grain):
     }
     program = groupby_program(n, grain, cards)
     seq = Interpreter(store).run(program)
-    runner = ParallelInterpreter(store, workers=workers, fastpath=True)
+    runner = ParallelInterpreter(store, workers=workers)
     par = runner.run(program)
     runner.close()
     assert_bit_identical(seq, par, context=(seed, workers))
@@ -194,11 +194,9 @@ class TestPersistentPool:
         assert engine._parallel_backend is None
 
 
-@pytest.mark.parametrize("pool", ("thread", "process"))
-def test_forced_pool_submission_bit_identical(pool):
-    """Fused chunk workers through a *real* pool (FusedVal pickling for
-    processes included) — forced even on single-core hosts, where chunk
-    execution would otherwise stay inline."""
+def test_forced_pool_submission_bit_identical():
+    """Chunk workers through a *real* pool — forced even on single-core
+    hosts, where chunk execution would otherwise stay inline."""
     rng = np.random.default_rng(21)
     n = 20_000
     store = {
@@ -212,19 +210,16 @@ def test_forced_pool_submission_bit_identical(pool):
     partial = b.fold_sum(b.zip(facts, ctrl), agg_kp=".v", fold_kp=".g", out=".p")
     program = b.build(total=b.fold_sum(partial, agg_kp=".p", out=".total"))
     seq = Interpreter(store).run(program)
-    with ParallelInterpreter(store, workers=2, pool=pool, fastpath=True) as runner:
+    with ParallelInterpreter(store, workers=2) as runner:
         runner._effective = 2  # bypass the single-core inline shortcut
         par = runner.run(program)
         assert runner.last_plan.parallel
     assert_bit_identical(seq, par)
 
 
-@pytest.mark.parametrize("pool", ("thread", "process"))
-def test_forced_pool_groupby_seq_zone(pool):
-    """A grouped query's SEQ zone through a real pool (regression: the
-    SEQ-zone fold fan-out submitted id-keyed values to process workers,
-    whose re-pickled nodes carry different ids — KeyError on any
-    multi-core host with pool="process")."""
+def test_forced_pool_groupby_seq_zone():
+    """A grouped query's SEQ zone through a real pool: the fold fan-out
+    shares the id-keyed values dict across pool threads."""
     rng = np.random.default_rng(22)
     n = 12_000
     store = {
@@ -239,7 +234,7 @@ def test_forced_pool_groupby_seq_zone(pool):
     }
     program = groupby_program(n, 1024, 8)
     seq = Interpreter(store).run(program)
-    with ParallelInterpreter(store, workers=2, pool=pool, fastpath=True) as runner:
+    with ParallelInterpreter(store, workers=2) as runner:
         runner._effective = 2
         par = runner.run(program)
     assert_bit_identical(seq, par)
@@ -289,7 +284,7 @@ class TestTracingConflict:
         with VoodooEngine(store, config=TWO_WORKERS) as engine:
             assert engine.tracing is False
             result = engine.execute(build(store, 6))
-            assert result.compiled is None
+            assert result.compiled is not None  # one plan cache for every backend
             assert len(result.trace) == 0
 
     def test_sequential_engine_defaults_to_traced(self):
@@ -298,17 +293,3 @@ class TestTracingConflict:
         assert engine.tracing is True
         result = engine.execute(build(store, 6))
         assert len(result.trace) > 0
-
-
-# ----------------------------------------------------- fastpath opt-out
-
-
-def test_fastpath_false_matches_fused(store, engine):
-    """ExecutionOptions(fastpath=False) keeps the interpreter chunk path
-    alive — and it agrees with the fused chunk path bit for bit."""
-    program = engine.translate(build(store, 6))
-    fused = ParallelInterpreter(store.vectors(), workers=2, fastpath=True)
-    plain = ParallelInterpreter(store.vectors(), workers=2, fastpath=False)
-    assert_bit_identical(plain.run(program), fused.run(program))
-    fused.close()
-    plain.close()

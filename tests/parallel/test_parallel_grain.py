@@ -118,7 +118,7 @@ def test_inline_chunks_honor_grain_and_rebase_foldselect(grain):
     from repro.interpreter import Interpreter
 
     seq = Interpreter(store).run(program)
-    with ParallelInterpreter(store, workers=2, fastpath=True, grain=grain) as runner:
+    with ParallelInterpreter(store, workers=2, grain=grain) as runner:
         runner._effective = 1  # chunks execute inline, as on cpu_count==1
         par = runner.run(program)
         plan = runner.last_plan
@@ -136,7 +136,7 @@ def test_grain_change_replans_same_program():
     n = 8192
     store = _store(n)
     program = selection_program(n)
-    with ParallelInterpreter(store, workers=2, fastpath=True, grain=1024) as runner:
+    with ParallelInterpreter(store, workers=2, grain=1024) as runner:
         runner.run(program)
         fine = len(runner.last_plan.chunks)
         runner.grain = 4096
@@ -166,8 +166,8 @@ def test_engine_threads_parallel_grain_to_backend():
             assert np.array_equal(got.column(column), expected.column(column))
 
 
-def test_engine_program_cache_invalidated_by_grain():
-    """parallel_grain is part of ExecutionOptions, so the engine's program
+def test_engine_plan_cache_invalidated_by_grain():
+    """parallel_grain is part of ExecutionOptions, so the engine's plan
     cache key changes with it — no stale plan reuse across grains."""
     store = generate(0.002, seed=3)
     with VoodooEngine(store, config=EngineConfig(execution=ExecutionOptions(workers=2))) as a:

@@ -31,9 +31,9 @@ def assert_bit_identical(seq: dict, par: dict) -> None:
             assert np.array_equal(b.present(p), a.present(p)), (name, p, "masks differ")
 
 
-def run_both(store, program, workers=4, pool="thread"):
+def run_both(store, program, workers=4):
     seq = Interpreter(store).run(program)
-    parallel = ParallelInterpreter(store, workers=workers, pool=pool)
+    parallel = ParallelInterpreter(store, workers=workers)
     par = parallel.run(program)
     return seq, par, parallel
 
@@ -224,11 +224,12 @@ class TestEdges:
         seq, par, _ = run_both(store, program, workers=3)
         assert_bit_identical(seq, par)
 
-    def test_invalid_pool(self):
-        from repro.errors import ExecutionError
-
-        with pytest.raises(ExecutionError):
-            ParallelInterpreter({}, workers=2, pool="greenlet")
+    def test_pool_and_fastpath_parameters_are_gone(self):
+        """One schedule (threads), one evaluator (the node runner)."""
+        with pytest.raises(TypeError):
+            ParallelInterpreter({}, workers=2, pool="thread")
+        with pytest.raises(TypeError):
+            ParallelInterpreter({}, workers=2, fastpath=True)
 
     def test_zero_workers_rejected(self):
         from repro.errors import ExecutionError
@@ -244,16 +245,6 @@ class TestEdges:
         summary = engine.last_plan.summary()
         assert sum(summary.values()) == len(program)
         assert summary.get(SEQ, 0) <= 2
-
-
-@pytest.mark.slow
-class TestProcessPool:
-    def test_selection_program_process_pool(self):
-        store = make_store(20_000, seed=13)
-        program = selection_program(20_000, 0.4, "Branching")
-        seq, par, engine = run_both(store, program, workers=2, pool="process")
-        assert engine.last_plan.parallel
-        assert_bit_identical(seq, par)
 
 
 def random_program(seed: int):

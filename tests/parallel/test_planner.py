@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.compiler.rt_fast import FusedRuntime
 from repro.core import Builder, StructuredVector
 from repro.core.keypath import Keypath
 from repro.errors import ExecutionError
@@ -14,10 +15,30 @@ from repro.parallel import (
     SEQ,
     PartitionPlanner,
     chunk_ranges,
-    concat_chunks,
-    merge_fold,
-    merge_select,
+    concat_fused,
+    merge_fold_fused,
+    merge_select_fused,
+    to_fused,
 )
+
+
+def _forced(val) -> StructuredVector:
+    return FusedRuntime({}).force(val)
+
+
+# the merges work on the raw chunk values the workers return; the tests
+# state their chunks as Structured Vectors and read the result as one
+
+def concat_chunks(chunks):
+    return _forced(concat_fused([to_fused(c) for c in chunks]))
+
+
+def merge_select(chunks, path):
+    return _forced(merge_select_fused([to_fused(c) for c in chunks], path))
+
+
+def merge_fold(fn, chunks, path):
+    return _forced(merge_fold_fused(fn, [to_fused(c) for c in chunks], path))
 
 
 def _store(n: int, dtype="int64", seed: int = 0) -> dict:

@@ -15,62 +15,68 @@ def registry() -> PoolRegistry:
 
 class TestLeasing:
     def test_same_shape_shares_one_pool(self, registry):
-        a = registry.lease("thread", 2)
-        b = registry.lease("thread", 2)
+        a = registry.lease(2)
+        b = registry.lease(2)
         assert a.executor is b.executor
         assert registry.stats()["live_pools"] == 1
         assert registry.stats()["leases_reused"] == 1
 
     def test_different_shapes_get_different_pools(self, registry):
-        a = registry.lease("thread", 2)
-        b = registry.lease("thread", 4)
+        a = registry.lease(2)
+        b = registry.lease(4)
         assert a.executor is not b.executor
         assert registry.stats()["live_pools"] == 2
 
     def test_pool_survives_until_last_release(self, registry):
-        a = registry.lease("thread", 2)
-        b = registry.lease("thread", 2)
+        a = registry.lease(2)
+        b = registry.lease(2)
         a.release()
         assert b.executor.submit(lambda: 7).result() == 7
         b.release()
         assert registry.stats()["live_pools"] == 0
 
     def test_release_is_idempotent(self, registry):
-        a = registry.lease("thread", 2)
-        b = registry.lease("thread", 2)
+        a = registry.lease(2)
+        b = registry.lease(2)
         a.release()
         a.release()                          # must not steal b's refcount
         assert registry.stats()["active_leases"] == 1
         assert b.executor.submit(lambda: 1).result() == 1
 
     def test_released_lease_refuses_access(self, registry):
-        lease = registry.lease("thread", 2)
+        lease = registry.lease(2)
         lease.release()
         with pytest.raises(ExecutionError, match="released"):
             lease.executor
 
     def test_context_manager_releases(self, registry):
-        with registry.lease("thread", 2) as lease:
+        with registry.lease(2) as lease:
             assert lease.executor.submit(lambda: 3).result() == 3
         assert registry.stats()["live_pools"] == 0
 
     def test_reclaimed_shape_builds_a_fresh_pool(self, registry):
-        registry.lease("thread", 2).release()
-        lease = registry.lease("thread", 2)
+        registry.lease(2).release()
+        lease = registry.lease(2)
         assert lease.executor.submit(lambda: 9).result() == 9
         assert registry.stats()["pools_created"] == 2
 
-    def test_bad_kind_rejected(self, registry):
-        with pytest.raises(ExecutionError, match="pool"):
-            registry.lease("fiber", 2)
+    def test_pool_kind_argument_is_gone(self, registry):
+        with pytest.raises(TypeError):
+            registry.lease("thread", 2)
+
+    def test_stats_name_pools_by_width(self, registry):
+        registry.lease(2)
+        registry.lease(2)
+        registry.lease(4)
+        assert registry.stats()["pools"] == {"2": 2, "4": 1}
 
     def test_bad_width_rejected(self, registry):
         with pytest.raises(ExecutionError, match="workers"):
-            registry.lease("thread", 0)
+            registry.lease(0)
 
     def test_shutdown_clears_everything(self, registry):
-        registry.lease("thread", 2)
-        registry.lease("thread", 4)
+        registry.lease(2)
+        registry.lease(4)
         registry.shutdown()
         assert registry.stats()["live_pools"] == 0
         assert registry.stats()["active_leases"] == 0

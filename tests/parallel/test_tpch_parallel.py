@@ -2,7 +2,7 @@
 
 The acceptance bar for the multicore backend: four workers produce
 exactly the vectors the sequential interpreter produces on every
-evaluated TPC-H query, and the relational engine's ``parallelism=`` knob
+evaluated TPC-H query, and a ``workers=4`` relational engine
 returns the same result tables.
 """
 
@@ -61,9 +61,10 @@ def test_engine_parallelism_flag(engine, parallel_engine, store, number):
     assert sequential.to_dicts() == parallel.to_dicts()
 
 
-def test_parallel_result_has_no_compiled_artifact(parallel_engine, store):
-    result = parallel_engine.execute(build(store, 6))
-    assert result.compiled is None
+def test_parallel_result_carries_its_plan_and_no_simulated_cost(parallel_engine, store):
+    query = build(store, 6)
+    result = parallel_engine.execute(query)
+    assert result.compiled is parallel_engine.compile(query)
     assert result.milliseconds == 0.0
 
 

@@ -1,10 +1,9 @@
-"""EngineConfig: validation, the legacy-kwarg shim, and close semantics.
+"""EngineConfig: validation, the one constructor form, close semantics.
 
-The engine's ten loose keywords collapsed into one frozen, validated
-``EngineConfig``.  These tests pin the contract: conflicts fail in
-``validate()`` with the historic messages, the deprecation shim builds a
-config equivalent to the explicit one (identical cache keys, identical
-results), and ``close()`` is idempotent and terminal.
+The engine is configured by one frozen, validated ``EngineConfig``.
+These tests pin the contract: conflicts fail in ``validate()`` with the
+historic messages, anything but ``config=`` is a plain ``TypeError``,
+and ``close()`` is idempotent and terminal.
 """
 
 import numpy as np
@@ -81,60 +80,18 @@ class TestValidation:
             EngineConfig().grain = 7
 
 
-class TestLegacyShim:
-    def test_legacy_kwargs_warn(self, store):
-        with pytest.warns(DeprecationWarning, match="EngineConfig"):
-            engine = VoodooEngine(store, grain=64)
-        assert engine.grain == 64
-        engine.close()
-
-    def test_positional_options_still_work(self, store):
-        with pytest.warns(DeprecationWarning):
-            engine = VoodooEngine(store, CompilerOptions(device="gpu"))
-        assert engine.options.device == "gpu"
-        assert engine.grain == 256
-        engine.close()
-
-    def test_parallelism_sugar(self, store):
-        with pytest.warns(DeprecationWarning):
-            engine = VoodooEngine(store, parallelism=2)
-        assert engine.execution is not None
-        assert engine.execution.workers == 2
-        engine.close()
-
-    def test_unknown_kwarg_rejected(self, store):
+class TestOneConstructorForm:
+    def test_loose_keywords_are_a_type_error(self, store):
+        with pytest.raises(TypeError, match="grain"):
+            VoodooEngine(store, grain=64)
         with pytest.raises(TypeError, match="worker_count"):
             VoodooEngine(store, worker_count=2)
 
-    def test_config_plus_legacy_rejected(self, store):
-        with pytest.raises(ExecutionError, match="both"):
-            VoodooEngine(store, config=EngineConfig(), grain=64)
-
-    def test_shim_equivalence_cache_keys_and_results(self, store):
-        """The shim must produce an engine indistinguishable from the
-        explicit-config one: same cache keys, same results."""
-        explicit = VoodooEngine(
-            store,
-            config=EngineConfig(options=CompilerOptions(fastpath=False),
-                                grain=128),
-        )
-        with pytest.warns(DeprecationWarning):
-            legacy = VoodooEngine(
-                store, options=CompilerOptions(fastpath=False), grain=128
-            )
-        q = query(store)
-        assert explicit.cache_key(q) == legacy.cache_key(q)
-        assert explicit.config == legacy.config
-        assert explicit.query(q).rows() == legacy.query(q).rows()
-        explicit.close()
-        legacy.close()
-
-    def test_from_kwargs_matches_constructor(self):
-        execution = ExecutionOptions(workers=3)
-        assert (
-            EngineConfig.from_kwargs(parallelism=3)
-            == EngineConfig(execution=execution)
-        )
+    def test_native_shorthand_sets_the_compiler_option(self):
+        assert EngineConfig(native=True).resolved().options.native is True
+        pinned = EngineConfig(options=CompilerOptions(native=True))
+        assert pinned.resolved().options.native is True      # None leaves it
+        assert pinned.with_(native=False).resolved().options.native is False
 
 
 class TestCloseSemantics:

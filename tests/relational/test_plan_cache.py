@@ -77,17 +77,18 @@ class TestPlanCache:
             "storage_bytes_scanned": 0, "storage_bytes_decompressed": 0,
         }
 
-    def test_parallel_path_caches_programs(self):
-        """The parallel path populates only the program cache — and the
-        split counters keep it from polluting plan-cache accounting."""
+    def test_parallel_path_shares_the_plan_cache(self):
+        """A parallel engine compiles through the same cache, reports
+        under the same counters, and hands its plan back on the result."""
         config = EngineConfig(execution=ExecutionOptions(workers=2))
         with VoodooEngine(make_store(), config=config) as engine:
             first = engine.execute(make_query())
             second = engine.execute(make_query())
             info = engine.cache_info()
-            assert info["programs"] == 1 and info["size"] == 0
-            assert info["program_hits"] == 1 and info["program_misses"] == 1
-            assert info["plan_hits"] == 0 and info["plan_misses"] == 0
+            assert info["size"] == 1 and info["programs"] == 0
+            assert info["plan_hits"] == 1 and info["plan_misses"] == 1
+            assert info["program_hits"] == 0 and info["program_misses"] == 0
+            assert first.compiled is not None and second.compiled is first.compiled
             for column in first.table.columns:
                 assert np.array_equal(
                     first.table.column(column), second.table.column(column)
@@ -130,7 +131,7 @@ class TestInvalidation:
             key_under(store, options=CompilerOptions()),
             key_under(store, options=CompilerOptions(device="gpu")),
             key_under(store, options=CompilerOptions(fuse=False)),
-            key_under(store, options=CompilerOptions(fastpath=False)),
+            key_under(store, options=CompilerOptions(native=True)),
             key_under(store, options=CompilerOptions(selection="branch-free")),
         }
         assert len(keys) == 5
@@ -154,12 +155,13 @@ class TestInvalidation:
         }
         assert len(keys) == 2
 
-    def test_execution_fastpath_in_key(self):
-        """The fastpath × workers mode is part of the plan identity."""
+    def test_kernel_provider_in_key_of_a_parallel_engine(self):
+        """numpy | native is part of a parallel plan's identity too."""
         store = make_store()
+        execution = ExecutionOptions(workers=2)
         keys = {
-            key_under(store, execution=ExecutionOptions(workers=2, fastpath=True)),
-            key_under(store, execution=ExecutionOptions(workers=2, fastpath=False)),
+            key_under(store, execution=execution),
+            key_under(store, execution=execution, native=True),
         }
         assert len(keys) == 2
 

@@ -9,6 +9,7 @@ so a serving steady state re-compiles nothing.
 import numpy as np
 import pytest
 
+from repro.compiler import CompilerOptions, ExecutionOptions
 from repro.errors import ExecutionError, TranslationError
 from repro.relational import (
     EngineConfig,
@@ -171,3 +172,19 @@ class TestSQLParams:
         prepared.execute(theta=0.5)
         assert "cached before this call: True" in prepared.explain(theta=0.5)
         engine.close()
+
+    @pytest.mark.parametrize("config, backend", [
+        (EngineConfig(), "traced runtime (simulated cost)"),
+        (EngineConfig(tracing=False), "node runner, numpy kernels, inline"),
+        (EngineConfig(native=True, tracing=False), "node runner, native kernels, inline"),
+        (EngineConfig(execution=ExecutionOptions(workers=2)),
+         "node runner, numpy kernels, thread pool (2 workers)"),
+        (EngineConfig(options=CompilerOptions(fuse=False), tracing=False),
+         "traced runtime, recorder off"),
+    ])
+    def test_explain_names_evaluator_kernels_and_schedule(self, store, config, backend):
+        with VoodooEngine(store, config=config) as engine:
+            prepared = engine.prepare("SELECT SUM(v) AS s FROM t WHERE v <= :theta")
+            text = prepared.explain(theta=0.5)
+            assert f"backend: {backend}" in text
+            assert "cached before this call: False" in text  # parallel engines too

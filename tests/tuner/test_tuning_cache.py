@@ -82,7 +82,7 @@ class TestPersistence:
     def _entry(self) -> TuningEntry:
         config = TunedConfig(
             CompilerOptions(selection="branch-free", virtual_scatter=False),
-            ExecutionOptions(workers=4, pool="process", parallel_grain=4096),
+            ExecutionOptions(workers=4, parallel_grain=4096),
         )
         return TuningEntry(
             key=_key(), config=config, predicted_ms=1.25, measured_ms=0.75, trials=3
@@ -117,6 +117,22 @@ class TestPersistence:
         cache = TuningCache(path=path)
         assert cache.entries == {}
 
+    def test_file_written_before_the_knobs_were_removed_retunes(self, tmp_path):
+        """A version-1 file (its entries carry ``fastpath``/``pool``, which
+        ``CompilerOptions(**data)`` would reject with TypeError) loads as
+        empty, so the engine re-tunes instead of failing to construct."""
+        entry = self._entry().to_json()
+        entry["config"]["options"]["fastpath"] = True
+        entry["config"]["execution"].update(
+            {"pool": "thread", "fastpath": True, "native": False})
+        path = tmp_path / "tuning.json"
+        path.write_text(json.dumps({"version": 1, "entries": [entry]}))
+        cache = TuningCache(path=path)
+        assert cache.entries == {} and cache.get(_key()) is None
+        cache.put(self._entry())                 # and the file is rewritten
+        assert json.loads(path.read_text())["version"] == 2
+        assert TuningCache(path=path).get(_key()) is not None
+
     def test_invalid_knob_values_treated_as_empty(self, tmp_path):
         """A persisted entry whose knobs the options dataclasses reject
         (hand-edited, or written by a different version) must degrade to
@@ -137,6 +153,6 @@ class TestPersistence:
         path = tmp_path / "tuning.json"
         TuningCache(path=path).put(self._entry())
         document = json.loads(path.read_text())
-        assert document["version"] == 1
+        assert document["version"] == 2
         assert len(document["entries"]) == 1
         assert document["entries"][0]["config"]["execution"]["workers"] == 4
