@@ -1,11 +1,12 @@
 """Auto-tuning demo (the paper's section 5.3, without the hand).
 
 One engine, one extra argument: ``VoodooEngine(store, config=EngineConfig(tuning="auto"))``.
-Per query, the tuner searches the knob space the paper sweeps by hand —
-selection strategy, fusion, materialization flags, worker count, pool
-kind, chunk grain — with a cost-model pruner followed by measured
-racing on a sampled store, then memoizes the winner so the search never
-repeats (persist it across restarts with ``tuning_cache="path.json"``).
+Per query, the tuner searches the knobs untraced execution reads —
+virtual scatter, worker count, chunk grain, the native C tier — with a
+cost-model pruner followed by measured racing on a sampled store, then
+memoizes the winner so the search never repeats (persist it across
+restarts with ``tuning_cache="path.json"``).  The engine runs whatever
+is chosen itself: a configuration is a value, not another engine.
 
 Run:  python examples/auto_tuning.py
 """
@@ -44,7 +45,11 @@ def main():
                   "(no search, no trials)")
         info = engine.cache_info()
         print(f"\ntuning cache: {info['tuning_misses']} cold searches, "
-              f"{info['tuned_decisions']} memoized decisions")
+              f"{info['tuning_entries']} memoized decisions; plan cache: "
+              f"{info['plan_misses']} compiles, {info['plan_hits']} hits")
+        assert info["tuning_misses"] == info["tuning_entries"] == len(QUERIES)
+        assert info["plan_misses"] == len(QUERIES)  # one plan per decision
+        assert info["plan_hits"] == len(QUERIES)  # ... reused when warm
 
     print()
     print("take-away: the engine picks the paper's knobs per query, per")

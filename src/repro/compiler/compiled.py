@@ -56,7 +56,7 @@ class CompiledProgram:
     @property
     def native(self) -> bool:
         """Untraced executions run on the native C tier (:mod:`repro.native`)."""
-        return self.options.native and self.options.fuse
+        return self.options.native
 
     @property
     def opencl(self) -> str:
@@ -82,18 +82,18 @@ class CompiledProgram:
         ``execution`` carries the multicore knob: the runtime charges
         per-core footprints for ``execution.workers`` cores.
 
-        With ``collect_trace=False`` there is nothing to simulate, so a
-        program compiled with ``options.fuse`` (the default) runs on the
-        node runner (:mod:`repro.compiler.runner`) — bit-identical
-        outputs, an empty trace, and no accounting overhead.
+        With ``collect_trace=False`` there is nothing to simulate, so
+        the program runs on the node runner (:mod:`repro.compiler.runner`)
+        — bit-identical outputs, an empty trace, and no accounting
+        overhead.  ``options.fuse`` shapes the simulated kernels only.
         """
-        if not collect_trace and self.options.fuse:
+        if not collect_trace:
             outputs = run_program(
                 self.program, storage, native=self.native,
                 virtual_scatter=self.options.virtual_scatter,
             )
             return outputs, Trace()
-        recorder = TraceRecorder(enabled=collect_trace)
+        recorder = TraceRecorder()
         runtime = Runtime(
             storage=storage,
             device=self.device,

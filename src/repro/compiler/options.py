@@ -34,13 +34,9 @@ class CompilerOptions:
     fuse:
         Inline operators between pipeline breakers into one fragment; off
         = operator-at-a-time (Ocelot-style) execution, for ablations.
-        Untraced runs (``run(collect_trace=False)``) execute on the node
-        runner (:mod:`repro.compiler.runner`) when on; when off they stay
-        on the traced runtime with a disabled recorder — the
-        operator-at-a-time ablation must execute operator-at-a-time.
-    parallel_grain:
-        Default intent for folds whose control vector carries no static
-        metadata; ``None`` lets the backend pick per device.
+        Shapes the simulator only: untraced runs
+        (``run(collect_trace=False)``) execute on the node runner
+        (:mod:`repro.compiler.runner`) either way.
     native:
         Execute untraced runs — sequential and partition-parallel alike —
         on the native CPU tier (:mod:`repro.native`): map chains and
@@ -48,7 +44,7 @@ class CompilerOptions:
         compiler through an on-disk ``.so`` cache, and called over the
         raw column buffers.  Bit-identical to the NumPy kernels; degrades
         to them per kernel when the machine has no compiler or a dtype
-        is not servable.  Requires ``fuse`` (off otherwise).
+        is not servable.
     """
 
     device: str = "cpu-mt"
@@ -56,7 +52,6 @@ class CompilerOptions:
     virtual_scatter: bool = True
     slot_suppression: bool = True
     fuse: bool = True
-    parallel_grain: int | None = None
     native: bool = False
 
     def __post_init__(self) -> None:

@@ -180,7 +180,7 @@ class Runtime:
     ):
         self.storage = storage
         self.device = device
-        self.recorder = recorder or TraceRecorder(enabled=False)
+        self.recorder = recorder or TraceRecorder()
         self.selection = selection
         self.slot_suppression = slot_suppression
         self.virtual_scatter_enabled = virtual_scatter
@@ -222,8 +222,6 @@ class Runtime:
         return max(1, n)
 
     def _emit(self, **kwargs) -> None:
-        if not self.recorder.enabled:
-            return
         event = TraceEvent(**kwargs)
         if self.scale != 1.0:
             scaled = event.scaled(self.scale)
@@ -236,8 +234,6 @@ class Runtime:
 
     def _charge_read(self, val: RtVal, path: Keypath, stream_footprint: int = 0) -> None:
         """Charge a streaming read of a materialized attribute, once per kernel."""
-        if not self.recorder.enabled:
-            return
         if val.vector is None or not val.mat_attrs:
             return
         if stream_footprint == 0 and val.resident_footprint:
@@ -270,8 +266,6 @@ class Runtime:
     def _materialize_cost(self, vector: StructuredVector, n_useful: int | None = None,
                           stream_footprint: int = 0, label: str = "materialize") -> None:
         """Charge writing a vector to memory (a fragment seam)."""
-        if not self.recorder.enabled:
-            return
         if n_useful is None and self.slot_suppression:
             counts = [
                 int(vector.present(p).sum()) for p in vector.paths
@@ -340,17 +334,16 @@ class Runtime:
         out = StructuredVector(scat.size, out_cols, out_masks)
         # Honest accounting: a materialized scatter is random write traffic
         # (only present rows are actually written).
-        if self.recorder.enabled:
-            n_written = val.length if scat.pos_present is None else int(scat.pos_present.sum())
-            self._emit(
-                label="scatter.materialize",
-                elements=val.length,
-                random_writes=n_written * len(base.paths),
-                random_write_footprint=scat.size * base.schema.item_nbytes,
-                int_ops=val.length,
-                extent=self._extent_dp(val.length),
-                intent=1,
-            )
+        n_written = val.length if scat.pos_present is None else int(scat.pos_present.sum())
+        self._emit(
+            label="scatter.materialize",
+            elements=val.length,
+            random_writes=n_written * len(base.paths),
+            random_write_footprint=scat.size * base.schema.item_nbytes,
+            int_ops=val.length,
+            extent=self._extent_dp(val.length),
+            intent=1,
+        )
         return RtVal(vector=out, length=scat.size, mat_attrs=frozenset(out.paths))
 
     # -- shape ---------------------------------------------------------------------------
@@ -401,17 +394,16 @@ class Runtime:
         mb = _fit_mask(mb, n)
         result = apply_binary(fn, a, b)
         mask = _and_masks(ma, mb)
-        if self.recorder.enabled:
-            n_work = n if mask is None else int(mask.sum())
-            is_float = result.dtype.kind == "f" or a.dtype.kind == "f" or b.dtype.kind == "f"
-            self._emit(
-                label=f"binary.{fn}",
-                elements=n_work,
-                float_ops=n_work if is_float else 0,
-                int_ops=0 if is_float else n_work,
-                extent=self._extent_dp(n),
-                intent=1,
-            )
+        n_work = n if mask is None else int(mask.sum())
+        is_float = result.dtype.kind == "f" or a.dtype.kind == "f" or b.dtype.kind == "f"
+        self._emit(
+            label=f"binary.{fn}",
+            elements=n_work,
+            float_ops=n_work if is_float else 0,
+            int_ops=0 if is_float else n_work,
+            extent=self._extent_dp(n),
+            intent=1,
+        )
         vector = StructuredVector(n, {out: result}, {out: mask})
         return RtVal(vector=vector, length=n)
 
@@ -522,8 +514,6 @@ class Runtime:
                        pos_mask: np.ndarray | None, interleaved: bool) -> None:
         """Random-access accounting with *measured* footprint and hot-line
         fraction (this is what prices Figures 14 and 16)."""
-        if not self.recorder.enabled:
-            return
         n = len(pos)
         if pos_mask is not None:
             n = int(pos_mask.sum())
@@ -620,7 +610,7 @@ class Runtime:
             footprint = int(chunk) * item * max(1, self.workers)
             # the producing fold's full-size buffer write is re-scoped to
             # the chunk buffer as well: it never reaches DRAM
-            if self.recorder.enabled and self.recorder._current is not None:
+            if self.recorder._current is not None:
                 for event in reversed(self.recorder._current.events):
                     if event.bytes_written_seq > 0 and event.stream_footprint == 0:
                         event.stream_footprint = footprint
@@ -703,36 +693,35 @@ class Runtime:
             control = _uniform_control(n, static_rl)
         values, present = semantics.fold_select(control, sel, sel_mask, cmask)
 
-        if self.recorder.enabled:
-            hits = int(present.sum())
-            selectivity = hits / n if n else 0.0
-            intent = static_rl if static_rl else (self._intent if control is None else self._intent)
-            extent = self._extent(n, None if static_rl in (None,) else (static_rl or 0))
-            if self.selection == "branching":
-                # A fused branching select never materializes a position
-                # buffer: the if-body consumes qualifying elements in
-                # registers.  The cost is the data-dependent branch itself.
-                self._emit(
-                    label="foldselect.branching",
-                    elements=n,
-                    int_ops=2 * n,
-                    branches=n,
-                    taken_fraction=selectivity,
-                    extent=extent,
-                    intent=intent or 1,
-                    simd=False,
-                )
-            else:
-                self._emit(
-                    label="foldselect.branch-free",
-                    elements=n,
-                    int_ops=3 * n,
-                    bytes_written_seq=n * 8,
-                    extent=extent,
-                    intent=intent or 1,
-                    simd=False,
-                    warp_serial=True,
-                )
+        hits = int(present.sum())
+        selectivity = hits / n if n else 0.0
+        intent = static_rl if static_rl else (self._intent if control is None else self._intent)
+        extent = self._extent(n, None if static_rl in (None,) else (static_rl or 0))
+        if self.selection == "branching":
+            # A fused branching select never materializes a position
+            # buffer: the if-body consumes qualifying elements in
+            # registers.  The cost is the data-dependent branch itself.
+            self._emit(
+                label="foldselect.branching",
+                elements=n,
+                int_ops=2 * n,
+                branches=n,
+                taken_fraction=selectivity,
+                extent=extent,
+                intent=intent or 1,
+                simd=False,
+            )
+        else:
+            self._emit(
+                label="foldselect.branch-free",
+                elements=n,
+                int_ops=3 * n,
+                bytes_written_seq=n * 8,
+                extent=extent,
+                intent=intent or 1,
+                simd=False,
+                warp_serial=True,
+            )
         vec = StructuredVector(n, {out: values}, {out: present})
         return RtVal(vector=vec, length=n)
 
@@ -748,18 +737,17 @@ class Runtime:
         if control is None and static_rl is not None and static_rl != 0:
             control = _uniform_control(n, static_rl)
         result, present = semantics.fold_aggregate(fn, control, values, mask, cmask)
-        if self.recorder.enabled:
-            n_work = n if mask is None else int(mask.sum())
-            is_float = values.dtype.kind == "f"
-            intent = static_rl if static_rl is not None else 1
-            self._emit(
-                label=f"fold{fn}",
-                elements=n_work,
-                float_ops=n_work if is_float else 0,
-                int_ops=0 if is_float else n_work,
-                extent=self._extent(n, intent),
-                intent=intent or n,
-            )
+        n_work = n if mask is None else int(mask.sum())
+        is_float = values.dtype.kind == "f"
+        intent = static_rl if static_rl is not None else 1
+        self._emit(
+            label=f"fold{fn}",
+            elements=n_work,
+            float_ops=n_work if is_float else 0,
+            int_ops=0 if is_float else n_work,
+            extent=self._extent(n, intent),
+            intent=intent or n,
+        )
         vec = StructuredVector(n, {out: result}, {out: present})
         return RtVal(vector=vec, length=n)
 

@@ -131,6 +131,8 @@ class ProgramRunner:
         native: bool = False,
     ):
         self.program = program
+        self.native = native
+        self.virtual_scatter = virtual_scatter
         if storage is None:
             storage = {}
         self._keep_virtual = (
@@ -349,8 +351,9 @@ class ChunkRunner(ProgramRunner):
         hi: int,
         extent: int,
         native: bool = False,
+        virtual_scatter: bool = True,
     ):
-        super().__init__(program, native=native)
+        super().__init__(program, virtual_scatter=virtual_scatter, native=native)
         self._driving_slice = driving_slice
         self._driving_id = driving_id
         self._chunked_ids = chunked_ids
@@ -437,6 +440,7 @@ def run_chunk(
     hi: int,
     extent: int,
     native: bool = False,
+    virtual_scatter: bool = True,
 ) -> dict[int, FusedVal]:
     """Worker body: evaluate the chunk subgraph, return frontier values
     (keyed, like the plan, by topological-order indices)."""
@@ -450,6 +454,7 @@ def run_chunk(
         hi=hi,
         extent=extent,
         native=native,
+        virtual_scatter=virtual_scatter,
     )
     values: dict[int, FusedVal] = {id(order[i]): val for i, val in seeded.items()}
     for i in chunk_indices:

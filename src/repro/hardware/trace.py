@@ -131,19 +131,17 @@ class Trace:
 
 
 class TraceRecorder:
-    """Mutable hook handed to kernels; may be disabled for pure timing."""
+    """Mutable hook handed to kernels (untraced runs never build one:
+    they execute on the node runner, which has no accounting)."""
 
-    def __init__(self, enabled: bool = True):
-        self.enabled = enabled
+    def __init__(self) -> None:
         self.trace = Trace()
         self._current: KernelTrace | None = None
 
     def begin_kernel(self, fragment: int, extent: int, intent: int) -> None:
-        if self.enabled:
-            self._current = self.trace.kernel(fragment, extent, intent)
+        self._current = self.trace.kernel(fragment, extent, intent)
 
     def emit(self, event: TraceEvent) -> None:
-        if self.enabled:
-            if self._current is None:
-                self._current = self.trace.kernel(0, event.extent, event.intent)
-            self._current.add(event)
+        if self._current is None:
+            self._current = self.trace.kernel(0, event.extent, event.intent)
+        self._current.add(event)

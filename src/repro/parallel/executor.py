@@ -18,6 +18,10 @@ The worker pool is leased lazily on first parallel run and **reused
 across runs**.  Call :meth:`ParallelInterpreter.close` (or use the
 instance as a context manager) for deterministic shutdown.
 
+A run is a function of its arguments: ``run(program, storage, ...)``
+only reads what it is handed, so any number of threads may run programs
+through one instance at once (a concurrent server's engine does).
+
 Correctness is structural, not statistical: every partitioned slot is the
 very slot sequential execution would produce (chunk workers offset
 ``Range`` starts and ``FoldSelect`` positions by the chunk origin, and
@@ -27,6 +31,7 @@ chunk boundaries never split a control run), so merging is exact.
 from __future__ import annotations
 
 import os
+import threading
 from concurrent.futures import Executor
 from typing import Mapping
 
@@ -62,7 +67,8 @@ class ParallelInterpreter:
     Parameters
     ----------
     storage:
-        Named-vector Load context, as for the sequential interpreter.
+        Named-vector Load context, as for the sequential interpreter:
+        what a bare ``run(program)`` reads and leaves Persist results in.
     workers:
         Worker-pool width; defaults to ``os.cpu_count()``.  ``workers=1``
         runs every program whole, without planning.
@@ -105,8 +111,8 @@ class ParallelInterpreter:
         #: same merges — the correctness path stays exercised) but inline,
         #: skipping pointless pool handoffs
         self._effective = min(self.workers, os.cpu_count() or 1)
-        self._executor: Executor | None = None
         self._lease: PoolLease | None = None
+        self._lease_lock = threading.Lock()
         #: plan of the most recent run (observability/testing hook)
         self.last_plan: PartitionPlan | None = None
 
@@ -114,8 +120,7 @@ class ParallelInterpreter:
         self._storage[name] = vector
 
     def reset_storage(self, storage: Mapping[str, StructuredVector]) -> None:
-        """Swap the Load context (the engine refreshes it per query so
-        late-registered auxiliary vectors are visible)."""
+        """Swap the Load context of bare ``run(program)`` calls."""
         self._storage = dict(storage)
 
     # -- pool lifecycle ------------------------------------------------------
@@ -124,11 +129,14 @@ class ParallelInterpreter:
         """The persistent worker pool, leased lazily on first use from the
         process-wide :data:`~repro.parallel.registry.REGISTRY` — pools
         are shared across every interpreter (and the serving scheduler)
-        asking for the same width."""
-        if self._lease is None:
-            self._lease = REGISTRY.lease(self.workers)
-            self._executor = self._lease.executor
-        return self._lease.executor
+        asking for the same width; concurrent first runs take one lease."""
+        lease = self._lease
+        if lease is None:
+            with self._lease_lock:
+                lease = self._lease
+                if lease is None:
+                    lease = self._lease = REGISTRY.lease(self.workers)
+        return lease.executor
 
     @staticmethod
     def _collect(futures: list) -> list:
@@ -151,10 +159,10 @@ class ParallelInterpreter:
         The underlying executor shuts down when the last leaseholder
         releases it — with a single user this is exactly the old
         per-engine shutdown behavior."""
-        if self._lease is not None:
-            self._lease.release()
-            self._lease = None
-            self._executor = None
+        with self._lease_lock:
+            lease, self._lease = self._lease, None
+        if lease is not None:
+            lease.release()
 
     def __enter__(self) -> "ParallelInterpreter":
         return self
@@ -164,20 +172,51 @@ class ParallelInterpreter:
 
     # -- execution ------------------------------------------------------------
 
-    def run(self, program: Program) -> dict[str, StructuredVector]:
-        """Execute and return named outputs, bit-identical to sequential."""
-        plan = self._plan(program) if self.workers > 1 else None
+    def run(
+        self,
+        program: Program,
+        storage: Mapping[str, StructuredVector] | None = None,
+        grain: int | None = None,
+        native: bool | None = None,
+        virtual_scatter: bool = True,
+    ) -> dict[str, StructuredVector]:
+        """Execute and return named outputs, bit-identical to sequential.
+
+        ``storage`` is this run's Load context and is only read; left
+        out, the run reads the instance's own and leaves its Persist
+        results there (the :class:`Interpreter` contract).  ``grain``
+        and ``native`` default to the constructor's values.
+        """
+        own = storage is None
+        if own:
+            storage = self._storage
+        native = self.native if native is None else native
+        plan = None
+        if self.workers > 1:
+            plan = self._plan(program, storage, self.grain if grain is None else grain)
         self.last_plan = plan
+        outputs = None
         if plan is not None and plan.parallel:
             try:
-                return self._store_persists(program, self._run_parallel(program, plan))
+                outputs = self._run_parallel(
+                    program, plan, ProgramRunner(program, storage, virtual_scatter, native)
+                )
             except ChunkCrossing:
                 pass  # proven wrong at runtime: the whole-program run is always right
-        return self._store_persists(
-            program, run_program(program, self._storage, native=self.native)
-        )
+        if outputs is None:
+            outputs = run_program(program, storage, native, virtual_scatter)
+        if own:  # Persist results are visible to later bare run() calls
+            for node in program.order:
+                if isinstance(node, ops.Persist) and node.name in outputs:
+                    self._storage[node.name] = outputs[node.name]
+        return outputs
 
-    def _plan(self, program: Program) -> PartitionPlan:
+    def _plan(
+        self,
+        program: Program,
+        storage: Mapping[str, StructuredVector],
+        grain: int | None,
+    ) -> PartitionPlan:
         """Plan *program*, or reuse the plan memoized on it.
 
         Repeated engine queries hand the very same program object back;
@@ -201,32 +240,22 @@ class ParallelInterpreter:
                     (str(p), h.boundaries()) for p, h in vec.lazy_items()
                 ) if hasattr(vec, "lazy_items") else (),
             )
-            for name, vec in self._storage.items()
+            for name, vec in storage.items()
         ))
-        key = ("partition_plan", self.workers, self.grain)
+        key = ("partition_plan", self.workers, grain)
         cached = program.memo.get(key)
         if cached is not None and cached[0] == shape:
             return cached[1]
-        plan = PartitionPlanner(
-            program, self._storage, self.workers, grain=self.grain
-        ).plan()
+        plan = PartitionPlanner(program, storage, self.workers, grain=grain).plan()
         program.memo[key] = (shape, plan)
         return plan
 
-    def _store_persists(
-        self, program: Program, outputs: dict[str, StructuredVector]
-    ) -> dict[str, StructuredVector]:
-        """Make Persist results visible to later ``run()`` calls."""
-        for node in program.order:
-            if isinstance(node, ops.Persist) and node.name in outputs:
-                self._storage[node.name] = outputs[node.name]
-        return outputs
-
     def _run_parallel(
-        self, program: Program, plan: PartitionPlan
+        self, program: Program, plan: PartitionPlan, runner: ProgramRunner
     ) -> dict[str, StructuredVector]:
+        """*runner* is the run's context: its Load context and kernels
+        are the ones every zone and chunk of this run uses."""
         order = program.order
-        runner = ProgramRunner(program, self._storage, native=self.native)
         values: dict[int, FusedVal] = {}
 
         # 1. GLOBAL zone: dimension-side values, computed once.
@@ -241,7 +270,7 @@ class ParallelInterpreter:
         for i in plan.frontier:
             node = order[i]
             if i == plan.driving:
-                values[id(node)] = to_fused(self._storage[node.name])
+                values[id(node)] = to_fused(runner.rt.storage[node.name])
                 continue
             chunks = [result[i] for result in chunk_results]
             values[id(node)] = self._merge(plan.zones[i], node, chunks)
@@ -323,7 +352,8 @@ class ParallelInterpreter:
     ) -> list[dict[int, FusedVal]]:
         order = program.order
         chunk_indices = plan.chunk_nodes()
-        driving_vec = self._storage[order[plan.driving].name]
+        driving_vec = runner.rt.storage[order[plan.driving].name]
+        knobs = {"native": runner.native, "virtual_scatter": runner.virtual_scatter}
         # global feeds are readied once: pending scatters land here, and
         # sliced feeds materialize their virtuals so chunk cuts are views
         feeds = {
@@ -340,7 +370,7 @@ class ParallelInterpreter:
             return [
                 run_chunk(
                     program, chunk_indices, plan.frontier, seeded,
-                    plan.driving, lo, hi, plan.extent, native=self.native,
+                    plan.driving, lo, hi, plan.extent, **knobs,
                 )
                 for lo, hi, seeded in tasks
             ]
@@ -356,7 +386,7 @@ class ParallelInterpreter:
                 lo,
                 hi,
                 plan.extent,
-                native=self.native,
+                **knobs,
             )
             for lo, hi, seeded in tasks
         ]

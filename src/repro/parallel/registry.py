@@ -5,16 +5,18 @@ Worker pools used to be owned per engine: every
 ``concurrent.futures`` executor, so ten concurrent serving engines meant
 ten thread pools fighting over the same cores.  This module moves
 ownership to one process-wide registry: thread pools are keyed by their
-width, shared by every leaseholder, and shut down when the last lease is
-released.
+role and width, shared by every leaseholder of that key, and shut down
+when the last lease is released.
 
     lease = REGISTRY.lease(4)
     lease.executor.submit(fn, ...)
     lease.release()                  # refcounted; last release shuts down
 
 The serving layer's :class:`~repro.serving.scheduler.QueryScheduler`
-leases its request-execution pool from here too, so query fan-out and
-chunk fan-out draw from the same accounted set of pools.
+leases its request-execution pool from here too (``role="queries"``), so
+query fan-out and chunk fan-out draw from the same accounted set of
+pools — but never from the same pool: N queries holding every thread of
+the pool their chunks queue on would wait forever.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ class PoolLease:
 
     __slots__ = ("_registry", "key", "_executor", "_released")
 
-    def __init__(self, registry: "PoolRegistry", key: int, executor: Executor):
+    def __init__(self, registry: "PoolRegistry", key: tuple[str, int], executor: Executor):
         self._registry = registry
         self.key = key
         self._executor = executor
@@ -58,27 +60,31 @@ class PoolLease:
 
 
 class PoolRegistry:
-    """Refcounted ``workers -> ThreadPoolExecutor`` map (thread-safe)."""
+    """Refcounted ``(role, workers) -> ThreadPoolExecutor`` map (thread-safe)."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._pools: dict[int, Executor] = {}
-        self._refs: dict[int, int] = {}
+        self._pools: dict[tuple[str, int], Executor] = {}
+        self._refs: dict[tuple[str, int], int] = {}
         #: lifetime counters (observability: the /stats endpoint shows them)
         self.created = 0
         self.reused = 0
         self.released = 0
 
-    def lease(self, workers: int) -> PoolLease:
-        """A lease on the shared *workers*-wide pool, creating the
-        executor when this is the first claim."""
+    def lease(self, workers: int, *, role: str = "chunks") -> PoolLease:
+        """A lease on the shared *workers*-wide pool of *role*, creating
+        the executor when this is the first claim.  A task that waits on
+        work it submits (a query, on its chunks) leases under another
+        role than that work."""
         if workers < 1:
             raise ExecutionError(f"workers must be >= 1, got {workers}")
-        key = int(workers)
+        key = (role, int(workers))
         with self._lock:
             executor = self._pools.get(key)
             if executor is None:
-                executor = ThreadPoolExecutor(max_workers=key)
+                executor = ThreadPoolExecutor(
+                    max_workers=key[1], thread_name_prefix=f"voodoo-{role}"
+                )
                 self._pools[key] = executor
                 self.created += 1
             else:
@@ -86,7 +92,7 @@ class PoolRegistry:
             self._refs[key] = self._refs.get(key, 0) + 1
             return PoolLease(self, key, executor)
 
-    def _release(self, key: int) -> None:
+    def _release(self, key: tuple[str, int]) -> None:
         with self._lock:
             remaining = self._refs.get(key, 0) - 1
             self.released += 1
@@ -109,8 +115,8 @@ class PoolRegistry:
                 "leases_reused": self.reused,
                 "leases_released": self.released,
                 "pools": {
-                    str(workers): self._refs.get(workers, 0)
-                    for workers in sorted(self._pools)
+                    f"{role}:{workers}": self._refs.get((role, workers), 0)
+                    for role, workers in sorted(self._pools)
                 },
             }
 

@@ -1,7 +1,7 @@
 """Engine configuration: every :class:`VoodooEngine` knob in one object.
 
 :class:`EngineConfig` is the one validated description every subsystem
-that builds engines — the serving catalog, the tuner's delegates, the
+that builds engines — the serving catalog, the tuner's searches, the
 conformance grid — constructs them from:
 
     engine = VoodooEngine(store, config=EngineConfig(tracing=False))

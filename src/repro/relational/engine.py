@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.compiler import CompiledProgram, compile_program
+from repro.compiler import CompiledProgram, CompilerOptions, ExecutionOptions, compile_program
 from repro.core.keypath import Keypath
 from repro.errors import ExecutionError, TranslationError
 from repro.hardware.cost import CostReport
@@ -130,10 +130,11 @@ class VoodooEngine:
     :class:`~repro.errors.ExecutionError` instead of silently returning
     a trace that prices to zero.
 
-    The parallel backend — and with it its worker-pool lease —
-    is constructed once and **reused across queries**.  Call
+    The parallel backend owns nothing but its worker-pool lease and is
+    **reused across queries**; a run takes its Load context as an
+    argument, so parallel queries of concurrent callers overlap.  Call
     :meth:`close` (or use the engine as a context manager) to shut the
-    pool down deterministically.
+    pools down deterministically.
 
     Compilation artifacts are memoized in a **plan cache** keyed on the
     relational query *structure* (not object identity), the store's
@@ -146,14 +147,13 @@ class VoodooEngine:
     ``tuning="auto"`` hands the knobs to the adaptive auto-tuner
     (:mod:`repro.tuner`): per query, the engine asks the tuner for the
     best ``CompilerOptions`` × ``ExecutionOptions`` on *this* machine
-    and executes through a per-configuration delegate engine.  The
-    tuner's decision is part of the tuned plan-cache **entry** — the key
-    is only (query structure, store fingerprint, hardware), never the
-    chosen options, which would be circular; compiled artifacts live in
-    the winning delegate's ordinary plan cache.  Decisions are memoized
-    in a :class:`~repro.tuner.TuningCache` (persistent when
-    ``tuning_cache`` is a path), so a warm engine performs zero measured
-    trials.  ``explain_tuning(query)`` reports the evidence.  Results
+    and runs them as it would run its own (:meth:`run_as`: a
+    configuration is a value, not another engine).  The decision is
+    memoized once, in a :class:`~repro.tuner.TuningCache` keyed on
+    (query structure, store fingerprint, hardware) — persistent when
+    ``tuning_cache`` is a path, so a warm engine performs zero measured
+    trials; the plan lives in this engine's plan cache, keyed by the
+    chosen options.  ``explain_tuning(query)`` reports the evidence.  Results
     are bit-identical to ``tuning="off"``: every config in the search
     space preserves semantics, only latency changes.
     """
@@ -167,25 +167,19 @@ class VoodooEngine:
         self.execution = config.execution
         self.tracing = config.tracing
         self.tuning = config.tuning
-        self._parallel_backend: ParallelInterpreter | None = None
+        #: pool width -> parallel backend (each owns one pool lease)
+        self._parallel_backends: dict[int, ParallelInterpreter] = {}
         self._plan_cache: dict | None = {} if config.plan_cache else None
         self.plan_cache_hits = 0
         self.plan_cache_misses = 0
         self._tuner = config.tuner
         self._tuning_cache_arg = config.tuning_cache
-        #: tuned plan-cache: key = (query structure, store, hardware);
-        #: the *entry* carries the tuner's decision (config), never the key
-        self._tuned_decisions: dict = {}
-        #: per-configuration delegate engines (each with its own plan cache)
-        self._delegates: dict = {}
         #: prepared queries, memoized by structural fingerprint
         self._prepared: dict = {}
         self._closed = False
         #: serving engines execute concurrently: misses compile under this
-        #: lock (hits stay lock-free), and the stateful parallel backend
-        #: serializes whole executions
+        #: lock (hits stay lock-free); runs share no mutable state
         self._compile_lock = threading.Lock()
-        self._parallel_lock = threading.Lock()
 
     def vectors(self):
         """The Load context; rebuilt per call so late-registered auxiliary
@@ -194,19 +188,23 @@ class VoodooEngine:
 
     # -- plan cache ----------------------------------------------------------
 
-    def cache_key(self, query: Query) -> tuple:
+    def cache_key(
+        self,
+        query: Query,
+        fingerprint: tuple | None = None,
+        options: CompilerOptions | None = None,
+        execution: ExecutionOptions | None = None,
+    ) -> tuple:
         """Everything a compiled plan depends on (satisfies invalidation:
-        schema changes and option changes produce different keys)."""
-        return self._plan_key(query, None)
-
-    def _plan_key(self, query: Query, fingerprint: tuple | None) -> tuple:
-        """:meth:`cache_key`, reusing *query*'s structural fingerprint
-        when the caller already holds it (a prepared query does)."""
+        schema changes and option changes produce different keys), under
+        ``options``/``execution`` (default: the engine's own); reuses
+        *query*'s structural fingerprint when the caller already holds
+        it (a prepared query does)."""
         return (
             fingerprint if fingerprint is not None else structural_fingerprint(query),
             self.store.fingerprint(),
-            self.options,
-            self.execution,
+            self.options if options is None else options,
+            self.execution if execution is None else execution,
             self.grain,
         )
 
@@ -227,7 +225,6 @@ class VoodooEngine:
         }
         if self.tuning == "auto" and self._tuner is not None:
             info.update(self._tuner.cache.info())
-            info["tuned_decisions"] = len(self._tuned_decisions)
         # cumulative storage I/O of this engine's store (all queries, all
         # engines sharing the store): scanned = physical payload bytes
         # read, decompressed = logical bytes decoded from non-plain
@@ -261,10 +258,19 @@ class VoodooEngine:
         if len(cache) >= cls.CACHE_CAPACITY:
             cache.pop(next(iter(cache)))
 
-    def compile(self, query: Query, fingerprint: tuple | None = None) -> CompiledProgram:
+    def compile(
+        self,
+        query: Query,
+        fingerprint: tuple | None = None,
+        options: CompilerOptions | None = None,
+        execution: ExecutionOptions | None = None,
+    ) -> CompiledProgram:
+        """The compiled plan of *query*, through the one plan cache;
+        arguments as for :meth:`cache_key`."""
+        options = self.options if options is None else options
         if self._plan_cache is None:
-            return compile_program(self.translate(query), self.options)
-        key = self._plan_key(query, fingerprint)
+            return compile_program(self.translate(query), options)
+        key = self.cache_key(query, fingerprint, options, execution)
         compiled = self._plan_cache.get(key)
         if compiled is not None:
             self.plan_cache_hits += 1
@@ -275,7 +281,7 @@ class VoodooEngine:
                 self.plan_cache_hits += 1
                 return compiled
             self.plan_cache_misses += 1
-            compiled = compile_program(self.translate(query), self.options)
+            compiled = compile_program(self.translate(query), options)
             self._evict(self._plan_cache)
             self._plan_cache[key] = compiled
             return compiled
@@ -293,36 +299,6 @@ class VoodooEngine:
             )
         return self._tuner
 
-    def _tuned_config(self, query: Query):
-        """The tuner's decision for *query*, memoized as the *entry* of
-        the tuned plan cache (the key never names the chosen options)."""
-        tuner = self._ensure_tuner()
-        key = tuner.key_for(query, self.grain)
-        decision = self._tuned_decisions.get(key.token())
-        if decision is None:
-            decision = tuner.tune(query, grain=self.grain)
-            self._evict(self._tuned_decisions)
-            self._tuned_decisions[key.token()] = decision
-        return decision
-
-    def _delegate(self, config) -> "VoodooEngine":
-        """The engine executing one tuned configuration (persistent: its
-        plan cache and worker pool are reused across queries)."""
-        delegate = self._delegates.get(config)
-        if delegate is None:
-            delegate = VoodooEngine(
-                self.store,
-                config=EngineConfig(
-                    options=config.options,
-                    grain=self.grain,
-                    execution=config.execution,
-                    tracing=False,
-                    plan_cache=self._plan_cache is not None,
-                ),
-            )
-            self._delegates[config] = delegate
-        return delegate
-
     def explain_tuning(self, query: Query):
         """The tuning evidence for *query*: candidates considered,
         predicted vs measured times, and the chosen configuration
@@ -338,7 +314,7 @@ class VoodooEngine:
     def _check_open(self) -> None:
         if self._closed:
             raise ExecutionError(
-                "engine is closed: its worker pools and delegates have been "
+                "engine is closed: its worker pools have been "
                 "released.  Construct a new VoodooEngine (close() is "
                 "terminal, so a serving layer can lease and release engines "
                 "without a released engine silently re-opening pools)."
@@ -371,64 +347,64 @@ class VoodooEngine:
 
     def _execute_bound(self, query: Query, fingerprint: tuple | None = None) -> QueryResult:
         """Run one fully bound query (every execution funnels through
-        here: ad-hoc, prepared, and tuned-delegate alike); ``fingerprint``
-        as in :meth:`_plan_key`."""
+        here: ad-hoc, prepared, static and tuned alike); ``fingerprint``
+        as in :meth:`cache_key`.  Which configuration runs is a value
+        resolved here: the engine's own, or the tuner's decision."""
         self._check_open()
+        options, execution = self.options, self.execution
         if self.tuning == "auto":
-            # the delegate shares this engine's store (and so its I/O
-            # counters); its result already carries the accurate delta
-            return self._delegate(self._tuned_config(query))._execute_bound(query)
+            chosen = self._ensure_tuner().tune(query, grain=self.grain)
+            options, execution = chosen.options, chosen.execution
+        return self.run_as(query, options, execution, self.tracing, fingerprint)
+
+    def run_as(
+        self,
+        query: Query,
+        options: CompilerOptions,
+        execution: ExecutionOptions | None = None,
+        tracing: bool = False,
+        fingerprint: tuple | None = None,
+    ) -> QueryResult:
+        """Run one bound query under an explicit configuration: one
+        compile step (the plan cache, keyed by it) and one run step.
+        The tuner races its candidates through this on a single engine."""
+        self._check_open()
         before = self.store.io.snapshot()
-        compiled = self.compile(query, fingerprint)
-        if self.execution is not None and self.execution.workers > 1:
-            # the parallel backend is stateful (reset_storage):
-            # concurrent serving threads take turns
-            with self._parallel_lock:
-                result = self._execute_parallel(query, compiled)
-                result.io = self.store.io.delta(before)
-                return result
-        if not self.tracing:
-            outputs, trace = compiled.run(self.vectors(), collect_trace=False)
-            table = self._extract(query, outputs["result"])
-            return QueryResult(
-                table=table,
-                trace=trace,
-                cost=CostReport(device=f"{self.options.device} (untraced)"),
-                compiled=compiled,
-                io=self.store.io.delta(before),
+        compiled = self.compile(query, fingerprint, options, execution)
+        if execution is not None and execution.workers > 1:
+            # chunked over the persistent worker pool: real kernels on
+            # real cores, no priced trace
+            outputs = self._parallel_backend(execution.workers).run(
+                compiled.program, self.vectors(), grain=execution.parallel_grain,
+                native=compiled.native, virtual_scatter=options.virtual_scatter,
             )
-        outputs, trace = compiled.run(self.vectors())
-        table = self._extract(query, outputs["result"])
+            mode = "native" if compiled.native else "numpy"
+            trace = Trace()
+            cost = CostReport(device=f"{execution.workers}-core pool ({mode})")
+        elif not tracing:
+            outputs, trace = compiled.run(self.vectors(), collect_trace=False)
+            cost = CostReport(device=f"{options.device} (untraced)")
+        else:
+            outputs, trace = compiled.run(self.vectors())
+            cost = compiled.price(trace)
         return QueryResult(
-            table=table, trace=trace, cost=compiled.price(trace),
+            table=self._extract(query, outputs["result"]), trace=trace, cost=cost,
             compiled=compiled, io=self.store.io.delta(before),
         )
 
-    def _execute_parallel(
-        self, query: Query, compiled: CompiledProgram
-    ) -> QueryResult:
-        """Multicore end-to-end: chunk the compiled program over the
-        engine's persistent worker pool."""
-        if self._parallel_backend is None:
-            self._parallel_backend = ParallelInterpreter(
-                workers=self.execution.workers,
-                grain=self.execution.parallel_grain or self.options.parallel_grain,
-                native=compiled.native,
+    def _parallel_backend(self, workers: int) -> ParallelInterpreter:
+        """The engine's *workers*-wide backend.  Building one leases
+        nothing, so racing first queries may each build one;
+        ``setdefault`` keeps exactly one."""
+        backend = self._parallel_backends.get(workers)
+        if backend is None:
+            backend = self._parallel_backends.setdefault(
+                workers, ParallelInterpreter(workers=workers)
             )
-        backend = self._parallel_backend
-        backend.reset_storage(self.vectors())
-        outputs = backend.run(compiled.program)
-        table = self._extract(query, outputs["result"])
-        mode = "native" if backend.native else "numpy"
-        return QueryResult(
-            table=table,
-            trace=Trace(),
-            cost=CostReport(device=f"{self.execution.workers}-core pool ({mode})"),
-            compiled=compiled,
-        )
+        return backend
 
     def close(self) -> None:
-        """Release worker-pool leases and delegates (idempotent, terminal).
+        """Release every worker-pool lease (idempotent, terminal).
 
         Sequential engines have little to release; parallel engines
         should be closed (or used as context managers) so worker-pool
@@ -440,12 +416,9 @@ class VoodooEngine:
         if self._closed:
             return
         self._closed = True
-        if self._parallel_backend is not None:
-            self._parallel_backend.close()
-            self._parallel_backend = None
-        for delegate in self._delegates.values():
-            delegate.close()
-        self._delegates.clear()
+        for backend in self._parallel_backends.values():
+            backend.close()
+        self._parallel_backends.clear()
         self._prepared.clear()
 
     @property

@@ -176,10 +176,8 @@ class PreparedQuery:
             lines.append(
                 f"backend: traced runtime (simulated cost), device {engine.options.device}"
             )
-        elif engine.options.fuse:
-            lines.append(f"backend: node runner, {kernels} kernels, inline")
         else:
-            lines.append("backend: traced runtime, recorder off (operator-at-a-time)")
+            lines.append(f"backend: node runner, {kernels} kernels, inline")
         lines.append(f"compiled plan cached before this call: {cached}")
         lines.append(f"kernels: {compiled.kernel_count()}")
         return "\n".join(lines)

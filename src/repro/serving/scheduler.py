@@ -4,7 +4,8 @@ Every served query funnels through one :class:`QueryScheduler`, which
 multiplexes in-flight requests onto a worker pool leased from the
 process-wide :data:`repro.parallel.REGISTRY` — the same registry the
 partition-parallel backend leases chunk pools from, so query fan-out and
-chunk fan-out draw from one accounted set of pools.
+chunk fan-out draw from one accounted set of pools (under distinct
+roles: a query never waits on chunks queued behind other queries).
 
 Three policies, all bounded:
 
@@ -47,7 +48,7 @@ class QueryScheduler:
 
     def __init__(self, config: ServingConfig | None = None):
         self.config = config or ServingConfig()
-        self._lease: PoolLease | None = REGISTRY.lease(self.config.workers)
+        self._lease: PoolLease | None = REGISTRY.lease(self.config.workers, role="queries")
         self.inflight = 0
         self.submitted = 0
         self.completed = 0

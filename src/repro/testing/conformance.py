@@ -104,9 +104,6 @@ BACKEND_GRID: tuple[BackendConfig, ...] = (
     BackendConfig("traced-no-slot-suppression", CompilerOptions(slot_suppression=False),
                   tracing=True),
     BackendConfig("untraced-fused", CompilerOptions(), tracing=False),
-    # the traced runtime with its recorder off: keeps the
-    # disabled-recorder branches of rt.py fuzzed
-    BackendConfig("untraced-op-at-a-time", CompilerOptions(fuse=False), tracing=False),
     BackendConfig("native", CompilerOptions(native=True), tracing=False),
     BackendConfig("parallel-w2-fused", CompilerOptions(), workers=2),
     BackendConfig("parallel-w2-native", CompilerOptions(native=True), workers=2),

@@ -2,11 +2,14 @@
 
     python -m repro.tuner --queries 1 6 19 --scale 0.01 --cache /tmp/t.json
 
-Tunes the given TPC-H queries cold, prints each decision, then proves
-the memoization contract: a second tuner loading the same cache answers
-every query with a **cache hit and zero measured trials**.  Exits
-non-zero if any decision changes between the runs or the warm run
-measures anything.
+Tunes the given TPC-H queries cold, prints each decision and the set it
+raced, and checks the decision by counting, not timing: the choice is a
+member of the knob space and — unless it won on confirmed full-store
+laps — not behind the default's sample lap by more than the keep-default
+margin.  Then proves the memoization contract: a second tuner loading
+the same cache answers every query with a **cache hit and zero measured
+trials**.  Exits non-zero if a check fails, a decision changes between
+the runs or the warm run measures anything.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ def main(argv: list[str] | None = None) -> int:
     cold = AutoTuner(store, cache=TuningCache(path=cache_path),
                      sample_rows=args.sample_rows)
     decisions = {}
+    failures = 0
     for number in args.queries:
         start = time.perf_counter()
         report = cold.explain(build(store, number))
@@ -50,10 +54,21 @@ def main(argv: list[str] | None = None) -> int:
         print(f"  Q{number}: {report.chosen.describe()} "
               f"({report.measured_trials} trials, "
               f"{(time.perf_counter() - start) * 1e3:.0f} ms)")
+        print("       raced: " + ", ".join(
+            c.config.describe() for c in report.candidates
+            if c.measured_seconds is not None))
+        default, winner = report.candidates[0], next(
+            c for c in report.candidates if c.chosen)
+        behind = winner.measured_seconds > default.measured_seconds * (
+            1 + cold.keep_default_margin)
+        if winner.config not in cold.space or (
+                behind and winner.confirmed_seconds is None):
+            print(f"FAIL Q{number}: {winner.config.describe()} is outside the knob "
+                  f"space, or behind the default's sample lap and never confirmed")
+            failures += 1
 
     warm = AutoTuner(store, cache=TuningCache(path=cache_path),
                      sample_rows=args.sample_rows)
-    failures = 0
     for number in args.queries:
         chosen = warm.tune(build(store, number))
         if chosen != decisions[number]:

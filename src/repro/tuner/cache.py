@@ -24,9 +24,10 @@ from pathlib import Path
 from repro.errors import VoodooError
 from repro.tuner.space import TunedConfig
 
-#: version-1 files name knobs (fastpath, pool, execution.native) the
-#: option classes reject; a version mismatch loads as empty and re-tunes
-_VERSION = 2
+#: older files name knobs the option classes reject (version 1:
+#: fastpath, pool, execution.native; version 2: options.parallel_grain);
+#: a version mismatch loads as empty and re-tunes
+_VERSION = 3
 
 
 def digest(obj) -> str:

@@ -8,21 +8,23 @@ every config in the space is *bit-identical* to the reference backend —
 tuning changes wall-clock, never results (the conformance grid's
 ``tuned`` entry fuzzes exactly this).
 
-Knobs and their paper anchors:
+The tuner picks *untraced* configurations, so the space is defined over
+what the untraced executor reads — the four fields that reach the node
+runner — not over what the option classes declare.  ``selection``,
+``slot_suppression`` and ``fuse`` shape the simulator only: a candidate
+that differs from the default in nothing else executes the default's
+code, and a wall-clock race between the two measures noise.
 
 ===================  ===============  ==================================
 knob                 paper section    search range
 ===================  ===============  ==================================
-``selection``        4 / 5.3 (F.15)   ``branching`` | ``branch-free``
-``fuse``             3.1 / 5.2        on | off (operator-at-a-time)
 ``virtual_scatter``  3.1.3            on | off
-``slot_suppression`` 3.1.2            on | off
 ``workers``          2.2 / 5.3        1, 2, 4, ``cpu_count``
 ``parallel_grain``   2.2 / 4 (F.4)    None (one chunk/worker) + sweep
 ``native``           4 (OpenCL)       C tier on | off (× sequential/parallel)
 ===================  ===============  ==================================
 
-Note what is *not* here: the translator's control-vector ``grain``.
+Also *not* here: the translator's control-vector ``grain``.
 Re-translating at a different grain changes the association order of
 float partial sums — a different (equally valid) result, which would
 break the tuner's bit-identity contract.  The swept grain is the
@@ -33,7 +35,7 @@ applies to exactly-associative merges.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from repro.compiler.options import CompilerOptions, ExecutionOptions
 
@@ -70,21 +72,7 @@ class TunedConfig:
         return "+".join(parts)
 
     def to_json(self) -> dict:
-        return {
-            "options": {
-                "device": self.options.device,
-                "selection": self.options.selection,
-                "virtual_scatter": self.options.virtual_scatter,
-                "slot_suppression": self.options.slot_suppression,
-                "fuse": self.options.fuse,
-                "parallel_grain": self.options.parallel_grain,
-                "native": self.options.native,
-            },
-            "execution": {
-                "workers": self.execution.workers,
-                "parallel_grain": self.execution.parallel_grain,
-            },
-        }
+        return {"options": asdict(self.options), "execution": asdict(self.execution)}
 
     @classmethod
     def from_json(cls, data: dict) -> "TunedConfig":
@@ -120,19 +108,10 @@ def knob_space(
     cpu_count = cpu_count or os.cpu_count() or 1
     seq = ExecutionOptions()
     candidates = [default_config(device)]
-    # selection strategy x fusion (the section 5.3 sweep)
-    candidates += [
-        TunedConfig(CompilerOptions(device=device, selection="branch-free"), seq),
-        TunedConfig(CompilerOptions(device=device, fuse=False), seq),
-        TunedConfig(
-            CompilerOptions(device=device, selection="branch-free", fuse=False), seq
-        ),
-    ]
-    # materialization ablations (sections 3.1.2 / 3.1.3)
-    candidates += [
-        TunedConfig(CompilerOptions(device=device, virtual_scatter=False), seq),
-        TunedConfig(CompilerOptions(device=device, slot_suppression=False), seq),
-    ]
+    # materialization ablation (section 3.1.3)
+    candidates.append(
+        TunedConfig(CompilerOptions(device=device, virtual_scatter=False), seq)
+    )
     # multicore: workers, plus a parallel_grain sweep at the widest
     # width (grain only changes chunking when workers > 1)
     widths = sorted({w for w in (*WORKER_SWEEP, cpu_count) if w > 1})
@@ -162,8 +141,6 @@ def compact_space(device: str = "cpu-mt") -> list[TunedConfig]:
     seq = ExecutionOptions()
     return [
         default_config(device),
-        TunedConfig(CompilerOptions(device=device, selection="branch-free"), seq),
-        TunedConfig(CompilerOptions(device=device, fuse=False), seq),
         TunedConfig(CompilerOptions(device=device, virtual_scatter=False), seq),
         TunedConfig(CompilerOptions(device=device), ExecutionOptions(workers=2)),
         TunedConfig(

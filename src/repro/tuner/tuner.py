@@ -21,11 +21,18 @@ machine* in two stages:
    confirmation lap** of each — sample-scale races systematically
    under-credit configurations whose fixed overheads amortize with
    input size, which is exactly where the tuned benchmarks showed
-   declined oracle wins.
+   declined oracle wins.  Times are only ever compared at one scale:
+   once confirmation laps ran, the choice is between the confirmed
+   candidates on their full-store times.
 
-The winner is memoized in a :class:`~repro.tuner.cache.TuningCache`
-keyed on query × store × hardware, so a warm cache answers with **zero**
-measured trials — and persists across restarts when given a path.
+Every candidate of one search runs through **one engine per store** (the
+sample's, and the full store's when a confirmation is due): a
+configuration is an argument of ``VoodooEngine.run_as``, not an engine.
+
+The winner is memoized — once — in a
+:class:`~repro.tuner.cache.TuningCache` keyed on query × store ×
+hardware, so a warm cache answers with **zero** measured trials — and
+persists across restarts when given a path.
 
 Every configuration in the space is bit-identical to the reference
 backend by construction (the conformance grid's ``tuned`` entry fuzzes
@@ -36,6 +43,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from repro.compiler.options import ExecutionOptions
 from repro.errors import VoodooError
@@ -49,7 +57,7 @@ from repro.tuner.cache import (
     hardware_signature,
 )
 from repro.tuner.sample import sample_store
-from repro.tuner.space import TunedConfig, default_config, knob_space
+from repro.tuner.space import TunedConfig, knob_space
 
 #: pool-overhead priors (seconds) the trace-based cost model cannot see:
 #: spinning the pool up and handing one chunk over.  Deliberately rough —
@@ -209,6 +217,8 @@ class AutoTuner:
         #: timed wall-clock laps executed so far (0 on a warm cache)
         self.measured_trials = 0
         self._sample: ColumnStore | None = None
+        #: evidence of this tuner's own cold searches (what ``explain``
+        #: shows); the decision itself lives in ``cache`` alone
         self._reports: dict[str, TuningReport] = {}
 
     # -- identity ----------------------------------------------------------
@@ -230,39 +240,39 @@ class AutoTuner:
 
     # -- the two stages ----------------------------------------------------
 
-    def _predict(self, query: Query, grain: int | None) -> list[CandidateOutcome]:
-        """Stage 1: score every candidate with the simulated cost model.
-
-        One traced run per distinct code-generation variant (selection ×
-        fuse × scatter/slot flags) on the sample; each candidate prices
-        that trace with its worker count capped at the machine's real
-        cores, plus the pool-overhead priors.
-        """
+    @staticmethod
+    def _engine(store: ColumnStore, grain: int | None):
+        """The one engine every candidate of a search runs through on
+        *store* (use as a context manager: it holds the pool leases)."""
         from repro.relational.config import EngineConfig
         from repro.relational.engine import VoodooEngine
 
+        return VoodooEngine(store, config=EngineConfig(grain=grain, tracing=False))
+
+    def _predict(self, query: Query, engine) -> list[CandidateOutcome]:
+        """Stage 1: score every candidate with the simulated cost model.
+
+        One traced run per distinct code-generation variant on the
+        sample (through *engine*, the sample's); each candidate prices
+        that trace with its worker count capped at the machine's real
+        cores, plus the pool-overhead priors.
+        """
         outcomes = [CandidateOutcome(config) for config in self.space]
-        compiled_by_variant: dict = {}
-        traces: dict = {}
-        sample_extent = max((len(t) for t in self.sample.tables()), default=0)
+        traced: dict = {}
+        sample_extent = self._sample_rows()
         for outcome in outcomes:
-            options = outcome.config.options
             # native only affects untraced dispatch; drop it so variants
             # differing only there share one compile + traced run
-            variant = options.with_(native=False)
-            if variant not in compiled_by_variant:
-                engine = VoodooEngine(self.sample, config=EngineConfig(
-                    options=variant, grain=grain, tracing=True))
-                compiled = engine.compile(query)
-                _, trace = compiled.run(engine.vectors())
-                compiled_by_variant[variant] = compiled
-                traces[variant] = trace
-            compiled = compiled_by_variant[variant]
+            variant = outcome.config.options.with_(native=False)
+            if variant not in traced:
+                compiled = engine.compile(query, options=variant)
+                traced[variant] = compiled, compiled.run(engine.vectors())[1]
+            compiled, trace = traced[variant]
             effective = max(
                 1, min(outcome.config.workers, self.hardware["cpu_count"])
             )
             seconds = compiled.price(
-                traces[variant], execution=ExecutionOptions(workers=effective)
+                trace, execution=ExecutionOptions(workers=effective)
             ).seconds
             execution = outcome.config.execution
             if execution.workers > 1:
@@ -279,12 +289,10 @@ class AutoTuner:
         return outcomes
 
     def _measure(
-        self, query: Query, grain: int | None, outcomes: list[CandidateOutcome]
+        self, query: Query, engine, outcomes: list[CandidateOutcome]
     ) -> None:
-        """Stage 2: race the shortlist on the sample in real wall-clock."""
-        from repro.relational.config import EngineConfig
-        from repro.relational.engine import VoodooEngine
-
+        """Stage 2: race the shortlist on the sample in real wall-clock
+        (through *engine*, the sample's)."""
         ranked = sorted(
             range(len(outcomes)), key=lambda i: outcomes[i].predicted_seconds
         )
@@ -303,42 +311,30 @@ class AutoTuner:
         best = float("inf")
         for index in picks:
             outcome = outcomes[index]
-            config = outcome.config
-            with VoodooEngine(self.sample, config=EngineConfig(
-                options=config.options,
-                grain=grain,
-                execution=config.execution,
-                tracing=False,
-            )) as engine:
-                engine.execute(query)  # warmup: compile, pools, plan cache
-                elapsed = float("inf")
-                for lap in range(self.repeats):
-                    start = time.perf_counter()
-                    engine.execute(query)
-                    elapsed = min(elapsed, time.perf_counter() - start)
-                    outcome.trials += 1
-                    self.measured_trials += 1
-                    if lap == 0 and index != 0 and elapsed > best * self.race_factor:
-                        break  # hopelessly behind: forfeit remaining laps
+            self._lap(query, engine, outcome.config)  # warmup: compile, pool, plan
+            elapsed = float("inf")
+            for lap in range(self.repeats):
+                elapsed = min(elapsed, self._lap(query, engine, outcome.config))
+                outcome.trials += 1
+                self.measured_trials += 1
+                if lap == 0 and index != 0 and elapsed > best * self.race_factor:
+                    break  # hopelessly behind: forfeit remaining laps
             outcome.measured_seconds = elapsed
             best = min(best, elapsed)
 
-    def _time_full(self, query: Query, grain: int | None, config: TunedConfig) -> float:
-        """One warmed wall-clock lap of *config* on the **full** store
-        (the confirmation probe's measurement; tests monkeypatch this)."""
-        from repro.relational.config import EngineConfig
-        from repro.relational.engine import VoodooEngine
+    @staticmethod
+    def _lap(query: Query, engine, config: TunedConfig) -> float:
+        """Seconds of one execution of *config* on *engine*."""
+        start = time.perf_counter()
+        engine.run_as(query, config.options, config.execution)
+        return time.perf_counter() - start
 
-        with VoodooEngine(self.store, config=EngineConfig(
-            options=config.options,
-            grain=grain,
-            execution=config.execution,
-            tracing=False,
-        )) as engine:
-            engine.execute(query)  # warmup: compile, pools, plan cache
-            start = time.perf_counter()
-            engine.execute(query)
-            return time.perf_counter() - start
+    def _time_full(self, query: Query, engine, config: TunedConfig) -> float:
+        """One warmed wall-clock lap of *config* on the **full** store,
+        through *engine* (the confirmation probe's measurement; tests
+        monkeypatch this)."""
+        self._lap(query, engine, config)
+        return self._lap(query, engine, config)
 
     def _confirm(
         self, query: Query, grain: int | None, outcomes: list[CandidateOutcome]
@@ -366,28 +362,26 @@ class AutoTuner:
         if not challengers:
             return
         challenger = min(challengers, key=lambda o: o.measured_seconds)
-        for outcome in (default, challenger):
-            outcome.confirmed_seconds = self._time_full(
-                query, grain, outcome.config
-            )
-            outcome.trials += 1
-            self.measured_trials += 1
-
-    @staticmethod
-    def _metric(outcome: CandidateOutcome) -> float:
-        """Full-scale evidence when it exists, sample-scale otherwise."""
-        if outcome.confirmed_seconds is not None:
-            return outcome.confirmed_seconds
-        return outcome.measured_seconds
+        with self._engine(self.store, grain) as engine:
+            for outcome in (default, challenger):
+                outcome.confirmed_seconds = self._time_full(
+                    query, engine, outcome.config
+                )
+                outcome.trials += 1
+                self.measured_trials += 1
 
     def _choose(self, outcomes: list[CandidateOutcome]) -> CandidateOutcome:
-        measured = [o for o in outcomes if o.measured_seconds is not None]
-        winner = min(measured, key=self._metric)
+        """Like with like: full-store laps, when they ran, decide between
+        the candidates that have one; otherwise the sample laps decide.
+        A sample-scale time is never compared with a full-store time."""
+        seconds = attrgetter("confirmed_seconds")
+        if all(seconds(o) is None for o in outcomes):
+            seconds = attrgetter("measured_seconds")
+        winner = min((o for o in outcomes if seconds(o) is not None), key=seconds)
         default = outcomes[0]
         if (
-            default.measured_seconds is not None
-            and self._metric(default)
-            <= self._metric(winner) * (1 + self.keep_default_margin)
+            seconds(default) is not None
+            and seconds(default) <= seconds(winner) * (1 + self.keep_default_margin)
         ):
             winner = default  # ties go to the static default
         winner.chosen = True
@@ -395,9 +389,16 @@ class AutoTuner:
 
     # -- entry points ------------------------------------------------------
 
+    #: cold-search reports kept for ``explain`` (oldest dropped first)
+    REPORT_CAPACITY = 256
+
     def tune(self, query: Query, grain: int | None = None) -> TunedConfig:
         """The decision: cached when warm, two-stage search when cold."""
-        return self.explain(query, grain).chosen
+        key = self.key_for(query, grain)
+        entry = self.cache.get(key)
+        if entry is not None:
+            return entry.config
+        return self._search(query, grain, key).chosen
 
     def explain(self, query: Query, grain: int | None = None) -> TuningReport:
         """Tune (or recall) and report the full evidence trail."""
@@ -406,21 +407,26 @@ class AutoTuner:
         if report is not None:
             return report
         entry = self.cache.get(key)
-        sample_rows = max((len(t) for t in self.sample.tables()), default=0)
-        if entry is not None:
-            report = TuningReport(
-                key=key,
-                hardware=self.hardware,
-                chosen=entry.config,
-                cache_hit=True,
-                sample_rows=sample_rows,
-            )
-            self._reports[key.token()] = report
-            return report
+        if entry is None:
+            return self._search(query, grain, key)
+        return TuningReport(
+            key=key,
+            hardware=self.hardware,
+            chosen=entry.config,
+            cache_hit=True,
+            sample_rows=self._sample_rows(),
+        )
+
+    def _sample_rows(self) -> int:
+        return max((len(t) for t in self.sample.tables()), default=0)
+
+    def _search(self, query: Query, grain: int | None, key: TuningKey) -> TuningReport:
+        """The cold path: both stages, the choice, and its memoization."""
         start = time.perf_counter()
         trials_before = self.measured_trials
-        outcomes = self._predict(query, grain)
-        self._measure(query, grain, outcomes)
+        with self._engine(self.sample, grain) as engine:
+            outcomes = self._predict(query, engine)
+            self._measure(query, engine, outcomes)
         self._confirm(query, grain, outcomes)
         winner = self._choose(outcomes)
         report = TuningReport(
@@ -428,11 +434,13 @@ class AutoTuner:
             hardware=self.hardware,
             chosen=winner.config,
             cache_hit=False,
-            sample_rows=sample_rows,
+            sample_rows=self._sample_rows(),
             candidates=outcomes,
             tuning_seconds=time.perf_counter() - start,
             measured_trials=self.measured_trials - trials_before,
         )
+        if len(self._reports) >= self.REPORT_CAPACITY:
+            self._reports.pop(next(iter(self._reports)))
         self._reports[key.token()] = report
         self.cache.put(TuningEntry(
             key=key,
@@ -448,6 +456,3 @@ class AutoTuner:
             trials=winner.trials,
         ))
         return report
-
-    def default(self) -> TunedConfig:
-        return default_config(self.device)

@@ -9,12 +9,14 @@ untraced runs produce no events.
 """
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.compiler import CompilerOptions, compile_program
 from repro.compiler.rt_fast import FusedVal
 from repro.core import Builder, StructuredVector
+from repro.hardware import TraceRecorder
 from repro.interpreter import Interpreter
 
 FUSED_OPTIONS = [
@@ -123,9 +125,9 @@ def test_fused_map_chains_and_scans(groups, values, grain):
     assert_fused_identical(b.build(scan=scan, n=total, c=casted), store)
 
 
-def test_disabled_recorder_is_free_and_identical():
-    """Satellite: a disabled TraceRecorder skips all accounting work on
-    the simulated runtime, without changing a single output bit."""
+def test_untraced_run_matches_the_traced_runtime_bit_for_bit():
+    """Whatever ``fuse`` says, an untraced run (the node runner) returns
+    the traced runtime's outputs — and the traced run still records."""
     rng = np.random.default_rng(11)
     store = {"t": StructuredVector.from_arrays(
         v=rng.integers(-9, 9, 300), f=rng.random(300)
@@ -140,7 +142,6 @@ def test_disabled_recorder_is_free_and_identical():
     gsum = b.fold_sum(scattered, agg_kp=".f", fold_kp=".g", out=".s")
     program = b.build(s=gsum)
 
-    # fuse=False is what keeps an untraced run on the traced runtime
     compiled = compile_program(program, CompilerOptions(fuse=False))
     traced, trace = compiled.run(store)
     untraced, empty = compiled.run(store, collect_trace=False)
@@ -153,10 +154,10 @@ def test_disabled_recorder_is_free_and_identical():
                                   untraced[name].attr(path)[em])
 
 
-def test_untraced_runs_use_the_runner_iff_fuse():
-    """The operator-at-a-time ablation must execute operator-at-a-time:
-    with fuse off an untraced run compiles and calls the traced kernels
-    (recorder disabled); with fuse on it needs no generated code."""
+def test_untraced_runs_use_the_runner_regardless_of_fuse():
+    """``fuse`` shapes the simulator only: an untraced run needs no
+    generated code with it on or off, and ``native`` means native with
+    it on or off."""
     store = {"t": StructuredVector.from_arrays(v=np.arange(4))}
     b = Builder({"t": store["t"].schema})
     out = b.add(b.load("t").project(".v"), b.constant(1), out=".r")
@@ -165,8 +166,21 @@ def test_untraced_runs_use_the_runner_iff_fuse():
     unfused = compile_program(program, CompilerOptions(fuse=False))
     a, _ = fused.run(store, collect_trace=False)
     c, _ = unfused.run(store, collect_trace=False)
-    assert "entry" not in vars(fused) and "entry" in vars(unfused)
+    assert "entry" not in vars(fused) and "entry" not in vars(unfused)
     assert np.array_equal(a["out"].attr(".r"), c["out"].attr(".r"))
+    unfused.run(store)  # a traced run is what compiles the kernels
+    assert "entry" in vars(unfused)
+    native = compile_program(program, CompilerOptions(native=True, fuse=False))
+    assert native.native
+    d, _ = native.run(store, collect_trace=False)
+    assert "entry" not in vars(native)
+    assert np.array_equal(a["out"].attr(".r"), d["out"].attr(".r"))
+
+
+def test_a_runtime_always_records():
+    """The recorder has no off switch: untraced runs never build one."""
+    with pytest.raises(TypeError):
+        TraceRecorder(enabled=False)
 
 
 def test_fused_val_scalar_and_paths():

@@ -71,23 +71,45 @@ class TestRemovedKnobs:
         lambda: ExecutionOptions(pool="process"),
         lambda: ExecutionOptions(fastpath=False),
         lambda: ExecutionOptions(native=True),
-    ], ids=["compiler-fastpath", "pool", "execution-fastpath", "execution-native"])
+        lambda: CompilerOptions(parallel_grain=4096),
+    ], ids=["compiler-fastpath", "pool", "execution-fastpath", "execution-native",
+            "compiler-parallel-grain"])
     def test_removed_option_is_a_type_error(self, build):
         with pytest.raises(TypeError):
             build()
 
-    def test_option_classes_have_nine_fields(self):
+    def test_option_classes_have_eight_fields(self):
         import dataclasses
 
-        assert len(dataclasses.fields(CompilerOptions)) == 7
+        assert len(dataclasses.fields(CompilerOptions)) == 6
         assert len(dataclasses.fields(ExecutionOptions)) == 2
+        assert len(dataclasses.fields(EngineConfig)) == 9
 
-    def test_parallel_engine_follows_the_native_shorthand(self):
+    def test_grid_has_no_recorder_off_configuration(self):
+        """Untraced means the node runner, whatever ``fuse`` says: there
+        is no second untraced evaluator left to fuzz."""
+        from repro.testing.conformance import BACKEND_GRID
+
+        assert len(BACKEND_GRID) == 13
+        untraced = [c for c in BACKEND_GRID if c.tracing is False]
+        assert untraced and all(c.options.fuse for c in untraced)
+
+    def test_parallel_engine_follows_the_native_shorthand(self, monkeypatch):
+        from repro.compiler.runner import ProgramRunner
+
+        seen = []
+        init = ProgramRunner.__init__
+
+        def spy(self, program, storage=None, virtual_scatter=True, native=False):
+            seen.append(native)
+            init(self, program, storage, virtual_scatter, native)
+
+        monkeypatch.setattr(ProgramRunner, "__init__", spy)
         with VoodooEngine(make_store(), config=TWO_WORKERS.with_(native=True)) as engine:
             assert engine.options.native
             result = engine.execute(make_query())
             assert result.compiled.native
-            assert engine._parallel_backend.native
+            assert seen and all(seen)  # every runner of the run is native
 
 
 class TestFoldSelectFullyFilteredChunk:

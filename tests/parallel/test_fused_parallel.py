@@ -64,6 +64,54 @@ def test_tpch_fused_parallel_bit_identical(store, engine, number, workers):
     assert_bit_identical(fused_seq, fused_par, context=(number, workers))
 
 
+@pytest.mark.parametrize("number", sorted(QUERIES))
+def test_tpch_parallel_without_virtual_scatter_bit_identical(store, engine, number):
+    """The per-run fields are arguments of one shared, stateless
+    instance: ``virtual_scatter=False`` (scatters land eagerly, in every
+    zone and chunk) and a storage handed to ``run`` change no bit, and
+    the instance's own Load context is neither read nor written."""
+    query = build(store, number)
+    program = engine.translate(query)
+    compiled = compile_program(program, engine.options)
+    expected, _ = compiled.run(store.vectors(), collect_trace=False)
+    with ParallelInterpreter(workers=2) as runner:
+        got = runner.run(program, store.vectors(), virtual_scatter=False)
+        assert runner.last_plan.parallel
+        assert runner._storage == {}
+    assert_bit_identical(expected, got, context=(number, "no-virtual-scatter"))
+
+
+def test_parallel_engine_hands_virtual_scatter_to_every_runner(store, monkeypatch):
+    """``CompilerOptions.virtual_scatter`` reaches the node runner on the
+    parallel schedule too (it used to be silently always-on there)."""
+    from repro.compiler import CompilerOptions
+    from repro.compiler.rt_fast import FusedRuntime
+    from repro.compiler.runner import ProgramRunner
+
+    runners, runtimes = [], []
+    runner_init, runtime_init = ProgramRunner.__init__, FusedRuntime.__init__
+
+    def spy_runner(self, program, storage=None, virtual_scatter=True, native=False):
+        runners.append(virtual_scatter)
+        runner_init(self, program, storage, virtual_scatter, native)
+
+    def spy_runtime(self, storage, virtual_scatter=True, **kwargs):
+        runtimes.append(virtual_scatter)
+        runtime_init(self, storage, virtual_scatter, **kwargs)
+
+    monkeypatch.setattr(ProgramRunner, "__init__", spy_runner)
+    monkeypatch.setattr(FusedRuntime, "__init__", spy_runtime)
+    config = TWO_WORKERS.with_(options=CompilerOptions(virtual_scatter=False))
+    with VoodooEngine(store, config=config) as parallel_engine:
+        table = parallel_engine.query(build(store, 1))
+    assert len(runners) >= 3  # the zone runner and one per chunk
+    assert not any(runners) and not any(runtimes)
+    reference = VoodooEngine(store, config=EngineConfig(tracing=False)).query(
+        build(store, 1))
+    for column in reference.columns:
+        assert np.array_equal(table.column(column), reference.column(column))
+
+
 def test_engine_fused_parallel_tables_agree(store, engine):
     """The parallelism= knob (fused chunks by default) returns the same
     result tables as the sequential traced engine."""
@@ -154,12 +202,12 @@ class TestPersistentPool:
         runner = ParallelInterpreter(self._store(), workers=2)
         program = self._program()
         runner.run(program)
-        first = runner._executor
+        first = runner._lease
         runner.run(program)
         if first is not None:  # single-core hosts execute chunks inline
-            assert runner._executor is first
+            assert runner._lease is first
         runner.close()
-        assert runner._executor is None
+        assert runner._lease is None
 
     def test_close_is_idempotent_and_reopens(self):
         runner = ParallelInterpreter(self._store(), workers=2)
@@ -174,24 +222,23 @@ class TestPersistentPool:
     def test_context_manager(self):
         with ParallelInterpreter(self._store(), workers=2) as runner:
             runner.run(self._program())
-        assert runner._executor is None
+        assert runner._lease is None
 
     def test_engine_reuses_backend_and_closes(self):
         store = generate(0.002, seed=3)
         engine = VoodooEngine(store, config=TWO_WORKERS)
         engine.execute(build(store, 6))
-        backend = engine._parallel_backend
-        assert backend is not None
+        (backend,) = engine._parallel_backends.values()
         engine.execute(build(store, 6))
-        assert engine._parallel_backend is backend  # one backend, many queries
+        assert engine._parallel_backend(2) is backend  # one backend, many queries
         engine.close()
-        assert engine._parallel_backend is None
+        assert engine._parallel_backends == {} and backend._lease is None
 
     def test_engine_context_manager(self):
         store = generate(0.002, seed=3)
         with VoodooEngine(store, config=TWO_WORKERS) as engine:
             engine.query(build(store, 6))
-        assert engine._parallel_backend is None
+        assert engine._parallel_backends == {}
 
 
 def test_forced_pool_submission_bit_identical():

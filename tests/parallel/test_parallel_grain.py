@@ -155,9 +155,12 @@ def test_engine_threads_parallel_grain_to_backend():
             VoodooEngine(store, config=EngineConfig(execution=execution)) as tuned:
         query = build(store, 6)
         expected = reference.query(query)
-        got = tuned.query(build(store, 6))
-        backend = tuned._parallel_backend
-        assert backend is not None and backend.grain == 700
+        result = tuned.execute(build(store, 6))
+        got = result.table
+        # the grain is an argument of the run, not state of the backend
+        backend = tuned._parallel_backend(2)
+        assert backend.grain is None
+        assert ("partition_plan", 2, 700) in result.compiled.program.memo
         plan = backend.last_plan
         assert plan is not None and plan.parallel
         assert len(plan.chunks) > 2  # finer than one-chunk-per-worker

@@ -68,7 +68,17 @@ class TestLeasing:
         registry.lease(2)
         registry.lease(2)
         registry.lease(4)
-        assert registry.stats()["pools"] == {"2": 2, "4": 1}
+        assert registry.stats()["pools"] == {"chunks:2": 2, "chunks:4": 1}
+
+    def test_roles_never_share_a_pool(self, registry):
+        """A query waits on the chunks it submits, so the scheduler's
+        pool and the chunk pool of the same width must be two pools."""
+        chunks = registry.lease(2)
+        queries = registry.lease(2, role="queries")
+        assert chunks.executor is not queries.executor
+        assert registry.stats()["pools"] == {"chunks:2": 1, "queries:2": 1}
+        queries.release()
+        assert registry.stats()["pools"] == {"chunks:2": 1}
 
     def test_bad_width_rejected(self, registry):
         with pytest.raises(ExecutionError, match="workers"):
@@ -105,8 +115,8 @@ class TestEngineIntegration:
                 assert ra == rb
                 # on a multi-core host both backends hold the same leased
                 # executor; on a 1-core host chunks run inline (no pool)
-                backend_a = a._parallel_backend
-                backend_b = b._parallel_backend
-                if backend_a._executor is not None:
-                    assert backend_a._executor is backend_b._executor
+                backend_a = a._parallel_backend(2)
+                backend_b = b._parallel_backend(2)
+                if backend_a._lease is not None:
+                    assert backend_a._lease.executor is backend_b._lease.executor
         assert REGISTRY.stats()["live_pools"] == before

@@ -1,0 +1,125 @@
+"""One parallel engine, many caller threads.
+
+A parallel run is a function of its arguments — the Load context and the
+per-run fields are handed to ``ParallelInterpreter.run`` — so nothing
+serialises the queries of a concurrent server: they overlap, they return
+exactly the bits a single caller gets, and the only shared resource, the
+worker-pool lease, is taken once and returned by ``close()``.
+"""
+
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
+import numpy as np
+import pytest
+
+from repro import native
+from repro.compiler import ExecutionOptions
+from repro.parallel import REGISTRY, ParallelInterpreter
+from repro.relational import EngineConfig, VoodooEngine
+from repro.tpch import QUERIES, build, generate
+
+THREADS = 8
+PER_THREAD = 40
+
+
+@pytest.fixture(scope="module")
+def store():
+    return generate(0.005, seed=11)
+
+
+def parallel_config(use_native: bool) -> EngineConfig:
+    return EngineConfig(execution=ExecutionOptions(workers=2), native=use_native)
+
+
+def identical(a, b) -> bool:
+    """dtype + bytes, NaN-for-NaN."""
+    if a.columns != b.columns:
+        return False
+    for name in a.columns:
+        x, y = a.column(name), b.column(name)
+        if x.dtype != y.dtype or len(x) != len(y):
+            return False
+        if x.dtype.kind == "O":
+            if x.tolist() != y.tolist():
+                return False
+        elif not np.array_equal(x, y, equal_nan=x.dtype.kind == "f"):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("use_native", [False, True], ids=["numpy", "native"])
+def test_eight_threads_bit_identical_to_a_single_caller(store, use_native):
+    if use_native and not native.have_compiler():
+        pytest.skip("no C compiler on this host")
+    numbers = sorted(QUERIES)
+    queries = {n: build(store, n) for n in numbers}
+    with VoodooEngine(store, config=EngineConfig(tracing=False)) as reference:
+        expected = {n: reference.query(queries[n]) for n in numbers}
+    leases = REGISTRY.stats()["active_leases"]
+    mismatches: list[tuple[int, int]] = []
+
+    def caller(thread: int) -> int:
+        rng = np.random.default_rng(thread)
+        done = 0
+        for number in rng.choice(numbers, PER_THREAD):
+            if not identical(expected[number], engine.query(queries[number])):
+                mismatches.append((thread, int(number)))
+            done += 1
+        return done
+
+    with VoodooEngine(store, config=parallel_config(use_native)) as engine:
+        with ThreadPoolExecutor(THREADS) as callers:
+            done = sum(callers.map(caller, range(THREADS)))
+        assert REGISTRY.stats()["active_leases"] <= leases + 1
+    assert done == THREADS * PER_THREAD
+    assert mismatches == []
+    assert REGISTRY.stats()["active_leases"] == leases  # close() returned it
+
+
+def test_two_executions_are_in_flight_at_once(store, monkeypatch):
+    """Both callers must be inside the parallel run step at the same
+    time to pass the barrier: under a lock around whole executions the
+    first would wait for a second that can never enter."""
+    barrier = threading.Barrier(2)
+    run_parallel = ParallelInterpreter._run_parallel
+
+    def rendezvous(self, *args):
+        barrier.wait(timeout=10)
+        return run_parallel(self, *args)
+
+    monkeypatch.setattr(ParallelInterpreter, "_run_parallel", rendezvous)
+    query = build(store, 6)
+    with VoodooEngine(store, config=parallel_config(False)) as engine:
+        with ThreadPoolExecutor(2) as callers:
+            tables = [f.result(timeout=30) for f in [
+                callers.submit(engine.query, query) for _ in range(2)
+            ]]
+    assert not barrier.broken
+    assert identical(tables[0], tables[1])
+
+
+def test_racing_first_queries_take_exactly_one_lease(store):
+    """The lazy pool lease is created once under concurrent first use."""
+    query = build(store, 1)
+    before = REGISTRY.stats()
+    gate = threading.Barrier(THREADS)
+
+    def first_query(_):
+        gate.wait(timeout=10)
+        return engine.query(query)
+
+    engine = VoodooEngine(store, config=parallel_config(False))
+    try:
+        with ThreadPoolExecutor(THREADS) as callers:
+            tables = list(callers.map(first_query, range(THREADS)))
+        during = REGISTRY.stats()
+        (backend,) = engine._parallel_backends.values()
+        if backend._lease is not None:  # single-core hosts run chunks inline
+            assert during["active_leases"] == before["active_leases"] + 1
+            assert during["pools"].get("chunks:2", 0) == before["pools"].get("chunks:2", 0) + 1
+    finally:
+        engine.close()
+    assert all(identical(tables[0], table) for table in tables[1:])
+    assert REGISTRY.stats()["active_leases"] == before["active_leases"]
+    assert backend._lease is None

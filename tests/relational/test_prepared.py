@@ -179,8 +179,11 @@ class TestSQLParams:
         (EngineConfig(native=True, tracing=False), "node runner, native kernels, inline"),
         (EngineConfig(execution=ExecutionOptions(workers=2)),
          "node runner, numpy kernels, thread pool (2 workers)"),
+        # fuse shapes the simulator only: untraced is the runner either way
         (EngineConfig(options=CompilerOptions(fuse=False), tracing=False),
-         "traced runtime, recorder off"),
+         "node runner, numpy kernels, inline"),
+        (EngineConfig(options=CompilerOptions(fuse=False, native=True), tracing=False),
+         "node runner, native kernels, inline"),
     ])
     def test_explain_names_evaluator_kernels_and_schedule(self, store, config, backend):
         with VoodooEngine(store, config=config) as engine:

@@ -64,7 +64,7 @@ def test_parallel_engine_plans_each_warm_program_once(store, monkeypatch):
     with VoodooEngine(store, config=config) as engine:
         first = lap(engine, batch)
         assert len(calls) == PLANS
-        assert engine._parallel_backend.last_plan.parallel
+        assert engine._parallel_backend(2).last_plan.parallel
         lap(engine, batch)
         del calls[:]
         assert lap(engine, batch) == first
@@ -114,13 +114,13 @@ def test_racing_first_runs_publish_one_chain_index_and_one_plan(store):
         vectors = engine.vectors()
     threads, barrier = 8, threading.Barrier(8)
     indexes, plans, errors = [], [], []
+    runner = ParallelInterpreter(workers=2)  # shared: a run keeps no state
 
     def first_run():
         try:
-            runner = ParallelInterpreter(vectors, workers=2)
             barrier.wait(timeout=10)
             indexes.append(chain_index(program))
-            plans.append(runner._plan(program))
+            plans.append(runner._plan(program, vectors, None))
         except Exception as exc:  # surfaced below, with the others
             errors.append(exc)
 

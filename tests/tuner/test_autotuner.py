@@ -7,9 +7,12 @@ entry) is at the bottom: on every evaluated TPC-H query an engine with
 changes wall-clock, never results.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro.compiler import CompilerOptions
 from repro.errors import ExecutionError
 from repro.relational import EngineConfig, VoodooEngine
 from repro.tpch import QUERIES, build, generate
@@ -29,6 +32,18 @@ def store():
     return generate(0.01, seed=42)
 
 
+@pytest.fixture
+def built(monkeypatch) -> list:
+    """The store of every ``VoodooEngine`` constructed from here on."""
+    stores = []
+    init = VoodooEngine.__init__
+    monkeypatch.setattr(
+        VoodooEngine, "__init__",
+        lambda self, *a, **kw: stores.append(a[0]) or init(self, *a, **kw),
+    )
+    return stores
+
+
 def fast_tuner(store, **kwargs) -> AutoTuner:
     kwargs.setdefault("space", compact_space())
     kwargs.setdefault("sample_rows", 2048)
@@ -40,18 +55,47 @@ def fast_tuner(store, **kwargs) -> AutoTuner:
 # ----------------------------------------------------- the knob space
 
 
+def runner_fields(config: TunedConfig) -> tuple:
+    """The four fields untraced execution reads (README, "Execution
+    backends"): everything else shapes the simulator only."""
+    return (
+        config.options.native,
+        config.options.virtual_scatter,
+        config.execution.workers,
+        config.execution.parallel_grain,
+    )
+
+
 class TestKnobSpace:
     def test_covers_every_knob_family(self):
         space = knob_space(cpu_count=4)
-        selections = {c.options.selection for c in space}
-        assert selections == {"branching", "branch-free"}
-        assert any(not c.options.fuse for c in space)
         assert any(not c.options.virtual_scatter for c in space)
-        assert any(not c.options.slot_suppression for c in space)
         assert {c.execution.workers for c in space} >= {1, 2, 4}
         assert any(c.native and c.workers == 1 for c in space)
         assert any(c.native and c.workers > 1 for c in space)
         assert any(c.execution.parallel_grain is not None for c in space)
+
+    @pytest.mark.parametrize("space", [
+        knob_space(cpu_count=1), knob_space(cpu_count=2), knob_space(cpu_count=8),
+        compact_space(),
+    ], ids=["cpu1", "cpu2", "cpu8", "compact"])
+    def test_space_is_defined_over_what_the_runner_reads(self, space):
+        """A candidate that differs from the default (or from another
+        candidate) only in a field the runner never reads executes the
+        same code: racing the two in wall-clock measures noise."""
+        default = runner_fields(default_config())
+        fields = [runner_fields(c) for c in space]
+        assert all(f != default for f in fields[1:])
+        assert len(set(fields)) == len(fields)
+        simulator_only = CompilerOptions()
+        for config in space:
+            assert config.options.selection == simulator_only.selection
+            assert config.options.slot_suppression == simulator_only.slot_suppression
+            assert config.options.fuse == simulator_only.fuse
+
+    def test_space_sizes(self):
+        assert len(knob_space(cpu_count=2)) == 8
+        assert len(compact_space()) == 5
 
     def test_cpu_count_widens_worker_sweep(self):
         assert {c.execution.workers for c in knob_space(cpu_count=8)} >= {8}
@@ -174,7 +218,7 @@ class TestConfirmationProbe:
     def _pin_full_times(monkeypatch, times):
         monkeypatch.setattr(
             AutoTuner, "_time_full",
-            lambda self, query, grain, config: times[id(config)],
+            lambda self, query, engine, config: times[id(config)],
         )
 
     def test_near_tie_native_challenger_wins_on_full_scale(
@@ -208,6 +252,40 @@ class TestConfirmationProbe:
         })
         tuner._confirm(build(store, 6), None, outcomes)
         assert tuner._choose(outcomes) is default  # ...loses at full scale
+
+    def test_choice_never_compares_across_scales(self, store, monkeypatch):
+        """Full-store laps run ~3x the sample laps here.  A third,
+        unconfirmed candidate whose *sample* lap is 1.5x the default's
+        is faster than every *full-store* lap — and must not win on
+        that: once confirmation laps ran, they alone decide."""
+        tuner = fast_tuner(store)
+        outcomes = self._outcomes(tuner, sample_ms=10.0)
+        default = outcomes[0]
+        challenger = next(o for o in outcomes if o.config.native)
+        challenger.measured_seconds = 0.011
+        bystander = next(
+            o for o in outcomes[1:]
+            if not o.config.native and o.config.workers == 1
+        )
+        bystander.measured_seconds = 0.015  # 1.5x slower at sample scale
+        self._pin_full_times(monkeypatch, {
+            id(default.config): 0.030, id(challenger.config): 0.033,
+        })
+        tuner._confirm(build(store, 6), None, outcomes)
+        assert bystander.confirmed_seconds is None
+        winner = tuner._choose(outcomes)
+        assert winner is default and not bystander.chosen
+
+    def test_sample_laps_decide_when_nothing_was_confirmed(self, store):
+        tuner = fast_tuner(store, confirm=False)
+        outcomes = self._outcomes(tuner, sample_ms=10.0)
+        fast = next(o for o in outcomes if o.config.workers > 1)
+        fast.measured_seconds = 0.005
+        slow = next(o for o in outcomes if o.config.native)
+        slow.measured_seconds = 0.0095  # inside the keep-default margin
+        assert tuner._choose(outcomes) is fast
+        fast.chosen, fast.measured_seconds = False, 0.0095
+        assert tuner._choose(outcomes) is outcomes[0]  # ties keep the default
 
     def test_only_near_tie_parallel_or_native_challengers_qualify(
         self, store, monkeypatch
@@ -244,7 +322,7 @@ class TestConfirmationProbe:
         the full-scale column."""
         monkeypatch.setattr(
             AutoTuner, "_time_full",
-            lambda self, query, grain, config:
+            lambda self, query, engine, config:
                 1e-4 if config.native else 10.0,
         )
         tuner = fast_tuner(store, confirm_margin=1e9)  # everyone is "near"
@@ -338,27 +416,67 @@ class TestEngineIntegration:
                 engine.explain_tuning(build(store, 6))
 
     def test_decision_is_entry_not_key(self, store):
-        """The tuned plan-cache key must not name the chosen options —
-        only query structure, store, and hardware."""
+        """The decision is keyed query x store x hardware — never by the
+        chosen options, which would be circular — and memoized once, in
+        the TuningCache; the compiled plan is keyed by the chosen
+        options, in the engine's one plan cache."""
         tuner = fast_tuner(store)
         with VoodooEngine(store, config=EngineConfig(tuning="auto", tuner=tuner)) as engine:
             engine.query(build(store, 6))
-            (token,) = engine._tuned_decisions
+            (token,) = tuner.cache.entries
             key = tuner.key_for(build(store, 6), engine.grain)
             assert token == key.token()  # reproducible from query+store+hw
-            decision = engine._tuned_decisions[token]
+            decision = tuner.cache.entries[token].config
             assert decision in tuner.space  # the entry carries the config
+            (plan_key,) = engine._plan_cache
+            assert plan_key == engine.cache_key(
+                build(store, 6), None, decision.options, decision.execution
+            )
 
-    def test_delegate_reuse_and_close(self, store):
+    def test_one_engine_one_compile_and_close(self, store, request):
+        """A configuration is a value: executing a tuned query builds no
+        engine besides the caller's (and the tuner's per-search ones),
+        compiles once, counts on the engine's own counters, and close()
+        returns every pool lease."""
+        from repro.parallel import REGISTRY
+
         tuner = fast_tuner(store)
+        leases = REGISTRY.stats()["active_leases"]
         engine = VoodooEngine(store, config=EngineConfig(tuning="auto", tuner=tuner))
+        engine.query(build(store, 6))  # cold: the tuner searches here
+        built = request.getfixturevalue("built")  # spy from here on
         engine.query(build(store, 6))
-        engine.query(build(store, 6))
-        assert len(engine._delegates) == 1  # one config, one delegate
-        delegate = next(iter(engine._delegates.values()))
-        assert delegate.cache_info()["plan_hits"] >= 1  # compiled once
+        assert built == []
+        info = engine.cache_info()
+        assert (info["plan_misses"], info["plan_hits"], info["size"]) == (1, 1, 1)
         engine.close()
-        assert engine._delegates == {}
+        assert engine._parallel_backends == {}
+        assert REGISTRY.stats()["active_leases"] == leases
+
+    def test_a_search_builds_one_engine_per_store(self, store, built):
+        """Candidates race through one sample engine (plus one
+        full-store engine when a confirmation is due) — never one each."""
+        tuner = fast_tuner(store, space=knob_space(cpu_count=2), sample_rows=64)
+        report = tuner.explain(build(store, 6))
+        raced = [c for c in report.candidates if c.measured_seconds is not None]
+        assert len(raced) >= 3
+        assert 1 <= len(built) <= 2 and built[0] is tuner.sample
+        assert built[1:] in ([], [store])
+
+    def test_reports_stay_bounded(self, store, monkeypatch):
+        """Evidence is kept for cold searches only, and capped; the
+        decision is memoized in the TuningCache alone."""
+        monkeypatch.setattr(AutoTuner, "REPORT_CAPACITY", 8)
+        tuner = AutoTuner(
+            store, space=[default_config()], sample_rows=64, repeats=1, confirm=False
+        )
+        for i in range(300):  # 300 distinct literals: 300 distinct keys
+            query = dataclasses.replace(build(store, 6), limit=i + 1)
+            tuner.tune(query)
+        assert len(tuner._reports) == 8
+        assert len(tuner.cache.entries) == 300
+        assert tuner.tune(query) == default_config()  # a hit: no report grows
+        assert len(tuner._reports) == 8
 
     def test_cache_info_extends_with_tuning_counters(self, store):
         tuner = fast_tuner(store)
@@ -366,7 +484,7 @@ class TestEngineIntegration:
             engine.query(build(store, 6))
             info = engine.cache_info()
             assert info["tuning_misses"] == 1
-            assert info["tuned_decisions"] == 1
+            assert info["tuning_entries"] == 1
 
     def test_explain_tuning_via_engine(self, store):
         tuner = fast_tuner(store)
@@ -395,3 +513,26 @@ def test_tpch_tuned_bit_identical_to_untuned(store, number):
         a, b = expected.column(column), got.column(column)
         assert a.dtype == b.dtype, column
         assert np.array_equal(a, b, equal_nan=a.dtype.kind == "f"), column
+
+
+def test_fourteen_tuned_queries_build_no_engine_per_configuration(store, built):
+    """One tuned engine runs whatever the tuner picks: the only engines
+    ever constructed are the caller's and the tuner's per-search ones
+    (the sample's, plus the full store's when a confirmation is due) —
+    and a warm second pass constructs none at all."""
+    tuner = fast_tuner(store, space=knob_space(cpu_count=2), sample_rows=512)
+    with VoodooEngine(store, config=EngineConfig(tuning="auto", tuner=tuner)) as tuned:
+        assert built == [store]
+        for number in sorted(QUERIES):
+            before = len(built)
+            tuned.query(build(store, number))
+            search = built[before:]
+            assert search[0] is tuner.sample and search[1:] in ([], [store]), number
+        cold = len(built)
+        for number in sorted(QUERIES):
+            tuned.query(build(store, number))
+        assert len(built) == cold
+        info = tuned.cache_info()
+        assert (info["plan_misses"], info["plan_hits"]) == (14, 14)
+        chosen = {tuned.explain_tuning(build(store, n)).chosen for n in sorted(QUERIES)}
+        assert chosen <= set(tuner.space)

@@ -130,8 +130,25 @@ class TestPersistence:
         cache = TuningCache(path=path)
         assert cache.entries == {} and cache.get(_key()) is None
         cache.put(self._entry())                 # and the file is rewritten
-        assert json.loads(path.read_text())["version"] == 2
+        assert json.loads(path.read_text())["version"] == 3
         assert TuningCache(path=path).get(_key()) is not None
+
+    @pytest.mark.parametrize("version", [2, 3], ids=["as-written", "relabelled"])
+    def test_version_2_file_naming_parallel_grain_retunes(self, tmp_path, version):
+        """A version-2 file's ``options`` JSON carries ``parallel_grain``,
+        a field ``CompilerOptions`` no longer has: it must degrade to
+        re-tune (by its version — and, were the version bumped by hand,
+        by the TypeError) instead of raising out of the constructor."""
+        entry = self._entry().to_json()
+        entry["config"]["options"]["parallel_grain"] = None
+        path = tmp_path / "tuning.json"
+        path.write_text(json.dumps({"version": version, "entries": [entry]}))
+        cache = TuningCache(path=path)
+        assert cache.entries == {} and cache.get(_key()) is None
+        cache.put(self._entry())
+        document = json.loads(path.read_text())
+        assert document["version"] == 3
+        assert "parallel_grain" not in document["entries"][0]["config"]["options"]
 
     def test_invalid_knob_values_treated_as_empty(self, tmp_path):
         """A persisted entry whose knobs the options dataclasses reject
@@ -153,6 +170,6 @@ class TestPersistence:
         path = tmp_path / "tuning.json"
         TuningCache(path=path).put(self._entry())
         document = json.loads(path.read_text())
-        assert document["version"] == 2
+        assert document["version"] == 3
         assert len(document["entries"]) == 1
         assert document["entries"][0]["config"]["execution"]["workers"] == 4
