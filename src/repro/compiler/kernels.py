@@ -1,6 +1,6 @@
 """Shared raw-array fold kernels for the compiling backend.
 
-Two kinds of kernel live here:
+Three kinds of kernel live here:
 
 * **Uniform-run fast kernels** used by the fused fast path
   (:mod:`repro.compiler.rt_fast`): when the compiler statically knows a
@@ -8,7 +8,9 @@ Two kinds of kernel live here:
   spanning the vector), the generic run machinery of
   :mod:`repro.interpreter.semantics` — forward-fill, run-start detection,
   cumulative run ids — is unnecessary.  These kernels compute the same
-  result directly from ``L``.  They are *bit-identical* to the generic
+  result directly from ``L``, read dense columns or the present rows of
+  compact ones, and return the result without its ε padding (values plus
+  the slots they sit on).  They are *bit-identical* to the generic
   path: integer/boolean outputs are order-independent, and floating-point
   sums accumulate in the exact element order of ``np.add.at`` (via
   ``np.bincount``, which also adds weights in input order).
@@ -37,9 +39,30 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.interpreter import semantics
 from repro.interpreter.semantics import fold_fill
 
 # -------------------------------------------------------- uniform-run folds
+#
+# A fold writes one result per run and pads the rest of the run with ε;
+# these kernels never build that padding (paper section 3.1.2).  They
+# return the *compact* result — the values and the slots they sit on —
+# and come in two input shapes: a dense, mask-free column of ``n`` rows,
+# or the ``k`` present values of a column plus their sorted slot indices.
+
+
+def select_slots(hits: np.ndarray, run_length: int, n: int) -> np.ndarray:
+    """Output slot of every FoldSelect hit (sorted positions below *n*):
+    hits compact to the start of their run (``run_length == 0``: one
+    run, so to slot 0)."""
+    slots = np.arange(len(hits), dtype=np.int64)
+    if run_length and len(hits):
+        # where each run's hits begin among all hits, per run — the runs
+        # are few, the hits many
+        run_starts = np.arange(0, n, run_length, dtype=np.int64)
+        first = np.searchsorted(hits, run_starts)
+        slots += np.repeat(run_starts - first, np.diff(first, append=len(hits)))
+    return slots
 
 
 def fold_select_uniform(
@@ -48,129 +71,140 @@ def fold_select_uniform(
     run_length: int,
     n: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``semantics.fold_select`` for uniform runs of ``run_length``.
-
-    ``run_length == 0`` means a single run spanning the vector.  Works on
-    qualifying positions only — no O(n) run-id machinery.
-    """
-    qualifies = selected != 0
+    """``semantics.fold_select`` for uniform runs of ``run_length``, as
+    ``(hits, slots)``: the qualifying positions and the slots they
+    compact to.  ``run_length == 0`` means a single run."""
+    qualifies = selected if selected.dtype.kind == "b" else selected != 0
     if sel_present is not None:
         qualifies = qualifies & sel_present
     hits = np.flatnonzero(qualifies)
-    out = np.zeros(n, dtype=np.int64)
-    present = np.zeros(n, dtype=bool)
-    if len(hits) == 0:
-        return out, present
-    if run_length == 0:
-        out[: len(hits)] = hits
-        present[: len(hits)] = True
-        return out, present
-    hit_runs = hits // run_length
-    # rank of each hit within its run (segment-local enumeration)
-    boundaries = np.flatnonzero(np.diff(hit_runs) != 0) + 1
-    segment_start = np.zeros(len(hits), dtype=np.int64)
-    segment_start[boundaries] = boundaries
-    np.maximum.accumulate(segment_start, out=segment_start)
-    rank = np.arange(len(hits), dtype=np.int64) - segment_start
-    slots = hit_runs * run_length + rank
-    out[slots] = hits
-    present[slots] = True
-    return out, present
+    return hits, select_slots(hits, run_length, n)
 
 
 def fold_aggregate_uniform(
     fn: str,
     values: np.ndarray,
-    mask: np.ndarray | None,
     run_length: int,
     n: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """``semantics.fold_aggregate`` for uniform runs of ``run_length``.
+) -> np.ndarray:
+    """Per-run ``semantics.fold_aggregate`` of a dense column of ``n > 0``
+    rows with uniform runs of ``run_length`` (0: a single run; the last
+    run may be ragged); run *r* lands on slot ``r * run_length``.
 
-    ``run_length == 0`` means a single run.  Callers must only pass run
-    lengths that divide ``n`` (or 1) — exactly the static-metadata cases
-    the fragment planner admits.  Float sums go through ``np.bincount``,
-    which accumulates weights sequentially in input order — the same
-    order (and float64 accumulator) as the ``np.add.at`` ground truth, so
-    results are bit-identical.  Integer sums are order-independent.
+    Float sums go through ``np.bincount``, which accumulates weights
+    sequentially in input order — the same order (and float64
+    accumulator) as the ``np.add.at`` ground truth, so results are
+    bit-identical.  Integer sums are order-independent.
+    """
+    L = run_length if run_length else n
+    if fn == "sum":
+        if values.dtype.kind == "f":
+            rids = np.arange(n, dtype=np.int64) // L
+            return np.bincount(rids, weights=values.astype(np.float64, copy=False))
+        vals = values.astype(np.int64, copy=False)
+        if n % L == 0:
+            return vals.reshape(n // L, L).sum(axis=1)
+        return np.add.reduceat(vals, np.arange(0, n, L))
+    ufunc = np.maximum if fn == "max" else np.minimum
+    return ufunc.reduceat(values, np.arange(0, n, L))
+
+
+def run_segments(index: np.ndarray, run_length: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where the non-empty runs start among ``k`` present rows at sorted
+    slots *index*: ``(segment starts into the k rows, output slots)``.
+    A run with no present slot has no segment — its result is ε."""
+    if len(index) == 0:
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty
+    if run_length == 0:
+        zero = np.zeros(1, dtype=np.int64)
+        return zero, zero
+    runs = index // run_length
+    starts = np.concatenate(([0], np.flatnonzero(runs[1:] != runs[:-1]) + 1))
+    return starts, runs[starts] * run_length
+
+
+def fold_aggregate_segments(
+    fn: str, values: np.ndarray, starts: np.ndarray, rids: np.ndarray | None = None
+) -> np.ndarray:
+    """Per-segment aggregate of ``k`` present values in input order
+    (*starts* from :func:`run_segments`, :func:`control_segments` or a
+    :class:`GroupRuns`; *rids* — the segment of every value — when the
+    caller already holds it).
+
+    Bit-identical to ``semantics.fold_aggregate`` over the padded column:
+    ε slots contribute nothing there, float sums add each run's present
+    values in the same order through the same ``np.bincount``, integer
+    sums wrap associatively, ``max``/``min`` are order-independent.
     """
     is_float = values.dtype.kind == "f"
-    acc_dtype = (np.float64 if is_float else np.int64) if fn == "sum" else values.dtype
-    out = np.zeros(n, dtype=acc_dtype)
-    out_present = np.zeros(n, dtype=bool)
-    if n == 0:
-        return out, out_present
-    L = run_length if run_length else n
-    n_runs = n // L
-    starts = np.arange(n_runs, dtype=np.int64) * L
-
+    if len(starts) == 0:
+        sums = np.float64 if is_float else np.int64
+        return np.zeros(0, dtype=sums if fn == "sum" else values.dtype)
     if fn == "sum":
         if is_float:
-            if mask is None:
-                rids = np.arange(n, dtype=np.int64) // L
-                per_run = np.bincount(
-                    rids, weights=values.astype(np.float64, copy=False),
-                    minlength=n_runs,
-                )
-                nonempty = np.ones(n_runs, dtype=bool)
-            else:
-                use_idx = np.flatnonzero(mask)
-                use_runs = use_idx // L
-                # bincount returns int64 (not float64) for *empty* weights —
-                # an all-ε input must still produce a float sum vector
-                # (conformance-fuzzer finding)
-                per_run = np.bincount(
-                    use_runs,
-                    weights=values[use_idx].astype(np.float64, copy=False),
-                    minlength=n_runs,
-                ).astype(np.float64, copy=False)
-                nonempty = np.zeros(n_runs, dtype=bool)
-                nonempty[use_runs] = True
-        else:
-            vals = values.astype(np.int64, copy=False)
-            if mask is None:
-                per_run = vals.reshape(n_runs, L).sum(axis=1)
-                nonempty = np.ones(n_runs, dtype=bool)
-            else:
-                per_run = np.where(mask, vals, 0).reshape(n_runs, L).sum(axis=1)
-                nonempty = mask.reshape(n_runs, L).any(axis=1)
-    else:
-        ufunc = np.maximum if fn == "max" else np.minimum
-        fill = fold_fill(fn, acc_dtype)
-        vals = values.astype(acc_dtype, copy=False)
-        if mask is None:
-            per_run = ufunc.reduceat(vals, starts)
-            nonempty = np.ones(n_runs, dtype=bool)
-        else:
-            per_run = ufunc.reduceat(np.where(mask, vals, fill), starts)
-            nonempty = mask.reshape(n_runs, L).any(axis=1)
-
-    out[starts] = per_run
-    out_present[starts] = nonempty
-    return out, out_present
+            if rids is None:
+                rids = np.zeros(len(values), dtype=np.int64)
+                rids[starts[1:]] = 1
+                np.cumsum(rids, out=rids)
+            return np.bincount(
+                rids, weights=values.astype(np.float64, copy=False),
+                minlength=len(starts),
+            ).astype(np.float64, copy=False)
+        return np.add.reduceat(values.astype(np.int64, copy=False), starts)
+    ufunc = np.maximum if fn == "max" else np.minimum
+    return ufunc.reduceat(values, starts)
 
 
-def fold_count_uniform(
-    counted_present: np.ndarray | None,
-    run_length: int,
-    n: int,
+def control_segments(
+    control: np.ndarray, index: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``semantics.fold_count`` for uniform runs of ``run_length``."""
-    out = np.zeros(n, dtype=np.int64)
-    out_present = np.zeros(n, dtype=bool)
-    if n == 0:
-        return out, out_present
-    L = run_length if run_length else n
-    n_runs = n // L
-    starts = np.arange(n_runs, dtype=np.int64) * L
-    if counted_present is None:
-        out[starts] = L
-        out_present[starts] = True
-    else:
-        counts = counted_present.reshape(n_runs, L).sum(axis=1)
-        out[starts] = counts
-        out_present[starts] = counts > 0
-    return out, out_present
+    """:func:`run_segments` for a data-dependent control column whose
+    ``k`` present values sit on the same slots *index* as the folded
+    column.  ε control slots belong to the run of the preceding present
+    value (leading ones to the first run, which therefore starts at slot
+    0 — ``semantics.forward_fill``), so the runs of the padded column
+    are exactly the value-runs of the present rows."""
+    if len(index) == 0:
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty
+    starts = np.concatenate(([0], np.flatnonzero(control[1:] != control[:-1]) + 1))
+    out_slots = index[starts]
+    out_slots[0] = 0
+    return starts, out_slots
+
+
+def partition_positions_slots(
+    values: np.ndarray,
+    index: np.ndarray,
+    n: int,
+    fill: np.ndarray,
+    pivots: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``semantics.partition_positions`` for the ``k`` present rows of a
+    compact column, as ``(positions, stable destination order)``.
+
+    The reference ranks *every* row by the value sitting in its slot, so
+    the ``n - k`` ε rows — which all hold *fill* — are counted into
+    ``partition(fill)``, interleaved with its present rows by slot index:
+    a present row is pushed back by every ε row of an earlier partition
+    and, inside the fill's partition, by the ε rows at earlier slots.
+    """
+    k = len(values)
+    part = semantics.partition_ids(values, pivots)
+    order = semantics.stable_order(part, len(pivots))
+    ranked = np.arange(k, dtype=np.int64)  # destination of order[i], so far
+    if k < n:
+        fill_part = semantics.partition_ids(fill, pivots)[0]
+        counts = np.bincount(part, minlength=len(pivots))
+        beside = counts[:fill_part].sum()
+        after = beside + counts[fill_part]
+        ranked[after:] += n - k
+        rows = order[beside:after]  # the fill's partition, in slot order
+        ranked[beside:after] += index[rows] - rows
+    positions = np.empty(k, dtype=np.int64)
+    positions[order] = ranked
+    return positions, order
 
 
 def fold_scan_uniform(
@@ -195,9 +229,9 @@ def fold_scan_uniform(
         vals[~mask] = 0
     cumulative = np.cumsum(vals)
     L = run_length if run_length else n
-    starts = np.arange(n // L, dtype=np.int64) * L
+    starts = np.arange(0, n, L)
     base_at_start = cumulative[starts] - vals[starts]
-    base = np.repeat(base_at_start, L)
+    base = np.repeat(base_at_start, L)[:n]  # the last run may be ragged
     scan = cumulative - base
     if not inclusive:
         scan = scan - vals
@@ -252,46 +286,6 @@ def combine_fold_partials(fn: str, partials: list[np.ndarray]) -> np.ndarray:
         return np.asarray(np.add.reduce(stacked))
     ufunc = np.maximum if fn == "max" else np.minimum
     return np.asarray(ufunc.reduce(stacked))
-
-
-def gather_compacted(
-    positions: np.ndarray,
-    pos_present: np.ndarray,
-    source_len: int,
-    columns: dict,
-    masks: dict,
-) -> tuple[dict, dict]:
-    """``semantics.gather`` for sparsely-present positions.
-
-    Fold-select position vectors are mostly ε; resolving only the present
-    slots makes the gather's random-access work proportional to the hit
-    count instead of the vector length (the zero-filled ε slots come from
-    ``np.zeros``).  Output values and masks are bit-identical to the
-    generic kernel.
-    """
-    n = len(positions)
-    idx = np.flatnonzero(pos_present)
-    taken_pos = positions[idx]
-    in_bounds = (taken_pos >= 0) & (taken_pos < source_len)
-    if not in_bounds.all():
-        idx = idx[in_bounds]
-        taken_pos = taken_pos[in_bounds]
-    valid = np.zeros(n, dtype=bool)
-    valid[idx] = True
-    out_cols: dict = {}
-    out_masks: dict = {}
-    for path, col in columns.items():
-        taken = np.zeros(n, dtype=col.dtype)
-        taken[idx] = col[taken_pos]
-        out_cols[path] = taken
-        m = masks.get(path)
-        if m is None:
-            out_masks[path] = valid
-        else:
-            out_mask = valid.copy()
-            out_mask[idx] = m[taken_pos]
-            out_masks[path] = out_mask
-    return out_cols, out_masks
 
 
 # ------------------------------------------------------- fused group-by
@@ -392,6 +386,9 @@ def grouped_fold_aggregate(
     identities (±inf for floats, so genuine infinities survive the fold).
     """
     n_runs = runs.n_runs
+    if mask is None:
+        per_run = fold_aggregate_segments(fn, values, runs.starts, runs.rids)
+        return per_run, np.ones(n_runs, dtype=bool)
     is_float = values.dtype.kind == "f"
     acc_dtype = (np.float64 if is_float else np.int64) if fn == "sum" else values.dtype
     if n_runs == 0:
@@ -400,34 +397,25 @@ def grouped_fold_aggregate(
     if fn == "sum":
         if is_float:
             weights = values.astype(np.float64, copy=False)
-            if mask is None:
-                per_run = np.bincount(runs.rids, weights=weights, minlength=n_runs)
-                nonempty = np.ones(n_runs, dtype=bool)
-            else:
-                use_idx = np.flatnonzero(mask)
-                use_runs = runs.rids[use_idx]
-                # bincount returns int64 (not float64) for *empty* weights —
-                # an all-ε input must still produce a float sum vector
-                # (conformance-fuzzer finding)
-                per_run = np.bincount(
-                    use_runs, weights=weights[use_idx], minlength=n_runs
-                ).astype(np.float64, copy=False)
-                nonempty = np.zeros(n_runs, dtype=bool)
-                nonempty[use_runs] = True
+            use_idx = np.flatnonzero(mask)
+            use_runs = runs.rids[use_idx]
+            # bincount returns int64 (not float64) for *empty* weights —
+            # an all-ε input must still produce a float sum vector
+            # (conformance-fuzzer finding)
+            per_run = np.bincount(
+                use_runs, weights=weights[use_idx], minlength=n_runs
+            ).astype(np.float64, copy=False)
+            nonempty = np.zeros(n_runs, dtype=bool)
+            nonempty[use_runs] = True
             return per_run, nonempty
         vals = values.astype(np.int64, copy=False)
-        if mask is None:
-            return np.add.reduceat(vals, runs.starts), np.ones(n_runs, dtype=bool)
         per_run = np.add.reduceat(np.where(mask, vals, 0), runs.starts)
         return per_run, np.logical_or.reduceat(mask, runs.starts)
 
     ufunc = np.maximum if fn == "max" else np.minimum
     acc = np.dtype(acc_dtype)
-    fill = fold_fill(fn, acc)
     vals = values.astype(acc, copy=False)
-    if mask is None:
-        return ufunc.reduceat(vals, runs.starts), np.ones(n_runs, dtype=bool)
-    per_run = ufunc.reduceat(np.where(mask, vals, fill), runs.starts)
+    per_run = ufunc.reduceat(np.where(mask, vals, fold_fill(fn, acc)), runs.starts)
     return per_run, np.logical_or.reduceat(mask, runs.starts)
 
 

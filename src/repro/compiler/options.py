@@ -30,7 +30,12 @@ class CompilerOptions:
     virtual_scatter:
         Keep scatters virtual until materialization (section 3.1.3).
     slot_suppression:
-        Allocate compact buffers for statically-dead ε slots (3.1.2).
+        The simulator's *price* for empty-slot suppression (3.1.2): with
+        it the traced runtime charges a materialization ``nbytes ×
+        present fraction`` instead of ``nbytes``.  It selects no code:
+        the node runner always suppresses — ε-padded values are stored
+        compact (:class:`repro.compiler.rt_fast.Compact`) whatever this
+        field says.
     fuse:
         Inline operators between pipeline breakers into one fragment; off
         = operator-at-a-time (Ocelot-style) execution, for ablations.

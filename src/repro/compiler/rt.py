@@ -74,7 +74,12 @@ class VirtualScatter:
                     # ordering so their stale control values cannot split
                     # destination runs.
                     keep = keep[self.pos_present]
-                self._order = keep[np.argsort(self.positions[keep], kind="stable")]
+                dest = self.positions[keep]
+                if len(dest) and 0 <= dest.min() and dest.max() < self.size:
+                    sort = semantics.stable_order(dest, self.size)
+                else:  # stray positions: no bound to pick a radix width from
+                    sort = np.argsort(dest, kind="stable")
+                self._order = keep[sort]
         return self._order
 
     def group_runs(self, control: np.ndarray | None) -> "kernels.GroupRuns":

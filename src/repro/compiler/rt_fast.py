@@ -9,32 +9,129 @@ for bookkeeping the default execution path never uses.
 This module is the fast path: :mod:`repro.compiler.runner` dispatches
 each operator onto a method here, over :class:`FusedVal` values — bare
 ``{keypath: ndarray}`` dictionaries with shared (never copied) presence
-masks and virtual :class:`RunInfo` attributes that stay symbolic until
-an operator actually needs a buffer.
+masks, virtual :class:`RunInfo` attributes that stay symbolic until an
+operator actually needs a buffer, and *compact* columns that store only
+their present rows.
 No trace events, no per-operator ``StructuredVector`` construction, no
 footprint sampling; folds whose control vectors carry static uniform-run
 metadata dispatch to the direct kernels in
 :mod:`repro.compiler.kernels` instead of the generic run machinery.
 
+Empty-slot suppression (paper section 3.1.2): a selection, the gathers
+through it and every fold produce ε-padded vectors — a few present rows
+in ``n`` slots.  Those are never built.  A :class:`Compact` column holds
+the ``k`` present values, the :class:`Slots` they sit on and the one
+value every ε slot would hold, and the operators below work on the ``k``
+rows; an operator (or operand pairing) without a compact kernel calls
+:meth:`Compact.pad`, which rebuilds exactly the padded arrays.
+
 Bit-identity contract: every output vector equals the interpreter's (and
 the simulated runtime's) output exactly — values, dtypes and ε masks —
-enforced by ``tests/compiler/test_fused.py``.
+enforced by ``tests/compiler/test_fused.py`` and, node by node, by
+``tests/compiler/test_runner.py``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from types import MappingProxyType
 
 import numpy as np
 
 from repro.compiler import kernels
 from repro.compiler.rt import VirtualScatter, _broadcast, _fit_mask, derive_runinfo
-from repro.core.controlvector import RunInfo, constant_run
+from repro.core.controlvector import IDENTITY, RunInfo, constant_run
 from repro.core.keypath import Keypath
 from repro.core.vector import StructuredVector
 from repro.errors import ExecutionError
 from repro.interpreter import semantics
 from repro.interpreter.engine import apply_binary, apply_unary
+
+
+class Slots:
+    """The presence pattern of compact columns: the sorted indices of the
+    ``k`` present rows among ``length`` slots.
+
+    Columns with the same pattern share one instance where they can, and
+    sharing is how operators recognise that two columns line up (see
+    :meth:`same_as`).
+    """
+
+    __slots__ = ("index", "length", "_mask")
+
+    def __init__(self, index: np.ndarray, length: int):
+        self.index = index
+        self.length = length
+        self._mask: np.ndarray | None = None
+
+    def same_as(self, other: "Slots") -> bool:
+        """Do both describe one pattern?  Usually by identity; two folds
+        of one vector build equal slots independently, and comparing
+        ``k`` indices is cheaper than padding to ``length``."""
+        return other is self or (
+            other.length == self.length
+            and len(other.index) == len(self.index)
+            and bool((other.index == self.index).all())
+        )
+
+    def mask(self) -> np.ndarray:
+        """The padded presence mask (built once; shared, never mutated)."""
+        mask = self._mask
+        if mask is None:
+            mask = np.zeros(self.length, dtype=bool)
+            mask[self.index] = True
+            self._mask = mask
+        return mask
+
+
+class Compact:
+    """A column stored without its ε slots.
+
+    ``values[i]`` is the row at slot ``slots.index[i]``; ``fill`` (a
+    length-1 array of the column's dtype) is what every ε slot of the
+    padded column holds — 0 out of a selection, a gather or a fold, and
+    ``fn(fill_a, fill_b)`` after a map.  ε contents are invisible to
+    every operator but ``Partition``, which ranks ε rows by them; a
+    column whose ε slots would not all hold one value is never made
+    compact.
+    """
+
+    __slots__ = ("slots", "values", "fill", "_padded")
+
+    def __init__(self, slots: Slots, values: np.ndarray, fill: np.ndarray):
+        self.slots = slots
+        self.values = values
+        self.fill = fill
+        self._padded: tuple | None = None
+
+    def zero_filled(self) -> bool:
+        """Do the ε slots hold all-zero bytes (``-0.0`` does not count)?"""
+        return not self.fill.tobytes().strip(b"\0")
+
+    def pad(self) -> tuple[np.ndarray, np.ndarray]:
+        """The ``(array, mask)`` an ε-padding kernel would have produced
+        (built once per column, however many values it travels through)."""
+        padded = self._padded
+        if padded is None:
+            n = self.slots.length
+            if self.zero_filled():
+                array = np.zeros(n, dtype=self.values.dtype)
+            else:
+                array = np.full(n, self.fill[0], dtype=self.values.dtype)
+            array[self.slots.index] = self.values
+            padded = self._padded = (array, self.slots.mask())
+        return padded
+
+
+def zero_fill(dtype) -> np.ndarray:
+    """The ε image of a selection, gather or fold result."""
+    return np.zeros(1, dtype=dtype)
+
+
+#: the kinds of column a value does not have: one shared, read-only empty
+#: mapping instead of three fresh dicts per value (a run allocates a value
+#: per node; garbage-collector passes are triggered by allocation counts)
+_NONE = MappingProxyType({})
 
 
 class FusedVal:
@@ -55,44 +152,50 @@ class FusedVal:
     upsert/slice) pass handles through untouched; folds and gathers
     exploit them directly (fold over RLE runs, random access without
     decompressing); everything else extracts, which materializes.
+
+    ``compact`` holds the attributes stored as :class:`Compact` columns;
+    they too pass through the structural operators untouched.
     """
 
-    __slots__ = ("length", "cols", "masks", "virtual", "scatter", "hints", "lazy")
+    __slots__ = ("length", "cols", "masks", "virtual", "scatter", "hints", "lazy",
+                 "compact")
 
-    def __init__(self, length, cols, masks, virtual=None, scatter=None, hints=None,
-                 lazy=None):
+    def __init__(self, length, cols, masks, virtual=_NONE, scatter=None, hints=None,
+                 lazy=_NONE, compact=_NONE):
         self.length = length
         self.cols = cols
         self.masks = masks
-        self.virtual = virtual if virtual is not None else {}
+        self.virtual = virtual
         self.scatter = scatter
         self.hints = hints
-        self.lazy = lazy if lazy is not None else {}
+        self.lazy = lazy
+        self.compact = compact
 
     def paths(self):
-        return tuple(self.cols) + tuple(self.virtual) + tuple(self.lazy)
+        return (tuple(self.cols) + tuple(self.virtual) + tuple(self.lazy)
+                + tuple(self.compact))
+
+    def put(self, path: Keypath, slots: Slots, values: np.ndarray,
+            fill: np.ndarray) -> None:
+        """Store a column given by its present rows: compact — or, when
+        every slot is present, the plain dense column it then is."""
+        if len(values) == slots.length:
+            self.cols[path] = values
+            self.masks[path] = None
+        else:
+            if self.compact is _NONE:
+                self.compact = {}
+            self.compact[path] = Compact(slots, values, fill)
 
     def attr(self, path: Keypath) -> np.ndarray:
-        info = self.virtual.get(path)
-        if info is not None:
-            return info.materialize(self.length)
-        try:
-            return self.cols[path]
-        except KeyError:
-            pass
-        handle = self.lazy.get(path)
-        if handle is not None:
-            array = np.asarray(handle.materialize())
-            self.cols[path] = array
-            del self.lazy[path]
-            return array
-        raise ExecutionError(
-            f"no attribute {path} in fused value with {list(self.paths())}"
-        )
+        return extract(self, path)[0]
 
     def mask(self, path: Keypath) -> np.ndarray | None:
         if path in self.virtual or path in self.lazy:
             return None
+        column = self.compact.get(path)
+        if column is not None:
+            return column.slots.mask()
         return self.masks.get(path)
 
     def runinfo(self, path: Keypath) -> RunInfo | None:
@@ -113,17 +216,109 @@ class FusedVal:
 
 
 def extract(val: FusedVal, path: Keypath) -> tuple[np.ndarray, np.ndarray | None]:
-    """(array, mask) of one attribute; virtuals/lazies materialize on demand."""
+    """(array, mask) of one attribute, full length: virtuals and lazies
+    materialize on demand, compact columns pad."""
     info = val.virtual.get(path)
     if info is not None:
         return info.materialize(val.length), None
     if path in val.cols:
         return val.cols[path], val.masks.get(path)
-    if path in val.lazy:
-        return val.attr(path), None
+    column = val.compact.get(path)
+    if column is not None:
+        return column.pad()
+    handle = val.lazy.get(path)
+    if handle is not None:
+        array = np.asarray(handle.materialize())
+        val.cols[path] = array
+        val.lazy.pop(path, None)  # (two folds of one value may race here)
+        return array, None
     raise ExecutionError(
         f"no attribute {path} in fused value with {list(val.paths())}"
     )
+
+
+def compact_operands(operands):
+    """``(slots, arrays, fills)`` when a map can run over present rows
+    only: every operand is compact on one shared :class:`Slots` or a
+    dense length-1 value (which broadcasts).  None for any other pairing
+    — a full-length dense operand would leave the ε slots of the result
+    holding different values, so that map pads and runs over all slots.
+    """
+    slots = None
+    arrays = []
+    fills = []
+    for val, path in operands:
+        column = val.compact.get(path)
+        if column is not None:
+            if slots is None:
+                slots = column.slots
+            elif not slots.same_as(column.slots):
+                return None
+            arrays.append(column.values)
+            fills.append(column.fill)
+        elif val.length == 1:
+            array, mask = extract(val, path)
+            if mask is not None:
+                return None
+            arrays.append(array)
+            fills.append(array)
+        else:
+            return None
+    if slots is None:
+        return None
+    return slots, arrays, fills
+
+
+def present_rows(val: FusedVal, path: Keypath) -> tuple[np.ndarray, Slots | None]:
+    """A fold's view of its input: ``(values, None)`` for a dense
+    column, else the present values and the slots they sit on."""
+    column = val.compact.get(path)
+    if column is not None:
+        return column.values, column.slots
+    array, mask = extract(val, path)
+    if mask is None:
+        return array, None
+    index = np.flatnonzero(mask)
+    return array[index], Slots(index, val.length)
+
+
+def from_padded(length: int, out: Keypath, array: np.ndarray,
+                present: np.ndarray) -> FusedVal:
+    """The result of an ε-padding reference kernel, stored compact."""
+    index = np.flatnonzero(present)
+    val = FusedVal(length, {}, {})
+    val.put(out, Slots(index, length), array[index], zero_fill(array.dtype))
+    return val
+
+
+def fused_slice(val: FusedVal, lo: int, hi: int) -> FusedVal:
+    """Row range ``[lo, hi)`` of a landed fused value (views, not copies)."""
+    if val.scatter is not None:
+        raise ExecutionError("fused_slice needs a landed value")
+    if lo == 0 and hi == val.length:
+        return val
+    cols = {p: a[lo:hi] for p, a in val.cols.items()}
+    masks = {p: (None if m is None else m[lo:hi]) for p, m in val.masks.items()}
+    lazy = {p: h.slice(lo, hi) for p, h in val.lazy.items()}
+    virtual = {}
+    for path, info in val.virtual.items():
+        if lo == 0:
+            virtual[path] = info
+        else:
+            cols[path] = info.take(np.arange(lo, hi, dtype=np.int64))
+            masks[path] = None
+    out = FusedVal(hi - lo, cols, masks, virtual, lazy=lazy)
+    cuts: dict[int, tuple] = {}  # columns sharing slots keep sharing them
+    for path, column in val.compact.items():
+        cut = cuts.get(id(column.slots))
+        if cut is None:
+            a, b = np.searchsorted(column.slots.index, (lo, hi))
+            cut = cuts[id(column.slots)] = (
+                Slots(column.slots.index[a:b] - lo, hi - lo), a, b
+            )
+        slots, a, b = cut
+        out.put(path, slots, column.values[a:b], column.fill)
+    return out
 
 
 def fused_binary(fn, a, ma, b, mb):
@@ -155,9 +350,9 @@ class FusedRuntime:
     """Execution context for untraced runs: semantics only, zero tracing.
 
     Method names and signatures mirror :class:`repro.compiler.rt.Runtime`.
-    ``kernels`` provides the four uniform-run kernels the native tier
-    replaces (``fold_select_uniform``, ``fold_aggregate_uniform``,
-    ``fold_count_uniform``, ``gather_compacted``): the NumPy ones of
+    ``kernels`` provides the two per-run aggregate kernels the native
+    tier replaces (``fold_aggregate_segments`` over present rows,
+    ``fold_aggregate_uniform`` over a dense column): the NumPy ones of
     :mod:`repro.compiler.kernels` by default, :mod:`repro.native.runner`
     for C with a per-call NumPy fallback.
     """
@@ -189,22 +384,16 @@ class FusedRuntime:
 
     def force(self, val: FusedVal) -> StructuredVector:
         """Materialize into a plain Structured Vector (output boundary)."""
-        if val.scatter is not None:
-            val = self._apply_scatter(val)
-        columns = dict(val.cols)
-        present = dict(val.masks)
-        for path, info in val.virtual.items():
-            columns[path] = info.materialize(val.length)
-            present[path] = None
-        for path, handle in val.lazy.items():
-            columns[path] = np.asarray(handle.materialize())
-            present[path] = None
-        return StructuredVector(val.length, columns, present)
+        val = self.dense(val)
+        return StructuredVector(val.length, val.cols, val.masks)
 
-    def _dense_parts(self, val: FusedVal):
-        """(cols, masks) with virtuals/lazies materialized, scatter applied."""
+    def dense(self, val: FusedVal) -> FusedVal:
+        """*val* as plain full-length columns: a pending scatter landed,
+        virtuals and lazies materialized, compact columns padded."""
         if val.scatter is not None:
             val = self._apply_scatter(val)
+        if not (val.virtual or val.lazy or val.compact):
+            return val
         cols = dict(val.cols)
         masks = dict(val.masks)
         for path, info in val.virtual.items():
@@ -213,18 +402,50 @@ class FusedRuntime:
         for path, handle in val.lazy.items():
             cols[path] = np.asarray(handle.materialize())
             masks[path] = None
-        return cols, masks
+        for path, column in val.compact.items():
+            cols[path], masks[path] = column.pad()
+        return FusedVal(val.length, cols, masks)
 
     def _apply_scatter(self, val: FusedVal) -> FusedVal:
+        """Land a pending scatter: position-directed write, later writes
+        win, unfilled slots ε (``semantics.scatter``) — stored compact on
+        the slots written, never zero-filling the rest."""
         scat = val.scatter
-        cols, masks = self._dense_parts(
-            FusedVal(val.length, val.cols, val.masks, dict(val.virtual),
-                     lazy=dict(val.lazy))
-        )
-        out_cols, out_masks = semantics.scatter(
-            scat.positions, scat.pos_present, scat.size, cols, masks
-        )
-        return FusedVal(scat.size, out_cols, _normalized(out_masks))
+        rows = self.dense(FusedVal(val.length, val.cols, val.masks, val.virtual,
+                                   lazy=val.lazy, compact=val.compact))
+        out = FusedVal(scat.size, {}, {})
+        if not rows.cols:
+            return out
+        n = min(len(scat.positions), rows.length)
+        pos = scat.positions[:n]
+        valid = (pos >= 0) & (pos < scat.size)
+        if scat.pos_present is not None:
+            valid &= scat.pos_present[:n]
+        if valid.all() and n == len(scat.positions):
+            src = scat.fold_order()  # every row lands: the memoized order
+        else:
+            src = np.flatnonzero(valid)
+            src = src[semantics.stable_order(pos[src], scat.size)]
+        dst = pos[src].astype(np.int64, copy=False)
+        if len(dst) > 1:
+            last = np.append(dst[1:] != dst[:-1], True)  # of each slot's writers
+            if not last.all():
+                src, dst = src[last], dst[last]
+        slots = Slots(dst, scat.size)
+        for path, col in rows.cols.items():
+            mask = rows.masks.get(path)
+            written = None if mask is None else mask[src]
+            if written is None or written.all():
+                out.put(path, slots, col[src], zero_fill(col.dtype))
+            else:
+                # an ε row landed: its slot keeps what the row held — two
+                # ε images (that and 0) in one column, so pad as written
+                array = np.zeros(scat.size, dtype=col.dtype)
+                array[dst] = col[src]
+                present = np.zeros(scat.size, dtype=bool)
+                present[dst] = written
+                out.cols[path], out.masks[path] = array, present
+        return out
 
     # -- shape --------------------------------------------------------------
 
@@ -255,6 +476,12 @@ class FusedRuntime:
             derived = derive_runinfo(fn, info, int(rscalar))
             if derived is not None:
                 return FusedVal(left.length, {}, {}, {out: derived})
+        # present rows only: the ε slots all hold fn(fill, fill)
+        operands = compact_operands(((left, kp1), (right, kp2)))
+        if operands is not None:
+            slots, (a, b), (fa, fb) = operands
+            column = Compact(slots, apply_binary(fn, a, b), apply_binary(fn, fa, fb))
+            return FusedVal(slots.length, {}, {}, compact={out: column})
         # segment-wise fast path: an RLE-backed lazy column against a
         # length-1 operand evaluates per *run* and expands the results —
         # bit-identical (elementwise kernels) without ever materializing
@@ -279,6 +506,17 @@ class FusedRuntime:
 
     def unary(self, fn: str, out: Keypath, source: FusedVal, kp: Keypath,
               dtype: str | None) -> FusedVal:
+        column = source.compact.get(kp)
+        if column is not None and fn == "IsPresent":
+            # ε-ness reified as a dense boolean: the mask, not the column
+            return FusedVal(source.length, {out: column.slots.mask().copy()}, {out: None})
+        if column is not None:
+            mapped = Compact(
+                column.slots,
+                fused_unary(fn, column.values, None, dtype)[0],
+                fused_unary(fn, column.fill, None, dtype)[0],
+            )
+            return FusedVal(source.length, {}, {}, compact={out: mapped})
         a, mask = extract(source, kp)
         result, mask = fused_unary(fn, a, mask, dtype)
         return FusedVal(len(result), {out: result}, {out: mask})
@@ -290,155 +528,211 @@ class FusedRuntime:
         lv = self._side(left, kp1, out1)
         rv = self._side(right, kp2, out2)
         n = min(lv.length, rv.length)
-        cols: dict[Keypath, np.ndarray] = {}
-        masks: dict[Keypath, np.ndarray | None] = {}
-        virtual: dict[Keypath, RunInfo] = {}
-        lazy: dict[Keypath, object] = {}
+        merged = FusedVal(n, {}, {}, {}, lazy={}, compact={})
         for side in (lv, rv):
-            for path, array in side.cols.items():
-                if path in cols:
-                    raise ExecutionError(f"Zip would duplicate attribute {path}")
-                cols[path] = array if len(array) == n else array[:n]
-                m = side.masks.get(path)
-                masks[path] = m if (m is None or len(m) == n) else m[:n]
-            for path, handle in side.lazy.items():
-                if path in cols or path in lazy:
-                    raise ExecutionError(f"Zip would duplicate attribute {path}")
-                lazy[path] = handle if len(handle) == n else handle.slice(0, n)
-            virtual.update(side.virtual)
-        return FusedVal(n, cols, masks, virtual, lazy=lazy)
+            if side.length != n:
+                side = fused_slice(side, 0, n)
+            for kind in (side.cols, side.lazy, side.compact):
+                for path in kind:
+                    if path in merged.cols or path in merged.lazy or path in merged.compact:
+                        raise ExecutionError(f"Zip would duplicate attribute {path}")
+            merged.cols.update(side.cols)
+            merged.masks.update(side.masks)
+            merged.lazy.update(side.lazy)
+            merged.compact.update(side.compact)
+            merged.virtual.update(side.virtual)
+        return merged
 
     def _side(self, val: FusedVal, kp: Keypath | None, out: Keypath | None) -> FusedVal:
         if kp is None:
             return val
-        virtual: dict[Keypath, RunInfo] = {}
-        for path, info in val.virtual.items():
-            if path == kp:
-                virtual[out] = info
-            elif path.startswith(kp):
-                virtual[path.rebase(kp, out)] = info
-        cols: dict[Keypath, np.ndarray] = {}
-        masks: dict[Keypath, np.ndarray | None] = {}
-        lazy: dict[Keypath, object] = {}
-        for path, array in val.cols.items():
-            if path == kp:
-                new = out
-            elif path.startswith(kp):
-                new = path.rebase(kp, out)
-            else:
-                continue
-            cols[new] = array
-            masks[new] = val.masks.get(path)
-        for path, handle in val.lazy.items():
-            if path == kp:
-                lazy[out] = handle
-            elif path.startswith(kp):
-                lazy[path.rebase(kp, out)] = handle
-        if not cols and not virtual and not lazy:
+
+        def renamed(kind: dict) -> dict:
+            return {
+                (out if path == kp else path.rebase(kp, out)): column
+                for path, column in kind.items()
+                if path == kp or path.startswith(kp)
+            }
+
+        side = FusedVal(val.length, renamed(val.cols), renamed(val.masks),
+                        renamed(val.virtual), lazy=renamed(val.lazy),
+                        compact=renamed(val.compact))
+        if not side.paths():
             raise ExecutionError(f"Zip/Project: keypath {kp} not found")
-        return FusedVal(val.length, cols, masks, virtual, lazy=lazy)
+        return side
 
     def project(self, out: Keypath, source: FusedVal, kp: Keypath) -> FusedVal:
         return self._side(source, kp, out)
 
     def upsert(self, target: FusedVal, out: Keypath, value: FusedVal, kp: Keypath) -> FusedVal:
+        if target.scatter is not None:
+            target = self._apply_scatter(target)
+        n = target.length
+
+        def others(kind):
+            return {path: column for path, column in kind.items() if path != out}
+
+        result = FusedVal(n, others(target.cols), others(target.masks),
+                          target.virtual and others(target.virtual),
+                          lazy=target.lazy and others(target.lazy),
+                          compact=target.compact and others(target.compact))
         info = value.runinfo(kp)
-        if info is not None and value.length >= target.length:
-            virtual = dict(target.virtual)
-            virtual[out] = info
-            cols = {p: a for p, a in target.cols.items() if p != out}
-            masks = {p: m for p, m in target.masks.items() if p != out}
-            lazy = {p: h for p, h in target.lazy.items() if p != out}
-            return FusedVal(target.length, cols, masks, virtual, lazy=lazy)
+        if info is not None and value.length >= n:
+            result.virtual = {**result.virtual, out: info}
+            return result
+        column = value.compact.get(kp)
+        if column is not None and value.length == n:
+            result.compact = {**result.compact, out: column}
+            return result
         handle = value.lazy.get(kp) if value.scatter is None else None
-        if (
-            handle is not None
-            and target.scatter is None
-            and value.length >= target.length
-            and (value.length == target.length or target.length > 1)
-        ):
+        if handle is not None and value.length >= n and (value.length == n or n > 1):
             # renaming a storage column: alias the segment handle under
             # the new path instead of decoding it
-            n = target.length
-            cols = {p: a for p, a in target.cols.items() if p != out}
-            masks = {p: m for p, m in target.masks.items() if p != out}
-            for path, info in target.virtual.items():
-                cols[path] = info.materialize(n)
-                masks[path] = None
-            lazy = {p: h for p, h in target.lazy.items() if p != out}
-            lazy[out] = handle if len(handle) == n else handle.slice(0, n)
-            return FusedVal(n, cols, masks, lazy=lazy)
+            result.lazy = {**result.lazy, out: handle if len(handle) == n else handle.slice(0, n)}
+            return result
         array, mask = extract(value, kp)
-        n = target.length
         if len(array) == 1 and n != 1:
             array = np.broadcast_to(array, (n,)).copy()
             mask = None
         elif len(array) < n:
             raise ExecutionError(f"Upsert: value length {len(array)} < target {n}")
-        if target.scatter is None:
-            # no pending scatter: untouched lazy columns stay lazy
-            cols = dict(target.cols)
-            masks = dict(target.masks)
-            for path, info in target.virtual.items():
-                cols[path] = info.materialize(n)
-                masks[path] = None
-            lazy = {p: h for p, h in target.lazy.items() if p != out}
-        else:
-            cols, masks = self._dense_parts(target)
-            lazy = {}
-        cols[out] = array[:n]
-        masks[out] = None if mask is None else mask[:n]
-        return FusedVal(n, cols, masks, lazy=lazy)
+        result.cols[out] = array[:n]
+        result.masks[out] = None if mask is None else mask[:n]
+        return result
 
     def gather(self, source: FusedVal, positions: FusedVal, pos_kp: Keypath) -> FusedVal:
         if source.scatter is not None:
             # land the scatter first so bounds checks see the real length
             # (mirrors Runtime.gather's force())
             source = self._apply_scatter(source)
+        info = positions.runinfo(pos_kp)
+        if info is not None and info.step == 1 and info.cap is None:
+            lo, hi = info.start, info.start + positions.length
+            if 0 <= lo and hi <= source.length:
+                # consecutive rows (a selection that kept everything):
+                # the source itself, as views
+                return fused_slice(source, lo, hi)
+        column = positions.compact.get(pos_kp)
+        if column is not None:
+            gathered = self._gather_present(source, column)
+            if gathered is not None:
+                return gathered
         pos, pos_mask = extract(positions, pos_kp)
-        cols = dict(source.cols)
-        masks = dict(source.masks)
-        for path, info in source.virtual.items():
-            cols[path] = info.materialize(source.length)
-            masks[path] = None
-        # compaction pays when positions are mostly ε (its premise); at
-        # high hit density the direct gather's streaming access wins —
-        # both kernels are bit-identical, this is purely a cost choice
-        compacted = pos_mask is not None and np.count_nonzero(pos_mask) * 2 < len(pos)
-        if compacted:
-            out_cols, out_masks = self.kernels.gather_compacted(
-                pos, pos_mask, source.length, cols, masks
-            )
-        else:
-            out_cols, out_masks = semantics.gather(
-                pos, pos_mask, source.length, cols, masks
-            )
-        if source.lazy:
+        rows = self.dense(FusedVal(source.length, source.cols, source.masks,
+                                   source.virtual, compact=source.compact))
+        out_cols, out_masks = semantics.gather(
+            pos, pos_mask, source.length, rows.cols, rows.masks
+        )
+        if source.lazy:  # random access through the handles, never a decode
             lazy_cols, lazy_masks = _gather_lazy(
-                source.lazy, pos, pos_mask, source.length, compacted
+                source.lazy, pos, pos_mask, source.length
             )
             out_cols.update(lazy_cols)
             out_masks.update(lazy_masks)
         return FusedVal(len(pos), out_cols, _normalized(out_masks))
 
+    def _gather_present(self, source: FusedVal, positions: Compact) -> FusedVal | None:
+        """Gather through compact positions: resolve the ``k`` present
+        ones, leave the ε ones ε.  The result sits on the positions' own
+        slots, minus those whose position is out of bounds or lands on an
+        ε slot of the source column.  None when a result column's ε slots
+        would not all hold 0 (see below); the caller then pads.
+        """
+        slots = positions.slots
+        pos = positions.values.astype(np.int64, copy=False)
+        if len(pos) and (pos.min() < 0 or pos.max() >= source.length):
+            keep = np.flatnonzero((pos >= 0) & (pos < source.length))
+            pos = pos[keep]
+            slots = Slots(slots.index[keep], slots.length)
+        out = FusedVal(slots.length, {}, {})
+        #: per source slots: which positions hit a present row — columns
+        #: that shared a pattern in the source share one in the result,
+        #: so maps over them stay compact
+        hits: dict[int, tuple] = {}
+        for mask in {id(m): m for m in source.masks.values() if m is not None}.values():
+            if not mask[pos].all():
+                # a position on an ε source row copies whatever that row
+                # holds, an invalid one yields 0: no single ε image
+                return None
+        for path, col in source.cols.items():
+            out.put(path, slots, col[pos], zero_fill(col.dtype))
+        for path, info in source.virtual.items():
+            out.put(path, slots, info.take(pos), zero_fill(np.int64))
+        for path, handle in source.lazy.items():
+            out.put(path, slots, np.asarray(handle.take(pos)), zero_fill(handle.dtype))
+        for path, col in source.compact.items():
+            hit = hits.get(id(col.slots))
+            if hit is None:
+                at = np.searchsorted(col.slots.index, pos)
+                np.minimum(at, len(col.slots.index) - 1, out=at)
+                ok = (col.slots.index[at] == pos) if len(col.slots.index) else (
+                    np.zeros(len(pos), dtype=bool))
+                hit = hits[id(col.slots)] = (
+                    (slots, at, True) if ok.all()
+                    else (Slots(slots.index[ok], slots.length), at[ok], False)
+                )
+            where, at, all_hit = hit
+            if not all_hit and not col.zero_filled():
+                # a position on an ε source slot copies the source's fill,
+                # an invalid one yields 0: two ε images in one column
+                return None
+            out.put(path, where, col.values[at], zero_fill(col.values.dtype))
+        return out
+
     def scatter(self, data: FusedVal, positions: FusedVal, pos_kp: Keypath,
                 size: int, keep_virtual: bool) -> FusedVal:
-        pos, pos_mask = extract(positions, pos_kp)
-        n = min(data.length, len(pos))
-        order_hint = None
-        if positions.hints is not None and n == len(pos):
-            order_hint = positions.hints.get(("fold_order", pos_kp))
-        scat = VirtualScatter(
-            positions=pos[:n],
-            pos_present=None if pos_mask is None else pos_mask[:n],
-            size=size,
-            order_hint=order_hint,
-        )
-        val = FusedVal(data.length, data.cols, data.masks, dict(data.virtual), scat,
-                       lazy=dict(data.lazy))
+        # the stable destination order, when the positions' producer
+        # (a Partition) already sorted by it: covers every position
+        order_hint = (positions.hints or {}).get(("fold_order", pos_kp))
+        column = positions.compact.get(pos_kp)
+        if column is not None and data.length >= positions.length:
+            # ε positions land nowhere: scatter the present rows only
+            # (rows of *data* past the last position land nowhere either)
+            rows = self._rows_at(data, column.slots)
+            scat = VirtualScatter(
+                positions=column.values, pos_present=None, size=size,
+                order_hint=order_hint,
+            )
+            val = FusedVal(rows.length, rows.cols, rows.masks, scatter=scat)
+        else:
+            pos, pos_mask = extract(positions, pos_kp)
+            n = min(data.length, len(pos))
+            scat = VirtualScatter(
+                positions=pos[:n],
+                pos_present=None if pos_mask is None else pos_mask[:n],
+                size=size,
+                # a hint orders the positions as their producer stored
+                # them: all of them, and not the k of a compact column
+                order_hint=order_hint if column is None and n == len(pos) else None,
+            )
+            val = FusedVal(data.length, data.cols, data.masks, dict(data.virtual), scat,
+                           lazy=dict(data.lazy), compact=dict(data.compact))
         if keep_virtual and self.virtual_scatter_enabled:
             return val
         return self._apply_scatter(val)
+
+    def _rows_at(self, val: FusedVal, slots: Slots) -> FusedVal:
+        """The rows of *val* at *slots*, as a dense value of ``k`` rows."""
+        index = slots.index
+        cols = {}
+        masks = {}
+        for path, col in val.cols.items():
+            cols[path] = col[index]
+            mask = val.masks.get(path)
+            masks[path] = None if mask is None else mask[index]
+        for path, info in val.virtual.items():
+            cols[path] = info.take(index)
+            masks[path] = None
+        for path, handle in val.lazy.items():
+            cols[path] = np.asarray(handle.take(index))
+            masks[path] = None
+        for path, column in val.compact.items():
+            if slots.same_as(column.slots):
+                cols[path], masks[path] = column.values, None
+            else:
+                array, mask = column.pad()
+                cols[path], masks[path] = array[index], mask[index]
+        return FusedVal(len(index), cols, _normalized(masks))
 
     def materialize(self, source: FusedVal, chunk: int | None) -> FusedVal:
         # X100-style chunking only affects the cost model; semantically
@@ -453,9 +747,21 @@ class FusedRuntime:
         return source
 
     def partition(self, out: Keypath, source: FusedVal, kp: Keypath,
-                  pivots: FusedVal, pivot_kp: Keypath) -> FusedVal:
-        values, mask = extract(source, kp)
+                  pivots: FusedVal, pivot_kp: Keypath,
+                  scatter_only: bool = False) -> FusedVal:
+        """``scatter_only``: every consumer is a Scatter reading *out* as
+        its positions, so the positions of ε rows are never observed and
+        a compact key yields compact positions."""
         piv, _ = extract(pivots, pivot_kp)
+        column = source.compact.get(kp) if scatter_only else None
+        if column is not None:
+            positions, order = kernels.partition_positions_slots(
+                column.values, column.slots.index, source.length, column.fill, piv
+            )
+            placed = Compact(column.slots, positions, zero_fill(np.int64))
+            return FusedVal(source.length, {}, {}, compact={out: placed},
+                            hints={("fold_order", out): order})
+        values, mask = extract(source, kp)
         positions, out_present, order = semantics.partition_positions(
             values, mask, piv, with_order=True
         )
@@ -469,83 +775,91 @@ class FusedRuntime:
 
     # -- folds --------------------------------------------------------------
 
-    def _control_arrays(self, val: FusedVal, fold_kp: Keypath | None, n: int):
-        """(control, control_present, static_run_length) — mirrors
-        :meth:`Runtime._control_arrays` without the read accounting."""
+    @staticmethod
+    def _run_length(val: FusedVal, fold_kp: Keypath | None, n: int) -> int | None:
+        """The fold's static run structure: 0 — one run spans the vector;
+        ``L`` — uniform runs of ``L`` (the last may be ragged); None —
+        the runs depend on the control column's data."""
         if fold_kp is None:
-            return None, None, 0
+            return 0
         info = val.runinfo(fold_kp)
-        if info is not None:
-            rl = info.run_length(n)
-            if rl >= n:
-                return None, None, 0
-            if (n % rl) == 0 or rl == 1:
-                return None, None, rl
-            return info.materialize(n), None, None
-        return val.attr(fold_kp), val.mask(fold_kp), None
+        if info is None:
+            return None
+        rl = info.run_length(n)
+        return 0 if rl >= n else rl
 
     def fold_select(self, out: Keypath, val: FusedVal, sel_kp: Keypath,
                     fold_kp: Keypath | None) -> FusedVal:
         if val.scatter is not None:
             val = self._apply_scatter(val)
         n = val.length
-        control, cmask, static_rl = self._control_arrays(val, fold_kp, n)
-        sel, sel_mask = extract(val, sel_kp)
-        if control is None:
-            values, present = self.kernels.fold_select_uniform(
-                sel, sel_mask, static_rl or 0, n
+        run_length = self._run_length(val, fold_kp, n)
+        if run_length is None:
+            sel, sel_mask = extract(val, sel_kp)
+            values, present = semantics.fold_select(
+                val.attr(fold_kp), sel, sel_mask, val.mask(fold_kp)
             )
+            return from_padded(n, out, values, present)
+        column = val.compact.get(sel_kp)
+        if column is not None:  # ε slots never qualify
+            chosen = column.values
+            hits = column.slots.index[chosen if chosen.dtype.kind == "b" else chosen != 0]
+            slots = kernels.select_slots(hits, run_length, n)
         else:
-            values, present = semantics.fold_select(control, sel, sel_mask, cmask)
-        return FusedVal(n, {out: values}, {out: present})
+            sel, sel_mask = extract(val, sel_kp)
+            hits, slots = kernels.fold_select_uniform(sel, sel_mask, run_length, n)
+        if len(hits) == n:  # every row kept: the identity, symbolically
+            return FusedVal(n, {}, {}, {out: IDENTITY})
+        return FusedVal(n, {}, {}, compact={
+            out: Compact(Slots(slots, n), hits, zero_fill(np.int64))
+        })
 
     def fold_aggregate(self, fn: str, out: Keypath, val: FusedVal, agg_kp: Keypath,
                        fold_kp: Keypath | None) -> FusedVal:
         if val.scatter is not None:
             return self._fold_scattered(fn, out, val, agg_kp, fold_kp)
         n = val.length
-        control, cmask, static_rl = self._control_arrays(val, fold_kp, n)
-        # single-run fold over a storage column: fold directly over the
-        # segments (RLE runs fold without decompressing; see
-        # ColumnData.fold for the bit-identity eligibility rules)
-        if control is None and not static_rl and n > 0:
-            handle = val.lazy.get(agg_kp)
-            if handle is not None:
-                folded = handle.fold(fn)
-                if folded is not None:
-                    result = np.zeros(n, dtype=folded.dtype)
-                    result[0] = folded
-                    present = np.zeros(n, dtype=bool)
-                    present[0] = True
-                    return FusedVal(n, {out: result}, {out: present})
-        # grained (uniform-run) integer sum over a storage column: the
-        # per-run partials come from RLE prefix sums without decoding.
-        # A virtual control materialized only because its final run is
-        # ragged still proves the run structure — reuse its run length.
-        rl = static_rl if control is None else None
-        if rl is None and control is not None and fold_kp is not None:
-            info = val.runinfo(fold_kp)
-            if info is not None:
-                rl = info.run_length(n)
-        if rl and n > 0:
-            handle = val.lazy.get(agg_kp)
-            if handle is not None:
-                per_run = handle.fold_grained(fn, rl)
-                if per_run is not None:
-                    starts = np.arange(len(per_run), dtype=np.int64) * rl
-                    result = np.zeros(n, dtype=per_run.dtype)
-                    result[starts] = per_run
-                    present = np.zeros(n, dtype=bool)
-                    present[starts] = True
-                    return FusedVal(n, {out: result}, {out: present})
-        values, mask = extract(val, agg_kp)
-        if control is None:
-            result, present = self.kernels.fold_aggregate_uniform(
-                fn, values, mask, static_rl or 0, n
-            )
+        run_length = self._run_length(val, fold_kp, n)
+        result = FusedVal(n, {}, {})
+        if run_length is None:
+            column, control = val.compact.get(agg_kp), val.compact.get(fold_kp)
+            if column is None or control is None or not control.slots.same_as(column.slots):
+                values, mask = extract(val, agg_kp)
+                folded, present = semantics.fold_aggregate(
+                    fn, val.attr(fold_kp), values, mask, val.mask(fold_kp)
+                )
+                return from_padded(n, out, folded, present)
+            starts, at = kernels.control_segments(control.values, column.slots.index)
+            per_run = self.kernels.fold_aggregate_segments(fn, column.values, starts)
         else:
-            result, present = semantics.fold_aggregate(fn, control, values, mask, cmask)
-        return FusedVal(n, {out: result}, {out: present})
+            # a fold over a storage column folds directly over the
+            # segments (RLE runs fold without decompressing; see
+            # ColumnData.fold / fold_grained for the eligibility rules)
+            handle = val.lazy.get(agg_kp)
+            per_run = None
+            if handle is not None and n > 0:
+                if run_length:
+                    per_run = handle.fold_grained(fn, run_length)
+                else:
+                    folded = handle.fold(fn)
+                    per_run = None if folded is None else folded.reshape(1)
+            if per_run is not None:
+                at = np.arange(len(per_run), dtype=np.int64) * run_length
+            else:
+                values, slots = present_rows(val, agg_kp)
+                if slots is not None:
+                    starts, at = kernels.run_segments(slots.index, run_length)
+                    per_run = self.kernels.fold_aggregate_segments(fn, values, starts)
+                elif n == 0:
+                    at = np.zeros(0, dtype=np.int64)
+                    per_run = kernels.fold_aggregate_segments(fn, values, at)
+                else:
+                    per_run = self.kernels.fold_aggregate_uniform(
+                        fn, values, run_length, n
+                    )
+                    at = np.arange(len(per_run), dtype=np.int64) * run_length
+        result.put(out, Slots(at, n), per_run, zero_fill(per_run.dtype))
+        return result
 
     def _scattered_control(self, val: FusedVal, fold_kp: Keypath | None):
         """The fold-control array of a scattered value.
@@ -568,30 +882,65 @@ class FusedRuntime:
             val.hints[("control", fold_kp)] = control
         return control
 
+    def _scattered_result(self, out: Keypath, val: FusedVal, fold_kp, runs,
+                          per_run: np.ndarray, nonempty: np.ndarray) -> FusedVal:
+        """One value per destination run, on the run's first slot."""
+        size = val.scatter.size
+        at = runs.dest_slots
+        if len(at) > 1 and not (at[1:] > at[:-1]).all():
+            # overlapping destinations (later writes win): not a slot set
+            folded = np.zeros(size, dtype=per_run.dtype)
+            present = np.zeros(size, dtype=bool)
+            folded[at] = per_run
+            present[at] = nonempty
+            return from_padded(size, out, folded, present)
+        result = FusedVal(size, {}, {})
+        if nonempty.all():
+            # every aggregate of a grouped query lands on the same slots:
+            # share them, so the arithmetic after the folds stays compact
+            if val.hints is None:
+                val.hints = {}
+            slots = val.hints.get(("result_slots", fold_kp))
+            if slots is None or slots.index is not at:
+                slots = val.hints[("result_slots", fold_kp)] = Slots(at, size)
+        else:
+            slots = Slots(at[nonempty], size)
+            per_run = per_run[nonempty]
+        result.put(out, slots, per_run, zero_fill(per_run.dtype))
+        return result
+
     def _fold_scattered(self, fn: str, out: Keypath, val: FusedVal,
                         agg_kp: Keypath, fold_kp: Keypath | None) -> FusedVal:
         scat = val.scatter
         control = self._scattered_control(val, fold_kp)
+        runs = scat.group_runs(control)
+        order = scat.fold_order()
         values, mask = extract(val, agg_kp)
-        result, present, _ = kernels.scattered_fold_aggregate(
-            fn, scat.positions, scat.size, control, values, mask,
-            order=scat.fold_order(), runs=scat.group_runs(control),
-        )
-        return FusedVal(scat.size, {out: result}, {out: present})
+        n = len(scat.positions)
+        if mask is None:
+            per_run = self.kernels.fold_aggregate_segments(
+                fn, values[:n][order], runs.starts, runs.rids
+            )
+            nonempty = np.ones(runs.n_runs, dtype=bool)
+        else:
+            per_run, nonempty = kernels.grouped_fold_aggregate(
+                fn, runs, values[:n][order], mask[:n][order]
+            )
+        return self._scattered_result(out, val, fold_kp, runs, per_run, nonempty)
 
     def fold_scan(self, out: Keypath, val: FusedVal, s_kp: Keypath,
                   fold_kp: Keypath | None, inclusive: bool) -> FusedVal:
         if val.scatter is not None:
             val = self._apply_scatter(val)
         n = val.length
-        control, cmask, static_rl = self._control_arrays(val, fold_kp, n)
-        values, mask = extract(val, s_kp)
-        if control is None:
-            result, _ = kernels.fold_scan_uniform(
-                values, mask, static_rl or 0, n, inclusive
+        run_length = self._run_length(val, fold_kp, n)
+        values, mask = extract(val, s_kp)  # the result is dense: pad
+        if run_length is None:
+            result, _ = semantics.fold_scan(
+                val.attr(fold_kp), values, mask, inclusive, val.mask(fold_kp)
             )
         else:
-            result, _ = semantics.fold_scan(control, values, mask, inclusive, cmask)
+            result, _ = kernels.fold_scan_uniform(values, mask, run_length, n, inclusive)
         return FusedVal(n, {out: result}, {out: None})
 
     def fold_count(self, out: Keypath, val: FusedVal, counted_kp: Keypath | None,
@@ -611,21 +960,27 @@ class FusedRuntime:
                 else counted_mask[: len(scat.positions)][order]
             )
             per_run, nonempty = kernels.grouped_fold_count(runs, len(order), ordered_mask)
-            result = np.zeros(scat.size, dtype=np.int64)
-            present = np.zeros(scat.size, dtype=bool)
-            result[runs.dest_slots] = per_run
-            present[runs.dest_slots] = nonempty
-            return FusedVal(scat.size, {out: result}, {out: present})
+            return self._scattered_result(out, val, fold_kp, runs, per_run, nonempty)
         n = val.length
-        control, cmask, static_rl = self._control_arrays(val, fold_kp, n)
-        counted_mask = None if kp is None else val.mask(kp)
-        if control is None:
-            result, present = self.kernels.fold_count_uniform(
-                counted_mask, static_rl or 0, n
-            )
-        else:
-            result, present = semantics.fold_count(control, n, counted_mask, cmask)
-        return FusedVal(n, {out: result}, {out: present})
+        run_length = self._run_length(val, fold_kp, n)
+        slots = None if kp is None else _presence(val, kp)
+        if run_length is None:
+            control = val.compact.get(fold_kp)
+            if slots is None or control is None or not control.slots.same_as(slots):
+                counts, present = semantics.fold_count(
+                    val.attr(fold_kp), n, None if kp is None else val.mask(kp),
+                    val.mask(fold_kp),
+                )
+                return from_padded(n, out, counts, present)
+            starts, at = kernels.control_segments(control.values, slots.index)
+        elif slots is not None:
+            starts, at = kernels.run_segments(slots.index, run_length)
+        else:  # dense: every run counts its own length
+            starts = at = np.arange(0, n, run_length or max(n, 1), dtype=np.int64)
+        counts = np.diff(starts, append=n if slots is None else len(slots.index))
+        result = FusedVal(n, {}, {})
+        result.put(out, Slots(at, n), counts, zero_fill(np.int64))
+        return result
 
 
 # ------------------------------------------------------------------ helpers
@@ -636,33 +991,27 @@ def _single_path(val: FusedVal):
     return paths[0] if len(paths) == 1 else None
 
 
-def _gather_lazy(lazy, pos, pos_mask, source_len, compacted):
+def _presence(val: FusedVal, path: Keypath) -> Slots | None:
+    """Where *path* is present: None — everywhere."""
+    column = val.compact.get(path)
+    if column is not None:
+        return column.slots
+    mask = val.mask(path)
+    if mask is None:
+        return None
+    return Slots(np.flatnonzero(mask), val.length)
+
+
+def _gather_lazy(lazy, pos, pos_mask, source_len):
     """Gather lazy columns by random access through their segment handles.
 
-    Mirrors :func:`repro.interpreter.semantics.gather` (dense branch) and
-    :func:`repro.compiler.kernels.gather_compacted` exactly for a dense
+    Mirrors :func:`repro.interpreter.semantics.gather` exactly for a dense
     (mask-free) source column — same ε-zero-fill, same output masks —
     but resolves positions via ``handle.take``: binary search into RLE
     runs / fancy-indexed FoR deltas, never a full decode.
     """
     out_cols: dict = {}
     out_masks: dict = {}
-    n = len(pos)
-    if compacted:
-        idx = np.flatnonzero(pos_mask)
-        taken_pos = pos[idx]
-        in_bounds = (taken_pos >= 0) & (taken_pos < source_len)
-        if not in_bounds.all():
-            idx = idx[in_bounds]
-            taken_pos = taken_pos[in_bounds]
-        valid = np.zeros(n, dtype=bool)
-        valid[idx] = True
-        for path, handle in lazy.items():
-            taken = np.zeros(n, dtype=handle.dtype)
-            taken[idx] = handle.take(taken_pos)
-            out_cols[path] = taken
-            out_masks[path] = valid
-        return out_cols, out_masks
     valid = (pos >= 0) & (pos < source_len)
     if pos_mask is not None:
         valid &= pos_mask

@@ -3,8 +3,9 @@
 A :class:`ProgramRunner` dispatches each operator of a
 :class:`~repro.core.program.Program` onto the wall-clock runtime
 (:class:`~repro.compiler.rt_fast.FusedRuntime`: raw arrays, shared
-masks, symbolic control vectors, direct fold kernels).  Two entry points
-cover every untraced execution in the repo:
+masks, symbolic control vectors, ε-padded values stored compact, direct
+fold kernels).  Two entry points cover every untraced execution in the
+repo:
 
 * :func:`run_program` evaluates a whole program over full vectors —
   ``CompiledProgram.run(collect_trace=False)`` and every sequential run
@@ -21,9 +22,10 @@ cover every untraced execution in the repo:
   partitioned data verifies at runtime that positions stay inside the
   chunk (raising :class:`ChunkCrossing` otherwise).
 
-``native=True`` swaps the kernels, not the runner: the runtime's four
-uniform-run kernels come from :mod:`repro.native.runner`, and planned
-map chains are intercepted at their head and computed by one C kernel.
+``native=True`` swaps the kernels, not the runner: the runtime's dense
+uniform-run sums come from :mod:`repro.native.runner`, and planned map
+chains are intercepted at their head and computed by one C kernel — over
+the present rows when their inputs are compact.
 
 Chunk inputs are *views*: the driving vector's columns and presence
 masks are sliced, never copied, before crossing the chunk boundary —
@@ -40,13 +42,11 @@ from typing import Mapping
 
 import numpy as np
 
-from repro.compiler import kernels
-from repro.compiler.rt_fast import FusedRuntime, FusedVal, _normalized, extract
+from repro.compiler.rt_fast import Compact, FusedRuntime, FusedVal, extract
 from repro.core import ops
 from repro.core.program import Program
 from repro.core.vector import StructuredVector
 from repro.errors import ExecutionError
-from repro.interpreter import semantics
 from repro.interpreter.engine import _walk_op_classes
 
 
@@ -81,35 +81,43 @@ def to_fused(vector: StructuredVector, lo: int = 0, hi: int | None = None) -> Fu
     return FusedVal(hi - lo, cols, masks, lazy=lazy)
 
 
-def fused_slice(val: FusedVal, lo: int, hi: int) -> FusedVal:
-    """Row range ``[lo, hi)`` of a fused value (views, not copies)."""
-    if val.scatter is not None or val.virtual:
-        raise ExecutionError("fused_slice needs a landed, concrete value")
-    cols = {p: a[lo:hi] for p, a in val.cols.items()}
-    masks = {p: (None if m is None else m[lo:hi]) for p, m in val.masks.items()}
-    lazy = {p: h.slice(lo, hi) for p, h in val.lazy.items()}
-    return FusedVal(hi - lo, cols, masks, lazy=lazy)
+def _consumer_sets(program: Program) -> tuple[frozenset, frozenset]:
+    """Two per-program node sets, memoized on the program so a warm run
+    never walks it:
 
-
-def _virtual_scatters(program: Program) -> frozenset:
-    """Ids of the scatters that stay virtual: every consumer is a fold
-    and the scatter is not a program output (the fragment planner's
-    rule).  Memoized on the program, so a warm run never walks it."""
-    keep = program.memo.get("virtual_scatters")
-    if keep is None:
+    * the scatters that stay virtual — every consumer is a fold and the
+      scatter is not a program output (the fragment planner's rule);
+    * the partitions whose positions only ever drive a ``Scatter`` — the
+      positions of ε rows are then never observed, so a compact key may
+      yield compact positions.
+    """
+    sets = program.memo.get("consumer_sets")
+    if sets is None:
         consumers: dict[int, list[ops.Op]] = {}
         for node in program.order:
             for child in node.inputs():
                 consumers.setdefault(id(child), []).append(node)
         out_ids = {id(out) for out in program.outputs.values()}
-        keep = program.memo.setdefault("virtual_scatters", frozenset(
-            id(node) for node in program.order
-            if isinstance(node, ops.Scatter)
-            and id(node) not in out_ids
-            and consumers.get(id(node))
-            and all(isinstance(c, ops.FoldOp) for c in consumers[id(node)])
+
+        def only(node: ops.Op, accepts) -> bool:
+            users = consumers.get(id(node))
+            return id(node) not in out_ids and bool(users) and all(map(accepts, users))
+
+        sets = program.memo.setdefault("consumer_sets", (
+            frozenset(
+                id(node) for node in program.order
+                if isinstance(node, ops.Scatter)
+                and only(node, lambda user: isinstance(user, ops.FoldOp))
+            ),
+            frozenset(
+                id(node) for node in program.order
+                if isinstance(node, ops.Partition)
+                and only(node, lambda user, node=node: isinstance(user, ops.Scatter)
+                         and user.positions is node and user.data is not node
+                         and user.sizeref is not node)
+            ),
         ))
-    return keep
+    return sets
 
 
 class ProgramRunner:
@@ -135,9 +143,8 @@ class ProgramRunner:
         self.virtual_scatter = virtual_scatter
         if storage is None:
             storage = {}
-        self._keep_virtual = (
-            _virtual_scatters(program) if virtual_scatter else frozenset()
-        )
+        keep_virtual, self._scatter_only = _consumer_sets(program)
+        self._keep_virtual = keep_virtual if virtual_scatter else frozenset()
         self._forced: dict[int, StructuredVector] = {}
         #: native tier: {chain head id: (chain, kernel)}, and the values
         #: a head's kernel computed for the other members of its chain
@@ -218,7 +225,7 @@ class ProgramRunner:
             for path, info in val.virtual.items():
                 cols[path] = info.materialize(val.length)
                 masks[path] = None
-            val = FusedVal(val.length, cols, masks, lazy=dict(val.lazy))
+            val = FusedVal(val.length, cols, masks, lazy=val.lazy, compact=val.compact)
         return val
 
     @staticmethod
@@ -306,6 +313,7 @@ class ProgramRunner:
         return self.rt.partition(
             node.out, self._get(values, node.source), node.kp,
             self._get(values, node.pivots), node.pivot_kp,
+            scatter_only=id(node) in self._scatter_only,
         )
 
     # -- folds ---------------------------------------------------------------
@@ -379,41 +387,51 @@ class ChunkRunner(ProgramRunner):
         result = super()._eval_foldselect(node, values)
         if self.lo == 0:
             return result
-        out = result.cols[node.out]  # freshly allocated by the fold kernel
-        mask = result.masks[node.out]
-        if mask is None:
-            out += self.lo  # local hit positions -> global positions
-        else:
-            out[mask] += self.lo
-        return result
+        # local hit positions -> global positions
+        out = node.out
+        info = result.virtual.get(out)
+        column = result.compact.get(out)
+        if info is not None:
+            return FusedVal(result.length, {}, {}, {out: info.add(self.lo)})
+        if column is not None:
+            shifted = Compact(column.slots, column.values + self.lo, column.fill)
+            return FusedVal(result.length, {}, {}, compact={out: shifted})
+        return FusedVal(result.length, {out: result.cols[out] + self.lo}, {out: None})
 
     def _eval_gather(self, node: ops.Gather, values) -> FusedVal:
         if id(node.source) not in self._chunked_ids:
             return super()._eval_gather(node, values)  # global source, as-is
         # Partitioned source: positions are global, the source is a chunk.
-        source = self._get(values, node.source)
         positions = self._get(values, node.positions)
-        pos, pos_mask = extract(positions, node.pos_kp)
-        valid = (pos >= 0) & (pos < self.extent)
-        if pos_mask is not None:
-            valid &= pos_mask
-        if bool(np.any(valid & ((pos < self.lo) | (pos >= self.hi)))):
+        kp = node.pos_kp
+        info = positions.virtual.get(kp)
+        column = positions.compact.get(kp)
+        if info is not None and info.step == 1 and info.cap is None:
+            # consecutive rows: the valid ones are [first, last)
+            first = max(info.start, 0)
+            last = min(info.start + positions.length, self.extent)
+            crossing = first < last and (first < self.lo or last > self.hi)
+            local = FusedVal(positions.length, {}, {}, {kp: info.add(-self.lo)})
+        elif column is not None:
+            crossing = self._escapes(column.values)
+            shifted = Compact(column.slots, column.values.astype(np.int64) - self.lo,
+                              column.fill)
+            local = FusedVal(positions.length, {}, {}, compact={kp: shifted})
+        else:
+            pos, pos_mask = extract(positions, kp)
+            crossing = self._escapes(pos if pos_mask is None else pos[pos_mask])
+            local = FusedVal(len(pos), {kp: pos.astype(np.int64) - self.lo},
+                             {kp: pos_mask})
+        if crossing:
             raise ChunkCrossing(
                 f"gather positions escape chunk [{self.lo}, {self.hi})"
             )
-        local = pos.astype(np.int64) - self.lo
-        if source.scatter is not None:
-            source = self.rt._apply_scatter(source)
-        cols, masks = self.rt._dense_parts(source)
-        if pos_mask is not None and np.count_nonzero(pos_mask) * 2 < len(pos):
-            out_cols, out_masks = kernels.gather_compacted(
-                local, pos_mask, source.length, cols, masks
-            )
-        else:
-            out_cols, out_masks = semantics.gather(
-                local, pos_mask, source.length, cols, masks
-            )
-        return FusedVal(len(pos), out_cols, _normalized(out_masks))
+        return self.rt.gather(self._get(values, node.source), local, kp)
+
+    def _escapes(self, pos: np.ndarray) -> bool:
+        """Does a valid (in-extent) present position leave the chunk?"""
+        valid = (pos >= 0) & (pos < self.extent)
+        return bool(np.any(valid & ((pos < self.lo) | (pos >= self.hi))))
 
 
 def run_program(

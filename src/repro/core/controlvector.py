@@ -102,18 +102,21 @@ class RunInfo:
             v %= self.cap
         return v
 
-    def materialize(self, length: int, dtype=np.int64) -> np.ndarray:
-        """Produce the concrete values; used by the interpreter and tests."""
-        idx = np.arange(length, dtype=np.int64)
+    def take(self, idx: np.ndarray) -> np.ndarray:
+        """The concrete int64 values at positions *idx*."""
         if self.step == 0:
-            values = np.full(length, self.start, dtype=np.int64)
+            values = np.full(len(idx), self.start, dtype=np.int64)
         elif self.step.denominator == 1:
             values = self.start + idx * int(self.step)
         else:
             values = self.start + (idx * self.step.numerator) // self.step.denominator
         if self.cap is not None:
             values = values % self.cap
-        return values.astype(dtype)
+        return values
+
+    def materialize(self, length: int, dtype=np.int64) -> np.ndarray:
+        """Produce the concrete values; used by the interpreter and tests."""
+        return self.take(np.arange(length, dtype=np.int64)).astype(dtype)
 
     # -- derived parallelism parameters ----------------------------------------
 

@@ -161,6 +161,19 @@ class StructuredVector:
         self._lazy.pop(path, None)
         return array
 
+    def unshared(self) -> "StructuredVector":
+        """A vector over the same arrays and handles that memoizes its
+        own lazy materializations — a cached prototype handed to many
+        queries must not accumulate what each of them decoded."""
+        clone = object.__new__(StructuredVector)
+        clone._length = self._length
+        clone._columns = dict(self._columns)
+        clone._present = dict(self._present)
+        clone._runinfo = dict(self._runinfo)
+        clone._lazy = dict(self._lazy)
+        clone._paths = self._paths
+        return clone
+
     def lazy_handle(self, path: Keypath | str):
         """The not-yet-materialized handle for *path*, or ``None``."""
         return self._lazy.get(kp(path))

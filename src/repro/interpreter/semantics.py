@@ -263,6 +263,45 @@ def scatter(
     return out_cols, out_masks
 
 
+def partition_ids(values: np.ndarray, pivots: np.ndarray) -> np.ndarray:
+    """Partition of each value: index of the greatest pivot <= v, clipped to 0."""
+    pivot_order = np.argsort(pivots, kind="stable")
+    sorted_pivots = pivots[pivot_order]
+    if (
+        values.dtype.kind in "iub"
+        and sorted_pivots.dtype.kind in "iub"
+        and len(sorted_pivots)
+        and np.array_equal(sorted_pivots, np.arange(len(pivots)))
+    ):
+        # identity-hash pivots 0..k-1 over integral keys: the interval
+        # search collapses to a clip (bit-identical to searchsorted)
+        return np.clip(values, 0, len(pivots) - 1).astype(np.int64, copy=False)
+    part = np.searchsorted(sorted_pivots, values, side="right") - 1
+    np.clip(part, 0, len(pivots) - 1, out=part)
+    return part.astype(np.int64)
+
+
+def stable_order(ids: np.ndarray, bound: int) -> np.ndarray:
+    """``np.argsort(ids, kind="stable")`` for integer ids in ``[0, bound)``.
+
+    NumPy radix-sorts keys of at most 16 bits and merge-sorts wider
+    ones, so the ids are cast to the narrowest unsigned type that holds
+    ``bound - 1``; wider ids take one stable pass per 16-bit digit, low
+    digit first.  The permutation equals the ``int64`` argsort's.
+    """
+    if bound <= 1 << 8:
+        return np.argsort(ids.astype(np.uint8), kind="stable")
+    if bound <= 1 << 16:
+        return np.argsort(ids.astype(np.uint16), kind="stable")
+    order = np.argsort((ids & 0xFFFF).astype(np.uint16), kind="stable")
+    shift = 16
+    while (bound - 1) >> shift:
+        digit = ((ids[order] >> shift) & 0xFFFF).astype(np.uint16)
+        order = order[np.argsort(digit, kind="stable")]
+        shift += 16
+    return order
+
+
 def partition_positions(
     values: np.ndarray,
     present: np.ndarray | None,
@@ -281,29 +320,12 @@ def partition_positions(
     by-product, it lets a downstream scattered fold skip that sort.
     """
     n = len(values)
-    pivot_order = np.argsort(pivots, kind="stable")
-    sorted_pivots = pivots[pivot_order]
-    if (
-        values.dtype.kind in "iub"
-        and sorted_pivots.dtype.kind in "iub"
-        and len(sorted_pivots)
-        and np.array_equal(sorted_pivots, np.arange(len(pivots)))
-    ):
-        # identity-hash pivots 0..k-1 over integral keys: the interval
-        # search collapses to a clip (bit-identical to searchsorted)
-        part = np.clip(values, 0, len(pivots) - 1).astype(np.int64)
-    else:
-        part = np.searchsorted(sorted_pivots, values, side="right") - 1
-        np.clip(part, 0, len(pivots) - 1, out=part)
-        part = part.astype(np.int64)
-
+    part = partition_ids(values, pivots)
     counts = np.bincount(part, minlength=len(pivots))
     offsets = np.concatenate([[0], np.cumsum(counts)[:-1]])
     # stable rank within partition
-    order = np.argsort(part, kind="stable")
-    rank_sorted = np.arange(n, dtype=np.int64) - np.repeat(
-        np.concatenate([[0], np.cumsum(counts)[:-1]]), counts
-    )
+    order = stable_order(part, len(pivots))
+    rank_sorted = np.arange(n, dtype=np.int64) - np.repeat(offsets, counts)
     positions = np.empty(n, dtype=np.int64)
     positions[order] = offsets[part[order]] + rank_sorted
     out_present = np.ones(n, dtype=bool) if present is None else present.copy()

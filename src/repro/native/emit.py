@@ -170,168 +170,33 @@ def chain_source(chain, in_dtypes, in_scalar, step_dtypes) -> str:
 
 # ------------------------------------------------------ fold kernel library
 
-#: dtypes a native fold_select predicate may have
-SEL_CODES = ("b1", "i1", "i2", "i4", "i8", "u1", "u2", "u4", "f4", "f8")
 #: float sum value dtypes (double accumulator, like np.bincount)
-FSUM_F_CODES = ("f4", "f8")
-#: integer/bool sum value dtypes (int64 accumulator, wrapping)
-FSUM_I_CODES = ("b1", "i1", "i2", "i4", "i8", "u1", "u2", "u4")
-#: min/max value dtypes (floats excluded: NaN ordering is NumPy's job)
-FMINMAX_CODES = ("i1", "i2", "i4", "i8", "u1", "u2", "u4")
+FSUM_CODES = ("f4", "f8")
 
-_CODE_CT = {
-    "b1": "uint8_t", "i1": "int8_t", "i2": "int16_t", "i4": "int32_t",
-    "i8": "int64_t", "u1": "uint8_t", "u2": "uint16_t", "u4": "uint32_t",
-    "f4": "float", "f8": "double",
-}
+_CODE_CT = {"f4": "float", "f8": "double"}
 
 
-def _fsel(code: str) -> str:
+def _fsum(code: str) -> str:
     t = _CODE_CT[code]
     return f"""
-void fsel_{code}(const {t}* sel, const uint8_t* mask, int64_t L, int64_t n,
-                 int64_t* out, uint8_t* present) {{
-  if (L <= 0) L = n;
-  for (int64_t s = 0; s < n; s += L) {{
-    int64_t end = s + L < n ? s + L : n;
-    int64_t k = s;
-    if (mask) {{
-      for (int64_t i = s; i < end; ++i)
-        if (sel[i] != 0 && mask[i]) {{ out[k] = i; present[k] = 1; ++k; }}
-    }} else {{
-      for (int64_t i = s; i < end; ++i)
-        if (sel[i] != 0) {{ out[k] = i; present[k] = 1; ++k; }}
-    }}
-  }}
-}}
-"""
-
-
-def _fsum_f(code: str) -> str:
-    t = _CODE_CT[code]
-    return f"""
-void fsumf_{code}(const {t}* vals, const uint8_t* mask, int64_t L, int64_t n,
-                  double* out, uint8_t* present) {{
-  if (L <= 0) L = n;
-  for (int64_t s = 0; s < n; s += L) {{
-    int64_t end = s + L < n ? s + L : n;
+void fsum_{code}(const {t}* vals, const int64_t* starts, int64_t m, int64_t k,
+                 double* out) {{
+  for (int64_t s = 0; s < m; ++s) {{
+    int64_t end = s + 1 < m ? starts[s + 1] : k;
     double acc = 0.0;
-    uint8_t any = 0;
-    if (mask) {{
-      for (int64_t i = s; i < end; ++i)
-        if (mask[i]) {{ acc += (double)vals[i]; any = 1; }}
-    }} else {{
-      for (int64_t i = s; i < end; ++i) acc += (double)vals[i];
-      any = (end > s);
-    }}
+    for (int64_t i = starts[s]; i < end; ++i) acc += (double)vals[i];
     out[s] = acc;
-    present[s] = any;
   }}
 }}
-"""
-
-
-def _fsum_i(code: str) -> str:
-    t = _CODE_CT[code]
-    return f"""
-void fsumi_{code}(const {t}* vals, const uint8_t* mask, int64_t L, int64_t n,
-                  int64_t* out, uint8_t* present) {{
-  if (L <= 0) L = n;
-  for (int64_t s = 0; s < n; s += L) {{
-    int64_t end = s + L < n ? s + L : n;
-    int64_t acc = 0;
-    uint8_t any = 0;
-    if (mask) {{
-      for (int64_t i = s; i < end; ++i)
-        if (mask[i]) {{ acc += (int64_t)vals[i]; any = 1; }}
-    }} else {{
-      for (int64_t i = s; i < end; ++i) acc += (int64_t)vals[i];
-      any = (end > s);
-    }}
-    out[s] = acc;
-    present[s] = any;
-  }}
-}}
-"""
-
-
-def _fminmax(code: str, kind: str) -> str:
-    t = _CODE_CT[code]
-    cmp = ">" if kind == "max" else "<"
-    return f"""
-void f{kind}_{code}(const {t}* vals, const uint8_t* mask, int64_t L, int64_t n,
-                    {t}* out, uint8_t* present, {t} fill) {{
-  if (L <= 0) L = n;
-  for (int64_t s = 0; s < n; s += L) {{
-    int64_t end = s + L < n ? s + L : n;
-    {t} acc = fill;
-    uint8_t any = 0;
-    if (mask) {{
-      for (int64_t i = s; i < end; ++i) {{
-        {t} v = mask[i] ? vals[i] : fill;
-        if (v {cmp} acc) acc = v;
-        any |= mask[i];
-      }}
-    }} else {{
-      for (int64_t i = s; i < end; ++i)
-        if (vals[i] {cmp} acc) acc = vals[i];
-      any = (end > s);
-    }}
-    out[s] = acc;
-    present[s] = any;
-  }}
-}}
-"""
-
-
-#: column dtypes the native compacted gather serves
-GATH_CODES = ("b1", "i1", "i2", "i4", "i8", "u1", "u2", "u4", "u8", "f4", "f8")
-
-_CODE_CT_GATH = dict(_CODE_CT, u8="uint64_t")
-
-
-def _fgath(code: str) -> str:
-    t = _CODE_CT_GATH[code]
-    return f"""
-void fgath_{code}(const int64_t* pos, const uint8_t* present, int64_t n,
-                  int64_t src_len, const {t}* col, const uint8_t* colmask,
-                  {t}* out, uint8_t* outmask) {{
-  for (int64_t i = 0; i < n; ++i) {{
-    if (present[i]) {{
-      int64_t p = pos[i];
-      if (p >= 0 && p < src_len) {{
-        out[i] = col[p];
-        outmask[i] = colmask ? colmask[p] : 1;
-      }}
-    }}
-  }}
-}}
-"""
-
-
-_FCNT = """
-void fcnt(const uint8_t* mask, int64_t L, int64_t n,
-          int64_t* out, uint8_t* present) {
-  if (L <= 0) L = n;
-  for (int64_t s = 0; s < n; s += L) {
-    int64_t end = s + L < n ? s + L : n;
-    int64_t c = 0;
-    for (int64_t i = s; i < end; ++i) c += mask[i];
-    out[s] = c;
-    present[s] = (c > 0);
-  }
-}
 """
 
 
 def fold_library_source() -> str:
-    """The full uniform-run fold kernel library, one fixed source."""
+    """The fold kernel library, one fixed source: the float sum of every
+    segment of ``k`` present values, added in input order into a double —
+    the additions ``np.bincount`` performs, without building its run-id
+    vector.  (Selections, integer sums and min/max stay in NumPy, whose
+    vectorized ``flatnonzero``/``reduceat`` beat a scalar C loop.)"""
     parts = [_HEADER, "// native fold kernels emitted by repro.native.emit"]
-    parts.extend(_fsel(c) for c in SEL_CODES)
-    parts.extend(_fsum_f(c) for c in FSUM_F_CODES)
-    parts.extend(_fsum_i(c) for c in FSUM_I_CODES)
-    parts.extend(_fminmax(c, "max") for c in FMINMAX_CODES)
-    parts.extend(_fminmax(c, "min") for c in FMINMAX_CODES)
-    parts.extend(_fgath(c) for c in GATH_CODES)
-    parts.append(_FCNT)
+    parts.extend(_fsum(c) for c in FSUM_CODES)
     return "".join(parts)

@@ -17,10 +17,10 @@ shared-mask semantics of the fused runtime (None = dense; a single
 masked input's mask is *shared*, not copied; multiple masks AND into a
 fresh array).
 
-The module also wraps the fixed fold-kernel library: drop-in native
-versions of the uniform-run fold kernels in
-:mod:`repro.compiler.kernels`, returning None whenever the machine or
-dtype cannot be served so callers keep the NumPy path.
+The module also wraps the fixed fold-kernel library: a drop-in native
+version of the segmented float sum in :mod:`repro.compiler.kernels`,
+returning None whenever the machine or dtype cannot be served so
+callers keep the NumPy path.
 """
 
 from __future__ import annotations
@@ -31,13 +31,8 @@ import threading
 import numpy as np
 
 from repro.compiler.rt_fast import fused_binary, fused_unary, literal
-from repro.interpreter.semantics import fold_fill
 from repro.native.emit import (
-    FMINMAX_CODES,
-    FSUM_F_CODES,
-    FSUM_I_CODES,
-    GATH_CODES,
-    SEL_CODES,
+    FSUM_CODES,
     EmitError,
     chain_source,
     fold_library_source,
@@ -152,14 +147,19 @@ class ChainKernel:
         vals = run_chain_python(self.chain, pairs)
         return [vals[j] for j in self.chain.outputs]
 
-    def __call__(self, pairs):
+    def __call__(self, pairs, scalar=None):
+        """``scalar``: which inputs broadcast (default: the length-1
+        ones).  A caller whose row count is data-dependent says so
+        itself, so that one row is not a signature of its own."""
         lengths = {len(a) for a, _ in pairs if len(a) != 1}
         if len(lengths) > 1:
             # fused_binary truncates step by step; not worth replicating
             STATS.fallback("length-mismatch")
             return self._python(pairs)
+        if scalar is None:
+            scalar = [len(a) == 1 for a, _ in pairs]
         key = tuple(
-            (_code(a.dtype), len(a) == 1, m is not None) for a, m in pairs
+            (_code(a.dtype), s, m is not None) for (a, m), s in zip(pairs, scalar)
         )
         with self._lock:
             spec = self._specs.get(key)
@@ -243,128 +243,23 @@ def _fold_entry(name: str):
     return func
 
 
-def native_fold_select(sel, sel_mask, run_length: int, n: int):
-    """Native ``kernels.fold_select_uniform``, or None if not servable."""
-    code = _code(sel.dtype)
-    if n == 0 or code not in SEL_CODES:
-        return None
-    func = _fold_entry(f"fsel_{code}")
-    if func is None:
-        return None
-    out = np.zeros(n, dtype=np.int64)
-    present = np.zeros(n, dtype=bool)
-    keep: list = []
-    func(
-        _ptr(sel, keep),
-        _ptr(sel_mask, keep) if sel_mask is not None else ctypes.c_void_p(0),
-        ctypes.c_int64(run_length),
-        ctypes.c_int64(n),
-        ctypes.c_void_p(out.ctypes.data),
-        ctypes.c_void_p(present.ctypes.data),
-    )
-    STATS.count("fold_calls")
-    return out, present
-
-
-def native_fold_aggregate(fn: str, values, mask, run_length: int, n: int):
-    """Native ``kernels.fold_aggregate_uniform``, or None if not servable."""
-    if n == 0:
-        return None
+def native_fold_segments(fn: str, values, starts):
+    """Native ``kernels.fold_aggregate_segments`` (the float sum of every
+    segment), or None if not servable."""
     code = _code(values.dtype)
-    if fn == "sum":
-        if code in FSUM_F_CODES:
-            name, out_dtype, fill = f"fsumf_{code}", np.float64, None
-        elif code in FSUM_I_CODES:
-            name, out_dtype, fill = f"fsumi_{code}", np.int64, None
-        else:
-            return None
-    elif fn in ("max", "min"):
-        if code not in FMINMAX_CODES:
-            return None
-        name, out_dtype = f"f{fn}_{code}", values.dtype
-        fill = fold_fill(fn, values.dtype)
-    else:
+    if fn != "sum" or code not in FSUM_CODES or len(starts) == 0:
         return None
-    func = _fold_entry(name)
+    func = _fold_entry(f"fsum_{code}")
     if func is None:
         return None
-    out = np.zeros(n, dtype=out_dtype)
-    present = np.zeros(n, dtype=bool)
-    keep: list = []
-    args = [
-        _ptr(values, keep),
-        _ptr(mask, keep) if mask is not None else ctypes.c_void_p(0),
-        ctypes.c_int64(run_length),
-        ctypes.c_int64(n),
-        ctypes.c_void_p(out.ctypes.data),
-        ctypes.c_void_p(present.ctypes.data),
-    ]
-    if fill is not None:
-        args.append(_CTYPES[code](fill.item() if hasattr(fill, "item") else fill))
-    func(*args)
-    STATS.count("fold_calls")
-    return out, present
-
-
-def native_gather_compacted(positions, pos_present, source_len: int,
-                            columns: dict, masks: dict):
-    """Native ``kernels.gather_compacted``, or None if not servable.
-
-    One O(n) pass per column, no position-index materialization at all —
-    the ε-heavy case this kernel exists for touches few source rows.
-    """
-    n = len(positions)
-    if n == 0 or positions.dtype != np.int64:
-        return None
-    if any(_code(col.dtype) not in GATH_CODES for col in columns.values()):
-        return None
-    out_cols: dict = {}
-    out_masks: dict = {}
-    keep: list = []
-    pos_ptr = _ptr(positions, keep)
-    present_ptr = _ptr(pos_present, keep)
-    for path, col in columns.items():
-        func = _fold_entry(f"fgath_{_code(col.dtype)}")
-        if func is None:
-            return None
-        taken = np.zeros(n, dtype=col.dtype)
-        out_mask = np.zeros(n, dtype=bool)
-        mask = masks.get(path)
-        func(
-            pos_ptr,
-            present_ptr,
-            ctypes.c_int64(n),
-            ctypes.c_int64(source_len),
-            _ptr(col, keep),
-            _ptr(mask, keep) if mask is not None else ctypes.c_void_p(0),
-            ctypes.c_void_p(taken.ctypes.data),
-            ctypes.c_void_p(out_mask.ctypes.data),
-        )
-        out_cols[path] = taken
-        out_masks[path] = out_mask
-    STATS.count("fold_calls")
-    return out_cols, out_masks
-
-
-def native_fold_count(counted_mask, run_length: int, n: int):
-    """Native ``kernels.fold_count_uniform`` for the masked case.
-
-    The dense case is O(runs) in NumPy already — not worth a call.
-    """
-    if n == 0 or counted_mask is None:
-        return None
-    func = _fold_entry("fcnt")
-    if func is None:
-        return None
-    out = np.zeros(n, dtype=np.int64)
-    present = np.zeros(n, dtype=bool)
+    out = np.empty(len(starts), dtype=np.float64)
     keep: list = []
     func(
-        _ptr(counted_mask, keep),
-        ctypes.c_int64(run_length),
-        ctypes.c_int64(n),
+        _ptr(values, keep),
+        _ptr(starts.astype(np.int64, copy=False), keep),
+        ctypes.c_int64(len(starts)),
+        ctypes.c_int64(len(values)),
         ctypes.c_void_p(out.ctypes.data),
-        ctypes.c_void_p(present.ctypes.data),
     )
     STATS.count("fold_calls")
-    return out, present
+    return out

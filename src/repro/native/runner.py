@@ -3,14 +3,15 @@
 ``ProgramRunner(..., native=True)`` (:mod:`repro.compiler.runner`) takes
 two things from this module:
 
-* the four uniform-run kernels of its runtime —
-  :func:`fold_select_uniform`, :func:`fold_aggregate_uniform`,
-  :func:`fold_count_uniform`, :func:`gather_compacted` — which call the
-  compiled fold library when the dtype is servable (NumPy otherwise —
-  per call, silently);
+* the two per-run aggregate kernels of its runtime —
+  :func:`fold_aggregate_segments` (present rows of a compact or
+  scattered column) and :func:`fold_aggregate_uniform` (a dense one) —
+  which call the compiled fold library for the float sums it serves
+  (NumPy otherwise — per call, silently);
 * chain interception: :func:`chain_index` plans the program's map chains
   once, and :func:`eval_chain` computes all member operators of a chain
-  in one C kernel when every external input is already available.
+  in one C kernel when every external input is already available — over
+  the present rows only when the inputs are compact on shared slots.
 
 If a chain's inputs are not all available (out-of-order evaluation in
 the parallel scheduler), the head simply evaluates normally — native
@@ -25,47 +26,31 @@ kernels with it.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.compiler import kernels
-from repro.compiler.rt_fast import FusedVal, extract
+from repro.compiler.rt_fast import Compact, FusedVal, compact_operands, extract
 from repro.core.program import Program
 from repro.native.exec import (
     ChainKernel,
-    native_fold_aggregate,
-    native_fold_count,
-    native_fold_select,
-    native_gather_compacted,
+    native_fold_segments,
+    run_chain_python,
 )
 from repro.native.plan import plan_native_chains
 
 
-def fold_select_uniform(sel, sel_mask, run_length, n):
-    res = native_fold_select(sel, sel_mask, run_length, n)
+def fold_aggregate_segments(fn, values, starts, rids=None):
+    res = native_fold_segments(fn, values, starts)
     if res is not None:
         return res
-    return kernels.fold_select_uniform(sel, sel_mask, run_length, n)
+    return kernels.fold_aggregate_segments(fn, values, starts, rids)
 
 
-def fold_aggregate_uniform(fn, values, mask, run_length, n):
-    res = native_fold_aggregate(fn, values, mask, run_length, n)
+def fold_aggregate_uniform(fn, values, run_length, n):
+    res = native_fold_segments(fn, values, np.arange(0, n, run_length or n))
     if res is not None:
         return res
-    return kernels.fold_aggregate_uniform(fn, values, mask, run_length, n)
-
-
-def fold_count_uniform(counted_mask, run_length, n):
-    res = native_fold_count(counted_mask, run_length, n)
-    if res is not None:
-        return res
-    return kernels.fold_count_uniform(counted_mask, run_length, n)
-
-
-def gather_compacted(positions, pos_present, source_len, columns, masks):
-    res = native_gather_compacted(positions, pos_present, source_len,
-                                  columns, masks)
-    if res is not None:
-        return res
-    return kernels.gather_compacted(positions, pos_present, source_len,
-                                    columns, masks)
+    return kernels.fold_aggregate_uniform(fn, values, run_length, n)
 
 
 def chain_index(program: Program, metadata=None) -> dict:
@@ -91,23 +76,41 @@ def eval_chain(entry, values: dict[int, FusedVal], stash: dict[int, FusedVal]):
     *stash* — or None when an input is not evaluated yet (the caller
     then runs the head node by node)."""
     chain, kernel = entry
-    pairs = []
+    operands = []
     for src, kp in chain.inputs:
         val = values.get(id(src))
         if val is None:
             return None
-        pairs.append(extract(val, kp))
-    results = kernel(pairs)
+        operands.append((val, kp))
+    present = compact_operands(operands)
+    if present is None:
+        slots = None
+        results = kernel([extract(val, kp) for val, kp in operands])
+    else:
+        # inputs compact on shared slots: one pass over the present rows;
+        # every step's ε image comes from the same steps over the fills
+        # (k is data-dependent: the present rows are an array even when
+        # k == 1, or the first one-hit selection would compile a kernel)
+        slots, arrays, fills = present
+        results = kernel(
+            [(array, None) for array in arrays],
+            scalar=[kp not in val.compact for val, kp in operands],
+        )
+        images = run_chain_python(chain, [(fill, None) for fill in fills])
     by_step = dict(zip(chain.outputs, results))
     head = _INTERNAL
     for j, step in enumerate(chain.steps):
         out = by_step.get(j)
         if out is None:
             wrapped = _INTERNAL
-        else:
+        elif slots is None:
             array, mask = out
             wrapped = FusedVal(len(array), {step.node.out: array},
                                {step.node.out: mask})
+        else:
+            wrapped = FusedVal(slots.length, {}, {}, compact={
+                step.node.out: Compact(slots, out[0], images[j][0])
+            })
         if j == 0:
             head = wrapped
         else:

@@ -35,11 +35,10 @@ import threading
 from concurrent.futures import Executor
 from typing import Mapping
 
-from repro.compiler.rt_fast import FusedVal
+from repro.compiler.rt_fast import FusedVal, fused_slice
 from repro.compiler.runner import (
     ChunkCrossing,
     ProgramRunner,
-    fused_slice,
     run_chunk,
     run_program,
     to_fused,

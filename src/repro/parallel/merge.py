@@ -23,7 +23,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.compiler.rt_fast import FusedVal
+from repro.compiler.rt_fast import Compact, FusedVal, Slots, zero_fill
+from repro.core.controlvector import IDENTITY
 from repro.core.keypath import Keypath
 from repro.errors import ExecutionError
 from repro.interpreter.semantics import _AGG_UFUNC as _COMBINE
@@ -32,47 +33,80 @@ from repro.interpreter.semantics import _AGG_UFUNC as _COMBINE
 def concat_fused(chunks: list[FusedVal]) -> FusedVal:
     """Concatenate chunk values attribute-wise, preserving ε masks.
 
-    Column arrays and presence masks concatenate directly; chunks that
-    kept an attribute virtual (symbolic Range metadata) materialize it
-    here, at the merge boundary, not inside the workers.  A mask that
-    merges fully dense is re-suppressed to ``None``, exactly as the
-    Structured Vector constructor does for the interpreter.
+    An attribute every chunk holds compact (or fully dense) stays
+    compact: present values concatenate, slots shift by the chunk
+    origins, and attributes that shared slots in every chunk share the
+    merged ones.  Anything else pads: column arrays and presence masks
+    concatenate directly; chunks that kept an attribute virtual
+    (symbolic Range metadata) materialize it here, at the merge
+    boundary, not inside the workers.  A mask that merges fully dense is
+    re-suppressed to ``None``, exactly as the Structured Vector
+    constructor does for the interpreter.
     """
     if not chunks:
         raise ExecutionError("merge: no chunks to concatenate")
     if len(chunks) == 1:
         return chunks[0]
     length = sum(c.length for c in chunks)
-    cols: dict[Keypath, np.ndarray] = {}
-    masks: dict[Keypath, np.ndarray | None] = {}
+    merged = FusedVal(length, {}, {})
+    origins = np.cumsum([0] + [c.length for c in chunks[:-1]])
+    shared: dict[tuple, Slots] = {}
     for path in chunks[0].paths():
-        cols[path] = np.concatenate([c.attr(path) for c in chunks])
+        columns = [c.compact.get(path) for c in chunks]
+        fills = {col.fill.tobytes() for col in columns if col is not None}
+        if len(fills) == 1 and all(
+            col is not None or (path in c.cols and c.masks.get(path) is None)
+            for c, col in zip(chunks, columns)
+        ):
+            key = tuple(None if col is None else id(col.slots) for col in columns)
+            slots = shared.get(key)
+            if slots is None:
+                slots = shared[key] = Slots(np.concatenate([
+                    np.arange(lo, lo + c.length) if col is None else col.slots.index + lo
+                    for c, col, lo in zip(chunks, columns, origins)
+                ]), length)
+            values = np.concatenate([
+                c.cols[path] if col is None else col.values
+                for c, col in zip(chunks, columns)
+            ])
+            fill = next(col.fill for col in columns if col is not None)
+            merged.put(path, slots, values, fill)
+            continue
+        merged.cols[path] = np.concatenate([c.attr(path) for c in chunks])
         parts = [c.mask(path) for c in chunks]
         if all(m is None for m in parts):
-            masks[path] = None
+            merged.masks[path] = None
         else:
-            merged = np.concatenate([
+            mask = np.concatenate([
                 np.ones(c.length, dtype=bool) if m is None else m
                 for c, m in zip(chunks, parts)
             ])
-            masks[path] = None if merged.all() else merged
-    return FusedVal(length, cols, masks)
+            merged.masks[path] = None if mask.all() else mask
+    return merged
 
 
 def merge_select_fused(chunks: list[FusedVal], path: Keypath) -> FusedVal:
-    """Re-compact global-fold-select partials: all hits from slot 0."""
+    """Global-fold-select partials, merged: all hits from slot 0.
+
+    Chunk partials hold *global* positions (the chunk runner offsets
+    them) on chunk-local slots; the merge keeps the positions, in chunk
+    order, and renumbers the slots."""
     length = sum(c.length for c in chunks)
-    hits = []
+    hits = [np.zeros(0, dtype=np.int64)]
     for c in chunks:
-        values, mask = c.cols[path], c.masks.get(path)
-        hits.append(values if mask is None else values[mask])
-    out = np.zeros(length, dtype=np.int64)
-    mask = np.zeros(length, dtype=bool)
-    if hits:
-        values = np.concatenate(hits)
-        out[: len(values)] = values
-        mask[: len(values)] = True
-    return FusedVal(length, {path: out}, {path: mask})
+        column = c.compact.get(path)
+        if column is not None:
+            hits.append(column.values)
+        else:  # symbolic (the chunk kept every row) or padded
+            values, mask = c.attr(path), c.mask(path)
+            hits.append(values if mask is None else values[mask])
+    hits = np.concatenate(hits)
+    if len(hits) == length:  # every chunk kept every row
+        return FusedVal(length, {}, {}, {path: IDENTITY})
+    slots = Slots(np.arange(len(hits), dtype=np.int64), length)
+    return FusedVal(length, {}, {}, compact={
+        path: Compact(slots, hits, zero_fill(np.int64))
+    })
 
 
 def merge_fold_fused(fn: str, chunks: list[FusedVal], path: Keypath) -> FusedVal:
@@ -90,17 +124,23 @@ def merge_fold_fused(fn: str, chunks: list[FusedVal], path: Keypath) -> FusedVal
     length = sum(c.length for c in chunks)
     partials = []
     for c in chunks:
-        if not c.length:
-            continue
-        mask = c.masks.get(path)
-        if mask is None or mask[0]:
-            partials.append(c.cols[path][0])
-    out = np.zeros(length, dtype=chunks[0].cols[path].dtype)
-    mask = np.zeros(length, dtype=bool)
+        column = c.compact.get(path)
+        if column is not None:
+            if len(column.values) and column.slots.index[0] == 0:
+                partials.append(column.values[0])
+        elif c.length:
+            mask = c.mask(path)
+            if mask is None or mask[0]:
+                partials.append(c.attr(path)[0])
+    column = chunks[0].compact.get(path)
+    dtype = (chunks[0].attr(path) if column is None else column.values).dtype
+    merged = FusedVal(length, {}, {})
+    total = np.zeros(0, dtype=dtype)
     if partials:
         total = partials[0]
         for value in partials[1:]:
             total = combine(total, value)
-        out[0] = total
-        mask[0] = True
-    return FusedVal(length, {path: out}, {path: mask})
+        total = np.asarray(total, dtype=dtype).reshape(1)
+    merged.put(path, Slots(np.arange(len(total), dtype=np.int64), length), total,
+               zero_fill(dtype))
+    return merged

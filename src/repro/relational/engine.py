@@ -182,8 +182,9 @@ class VoodooEngine:
         self._compile_lock = threading.Lock()
 
     def vectors(self):
-        """The Load context; rebuilt per call so late-registered auxiliary
-        vectors (LIKE membership tables) are always visible."""
+        """The Load context: the store's memoized table vectors (unshared
+        copies) plus its auxiliary vectors read live, so late-registered
+        ones (LIKE membership tables) are always visible."""
         return self.store.vectors()
 
     # -- plan cache ----------------------------------------------------------

@@ -28,6 +28,7 @@ contract it needs.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
@@ -382,6 +383,14 @@ class ColumnStore:
         self.meta: dict = dict(meta or {})
         #: storage I/O accounting shared by every column of this store
         self.io = IOCounters()
+        #: bumped by every table mutation (add, append); what
+        #: :meth:`fingerprint` and :meth:`vectors` derive from the tables
+        #: is memoized against it, so a warm execute rebuilds neither.
+        #: The auxiliary registry is in neither (read live, see
+        #: :meth:`vectors`), so registering a membership table costs none
+        self._mutations = 0
+        self._derived: dict[str, tuple] = {}
+        self._derived_lock = threading.Lock()
 
     # -- tables -----------------------------------------------------------------
 
@@ -391,6 +400,18 @@ class ColumnStore:
         for col in table.columns.values():
             col.counters = self.io
         self._tables[table.name] = table
+        self._mutations += 1
+
+    def _memoized(self, name: str, build):
+        """``build()``, recomputed only after a mutation.  Threads racing
+        the first call publish one value."""
+        entry = self._derived.get(name)
+        if entry is None or entry[0] != self._mutations:
+            with self._derived_lock:
+                entry = self._derived.get(name)
+                if entry is None or entry[0] != self._mutations:
+                    entry = self._derived[name] = (self._mutations, build())
+        return entry[1]
 
     def fingerprint(self) -> tuple:
         """Hashable structural summary of the base tables.
@@ -410,7 +431,7 @@ class ColumnStore:
         contract — it would neither change this fingerprint nor
         invalidate cached plans.
         """
-        return tuple(
+        return self._memoized("fingerprint", lambda: tuple(
             (
                 name,
                 len(table),
@@ -421,7 +442,7 @@ class ColumnStore:
                 ),
             )
             for name, table in sorted(self._tables.items())
-        )
+        ))
 
     def table(self, name: str) -> Table:
         try:
@@ -483,6 +504,7 @@ class ColumnStore:
         # membership tables and other aux vectors are derived from the
         # (now stale) base contents — drop them; translation re-registers
         self._aux.clear()
+        self._mutations += 1
 
     @staticmethod
     def _append_strings(col: Column, values: list[str], encoding: str) -> Column:
@@ -515,8 +537,16 @@ class ColumnStore:
     # -- the Load-context and catalog views ----------------------------------------
 
     def vectors(self) -> dict[str, StructuredVector]:
-        """The storage mapping handed to backends (Load name -> vector)."""
-        out = {name: table.to_vector() for name, table in self._tables.items()}
+        """The storage mapping handed to backends (Load name -> vector).
+
+        The table vectors are built once per mutation; every call hands
+        out unshared copies of them, so what one query decodes is not
+        kept alive for the next.  Auxiliary vectors are read live (the
+        tuner's sampled stores alias this store's registry)."""
+        tables = self._memoized("vectors", lambda: {
+            name: table.to_vector() for name, table in self._tables.items()
+        })
+        out = {name: vector.unshared() for name, vector in tables.items()}
         out.update(self._aux)
         return out
 

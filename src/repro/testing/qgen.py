@@ -206,6 +206,8 @@ class _QueryGen:
             plan = self._semijoin(plan, self._choice(self.info.dims))
         for _ in range(int(self.rng.integers(0, 2))):
             plan = self._step(plan)
+        if self._p(0.25):
+            plan = self._edge_filter(plan)
         if self._p(0.55):
             return self._group_query(plan, grain)
         return self._projection_query(plan)
@@ -219,6 +221,27 @@ class _QueryGen:
         for name in cols:
             self.env.append(_VCol(name, "num"))
         return Map(plan, cols)
+
+    def _edge_filter(self, plan: Plan) -> Plan:
+        """The selections an executor that stores ε-padded vectors
+        compact is most likely to get wrong, placed right under the query
+        head: one that keeps every row (the positions are the identity),
+        one that keeps none (no slot is present), and one over a
+        low-cardinality base column (a lazy RLE column under compressed
+        storage)."""
+        bounded = [c for c in self.env if c.kind in ("int", "str")]
+        if not bounded:
+            return plan
+        col = self._choice(bounded)
+        roll = self.rng.random()
+        if roll < 0.35:
+            pred: Expr = Cmp("ge", Col(col.name), Lit(int(col.lo) - 1))
+        elif roll < 0.6:
+            pred = Cmp("lt", Col(col.name), Lit(int(col.lo) - 1))
+        else:
+            col = self._choice([c for c in bounded if c.groupable] or bounded)
+            pred = Cmp(self._choice(["le", "gt", "eq"]), Col(col.name), self._int_lit(col))
+        return Filter(plan, pred)
 
     def _rooted_num(self, depth: int) -> Expr:
         """A numeric expression referencing at least one column.
@@ -265,11 +288,15 @@ class _QueryGen:
         domain = 1
         self.rng.shuffle(groupable)
         for col in groupable[: int(self.rng.integers(0, 3))]:
-            if domain * col.card > 2048:
+            if domain * (col.card + 2) > 2048:
                 continue
-            keys.append(KeySpec(col.name, Col(col.name), card=col.card,
-                                offset=int(col.lo)))
-            domain *= col.card
+            # slack below the smallest key moves the partition that the
+            # ε slots an upstream selection left are ranked into (their
+            # group id is 0 - offset, whatever the rows hold)
+            slack = int(self.rng.integers(1, 3)) if self._p(0.3) else 0
+            keys.append(KeySpec(col.name, Col(col.name), card=col.card + slack,
+                                offset=int(col.lo) - slack))
+            domain *= col.card + slack
         aggs: dict[str, AggSpec] = {}
         for _ in range(int(self.rng.integers(1, 4))):
             fn = self._choice(AGG_FNS)

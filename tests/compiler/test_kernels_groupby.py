@@ -154,3 +154,18 @@ class TestGroupRunsMemo:
         )
         plain = VirtualScatter(positions=positions, pos_present=present, size=500)
         assert np.array_equal(hinted.fold_order(), plain.fold_order())
+
+    @pytest.mark.parametrize("size", [7, 256, 257, 70_000])
+    def test_hintless_order_is_the_int64_stable_argsort(self, size):
+        """Without a hint the destinations are radix-sorted on a narrow
+        cast; stray positions (no bound to cast by) take the int64 sort."""
+        rng = np.random.default_rng(size)
+        positions = rng.integers(0, size, 3_000).astype(np.int64)
+        present = rng.random(3_000) > 0.2
+        for pos in (positions, np.where(rng.random(3_000) < 0.01, -5, positions)):
+            keep = np.flatnonzero(present)
+            expected = keep[np.argsort(pos[keep], kind="stable")]
+            scat = VirtualScatter(positions=pos, pos_present=present, size=size)
+            assert np.array_equal(scat.fold_order(), expected)
+        empty = VirtualScatter(positions=positions[:0], pos_present=None, size=size)
+        assert len(empty.fold_order()) == 0

@@ -241,3 +241,32 @@ def test_fold_scan_last_equals_run_sum(control):
     starts = sem.run_offsets(control, len(control))
     ends = np.append(starts[1:], len(control)) - 1
     assert scan[ends].tolist() == sums[starts].tolist()
+
+
+@pytest.mark.parametrize("bound", [0, 1, 256, 257, 65_536, 65_537, 200_000, 1 << 33])
+def test_radix_order_is_the_int64_stable_argsort(bound):
+    """``stable_order`` sorts narrow casts of the ids (NumPy radix-sorts
+    keys of <= 16 bits); the permutation must not depend on the width."""
+    rng = np.random.default_rng(bound % 1000)
+    for n in (0, 1, 5_000):
+        ids = rng.integers(0, max(bound, 1), size=n)
+        ids[: n // 3] = ids[n // 2: n // 2 + n // 3]  # plenty of duplicates
+        if n and bound:
+            ids[-1] = bound - 1  # the widest id is present
+        got = sem.stable_order(ids, max(bound, 1))
+        assert np.array_equal(got, np.argsort(ids, kind="stable")), (bound, n)
+
+
+@pytest.mark.parametrize("partitions", [1, 256, 257, 65_537])
+def test_partition_positions_match_a_rank_by_hand(partitions):
+    rng = np.random.default_rng(partitions)
+    values = rng.integers(-3, partitions + 3, size=4_000)
+    pivots = np.arange(partitions, dtype=np.int64)
+    positions, present, order = sem.partition_positions(
+        values, None, pivots, with_order=True
+    )
+    part = np.clip(values, 0, partitions - 1)
+    by_hand = np.empty(len(values), dtype=np.int64)
+    by_hand[np.argsort(part, kind="stable")] = np.arange(len(values))
+    assert np.array_equal(positions, by_hand) and present.all()
+    assert np.array_equal(order, np.argsort(positions, kind="stable"))

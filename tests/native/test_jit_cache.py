@@ -165,3 +165,40 @@ def test_warm_program_compiles_nothing(fresh_cache):
         assert sorted(fresh_cache.glob("*.so")) == sos
     finally:
         native_exec._fold_lib = fold_lib_before
+
+
+@needs_compiler
+def test_one_present_row_is_not_a_new_signature(fresh_cache):
+    """A chain over compact inputs runs on the k present rows, and k is
+    data: a selection with a single hit must reuse the kernel compiled
+    for many, not compile a "scalar" one in the request path."""
+    b = Builder({"t": StructuredVector.from_arrays(v=np.zeros(0, dtype=np.int64)).schema})
+    t = b.load("t")
+    keep = b.greater(t.project(".v"), b.constant(0), out=".sel")
+    positions = b.fold_select(b.zip(t, keep), sel_kp=".sel", out=".pos")
+    rows = b.gather(t, positions, pos_kp=".pos")
+    doubled = b.multiply(rows, b.constant(2), out=".d", left_kp=".v")
+    shifted = b.add(doubled, rows, out=".e", left_kp=".d", right_kp=".v")
+    program = b.build(out=shifted, total=b.fold_sum(shifted, agg_kp=".e", out=".s"))
+    compiled = compile_program(program, CompilerOptions(native=True))
+
+    def run(values):
+        store = {"t": StructuredVector.from_arrays(v=np.asarray(values, dtype=np.int64))}
+        got, _ = compiled.run(store, collect_trace=False)
+        want = Interpreter(store).run(program)
+        for name, vector in want.items():
+            for path in vector.paths:
+                present = vector.present(path)
+                assert np.array_equal(present, got[name].present(path))
+                assert np.array_equal(vector.attr(path)[present],
+                                      got[name].attr(path)[present])
+
+    run([3, 0, 5, 0, 7, 9, 0, 2])  # cold: compiles the chain for k rows
+    before = snapshot()
+    assert before["chain_calls"] > 0
+    run([0, 0, 0, 4, 0, 0, 0, 0])  # k == 1
+    run([0] * 8)                   # k == 0
+    after = snapshot()
+    assert after["chain_calls"] >= before["chain_calls"] + 2
+    assert after["kernels_compiled"] == before["kernels_compiled"]
+    assert after["fallbacks"] == before["fallbacks"]

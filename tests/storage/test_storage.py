@@ -125,6 +125,99 @@ class TestColumnStore:
         assert store.total_bytes() == 32
 
 
+class TestDerivedMemo:
+    """``fingerprint()`` and ``vectors()`` are rebuilt per mutation, not
+    per execute."""
+
+    @staticmethod
+    def _store():
+        store = ColumnStore()
+        store.add(Table.from_arrays("t", v=np.arange(6), s=np.array(list("aabbcc"), dtype=object)))
+        return store
+
+    def test_warm_calls_reuse_the_value(self, monkeypatch):
+        store = self._store()
+        built = []
+        plain = Table.to_vector
+        monkeypatch.setattr(
+            Table, "to_vector", lambda self: built.append(self.name) or plain(self)
+        )
+        assert store.fingerprint() is store.fingerprint()
+        first, second = store.vectors(), store.vectors()
+        assert built == ["t"]
+        # the prototypes are shared, the handed-out vectors are not: what
+        # one query decodes is not kept alive for the next
+        assert first["t"] is not second["t"]
+        first["t"].attr(".v")
+        assert second["t"].lazy_handle(".v") is not None
+        assert store.vectors()["t"].lazy_handle(".v") is not None
+
+    def test_append_invalidates(self):
+        store = self._store()
+        before, vectors = store.fingerprint(), store.vectors()
+        store.append("t", {"v": [7], "s": ["z"]})
+        assert store.fingerprint() != before
+        assert len(store.vectors()["t"]) == len(vectors["t"]) + 1
+
+    def test_reencoding_invalidates(self):
+        from repro.storage import resegment
+
+        store = self._store()
+        store.fingerprint(), store.vectors()
+        sealed = resegment(store, encoding="rle", segment_rows=2)
+        assert sealed.fingerprint() != store.fingerprint()
+        assert sealed.vectors()["t"].lazy_handle(".v").boundaries() == (2, 4)
+        assert store.vectors()["t"].lazy_handle(".v").boundaries() == ()
+
+    def test_late_aux_registration_is_visible(self, monkeypatch):
+        from repro.core import StructuredVector
+
+        store = self._store()
+        before = store.fingerprint()
+        assert "aux:like" not in store.vectors()
+        built = []
+        plain = Table.to_vector
+        monkeypatch.setattr(
+            Table, "to_vector", lambda self: built.append(self.name) or plain(self)
+        )
+        store.add_aux("aux:like", StructuredVector.single(".flag", np.ones(3, bool)))
+        assert "aux:like" in store.vectors()
+        # derived caches do not key plans, and the registry is read live:
+        # registering one rebuilds neither memoized value
+        assert store.fingerprint() is before
+        assert built == []
+
+    def test_racing_first_calls_publish_one_value(self, monkeypatch):
+        import threading
+        import time
+
+        store = self._store()
+        plain = Column.segment_signature
+
+        def slow(self):
+            time.sleep(0.01)  # every racer is inside the build at once
+            return plain(self)
+
+        monkeypatch.setattr(Column, "segment_signature", slow)
+        barrier = threading.Barrier(8)
+        seen = []
+
+        def race():
+            barrier.wait(timeout=10)
+            seen.append((store.fingerprint(), store.vectors()))
+
+        threads = [threading.Thread(target=race) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(seen) == 8
+        assert all(fingerprint is seen[0][0] for fingerprint, _ in seen)
+        handle = seen[0][1]["t"].lazy_handle(".v")
+        assert all(v["t"].lazy_handle(".v") is handle for _, v in seen)
+
+
 class TestPersistence:
     def test_roundtrip(self, tmp_path):
         store = ColumnStore()
