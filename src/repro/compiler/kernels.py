@@ -1,6 +1,6 @@
 """Shared raw-array fold kernels for the compiling backend.
 
-Three kinds of kernel live here:
+Two kinds of kernel live here:
 
 * **Uniform-run fast kernels** used by the fused fast path
   (:mod:`repro.compiler.rt_fast`): when the compiler statically knows a
@@ -15,24 +15,21 @@ Three kinds of kernel live here:
   sums accumulate in the exact element order of ``np.add.at`` (via
   ``np.bincount``, which also adds weights in input order).
 
-* **The scattered-fold core** shared by the simulated runtime
-  (:class:`repro.compiler.rt.Runtime`) and the fused runtime: folding over
-  a *virtually* scattered vector (paper Figure 11) in input order into
-  partition-aligned output slots.
-
-* **Fused group-by kernels**: multi-column key packing
-  (:func:`pack_keys`) and direct ``bincount``/``reduceat`` aggregation
-  over the *non-uniform* destination runs of a scattered fold
-  (:class:`GroupRuns` / :func:`grouped_fold_aggregate`).  A grouped
-  query folds many aggregates over one scatter; detecting the run
-  structure once (memoized on
-  :class:`repro.compiler.rt.VirtualScatter`) and replacing the generic
-  ``ufunc.at`` machinery with segment reductions is what lifts the
-  Q1/Q19-class aggregation-bound plans off the scattered-fold slow
-  path.  Bit-identity is preserved: float sums keep the exact
-  ``np.bincount`` input-order additions, integer sums and ``max``/``min``
-  are order-independent, and ε fill values match
-  :func:`repro.interpreter.semantics.fold_aggregate` exactly.
+* **The scatter path's group kernels** (paper Figures 10/11): a grouped
+  aggregate is ``Partition -> Scatter -> Fold``, and while the scatter
+  stays virtual the fold "aggregates directly into partition-aligned
+  slots: no data movement".  That is dense addressing, not a sort:
+  :func:`fold_aggregate_groups` accumulates every row straight into its
+  bucket's accumulator with the primitives
+  :func:`repro.interpreter.semantics.fold_aggregate` is defined by
+  (``bincount`` with weights, ``np.add.at``, ``np.maximum/minimum.at`` —
+  0.35-0.40 ms per 250 k rows, against 1.9 ms for the stable radix sort
+  plus 0.6 ms of gather and 0.6 ms of ``reduceat`` per aggregate it
+  replaces), so it is bit-identical by construction; :func:`group_slots`
+  places each bucket's result without ranking a row; and
+  :func:`group_positions` ranks the rows — the one sort left — only when
+  a scatter has to land.  :func:`pack_keys` linearizes composite keys
+  for the row-engine baselines.
 """
 
 from __future__ import annotations
@@ -124,13 +121,9 @@ def run_segments(index: np.ndarray, run_length: int) -> tuple[np.ndarray, np.nda
     return starts, runs[starts] * run_length
 
 
-def fold_aggregate_segments(
-    fn: str, values: np.ndarray, starts: np.ndarray, rids: np.ndarray | None = None
-) -> np.ndarray:
+def fold_aggregate_segments(fn: str, values: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """Per-segment aggregate of ``k`` present values in input order
-    (*starts* from :func:`run_segments`, :func:`control_segments` or a
-    :class:`GroupRuns`; *rids* — the segment of every value — when the
-    caller already holds it).
+    (*starts* from :func:`run_segments` or :func:`control_segments`).
 
     Bit-identical to ``semantics.fold_aggregate`` over the padded column:
     ε slots contribute nothing there, float sums add each run's present
@@ -143,10 +136,9 @@ def fold_aggregate_segments(
         return np.zeros(0, dtype=sums if fn == "sum" else values.dtype)
     if fn == "sum":
         if is_float:
-            if rids is None:
-                rids = np.zeros(len(values), dtype=np.int64)
-                rids[starts[1:]] = 1
-                np.cumsum(rids, out=rids)
+            rids = np.zeros(len(values), dtype=np.int64)
+            rids[starts[1:]] = 1
+            np.cumsum(rids, out=rids)
             return np.bincount(
                 rids, weights=values.astype(np.float64, copy=False),
                 minlength=len(starts),
@@ -174,37 +166,94 @@ def control_segments(
     return starts, out_slots
 
 
-def partition_positions_slots(
-    values: np.ndarray,
-    index: np.ndarray,
+def group_positions(
+    part: np.ndarray,
+    counts: np.ndarray,
+    index: np.ndarray | None,
     n: int,
-    fill: np.ndarray,
-    pivots: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """``semantics.partition_positions`` for the ``k`` present rows of a
-    compact column, as ``(positions, stable destination order)``.
+    fill_part: int,
+) -> np.ndarray:
+    """``semantics.partition_positions`` for ``k`` present rows whose
+    buckets are *part* (``counts`` rows per bucket; *index*: their sorted
+    slots among ``n``, None when ``k == n``).
 
     The reference ranks *every* row by the value sitting in its slot, so
-    the ``n - k`` ε rows — which all hold *fill* — are counted into
-    ``partition(fill)``, interleaved with its present rows by slot index:
-    a present row is pushed back by every ε row of an earlier partition
-    and, inside the fill's partition, by the ε rows at earlier slots.
+    the ``n - k`` ε rows — which all hold one fill, of bucket *fill_part*
+    — are counted into that bucket, interleaved with its present rows by
+    slot index: a present row is pushed back by every ε row of an earlier
+    bucket and, inside the fill's bucket, by the ε rows at earlier slots.
+    This is the one place the scatter path still sorts, and it runs only
+    when something reads the positions (see ``rt_fast.Groups``).
     """
-    k = len(values)
-    part = semantics.partition_ids(values, pivots)
-    order = semantics.stable_order(part, len(pivots))
+    k = len(part)
+    order = semantics.stable_order(part, len(counts))
     ranked = np.arange(k, dtype=np.int64)  # destination of order[i], so far
     if k < n:
-        fill_part = semantics.partition_ids(fill, pivots)[0]
-        counts = np.bincount(part, minlength=len(pivots))
         beside = counts[:fill_part].sum()
         after = beside + counts[fill_part]
         ranked[after:] += n - k
-        rows = order[beside:after]  # the fill's partition, in slot order
+        rows = order[beside:after]  # the fill's bucket, in slot order
         ranked[beside:after] += index[rows] - rows
     positions = np.empty(k, dtype=np.int64)
     positions[order] = ranked
-    return positions, order
+    return positions
+
+
+def group_slots(
+    part: np.ndarray,
+    counts: np.ndarray,
+    index: np.ndarray | None,
+    n: int,
+    fill_part: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(occupied buckets, the slot each one's fold result lands on)``
+    — without ranking a row.
+
+    Landed, a bucket is one run (the caller guarantees one control value
+    per bucket) that starts at its first present row: its offset among
+    the present rows, pushed back like :func:`group_positions` pushes
+    that row — by all ``n - k`` ε rows past the fill's bucket, by the ε
+    rows at earlier slots inside it.  ε slots belong to the preceding
+    run and leading ones to the first (``semantics.forward_fill``), so
+    the first result lands on slot 0.
+    """
+    occupied = np.flatnonzero(counts)
+    at = (np.cumsum(counts) - counts)[occupied]
+    k = len(part)
+    if k < n and len(occupied):
+        at[occupied > fill_part] += n - k
+        if counts[fill_part]:
+            first = np.argmax(part == fill_part)
+            at[np.searchsorted(occupied, fill_part)] += index[first] - first
+    at[:1] = 0
+    return occupied, at
+
+
+def fold_aggregate_groups(
+    fn: str, values: np.ndarray, part: np.ndarray, buckets: int
+) -> np.ndarray:
+    """Per-bucket aggregate of *values* accumulated in input order
+    straight into their bucket's accumulator — the dense-addressing fold
+    over a virtual scatter (paper Figure 11): no data movement.
+
+    These are the very primitives ``semantics.fold_aggregate`` is defined
+    by, applied to the same values in the same order per group (a stable
+    partition keeps input order inside a bucket), from the same initial
+    accumulator: bit-identical by construction.  Buckets no value falls
+    into keep the accumulator's identity.
+    """
+    if fn == "sum":
+        if values.dtype.kind == "f":
+            # (bincount returns int64 for *empty* weights)
+            return np.bincount(
+                part, weights=values.astype(np.float64, copy=False), minlength=buckets
+            ).astype(np.float64, copy=False)
+        acc = np.zeros(buckets, dtype=np.int64)
+        np.add.at(acc, part, values.astype(np.int64, copy=False))
+        return acc
+    acc = np.full(buckets, fold_fill(fn, values.dtype), dtype=values.dtype)
+    (np.maximum if fn == "max" else np.minimum).at(acc, part, values)
+    return acc
 
 
 def fold_scan_uniform(
@@ -288,7 +337,7 @@ def combine_fold_partials(fn: str, partials: list[np.ndarray]) -> np.ndarray:
     return np.asarray(ufunc.reduce(stacked))
 
 
-# ------------------------------------------------------- fused group-by
+# ------------------------------------------------------- composite keys
 
 
 def pack_keys(
@@ -317,168 +366,3 @@ def pack_keys(
             term = term - offset
         gid += term * stride if stride != 1 else term
     return gid
-
-
-class GroupRuns:
-    """Precomputed run structure of one scattered fold's destinations.
-
-    Built once per (scatter, control) pair from the destination-ordered
-    control values: run ids per ordered row, run start offsets, and the
-    output slot of every run.  Every aggregate folded over the same
-    scatter reuses this instead of re-detecting runs — the dominant cost
-    of multi-aggregate group-by plans.
-    """
-
-    __slots__ = ("rids", "starts", "dest_slots", "n_runs")
-
-    def __init__(self, rids: np.ndarray, starts: np.ndarray, dest_slots: np.ndarray):
-        self.rids = rids
-        self.starts = starts
-        self.dest_slots = dest_slots
-        self.n_runs = len(starts)
-
-
-def group_runs(
-    dest_control: np.ndarray | None,
-    dest_positions: np.ndarray,
-) -> GroupRuns:
-    """Non-uniform run detection over destination-ordered control values.
-
-    ``dest_control is None`` means a single run.  ``dest_positions`` are
-    the scatter positions in the same (destination-sorted) order; the
-    first run's result always lands at destination slot 0 — ε padding
-    belongs to the *preceding* run and leading padding to the first run
-    (forward-fill semantics, Figure 7).
-    """
-    n = len(dest_positions)
-    if n == 0:
-        empty = np.zeros(0, dtype=np.int64)
-        return GroupRuns(empty, empty, empty)
-    if dest_control is None:
-        rids = np.zeros(n, dtype=np.int64)
-        starts = np.zeros(1, dtype=np.int64)
-    else:
-        is_start = np.empty(n, dtype=bool)
-        is_start[0] = True
-        np.not_equal(dest_control[1:], dest_control[:-1], out=is_start[1:])
-        rids = np.cumsum(is_start).astype(np.int64) - 1
-        starts = np.flatnonzero(is_start).astype(np.int64)
-    dest_slots = dest_positions[starts].astype(np.int64, copy=True)
-    dest_slots[0] = 0
-    return GroupRuns(rids, starts, dest_slots)
-
-
-def grouped_fold_aggregate(
-    fn: str,
-    runs: GroupRuns,
-    values: np.ndarray,
-    mask: np.ndarray | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-run aggregate over precomputed non-uniform runs.
-
-    Returns ``(per_run, nonempty)`` of length ``runs.n_runs``.
-    Bit-identical to :func:`repro.interpreter.semantics.fold_aggregate`
-    on the same ordered values: float sums use the same sequential
-    input-order ``np.bincount`` additions; integer sums wrap
-    associatively so ``np.add.reduceat`` over ε-zeroed values equals
-    ``np.add.at``; ``max``/``min`` are order-independent and ε slots are
-    substituted with the shared :func:`~repro.interpreter.semantics.fold_fill`
-    identities (±inf for floats, so genuine infinities survive the fold).
-    """
-    n_runs = runs.n_runs
-    if mask is None:
-        per_run = fold_aggregate_segments(fn, values, runs.starts, runs.rids)
-        return per_run, np.ones(n_runs, dtype=bool)
-    is_float = values.dtype.kind == "f"
-    acc_dtype = (np.float64 if is_float else np.int64) if fn == "sum" else values.dtype
-    if n_runs == 0:
-        return np.zeros(0, dtype=acc_dtype), np.zeros(0, dtype=bool)
-
-    if fn == "sum":
-        if is_float:
-            weights = values.astype(np.float64, copy=False)
-            use_idx = np.flatnonzero(mask)
-            use_runs = runs.rids[use_idx]
-            # bincount returns int64 (not float64) for *empty* weights —
-            # an all-ε input must still produce a float sum vector
-            # (conformance-fuzzer finding)
-            per_run = np.bincount(
-                use_runs, weights=weights[use_idx], minlength=n_runs
-            ).astype(np.float64, copy=False)
-            nonempty = np.zeros(n_runs, dtype=bool)
-            nonempty[use_runs] = True
-            return per_run, nonempty
-        vals = values.astype(np.int64, copy=False)
-        per_run = np.add.reduceat(np.where(mask, vals, 0), runs.starts)
-        return per_run, np.logical_or.reduceat(mask, runs.starts)
-
-    ufunc = np.maximum if fn == "max" else np.minimum
-    acc = np.dtype(acc_dtype)
-    vals = values.astype(acc, copy=False)
-    per_run = ufunc.reduceat(np.where(mask, vals, fold_fill(fn, acc)), runs.starts)
-    return per_run, np.logical_or.reduceat(mask, runs.starts)
-
-
-def grouped_fold_count(
-    runs: GroupRuns,
-    n: int,
-    mask: np.ndarray | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-run count over precomputed non-uniform runs.
-
-    A count is the integer sum of ones — with no ε mask the per-run
-    value is simply the run length (``diff`` of the start offsets), no
-    gather or reduction at all.  Bit-identical to summing ones through
-    :func:`grouped_fold_aggregate`.
-    """
-    n_runs = runs.n_runs
-    if n_runs == 0:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=bool)
-    if mask is None:
-        per_run = np.diff(runs.starts, append=n).astype(np.int64, copy=False)
-        return per_run, np.ones(n_runs, dtype=bool)
-    per_run = np.add.reduceat(mask.astype(np.int64), runs.starts)
-    return per_run, np.logical_or.reduceat(mask, runs.starts)
-
-
-# ---------------------------------------------------------- scattered folds
-
-
-def scattered_fold_aggregate(
-    fn: str,
-    positions: np.ndarray,
-    size: int,
-    control: np.ndarray | None,
-    values: np.ndarray,
-    mask: np.ndarray | None,
-    order: np.ndarray,
-    runs: GroupRuns | None = None,
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Fold over a virtually scattered vector (paper Figure 11).
-
-    Aggregates in input order directly into partition-aligned output
-    slots: no data movement for the scatter itself.  Returns
-    ``(result, present, n_groups)``; ``n_groups`` feeds the simulated
-    runtime's aggregation-table cost accounting.  ``order`` is the
-    memoized stable destination order of present rows — the ε-drop and
-    ordering rule lives only in
-    :meth:`repro.compiler.rt.VirtualScatter.fold_order` — and ``runs``
-    the (optionally memoized, see
-    :meth:`repro.compiler.rt.VirtualScatter.group_runs`) destination-run
-    structure shared by every aggregate folded over the same scatter.
-    """
-    pos = positions
-    if runs is None:
-        dest_control = None
-        if control is not None:
-            dest_control = control[: len(pos)][order]
-        runs = group_runs(dest_control, pos[order])
-    ordered_values = values[: len(pos)][order]
-    ordered_mask = None if mask is None else mask[: len(pos)][order]
-    per_run, nonempty = grouped_fold_aggregate(fn, runs, ordered_values, ordered_mask)
-
-    result = np.zeros(size, dtype=per_run.dtype)
-    present = np.zeros(size, dtype=bool)
-    result[runs.dest_slots] = per_run
-    present[runs.dest_slots] = nonempty
-    return result, present, runs.n_runs

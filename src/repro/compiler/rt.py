@@ -25,7 +25,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from repro.compiler import kernels
 from repro.core.controlvector import RunInfo, constant_run
 from repro.core.keypath import Keypath
 from repro.core.vector import StructuredVector
@@ -41,64 +40,28 @@ _LINE = 64
 
 @dataclass
 class VirtualScatter:
-    """A scatter kept as an annotation: data + destination positions."""
+    """A scatter kept as an annotation: data + destination positions.
 
-    positions: np.ndarray
+    The node runner's scatters may also carry the group structure of the
+    ``Partition`` their positions come from (``groups``, a
+    :class:`repro.compiler.rt_fast.Groups`): folds over the scatter then
+    address their group's accumulator directly and nothing ranks a row —
+    ``positions`` stays None until the scatter has to land.
+    """
+
+    positions: np.ndarray | None
     pos_present: np.ndarray | None
     size: int
-    #: memoized stable destination order (all folds over one scatter share
-    #: the same sort; computing it per fold dominated grouped queries)
-    _order: np.ndarray | None = field(default=None, repr=False, compare=False)
-    #: memoized (control array, GroupRuns) destination-run structure; a
-    #: grouped query folds every aggregate over the same control, so run
-    #: detection happens once per scatter, not once per aggregate
-    _runs: tuple | None = field(default=None, repr=False, compare=False)
-    #: all-rows stable destination order handed down by the positions
-    #: producer (Partition already sorts rows by destination; re-sorting
-    #: in fold_order would be a redundant argsort)
-    order_hint: np.ndarray | None = field(default=None, repr=False, compare=False)
+    groups: object | None = field(default=None, repr=False, compare=False)
+    #: what every fold over one scatter shares, built by the first of
+    #: them: the slots their results land on (direct folds) and the landed
+    #: value (all others; the traced Runtime keeps its landed control there)
+    slots: object | None = field(default=None, repr=False, compare=False)
+    landed: object | None = field(default=None, repr=False, compare=False)
 
-    def fold_order(self) -> np.ndarray:
-        """Row order sorting present rows by destination position."""
-        if self._order is None:
-            if self.order_hint is not None:
-                hint = self.order_hint
-                self._order = (
-                    hint if self.pos_present is None
-                    else hint[self.pos_present[hint]]
-                )
-            else:
-                keep = np.arange(len(self.positions))
-                if self.pos_present is not None:
-                    # ε positions never land anywhere: drop them before
-                    # ordering so their stale control values cannot split
-                    # destination runs.
-                    keep = keep[self.pos_present]
-                dest = self.positions[keep]
-                if len(dest) and 0 <= dest.min() and dest.max() < self.size:
-                    sort = semantics.stable_order(dest, self.size)
-                else:  # stray positions: no bound to pick a radix width from
-                    sort = np.argsort(dest, kind="stable")
-                self._order = keep[sort]
-        return self._order
-
-    def group_runs(self, control: np.ndarray | None) -> "kernels.GroupRuns":
-        """Destination-run structure for folds controlled by *control*.
-
-        Memoized on array identity (a strong reference is kept, so ids
-        cannot be recycled); a fold over a different control array
-        recomputes.
-        """
-        memo = self._runs  # local read: concurrent folds may swap the memo
-        if memo is not None and memo[0] is control:
-            return memo[1]
-        order = self.fold_order()
-        dest_control = None
-        if control is not None:
-            dest_control = control[: len(self.positions)][order]
-        runs = kernels.group_runs(dest_control, self.positions[order])
-        self._runs = (control, runs)
-        return runs
+    def destinations(self) -> np.ndarray:
+        """The positions, ranked now if the Partition deferred them."""
+        return self.groups.positions() if self.positions is None else self.positions
 
 
 @dataclass
@@ -769,19 +732,31 @@ class Runtime:
                      mat_attrs=val.mat_attrs)
         self._charge_read(base, agg_kp)
         n = val.length
-        control = None
-        if fold_kp is not None:
-            control = (
-                base.runinfo(fold_kp).materialize(n)
-                if base.runinfo(fold_kp) is not None
-                else base.attr(fold_kp)
-            )
         values = base.attr(agg_kp)
-        result, present, groups = kernels.scattered_fold_aggregate(
-            fn, scat.positions, scat.size,
-            control, values, base.present(agg_kp), order=scat.fold_order(),
-            runs=scat.group_runs(control),
+        # the result is the reference's — land, then fold; the landed
+        # control (its ε slots forward-filled into the runs they pad) is
+        # shared by every aggregate over one scatter, and the number of
+        # destination runs prices the aggregation table
+        control, groups = None, 1 if scat.size else 0
+        if fold_kp is not None:
+            info = base.runinfo(fold_kp)
+            raw = info.materialize(n) if info is not None else base.attr(fold_kp)
+            memo = scat.landed
+            if memo is None or memo[0] is not raw:
+                cols, masks = semantics.scatter(
+                    scat.positions, scat.pos_present, scat.size,
+                    {fold_kp: raw}, {fold_kp: base.present(fold_kp)},
+                )
+                control = semantics.forward_fill(cols[fold_kp], masks[fold_kp])
+                memo = scat.landed = (
+                    raw, control, len(semantics.run_offsets(control, scat.size))
+                )
+            _, control, groups = memo
+        cols, masks = semantics.scatter(
+            scat.positions, scat.pos_present, scat.size,
+            {agg_kp: values}, {agg_kp: base.present(agg_kp)},
         )
+        result, present = semantics.fold_aggregate(fn, control, cols[agg_kp], masks[agg_kp])
 
         is_float = values.dtype.kind == "f"
         self._emit(

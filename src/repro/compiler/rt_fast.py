@@ -25,6 +25,14 @@ value every ε slot would hold, and the operators below work on the ``k``
 rows; an operator (or operand pairing) without a compact kernel calls
 :meth:`Compact.pad`, which rebuilds exactly the padded arrays.
 
+The scatter path (``Partition -> Scatter -> Fold``, the paper's group-by)
+is dense addressing, not a sort: a ``Partition`` finds the bucket of each
+row and defers ranking them (:class:`Groups`, :class:`PartitionVal`), a
+fold over the still-virtual scatter accumulates straight into its group's
+accumulator, and a scatter that has to land resolves the last writer of
+every slot — see :meth:`FusedRuntime.partition`, ``fold_aggregate`` and
+``_apply_scatter``.
+
 Bit-identity contract: every output vector equals the interpreter's (and
 the simulated runtime's) output exactly — values, dtypes and ε masks —
 enforced by ``tests/compiler/test_fused.py`` and, node by node, by
@@ -141,10 +149,7 @@ class FusedVal:
     presence mask per keypath (``None`` = dense); ``virtual`` holds
     attributes that exist only as :class:`RunInfo` metadata and are
     materialized on demand.  Masks are *shared, never mutated*: every
-    consumer that combines masks allocates a fresh array.  ``hints``
-    carries optional producer metadata (currently the stable
-    destination order a ``Partition`` computed, keyed by attribute) that
-    downstream operators may exploit but never require.
+    consumer that combines masks allocates a fresh array.
 
     ``lazy`` holds storage-backed attributes that exist only as
     :class:`repro.storage.segment.ColumnData` handles — always dense —
@@ -157,17 +162,15 @@ class FusedVal:
     they too pass through the structural operators untouched.
     """
 
-    __slots__ = ("length", "cols", "masks", "virtual", "scatter", "hints", "lazy",
-                 "compact")
+    __slots__ = ("length", "cols", "masks", "virtual", "scatter", "lazy", "compact")
 
-    def __init__(self, length, cols, masks, virtual=_NONE, scatter=None, hints=None,
+    def __init__(self, length, cols, masks, virtual=_NONE, scatter=None,
                  lazy=_NONE, compact=_NONE):
         self.length = length
         self.cols = cols
         self.masks = masks
         self.virtual = virtual
         self.scatter = scatter
-        self.hints = hints
         self.lazy = lazy
         self.compact = compact
 
@@ -213,6 +216,93 @@ class FusedVal:
         if path in self.cols and self.masks.get(path) is None:
             return self.cols[path][0]
         return None
+
+
+#: Dense addressing — one scratch slot per bucket or destination instead of
+#: a sort of the rows — is used while the scratch array is at most this many
+#: times longer than the rows written into it; past that, sorting the few
+#: rows is cheaper than sweeping the array.  Measured (NumPy 2.4, this
+#: repository's sizes): ``np.full`` + ``np.maximum.at`` + ``flatnonzero``
+#: against ``semantics.stable_order`` + adjacent-dedupe break even at a
+#: ratio of 6 (30 k slots) to 8 (120-250 k slots).
+DENSE_RATIO = 8
+
+
+class Groups:
+    """What a ``Partition`` knows about its rows before it ranks one.
+
+    ``part[i]`` is the bucket of present row ``i`` of the key column
+    (``key``: its ``k`` values and ``handle`` the storage handle they were
+    read through, if any — what a fold's control is recognised by;
+    ``slots``: where they sit, None when every slot is present) and
+    ``counts`` the rows per bucket.  ``direct`` says the keys lie inside a
+    consecutive pivot range — every bucket holds
+    exactly one key value, so a fold controlled by the key column folds
+    per bucket — and that one accumulator per bucket is no more than
+    :data:`DENSE_RATIO` per row.  Per-row positions are ranked (the one
+    sort left on the scatter path) only when something reads them.
+    """
+
+    __slots__ = ("key", "handle", "part", "counts", "slots", "length", "fill_part",
+                 "direct", "_positions", "_landing")
+
+    def __init__(self, key, handle, part, buckets, slots, length, fill_part, direct):
+        self.key = key
+        self.handle = handle
+        self.part = part
+        self.counts = np.bincount(part, minlength=buckets)
+        self.slots = slots
+        self.length = length
+        self.fill_part = fill_part
+        self.direct = direct and buckets <= DENSE_RATIO * max(len(part), 1)
+        self._positions = self._landing = None
+
+    def _shape(self):
+        index = None if self.slots is None else self.slots.index
+        return self.part, self.counts, index, self.length, self.fill_part
+
+    def positions(self) -> np.ndarray:
+        """``semantics.partition_positions`` of the present rows."""
+        if self._positions is None:
+            self._positions = kernels.group_positions(*self._shape())
+        return self._positions
+
+    def landing(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(occupied buckets, the slot each one's fold result lands on)``."""
+        if self._landing is None:
+            self._landing = kernels.group_slots(*self._shape())
+        return self._landing
+
+
+class PartitionVal(FusedVal):
+    """A ``Partition``'s result with its positions deferred: a value that
+    knows its :class:`Groups` and ranks the rows the first time anything
+    reads a column of it (``cols`` / ``masks`` / ``compact`` stay unset
+    until then).  A ``Scatter`` takes the groups and never does.
+    """
+
+    __slots__ = ("out", "groups")
+
+    def __init__(self, length: int, out: Keypath, groups: Groups):
+        self.length = length
+        self.virtual = self.lazy = _NONE
+        self.scatter = None
+        self.out = out
+        self.groups = groups
+
+    def __getattr__(self, name):
+        # reached for unset slots only
+        if name not in ("cols", "masks", "compact"):
+            raise AttributeError(name)
+        groups = self.groups
+        ranked = FusedVal(self.length, {}, {})
+        if groups.slots is None:
+            ranked.cols[self.out], ranked.masks[self.out] = groups.positions(), None
+        else:
+            ranked.put(self.out, groups.slots, groups.positions(), zero_fill(np.int64))
+        # each attribute is published complete (a racing reader ranks again)
+        self.cols, self.masks, self.compact = ranked.cols, ranked.masks, ranked.compact
+        return getattr(ranked, name)
 
 
 def extract(val: FusedVal, path: Keypath) -> tuple[np.ndarray, np.ndarray | None]:
@@ -409,28 +499,35 @@ class FusedRuntime:
     def _apply_scatter(self, val: FusedVal) -> FusedVal:
         """Land a pending scatter: position-directed write, later writes
         win, unfilled slots ε (``semantics.scatter``) — stored compact on
-        the slots written, never zero-filling the rest."""
+        the slots written, never zero-filling the rest.  Landed once per
+        scatter, whoever asks."""
         scat = val.scatter
+        if scat.landed is not None:
+            return scat.landed
         rows = self.dense(FusedVal(val.length, val.cols, val.masks, val.virtual,
                                    lazy=val.lazy, compact=val.compact))
         out = FusedVal(scat.size, {}, {})
-        if not rows.cols:
-            return out
-        n = min(len(scat.positions), rows.length)
-        pos = scat.positions[:n]
+        pos = scat.destinations()
+        n = min(len(pos), rows.length) if rows.cols else 0
+        pos = pos[:n]
         valid = (pos >= 0) & (pos < scat.size)
         if scat.pos_present is not None:
             valid &= scat.pos_present[:n]
-        if valid.all() and n == len(scat.positions):
-            src = scat.fold_order()  # every row lands: the memoized order
-        else:
-            src = np.flatnonzero(valid)
-            src = src[semantics.stable_order(pos[src], scat.size)]
+        src = np.flatnonzero(valid)
         dst = pos[src].astype(np.int64, copy=False)
-        if len(dst) > 1:
-            last = np.append(dst[1:] != dst[:-1], True)  # of each slot's writers
-            if not last.all():
-                src, dst = src[last], dst[last]
+        if scat.size <= DENSE_RATIO * len(src):
+            # the last writer of every slot, by dense addressing
+            writer = np.full(scat.size, -1, dtype=np.int64)
+            np.maximum.at(writer, dst, src)
+            dst = np.flatnonzero(writer >= 0)
+            src = writer[dst]
+        else:  # few rows among many slots: sort the rows
+            order = semantics.stable_order(dst, scat.size)
+            src, dst = src[order], dst[order]
+            if len(dst) > 1:
+                last = np.append(dst[1:] != dst[:-1], True)  # of each slot's writers
+                if not last.all():
+                    src, dst = src[last], dst[last]
         slots = Slots(dst, scat.size)
         for path, col in rows.cols.items():
             mask = rows.masks.get(path)
@@ -445,6 +542,7 @@ class FusedRuntime:
                 present = np.zeros(scat.size, dtype=bool)
                 present[dst] = written
                 out.cols[path], out.masks[path] = array, present
+        scat.landed = out
         return out
 
     # -- shape --------------------------------------------------------------
@@ -618,6 +716,10 @@ class FusedRuntime:
             if gathered is not None:
                 return gathered
         pos, pos_mask = extract(positions, pos_kp)
+        if pos_mask is None and (
+                len(pos) == 0 or (0 <= pos.min() and pos.max() < source.length)):
+            # checked once: every position resolves, so index directly
+            return self._rows_at(source, pos.astype(np.intp, copy=False))
         rows = self.dense(FusedVal(source.length, source.cols, source.masks,
                                    source.virtual, compact=source.compact))
         out_cols, out_masks = semantics.gather(
@@ -681,39 +783,38 @@ class FusedRuntime:
 
     def scatter(self, data: FusedVal, positions: FusedVal, pos_kp: Keypath,
                 size: int, keep_virtual: bool) -> FusedVal:
-        # the stable destination order, when the positions' producer
-        # (a Partition) already sorted by it: covers every position
-        order_hint = (positions.hints or {}).get(("fold_order", pos_kp))
-        column = positions.compact.get(pos_kp)
-        if column is not None and data.length >= positions.length:
-            # ε positions land nowhere: scatter the present rows only
-            # (rows of *data* past the last position land nowhere either)
-            rows = self._rows_at(data, column.slots)
-            scat = VirtualScatter(
-                positions=column.values, pos_present=None, size=size,
-                order_hint=order_hint,
-            )
-            val = FusedVal(rows.length, rows.cols, rows.masks, scatter=scat)
+        groups = pos = present = None
+        if (type(positions) is PartitionVal and positions.out == pos_kp
+                and positions.length <= min(data.length, size)):
+            # straight from a Partition and every row of it lands: hand
+            # the folds its group structure, leave the rows unranked
+            groups = positions.groups
+            slots = groups.slots
         else:
-            pos, pos_mask = extract(positions, pos_kp)
-            n = min(data.length, len(pos))
-            scat = VirtualScatter(
-                positions=pos[:n],
-                pos_present=None if pos_mask is None else pos_mask[:n],
-                size=size,
-                # a hint orders the positions as their producer stored
-                # them: all of them, and not the k of a compact column
-                order_hint=order_hint if column is None and n == len(pos) else None,
-            )
-            val = FusedVal(data.length, data.cols, data.masks, dict(data.virtual), scat,
-                           lazy=dict(data.lazy), compact=dict(data.compact))
+            column = positions.compact.get(pos_kp)
+            if column is not None and data.length >= positions.length:
+                slots, pos = column.slots, column.values
+            else:
+                pos, present = extract(positions, pos_kp)
+                n = min(data.length, len(pos))
+                slots, pos = None, pos[:n]
+                present = None if present is None else present[:n]
+        # ε positions land nowhere: scatter the present rows only (rows of
+        # *data* past the last position land nowhere either)
+        rows = data if slots is None else self._rows_at(data, slots.index, slots)
+        val = FusedVal(rows.length, rows.cols, rows.masks,
+                       rows.virtual and dict(rows.virtual),
+                       VirtualScatter(pos, present, size, groups),
+                       lazy=rows.lazy and dict(rows.lazy),
+                       compact=rows.compact and dict(rows.compact))
         if keep_virtual and self.virtual_scatter_enabled:
             return val
         return self._apply_scatter(val)
 
-    def _rows_at(self, val: FusedVal, slots: Slots) -> FusedVal:
-        """The rows of *val* at *slots*, as a dense value of ``k`` rows."""
-        index = slots.index
+    def _rows_at(self, val: FusedVal, index: np.ndarray,
+                 slots: Slots | None = None) -> FusedVal:
+        """The rows of *val* at *index* (in bounds), as a dense value;
+        *slots*: the pattern the index is, when it is one."""
         cols = {}
         masks = {}
         for path, col in val.cols.items():
@@ -727,7 +828,7 @@ class FusedRuntime:
             cols[path] = np.asarray(handle.take(index))
             masks[path] = None
         for path, column in val.compact.items():
-            if slots.same_as(column.slots):
+            if slots is not None and slots.same_as(column.slots):
                 cols[path], masks[path] = column.values, None
             else:
                 array, mask = column.pad()
@@ -749,29 +850,43 @@ class FusedRuntime:
     def partition(self, out: Keypath, source: FusedVal, kp: Keypath,
                   pivots: FusedVal, pivot_kp: Keypath,
                   scatter_only: bool = False) -> FusedVal:
-        """``scatter_only``: every consumer is a Scatter reading *out* as
+        """Bucket ids and counts now, per-row positions when read.
+
+        ``scatter_only``: every consumer is a Scatter reading *out* as
         its positions, so the positions of ε rows are never observed and
         a compact key yields compact positions."""
-        piv, _ = extract(pivots, pivot_kp)
         column = source.compact.get(kp) if scatter_only else None
+        handle = None
         if column is not None:
-            positions, order = kernels.partition_positions_slots(
-                column.values, column.slots.index, source.length, column.fill, piv
-            )
-            placed = Compact(column.slots, positions, zero_fill(np.int64))
-            return FusedVal(source.length, {}, {}, compact={out: placed},
-                            hints={("fold_order", out): order})
-        values, mask = extract(source, kp)
-        positions, out_present, order = semantics.partition_positions(
-            values, mask, piv, with_order=True
-        )
-        present = None if out_present.all() else out_present
-        # hand the already-computed stable destination order to a
-        # downstream Scatter so its fold_order skips the argsort
-        return FusedVal(
-            len(values), {out: positions}, {out: present},
-            hints={("fold_order", out): order},
-        )
+            key, slots, fill = column.values, column.slots, column.fill
+        else:
+            handle = source.lazy.get(kp)  # (read before extract() decodes it)
+            key, mask = extract(source, kp)
+            if mask is not None:  # ε rows rank by whatever their slots hold
+                piv, _ = extract(pivots, pivot_kp)
+                positions, present = semantics.partition_positions(key, mask, piv)
+                return FusedVal(len(key), {out: positions},
+                                {out: None if present.all() else present})
+            slots, fill = None, key[:0]
+        info = pivots.runinfo(pivot_kp)
+        lo, hi = (info.start, info.start + pivots.length) if (
+            info is not None and info.step == 1 and info.cap is None) else (0, 0)
+        # keys inside a consecutive pivot range are their own bucket ids
+        direct = lo < hi and key.dtype.kind in "iub" and (
+            len(key) == 0 or (lo <= key.min() and key.max() < hi))
+        if direct:
+            part = key.astype(np.int64, copy=False)
+            if lo:
+                part = part - lo
+            # (the fill may lie outside the range: its bucket is clipped)
+            fill_part = min(max(int(fill[0]) - lo, 0), hi - lo - 1) if len(fill) else 0
+        else:
+            piv, _ = extract(pivots, pivot_kp)
+            part = semantics.partition_ids(key, piv)
+            fill_part = int(semantics.partition_ids(fill, piv)[0]) if len(fill) else 0
+        return PartitionVal(source.length, out, Groups(
+            key, handle, part, pivots.length, slots, source.length, fill_part, direct
+        ))
 
     # -- folds --------------------------------------------------------------
 
@@ -817,7 +932,21 @@ class FusedRuntime:
     def fold_aggregate(self, fn: str, out: Keypath, val: FusedVal, agg_kp: Keypath,
                        fold_kp: Keypath | None) -> FusedVal:
         if val.scatter is not None:
-            return self._fold_scattered(fn, out, val, agg_kp, fold_kp)
+            groups = self._direct_groups(val, fold_kp)
+            if groups is None:
+                val = self._apply_scatter(val)
+            else:
+                values, mask = extract(val, agg_kp)
+                part, k = groups.part, len(groups.part)
+                hits = None
+                if mask is not None:  # ε values contribute nothing
+                    index = np.flatnonzero(mask[:k])
+                    values, part = values[index], part[index]
+                    hits = np.bincount(part, minlength=len(groups.counts))
+                per_group = kernels.fold_aggregate_groups(
+                    fn, values[:k], part, len(groups.counts)
+                )
+                return self._grouped_result(out, val.scatter, per_group, hits)
         n = val.length
         run_length = self._run_length(val, fold_kp, n)
         result = FusedVal(n, {}, {})
@@ -861,72 +990,52 @@ class FusedRuntime:
         result.put(out, Slots(at, n), per_run, zero_fill(per_run.dtype))
         return result
 
-    def _scattered_control(self, val: FusedVal, fold_kp: Keypath | None):
-        """The fold-control array of a scattered value.
-
-        A virtual (RunInfo) control materializes once per value, cached
-        in ``hints`` — every aggregate over the same scatter must hand
-        the *same* array to :meth:`VirtualScatter.group_runs`, or the
-        identity-keyed run-structure memo never engages.
-        """
-        if fold_kp is None:
+    @staticmethod
+    def _direct_groups(val: FusedVal, fold_kp: Keypath | None) -> Groups | None:
+        """The group structure a fold over a virtual scatter may address
+        directly: the scatter's positions are a Partition of the fold's
+        own control column, one key value per bucket.  The column is
+        recognised by identity — the array, or the storage handle it was
+        read through — and else by value (a parallel run merges the key
+        and the data it is part of separately).  None for every other
+        shape — that fold lands the scatter."""
+        groups = val.scatter.groups
+        if groups is None or not groups.direct or fold_kp is None:
             return None
-        info = val.runinfo(fold_kp)
-        if info is None:
-            return val.attr(fold_kp)
-        if val.hints is None:
-            val.hints = {}
-        control = val.hints.get(("control", fold_kp))
+        control = val.cols.get(fold_kp)
         if control is None:
-            control = info.materialize(val.length)
-            val.hints[("control", fold_kp)] = control
-        return control
+            handle = val.lazy.get(fold_kp)
+            if handle is None:
+                return None
+            if handle is groups.handle:
+                return groups
+            control = extract(val, fold_kp)[0]  # (landing would decode it too)
+        elif val.masks.get(fold_kp) is not None:
+            return None
+        k = len(groups.key)
+        if control is groups.key or (
+                len(control) >= k and np.array_equal(control[:k], groups.key)):
+            return groups
+        return None
 
-    def _scattered_result(self, out: Keypath, val: FusedVal, fold_kp, runs,
-                          per_run: np.ndarray, nonempty: np.ndarray) -> FusedVal:
-        """One value per destination run, on the run's first slot."""
-        size = val.scatter.size
-        at = runs.dest_slots
-        if len(at) > 1 and not (at[1:] > at[:-1]).all():
-            # overlapping destinations (later writes win): not a slot set
-            folded = np.zeros(size, dtype=per_run.dtype)
-            present = np.zeros(size, dtype=bool)
-            folded[at] = per_run
-            present[at] = nonempty
-            return from_padded(size, out, folded, present)
-        result = FusedVal(size, {}, {})
-        if nonempty.all():
+    @staticmethod
+    def _grouped_result(out: Keypath, scat: VirtualScatter, per_group: np.ndarray,
+                        hits: np.ndarray | None) -> FusedVal:
+        """One value per occupied bucket, on the slot its run starts at;
+        *hits*: the contributing rows per bucket (None: every row)."""
+        occupied, at = scat.groups.landing()
+        slots = scat.slots
+        if slots is None:
             # every aggregate of a grouped query lands on the same slots:
             # share them, so the arithmetic after the folds stays compact
-            if val.hints is None:
-                val.hints = {}
-            slots = val.hints.get(("result_slots", fold_kp))
-            if slots is None or slots.index is not at:
-                slots = val.hints[("result_slots", fold_kp)] = Slots(at, size)
-        else:
-            slots = Slots(at[nonempty], size)
-            per_run = per_run[nonempty]
-        result.put(out, slots, per_run, zero_fill(per_run.dtype))
+            slots = scat.slots = Slots(at, scat.size)
+        if hits is not None:
+            hit = hits[occupied] > 0
+            if not hit.all():
+                occupied, slots = occupied[hit], Slots(at[hit], scat.size)
+        result = FusedVal(scat.size, {}, {})
+        result.put(out, slots, per_group[occupied], zero_fill(per_group.dtype))
         return result
-
-    def _fold_scattered(self, fn: str, out: Keypath, val: FusedVal,
-                        agg_kp: Keypath, fold_kp: Keypath | None) -> FusedVal:
-        scat = val.scatter
-        control = self._scattered_control(val, fold_kp)
-        runs = scat.group_runs(control)
-        order = scat.fold_order()
-        values, mask = extract(val, agg_kp)
-        n = len(scat.positions)
-        if mask is None:
-            per_run = self.kernels.fold_aggregate_segments(
-                fn, values[:n][order], runs.starts, runs.rids
-            )
-            nonempty = np.ones(runs.n_runs, dtype=bool)
-        else:
-            per_run, nonempty = kernels.grouped_fold_aggregate(
-                fn, runs, values[:n][order], mask[:n][order]
-            )
-        return self._scattered_result(out, val, fold_kp, runs, per_run, nonempty)
 
     def fold_scan(self, out: Keypath, val: FusedVal, s_kp: Keypath,
                   fold_kp: Keypath | None, inclusive: bool) -> FusedVal:
@@ -947,20 +1056,18 @@ class FusedRuntime:
                    fold_kp: Keypath | None) -> FusedVal:
         kp = counted_kp or _single_path(val)
         if val.scatter is not None:
-            # count == sum of ones over the destination runs: with a dense
-            # counted attribute the per-run value is just the run length —
-            # no ones vector, no gather, no reduction
-            scat = val.scatter
-            control = self._scattered_control(val, fold_kp)
-            counted_mask = None if kp is None else val.mask(kp)
-            order = scat.fold_order()
-            runs = scat.group_runs(control)
-            ordered_mask = (
-                None if counted_mask is None
-                else counted_mask[: len(scat.positions)][order]
-            )
-            per_run, nonempty = kernels.grouped_fold_count(runs, len(order), ordered_mask)
-            return self._scattered_result(out, val, fold_kp, runs, per_run, nonempty)
+            # (no counted column: the landed runs count their ε slots too)
+            groups = None if kp is None else self._direct_groups(val, fold_kp)
+            if groups is None:
+                val = self._apply_scatter(val)
+            else:
+                # count == sum of ones: the bucket sizes, already counted
+                mask = val.mask(kp)
+                if mask is None:
+                    return self._grouped_result(out, val.scatter, groups.counts, None)
+                counts = np.bincount(groups.part[mask[: len(groups.part)]],
+                                     minlength=len(groups.counts))
+                return self._grouped_result(out, val.scatter, counts, counts)
         n = val.length
         run_length = self._run_length(val, fold_kp, n)
         slots = None if kp is None else _presence(val, kp)

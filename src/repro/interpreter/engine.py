@@ -307,12 +307,18 @@ def apply_unary(
     this so the operator semantics live in exactly one place.
     """
     if fn == "LogicalNot":
-        return ~(a != 0), mask
+        return ~_truth(a), mask
     if fn == "Negate":
         return (-a.astype(np.int64) if a.dtype.kind == "u" else -a), mask
     if fn == "IsPresent":
         return (np.ones(len(a), dtype=bool) if mask is None else mask.copy()), None
     return a.astype(np.dtype(dtype)), mask  # Cast
+
+
+def _truth(a: np.ndarray) -> np.ndarray:
+    """``a != 0`` — which a boolean array (every comparison result) is
+    already, so the logical operators skip that pass and its temporary."""
+    return a if a.dtype.kind == "b" else a != 0
 
 
 def _walk_op_classes(base: type):
@@ -346,9 +352,9 @@ def apply_binary(fn: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if fn == "BitShift":
         return np.left_shift(a.astype(np.int64), b.astype(np.int64))
     if fn == "LogicalAnd":
-        return (a != 0) & (b != 0)
+        return _truth(a) & _truth(b)
     if fn == "LogicalOr":
-        return (a != 0) | (b != 0)
+        return _truth(a) | _truth(b)
     if fn == "Greater":
         return a > b
     if fn == "GreaterEqual":

@@ -306,18 +306,12 @@ def partition_positions(
     values: np.ndarray,
     present: np.ndarray | None,
     pivots: np.ndarray,
-    with_order: bool = False,
-) -> tuple:
+) -> tuple[np.ndarray, np.ndarray]:
     """Stable scatter positions grouping *values* by pivot intervals.
 
     Partition of v = index of the greatest pivot <= v (clipped to 0), i.e.
     with pivots ``0..k-1`` and integral group ids, the id itself.  Output
     positions lay partitions out contiguously, stable within a partition.
-
-    With ``with_order=True`` the stable row order by output position is
-    returned as a third element.  Positions are distinct per row, so this
-    equals ``np.argsort(positions, kind="stable")`` — computed here as a
-    by-product, it lets a downstream scattered fold skip that sort.
     """
     n = len(values)
     part = partition_ids(values, pivots)
@@ -329,8 +323,6 @@ def partition_positions(
     positions = np.empty(n, dtype=np.int64)
     positions[order] = offsets[part[order]] + rank_sorted
     out_present = np.ones(n, dtype=bool) if present is None else present.copy()
-    if with_order:
-        return positions, out_present, order
     return positions, out_present
 
 

@@ -4,10 +4,12 @@
 two things from this module:
 
 * the two per-run aggregate kernels of its runtime —
-  :func:`fold_aggregate_segments` (present rows of a compact or
-  scattered column) and :func:`fold_aggregate_uniform` (a dense one) —
-  which call the compiled fold library for the float sums it serves
-  (NumPy otherwise — per call, silently);
+  :func:`fold_aggregate_segments` (present rows of a compact column) and
+  :func:`fold_aggregate_uniform` (a dense one) — which call the compiled
+  fold library for the float sums it serves (NumPy otherwise — per call,
+  silently); a grouped fold over a virtual scatter is no per-run kernel:
+  it accumulates per group with NumPy on both tiers
+  (``kernels.fold_aggregate_groups``);
 * chain interception: :func:`chain_index` plans the program's map chains
   once, and :func:`eval_chain` computes all member operators of a chain
   in one C kernel when every external input is already available — over
@@ -39,11 +41,11 @@ from repro.native.exec import (
 from repro.native.plan import plan_native_chains
 
 
-def fold_aggregate_segments(fn, values, starts, rids=None):
+def fold_aggregate_segments(fn, values, starts):
     res = native_fold_segments(fn, values, starts)
     if res is not None:
         return res
-    return kernels.fold_aggregate_segments(fn, values, starts, rids)
+    return kernels.fold_aggregate_segments(fn, values, starts)
 
 
 def fold_aggregate_uniform(fn, values, run_length, n):

@@ -302,8 +302,9 @@ class ParallelInterpreter:
         evaluated — and runs the batch concurrently (the NumPy kernels
         release the GIL); everything else evaluates inline in topological
         order.  The first fold of each distinct source evaluates inline
-        to warm the scatter's memoized ``fold_order``/``group_runs``
-        before threads share them read-only.
+        to build what the folds of one scatter share (its result slots or
+        its landed value, the Partition's ranked positions) before
+        threads read them.
         """
         nodes = [order[i] for i in seq_indices]
         pending: set[int] = {id(node) for node in nodes}

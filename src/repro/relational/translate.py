@@ -12,7 +12,12 @@ through control vectors rather than hardware constructs:
 * ``SemiJoin`` → membership table + ``IsPresent``;
 * ``GroupBy``  → group-id linearization → ``Partition`` → virtual
   ``Scatter`` → controlled ``Fold`` per aggregate (Figures 10/11), or the
-  hierarchical two-level fold of Figure 3 when there are no keys;
+  hierarchical two-level fold of Figure 3 when there are no keys.  The
+  shape matters to the runner: the pivots are ``Range(domain)`` and every
+  fold is controlled by the very ``__gid`` column the ``Partition`` read,
+  so each bucket is one group and the folds accumulate straight into
+  their group's slot — no row is ranked, nothing is sorted
+  (:class:`repro.compiler.rt_fast.Groups`);
 * filtered rows travel as ε slots — masks propagate through every
   operator, and folds skip ε, so no operator ever re-checks predicates.
 """

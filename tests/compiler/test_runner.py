@@ -15,19 +15,22 @@ exactly).  A compact kernel that puts a fold result one slot off is
 caught at the node that did it, not three joins later.
 """
 
+import gc
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from repro.compiler import FusedRuntime, compile_program
-from repro.compiler.rt_fast import Compact
+from repro.compiler import FusedRuntime, compile_program, kernels
+from repro.compiler.rt_fast import DENSE_RATIO, Compact
 from repro.compiler.runner import ChunkRunner, ProgramRunner
 from repro.core import Builder, StructuredVector, ops
-from repro.interpreter import Interpreter
+from repro.interpreter import Interpreter, semantics
 from repro.native.runner import _INTERNAL  # what a C chain leaves for its inner steps
 from repro.parallel import PARTITIONED, ParallelInterpreter, merge
 from repro.relational import EngineConfig, VoodooEngine
+from repro.storage import ColumnStore, Table
 from repro.testing.qgen import generate_case
 from repro.tpch import QUERIES, build, generate
 
@@ -73,8 +76,9 @@ def check_nodes(program, reference: dict, got: dict, rt, context) -> None:
         )
 
 
-def run_whole(program, vectors, native: bool, reference, context) -> dict:
-    runner = ProgramRunner(program, vectors, native=native)
+def run_whole(program, vectors, native: bool, reference, context,
+              virtual_scatter: bool = True) -> dict:
+    runner = ProgramRunner(program, vectors, virtual_scatter, native)
     values: dict = {}
     for node in program.order:
         values[id(node)] = runner.eval(node, values)
@@ -82,7 +86,8 @@ def run_whole(program, vectors, native: bool, reference, context) -> dict:
     return runner.capture(values)
 
 
-def run_chunked(program, vectors, native: bool, reference, context, monkeypatch):
+def run_chunked(program, vectors, native: bool, reference, context, monkeypatch,
+                virtual_scatter: bool = True):
     """A parallel run with every node evaluation and every merge spied
     on: partitioned nodes are compared after concatenating their chunks
     in chunk order, global folds after their merge, the rest as is."""
@@ -108,7 +113,7 @@ def run_chunked(program, vectors, native: bool, reference, context, monkeypatch)
     with ParallelInterpreter(
         vectors, workers=2, grain=max(1, extent // 4), native=native
     ) as runner:
-        outputs = runner.run(program)
+        outputs = runner.run(program, virtual_scatter=virtual_scatter)
         plan = runner.last_plan
     monkeypatch.undo()
     if not plan.parallel:
@@ -138,21 +143,26 @@ def run_chunked(program, vectors, native: bool, reference, context, monkeypatch)
     return outputs, len(plan.chunks)
 
 
-def check_all_paths(program, vectors, native: bool, context, monkeypatch) -> int:
+def check_all_paths(program, vectors, native: bool, context, monkeypatch,
+                    virtual_scatter: bool = True) -> int:
     """Interpreter vs whole-program runner vs chunked runner, node by
     node; returns the number of chunks the parallel run was cut into
     (0: it ran whole)."""
     expected = Interpreter(vectors).run(program)
-    compiled = compile_program(program, EngineConfig(native=native).resolved().options)
+    options = replace(EngineConfig(native=native).resolved().options,
+                      virtual_scatter=virtual_scatter)
+    compiled = compile_program(program, options)
     assert compiled.native is native
     whole, trace = compiled.run(vectors, collect_trace=False)
     assert len(trace) == 0
     assert_bit_identical(expected, whole, (*context, "whole"))
     reference = interpret_nodes(compiled.program, vectors)
-    stepped = run_whole(compiled.program, vectors, native, reference, (*context, "whole"))
+    stepped = run_whole(compiled.program, vectors, native, reference,
+                        (*context, "whole"), virtual_scatter)
     assert_bit_identical(expected, stepped, (*context, "whole", "stepped"))
     chunked, chunks = run_chunked(
-        compiled.program, vectors, native, reference, (*context, "chunked"), monkeypatch
+        compiled.program, vectors, native, reference, (*context, "chunked"),
+        monkeypatch, virtual_scatter,
     )
     assert_bit_identical(expected, chunked, (*context, "chunked"))
     return chunks
@@ -308,6 +318,233 @@ def test_compact_kernels_on_random_vectors(native, monkeypatch):
         check_all_paths(program, store, native, ("random", case), monkeypatch)
 
 
+# -- the shapes that pick the scatter regime --------------------------------------
+#
+# Hand-built programs: the SQL front end only ever partitions by keys inside
+# a consecutive pivot range and folds by the very column it partitioned, so
+# neither fuzzer reaches the shapes that must NOT take the direct path.
+
+
+def regime_program(schema, rows: int, groups: int, *, select: bool = True, shift: int = 0,
+                   pivot_start: int = 0, pivots=None, expose: bool = False,
+                   longer: int = 0, narrow: bool = False):
+    """Partition -> Scatter -> every fold, by the key and by another
+    column; scatters by positions the table names itself (duplicates,
+    strays, ε) into a tight and a wide table; optionally the positions
+    as an output, a scatter of more rows than there are positions, and
+    (``narrow``) an aggregate input present on fewer rows than the key."""
+    b = Builder({"t": schema} if pivots is None else {"t": schema, "pv": pivots})
+    t = b.load("t")
+    kept = t
+    if select:
+        chunk = b.divide(b.range(t), b.constant(4), out=".chunk")
+        pred = b.greater(t.project(".v"), b.constant(0), out=".sel")
+        hits = b.fold_select(b.zip(b.zip(t, pred), chunk), sel_kp=".sel",
+                             fold_kp=".chunk", out=".pos")
+        kept = b.gather(t, hits, pos_kp=".pos")
+        if narrow:
+            fewer = b.fold_select(
+                b.zip(b.zip(t, b.greater(t.project(".v"), b.constant(1), out=".sel")), chunk),
+                sel_kp=".sel", fold_kp=".chunk", out=".pos")
+            kept = b.upsert(kept, ".e", b.gather(t, fewer, pos_kp=".pos"), ".e")
+    # the ε slots of a selected key hold `shift`
+    key = b.add(kept, b.constant(shift), out=".gid", left_kp=".k")
+    keyed = b.upsert(kept, ".gid", key, ".gid")
+    piv = b.load("pv") if pivots is not None else b.range(groups, start=pivot_start,
+                                                          out=".pv")
+    placed = b.partition(keyed.project(".gid"), piv, out=".pos")
+    outputs = {"placed": placed} if expose else {}
+
+    def folds(tag, scattered, controls, paths):
+        for control in controls:
+            for fn in ("sum", "max", "min"):
+                for path in paths:
+                    outputs[f"{tag}{control}_{fn}{path}".replace(".", "_")] = getattr(
+                        b, f"fold_{fn}")(scattered, agg_kp=path, fold_kp=control, out=".r")
+            outputs[f"{tag}{control}_count".replace(".", "_")] = b.fold_count(
+                scattered, counted_kp=paths[-1], fold_kp=control, out=".n")
+            # no counted column: the runs of the landed vector count their ε slots
+            outputs[f"{tag}{control}_slots".replace(".", "_")] = b.fold_count(
+                scattered, fold_kp=control, out=".n")
+        outputs[f"{tag}_whole"] = b.fold_sum(scattered, agg_kp=paths[0], out=".r")
+
+    folds("by", b.scatter(keyed, placed, pos_kp=".pos"), (".gid", ".c"),
+          (".f", ".i", ".e"))
+    for name, size in (("tight", max(rows, 1)), ("wide", 40 * rows + 7)):
+        table = b.range(size, out=".slot")
+        outputs[f"landed_{name}"] = b.scatter(t, t, pos_kp=".p", sizeref=table)
+        folds(name, b.scatter(b.zip(t.project(".f"), t.project(".k")), t, pos_kp=".p",
+                              sizeref=table), (".k",), (".f",))
+    if longer:
+        wide = b.zip(b.range(longer, out=".w"),
+                     b.divide(b.range(longer), b.constant(3), out=".q"))
+        folds("longer", b.scatter(wide, placed, pos_kp=".pos"), (".q",), (".w",))
+    return b.build(**outputs)
+
+
+def regime_store(k, *, v=None, f=None, i=None, e_mask=None, p=None, key_dtype=np.int64):
+    k = np.asarray(k, dtype=key_dtype)
+    n = len(k)
+    rng = np.random.default_rng(n)
+    columns = {
+        ".k": k,
+        ".v": rng.integers(0, 2, n) if v is None else np.asarray(v, dtype=np.int64),
+        ".f": rng.normal(size=n) if f is None else np.asarray(f, dtype=np.float64),
+        ".i": rng.integers(-9, 9, n) if i is None else np.asarray(i, dtype=np.int64),
+        ".e": rng.integers(-50, 50, n),
+        ".c": rng.integers(0, 3, n),
+        # duplicate, negative and too-large positions
+        ".p": rng.integers(-2, n + 3, n) if p is None else np.asarray(p, dtype=np.int64),
+    }
+    masks = {} if e_mask is None else {".e": np.asarray(e_mask, dtype=bool)}
+    return StructuredVector(n, columns, masks)
+
+
+def _pivots(values):
+    return StructuredVector(len(values), {".pv": np.asarray(values, dtype=np.int64)})
+
+
+_KEYS = [0, 3, 1, 1, 2, 0, 3, 3, 1, 0, 2, 1]
+_SELECT = [1, 0, 1, 1, 0, 1, 1, 0, 1, 1, 0, 1]
+#: group 1 holds 1e16, -1e16, 1, 1 in input order: 2.0 — and 0.0 in any sorted order
+_CANCEL = [1e-3, 1.0, 1e16, -1e16, 3.0, 1e16, -0.0, 2.0, 1.0, -0.0, -3.0, 1.0]
+
+#: name -> (table, groups, regime_program keywords)
+REGIMES = {
+    "keys in range": (regime_store(_KEYS, v=_SELECT, f=_CANCEL), 4, {}),
+    "keys in range, every row": (regime_store(_KEYS, f=_CANCEL), 4, {"select": False}),
+    "ε image in a middle bucket": (
+        regime_store([-2, 3, 1, -1, 2, 0, 3, 3, 1, 0, -2, 1], v=_SELECT), 6, {"shift": 2}),
+    "ε image past the last bucket": (
+        regime_store([-7, -4, -6, -6, -5, -7, -4, -4, -6, -7, -5, -6], v=_SELECT), 6,
+        {"shift": 9}),
+    "keys below and above the range": (
+        regime_store([-3, 0, 7, 2, 1, 5, -1, 3, 3, 6, 0, 2], v=_SELECT), 4, {}),
+    "pivot range not from zero": (
+        regime_store([2, 5, 3, 3, 4, 2, 5, 5, 3, 2, 4, 3], v=_SELECT), 4,
+        {"pivot_start": 2}),
+    "keys around a range not from zero": (regime_store(_KEYS, v=_SELECT), 2,
+                                          {"pivot_start": 1}),
+    "non-consecutive, unsorted pivots": (
+        regime_store([4, 11, 0, 6, 3, 9, 10, 5, 2, 7, 3, 12], v=_SELECT), 4,
+        {"pivots": [10, 0, 5, 3]}),
+    "consecutive pivots, stored": (regime_store(_KEYS, v=_SELECT), 4,
+                                   {"pivots": [0, 1, 2, 3]}),
+    "float keys": (regime_store([0.0, 3.0, 1.5, 1.0, 2.0, 0.0, 3.0, 2.5, 1.0, 0.5, 2.0, 1.0],
+                                v=_SELECT, key_dtype=np.float64), 4, {}),
+    "bool keys": (regime_store([1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 0, 1], key_dtype=bool), 2,
+                  {"select": False}),
+    "an all-ε group": (
+        regime_store(_KEYS, e_mask=[key != 1 for key in _KEYS]), 4, {"select": False}),
+    "an ε-only column": (regime_store(_KEYS, e_mask=[False] * 12), 4, {"select": False}),
+    "ε values beside a selected key": (
+        regime_store(_KEYS, v=[2, 0, 1, 2, 0, 1, 2, 0, 1, 1, 0, 2]), 4, {"narrow": True}),
+    # (a gather that hits an ε row pads, so this key is dense with a mask)
+    "ε values in the selected table": (
+        regime_store(_KEYS, v=_SELECT, e_mask=[key != 1 for key in _KEYS]), 4, {}),
+    "domain far above the rows": (regime_store(_KEYS, v=_SELECT), 5000, {}),
+    "sparse keys, domain far above the rows": (
+        regime_store([4000, 17, 4000, 2, 999, 17, 2, 4999, 0, 2, 999, 17], v=_SELECT), 5000,
+        {}),
+    "domain of one": (regime_store([0] * 12, v=_SELECT), 1, {}),
+    "empty input": (regime_store([]), 4, {}),
+    "nothing selected": (regime_store(_KEYS, v=[0] * 12), 4, {}),
+    "one row": (regime_store([2]), 4, {"select": False}),
+    "float specials": (
+        regime_store(_KEYS, v=_SELECT, f=(_SPECIALS + [np.nan, -np.inf, 1.5, -0.0])), 4, {}),
+    "negative zeros only": (regime_store(_KEYS, f=[-0.0] * 12), 4, {"select": False}),
+    "int64 wraps": (
+        regime_store(_KEYS, i=[_INT_MIN, 5, _INT_MIN, -1, 7, _INT_MIN, -_INT_MIN - 1,
+                               -_INT_MIN - 1, 1, -2, 3, 4]), 4, {"select": False}),
+    "positions exposed": (regime_store(_KEYS, v=_SELECT), 4, {"expose": True}),
+    "data longer than the positions": (regime_store(_KEYS, v=_SELECT), 4, {"longer": 17}),
+    "data longer than dense positions": (regime_store(_KEYS), 4,
+                                         {"select": False, "longer": 17}),
+    "every position a duplicate": (regime_store(_KEYS, v=_SELECT, p=[5] * 12), 4, {}),
+    "every position a stray": (regime_store(_KEYS, v=_SELECT, p=[-1, 99] * 6), 4, {}),
+}
+
+
+def check_regime(name, native, virtual_scatter, monkeypatch):
+    table, groups, keywords = REGIMES[name]
+    keywords = dict(keywords)
+    store = {"t": table}
+    if "pivots" in keywords:
+        store["pv"] = _pivots(keywords["pivots"])
+        keywords["pivots"] = store["pv"].schema
+    program = regime_program(table.schema, len(table), groups, **keywords)
+    check_all_paths(program, store, native, (name, virtual_scatter), monkeypatch,
+                    virtual_scatter)
+
+
+@KERNELS
+@pytest.mark.parametrize("virtual_scatter", (True, False), ids=("virtual", "landed"))
+@pytest.mark.parametrize("name", sorted(REGIMES))
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf, int64 wrap-around
+def test_scatter_regimes(name, virtual_scatter, native, monkeypatch):
+    check_regime(name, native, virtual_scatter, monkeypatch)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_direct_folds_run_where_they_should(monkeypatch):
+    """The regime is chosen by what the input shows: the grouped kernel
+    serves the translator's shape and nothing else in REGIMES."""
+    calls: list = []
+    plain = kernels.fold_aggregate_groups
+
+    def spy(fn, values, part, buckets):
+        calls.append(buckets)
+        return plain(fn, values, part, buckets)
+
+    monkeypatch.setattr(kernels, "fold_aggregate_groups", spy)
+    direct = set()
+    for name in REGIMES:
+        calls.clear()
+        table, groups, keywords = REGIMES[name]
+        if "pivots" in keywords:
+            continue
+        program = regime_program(table.schema, len(table), groups, **keywords)
+        runner = ProgramRunner(program, {"t": table})
+        values: dict = {}
+        for node in program.order:
+            values[id(node)] = runner.eval(node, values)
+        if calls:
+            direct.add(name)
+            # {sum, max, min} x {f, i, e} by the key; the other control column
+            # is the key only where no row is left to tell them apart
+            assert len(calls) == (18 if name in ("empty input", "nothing selected") else 9), name
+    assert direct == set(REGIMES) - {
+        "keys below and above the range", "keys around a range not from zero",
+        "non-consecutive, unsorted pivots", "consecutive pivots, stored", "float keys",
+        "domain far above the rows", "sparse keys, domain far above the rows",
+        # a compact key then ranks every slot, as a masked one does: no groups
+        "positions exposed", "ε values in the selected table",
+    }
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_regime_mutations_are_caught(monkeypatch):
+    """Two plausible wrong kernels, each of which the cases above must fail."""
+    plain_slots, plain_fold = kernels.group_slots, kernels.fold_aggregate_groups
+
+    def no_epsilon_offsets(part, counts, index, n, fill_part):
+        return plain_slots(part, counts, None, len(part), fill_part)
+
+    def sorted_accumulation(fn, values, part, buckets):
+        order = np.argsort(values, kind="stable")
+        return plain_fold(fn, values[order], part[order], buckets)
+
+    for broken, name, mutant in (
+        ("group_slots", "ε image in a middle bucket", no_epsilon_offsets),
+        ("fold_aggregate_groups", "keys in range", sorted_accumulation),
+    ):
+        check_regime(name, False, True, monkeypatch)
+        monkeypatch.setattr(kernels, broken, mutant)
+        with pytest.raises(AssertionError):
+            check_regime(name, False, True, monkeypatch)
+        monkeypatch.undo()
+
+
 # -- where full-length materialisations happen -----------------------------------
 
 #: Compact.pad() calls per TPC-H program that are NOT the output boundary,
@@ -354,3 +591,83 @@ def test_padding_happens_at_the_output_boundary(tpch_store, number, monkeypatch)
     assert inside == PADS_INSIDE.get(number, 0), (number, padded)
     columns = sum(len(vector.paths) for vector in outputs.values())
     assert len(padded) - inside <= columns, (number, padded)
+
+
+# -- where the scatter path still sorts --------------------------------------------
+
+#: ``semantics.stable_order`` calls made by the Partition, Scatter and fold
+#: nodes of a TPC-H program, with the reason each one is inherent: a grouped
+#: query whose key domain is more than DENSE_RATIO times its rows lands its
+#: scatter by sorting the few rows (one sort ranks them, one orders their
+#: destinations) instead of sweeping a domain-long scratch array.
+SORTS_INSIDE = {
+    7: 2,  # ~30 shipments between two nations in a 25 x 25 x 7 = 4 375-group domain
+    # (at the benchmark's SF 0.02 Q11 joins it: 400 partsupp rows of one
+    # nation over 4 000 part keys; here its ratio is inside DENSE_RATIO)
+}
+
+
+def _grouped_micro():
+    """``micro.groupby`` of the repository benchmark, at test size."""
+    rng = np.random.default_rng(3)
+    rows = 4_000
+    store = ColumnStore()
+    store.add(Table.from_arrays(
+        "facts", k=rng.integers(0, 12, rows), v1=rng.random(rows), v2=rng.random(rows),
+        w=rng.integers(0, 100, rows)))
+    return store, ("SELECT k, SUM(v1) AS s1, SUM(v2) AS s2, COUNT(*) AS cnt, MAX(w) AS top "
+                   "FROM facts WHERE w <= 95 GROUP BY k ORDER BY k")
+
+
+@pytest.mark.parametrize("number", [*sorted(QUERIES), "micro.groupby"])
+def test_grouped_folds_and_builds_do_not_sort(tpch_store, number, monkeypatch):
+    """Beside the pad-count guard: grouped aggregates accumulate straight
+    into their group's slot, semi- and hash-join builds resolve their
+    writers per slot, and Partition ranks no row nobody reads — no
+    ``stable_order`` and no ``np.argsort`` in a warm execute, except the
+    documented sparse landings; and the group structure adds no
+    collector pass to a warm execute."""
+    store, query = _grouped_micro() if number == "micro.groupby" else (
+        tpch_store, build(tpch_store, number))
+    sorts: list = []
+    inside = [0]
+    plain_order, plain_argsort = semantics.stable_order, np.argsort
+
+    def spy_order(ids, bound):
+        sorts.append((len(ids), bound))
+        inside[0] += 1
+        try:
+            return plain_order(ids, bound)
+        finally:
+            inside[0] -= 1
+
+    def spy_argsort(*args, **kwargs):
+        if not inside[0]:
+            sorts.append("argsort")
+        return plain_argsort(*args, **kwargs)
+
+    with VoodooEngine(store, config=EngineConfig(tracing=False)) as engine:
+        prepared = engine.prepare(query)
+        prepared.execute()
+        gc.collect()
+        passes = sum(generation["collections"] for generation in gc.get_stats())
+        prepared.execute()
+        passes = sum(generation["collections"] for generation in gc.get_stats()) - passes
+        program = engine.compile(prepared.bind()).program
+        vectors = engine.vectors()
+    # (the two longest programs hold more values alive than one gen-0
+    # threshold of 700 containers, as they did before the group structure)
+    assert passes <= (number in (8, 20)), number
+    monkeypatch.setattr(semantics, "stable_order", spy_order)
+    monkeypatch.setattr(np, "argsort", spy_argsort)
+    runner = ProgramRunner(program, vectors)
+    values: dict = {}
+    for node in program.order:
+        before = len(sorts)
+        values[id(node)] = runner.eval(node, values)
+        if not isinstance(node, (ops.Partition, ops.Scatter, ops.FoldAggregate,
+                                 ops.FoldCount)):
+            assert len(sorts) == before, (number, node.opname, sorts[before:])
+    assert len(sorts) == SORTS_INSIDE.get(number, 0), (number, sorts)
+    for rows, bound in sorts:  # (an argsort outside stable_order fails to unpack)
+        assert rows * DENSE_RATIO < bound, (number, sorts)

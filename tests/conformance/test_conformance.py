@@ -105,22 +105,21 @@ def _find_grouped_sum_case(limit: int = 60):
 class TestBrokenBackendIsCaught:
     """The acceptance gate: deliberate kernel bugs must not survive."""
 
-    def test_broken_reduceat_kernel_caught_with_replayable_case(
+    def test_broken_grouped_kernel_caught_with_replayable_case(
         self, tmp_path, monkeypatch
     ):
         case = _find_grouped_sum_case()
-        orig = kernels.grouped_fold_aggregate
+        orig = kernels.fold_aggregate_groups
 
-        def off_by_one(fn, runs, values, mask):
-            per_run, nonempty = orig(fn, runs, values, mask)
-            if fn == "sum" and len(per_run):
-                per_run = per_run.copy()
-                per_run[-1] += 1
-            return per_run, nonempty
+        def off_by_one(fn, values, part, buckets):
+            per_group = orig(fn, values, part, buckets)
+            if fn == "sum" and len(part):
+                per_group[part[-1]] += 1
+            return per_group
 
-        monkeypatch.setattr(kernels, "grouped_fold_aggregate", off_by_one)
+        monkeypatch.setattr(kernels, "fold_aggregate_groups", off_by_one)
         problems = run_case(case)
-        assert problems, "off-by-one in the fused reduceat path went undetected"
+        assert problems, "off-by-one in the grouped fold kernel went undetected"
         kinds = {kind for _, kind, _ in problems}
         assert kinds & {"grid", "oracle"}
 
@@ -130,7 +129,7 @@ class TestBrokenBackendIsCaught:
         replayed = load_case(path)
         assert run_case(replayed), "dumped case did not reproduce the failure"
 
-        monkeypatch.setattr(kernels, "grouped_fold_aggregate", orig)
+        monkeypatch.setattr(kernels, "fold_aggregate_groups", orig)
         assert run_case(replayed) == [], "case must go green once the kernel is fixed"
 
     def test_shared_engine_bug_caught_by_oracle(self, monkeypatch):

@@ -262,11 +262,8 @@ def test_partition_positions_match_a_rank_by_hand(partitions):
     rng = np.random.default_rng(partitions)
     values = rng.integers(-3, partitions + 3, size=4_000)
     pivots = np.arange(partitions, dtype=np.int64)
-    positions, present, order = sem.partition_positions(
-        values, None, pivots, with_order=True
-    )
+    positions, present = sem.partition_positions(values, None, pivots)
     part = np.clip(values, 0, partitions - 1)
     by_hand = np.empty(len(values), dtype=np.int64)
     by_hand[np.argsort(part, kind="stable")] = np.arange(len(values))
     assert np.array_equal(positions, by_hand) and present.all()
-    assert np.array_equal(order, np.argsort(positions, kind="stable"))

@@ -8,12 +8,14 @@ cut group-by runs mid-group; and the engine-level satellites (persistent
 pool lifecycle, tracing × workers conflict) are locked in.
 """
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compiler import ExecutionOptions, compile_program
+from repro.compiler import ExecutionOptions, FusedRuntime, compile_program, kernels
 from repro.core import Builder, Schema, StructuredVector
 from repro.errors import ExecutionError
 from repro.interpreter import Interpreter
@@ -129,9 +131,12 @@ def test_engine_fused_parallel_tables_agree(store, engine):
 # ----------------------------------------------------- group-by run splits
 
 
-def groupby_program(n: int, grain: int, cards: int):
+def groupby_program(n: int, grain: int, cards: int, wide: bool = False):
     """Filter + grouped sum/count/max over a gid — the Q1 shape, with a
-    chunked partial-fold stage whose runs the chunk boundaries may cut."""
+    chunked partial-fold stage whose runs the chunk boundaries may cut.
+    ``wide``: six aggregates by the key (they share the Partition's group
+    structure and one set of result slots) and two by another column
+    (they share the landed scatter)."""
     b = Builder({"facts": Schema({".k": "int64", ".v": "float64", ".w": "int64"})})
     facts = b.load("facts")
     pred = b.less_equal(facts.project(".w"), b.constant(70), out=".sel")
@@ -145,7 +150,16 @@ def groupby_program(n: int, grain: int, cards: int):
     sums = b.fold_sum(scattered, agg_kp=".v", fold_kp=".k", out=".sum")
     counts = b.fold_count(scattered, counted_kp=".v", fold_kp=".k", out=".cnt")
     tops = b.fold_max(scattered, agg_kp=".w", fold_kp=".k", out=".top")
-    return b.build(sums=sums, counts=counts, tops=tops)
+    outputs = {"sums": sums, "counts": counts, "tops": tops}
+    if wide:
+        outputs.update(
+            lows=b.fold_min(scattered, agg_kp=".v", fold_kp=".k", out=".low"),
+            weights=b.fold_sum(scattered, agg_kp=".w", fold_kp=".k", out=".weight"),
+            peaks=b.fold_max(scattered, agg_kp=".v", fold_kp=".k", out=".peak"),
+            other_sums=b.fold_sum(scattered, agg_kp=".v", fold_kp=".w", out=".sum"),
+            other_counts=b.fold_count(scattered, counted_kp=".v", fold_kp=".w", out=".cnt"),
+        )
+    return b.build(**outputs)
 
 
 @given(
@@ -285,6 +299,69 @@ def test_forced_pool_groupby_seq_zone():
         runner._effective = 2
         par = runner.run(program)
     assert_bit_identical(seq, par)
+
+
+def test_six_aggregates_share_one_group_structure_across_pool_threads():
+    """The folds of one scatter run on pool threads after the first of
+    each kind ran inline: the group structure, the result slots and the
+    landed value they share must give workers=4 the bits of workers=1 —
+    on every one of many runs, with thread switches forced often."""
+    rng = np.random.default_rng(23)
+    n = 12_000
+    store = {
+        "facts": StructuredVector(
+            n,
+            {
+                ".k": rng.integers(0, 8, n).astype(np.int64),
+                ".v": (rng.random(n) * 100).astype(np.float64),
+                ".w": rng.integers(0, 100, n).astype(np.int64),
+            },
+        )
+    }
+    program = groupby_program(n, 1024, 8, wide=True)
+    with ParallelInterpreter(store, workers=1) as runner:
+        one = runner.run(program)
+    assert_bit_identical(Interpreter(store).run(program), one)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ParallelInterpreter(store, workers=4) as runner:
+            runner._effective = 4  # a real pool, also on a 1-CPU host
+            for attempt in range(40):
+                assert_bit_identical(one, runner.run(program), context=(attempt,))
+            assert runner.last_plan.parallel
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_parallel_grouped_folds_stay_direct(monkeypatch):
+    """The chunks' key column and the rows it is part of are merged
+    separately — two arrays, one column: the SEQ zone's grouped folds must
+    still recognise their control as the Partition's key (by value) and
+    accumulate per group instead of landing the scatter."""
+    rng = np.random.default_rng(24)
+    n = 12_000
+    store = {
+        "facts": StructuredVector(
+            n,
+            {
+                ".k": rng.integers(0, 8, n).astype(np.int64),
+                ".v": (rng.random(n) * 100).astype(np.float64),
+                ".w": rng.integers(0, 100, n).astype(np.int64),
+            },
+        )
+    }
+    direct: list = []
+    landed: list = []
+    plain_fold, plain_land = kernels.fold_aggregate_groups, FusedRuntime._apply_scatter
+    monkeypatch.setattr(kernels, "fold_aggregate_groups",
+                        lambda *args: direct.append(args[0]) or plain_fold(*args))
+    monkeypatch.setattr(FusedRuntime, "_apply_scatter",
+                        lambda self, val: landed.append(val) or plain_land(self, val))
+    with ParallelInterpreter(store, workers=2) as runner:
+        runner.run(groupby_program(n, 1024, 8))
+        assert runner.last_plan.parallel
+    assert sorted(direct) == ["max", "sum"] and not landed  # (the count reads bucket sizes)
 
 
 def test_plan_memo_invalidated_on_dtype_change():
