@@ -1,9 +1,9 @@
 """Runtime tracking for the conformance suite itself.
 
 The fuzzing harness only stays in CI if it stays fast: this wrapper
-times case generation + the full backend grid + the oracle, so a
-regression in *suite* throughput (cases/second) is as visible as a
-regression in query speed.  The smoke variant runs a small batch; the
+times case generation + the interpreter anchor + the full backend grid
++ the oracle, so a regression in *suite* throughput (cases/second) is as
+visible as a regression in query speed.  The smoke variant runs a small batch; the
 ``slow`` variant times the full 2000-case sweep the nightly soak uses.
 """
 

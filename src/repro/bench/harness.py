@@ -8,8 +8,9 @@ EXPERIMENTS.md.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Callable, Iterable
 
 
 def dataset_record(store, **extra) -> dict:
@@ -138,6 +139,16 @@ class BarSet(_RecordsDatasets):
             lines.append(f"{group:>10} | " + " | ".join(cells))
         lines.append(f"(values in {unit}; lower is better)")
         return "\n".join(lines)
+
+
+def best_of(fn: Callable[[], object], repeats: int) -> float:
+    """Best wall-clock seconds of *repeats* calls of *fn*."""
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - start)
+    return best
 
 
 def geometric_mean(values: Iterable[float]) -> float:

@@ -23,23 +23,17 @@ in-memory registry or the ``.so`` disk cache.
 
 from __future__ import annotations
 
+import json
 import os
 import platform
+from pathlib import Path
 
 import numpy as np
 
-from repro.bench.fused_wallclock import (
-    MICRO_SEED,
-    _best_of,
-    groupby_micro,
-    groupby_store,
-    micro_store,
-    projection_micro,
-    selection_micro,
-    write_trajectory,
-)
-from repro.bench.harness import geometric_mean
+from repro.bench.harness import best_of, geometric_mean
 from repro.compiler import CompilerOptions, compile_program
+from repro.core import Builder, Schema
+from repro.core.vector import StructuredVector
 from repro.native import find_compiler, snapshot
 from repro.parallel import ParallelInterpreter
 from repro.relational.config import EngineConfig
@@ -53,6 +47,123 @@ __all__ = [
 ]
 
 
+# ------------------------------------------------------- microbenchmarks
+
+
+#: RNG seed of the micro/group-by stores (recorded as dataset provenance
+#: in the BENCH_*.json meta — keep the literal in exactly one place)
+MICRO_SEED = 0
+
+
+def micro_store(n: int, seed: int = MICRO_SEED) -> dict[str, StructuredVector]:
+    rng = np.random.default_rng(seed)
+    return {
+        "facts": StructuredVector(
+            n,
+            {
+                ".v1": rng.random(n, dtype=np.float32),
+                ".v2": rng.random(n, dtype=np.float32),
+                ".v3": rng.random(n, dtype=np.float32),
+                ".v4": rng.random(n, dtype=np.float32),
+            },
+        )
+    }
+
+
+def _schema() -> Schema:
+    return Schema({".v1": "float32", ".v2": "float32",
+                   ".v3": "float32", ".v4": "float32"})
+
+
+def selection_micro(n: int, selectivity: float = 0.1, grain: int = 8192):
+    """``select sum(v2) from facts where v1 <= θ`` (Figure 1/15 shape)."""
+    b = Builder({"facts": _schema()})
+    facts = b.load("facts")
+    pred = b.less_equal(
+        facts.project(".v1"), b.constant(float(selectivity), dtype="float32"),
+        out=".sel",
+    )
+    ctrl = b.divide(b.range(facts), b.constant(grain), out=".chunk")
+    with_sel = b.zip(b.zip(facts, pred), ctrl)
+    positions = b.fold_select(with_sel, sel_kp=".sel", fold_kp=".chunk", out=".pos")
+    payload = b.gather(facts.project(".v2"), positions, pos_kp=".pos")
+    partial = b.fold_sum(b.zip(payload, ctrl), agg_kp=".v2", fold_kp=".chunk", out=".part")
+    total = b.fold_sum(partial, agg_kp=".part", out=".total")
+    return b.build(total=total)
+
+
+def projection_micro(n: int, selectivity: float = 0.2, grain: int = 8192):
+    """Q6-style projection chain over selected rows:
+    ``sum(v2 * (1 - v3) * (1 + v4)) where v1 <= θ``."""
+    b = Builder({"facts": _schema()})
+    facts = b.load("facts")
+    pred = b.less_equal(
+        facts.project(".v1"), b.constant(float(selectivity), dtype="float32"),
+        out=".sel",
+    )
+    ctrl = b.divide(b.range(facts), b.constant(grain), out=".chunk")
+    with_sel = b.zip(b.zip(facts, pred), ctrl)
+    positions = b.fold_select(with_sel, sel_kp=".sel", fold_kp=".chunk", out=".pos")
+    payload = b.gather(facts, positions, pos_kp=".pos")
+    one = b.constant(1.0, dtype="float64")
+    disc = b.subtract(one, payload.project(".v3"), out=".disc")
+    tax = b.add(one, payload.project(".v4"), out=".tax")
+    revenue = b.multiply(
+        b.multiply(payload.project(".v2"), disc, out=".rev0"), tax, out=".rev"
+    )
+    partial = b.fold_sum(b.zip(revenue, ctrl), agg_kp=".rev", fold_kp=".chunk", out=".part")
+    total = b.fold_sum(partial, agg_kp=".part", out=".total")
+    return b.build(total=total)
+
+
+def groupby_micro(n: int, cards: int = 12, selectivity: float = 0.95):
+    """A Q1-class grouped aggregation: filter → partition → scatter →
+    multi-aggregate fold (sum/sum/count/max) over a small key domain —
+    the shape that exercises the fused group-by kernels."""
+    b = Builder(
+        {"gfacts": Schema({".k": "int64", ".v1": "float64",
+                           ".v2": "float64", ".w": "int64"})}
+    )
+    facts = b.load("gfacts")
+    pred = b.less_equal(
+        facts.project(".w"), b.constant(int(selectivity * 100)), out=".sel"
+    )
+    ctrl = b.divide(b.range(facts), b.constant(8192), out=".chunk")
+    chained = b.zip(b.zip(facts, pred), ctrl)
+    positions = b.fold_select(chained, sel_kp=".sel", fold_kp=".chunk", out=".pos")
+    kept = b.gather(facts, positions, pos_kp=".pos")
+    pivots = b.range(cards, out=".pv")
+    part = b.partition(kept.project(".k"), pivots, out=".dest")
+    scattered = b.scatter(kept, part, pos_kp=".dest")
+    s1 = b.fold_sum(scattered, agg_kp=".v1", fold_kp=".k", out=".sum1")
+    s2 = b.fold_sum(scattered, agg_kp=".v2", fold_kp=".k", out=".sum2")
+    cnt = b.fold_count(scattered, counted_kp=".v1", fold_kp=".k", out=".cnt")
+    top = b.fold_max(scattered, agg_kp=".w", fold_kp=".k", out=".top")
+    return b.build(sum1=s1, sum2=s2, cnt=cnt, top=top)
+
+
+def groupby_store(n: int, cards: int = 12,
+                  seed: int = MICRO_SEED) -> dict[str, StructuredVector]:
+    rng = np.random.default_rng(seed)
+    return {
+        "gfacts": StructuredVector(
+            n,
+            {
+                ".k": rng.integers(0, cards, n).astype(np.int64),
+                ".v1": rng.random(n),
+                ".v2": rng.random(n),
+                ".w": rng.integers(0, 100, n).astype(np.int64),
+            },
+        )
+    }
+
+
+def write_trajectory(results: dict, path: str | Path) -> Path:
+    path = Path(path)
+    path.write_text(json.dumps(results, indent=2, sort_keys=False) + "\n")
+    return path
+
+
 def _time_native(program, storage, repeats: int) -> dict[str, float]:
     fused = compile_program(program, CompilerOptions())
     native = compile_program(program, CompilerOptions(native=True))
@@ -62,16 +173,16 @@ def _time_native(program, storage, repeats: int) -> dict[str, float]:
     fused.run(storage, collect_trace=False)
     native.run(storage, collect_trace=False)
     times = {
-        "compiled_fused": _best_of(
+        "compiled_fused": best_of(
             lambda: fused.run(storage, collect_trace=False), repeats
         ),
-        "native": _best_of(
+        "native": best_of(
             lambda: native.run(storage, collect_trace=False), repeats
         ),
     }
     with ParallelInterpreter(storage, workers=2, native=True) as runner:
         runner.run(program)
-        times["native_parallel_w2"] = _best_of(
+        times["native_parallel_w2"] = best_of(
             lambda: runner.run(program), repeats
         )
     best_native = min(times["native"], times["native_parallel_w2"])
@@ -168,9 +279,9 @@ def run_all(
             # dataset provenance: regenerate with these seeds to replay
             "datasets": [
                 dict(store.meta),
-                {"generator": "repro.bench.fused_wallclock.micro_store",
+                {"generator": "repro.bench.native_wallclock.micro_store",
                  "seed": MICRO_SEED, "n": n},
-                {"generator": "repro.bench.fused_wallclock.groupby_store",
+                {"generator": "repro.bench.native_wallclock.groupby_store",
                  "seed": MICRO_SEED, "n": n},
             ],
         },

@@ -42,7 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.bench.fused_wallclock import _best_of
+from repro.bench.harness import best_of
 from repro.relational import algebra as ra
 from repro.relational.config import EngineConfig
 from repro.relational.engine import VoodooEngine
@@ -55,8 +55,7 @@ from repro.tuner import AutoTuner, TunedConfig, TuningCache, default_config
 #: would have done": best-of-k minima on shared hardware still jitter
 NOISE = 0.15
 
-#: RNG seed of the micro store (provenance single-source, as MICRO_SEED
-#: in fused_wallclock)
+#: RNG seed of the micro store (provenance single-source)
 MICRO_SEED = 0
 
 
@@ -116,7 +115,7 @@ def _measure_config(
         options=config.options, execution=config.execution, tracing=False
     )) as engine:
         engine.execute(query)  # warm: compile + plan cache + pools
-        return _best_of(lambda: engine.execute(query), repeats)
+        return best_of(lambda: engine.execute(query), repeats)
 
 
 def _race_workload(

@@ -1,10 +1,13 @@
 """The compiling backend (the paper's OpenCL compiler, section 3.1).
 
-Compiles Voodoo programs into fused kernels with declaratively controlled
-parallelism: control-vector metadata → extent/intent fragments → generated
-kernel source, with virtual scatters and empty-slot suppression.  Executed
-kernels emit operation traces priced by :mod:`repro.hardware`; untraced
-runs execute on the node runner (:mod:`repro.compiler.runner`).
+Compiles Voodoo programs into fragments with declaratively controlled
+parallelism: control-vector metadata → extent/intent kernels, seams,
+virtual scatters (:mod:`repro.compiler.fragments`).  Every run executes
+on the node runner (:mod:`repro.compiler.runner` over
+:mod:`repro.compiler.rt_fast`, with empty-slot suppression); a traced
+run also shows each node's values to the pricing pass
+(:mod:`repro.compiler.pricing`), which emits the operation trace
+:mod:`repro.hardware` prices for the plan's device and strategies.
 """
 
 from repro.compiler.compiled import CompiledProgram, compile_program
@@ -13,7 +16,6 @@ from repro.compiler.metadata import MetadataPass
 from repro.compiler.opencl_emit import emit_opencl
 from repro.compiler.optimizer import cse, optimize
 from repro.compiler.options import CompilerOptions, ExecutionOptions
-from repro.compiler.rt import Runtime, RtVal
 from repro.compiler.rt_fast import FusedRuntime, FusedVal
 
 __all__ = [
@@ -28,8 +30,6 @@ __all__ = [
     "optimize",
     "CompilerOptions",
     "ExecutionOptions",
-    "Runtime",
-    "RtVal",
     "FusedRuntime",
     "FusedVal",
 ]

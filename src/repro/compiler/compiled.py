@@ -3,29 +3,27 @@
     compiled = compile_program(program, options=CompilerOptions(device="gpu"))
     outputs, trace = compiled.run(storage)
     report = compiled.price(trace)          # simulated seconds on the device
-    print(compiled.source)                  # generated Python kernel code (lazy)
-    print(compiled.opencl)                  # pseudo-OpenCL rendering
+    print(compiled.source)                  # pseudo-OpenCL rendering (lazy)
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable, Mapping
+from typing import Mapping
 
-from repro.compiler.codegen import compile_source, generate_source
 from repro.compiler.fragments import FragmentPlan
 from repro.compiler.metadata import MetadataPass
 from repro.compiler.opencl_emit import emit_opencl
 from repro.compiler.optimizer import optimize
 from repro.compiler.options import CompilerOptions, ExecutionOptions
-from repro.compiler.rt import Runtime
-from repro.compiler.runner import run_program
+from repro.compiler.pricing import Pricer
+from repro.compiler.runner import ProgramRunner, run_program
 from repro.core.program import Program
 from repro.core.vector import StructuredVector
 from repro.hardware.cost import CostModel, CostReport
 from repro.hardware.device import DeviceProfile, get_device
-from repro.hardware.trace import Trace, TraceRecorder
+from repro.hardware.trace import Trace
 
 
 @dataclass
@@ -36,32 +34,21 @@ class CompiledProgram:
     options: CompilerOptions
     plan: FragmentPlan
     device: DeviceProfile
-    #: untraced runs have no generated source (repro.compiler.runner);
-    #: last reader: perfbench/replay.py, which falls back to ``source``
+    #: no run executes generated source (repro.compiler.runner); last
+    #: reader: perfbench/replay.py, which falls back to ``source``
     fused_source = None
 
     @cached_property
     def source(self) -> str:
-        """Kernel source of the traced (simulated) runtime.  Generated on
-        first access: an engine serving untraced runs never pays for
-        code it does not run."""
-        return generate_source(self.plan)
-
-    @cached_property
-    def entry(self) -> Callable:
-        """Entry point of the traced runtime (``compile()`` of
-        :attr:`source`, on the first traced run)."""
-        return compile_source(self.source)
+        """The fragments as pseudo-OpenCL kernels — the one rendering of
+        the plan, for inspection only.  Emitted on first access: an engine
+        never pays for text it does not show."""
+        return emit_opencl(self.plan)
 
     @property
     def native(self) -> bool:
         """Untraced executions run on the native C tier (:mod:`repro.native`)."""
         return self.options.native
-
-    @property
-    def opencl(self) -> str:
-        """Pseudo-OpenCL rendering of the fragments (lazy)."""
-        return emit_opencl(self.plan)
 
     def kernel_count(self) -> int:
         return self.plan.kernel_count()
@@ -79,13 +66,14 @@ class CompiledProgram:
         times larger than the arrays actually executed (volumes and
         parallel extents scale; sequential fragments do not) — how the
         microbenchmarks reach the paper's one-billion-row sizes.
-        ``execution`` carries the multicore knob: the runtime charges
+        ``execution`` carries the multicore knob: the pricer charges
         per-core footprints for ``execution.workers`` cores.
 
-        With ``collect_trace=False`` there is nothing to simulate, so
-        the program runs on the node runner (:mod:`repro.compiler.runner`)
-        — bit-identical outputs, an empty trace, and no accounting
-        overhead.  ``options.fuse`` shapes the simulated kernels only.
+        Either way the program runs on the node runner
+        (:mod:`repro.compiler.runner`); a traced run shows each node's
+        values to a :class:`~repro.compiler.pricing.Pricer` on the way.
+        With ``collect_trace=False`` there is nothing to simulate: the
+        same outputs, an empty trace and no accounting.
         """
         if not collect_trace:
             outputs = run_program(
@@ -93,19 +81,14 @@ class CompiledProgram:
                 virtual_scatter=self.options.virtual_scatter,
             )
             return outputs, Trace()
-        recorder = TraceRecorder()
-        runtime = Runtime(
-            storage=storage,
-            device=self.device,
-            recorder=recorder,
-            selection=self.options.selection,
-            slot_suppression=self.options.slot_suppression,
-            virtual_scatter=self.options.virtual_scatter,
-            scale=scale,
-            workers=execution.workers if execution else None,
+        # scatters stay virtual where the plan keeps them virtual (an
+        # operator-at-a-time plan keeps none), so their facts are observed
+        runner = ProgramRunner(
+            self.program, storage, virtual_scatter=bool(self.plan.virtual_scatters)
         )
-        outputs = self.entry(runtime)
-        return dict(outputs), recorder.trace
+        pricer = Pricer(self.plan, self.device, scale,
+                        execution.workers if execution else None)
+        return runner.capture(pricer.run(runner)), pricer.trace
 
     def price(self, trace: Trace, execution: ExecutionOptions | None = None) -> CostReport:
         """Simulated cost of a recorded trace on this program's device.
@@ -139,9 +122,9 @@ def compile_program(
     """Compile a Voodoo program for a device (the OpenCL-backend analogue).
 
     Pipeline: optimizer (CSE) → control-vector metadata inference →
-    fragment assignment (extent/intent).  Kernel source generation and
-    ``compile()`` wait for the first traced run
-    (:attr:`CompiledProgram.source`); untraced runs need neither.
+    fragment assignment (extent/intent).  Nothing is generated: every
+    run dispatches the program node by node, and the pseudo-OpenCL
+    rendering (:attr:`CompiledProgram.source`) waits until it is read.
     """
     if run_optimizer:
         program = optimize(program)

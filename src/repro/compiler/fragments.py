@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 
 from repro.compiler.metadata import MetadataPass
 from repro.compiler.options import CompilerOptions
+from repro.compiler.runner import consumer_sets
 from repro.core import ops
 from repro.core.program import Program
 
@@ -41,7 +42,6 @@ class Fragment:
 
     index: int
     intent: int = 1          # 1 = fully parallel; FULL = sequential; L = runs of L
-    segmented: bool = False  # data-derived runs (runtime boundary detection)
     closed: bool = False
     nodes: list[ops.Op] = field(default_factory=list)
 
@@ -90,8 +90,8 @@ class FragmentPlan:
 
     # -- assignment -----------------------------------------------------------------
 
-    def _new_fragment(self, intent: int = 1, segmented: bool = False) -> Fragment:
-        frag = Fragment(index=len(self.fragments), intent=intent, segmented=segmented)
+    def _new_fragment(self, intent: int = 1) -> Fragment:
+        frag = Fragment(index=len(self.fragments), intent=intent)
         self.fragments.append(frag)
         return frag
 
@@ -117,7 +117,8 @@ class FragmentPlan:
 
     def _assign(self) -> None:
         meta = self.metadata
-        fold_only = self._fold_only_scatters()
+        # (scatters only folds read, and no output: the runner's own set)
+        fold_only = consumer_sets(self.program)[0]
         for node in self.program:
             if meta.is_virtual(node) or isinstance(node, ops.Load):
                 continue  # no runtime fragment: metadata / storage input
@@ -160,17 +161,12 @@ class FragmentPlan:
                         frag = last
                 if frag is not None and frag.compatible_with_fold(run_length):
                     self._place(node, frag)
-                    if run_length is None:
-                        frag.segmented = True
-                    elif run_length > 1 and frag.intent == 1:
-                        frag.intent = run_length
-                    elif run_length == FULL:
+                    if run_length == FULL:
                         frag.intent = FULL
+                    elif run_length is not None and run_length > 1 and frag.intent == 1:
+                        frag.intent = run_length
                 else:
-                    intent = 1 if run_length is None else run_length
-                    frag = self._new_fragment(
-                        intent=intent, segmented=run_length is None
-                    )
+                    frag = self._new_fragment(1 if run_length is None else run_length)
                     self._place(node, frag)
                 continue
 
@@ -191,19 +187,6 @@ class FragmentPlan:
         if node.fold_kp is None:
             return FULL
         return self.metadata.static_run_length(node.source, node.fold_kp)
-
-    def _fold_only_scatters(self) -> set[int]:
-        """Scatters that only folds read (and that are no program output):
-        the ones that can stay virtual.  One pass over the program."""
-        verdict: dict[int, bool] = {}
-        for reader in self.program:
-            by_fold = isinstance(reader, ops.FoldOp)
-            for child in reader.inputs():
-                if isinstance(child, ops.Scatter):
-                    verdict[id(child)] = by_fold and verdict.get(id(child), True)
-        for out in self.program.outputs.values():
-            verdict[id(out)] = False
-        return {node for node, fold_only in verdict.items() if fold_only}
 
     # -- seams --------------------------------------------------------------------------
 
@@ -229,7 +212,6 @@ class FragmentPlan:
         lines = []
         for frag in self.fragments:
             intent = {FULL: "sequential"}.get(frag.intent, f"intent={frag.intent}")
-            seg = ", segmented" if frag.segmented else ""
             names = ", ".join(n.opname for n in frag.nodes)
-            lines.append(f"fragment {frag.index} ({intent}{seg}): {names}")
+            lines.append(f"fragment {frag.index} ({intent}): {names}")
         return "\n".join(lines)

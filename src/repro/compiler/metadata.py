@@ -14,10 +14,9 @@ from fractions import Fraction
 from types import MappingProxyType
 
 from repro.core import ops
-from repro.core.controlvector import RunInfo, constant_run
+from repro.core.controlvector import RunInfo, constant_run, derive_runinfo
 from repro.core.keypath import Keypath
 from repro.core.program import Program
-from repro.errors import ControlVectorError
 
 
 #: what a node without control-vector metadata carries
@@ -87,24 +86,11 @@ class MetadataPass:
 
     def _visit_binary(self, node: ops.Binary) -> None:
         info = self.info(node.left, node.left_kp)
-        if info is None:
-            return
         other = self.constants.get(id(node.right))
-        if other is None or not isinstance(other, (int, bool)):
+        if info is None or not isinstance(other, (int, bool)):
             return
-        other = int(other)
-        try:
-            if node.fn == "Divide":
-                derived = info.divide(other)
-            elif node.fn == "Modulo":
-                derived = info.modulo(other)
-            elif node.fn == "Multiply":
-                derived = info.multiply(other)
-            elif node.fn == "Add":
-                derived = info.add(other)
-            else:
-                return
-        except (ControlVectorError, ZeroDivisionError):
+        derived = derive_runinfo(node.fn, info, int(other))
+        if derived is None:
             return
         self._set(node, node.out, derived)
         # A binary over a virtual vector and a constant is itself virtual.

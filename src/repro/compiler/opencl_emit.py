@@ -72,8 +72,10 @@ class OpenCLEmitter:
                 f"{op} {self._ref(node.right)}.{_c_name(node.right_kp)};"
             ]
         if isinstance(node, ops.Unary):
-            fn = unary_prefix(node.fn, node.dtype)
-            return [f"auto {name} = {fn}{self._ref(node.source)}.{_c_name(node.source_kp)};"]
+            operand = f"{self._ref(node.source)}.{_c_name(node.source_kp)}"
+            if node.fn == "IsPresent":  # ε-ness has no C operator
+                return [f"auto {name} = is_present({operand});"]
+            return [f"auto {name} = {unary_prefix(node.fn, node.dtype)}{operand};"]
         if isinstance(node, ops.Gather):
             return [
                 f"auto {name} = {self._ref(node.source)}"

@@ -19,29 +19,38 @@ SELECTION_STRATEGIES = ("branching", "branch-free")
 class CompilerOptions:
     """Hardware-specific code generation choices.
 
+    Two fields *execute*: ``virtual_scatter`` and ``native`` select what
+    the node runner does.  Four only *price*: ``device``, ``selection``,
+    ``slot_suppression`` and ``fuse`` describe the simulated device and
+    its strategies — they are read by the fragment planner
+    (:mod:`repro.compiler.fragments`) and the pricing pass
+    (:mod:`repro.compiler.pricing`), and by nothing under
+    :mod:`repro.compiler.runner` / :mod:`repro.compiler.rt_fast`: every
+    run, traced or not, executes the same operators.
+
     Attributes
     ----------
     device:
         Target device profile name (``cpu-1t``, ``cpu-mt``, ``gpu``).
     selection:
-        FoldSelect implementation: ``branching`` (if-statements, costs
-        mispredictions) or ``branch-free`` (cursor arithmetic /
-        predication [Ross 28], costs extra writes).
+        The FoldSelect the simulated device runs: ``branching``
+        (if-statements, costs mispredictions) or ``branch-free`` (cursor
+        arithmetic / predication [Ross 28], costs extra writes).
     virtual_scatter:
-        Keep scatters virtual until materialization (section 3.1.3).
+        Keep fold-only scatters virtual until materialization (section
+        3.1.3) — executed that way, and priced that way.
     slot_suppression:
         The simulator's *price* for empty-slot suppression (3.1.2): with
-        it the traced runtime charges a materialization ``nbytes ×
-        present fraction`` instead of ``nbytes``.  It selects no code:
-        the node runner always suppresses — ε-padded values are stored
-        compact (:class:`repro.compiler.rt_fast.Compact`) whatever this
-        field says.
+        it a materialization is charged ``nbytes × present fraction``
+        instead of ``nbytes``.  It selects no code: the node runner
+        always suppresses — ε-padded values are stored compact
+        (:class:`repro.compiler.rt_fast.Compact`) whatever this field
+        says.
     fuse:
         Inline operators between pipeline breakers into one fragment; off
-        = operator-at-a-time (Ocelot-style) execution, for ablations.
-        Shapes the simulator only: untraced runs
-        (``run(collect_trace=False)``) execute on the node runner
-        (:mod:`repro.compiler.runner`) either way.
+        = one simulated kernel per operator (Ocelot-style), for
+        ablations — such a plan keeps no scatter virtual, and a traced
+        run lands them accordingly.
     native:
         Execute untraced runs — sequential and partition-parallel alike —
         on the native CPU tier (:mod:`repro.native`): map chains and

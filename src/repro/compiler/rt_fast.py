@@ -1,21 +1,18 @@
-"""Fused wall-clock runtime for the compiling backend.
+"""The runtime of the compiling backend: the operators, once.
 
-:class:`repro.compiler.rt.Runtime` computes ground-truth results *and*
-emits the operation trace the cost model prices — every operator wraps
-its result in a :class:`StructuredVector` so the accounting can inspect
-it.  That is the right tool for simulation, but it pays real wall-clock
-for bookkeeping the default execution path never uses.
+:mod:`repro.compiler.runner` dispatches each operator of a program onto
+a method here, over :class:`FusedVal` values — bare ``{keypath:
+ndarray}`` dictionaries with shared (never copied) presence masks,
+virtual :class:`RunInfo` attributes that stay symbolic until an operator
+actually needs a buffer, and *compact* columns that store only their
+present rows.  Folds whose control vectors carry static uniform-run
+metadata dispatch to the direct kernels in :mod:`repro.compiler.kernels`
+instead of the generic run machinery.
 
-This module is the fast path: :mod:`repro.compiler.runner` dispatches
-each operator onto a method here, over :class:`FusedVal` values — bare
-``{keypath: ndarray}`` dictionaries with shared (never copied) presence
-masks, virtual :class:`RunInfo` attributes that stay symbolic until an
-operator actually needs a buffer, and *compact* columns that store only
-their present rows.
-No trace events, no per-operator ``StructuredVector`` construction, no
-footprint sampling; folds whose control vectors carry static uniform-run
-metadata dispatch to the direct kernels in
-:mod:`repro.compiler.kernels` instead of the generic run machinery.
+This is the only operator implementation a ``CompiledProgram`` executes.
+Nothing here accounts for anything: a traced run shows the values these
+methods return to :mod:`repro.compiler.pricing`, which prices what it
+reads off them; an untraced run shows them to nobody.
 
 Empty-slot suppression (paper section 3.1.2): a selection, the gathers
 through it and every fold produce ε-padded vectors — a few present rows
@@ -33,27 +30,63 @@ accumulator, and a scatter that has to land resolves the last writer of
 every slot — see :meth:`FusedRuntime.partition`, ``fold_aggregate`` and
 ``_apply_scatter``.
 
-Bit-identity contract: every output vector equals the interpreter's (and
-the simulated runtime's) output exactly — values, dtypes and ε masks —
-enforced by ``tests/compiler/test_fused.py`` and, node by node, by
+Bit-identity contract: every output vector equals the interpreter's
+output exactly — values, dtypes and ε masks — enforced by
+``tests/compiler/test_fused.py`` and, node by node, by
 ``tests/compiler/test_runner.py``.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
 
 import numpy as np
 
 from repro.compiler import kernels
-from repro.compiler.rt import VirtualScatter, _broadcast, _fit_mask, derive_runinfo
-from repro.core.controlvector import IDENTITY, RunInfo, constant_run
+from repro.core.controlvector import IDENTITY, RunInfo, constant_run, derive_runinfo
 from repro.core.keypath import Keypath
 from repro.core.vector import StructuredVector
 from repro.errors import ExecutionError
 from repro.interpreter import semantics
 from repro.interpreter.engine import apply_binary, apply_unary
+
+
+@dataclass
+class VirtualScatter:
+    """A scatter kept as an annotation: data + destination positions
+    (paper section 3.1.3).
+
+    It may also carry the group structure of the ``Partition`` its
+    positions come from (``groups``, a :class:`Groups`): folds over the
+    scatter then address their group's accumulator directly and nothing
+    ranks a row — ``positions`` stays None until the scatter has to land.
+    """
+
+    positions: np.ndarray | None
+    pos_present: np.ndarray | None
+    size: int
+    groups: object | None = field(default=None, repr=False, compare=False)
+    #: what every fold over one scatter shares, built by the first of
+    #: them: the slots their results land on (direct folds) and the landed
+    #: value (all others)
+    slots: object | None = field(default=None, repr=False, compare=False)
+    landed: object | None = field(default=None, repr=False, compare=False)
+
+    def destinations(self) -> np.ndarray:
+        """The positions, ranked now if the Partition deferred them."""
+        return self.groups.positions() if self.positions is None else self.positions
+
+    def destination_runs(self, fold_kp: Keypath | None) -> int:
+        """Runs of the landed control: the entries of the aggregation table
+        a fold by *fold_kp* over this scatter writes (after that fold)."""
+        if fold_kp is None or not self.size:
+            return 1 if self.size else 0
+        if self.landed is None:  # folded per group: one per occupied bucket
+            return len(self.slots.index)
+        control, _ = present_rows(self.landed, fold_kp)
+        return int(np.count_nonzero(control[1:] != control[:-1])) + 1
 
 
 class Slots:
@@ -193,6 +226,28 @@ class FusedVal:
     def attr(self, path: Keypath) -> np.ndarray:
         return extract(self, path)[0]
 
+    def dtype_of(self, path: Keypath) -> np.dtype:
+        """A leaf's dtype, read off whatever stores it (nothing is built)."""
+        if path in self.virtual:
+            return np.dtype(np.int64)
+        column = self.compact.get(path)
+        if column is not None:
+            return column.values.dtype
+        handle = self.lazy.get(path)
+        return self.cols[path].dtype if handle is None else np.dtype(handle.dtype)
+
+    def item_sizes(self) -> list[int]:
+        return [self.dtype_of(path).itemsize for path in self.paths()]
+
+    def present_count(self, path: Keypath, upto: int | None = None) -> int:
+        """A leaf's present rows (among the first *upto*), likewise."""
+        n = self.length if upto is None else min(upto, self.length)
+        column = self.compact.get(path)
+        if column is not None:
+            return int(np.searchsorted(column.slots.index, n))
+        mask = self.masks.get(path)  # (virtual and lazy leaves have none)
+        return n if mask is None else int(np.count_nonzero(mask[:n]))
+
     def mask(self, path: Keypath) -> np.ndarray | None:
         if path in self.virtual or path in self.lazy:
             return None
@@ -304,6 +359,19 @@ class PartitionVal(FusedVal):
         self.cols, self.masks, self.compact = ranked.cols, ranked.masks, ranked.compact
         return getattr(ranked, name)
 
+    # what the value is, answered from the groups: asking ranks nothing
+
+    def paths(self):
+        return (self.out,)
+
+    def dtype_of(self, path: Keypath) -> np.dtype:
+        return np.dtype(np.int64)
+
+    def present_count(self, path: Keypath, upto: int | None = None) -> int:
+        n = self.length if upto is None else min(upto, self.length)
+        slots = self.groups.slots
+        return n if slots is None else int(np.searchsorted(slots.index, n))
+
 
 def extract(val: FusedVal, path: Keypath) -> tuple[np.ndarray, np.ndarray | None]:
     """(array, mask) of one attribute, full length: virtuals and lazies
@@ -411,6 +479,23 @@ def fused_slice(val: FusedVal, lo: int, hi: int) -> FusedVal:
     return out
 
 
+def _broadcast(a: np.ndarray, b: np.ndarray):
+    if len(a) == 1 and len(b) != 1:
+        return np.broadcast_to(a, (len(b),)), b, len(b)
+    if len(b) == 1 and len(a) != 1:
+        return a, np.broadcast_to(b, (len(a),)), len(a)
+    n = min(len(a), len(b))
+    return a[:n], b[:n], n
+
+
+def _fit_mask(mask: np.ndarray | None, n: int) -> np.ndarray | None:
+    if mask is None:
+        return None
+    if len(mask) == 1 and n != 1:
+        return np.broadcast_to(mask, (n,))
+    return mask[:n]
+
+
 def fused_binary(fn, a, ma, b, mb):
     """One raw binary kernel: broadcast, apply, share-combine masks."""
     a, b, n = _broadcast(a, b)
@@ -432,14 +517,13 @@ def fused_unary(fn, a, mask, dtype):
 
 
 def literal(dtype: str, value) -> np.ndarray:
-    """A length-1 constant operand (broadcasts like the simulated path)."""
+    """A length-1 constant operand (broadcasts)."""
     return np.array([value], dtype=np.dtype(dtype))
 
 
 class FusedRuntime:
-    """Execution context for untraced runs: semantics only, zero tracing.
+    """Execution context of one run: semantics only, no accounting.
 
-    Method names and signatures mirror :class:`repro.compiler.rt.Runtime`.
     ``kernels`` provides the two per-run aggregate kernels the native
     tier replaces (``fold_aggregate_segments`` over present rows,
     ``fold_aggregate_uniform`` over a dense column): the NumPy ones of
@@ -701,7 +785,6 @@ class FusedRuntime:
     def gather(self, source: FusedVal, positions: FusedVal, pos_kp: Keypath) -> FusedVal:
         if source.scatter is not None:
             # land the scatter first so bounds checks see the real length
-            # (mirrors Runtime.gather's force())
             source = self._apply_scatter(source)
         info = positions.runinfo(pos_kp)
         if info is not None and info.step == 1 and info.cap is None:
@@ -835,14 +918,9 @@ class FusedRuntime:
                 cols[path], masks[path] = array[index], mask[index]
         return FusedVal(len(index), cols, _normalized(masks))
 
-    def materialize(self, source: FusedVal, chunk: int | None) -> FusedVal:
-        # X100-style chunking only affects the cost model; semantically
-        # Materialize is identity (pending scatters must land, though).
-        if source.scatter is not None:
-            return self._apply_scatter(source)
-        return source
-
-    def break_(self, source: FusedVal) -> FusedVal:
+    def materialize(self, source: FusedVal) -> FusedVal:
+        # ``Materialize`` and ``Break``: chunking and seams are priced, not
+        # executed — the identity (pending scatters must land, though)
         if source.scatter is not None:
             return self._apply_scatter(source)
         return source
@@ -1134,8 +1212,8 @@ def _gather_lazy(lazy, pos, pos_mask, source_len):
 
 
 def _normalized(masks: dict) -> dict:
-    """Drop all-True masks (what the StructuredVector constructor does on
-    the simulated path) so downstream folds take the dense fast lanes."""
+    """Drop all-True masks (what the StructuredVector constructor does for
+    the interpreter) so downstream folds take the dense fast lanes."""
     return {
         p: (None if (m is not None and m.all()) else m) for p, m in masks.items()
     }

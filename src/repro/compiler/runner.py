@@ -1,11 +1,12 @@
-"""The node runner: the one way a program executes untraced.
+"""The node runner: the one way a program executes.
 
 A :class:`ProgramRunner` dispatches each operator of a
 :class:`~repro.core.program.Program` onto the wall-clock runtime
 (:class:`~repro.compiler.rt_fast.FusedRuntime`: raw arrays, shared
 masks, symbolic control vectors, ε-padded values stored compact, direct
 fold kernels).  Two entry points cover every untraced execution in the
-repo:
+repo (a traced one steps the same :meth:`ProgramRunner.eval` with a pricer
+reading the values: :meth:`repro.compiler.pricing.Pricer.run`):
 
 * :func:`run_program` evaluates a whole program over full vectors —
   ``CompiledProgram.run(collect_trace=False)`` and every sequential run
@@ -81,12 +82,13 @@ def to_fused(vector: StructuredVector, lo: int = 0, hi: int | None = None) -> Fu
     return FusedVal(hi - lo, cols, masks, lazy=lazy)
 
 
-def _consumer_sets(program: Program) -> tuple[frozenset, frozenset]:
+def consumer_sets(program: Program) -> tuple[frozenset, frozenset]:
     """Two per-program node sets, memoized on the program so a warm run
     never walks it:
 
-    * the scatters that stay virtual — every consumer is a fold and the
-      scatter is not a program output (the fragment planner's rule);
+    * the scatters that may stay virtual — every consumer is a fold and
+      the scatter is not a program output (the fragment planner plans by
+      the same set);
     * the partitions whose positions only ever drive a ``Scatter`` — the
       positions of ε rows are then never observed, so a compact key may
       yield compact positions.
@@ -143,7 +145,7 @@ class ProgramRunner:
         self.virtual_scatter = virtual_scatter
         if storage is None:
             storage = {}
-        keep_virtual, self._scatter_only = _consumer_sets(program)
+        keep_virtual, self._scatter_only = consumer_sets(program)
         self._keep_virtual = keep_virtual if virtual_scatter else frozenset()
         self._forced: dict[int, StructuredVector] = {}
         #: native tier: {chain head id: (chain, kernel)}, and the values
@@ -303,11 +305,10 @@ class ProgramRunner:
             keep_virtual=id(node) in self._keep_virtual,
         )
 
-    def _eval_materialize(self, node: ops.Materialize, values) -> FusedVal:
-        return self.rt.materialize(self._get(values, node.source), None)
+    def _eval_materialize(self, node: ops.Materialize | ops.Break, values) -> FusedVal:
+        return self.rt.materialize(self._get(values, node.source))
 
-    def _eval_break(self, node: ops.Break, values) -> FusedVal:
-        return self.rt.break_(self._get(values, node.source))
+    _eval_break = _eval_materialize
 
     def _eval_partition(self, node: ops.Partition, values) -> FusedVal:
         return self.rt.partition(

@@ -150,6 +150,23 @@ class RunInfo:
         return f"<{self.start} + i*{self.step}{cap}>"
 
 
+def derive_runinfo(fn: str, info: RunInfo, other: int) -> RunInfo | None:
+    """The metadata of ``fn(attribute, other)`` for the operators the
+    algebra above tracks, None when it cannot be tracked."""
+    try:
+        if fn == "Divide":
+            return info.divide(other)
+        if fn == "Modulo":
+            return info.modulo(other)
+        if fn == "Multiply":
+            return info.multiply(other)
+        if fn == "Add":
+            return info.add(other)
+    except (ControlVectorError, ZeroDivisionError):
+        return None
+    return None
+
+
 #: Run metadata for a plain ``Range(0, n, 1)`` identity vector.
 IDENTITY = RunInfo(start=0, step=Fraction(1), cap=None)
 

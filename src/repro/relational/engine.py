@@ -82,9 +82,9 @@ class ResultTable:
 class QueryResult:
     """Result plus everything observability needs.
 
-    Untraced and partition-parallel runs execute real kernels instead of
-    simulating a device — there is no priced trace to report, so
-    ``trace``/``cost`` are empty.
+    Untraced and partition-parallel runs show their values to no pricer
+    — there is no priced trace to report, so ``trace``/``cost`` are
+    empty.
     """
 
     table: ResultTable
@@ -120,12 +120,14 @@ class VoodooEngine:
     programs execute on the same node runner
     (:mod:`repro.compiler.runner`) — fusion and multicore compose.
 
-    ``tracing=False`` runs queries on the node runner's wall-clock
-    kernels (:mod:`repro.compiler.rt_fast`): identical results, no
-    operation trace, no simulated cost — the serving configuration.  ``tracing``
+    Every query runs on the node runner (:mod:`repro.compiler.rt_fast`).
+    ``tracing=True`` attaches the pricing pass
+    (:mod:`repro.compiler.pricing`): the same results plus an operation
+    trace and its simulated cost; ``tracing=False`` attaches nothing —
+    the serving configuration.  ``tracing``
     defaults to ``True`` for sequential engines and ``False`` for
-    parallel ones (the parallel backend executes real kernels on real
-    cores; there is no priced trace to collect).  Asking explicitly for
+    parallel ones (the pricer follows one whole-program run; a chunked
+    run has no priced trace to collect).  Asking explicitly for
     ``tracing=True`` together with ``workers > 1`` raises
     :class:`~repro.errors.ExecutionError` instead of silently returning
     a trace that prices to zero.
@@ -140,8 +142,8 @@ class VoodooEngine:
     relational query *structure* (not object identity), the store's
     schema fingerprint, and every option that influences code generation
     or execution (device, selection strategy, fuse, native, grain,
-    workers).  A repeated query skips translate + optimize +
-    codegen entirely; changing the schema or any knob invalidates the
+    workers).  A repeated query skips translate + optimize + fragment
+    planning entirely; changing the schema or any knob invalidates the
     entry.
 
     ``tuning="auto"`` hands the knobs to the adaptive auto-tuner

@@ -173,8 +173,10 @@ class PreparedQuery:
                 f"({engine.execution.workers} workers)"
             )
         elif engine.tracing:
+            # (a traced run is whole-program on the NumPy kernels)
             lines.append(
-                f"backend: traced runtime (simulated cost), device {engine.options.device}"
+                "backend: node runner, numpy kernels, inline + pricing pass "
+                f"(simulated cost), device {engine.options.device}"
             )
         else:
             lines.append(f"backend: node runner, {kernels} kernels, inline")

@@ -1,13 +1,16 @@
 """The conformance matrix: every case × every backend configuration.
 
 ``run_case`` executes one generated (or replayed) case across the whole
-backend grid — every meaningful ``CompilerOptions`` ×
-``ExecutionOptions`` × workers combination the engine exposes — and
-checks two properties:
+backend grid — every ``CompilerOptions`` × ``ExecutionOptions`` ×
+workers combination that *executes* differently (knobs that only price —
+``fuse``, ``selection``, ``slot_suppression`` — are covered by
+``tests/compiler/test_pricing.py``) — and checks two properties:
 
-* **bit-identity across the grid**: every configuration must produce
-  exactly the result of the reference configuration (same dtypes, same
-  rows, NaN-for-NaN equal) — including the ``tuned`` entry, whose knobs
+* **bit-identity with the reference**: every configuration must produce
+  exactly the result of the paper's reference :class:`Interpreter`
+  (:func:`reference_table`: the ``semantics.*`` kernels, nothing of the
+  node runner every configuration executes on) — same dtypes, same
+  rows, NaN-for-NaN equal — including the ``tuned`` entry, whose knobs
   the adaptive auto-tuner (:mod:`repro.tuner`) picks per case, so
   whatever configuration tuning lands on is fuzzed too;
 * **agreement with the oracle**: the reference result must match the
@@ -38,6 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.compiler import CompilerOptions, ExecutionOptions
+from repro.interpreter import Interpreter
 from repro.relational import EngineConfig, VoodooEngine
 from repro.relational.engine import ResultTable
 from repro.testing import oracle as oracle_mod
@@ -92,16 +96,12 @@ class BackendConfig:
         ))
 
 
-#: the full grid; the first entry is the reference every other entry
-#: must bit-match (it is the seed repo's original simulated backend)
+#: the full grid; every entry must bit-match :func:`reference_table`.
+#: The traced entries are named by what they execute: the runner with a
+#: pricer attached, scatters virtual or landed.
 BACKEND_GRID: tuple[BackendConfig, ...] = (
     BackendConfig("traced-fused", CompilerOptions(), tracing=True),
-    BackendConfig("traced-op-at-a-time", CompilerOptions(fuse=False), tracing=True),
-    BackendConfig("traced-branch-free", CompilerOptions(selection="branch-free"),
-                  tracing=True),
     BackendConfig("traced-no-virtual-scatter", CompilerOptions(virtual_scatter=False),
-                  tracing=True),
-    BackendConfig("traced-no-slot-suppression", CompilerOptions(slot_suppression=False),
                   tracing=True),
     BackendConfig("untraced-fused", CompilerOptions(), tracing=False),
     BackendConfig("native", CompilerOptions(native=True), tracing=False),
@@ -211,6 +211,18 @@ def compare_oracle(
 
 # -- the matrix --------------------------------------------------------------
 
+#: what the anchor is called in failure triples
+ANCHOR = "interpreter"
+
+
+def reference_table(case: Case) -> ResultTable:
+    """The anchor of the bit-identity comparison: the engine's translated
+    program evaluated by the reference interpreter over the plain store,
+    extracted the way the engine extracts."""
+    with VoodooEngine(case.store, config=EngineConfig(grain=case.grain)) as engine:
+        outputs = Interpreter(engine.vectors()).run(engine.translate(case.query))
+        return engine._extract(case.query, outputs["result"])
+
 
 def run_case(
     case: Case,
@@ -220,34 +232,37 @@ def run_case(
     problems: list[tuple[str, str, str]] = []
     reference: ResultTable | None = None
     reference_name = ""
-    for config in grid:
+    for config in (None, *grid):
+        name = ANCHOR if config is None else config.name
         chosen = ""
         try:
-            with warnings.catch_warnings(), \
-                    config.engine(case.store, case.grain) as engine:
+            with warnings.catch_warnings():
                 # adversarial NaN/Inf/overflow data makes NumPy chatty;
                 # the conformance check is the comparison, not the noise
                 warnings.simplefilter("ignore", RuntimeWarning)
-                table = engine.query(case.query)
-                if config.tuned:
-                    # the tuner's pick is wall-clock-dependent: record it,
-                    # or a dumped failure would not say which knobs failed
-                    chosen = " [tuner chose: " + engine.explain_tuning(
-                        case.query
-                    ).chosen.describe() + "]"
+                if config is None:
+                    table = reference_table(case)
+                else:
+                    with config.engine(case.store, case.grain) as engine:
+                        table = engine.query(case.query)
+                        if config.tuned:
+                            # the tuner's pick is wall-clock-dependent: record
+                            # it, or a dumped failure would not say which
+                            # knobs failed
+                            chosen = " [tuner chose: " + engine.explain_tuning(
+                                case.query
+                            ).chosen.describe() + "]"
         except Exception as exc:  # noqa: BLE001 - any crash is a finding
-            problems.append(
-                (config.name, "error", f"{type(exc).__name__}: {exc}{chosen}")
-            )
+            problems.append((name, "error", f"{type(exc).__name__}: {exc}{chosen}"))
             continue
         if reference is None:
-            # the first *succeeding* configuration anchors the bit-identity
-            # comparison (normally grid[0]; later if grid[0] crashed)
-            reference, reference_name = table, config.name
+            # the first *succeeding* run anchors the bit-identity
+            # comparison (the interpreter; a configuration if it crashed)
+            reference, reference_name = table, name
             continue
         mismatch = compare_bitwise(reference, table)
         if mismatch:
-            problems.append((config.name, "grid", mismatch + chosen))
+            problems.append((name, "grid", mismatch + chosen))
     if reference is not None:
         try:
             with warnings.catch_warnings():
@@ -311,7 +326,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     print(f"conformance: {args.cases} cases, seed={args.seed}, "
-          f"{len(BACKEND_GRID)} backend configurations")
+          f"{len(BACKEND_GRID)} backend configurations + the interpreter anchor")
     t0 = time.monotonic()
     failures = run_conformance(
         args.cases, seed=args.seed, dump_dir=args.dump_dir,

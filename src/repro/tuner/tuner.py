@@ -6,7 +6,8 @@ machine* in two stages:
 
 1. **Cost-model pruner** — every candidate is scored with the existing
    :mod:`repro.hardware.cost` simulated-seconds model: one traced run
-   per distinct code-generation variant on a sampled slice of the store,
+   (the node runner with a pricer attached) per distinct *executed*
+   variant on a sampled slice of the store,
    priced per candidate with the worker count capped at the machine's
    real core budget, plus explicit pool-overhead priors the simulator
    cannot see.  This cuts the grid to a shortlist without a single
@@ -252,17 +253,19 @@ class AutoTuner:
     def _predict(self, query: Query, engine) -> list[CandidateOutcome]:
         """Stage 1: score every candidate with the simulated cost model.
 
-        One traced run per distinct code-generation variant on the
-        sample (through *engine*, the sample's); each candidate prices
-        that trace with its worker count capped at the machine's real
-        cores, plus the pool-overhead priors.
+        One traced run — the node runner with a
+        :class:`~repro.compiler.pricing.Pricer` reading its values — per
+        distinct variant on the sample (through *engine*, the sample's);
+        each candidate prices that trace with its worker count capped at
+        the machine's real cores, plus the pool-overhead priors.
         """
         outcomes = [CandidateOutcome(config) for config in self.space]
         traced: dict = {}
         sample_extent = self._sample_rows()
         for outcome in outcomes:
-            # native only affects untraced dispatch; drop it so variants
-            # differing only there share one compile + traced run
+            # a traced run executes the NumPy kernels whatever ``native``
+            # says; drop it so variants differing only there share one
+            # compile + traced run
             variant = outcome.config.options.with_(native=False)
             if variant not in traced:
                 compiled = engine.compile(query, options=variant)

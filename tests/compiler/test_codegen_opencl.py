@@ -1,11 +1,11 @@
-"""Code generation details: emitted source, pseudo-OpenCL, error paths."""
+"""Compilation details: the fragment plan, its pseudo-OpenCL rendering, error paths."""
 
 import numpy as np
 import pytest
 
 from repro.compiler import CompilerOptions, compile_program, emit_opencl
 from repro.compiler.fragments import FragmentPlan
-from repro.core import Builder, Schema, StructuredVector
+from repro.core import Builder, Schema, StructuredVector, ops
 
 SCHEMAS = {"t": Schema({".g": "int64", ".v": "float64"})}
 
@@ -49,17 +49,25 @@ class TestCodegen:
         assert len(trace) >= 2
 
     def test_source_references_all_outputs(self):
+        """Every output is materialized by the plan, and its seam write (or
+        persist) is in the rendered kernels."""
         compiled = compile_program(full_width_program())
-        for name in ("'s'", "'c'", "'scan'", "'x'", "'saved'"):
-            assert f"rt.output({name}" in compiled.source
+        assert set(compiled.program.outputs) == {"s", "c", "scan", "x"}
+        names = {id(node): f"v{i}" for i, node in enumerate(compiled.program.order)}
+        for node in compiled.program.outputs.values():
+            assert compiled.plan.is_materialized(node)
+            assert f"out_{names[id(node)]}[i]" in compiled.source
+        assert 'persist("saved"' in compiled.source
 
     def test_virtual_nodes_not_seamed(self):
         compiled = compile_program(full_width_program())
-        # Range/Constant nodes never go through rt.seam
-        for line in compiled.source.splitlines():
-            if "rt.range_(" in line or "rt.constant(" in line:
-                name = line.split()[0]
-                assert f"{name} = rt.seam({name})" not in compiled.source
+        # Range/Constant nodes are metadata: in no kernel, never at a seam
+        virtual = [node for node in compiled.program.order
+                   if isinstance(node, (ops.Range, ops.Constant))]
+        assert virtual
+        for node in virtual:
+            assert compiled.plan.fragment_for(node) is None
+            assert not compiled.plan.is_materialized(node)
 
     def test_runs_on_every_device(self):
         program = full_width_program()
@@ -77,11 +85,11 @@ class TestCodegen:
 class TestOpenCLEmission:
     def test_every_fragment_is_a_kernel(self):
         compiled = compile_program(full_width_program())
-        text = compiled.opencl
+        text = compiled.source
         assert text.count("__kernel void") == compiled.kernel_count()
 
     def test_op_idioms_present(self):
-        text = compile_program(full_width_program()).opencl
+        text = compile_program(full_width_program()).source
         assert "foldSelect" in text
         assert "get_global_id(0)" in text
         assert "// scatter" in text
@@ -99,7 +107,7 @@ class TestOpenCLEmission:
         scattered = b.scatter(t, pos)
         gsum = b.fold_sum(scattered, agg_kp=".v", fold_kp=".g", out=".s")
         compiled = compile_program(b.build(s=gsum))
-        assert "(virtual)" in compiled.opencl
+        assert "(virtual)" in compiled.source
 
 
 class TestRuntimeEdgeCases:

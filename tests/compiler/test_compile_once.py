@@ -6,19 +6,19 @@ so that a re-introduced re-walk, re-inference or re-generation fails
 regardless of the machine.
 """
 
-import hashlib
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from repro.compiler import compile_program, cse, optimize
-from repro.compiler.codegen import generate_source
+from repro.compiler.pricing import Pricer
 from repro.core import Builder, Schema, ops
 from repro.core import program as program_module
 from repro.core.keypath import Keypath
 from repro.core.program import Program
 from repro.core.typecheck import TypeChecker
+from repro.hardware import TraceRecorder
 from repro.relational import (
     AggSpec,
     Col,
@@ -33,10 +33,6 @@ from repro.relational import (
 from repro.storage import ColumnStore, Table
 from repro.testing.qgen import generate_case
 from repro.tpch import QUERIES, build, generate
-
-#: sha256 over the 14 TPC-H kernel sources (SF 0.002, seed 3, default
-#: options) as generated before ``CompiledProgram.source`` became lazy
-TRACED_SOURCES = "82f24ef60995a4acee21ea1342a74716a836ae66513393b6bce4b67f3e7ed90a"
 
 
 @pytest.fixture(scope="module")
@@ -184,40 +180,51 @@ class TestCanonicalPrograms:
 
 
 class TestLazyTracedSource:
-    def test_untraced_run_generates_no_source_at_all(
-        self, store, engine, queries, monkeypatch
-    ):
-        """Compiling and running untraced never generates or compile()s
-        kernel source — the node runner needs none."""
-        import repro.compiler.compiled as compiled_module
+    """Simulation costs the runs that ask for it, and only while they run;
+    the one text left (``source``) is rendered when read."""
 
-        def refuse(*args, **kwargs):
-            raise AssertionError("an untraced run generated kernel source")
+    @pytest.fixture()
+    def built(self, monkeypatch):
+        """How many pricers and trace recorders were constructed."""
+        counts = Counter()
+        for cls in (Pricer, TraceRecorder):
+            def counting(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+                counts[_name] += 1
+                _init(self, *args, **kwargs)
 
-        monkeypatch.setattr(compiled_module, "generate_source", refuse)
-        monkeypatch.setattr(compiled_module, "compile_source", refuse)
+            monkeypatch.setattr(cls, "__init__", counting)
+        return counts
+
+    def test_untraced_run_generates_no_source_at_all(self, store, engine, queries, built):
+        """... and builds no pricer and no trace recorder either."""
         compiled = compile_program(engine.translate(queries[6]), engine.options)
         compiled.run(engine.vectors(), collect_trace=False)
-        assert "source" not in vars(compiled) and "entry" not in vars(compiled)
+        engine.execute(queries[6])  # a plan-cache miss ...
+        engine.execute(queries[6])  # ... and a warm hit
+        assert not built
         assert compiled.fused_source is None
-        cached = engine.compile(queries[6])
-        engine.execute(queries[6])
-        assert "source" not in vars(cached) and "entry" not in vars(cached)
+        for artifact in (compiled, engine.compile(queries[6])):
+            assert "source" not in vars(artifact)
 
-    def test_traced_run_generates_it_once(self, store, queries):
+    def test_traced_run_builds_one_pricer_and_leaves_nothing_behind(
+        self, store, queries, built
+    ):
         with VoodooEngine(store) as traced_engine:
             compiled = traced_engine.compile(queries[6])
-            assert "entry" not in vars(compiled)
-            _, trace = compiled.run(traced_engine.vectors())
-            assert len(trace) > 0
-            entry = vars(compiled)["entry"]
-            compiled.run(traced_engine.vectors())
-            assert vars(compiled)["entry"] is entry
-            assert compiled.source == generate_source(compiled.plan)
+            compiled.run(traced_engine.vectors(), collect_trace=False)
+            artifact, memo = set(vars(compiled)), set(compiled.program.memo)
+            for runs in (1, 2):
+                _, trace = compiled.run(traced_engine.vectors())
+                assert len(trace) > 0
+                assert built == {"Pricer": runs, "TraceRecorder": runs}
+            # per-program state is what the untraced runner memoizes, no more
+            assert set(vars(compiled)) == artifact
+            assert set(compiled.program.memo) == memo
 
-    def test_sources_are_bit_identical_to_the_eager_ones(self, engine, queries):
-        traced = hashlib.sha256()
-        for number in sorted(QUERIES):
-            compiled = compile_program(engine.translate(queries[number]), engine.options)
-            traced.update(compiled.source.encode())
-        assert traced.hexdigest() == TRACED_SOURCES
+    @pytest.mark.parametrize("number", sorted(QUERIES))
+    def test_source_is_rendered_on_first_read(self, engine, queries, number):
+        compiled = compile_program(engine.translate(queries[number]), engine.options)
+        assert "source" not in vars(compiled)
+        text = compiled.source  # (every operator the front end emits renders)
+        assert isinstance(text, str) and text.count("__kernel void") == compiled.kernel_count()
+        assert vars(compiled)["source"] is text

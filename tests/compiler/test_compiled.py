@@ -1,4 +1,4 @@
-"""The compiled-program artifact: source, pseudo-OpenCL, tracing, pricing."""
+"""The compiled-program artifact: plan, pseudo-OpenCL source, tracing, pricing."""
 
 import numpy as np
 import pytest
@@ -31,21 +31,22 @@ def fig3_program():
 
 
 class TestArtifacts:
-    def test_source_is_compilable_python(self):
+    def test_opencl_kernel_per_fragment(self):
         compiled = compile_program(fig3_program())
-        assert "def __voodoo_main__(rt):" in compiled.source
-        compile(compiled.source, "<check>", "exec")  # no syntax errors
+        text = compiled.source
+        assert isinstance(text, str)
+        assert text.count("__kernel void") == compiled.kernel_count()
+        assert "sequential fragment" in text
 
     def test_source_shows_kernels_and_seams(self):
         compiled = compile_program(fig3_program())
-        assert compiled.source.count("rt.begin_kernel") == 2
-        assert "rt.seam(" in compiled.source
-
-    def test_opencl_kernel_per_fragment(self):
-        compiled = compile_program(fig3_program())
-        text = compiled.opencl
-        assert text.count("__kernel void") == compiled.kernel_count()
-        assert "sequential fragment" in text
+        parallel, sequential = compiled.plan.fragments
+        assert (parallel.intent, sequential.intent) == (128, 0)
+        # the partial sums cross from one kernel to the other: a seam
+        partial = compiled.program.outputs["total"].source
+        assert compiled.plan.fragment_for(partial) is parallel
+        assert compiled.plan.is_materialized(partial)
+        assert "// fragment seam" in compiled.source
 
     def test_kernel_count(self):
         assert compile_program(fig3_program()).kernel_count() == 2

@@ -155,9 +155,9 @@ def test_untraced_run_matches_the_traced_runtime_bit_for_bit():
 
 
 def test_untraced_runs_use_the_runner_regardless_of_fuse():
-    """``fuse`` shapes the simulator only: an untraced run needs no
-    generated code with it on or off, and ``native`` means native with
-    it on or off."""
+    """``fuse`` shapes the simulated kernels only: every run executes on
+    the runner and generates nothing, with it on or off, and ``native``
+    means native with it on or off."""
     store = {"t": StructuredVector.from_arrays(v=np.arange(4))}
     b = Builder({"t": store["t"].schema})
     out = b.add(b.load("t").project(".v"), b.constant(1), out=".r")
@@ -166,15 +166,16 @@ def test_untraced_runs_use_the_runner_regardless_of_fuse():
     unfused = compile_program(program, CompilerOptions(fuse=False))
     a, _ = fused.run(store, collect_trace=False)
     c, _ = unfused.run(store, collect_trace=False)
-    assert "entry" not in vars(fused) and "entry" not in vars(unfused)
     assert np.array_equal(a["out"].attr(".r"), c["out"].attr(".r"))
-    unfused.run(store)  # a traced run is what compiles the kernels
-    assert "entry" in vars(unfused)
+    e, trace = unfused.run(store)  # a traced run prices one kernel per operator
+    assert len(trace) == unfused.kernel_count() == 2 and fused.kernel_count() == 1
+    assert np.array_equal(a["out"].attr(".r"), e["out"].attr(".r"))
     native = compile_program(program, CompilerOptions(native=True, fuse=False))
     assert native.native
     d, _ = native.run(store, collect_trace=False)
-    assert "entry" not in vars(native)
     assert np.array_equal(a["out"].attr(".r"), d["out"].attr(".r"))
+    for compiled in (fused, unfused, native):
+        assert "source" not in vars(compiled)
 
 
 def test_a_runtime_always_records():

@@ -22,7 +22,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.compiler import FusedRuntime, compile_program, kernels
+from repro.compiler import CompilerOptions, FusedRuntime, compile_program, kernels
+from repro.compiler.pricing import Pricer
 from repro.compiler.rt_fast import DENSE_RATIO, Compact
 from repro.compiler.runner import ChunkRunner, ProgramRunner
 from repro.core import Builder, StructuredVector, ops
@@ -200,6 +201,58 @@ def test_generated_programs(native, monkeypatch):
     # the generator's stores are small and some plans do not split at
     # all; most must, or this test says nothing about the chunk entry
     assert chunked >= 100, f"only {chunked}/200 generated programs ran in >= 3 chunks"
+
+
+# -- a pricer attached --------------------------------------------------------------
+
+
+def assert_same_bytes(want, have, where) -> None:
+    assert len(want) == len(have) and want.paths == have.paths, where
+    for path in want.paths:
+        assert np.array_equal(want.present(path), have.present(path)), (*where, str(path))
+        a, b = want.attr(path), have.attr(path)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (*where, str(path))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_pricer_observes_without_changing_a_value(tpch_store):
+    """A traced run is the same runner with a ``Pricer`` reading every
+    node's values — sampling gather positions, extracting lazy columns,
+    padding compact ones: every node value and every output stays
+    bit-identical to the run nobody watched (ε slots included), under
+    each plan shape the pricer prices."""
+    programs = []
+    for number in sorted(QUERIES):
+        query = build(tpch_store, number)
+        with VoodooEngine(tpch_store) as engine:
+            programs.append((f"Q{number}", engine.translate(query), engine.vectors))
+    for edge, (store, grain) in sorted(EDGES.items()):
+        program = edge_program(store["t"].schema, grain, 4, len(store["t"]) + 5)
+        programs.append((edge, program, lambda store=store: store))
+    for name, program, vectors in programs:
+        for options in (CompilerOptions(), CompilerOptions(fuse=False),
+                        CompilerOptions(virtual_scatter=False, selection="branch-free")):
+            compiled = compile_program(program, options)
+            keep = bool(compiled.plan.virtual_scatters)
+            reference = interpret_nodes(compiled.program, vectors())
+            plain = ProgramRunner(compiled.program, vectors(), keep)
+            unwatched: dict = {}
+            for node in compiled.program.order:
+                unwatched[id(node)] = plain.eval(node, unwatched)
+            watched_runner = ProgramRunner(compiled.program, vectors(), keep)
+            pricer = Pricer(compiled.plan, compiled.device)
+            watched = pricer.run(watched_runner)
+            assert len(pricer.trace) > 0
+            context = (name, options)
+            check_nodes(compiled.program, reference, watched, watched_runner.rt, context)
+            for index, node in enumerate(compiled.program.order):
+                assert_same_bytes(plain.rt.force(unwatched[id(node)]),
+                                  watched_runner.rt.force(watched[id(node)]),
+                                  (*context, f"v{index}", node.opname))
+            outputs = watched_runner.capture(watched)
+            assert_bit_identical(Interpreter(vectors()).run(program), outputs, context)
+            for out_name, vector in plain.capture(unwatched).items():
+                assert_same_bytes(vector, outputs[out_name], (*context, out_name))
 
 
 # -- the compact kernels at their edges -----------------------------------------

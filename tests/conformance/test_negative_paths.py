@@ -86,13 +86,16 @@ class TestRemovedKnobs:
         assert len(dataclasses.fields(EngineConfig)) == 9
 
     def test_grid_has_no_recorder_off_configuration(self):
-        """Untraced means the node runner, whatever ``fuse`` says: there
-        is no second untraced evaluator left to fuzz."""
+        """Every run means the node runner, whatever ``fuse`` says: the
+        grid holds one entry per way of *executing*, and knobs that only
+        price (golden prices pin those) appear in none."""
         from repro.testing.conformance import BACKEND_GRID
 
-        assert len(BACKEND_GRID) == 13
-        untraced = [c for c in BACKEND_GRID if c.tracing is False]
-        assert untraced and all(c.options.fuse for c in untraced)
+        assert len(BACKEND_GRID) == 10
+        priced_only = {"fuse": True, "selection": "branching", "slot_suppression": True}
+        for config in BACKEND_GRID:
+            assert all(getattr(config.options, knob) == default
+                       for knob, default in priced_only.items()), config.name
 
     def test_parallel_engine_follows_the_native_shorthand(self, monkeypatch):
         from repro.compiler.runner import ProgramRunner

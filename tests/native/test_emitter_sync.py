@@ -112,7 +112,7 @@ class TestRenderedOutput:
         """The same program renders the same operator spellings on both
         sides — resolved through clower.BINARY_C, not retyped."""
         program = _predicate_program()
-        opencl = compile_program(program).opencl
+        opencl = compile_program(program).source
         native = _chain_c_source(program)
         for fn in ("GreaterEqual", "Less", "LogicalAnd"):
             assert f" {clower.BINARY_C[fn]} " in opencl, fn

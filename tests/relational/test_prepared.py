@@ -174,7 +174,7 @@ class TestSQLParams:
         engine.close()
 
     @pytest.mark.parametrize("config, backend", [
-        (EngineConfig(), "traced runtime (simulated cost)"),
+        (EngineConfig(), "node runner, numpy kernels, inline + pricing pass (simulated cost)"),
         (EngineConfig(tracing=False), "node runner, numpy kernels, inline"),
         (EngineConfig(native=True, tracing=False), "node runner, native kernels, inline"),
         (EngineConfig(execution=ExecutionOptions(workers=2)),
