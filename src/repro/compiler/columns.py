@@ -1,0 +1,489 @@
+"""The columns of a runner value: five kinds, one protocol.
+
+A :class:`~repro.compiler.rt_fast.FusedVal` is one ``{keypath: column}``
+mapping — the paper's Structured Vector, whose attributes may be
+ε-padded (section 3.1.2) or never materialised (control vectors, the
+deferred ranking of a ``Partition``).  Every column here answers the same
+questions, whatever stores it:
+
+``dtype``, ``len()``
+    what it holds, over how many slots;
+``present(upto)``
+    how many of the first *upto* slots are present (nothing is built);
+``mask()``
+    the padded presence mask, None when every slot is present;
+``rows()``
+    ``(values, slots)``: the present values and the :class:`Slots` they
+    sit on — ``slots`` None when that is every slot;
+``take(index)``
+    ``(values, present)`` at in-bounds slot numbers, ε slots holding
+    what ``pad()`` would show there — without padding;
+``slice(lo, hi)``
+    the column over that slot range (views; shared slots stay shared);
+``pad()``
+    ``(array, mask)``, full length: what an ε-padding kernel would have
+    produced — the generic operand every operator can fall back on.
+
+What only one kind can do cheaply is a method of that kind, answered
+``None`` by all others (:class:`Column` holds the defaults): an operator
+tries it and takes the ``pad()`` path when it gets None.
+
+**Columns and values are immutable once built.**  Derived state lives on
+the column it derives from — the padded image of a :class:`Compact`, the
+materialised :class:`Run`, the decode of a :class:`Lazy`, the ranking of
+a :class:`Deferred` — each published by one attribute assignment of a
+complete result (a racing reader computes it again, to the same bits),
+so columns are shared freely between values and between chunk workers.
+Masks and arrays are shared likewise and never written.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.compiler import kernels
+from repro.core.controlvector import RunInfo, derive_runinfo
+from repro.interpreter.engine import apply_binary
+
+#: Dense addressing — one scratch slot per bucket or destination instead of
+#: a sort of the rows — is used while the scratch array is at most this many
+#: times longer than the rows written into it; past that, sorting the few
+#: rows is cheaper than sweeping the array.  Measured (NumPy 2.4, this
+#: repository's sizes): ``np.full`` + ``np.maximum.at`` + ``flatnonzero``
+#: against ``semantics.stable_order`` + adjacent-dedupe break even at a
+#: ratio of 6 (30 k slots) to 8 (120-250 k slots).
+DENSE_RATIO = 8
+
+
+class Slots:
+    """The presence pattern of compact columns: the sorted indices of the
+    ``k`` present rows among ``length`` slots.
+
+    Columns with the same pattern share one instance where they can, and
+    sharing is how operators recognise that two columns line up (see
+    :meth:`same_as`).
+    """
+
+    __slots__ = ("index", "length", "_mask")
+
+    def __init__(self, index: np.ndarray, length: int):
+        self.index = index
+        self.length = length
+        self._mask: np.ndarray | None = None
+
+    def same_as(self, other: "Slots") -> bool:
+        """Do both describe one pattern?  Usually by identity; two folds
+        of one vector build equal slots independently, and comparing
+        ``k`` indices is cheaper than padding to ``length``."""
+        return other is self or (
+            other.length == self.length
+            and len(other.index) == len(self.index)
+            and bool((other.index == self.index).all())
+        )
+
+    def mask(self) -> np.ndarray:
+        """The padded presence mask (built once; shared, never mutated)."""
+        mask = self._mask
+        if mask is None:
+            mask = np.zeros(self.length, dtype=bool)
+            mask[self.index] = True
+            self._mask = mask
+        return mask
+
+    def cut(self, lo: int, hi: int) -> tuple["Slots", int, int]:
+        """The pattern over slots ``[lo, hi)`` and the rows ``[a, b)`` on it."""
+        a, b = np.searchsorted(self.index, (lo, hi))
+        return Slots(self.index[a:b] - lo, hi - lo), a, b
+
+
+def zero_fill(dtype) -> np.ndarray:
+    """The ε image of a selection, gather or fold result."""
+    return np.zeros(1, dtype=dtype)
+
+
+class Column:
+    """The questions with one answer for most kinds, and — answered None —
+    the fast paths only one kind has."""
+
+    __slots__ = ()
+
+    #: the group structure whose ranking a :class:`Deferred` column defers
+    groups = None
+
+    def mask(self) -> np.ndarray | None:
+        return None
+
+    def present(self, upto: int | None = None) -> int:
+        n = len(self) if upto is None else min(upto, len(self))
+        mask = self.mask()
+        return n if mask is None else int(np.count_nonzero(mask[:n]))
+
+    def shifted(self, offset: int) -> "Column":
+        """The (position) column plus *offset*, as int64."""
+        array, mask = self.pad()
+        return Dense(array.astype(np.int64) + offset, mask)
+
+    def sparse(self) -> "Compact | None":
+        """The column itself when it is present rows on slots with one ε
+        image (:class:`Compact`) — what a map over present rows needs."""
+        return None
+
+    def span(self) -> tuple[int, int] | None:
+        """``(lo, hi)`` when the values are the consecutive integers
+        ``lo .. hi - 1`` by construction (:class:`Run`)."""
+        return None
+
+    def runs(self) -> int | None:
+        """The static run structure of a control column: 0 — one run
+        spans it; ``L`` — uniform runs of ``L`` (the last may be ragged);
+        None — the runs depend on data (every kind but :class:`Run`)."""
+        return None
+
+    def derive(self, fn: str, other: int) -> "Column | None":
+        """``fn(column, other)`` as control-vector arithmetic (:class:`Run`)."""
+        return None
+
+    def map_runs(self, fn: str, other: np.ndarray) -> np.ndarray | None:
+        """``fn(column, other)`` for a length-1 *other*, evaluated per
+        stored run and expanded (:class:`Lazy` over RLE segments)."""
+        return None
+
+    def fold(self, fn: str, run_length: int) -> np.ndarray | None:
+        """Per-run aggregates (``run_length`` 0: one run) straight off the
+        stored segments (:class:`Lazy`)."""
+        return None
+
+
+class Dense(Column):
+    """A full-length array and its presence mask (None: every slot present)."""
+
+    __slots__ = ("array", "_mask")
+
+    def __init__(self, array: np.ndarray, mask: np.ndarray | None = None):
+        self.array = array
+        self._mask = mask
+
+    dtype = property(lambda self: self.array.dtype)
+
+    def __len__(self) -> int:
+        return len(self.array)
+
+    def mask(self):
+        return self._mask
+
+    def rows(self):
+        if self._mask is None:
+            return self.array, None
+        index = np.flatnonzero(self._mask)
+        return self.array[index], Slots(index, len(self.array))
+
+    def take(self, index, found=None):
+        return self.array[index], None if self._mask is None else self._mask[index]
+
+    def slice(self, lo, hi, cuts=None):
+        return Dense(self.array[lo:hi], None if self._mask is None else self._mask[lo:hi])
+
+    def pad(self):
+        return self.array, self._mask
+
+
+class Compact(Column):
+    """A column stored without its ε slots.
+
+    ``values[i]`` is the row at slot ``slots.index[i]``; ``fill`` (a
+    length-1 array of the column's dtype) is what every ε slot of the
+    padded column holds — 0 out of a selection, a gather or a fold, and
+    ``fn(fill_a, fill_b)`` after a map.  ε contents are invisible to
+    every operator but ``Partition``, which ranks ε rows by them; a
+    column whose ε slots would not all hold one value is never made
+    compact.
+    """
+
+    __slots__ = ("slots", "values", "fill", "_padded")
+
+    def __init__(self, slots: Slots, values: np.ndarray, fill: np.ndarray):
+        self.slots = slots
+        self.values = values
+        self.fill = fill
+        self._padded: tuple | None = None
+
+    dtype = property(lambda self: self.values.dtype)
+
+    def __len__(self) -> int:
+        return self.slots.length
+
+    def mask(self):
+        return self.slots.mask()
+
+    def present(self, upto=None):
+        return len(self.values) if upto is None else int(
+            np.searchsorted(self.slots.index, upto))
+
+    def rows(self):
+        return self.values, self.slots
+
+    def take(self, index, found=None):
+        """*found*: the lookups one gather has made so far, per pattern —
+        columns sharing slots share the search, and the caller recognises
+        columns hit alike by the identity of ``present``."""
+        hit = None if found is None else found.get(id(self.slots))
+        if hit is None:
+            slots = self.slots.index
+            if len(slots):
+                at = np.searchsorted(slots, index)
+                np.minimum(at, len(slots) - 1, out=at)
+                ok = slots[at] == index
+            else:
+                at, ok = None, np.zeros(len(index), dtype=bool)
+            hit = (at, None if ok.all() else ok)
+            if found is not None:
+                found[id(self.slots)] = hit
+        at, ok = hit
+        if at is None:
+            return np.full(len(index), self.fill[0], dtype=self.values.dtype), ok
+        values = self.values[at]
+        if ok is not None:
+            values[~ok] = self.fill[0]
+        return values, ok
+
+    def slice(self, lo, hi, cuts=None):
+        """*cuts*: the patterns one value's slice has cut so far — columns
+        sharing slots keep sharing them."""
+        cuts = {} if cuts is None else cuts
+        cut = cuts.get(id(self.slots))
+        if cut is None:
+            cut = cuts[id(self.slots)] = self.slots.cut(lo, hi)
+        slots, a, b = cut
+        return on_slots(slots, self.values[a:b], self.fill)
+
+    def zero_filled(self) -> bool:
+        """Do the ε slots hold all-zero bytes (``-0.0`` does not count)?"""
+        return not self.fill.tobytes().strip(b"\0")
+
+    def pad(self) -> tuple[np.ndarray, np.ndarray]:
+        """Built once per column, however many values it travels through."""
+        padded = self._padded
+        if padded is None:
+            n = self.slots.length
+            if self.zero_filled():
+                array = np.zeros(n, dtype=self.values.dtype)
+            else:
+                array = np.full(n, self.fill[0], dtype=self.values.dtype)
+            array[self.slots.index] = self.values
+            padded = self._padded = (array, self.slots.mask())
+        return padded
+
+    def shifted(self, offset):
+        return Compact(self.slots, self.values.astype(np.int64) + offset, self.fill)
+
+    def sparse(self):
+        return self
+
+
+def on_slots(slots: Slots | None, values: np.ndarray, fill: np.ndarray) -> Column:
+    """The column given by its present rows: compact — or, when every
+    slot is present (``slots`` None says so outright), plain dense."""
+    if slots is None or len(values) == slots.length:
+        return Dense(values)
+    return Compact(slots, values, fill)
+
+
+class Run(Column):
+    """A control vector kept as its :class:`RunInfo` (paper section 3.1.1):
+    int64, every slot present, materialised only when something reads
+    the values."""
+
+    __slots__ = ("info", "length", "_array")
+
+    dtype = np.dtype(np.int64)
+
+    def __init__(self, info: RunInfo, length: int):
+        self.info = info
+        self.length = length
+        self._array: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return self.length
+
+    def take(self, index, found=None):
+        return self.info.take(index), None
+
+    def slice(self, lo, hi, cuts=None):
+        if lo == 0:
+            return Run(self.info, hi)
+        return Dense(self.info.take(np.arange(lo, hi, dtype=np.int64)))
+
+    def rows(self):
+        array = self._array
+        if array is None:
+            array = self._array = self.info.materialize(self.length)
+        return array, None
+
+    pad = rows  # every slot is present: one answer to both
+
+    def shifted(self, offset):
+        if self.info.cap is not None:
+            return super().shifted(offset)
+        return Run(self.info.add(offset), self.length)
+
+    def span(self):
+        info = self.info
+        if info.step == 1 and info.cap is None:
+            return info.start, info.start + self.length
+        return None
+
+    def runs(self):
+        run_length = self.info.run_length(self.length)
+        return 0 if run_length >= self.length else run_length
+
+    def derive(self, fn, other):
+        derived = derive_runinfo(fn, self.info, other)
+        return None if derived is None else Run(derived, self.length)
+
+
+class Lazy(Column):
+    """A storage column as its segment handle
+    (:class:`repro.storage.segment.ColumnData`): every slot present,
+    decoded when something reads all of it — once per column, so every
+    value the column travels through sees the one decode.  Folds and
+    gathers read the segments directly (RLE runs fold without
+    decompressing, positions resolve by random access)."""
+
+    __slots__ = ("handle", "_array")
+
+    def __init__(self, handle):
+        self.handle = handle
+        self._array: np.ndarray | None = None
+
+    dtype = property(lambda self: np.dtype(self.handle.dtype))
+
+    def __len__(self) -> int:
+        return len(self.handle)
+
+    def take(self, index, found=None):
+        if self._array is not None:
+            return self._array[index], None
+        return np.asarray(self.handle.take(index)), None
+
+    def slice(self, lo, hi, cuts=None):
+        if self._array is not None:
+            return Dense(self._array[lo:hi])
+        return Lazy(self.handle.slice(lo, hi))
+
+    def rows(self):
+        array = self._array
+        if array is None:
+            array = self._array = np.asarray(self.handle.materialize())
+        return array, None
+
+    pad = rows  # every slot is present: one answer to both
+
+    def map_runs(self, fn, other):
+        if not self.handle.has_rle():
+            return None
+        pieces = []
+        for values, lengths in self.handle.run_pairs():
+            piece = apply_binary(fn, values, np.broadcast_to(other, (len(values),)))
+            pieces.append(piece if lengths is None else np.repeat(piece, lengths))
+        if pieces:
+            return np.concatenate(pieces)
+        return apply_binary(fn, self.handle.materialize(), np.broadcast_to(other, (0,)))
+
+    def fold(self, fn, run_length):
+        if run_length:
+            return self.handle.fold_grained(fn, run_length)
+        folded = self.handle.fold(fn)
+        return None if folded is None else folded.reshape(1)
+
+
+class Groups:
+    """What a ``Partition`` knows about its rows before it ranks one.
+
+    ``part[i]`` is the bucket of present row ``i`` of the key column
+    (``key``: its ``k`` values, ``column`` the column they were read from
+    — what a fold's control is recognised by; ``slots``: where they sit,
+    None when every slot is present) and ``counts`` the rows per bucket.
+    ``direct`` says the keys lie inside a consecutive pivot range — every
+    bucket holds exactly one key value, so a fold controlled by the key
+    column folds per bucket — and that one accumulator per bucket is no
+    more than :data:`DENSE_RATIO` per row.  Per-row positions are ranked
+    (the one sort left on the scatter path) only when something reads them.
+    """
+
+    __slots__ = ("key", "column", "part", "counts", "slots", "length", "fill_part",
+                 "direct", "_positions", "_landing")
+
+    def __init__(self, key, column, part, buckets, slots, length, fill_part, direct):
+        self.key = key
+        self.column = column
+        self.part = part
+        self.counts = np.bincount(part, minlength=buckets)
+        self.slots = slots
+        self.length = length
+        self.fill_part = fill_part
+        self.direct = direct and buckets <= DENSE_RATIO * max(len(part), 1)
+        self._positions = self._landing = None
+
+    def _shape(self):
+        index = None if self.slots is None else self.slots.index
+        return self.part, self.counts, index, self.length, self.fill_part
+
+    def positions(self) -> np.ndarray:
+        """``semantics.partition_positions`` of the present rows."""
+        if self._positions is None:
+            self._positions = kernels.group_positions(*self._shape())
+        return self._positions
+
+    def landing(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(occupied buckets, the slot each one's fold result lands on)``."""
+        if self._landing is None:
+            self._landing = kernels.group_slots(*self._shape())
+        return self._landing
+
+
+class Deferred(Column):
+    """A ``Partition``'s positions, not ranked yet: the column knows its
+    :class:`Groups`, answers what it is from them, and ranks the rows the
+    first time anything reads a value.  A ``Scatter`` takes the groups
+    and never does."""
+
+    __slots__ = ("groups", "_ranked")
+
+    dtype = np.dtype(np.int64)
+
+    def __init__(self, groups: Groups):
+        self.groups = groups
+        self._ranked: Column | None = None
+
+    def __len__(self) -> int:
+        return self.groups.length
+
+    def ranked(self) -> Column:
+        column = self._ranked
+        if column is None:
+            groups = self.groups
+            column = self._ranked = on_slots(
+                groups.slots, groups.positions(), zero_fill(np.int64))
+        return column
+
+    def mask(self):
+        slots = self.groups.slots
+        return None if slots is None else slots.mask()
+
+    def present(self, upto=None):
+        slots = self.groups.slots
+        if slots is None or upto is None:
+            return len(self.groups.part) if upto is None else min(upto, len(self))
+        return int(np.searchsorted(slots.index, upto))
+
+    def rows(self):
+        return self.groups.positions(), self.groups.slots
+
+    def take(self, index, found=None):
+        return self.ranked().take(index, found)
+
+    def slice(self, lo, hi, cuts=None):
+        return self.ranked().slice(lo, hi, cuts)
+
+    def pad(self):
+        return self.ranked().pad()

@@ -62,22 +62,6 @@ def select_slots(hits: np.ndarray, run_length: int, n: int) -> np.ndarray:
     return slots
 
 
-def fold_select_uniform(
-    selected: np.ndarray,
-    sel_present: np.ndarray | None,
-    run_length: int,
-    n: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """``semantics.fold_select`` for uniform runs of ``run_length``, as
-    ``(hits, slots)``: the qualifying positions and the slots they
-    compact to.  ``run_length == 0`` means a single run."""
-    qualifies = selected if selected.dtype.kind == "b" else selected != 0
-    if sel_present is not None:
-        qualifies = qualifies & sel_present
-    hits = np.flatnonzero(qualifies)
-    return hits, select_slots(hits, run_length, n)
-
-
 def fold_aggregate_uniform(
     fn: str,
     values: np.ndarray,
@@ -183,7 +167,7 @@ def group_positions(
     slot index: a present row is pushed back by every ε row of an earlier
     bucket and, inside the fill's bucket, by the ε rows at earlier slots.
     This is the one place the scatter path still sorts, and it runs only
-    when something reads the positions (see ``rt_fast.Groups``).
+    when something reads the positions (see ``columns.Groups``).
     """
     k = len(part)
     order = semantics.stable_order(part, len(counts))

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.compiler.fragments import FragmentPlan
-from repro.compiler.rt_fast import FusedVal, extract
+from repro.compiler.rt_fast import FusedVal
 from repro.core import ops
 from repro.core.keypath import Keypath
 from repro.hardware.device import DeviceProfile
@@ -86,7 +86,7 @@ class Pricer:
             if out.scatter is not None and self.plan.is_materialized(node):
                 # the seam lands this scatter on the simulated device: its
                 # readers run on the landed value (``out.scatter.landed``)
-                values[id(node)] = runner.prepare_feed(out, "full")
+                values[id(node)] = runner.rt.materialize(out)
             fragment = self.plan.fragment_of.get(id(node))
             if fragment is not None and fragment != self._fragment:
                 # a new kernel: per-kernel read charging starts over
@@ -180,7 +180,9 @@ class Pricer:
         return source
 
     def _price_range(self, node: ops.Range, out, *sizeref) -> _Held:
-        return _Held(out, virtual=frozenset(out.virtual))
+        # (a non-integer Constant is a stored scalar, not run metadata)
+        return _Held(out, virtual=frozenset(
+            path for path, column in out.columns.items() if column.runs() is not None))
 
     _price_constant = _price_range
 
@@ -190,7 +192,7 @@ class Pricer:
     # -- element-wise / structural --------------------------------------------
 
     def _price_binary(self, node: ops.Binary, out, left: _Held, right: _Held) -> _Held | None:
-        if node.left_kp in left.virtual and node.out in out.virtual:
+        if node.left_kp in left.virtual and out.column(node.out).runs() is not None:
             # control-vector arithmetic never materializes
             return _Held(out, virtual=frozenset((node.out,)))
         self._read(left, node.left_kp)
@@ -233,7 +235,7 @@ class Pricer:
         """Random-access accounting with *measured* footprint and hot-line
         fraction (this is what prices Figures 14 and 16)."""
         self._read(positions, node.pos_kp)
-        pos, pos_mask = extract(positions.val, node.pos_kp)
+        pos, pos_mask = positions.val.column(node.pos_kp).pad()
         n = len(pos) if pos_mask is None else int(np.count_nonzero(pos_mask))
         # footprint estimation: strided sample spreads over the whole array;
         # stride/sequentiality detection: contiguous prefix (strided sampling
@@ -336,11 +338,8 @@ class Pricer:
         if fold_kp is None:
             return 0
         if fold_kp in held.virtual:
-            n = held.val.length
-            run_length = held.val.virtual[fold_kp].run_length(n)
-            if run_length >= n:
-                return 0
-            return run_length if n % run_length == 0 else None
+            run_length = held.val.column(fold_kp).runs()
+            return None if run_length and held.val.length % run_length else run_length
         self._read(held, fold_kp)
         return None
 

@@ -2,9 +2,9 @@
 
 A :class:`ProgramRunner` dispatches each operator of a
 :class:`~repro.core.program.Program` onto the wall-clock runtime
-(:class:`~repro.compiler.rt_fast.FusedRuntime`: raw arrays, shared
-masks, symbolic control vectors, ε-padded values stored compact, direct
-fold kernels).  Two entry points cover every untraced execution in the
+(:class:`~repro.compiler.rt_fast.FusedRuntime`, over values that are one
+``{keypath: column}`` mapping each — :mod:`repro.compiler.columns` — with
+direct fold kernels).  Two entry points cover every untraced execution in the
 repo (a traced one steps the same :meth:`ProgramRunner.eval` with a pricer
 reading the values: :meth:`repro.compiler.pricing.Pricer.run`):
 
@@ -16,10 +16,10 @@ reading the values: :meth:`repro.compiler.pricing.Pricer.run`):
   ``[lo, hi)`` through a :class:`ChunkRunner`, which overrides exactly
   the operators whose chunk-local evaluation would diverge from the
   slots sequential execution produces: ``Range`` starts are offset
-  symbolically by the chunk origin (the
-  :class:`~repro.core.controlvector.RunInfo` stays virtual, so
-  uniform-run fold kernels still engage inside a chunk), ``FoldSelect``
-  hit positions are rebased to global row numbers, and a ``Gather`` into
+  symbolically by the chunk origin (the column stays a
+  :class:`~repro.compiler.columns.Run`, so uniform-run fold kernels
+  still engage inside a chunk), ``FoldSelect`` hit positions are rebased
+  to global row numbers (``Column.shifted``), and a ``Gather`` into
   partitioned data verifies at runtime that positions stay inside the
   chunk (raising :class:`ChunkCrossing` otherwise).
 
@@ -28,11 +28,11 @@ uniform-run sums come from :mod:`repro.native.runner`, and planned map
 chains are intercepted at their head and computed by one C kernel — over
 the present rows when their inputs are compact.
 
-Chunk inputs are *views*: the driving vector's columns and presence
-masks are sliced, never copied, before crossing the chunk boundary —
-masks are shared into the workers under the FusedVal contract that no
-consumer mutates them.  Everything here is bit-identity-preserving: the
-runner produces exactly the vectors the reference interpreter produces,
+Chunk inputs are *views*: the driving vector's columns are sliced
+(``Column.slice``), never copied, before crossing the chunk boundary,
+and a value fed whole is one object read by every worker — values and
+columns are never written once built.  Everything here is
+bit-identity-preserving: the runner produces exactly the vectors the reference interpreter produces,
 enforced on every TPC-H query and property-tested across chunk
 boundaries that cut group-by runs.
 """
@@ -43,7 +43,7 @@ from typing import Mapping
 
 import numpy as np
 
-from repro.compiler.rt_fast import Compact, FusedRuntime, FusedVal, extract
+from repro.compiler.rt_fast import FusedRuntime, FusedVal
 from repro.core import ops
 from repro.core.program import Program
 from repro.core.vector import StructuredVector
@@ -57,29 +57,6 @@ class ChunkCrossing(Exception):
     Raised by chunk workers; the executor responds by re-running the
     whole program through :func:`run_program`, which is always correct.
     """
-
-
-def to_fused(vector: StructuredVector, lo: int = 0, hi: int | None = None) -> FusedVal:
-    """A FusedVal over (a row range of) a Structured Vector.
-
-    Columns and presence masks are NumPy views — nothing is copied at
-    the chunk boundary; masks are shared under the never-mutate
-    contract.
-    """
-    hi = len(vector) if hi is None else hi
-    cols = {}
-    masks = {}
-    lazy = {}
-    for path in vector.paths:
-        handle = vector.lazy_handle(path)
-        if handle is not None:
-            # storage columns cross the chunk boundary as sliced segment
-            # handles — a chunk worker only decodes what it touches
-            lazy[path] = handle.slice(lo, hi)
-            continue
-        cols[path] = vector.attr(path)[lo:hi]
-        masks[path] = None if vector.is_dense(path) else vector.present(path)[lo:hi]
-    return FusedVal(hi - lo, cols, masks, lazy=lazy)
 
 
 def consumer_sets(program: Program) -> tuple[frozenset, frozenset]:
@@ -211,24 +188,6 @@ class ProgramRunner:
             if isinstance(node, ops.Persist) and id(node) in values:
                 outputs[node.name] = self.force(values[id(node)])
         return outputs
-
-    def prepare_feed(self, val: FusedVal, mode: str) -> FusedVal:
-        """Ready a GLOBAL value for seeding into chunk workers.
-
-        Pending scatters land once here (not once per chunk); values fed
-        ``sliced`` get their virtual attributes materialized a single
-        time so per-chunk slices stay views.
-        """
-        if val.scatter is not None:
-            val = self.rt._apply_scatter(val)
-        if mode == "sliced" and val.virtual:
-            cols = dict(val.cols)
-            masks = dict(val.masks)
-            for path, info in val.virtual.items():
-                cols[path] = info.materialize(val.length)
-                masks[path] = None
-            val = FusedVal(val.length, cols, masks, lazy=val.lazy, compact=val.compact)
-        return val
 
     @staticmethod
     def _get(values: dict[int, FusedVal], node: ops.Op) -> FusedVal:
@@ -389,45 +348,28 @@ class ChunkRunner(ProgramRunner):
         if self.lo == 0:
             return result
         # local hit positions -> global positions
-        out = node.out
-        info = result.virtual.get(out)
-        column = result.compact.get(out)
-        if info is not None:
-            return FusedVal(result.length, {}, {}, {out: info.add(self.lo)})
-        if column is not None:
-            shifted = Compact(column.slots, column.values + self.lo, column.fill)
-            return FusedVal(result.length, {}, {}, compact={out: shifted})
-        return FusedVal(result.length, {out: result.cols[out] + self.lo}, {out: None})
+        column = result.column(node.out).shifted(self.lo)
+        return FusedVal(result.length, {node.out: column})
 
     def _eval_gather(self, node: ops.Gather, values) -> FusedVal:
         if id(node.source) not in self._chunked_ids:
             return super()._eval_gather(node, values)  # global source, as-is
         # Partitioned source: positions are global, the source is a chunk.
         positions = self._get(values, node.positions)
-        kp = node.pos_kp
-        info = positions.virtual.get(kp)
-        column = positions.compact.get(kp)
-        if info is not None and info.step == 1 and info.cap is None:
+        column = positions.column(node.pos_kp)
+        span = column.span()
+        if span is not None:
             # consecutive rows: the valid ones are [first, last)
-            first = max(info.start, 0)
-            last = min(info.start + positions.length, self.extent)
+            first, last = max(span[0], 0), min(span[1], self.extent)
             crossing = first < last and (first < self.lo or last > self.hi)
-            local = FusedVal(positions.length, {}, {}, {kp: info.add(-self.lo)})
-        elif column is not None:
-            crossing = self._escapes(column.values)
-            shifted = Compact(column.slots, column.values.astype(np.int64) - self.lo,
-                              column.fill)
-            local = FusedVal(positions.length, {}, {}, compact={kp: shifted})
         else:
-            pos, pos_mask = extract(positions, kp)
-            crossing = self._escapes(pos if pos_mask is None else pos[pos_mask])
-            local = FusedVal(len(pos), {kp: pos.astype(np.int64) - self.lo},
-                             {kp: pos_mask})
+            crossing = self._escapes(column.rows()[0])
         if crossing:
             raise ChunkCrossing(
                 f"gather positions escape chunk [{self.lo}, {self.hi})"
             )
-        return self.rt.gather(self._get(values, node.source), local, kp)
+        local = FusedVal(positions.length, {node.pos_kp: column.shifted(-self.lo)})
+        return self.rt.gather(self._get(values, node.source), local, node.pos_kp)
 
     def _escapes(self, pos: np.ndarray) -> bool:
         """Does a valid (in-extent) present position leave the chunk?"""

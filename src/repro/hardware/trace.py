@@ -131,8 +131,10 @@ class Trace:
 
 
 class TraceRecorder:
-    """Mutable hook handed to kernels (untraced runs never build one:
-    they execute on the node runner, which has no accounting)."""
+    """The trace under construction: the pricing pass
+    (:class:`repro.compiler.pricing.Pricer`) opens a kernel per fragment
+    and emits the events it prices into it.  Nothing that executes sees
+    it — an untraced run never builds one."""
 
     def __init__(self) -> None:
         self.trace = Trace()

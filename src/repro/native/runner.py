@@ -31,7 +31,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.compiler import kernels
-from repro.compiler.rt_fast import Compact, FusedVal, compact_operands, extract
+from repro.compiler.columns import Compact, Dense
+from repro.compiler.rt_fast import FusedVal, compact_operands
 from repro.core.program import Program
 from repro.native.exec import (
     ChainKernel,
@@ -70,7 +71,7 @@ def chain_index(program: Program, metadata=None) -> dict:
 
 
 #: stash sentinel for chain members nothing outside the chain reads
-_INTERNAL = FusedVal(0, {}, {})
+_INTERNAL = FusedVal(0, {})
 
 
 def eval_chain(entry, values: dict[int, FusedVal], stash: dict[int, FusedVal]):
@@ -87,17 +88,14 @@ def eval_chain(entry, values: dict[int, FusedVal], stash: dict[int, FusedVal]):
     present = compact_operands(operands)
     if present is None:
         slots = None
-        results = kernel([extract(val, kp) for val, kp in operands])
+        results = kernel([val.column(kp).pad() for val, kp in operands])
     else:
         # inputs compact on shared slots: one pass over the present rows;
         # every step's ε image comes from the same steps over the fills
         # (k is data-dependent: the present rows are an array even when
         # k == 1, or the first one-hit selection would compile a kernel)
-        slots, arrays, fills = present
-        results = kernel(
-            [(array, None) for array in arrays],
-            scalar=[kp not in val.compact for val, kp in operands],
-        )
+        slots, arrays, fills, scalars = present
+        results = kernel([(array, None) for array in arrays], scalar=scalars)
         images = run_chain_python(chain, [(fill, None) for fill in fills])
     by_step = dict(zip(chain.outputs, results))
     head = _INTERNAL
@@ -106,11 +104,9 @@ def eval_chain(entry, values: dict[int, FusedVal], stash: dict[int, FusedVal]):
         if out is None:
             wrapped = _INTERNAL
         elif slots is None:
-            array, mask = out
-            wrapped = FusedVal(len(array), {step.node.out: array},
-                               {step.node.out: mask})
+            wrapped = FusedVal(len(out[0]), {step.node.out: Dense(*out)})
         else:
-            wrapped = FusedVal(slots.length, {}, {}, compact={
+            wrapped = FusedVal(slots.length, {
                 step.node.out: Compact(slots, out[0], images[j][0])
             })
         if j == 0:

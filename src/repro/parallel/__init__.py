@@ -10,7 +10,8 @@ interpreter.  The executor is a schedule, not an evaluator: every zone
 and every chunk runs on the node runner of :mod:`repro.compiler.runner`.
 """
 
-from repro.compiler.runner import ChunkCrossing, to_fused
+from repro.compiler.rt_fast import to_fused
+from repro.compiler.runner import ChunkCrossing
 from repro.parallel.executor import ParallelInterpreter
 from repro.parallel.merge import concat_fused, merge_fold_fused, merge_select_fused
 from repro.parallel.planner import (

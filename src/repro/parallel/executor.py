@@ -36,13 +36,7 @@ from concurrent.futures import Executor
 from typing import Mapping
 
 from repro.compiler.rt_fast import FusedVal, fused_slice
-from repro.compiler.runner import (
-    ChunkCrossing,
-    ProgramRunner,
-    run_chunk,
-    run_program,
-    to_fused,
-)
+from repro.compiler.runner import ChunkCrossing, ProgramRunner, run_chunk, run_program
 from repro.core import ops
 from repro.core.program import Program
 from repro.core.vector import StructuredVector
@@ -262,14 +256,15 @@ class ParallelInterpreter:
             if plan.zones[i] == GLOBAL:
                 values[id(node)] = runner.eval(node, values)
 
-        # 2. Fan the chunked zones out over the worker pool.
+        # 2. Fan the chunked zones out over the worker pool: the driving
+        #    vector is loaded once, cut per chunk, and read whole by SEQ.
+        values[id(order[plan.driving])] = runner.rt.load(order[plan.driving].name)
         chunk_results = self._map_chunks(program, plan, values, runner)
 
         # 3. Merge chunk results as raw arrays (no per-chunk wrapping).
         for i in plan.frontier:
             node = order[i]
             if i == plan.driving:
-                values[id(node)] = to_fused(runner.rt.storage[node.name])
                 continue
             chunks = [result[i] for result in chunk_results]
             values[id(node)] = self._merge(plan.zones[i], node, chunks)
@@ -352,17 +347,18 @@ class ParallelInterpreter:
     ) -> list[dict[int, FusedVal]]:
         order = program.order
         chunk_indices = plan.chunk_nodes()
-        driving_vec = runner.rt.storage[order[plan.driving].name]
+        driving = values[id(order[plan.driving])]
         knobs = {"native": runner.native, "virtual_scatter": runner.virtual_scatter}
-        # global feeds are readied once: pending scatters land here, and
-        # sliced feeds materialize their virtuals so chunk cuts are views
+        # global feeds are readied once: pending scatters land here, not
+        # once per chunk; a feed handed over whole is one value read by
+        # every worker (values are never written once built)
         feeds = {
-            j: (mode, runner.prepare_feed(values[id(order[j])], mode))
+            j: (mode, runner.rt.materialize(values[id(order[j])]))
             for j, mode in plan.global_feeds.items()
         }
         tasks = []
         for lo, hi in plan.chunks:
-            seeded: dict[int, FusedVal] = {plan.driving: to_fused(driving_vec, lo, hi)}
+            seeded: dict[int, FusedVal] = {plan.driving: fused_slice(driving, lo, hi)}
             for j, (mode, val) in feeds.items():
                 seeded[j] = fused_slice(val, lo, hi) if mode == "sliced" else val
             tasks.append((lo, hi, seeded))

@@ -1,9 +1,10 @@
 """Merging per-chunk results back into full vectors.
 
 Three merge kinds, matching the planner's zones, over the raw
-:class:`~repro.compiler.rt_fast.FusedVal` chunks the workers return
-(column arrays and shared masks merge directly, without round-tripping
-every chunk through a Structured Vector):
+:class:`~repro.compiler.rt_fast.FusedVal` chunks the workers return —
+each asked, column by column, for its present rows or its padded image
+(the protocol of :mod:`repro.compiler.columns`), never round-tripped
+through a Structured Vector:
 
 * **concat** — partitioned values are slot-for-slot identical to the
   sequential result, so merging is pure concatenation (ε masks included:
@@ -23,7 +24,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.compiler.rt_fast import Compact, FusedVal, Slots, zero_fill
+from repro.compiler.columns import Compact, Dense, Run, Slots, on_slots, zero_fill
+from repro.compiler.rt_fast import FusedVal
 from repro.core.controlvector import IDENTITY
 from repro.core.keypath import Keypath
 from repro.errors import ExecutionError
@@ -33,13 +35,11 @@ from repro.interpreter.semantics import _AGG_UFUNC as _COMBINE
 def concat_fused(chunks: list[FusedVal]) -> FusedVal:
     """Concatenate chunk values attribute-wise, preserving ε masks.
 
-    An attribute every chunk holds compact (or fully dense) stays
-    compact: present values concatenate, slots shift by the chunk
+    An attribute every chunk holds compact (or with every slot present)
+    stays compact: present values concatenate, slots shift by the chunk
     origins, and attributes that shared slots in every chunk share the
-    merged ones.  Anything else pads: column arrays and presence masks
-    concatenate directly; chunks that kept an attribute virtual
-    (symbolic Range metadata) materialize it here, at the merge
-    boundary, not inside the workers.  A mask that merges fully dense is
+    merged ones.  Anything else pads: arrays and presence masks
+    concatenate directly.  A mask that merges fully dense is
     re-suppressed to ``None``, exactly as the Structured Vector
     constructor does for the interpreter.
     """
@@ -48,41 +48,39 @@ def concat_fused(chunks: list[FusedVal]) -> FusedVal:
     if len(chunks) == 1:
         return chunks[0]
     length = sum(c.length for c in chunks)
-    merged = FusedVal(length, {}, {})
     origins = np.cumsum([0] + [c.length for c in chunks[:-1]])
     shared: dict[tuple, Slots] = {}
+    merged = {}
     for path in chunks[0].paths():
-        columns = [c.compact.get(path) for c in chunks]
-        fills = {col.fill.tobytes() for col in columns if col is not None}
+        columns = [c.column(path) for c in chunks]
+        sparse = [column.sparse() for column in columns]
+        fills = {part.fill.tobytes(): part.fill for part in sparse if part is not None}
         if len(fills) == 1 and all(
-            col is not None or (path in c.cols and c.masks.get(path) is None)
-            for c, col in zip(chunks, columns)
+            part is not None or column.mask() is None
+            for column, part in zip(columns, sparse)
         ):
-            key = tuple(None if col is None else id(col.slots) for col in columns)
+            key = tuple(None if part is None else id(part.slots) for part in sparse)
             slots = shared.get(key)
             if slots is None:
                 slots = shared[key] = Slots(np.concatenate([
-                    np.arange(lo, lo + c.length) if col is None else col.slots.index + lo
-                    for c, col, lo in zip(chunks, columns, origins)
+                    np.arange(lo, lo + len(column)) if part is None else part.slots.index + lo
+                    for column, part, lo in zip(columns, sparse, origins)
                 ]), length)
-            values = np.concatenate([
-                c.cols[path] if col is None else col.values
-                for c, col in zip(chunks, columns)
-            ])
-            fill = next(col.fill for col in columns if col is not None)
-            merged.put(path, slots, values, fill)
+            values = np.concatenate([column.rows()[0] for column in columns])
+            (fill,) = fills.values()
+            merged[path] = on_slots(slots, values, fill)
             continue
-        merged.cols[path] = np.concatenate([c.attr(path) for c in chunks])
-        parts = [c.mask(path) for c in chunks]
-        if all(m is None for m in parts):
-            merged.masks[path] = None
-        else:
+        arrays, masks = zip(*(column.pad() for column in columns))
+        mask = None
+        if any(m is not None for m in masks):
             mask = np.concatenate([
-                np.ones(c.length, dtype=bool) if m is None else m
-                for c, m in zip(chunks, parts)
+                np.ones(len(a), dtype=bool) if m is None else m
+                for a, m in zip(arrays, masks)
             ])
-            merged.masks[path] = None if mask.all() else mask
-    return merged
+            if mask.all():
+                mask = None
+        merged[path] = Dense(np.concatenate(arrays), mask)
+    return FusedVal(length, merged)
 
 
 def merge_select_fused(chunks: list[FusedVal], path: Keypath) -> FusedVal:
@@ -92,21 +90,13 @@ def merge_select_fused(chunks: list[FusedVal], path: Keypath) -> FusedVal:
     them) on chunk-local slots; the merge keeps the positions, in chunk
     order, and renumbers the slots."""
     length = sum(c.length for c in chunks)
-    hits = [np.zeros(0, dtype=np.int64)]
-    for c in chunks:
-        column = c.compact.get(path)
-        if column is not None:
-            hits.append(column.values)
-        else:  # symbolic (the chunk kept every row) or padded
-            values, mask = c.attr(path), c.mask(path)
-            hits.append(values if mask is None else values[mask])
-    hits = np.concatenate(hits)
+    hits = np.concatenate(
+        [np.zeros(0, dtype=np.int64)] + [c.column(path).rows()[0] for c in chunks]
+    )
     if len(hits) == length:  # every chunk kept every row
-        return FusedVal(length, {}, {}, {path: IDENTITY})
+        return FusedVal(length, {path: Run(IDENTITY, length)})
     slots = Slots(np.arange(len(hits), dtype=np.int64), length)
-    return FusedVal(length, {}, {}, compact={
-        path: Compact(slots, hits, zero_fill(np.int64))
-    })
+    return FusedVal(length, {path: Compact(slots, hits, zero_fill(np.int64))})
 
 
 def merge_fold_fused(fn: str, chunks: list[FusedVal], path: Keypath) -> FusedVal:
@@ -124,23 +114,15 @@ def merge_fold_fused(fn: str, chunks: list[FusedVal], path: Keypath) -> FusedVal
     length = sum(c.length for c in chunks)
     partials = []
     for c in chunks:
-        column = c.compact.get(path)
-        if column is not None:
-            if len(column.values) and column.slots.index[0] == 0:
-                partials.append(column.values[0])
-        elif c.length:
-            mask = c.mask(path)
-            if mask is None or mask[0]:
-                partials.append(c.attr(path)[0])
-    column = chunks[0].compact.get(path)
-    dtype = (chunks[0].attr(path) if column is None else column.values).dtype
-    merged = FusedVal(length, {}, {})
+        values, slots = c.column(path).rows()
+        if len(values) and (slots is None or slots.index[0] == 0):
+            partials.append(values[0])
+    dtype = chunks[0].dtype_of(path)
     total = np.zeros(0, dtype=dtype)
     if partials:
         total = partials[0]
         for value in partials[1:]:
             total = combine(total, value)
         total = np.asarray(total, dtype=dtype).reshape(1)
-    merged.put(path, Slots(np.arange(len(total), dtype=np.int64), length), total,
-               zero_fill(dtype))
-    return merged
+    slots = Slots(np.arange(len(total), dtype=np.int64), length)
+    return FusedVal(length, {path: on_slots(slots, total, zero_fill(dtype))})

@@ -17,7 +17,7 @@ through control vectors rather than hardware constructs:
   fold is controlled by the very ``__gid`` column the ``Partition`` read,
   so each bucket is one group and the folds accumulate straight into
   their group's slot — no row is ranked, nothing is sorted
-  (:class:`repro.compiler.rt_fast.Groups`);
+  (:class:`repro.compiler.columns.Groups`);
 * filtered rows travel as ε slots — masks propagate through every
   operator, and folds skip ε, so no operator ever re-checks predicates.
 """

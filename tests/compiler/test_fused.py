@@ -185,6 +185,6 @@ def test_a_runtime_always_records():
 
 
 def test_fused_val_scalar_and_paths():
-    val = FusedVal(1, {}, {})
+    val = FusedVal(1, {})
     assert val.paths() == ()
     assert val.scalar(None) is None

@@ -91,7 +91,7 @@ class TestRemovedKnobs:
         price (golden prices pin those) appear in none."""
         from repro.testing.conformance import BACKEND_GRID
 
-        assert len(BACKEND_GRID) == 10
+        assert len(BACKEND_GRID) == 11
         priced_only = {"fuse": True, "selection": "branching", "slot_suppression": True}
         for config in BACKEND_GRID:
             assert all(getattr(config.options, knob) == default

@@ -450,3 +450,31 @@ class TestLayoutInvariance:
         assert result.io["bytes_scanned"] > 0
         # the whole query folded over runs: nothing was decoded
         assert result.io["bytes_decompressed"] < result.io["bytes_scanned"]
+
+    def test_a_storage_column_is_decoded_once_per_run(self, monkeypatch):
+        """The decode memo lives on the runner's ``Lazy`` column, which
+        ``Zip`` / ``Project`` / ``Upsert`` pass on unchanged: TPC-H Q1 reads
+        7 lineitem columns whole and decodes each once per execute (9
+        decodes when the memo lived on whichever value was read first) —
+        and again on the next execute: nothing decoded outlives a run."""
+        from collections import Counter
+
+        from repro.storage.segment import ColumnData
+        from repro.tpch import build, generate
+
+        store = resegment(generate(0.005, seed=7), encoding="auto", segment_rows=4096)
+        decodes: Counter = Counter()
+        plain = ColumnData.materialize
+
+        def spy(self):
+            decodes[self.column.name] += 1
+            return plain(self)
+
+        with VoodooEngine(store, config=EngineConfig(tracing=False)) as engine:
+            prepared = engine.prepare(build(store, 1))
+            prepared.execute()
+            monkeypatch.setattr(ColumnData, "materialize", spy)
+            for executes in (1, 2):
+                prepared.execute()
+                assert len(decodes) == 7 and set(decodes.values()) == {executes}, decodes
+
