@@ -6,7 +6,8 @@ virtual scatters (:mod:`repro.compiler.fragments`).  Every run executes
 on the node runner (:mod:`repro.compiler.runner` over
 :mod:`repro.compiler.rt_fast`, whose values are one ``{keypath: column}``
 mapping of the column kinds in :mod:`repro.compiler.columns` — dense,
-compact (empty-slot suppression), symbolic, storage-backed, deferred);
+compact (empty-slot suppression), symbolic, storage-backed, deferred,
+taken);
 a traced run also shows each node's values to the pricing pass
 (:mod:`repro.compiler.pricing`), which emits the operation trace
 :mod:`repro.hardware` prices for the plan's device and strategies.

@@ -1,10 +1,12 @@
-"""The columns of a runner value: five kinds, one protocol.
+"""The columns of a runner value: six kinds, one protocol.
 
 A :class:`~repro.compiler.rt_fast.FusedVal` is one ``{keypath: column}``
 mapping — the paper's Structured Vector, whose attributes may be
 ε-padded (section 3.1.2) or never materialised (control vectors, the
-deferred ranking of a ``Partition``).  Every column here answers the same
-questions, whatever stores it:
+deferred ranking of a ``Partition``, the rows a ``Gather`` or a landing
+``Scatter`` would move — an annotation until something reads them,
+section 3.1.3).  Every column here answers the same questions, whatever
+stores it:
 
 ``dtype``, ``len()``
     what it holds, over how many slots;
@@ -31,7 +33,8 @@ tries it and takes the ``pad()`` path when it gets None.
 **Columns and values are immutable once built.**  Derived state lives on
 the column it derives from — the padded image of a :class:`Compact`, the
 materialised :class:`Run`, the decode of a :class:`Lazy`, the ranking of
-a :class:`Deferred` — each published by one attribute assignment of a
+a :class:`Deferred`, the rows of a :class:`Taken` — each published by one
+attribute assignment of a
 complete result (a racing reader computes it again, to the same bits),
 so columns are shared freely between values and between chunk workers.
 Masks and arrays are shared likewise and never written.
@@ -96,6 +99,14 @@ class Slots:
         return Slots(self.index[a:b] - lo, hi - lo), a, b
 
 
+def present_upto(slots: Slots | None, rows: int, upto: int | None) -> int:
+    """How many of the *rows* present rows on *slots* (None: every slot)
+    sit in the first *upto* slots (None: anywhere)."""
+    if upto is None:
+        return rows
+    return min(upto, rows) if slots is None else int(np.searchsorted(slots.index, upto))
+
+
 def zero_fill(dtype) -> np.ndarray:
     """The ε image of a selection, gather or fold result."""
     return np.zeros(1, dtype=dtype)
@@ -126,6 +137,15 @@ class Column:
     def sparse(self) -> "Compact | None":
         """The column itself when it is present rows on slots with one ε
         image (:class:`Compact`) — what a map over present rows needs."""
+        return None
+
+    def dense_on(self, slots: "Slots") -> "Column | None":
+        """The present rows as a dense column of their own, when they sit
+        on exactly *slots* (a scatter of compact rows onto their own
+        slots moves nothing)."""
+        sparse = self.sparse()
+        if sparse is not None and slots.same_as(sparse.slots):
+            return Dense(sparse.values)
         return None
 
     def span(self) -> tuple[int, int] | None:
@@ -216,8 +236,7 @@ class Compact(Column):
         return self.slots.mask()
 
     def present(self, upto=None):
-        return len(self.values) if upto is None else int(
-            np.searchsorted(self.slots.index, upto))
+        return present_upto(self.slots, len(self.values), upto)
 
     def rows(self):
         return self.values, self.slots
@@ -396,6 +415,72 @@ class Lazy(Column):
         return None if folded is None else folded.reshape(1)
 
 
+class Taken(Column):
+    """A gather kept as an annotation: the rows of a *mask-free* column
+    (``source.mask()`` is None) at the in-bounds positions ``index``,
+    sitting on ``slots`` (None: every slot) with 0 on the ε slots.
+
+    What it is — dtype, length, presence — it answers from ``index`` and
+    ``slots``; the first read of a value makes the one
+    ``source.take(index)``, and a column nobody reads is never moved.  A
+    gather of an unread dense gather composes: it touches only the final
+    rows of the first source.
+    """
+
+    __slots__ = ("source", "index", "slots", "_column")
+
+    def __init__(self, source: Column, index: np.ndarray, slots: Slots | None = None):
+        self.source = source
+        self.index = index
+        self.slots = None if slots is None or len(index) == slots.length else slots
+        self._column: Column | None = None
+
+    dtype = property(lambda self: self.source.dtype)
+
+    def __len__(self) -> int:
+        return len(self.index) if self.slots is None else self.slots.length
+
+    def mask(self):
+        return None if self.slots is None else self.slots.mask()
+
+    def present(self, upto=None):
+        return present_upto(self.slots, len(self.index), upto)
+
+    def resolved(self) -> Column:
+        column = self._column
+        if column is None:
+            values = self.source.take(self.index)[0]
+            column = self._column = on_slots(self.slots, values, zero_fill(values.dtype))
+        return column
+
+    def take(self, index, found=None):
+        if self._column is None and self.slots is None:
+            return self.source.take(self.index[index])
+        return self.resolved().take(index, found)
+
+    def dense_on(self, slots):
+        if self._column is not None:
+            return self._column.dense_on(slots)
+        if self.slots is not None and slots.same_as(self.slots):
+            return Taken(self.source, self.index)  # still unread
+        return None
+
+    def rows(self):
+        return self.resolved().rows()
+
+    def pad(self):
+        return self.resolved().pad()
+
+    def sparse(self):
+        return self.resolved().sparse()
+
+    def slice(self, lo, hi, cuts=None):
+        return self.resolved().slice(lo, hi, cuts)
+
+    def shifted(self, offset):
+        return self.resolved().shifted(offset)
+
+
 class Groups:
     """What a ``Partition`` knows about its rows before it ranks one.
 
@@ -471,10 +556,7 @@ class Deferred(Column):
         return None if slots is None else slots.mask()
 
     def present(self, upto=None):
-        slots = self.groups.slots
-        if slots is None or upto is None:
-            return len(self.groups.part) if upto is None else min(upto, len(self))
-        return int(np.searchsorted(slots.index, upto))
+        return present_upto(self.groups.slots, len(self.groups.part), upto)
 
     def rows(self):
         return self.groups.positions(), self.groups.slots

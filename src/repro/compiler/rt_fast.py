@@ -9,9 +9,13 @@ operator below tries the fast path of the kind it hopes for (symbolic
 columns on shared slots, a fold straight off a :class:`Lazy` column's
 segments, the :class:`Groups` of a :class:`Deferred` ranking) and else
 asks for ``pad()`` — the full-length ``(array, mask)`` every kind can
-give.  Folds whose control vectors carry static uniform-run metadata
-dispatch to the direct kernels in :mod:`repro.compiler.kernels` instead
-of the generic run machinery.
+give.  Nothing moves a cell nobody reads: a gather, and a scatter that
+lands, leave every mask-free column of their source a :class:`Taken` —
+the positions, kept as an annotation until a value of that column is
+read — and the output boundary (:meth:`FusedRuntime.force`) resolves the
+present rows of the outputs and pads none of them.  Folds whose control
+vectors carry static uniform-run metadata dispatch to the direct kernels
+in :mod:`repro.compiler.kernels` instead of the generic run machinery.
 
 This is the only operator implementation a ``CompiledProgram`` executes.
 Nothing here accounts for anything: a traced run shows the values these
@@ -58,6 +62,7 @@ from repro.compiler.columns import (
     Lazy,
     Run,
     Slots,
+    Taken,
     on_slots,
     zero_fill,
 )
@@ -252,11 +257,6 @@ def fused_binary(fn, a, ma, b, mb):
     return result, mask
 
 
-def fused_unary(fn, a, mask, dtype):
-    """One raw unary kernel (the shared unary semantics)."""
-    return apply_unary(fn, a, mask, dtype)
-
-
 def literal(dtype: str, value) -> np.ndarray:
     """A length-1 constant operand (broadcasts)."""
     return np.array([value], dtype=np.dtype(dtype))
@@ -287,13 +287,14 @@ class FusedRuntime:
         return to_fused(vector)
 
     def force(self, val: FusedVal) -> StructuredVector:
-        """Materialize into a plain Structured Vector (output boundary):
-        a pending scatter landed, every column padded."""
+        """The output boundary: a pending scatter landed and every
+        column's present rows resolved — here, inside the run — as a
+        Structured Vector over the columns, which pads an attribute when
+        (and only if) something reads its full-length image."""
         val = self.materialize(val)
-        cols, masks = {}, {}
-        for path, column in val.columns.items():
-            cols[path], masks[path] = column.pad()
-        return StructuredVector(val.length, cols, masks)
+        for column in val.columns.values():
+            column.rows()
+        return StructuredVector.over(val.length, val.columns)
 
     def materialize(self, source: FusedVal) -> FusedVal:
         """*source*, its pending scatter landed (``Materialize`` and
@@ -329,9 +330,12 @@ class FusedRuntime:
         slots = Slots(dst, scat.size)
         columns = {}
         for path, column in source.columns.items():
+            if column.mask() is None:
+                columns[path] = Taken(column, src, slots)
+                continue
             array, mask = column.pad()
-            written = None if mask is None else mask[src]
-            if written is None or written.all():
+            written = mask[src]
+            if written.all():
                 columns[path] = on_slots(slots, array[src], zero_fill(array.dtype))
             else:
                 # an ε row landed: its slot keeps what the row held — two
@@ -401,11 +405,11 @@ class FusedRuntime:
         if sparse is not None:
             mapped = Compact(
                 sparse.slots,
-                fused_unary(fn, sparse.values, None, dtype)[0],
-                fused_unary(fn, sparse.fill, None, dtype)[0],
+                apply_unary(fn, sparse.values, None, dtype)[0],
+                apply_unary(fn, sparse.fill, None, dtype)[0],
             )
             return FusedVal(source.length, {out: mapped})
-        result, mask = fused_unary(fn, *column.pad(), dtype)
+        result, mask = apply_unary(fn, *column.pad(), dtype)
         return FusedVal(len(result), {out: Dense(result, mask)})
 
     # -- structural ---------------------------------------------------------
@@ -503,6 +507,9 @@ class FusedRuntime:
         found: dict = {}
         where: dict = {}
         for path, column in source.columns.items():
+            if column.mask() is None:  # every position hits a row: unread until read
+                columns[path] = Taken(column, pos, slots)
+                continue
             values, hit = column.take(pos, found)
             on = slots
             if hit is not None and not hit.all():
@@ -541,15 +548,16 @@ class FusedRuntime:
 
     def _rows_at(self, val: FusedVal, index: np.ndarray,
                  slots: Slots | None = None) -> FusedVal:
-        """The rows of *val* at *index* (in bounds), as a dense value;
+        """The rows of *val* at *index* (in bounds), as a dense value —
+        of a mask-free column, unread until something reads them;
         *slots*: the pattern the index is, when it is one."""
         columns = {}
         for path, column in val.columns.items():
-            sparse = None if slots is None else column.sparse()
-            if sparse is not None and slots.same_as(sparse.slots):
-                columns[path] = Dense(sparse.values)
+            own = None if slots is None else column.dense_on(slots)
+            if own is not None:
+                columns[path] = own
             elif column.mask() is None:
-                columns[path] = Dense(column.take(index)[0])
+                columns[path] = Taken(column, index)
             else:  # an ε-padded column is probed through its padded image
                 array, mask = column.pad()
                 mask = mask[index]

@@ -4,7 +4,11 @@ A :class:`ProgramRunner` dispatches each operator of a
 :class:`~repro.core.program.Program` onto the wall-clock runtime
 (:class:`~repro.compiler.rt_fast.FusedRuntime`, over values that are one
 ``{keypath: column}`` mapping each — :mod:`repro.compiler.columns` — with
-direct fold kernels).  Two entry points cover every untraced execution in the
+direct fold kernels).  Program outputs leave it as present rows
+(:meth:`ProgramRunner.capture`: each resolved inside the run, its padded
+image built when something reads it —
+:meth:`~repro.core.vector.StructuredVector.over`).  Two entry points cover
+every untraced execution in the
 repo (a traced one steps the same :meth:`ProgramRunner.eval` with a pricer
 reading the values: :meth:`repro.compiler.pricing.Pricer.run`):
 
@@ -122,6 +126,7 @@ class ProgramRunner:
         self.virtual_scatter = virtual_scatter
         if storage is None:
             storage = {}
+        self._methods = self._dispatch_table()
         keep_virtual, self._scatter_only = consumer_sets(program)
         self._keep_virtual = keep_virtual if virtual_scatter else frozenset()
         self._forced: dict[int, StructuredVector] = {}
@@ -164,7 +169,7 @@ class ProgramRunner:
                 head = self._eval_chain(entry, values, self._stash)
                 if head is not None:
                     return head
-        method = self._dispatch_table().get(type(node))
+        method = self._methods.get(type(node))
         if method is None:
             raise ExecutionError(f"the runner does not implement {node.opname}")
         return method(self, node, values)

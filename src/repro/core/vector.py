@@ -20,6 +20,14 @@ when ``attr()`` first touches them (then memoized).  ``project``,
 ``slice``, ``head`` and ``zip`` compose lazily; ``take`` random-accesses
 through the handle without a full decode.  Lazy attributes are always
 dense — storage columns have no ε slots.
+
+The node runner's outputs are **pending** attributes (:meth:`over`): the
+runner's own columns (:mod:`repro.compiler.columns` — anything with
+``dtype``, ``rows()`` and ``pad()``), whose present rows :meth:`rows`
+reads as they are stored.  The ε-padded image of one is built the first
+time ``attr()``, ``present()`` or a structural operation asks for it —
+exactly the arrays an eager pad would have stored — and never if nothing
+does.
 """
 
 from __future__ import annotations
@@ -37,7 +45,8 @@ from repro.errors import SchemaError, VoodooError
 class StructuredVector:
     """An immutable-by-convention structure-of-arrays vector with ε masks."""
 
-    __slots__ = ("_length", "_columns", "_present", "_runinfo", "_lazy", "_paths")
+    __slots__ = ("_length", "_columns", "_present", "_runinfo", "_lazy", "_paths",
+                 "_pending")
 
     def __init__(
         self,
@@ -54,6 +63,7 @@ class StructuredVector:
         self._present: dict[Keypath, np.ndarray | None] = {}
         self._runinfo: dict[Keypath, RunInfo] = {}
         self._lazy: dict[Keypath, object] = {}
+        self._pending: dict[Keypath, object] = {}
 
         present = present or {}
         normalized_present = {kp(p): m for p, m in present.items()}
@@ -124,6 +134,38 @@ class StructuredVector:
         masks = {p: np.zeros(length, dtype=bool) for p in schema}
         return cls(length, columns, masks)
 
+    @classmethod
+    def over(cls, length: int, columns: Mapping[Keypath, object]) -> "StructuredVector":
+        """A vector over a runner's columns, none of them padded yet (a
+        vector with pending attributes holds no others)."""
+        vector = cls(length, {})
+        for column in columns.values():
+            check_dtype(column.dtype)
+        Schema._check_no_prefix_conflicts(columns)
+        vector._pending = dict(columns)
+        vector._paths = tuple(columns)
+        return vector
+
+    def _pad(self, path: Keypath) -> bool:
+        """Pad the pending attribute *path*, if it is one (racing readers
+        store the same arrays: a column memoizes its padded image)."""
+        column = self._pending.get(path)
+        if column is None:
+            return False
+        array, mask = column.pad()
+        self._present[path] = None if mask is None or mask.all() else mask
+        self._columns[path] = array
+        self._pending.pop(path, None)
+        return True
+
+    def _settle(self) -> None:
+        """Every pending attribute padded, in attribute order: what the
+        structural operations read."""
+        if self._pending:
+            for path in self._paths:
+                self._pad(path)
+            self._columns = {path: self._columns[path] for path in self._paths}
+
     # -- basic accessors ----------------------------------------------------------
 
     def __len__(self) -> int:
@@ -131,11 +173,9 @@ class StructuredVector:
 
     @property
     def schema(self) -> Schema:
-        return Schema({
-            p: (self._columns[p].dtype if p in self._columns
-                else np.dtype(self._lazy[p].dtype))
-            for p in self._paths
-        })
+        # (read in the order an attribute moves: pending or lazy, then padded)
+        held = {**self._pending, **self._lazy, **self._columns}
+        return Schema({path: np.dtype(held[path].dtype) for path in self._paths})
 
     @property
     def paths(self) -> tuple[Keypath, ...]:
@@ -151,6 +191,8 @@ class StructuredVector:
             return self._columns[path]
         except KeyError:
             pass
+        if self._pad(path):
+            return self._columns[path]
         handle = self._lazy.get(path)
         if handle is None:
             raise SchemaError(f"no attribute {path} in vector with {list(self._paths)}")
@@ -171,6 +213,7 @@ class StructuredVector:
         clone._present = dict(self._present)
         clone._runinfo = dict(self._runinfo)
         clone._lazy = dict(self._lazy)
+        clone._pending = dict(self._pending)
         clone._paths = self._paths
         return clone
 
@@ -185,6 +228,7 @@ class StructuredVector:
     def present(self, path: Keypath | str) -> np.ndarray:
         """Boolean presence mask for a leaf keypath (dense ⇒ all-True)."""
         path = kp(path)
+        self._pad(path)
         if path not in self._columns and path not in self._lazy:
             raise SchemaError(f"no attribute {path}")
         mask = self._present.get(path)
@@ -193,7 +237,29 @@ class StructuredVector:
         return mask
 
     def is_dense(self, path: Keypath | str) -> bool:
-        return self._present.get(kp(path)) is None
+        path = kp(path)
+        self._pad(path)
+        return self._present.get(path) is None
+
+    def rows(self, paths) -> list[np.ndarray]:
+        """The values of *paths* on the rows where all of them are
+        present (arrays shared with whoever holds the vector's: never
+        written).  Pending attributes on one presence pattern hand their
+        present rows over as stored; anything else masks and indexes the
+        padded images."""
+        paths = [kp(path) for path in paths]
+        held = [self._pending.get(path) for path in paths]
+        if held and all(column is not None for column in held):
+            values, patterns = zip(*(column.rows() for column in held))
+            first = patterns[0]
+            if all(slots is first or (slots is not None and first is not None
+                                      and first.same_as(slots))
+                   for slots in patterns):
+                return list(values)
+        mask = np.ones(self._length, dtype=bool)
+        for path in paths:
+            mask &= self.present(path)
+        return [self.attr(path)[mask] for path in paths]
 
     def runinfo_for(self, path: Keypath | str) -> RunInfo | None:
         """Symbolic run metadata for a generated attribute, if tracked."""
@@ -202,7 +268,7 @@ class StructuredVector:
     def resolve(self, path: Keypath | str) -> tuple[Keypath, ...]:
         """Leaf keypaths designated by *path* (which may name a struct)."""
         path = kp(path)
-        if path in self._columns or path in self._lazy:
+        if path in self._paths:
             return (path,)
         leaves = tuple(p for p in self._paths if p.startswith(path))
         if not leaves:
@@ -213,6 +279,7 @@ class StructuredVector:
 
     def project(self, path: Keypath | str, out: Keypath | str | None = None) -> "StructuredVector":
         """Extract the substructure at *path*, re-rooted at *out* (Project)."""
+        self._settle()
         path = kp(path)
         leaves = self.resolve(path)
         out = kp(out) if out is not None else None
@@ -241,6 +308,7 @@ class StructuredVector:
         runinfo: RunInfo | None = None,
     ) -> "StructuredVector":
         """Copy with attribute *path* replaced or inserted (Upsert)."""
+        self._settle()
         path = kp(path)
         columns = dict(self._columns)
         present = dict(self._present)
@@ -255,6 +323,7 @@ class StructuredVector:
         return StructuredVector(self._length, columns, present, infos, lazy=lazy)
 
     def without_attr(self, path: Keypath | str) -> "StructuredVector":
+        self._settle()
         path = kp(path)
         leaves = self.resolve(path)
         columns = {p: a for p, a in self._columns.items() if p not in leaves}
@@ -273,6 +342,7 @@ class StructuredVector:
         infos: dict[Keypath, RunInfo] = {}
         lazy: dict[Keypath, object] = {}
         for side in (self, other):
+            side._settle()
             for path in side._paths:
                 if path in columns or path in lazy:
                     raise SchemaError(f"Zip would duplicate attribute {path}")
@@ -295,6 +365,7 @@ class StructuredVector:
         same deterministic-ε contract as :func:`repro.interpreter.semantics.gather`
         — raw arrays stay comparable across backends.
         """
+        self._settle()
         positions = np.asarray(positions)
         valid = (positions >= 0) & (positions < self._length)
         safe = np.where(valid, positions, 0).astype(np.int64)
@@ -317,6 +388,7 @@ class StructuredVector:
         return StructuredVector(len(positions), columns, present)
 
     def head(self, n: int) -> "StructuredVector":
+        self._settle()
         n = min(n, self._length)
         columns = {p: a[:n] for p, a in self._columns.items()}
         present = {p: (None if m is None else m[:n]) for p, m in self._present.items()}
@@ -332,6 +404,7 @@ class StructuredVector:
         cut (values are unaffected — the interpreter only uses RunInfo
         as derivation metadata).
         """
+        self._settle()
         lo = max(0, min(lo, self._length))
         hi = max(lo, min(hi, self._length))
         columns = {p: a[lo:hi] for p, a in self._columns.items()}

@@ -8,8 +8,8 @@ it via ctypes (which releases the GIL, so native chains parallelize on
 thread pools).  Any signature the lowering cannot serve is memoized as
 a fallback marker and runs through the exact
 :func:`~repro.compiler.rt_fast.fused_binary` /
-:func:`~repro.compiler.rt_fast.fused_unary` statements the fused
-codegen would have emitted — per call, per signature, silently.
+:func:`~repro.interpreter.engine.apply_unary` kernels the node runner
+would have called — per call, per signature, silently.
 
 Masks never reach C: chain values cannot depend on them (``IsPresent``
 is excluded at plan time), so output masks are derived here with the
@@ -30,7 +30,8 @@ import threading
 
 import numpy as np
 
-from repro.compiler.rt_fast import fused_binary, fused_unary, literal
+from repro.compiler.rt_fast import fused_binary, literal
+from repro.interpreter.engine import apply_unary
 from repro.native.emit import (
     FSUM_CODES,
     EmitError,
@@ -84,7 +85,7 @@ def run_chain_python(chain, pairs):
             vals.append(fused_binary(step.fn, a, ma, b, mb))
         else:
             ((a, ma),) = operands
-            vals.append(fused_unary(step.fn, a, ma, step.dtype))
+            vals.append(apply_unary(step.fn, a, ma, step.dtype))
     return vals
 
 

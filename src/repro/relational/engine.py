@@ -437,22 +437,23 @@ class VoodooEngine:
     # -- result extraction -------------------------------------------------------
 
     def _extract(self, query: Query, vector) -> ResultTable:
-        missing = [c for c in query.select if Keypath([c]) not in vector.schema]
+        paths = [Keypath([name]) for name in query.select]
+        have = vector.paths
+        missing = [name for name, path in zip(query.select, paths) if path not in have]
         if missing:
             raise TranslationError(
-                f"result lacks columns {missing}; has "
-                f"{[str(p) for p in vector.schema.paths()]}"
+                f"result lacks columns {missing}; has {[str(p) for p in have]}"
             )
-        mask = np.ones(len(vector), dtype=bool)
-        for name in query.select:
-            mask &= vector.present(Keypath([name]))
-        arrays = {name: vector.attr(Keypath([name]))[mask] for name in query.select}
+        # the present rows as the runner stored them: no padded image is read
+        arrays = dict(zip(query.select, vector.rows(paths)))
 
         order = self._sort_order(query, arrays)
         if order is not None:
             arrays = {name: arr[order] for name, arr in arrays.items()}
         if query.limit is not None:
             arrays = {name: arr[: query.limit] for name, arr in arrays.items()}
+        if order is None:  # the table owns its arrays: the vector's are shared
+            arrays = {name: arr.copy() for name, arr in arrays.items()}
 
         decoded: dict[str, np.ndarray] = {}
         for name, arr in arrays.items():

@@ -1,7 +1,7 @@
 """The column kinds against one oracle, and the never-written value.
 
 A runner value is a ``{keypath: column}`` mapping and a column is one of
-five kinds (:mod:`repro.compiler.columns`).  Every kind answers the same
+six kinds (:mod:`repro.compiler.columns`).  Every kind answers the same
 protocol, and every answer is a function of the column's padded image:
 ``pad()`` is the oracle here, the other methods are checked against it
 mechanically — kinds x methods x shapes (ε-heavy, all-ε, empty,
@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from repro.compiler import FusedRuntime
-from repro.compiler.columns import Column, Compact, Deferred, Dense, Lazy, Run, Slots
+from repro.compiler.columns import Column, Compact, Deferred, Dense, Lazy, Run, Slots, Taken
 from repro.compiler.rt_fast import FusedVal, fused_slice, to_fused
 from repro.core import StructuredVector
 from repro.core.controlvector import IDENTITY, RunInfo, constant_run
@@ -29,7 +29,7 @@ from repro.core.keypath import kp
 from repro.storage import make_segments
 from repro.storage.columnstore import Column as StoredColumn
 
-KINDS = (Dense, Compact, Run, Lazy, Deferred)
+KINDS = (Dense, Compact, Run, Lazy, Deferred, Taken)
 
 
 def handle(values: np.ndarray, encoding: str = "auto", rows: int = 7):
@@ -56,6 +56,63 @@ def deferred(key: Column, pivots: int, scatter_only: bool) -> Deferred:
     return out
 
 
+def decoded(values, encoding):
+    column = Lazy(handle(values, encoding))
+    column.pad()
+    return column
+
+
+#: what a Taken reads through, name -> (a fresh mask-free 40-row column, its values)
+_RNG = np.random.default_rng(17)
+_SIGNED = np.where(_RNG.random(40) < 0.3, -0.0, _RNG.random(40) - 0.5)
+_FLAGS = _RNG.random(40) < 0.5
+_RUNNY = np.repeat(np.arange(8, dtype=np.int64), 5)
+_CAPPED = RunInfo(2, Fraction(3), 7)
+_FIRST = _RNG.integers(0, 40, 40)  # the inner gather of a gather of a gather
+TAKEN_SOURCES = {
+    "dense float": (lambda: Dense(_SIGNED), _SIGNED),
+    "dense bool": (lambda: Dense(_FLAGS), _FLAGS),
+    "run": (lambda: Run(RunInfo(12, Fraction(1)), 40), np.arange(12, 52)),
+    "run, capped": (lambda: Run(_CAPPED, 40), _CAPPED.materialize(40)),
+    "lazy": (lambda: Lazy(handle(_SIGNED, "plain")), _SIGNED),
+    "lazy, decoded": (lambda: decoded(_RUNNY, "rle"), _RUNNY),
+    "lazy, sliced": (lambda: Lazy(handle(np.tile(_RUNNY, 2), "rle").slice(20, 60)),
+                     np.tile(_RUNNY, 2)[20:60]),
+    "taken": (lambda: Taken(Dense(_SIGNED), _FIRST), _SIGNED[_FIRST]),
+}
+#: the positions read: none, duplicates, out of order — all in bounds
+TAKEN_INDICES = {
+    "empty": np.zeros(0, dtype=np.int64),
+    "duplicates": np.array([3, 3, 39, 0, 3, 17, 17, 0], dtype=np.int64),
+    "unsorted": _RNG.permutation(40)[:25].astype(np.int64),
+}
+
+
+def taken(source: str, index: str, on_slots: bool) -> Taken:
+    rows = TAKEN_INDICES[index]
+    slots = None
+    if on_slots:  # (the empty index: five ε slots)
+        length = 2 * len(rows) + 5
+        at = np.sort(np.random.default_rng(length).permutation(length)[: len(rows)])
+        slots = Slots(at.astype(np.int64), length)
+    return Taken(TAKEN_SOURCES[source][0](), rows, slots)
+
+
+def taken_image(source: str, index: str, on_slots: bool) -> tuple[np.ndarray, np.ndarray]:
+    """What ``taken(...)`` must pad to, from NumPy alone."""
+    values = TAKEN_SOURCES[source][1][TAKEN_INDICES[index]]
+    column = taken(source, index, on_slots)
+    if column.slots is None:
+        return values, np.ones(len(values), dtype=bool)
+    array = np.zeros(column.slots.length, dtype=values.dtype)
+    array[column.slots.index] = values
+    return array, column.slots.mask()
+
+
+TAKEN_CASES = [(source, index, on_slots) for source in TAKEN_SOURCES
+               for index in TAKEN_INDICES for on_slots in (False, True)]
+
+
 def cases():
     """``(name, build)``: *build* makes a fresh column (memos unset)."""
     rng = np.random.default_rng(5)
@@ -65,11 +122,6 @@ def cases():
     runny = np.repeat(np.arange(8, dtype=np.int64), 5)
     keys = rng.integers(0, 6, 40)
     hits = np.flatnonzero(sparse)
-
-    def decoded(values, encoding):
-        column = Lazy(handle(values, encoding))
-        column.pad()
-        return column
 
     yield from {
         "dense": lambda: Dense(ints),
@@ -112,6 +164,12 @@ def cases():
         "deferred, all-ε key": lambda: deferred(compact(40, [], keys[:0], 2), 6, True),
         "deferred, empty": lambda: deferred(Dense(keys[:0]), 6, False),
         "deferred, one row": lambda: deferred(Dense(keys[:1]), 6, False),
+        **{f"taken, {source}, {index}{', on slots' * on_slots}":
+           lambda case=(source, index, on_slots): taken(*case)
+           for source, index, on_slots in TAKEN_CASES},
+        # as many rows as slots: every slot is present, whatever the pattern said
+        "taken, every slot": lambda: Taken(Dense(ints), np.arange(5)[::-1].copy(),
+                                           Slots(np.arange(5), 5)),
     }.items()
 
 
@@ -232,6 +290,127 @@ def test_a_slice_keeps_shared_slots_shared():
     seen: dict = {}
     a = val.column(kp(".a")).slice(3, 20, seen)
     assert a.slots is val.column(kp(".b")).slice(3, 20, seen).slots
+
+
+@pytest.mark.parametrize("source, index, on_slots", TAKEN_CASES)
+def test_a_taken_pads_to_the_gathered_rows(source, index, on_slots):
+    """The oracle of the grid above is ``pad()`` itself: here it is NumPy's
+    ``values[index]`` on the slots, zero elsewhere — ``-0.0`` kept."""
+    array, mask = taken_image(source, index, on_slots)
+    for warm in (False, True):
+        column = taken(source, index, on_slots)
+        if warm:
+            column.rows()
+        check_against_pad(column, array, mask, (source, index, on_slots, warm))
+        assert same(column.pad()[0], array)
+
+
+@pytest.mark.parametrize("source, index, on_slots", TAKEN_CASES)
+def test_a_taken_answers_what_it_is_without_reading(source, index, on_slots, monkeypatch):
+    column = taken(source, index, on_slots)
+    array, mask = taken_image(source, index, on_slots)
+
+    def no_take(self, index, found=None):
+        raise AssertionError(f"{type(self).__name__}.take() called")
+
+    for kind in KINDS:
+        monkeypatch.setattr(kind, "take", no_take)
+    assert column.dtype == array.dtype and len(column) == len(array)
+    for upto in (None, 0, 1, len(array) // 2, len(array), len(array) + 3):
+        assert column.present(upto) == np.count_nonzero(mask[:upto]), upto
+    own = column.mask()
+    assert mask.all() if own is None else same(own, mask)
+    assert column._column is None
+
+
+def test_a_gather_of_a_gather_reads_the_final_rows_only():
+    inner = Taken(Dense(_SIGNED), _FIRST)
+    index = TAKEN_INDICES["duplicates"]
+    values, present = inner.take(index)
+    assert present is None and same(values, _SIGNED[_FIRST][index])
+    outer = Taken(inner, index)
+    assert same(outer.rows()[0], _SIGNED[_FIRST][index]) and outer.rows()[1] is None
+    third = Taken(outer, np.array([7, 0, 0]))  # (outer is resolved by now: read as stored)
+    assert same(third.pad()[0], _SIGNED[_FIRST][index][[7, 0, 0]])
+    assert inner._column is None, "composing resolved the column it read through"
+    # on slots there is no composing: the column reads as the compact one it is
+    sparse = taken("dense float", "duplicates", True)
+    at = np.array([0, 2, 20, 2])
+    want, mask = taken_image("dense float", "duplicates", True)
+    values, present = sparse.take(at)
+    assert same(values, want[at]) and same(present, mask[at])
+
+
+def test_rows_on_their_own_slots_stay_unread(monkeypatch):
+    """A scatter of compact rows onto their own slots moves nothing — and
+    reads nothing: an unread gather is handed on as the dense gather it
+    is (asking it for ``sparse()`` would read every data column of a
+    group-by to use one)."""
+    slots = Slots(np.array([1, 4, 5, 9], dtype=np.int64), 12)
+    index = np.array([3, 3, 39, 0], dtype=np.int64)
+    values = np.arange(4.0)
+    val = FusedVal(12, {
+        kp(".taken"): Taken(Dense(_SIGNED), index, slots),
+        kp(".equal"): Taken(Dense(_FLAGS), index, Slots(slots.index.copy(), 12)),
+        kp(".compact"): Compact(slots, values, np.zeros(1)),
+        kp(".read"): Taken(Dense(_RUNNY), index, slots),
+    })
+    val.column(kp(".read")).rows()
+    reads: list = []
+    plain = Dense.take
+    monkeypatch.setattr(Dense, "take", lambda self, index, found=None: (
+        reads.append(len(index)), plain(self, index, found))[1])
+    rows = FusedRuntime({})._rows_at(val, slots.index, slots)
+    assert not reads and rows.length == 4
+    for path in (".taken", ".equal"):
+        column = rows.column(kp(path))
+        assert type(column) is Taken and column.slots is None and column._column is None
+    assert rows.column(kp(".compact")).array is values
+    assert same(rows.attr(kp(".taken")), _SIGNED[index])
+    assert same(rows.attr(kp(".equal")), _FLAGS[index])
+    assert same(rows.attr(kp(".read")), _RUNNY[index])
+    assert reads == [4, 4]
+    # another pattern: the rows at those slots, ε ones among them
+    other = Slots(np.array([0, 4, 9], dtype=np.int64), 12)
+    rows = FusedRuntime({})._rows_at(val, other.index, other)
+    image, mask = val.column(kp(".taken")).pad()
+    assert same(rows.attr(kp(".taken")), image[other.index])
+    assert same(rows.mask(kp(".taken")), mask[other.index])
+
+
+def test_one_taken_read_by_many_threads():
+    """Eight readers race to resolve one column: each sees the gathered
+    bits, whichever of them published the memo."""
+    want = _SIGNED[_FIRST]
+    failures: list = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for round_ in range(50):
+            column = Taken(Lazy(handle(_SIGNED, "plain")), _FIRST)
+            start = threading.Barrier(8)
+
+            def reader(seed: int, column=column, start=start) -> None:
+                try:
+                    start.wait(timeout=30)
+                    for ask in range(4):
+                        if (seed + ask) % 2:
+                            assert same(column.rows()[0], want)
+                        else:
+                            assert same(column.take(np.arange(40)[::-1])[0], want[::-1])
+                        assert same(column.pad()[0], want) and column.mask() is None
+                except BaseException as error:  # reported by the main thread
+                    failures.append(error)
+
+            threads = [threading.Thread(target=reader, args=(seed,)) for seed in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not failures, failures
 
 
 def test_deferred_answers_what_it_is_without_ranking(monkeypatch):
@@ -373,3 +552,125 @@ def test_one_value_read_by_many_threads():
     assert not failures, failures
     assert not any(thread.is_alive() for thread in threads)
     assert list(val.columns) == list(vector.paths)
+
+
+# -- the output boundary: a vector over the columns --------------------------------
+
+
+def boundary_value():
+    """Columns of every kind an output can hold: two compact ones on one
+    pattern, one on an equal pattern built apart, one on another pattern,
+    an unread gather, a masked dense column with ε garbage, a control
+    vector."""
+    n = 12
+    slots = Slots(np.array([1, 4, 5, 9], dtype=np.int64), n)
+    fill = np.zeros(1)
+    return FusedVal(n, {
+        kp(".a"): Compact(slots, np.arange(4.0), fill),
+        kp(".b"): Compact(slots, np.array([-0.0, 2.5, np.nan, 7.0]), np.array([3.0])),
+        kp(".c"): Compact(Slots(slots.index.copy(), n), np.arange(4), np.zeros(1, dtype=int)),
+        kp(".t"): Taken(Dense(_SIGNED), np.array([3, 3, 39, 0]), slots),
+        kp(".other"): Compact(Slots(np.array([4, 5, 6], dtype=np.int64), n),
+                              np.arange(3.0), fill),
+        kp(".masked"): Dense(np.arange(n) * 1.5, np.arange(n) % 3 == 1),
+        kp(".run"): Run(IDENTITY, n),
+    })
+
+
+def eager(val: FusedVal) -> StructuredVector:
+    """The vector ``force`` built before it stopped padding."""
+    padded = {path: column.pad() for path, column in val.columns.items()}
+    return StructuredVector(val.length, {p: a for p, (a, _) in padded.items()},
+                            {p: m for p, (_, m) in padded.items()})
+
+
+def assert_same_vector(want: StructuredVector, have: StructuredVector) -> None:
+    assert len(want) == len(have) and want.paths == have.paths
+    assert want.schema == have.schema
+    for path in want.paths:
+        assert same(want.attr(path), have.attr(path)), path
+        assert same(want.present(path), have.present(path)), path
+        assert want.is_dense(path) == have.is_dense(path), path
+
+
+def test_a_forced_vector_pads_what_is_read_when_it_is_read(monkeypatch):
+    val = boundary_value()
+    want = eager(boundary_value())
+    pads: list = []
+    for kind in KINDS:
+        monkeypatch.setattr(kind, "pad", lambda self, plain=kind.pad: (
+            pads.append(type(self)), plain(self))[1])
+    vector = FusedRuntime({}).force(val)
+    assert val.column(kp(".t"))._column is not None, "rows are resolved inside force"
+    assert len(vector) == 12 and vector.paths == want.paths and vector.schema == want.schema
+    assert "float64" in repr(vector) and vector.resolve(".a") == (kp(".a"),)
+    assert not pads
+    assert same(vector.attr(".b"), want.attr(".b"))
+    assert pads == [Compact]
+    assert same(vector.present(".masked"), want.present(".masked")) and len(pads) == 2
+    assert vector.attr(".b") is vector.attr(".b") and not vector.is_dense(".b")
+    assert vector.is_dense(".run") and len(pads) == 3
+    assert_same_vector(want, vector)
+    with pytest.raises(Exception, match="no attribute"):
+        vector.attr(".missing")
+    with pytest.raises(Exception, match="no attribute"):
+        vector.present(".missing")
+
+
+@pytest.mark.parametrize("first", (None, ".other", ".run"))
+def test_structural_reads_of_a_forced_vector_are_the_eager_ones(first):
+    index = np.array([9, 0, 4, 4, 11])
+    steps = {
+        "project": lambda v: v.project(".b", ".x"),
+        "with_attr": lambda v: v.with_attr(".a", np.ones(12)),
+        "without_attr": lambda v: v.without_attr(".c"),
+        "zip": lambda v: StructuredVector.single(".z", np.arange(9)).zip(v),
+        "zip, left": lambda v: v.zip(StructuredVector.single(".z", np.arange(9))),
+        "take": lambda v: v.take(index),
+        "head": lambda v: v.head(7),
+        "slice": lambda v: v.slice(3, 10),
+        "unshared": lambda v: v.unshared(),
+    }
+    for name, step in steps.items():
+        vector = FusedRuntime({}).force(boundary_value())
+        if first is not None:  # an attribute read out of order keeps its place
+            vector.attr(first)
+        assert_same_vector(step(eager(boundary_value())), step(vector))
+    want = eager(boundary_value()).to_records()
+    have = FusedRuntime({}).force(boundary_value()).to_records()
+    assert repr(want) == repr(have)  # (NaN is not itself)
+
+
+def test_rows_of_a_forced_vector(monkeypatch):
+    def no_pad(self):
+        raise AssertionError(f"{type(self).__name__}.pad() called")
+
+    val = boundary_value()
+    want = eager(boundary_value())
+
+    def by_arithmetic(paths):
+        mask = np.ones(12, dtype=bool)
+        for path in paths:
+            mask &= want.present(path)
+        return [want.attr(path)[mask] for path in paths]
+
+    vector = FusedRuntime({}).force(val)
+    with monkeypatch.context() as patch:
+        for kind in KINDS:
+            patch.setattr(kind, "pad", no_pad)
+        # one pattern (by identity or by value): the rows as they are stored
+        for paths in ([".a"], [".a", ".b"], [".b", ".c", ".t", ".a"], [".run"], [".masked"]):
+            for have, rows in zip(vector.rows(paths), by_arithmetic(paths), strict=True):
+                assert same(have, rows), paths
+        assert vector.rows([".a", ".b"])[1] is val.column(kp(".b")).values
+    # patterns that differ: the rows where all are present, by mask and index
+    for paths in ([".a", ".other"], [".run", ".a"], [".masked", ".b", ".other"], []):
+        for have, rows in zip(vector.rows(paths), by_arithmetic(paths), strict=True):
+            assert same(have, rows), paths
+    # ... as an interpreter-built vector answers, and a forced one read before
+    for paths in ([".a", ".b"], [".a", ".other"], [".run"]):
+        for built in (want, vector):
+            for have, rows in zip(built.rows(paths), by_arithmetic(paths), strict=True):
+                assert same(have, rows), paths
+    with pytest.raises(Exception, match="no attribute"):
+        vector.rows([".a", ".missing"])

@@ -7,6 +7,7 @@ No pytest-asyncio here — each test drives its own loop with
 import asyncio
 import io
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -247,8 +248,22 @@ class TestHTTP:
         asyncio.run(run())
 
     def test_timeout_over_http_is_504_and_server_recovers(self):
+        # The deadline must beat the query however fast the engine is (a
+        # worker can finish a 2 ms query inside one GIL switch interval,
+        # before the loop sees the deadline pass): the worker is held
+        # until the 504 has been asserted.
+        release = threading.Event()
+
         async def run():
             server = make_server(rows=400_000)
+            engine = server.catalog.engine("micro")
+            plain = engine._execute_bound
+
+            def held(bound):
+                assert release.wait(30)
+                return plain(bound)
+
+            engine._execute_bound = held
             listener = await server.start("127.0.0.1", 0)
             host, port = listener.sockets[0].getsockname()
             try:
@@ -259,12 +274,14 @@ class TestHTTP:
                 })
                 assert status == 504
                 assert body["type"] == "QueryTimeout"
+                release.set()
                 status, body = await http(host, port, "POST", "/query", {
                     "dataset": "micro", "sql": "SELECT COUNT(*) AS n FROM facts",
                 })
                 assert status == 200
                 assert body["rows"] == [[400_000]]
             finally:
+                release.set()
                 listener.close()
                 await listener.wait_closed()
                 server.close()

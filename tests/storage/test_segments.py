@@ -478,3 +478,34 @@ class TestLayoutInvariance:
                 prepared.execute()
                 assert len(decodes) == 7 and set(decodes.values()) == {executes}, decodes
 
+
+    def test_query_io_counts_only_the_rows_something_read(self, monkeypatch):
+        """A gathered column nobody reads is never fetched, so it is not
+        scanned either: a warm Q5 / Q7 scans fewer bytes than at the
+        commit before gathers were kept as annotations.  And the delta
+        is read *after* result extraction, which may be the first reader
+        of a column."""
+        from repro.tpch import build, generate
+
+        #: ``io["bytes_scanned"]`` of the second execute at that commit
+        scanned_before = {5: 837_184, 7: 1_410_060}
+        store = resegment(generate(0.005, seed=7), encoding="auto", segment_rows=4096)
+        probe = store.table("lineitem").column("l_quantity")
+        fetched = probe.view().slice(0, 100)
+        plain = VoodooEngine._extract
+
+        def extract_then_read(self, query, vector):
+            table = plain(self, query, vector)
+            fetched.take(np.arange(100))
+            return table
+
+        with VoodooEngine(store, config=EngineConfig(tracing=False)) as engine:
+            for number, before in scanned_before.items():
+                prepared = engine.prepare(build(store, number))
+                prepared.execute()
+                scanned = prepared.execute().io["bytes_scanned"]
+                assert 0 < scanned < before, number
+                with monkeypatch.context() as patch:
+                    patch.setattr(VoodooEngine, "_extract", extract_then_read)
+                    late = prepared.execute().io["bytes_scanned"]
+                assert late == scanned + 100 * probe.dtype.itemsize, number
