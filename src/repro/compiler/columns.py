@@ -24,7 +24,11 @@ stores it:
     the column over that slot range (views; shared slots stay shared);
 ``pad()``
     ``(array, mask)``, full length: what an ε-padding kernel would have
-    produced — the generic operand every operator can fall back on.
+    produced — the generic operand every operator can fall back on;
+``once()``
+    ``pad()`` for a single pass that keeps nothing (a fold): a gather
+    nobody has read is made for that reader and not memoized, so its
+    rows die with the fold instead of with the run's last value.
 
 What only one kind can do cheaply is a method of that kind, answered
 ``None`` by all others (:class:`Column` holds the defaults): an operator
@@ -133,6 +137,16 @@ class Column:
         """The (position) column plus *offset*, as int64."""
         array, mask = self.pad()
         return Dense(array.astype(np.int64) + offset, mask)
+
+    def once(self) -> tuple:
+        """``pad()`` for a reader that makes one pass and keeps nothing (a
+        fold): an unread :class:`Taken` gathers for that reader alone."""
+        return self.pad()
+
+    def resolved(self) -> "Column":
+        """The column with nothing left unread behind it (:class:`Taken`:
+        its rows, free of the source and positions they came from)."""
+        return self
 
     def sparse(self) -> "Compact | None":
         """The column itself when it is present rows on slots with one ε
@@ -457,6 +471,13 @@ class Taken(Column):
         if self._column is None and self.slots is None:
             return self.source.take(self.index[index])
         return self.resolved().take(index, found)
+
+    def once(self):
+        # not kept: rows only a fold reads would otherwise stay allocated,
+        # a column's worth per aggregate, until the run's last value dies
+        if self._column is None and self.slots is None:
+            return self.source.take(self.index)
+        return self.pad()
 
     def dense_on(self, slots):
         if self._column is not None:

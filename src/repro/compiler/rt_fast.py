@@ -289,12 +289,14 @@ class FusedRuntime:
     def force(self, val: FusedVal) -> StructuredVector:
         """The output boundary: a pending scatter landed and every
         column's present rows resolved — here, inside the run — as a
-        Structured Vector over the columns, which pads an attribute when
-        (and only if) something reads its full-length image."""
+        Structured Vector over the resolved columns (a result keeps no
+        gather's source alive), padded when (and only if) something reads
+        a full-length image."""
         val = self.materialize(val)
-        for column in val.columns.values():
+        columns = {path: column.resolved() for path, column in val.columns.items()}
+        for column in columns.values():
             column.rows()
-        return StructuredVector.over(val.length, val.columns)
+        return StructuredVector.over(val.length, columns)
 
     def materialize(self, source: FusedVal) -> FusedVal:
         """*source*, its pending scatter landed (``Materialize`` and
@@ -636,7 +638,7 @@ class FusedRuntime:
         if val.scatter is not None:
             groups = self._direct_groups(val, fold_kp)
             if groups is not None:
-                values, mask = val.column(agg_kp).pad()
+                values, mask = val.column(agg_kp).once()
                 part, k = groups.part, len(groups.part)
                 hits = None
                 if mask is not None:  # ε values contribute nothing

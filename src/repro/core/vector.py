@@ -22,12 +22,9 @@ through the handle without a full decode.  Lazy attributes are always
 dense — storage columns have no ε slots.
 
 The node runner's outputs are **pending** attributes (:meth:`over`): the
-runner's own columns (:mod:`repro.compiler.columns` — anything with
-``dtype``, ``rows()`` and ``pad()``), whose present rows :meth:`rows`
-reads as they are stored.  The ε-padded image of one is built the first
-time ``attr()``, ``present()`` or a structural operation asks for it —
-exactly the arrays an eager pad would have stored — and never if nothing
-does.
+runner's own columns, whose present rows :meth:`rows` reads as stored.
+Their ε-padded images — exactly the arrays an eager pad would have
+stored — are built when something first reads one, never if nothing does.
 """
 
 from __future__ import annotations
@@ -45,7 +42,7 @@ from repro.errors import SchemaError, VoodooError
 class StructuredVector:
     """An immutable-by-convention structure-of-arrays vector with ε masks."""
 
-    __slots__ = ("_length", "_columns", "_present", "_runinfo", "_lazy", "_paths",
+    __slots__ = ("_length", "_arrays", "_masks", "_runinfo", "_lazy", "_paths",
                  "_pending")
 
     def __init__(
@@ -59,8 +56,8 @@ class StructuredVector:
         if length < 0:
             raise VoodooError(f"vector length must be >= 0, got {length}")
         self._length = int(length)
-        self._columns: dict[Keypath, np.ndarray] = {}
-        self._present: dict[Keypath, np.ndarray | None] = {}
+        self._arrays: dict[Keypath, np.ndarray] = {}
+        self._masks: dict[Keypath, np.ndarray | None] = {}
         self._runinfo: dict[Keypath, RunInfo] = {}
         self._lazy: dict[Keypath, object] = {}
         self._pending: dict[Keypath, object] = {}
@@ -76,7 +73,7 @@ class StructuredVector:
                     f"column {path}: expected 1-D array of length {self._length}, "
                     f"got shape {array.shape}"
                 )
-            self._columns[path] = array
+            self._arrays[path] = array
             mask = normalized_present.get(path)
             if mask is not None:
                 mask = np.asarray(mask, dtype=bool)
@@ -84,10 +81,10 @@ class StructuredVector:
                     raise SchemaError(f"presence mask for {path} has shape {mask.shape}")
                 if mask.all():
                     mask = None  # dense: drop the mask
-            self._present[path] = mask
+            self._masks[path] = mask
         for path, handle in (lazy or {}).items():
             path = kp(path)
-            if path in self._columns:
+            if path in self._arrays:
                 raise SchemaError(f"attribute {path} is both lazy and materialized")
             check_dtype(np.dtype(handle.dtype))
             if len(handle) != self._length:
@@ -98,15 +95,15 @@ class StructuredVector:
             self._lazy[path] = handle
         # the attribute order is fixed at construction — materializing a
         # lazy column later must not reorder paths/schema
-        self._paths: tuple[Keypath, ...] = tuple(self._columns) + tuple(self._lazy)
+        self._paths: tuple[Keypath, ...] = tuple(self._arrays) + tuple(self._lazy)
         if self._lazy:
             Schema._check_no_prefix_conflicts({p: None for p in self._paths})
         else:
-            Schema._check_no_prefix_conflicts(self._columns)
+            Schema._check_no_prefix_conflicts(self._arrays)
 
         for path, info in (runinfo or {}).items():
             path = kp(path)
-            if path not in self._columns:
+            if path not in self._arrays:
                 raise SchemaError(f"runinfo refers to missing attribute {path}")
             self._runinfo[path] = info
 
@@ -136,35 +133,34 @@ class StructuredVector:
 
     @classmethod
     def over(cls, length: int, columns: Mapping[Keypath, object]) -> "StructuredVector":
-        """A vector over a runner's columns, none of them padded yet (a
-        vector with pending attributes holds no others)."""
+        """A vector over a runner's columns (anything with ``dtype``,
+        ``len()``, ``present()``, ``rows()`` and ``pad()``), none padded yet."""
         vector = cls(length, {})
-        for column in columns.values():
+        for path, column in columns.items():
             check_dtype(column.dtype)
+            if len(column) != length:
+                raise SchemaError(f"column {path}: length {len(column)} != {length}")
         Schema._check_no_prefix_conflicts(columns)
         vector._pending = dict(columns)
         vector._paths = tuple(columns)
         return vector
 
-    def _pad(self, path: Keypath) -> bool:
-        """Pad the pending attribute *path*, if it is one (racing readers
-        store the same arrays: a column memoizes its padded image)."""
-        column = self._pending.get(path)
-        if column is None:
-            return False
-        array, mask = column.pad()
-        self._present[path] = None if mask is None or mask.all() else mask
-        self._columns[path] = array
-        self._pending.pop(path, None)
-        return True
+    def _settled(self) -> "StructuredVector":
+        """Self, whatever was pending padded (racing readers store the same
+        arrays — a column memoizes its padded image — and ``_pending`` is
+        emptied by one assignment, after them)."""
+        pending = self._pending
+        if pending:
+            for path, column in pending.items():
+                array, mask = column.pad()
+                self._arrays[path] = array
+                self._masks[path] = None if mask is None or mask.all() else mask
+            self._pending = {}
+        return self
 
-    def _settle(self) -> None:
-        """Every pending attribute padded, in attribute order: what the
-        structural operations read."""
-        if self._pending:
-            for path in self._paths:
-                self._pad(path)
-            self._columns = {path: self._columns[path] for path in self._paths}
+    #: the padded arrays and masks: every reader of either settles first
+    _columns = property(lambda self: self._settled()._arrays)
+    _present = property(lambda self: self._settled()._masks)
 
     # -- basic accessors ----------------------------------------------------------
 
@@ -174,7 +170,7 @@ class StructuredVector:
     @property
     def schema(self) -> Schema:
         # (read in the order an attribute moves: pending or lazy, then padded)
-        held = {**self._pending, **self._lazy, **self._columns}
+        held = {**self._pending, **self._lazy, **self._arrays}
         return Schema({path: np.dtype(held[path].dtype) for path in self._paths})
 
     @property
@@ -191,8 +187,6 @@ class StructuredVector:
             return self._columns[path]
         except KeyError:
             pass
-        if self._pad(path):
-            return self._columns[path]
         handle = self._lazy.get(path)
         if handle is None:
             raise SchemaError(f"no attribute {path} in vector with {list(self._paths)}")
@@ -209,11 +203,11 @@ class StructuredVector:
         queries must not accumulate what each of them decoded."""
         clone = object.__new__(StructuredVector)
         clone._length = self._length
-        clone._columns = dict(self._columns)
-        clone._present = dict(self._present)
+        clone._pending = dict(self._pending)  # (first: a racing pad empties it last)
+        clone._arrays = dict(self._arrays)
+        clone._masks = dict(self._masks)
         clone._runinfo = dict(self._runinfo)
         clone._lazy = dict(self._lazy)
-        clone._pending = dict(self._pending)
         clone._paths = self._paths
         return clone
 
@@ -228,7 +222,6 @@ class StructuredVector:
     def present(self, path: Keypath | str) -> np.ndarray:
         """Boolean presence mask for a leaf keypath (dense ⇒ all-True)."""
         path = kp(path)
-        self._pad(path)
         if path not in self._columns and path not in self._lazy:
             raise SchemaError(f"no attribute {path}")
         mask = self._present.get(path)
@@ -238,17 +231,18 @@ class StructuredVector:
 
     def is_dense(self, path: Keypath | str) -> bool:
         path = kp(path)
-        self._pad(path)
+        column = self._pending.get(path)
+        if column is not None:  # answered without padding
+            return column.present() == self._length
         return self._present.get(path) is None
 
     def rows(self, paths) -> list[np.ndarray]:
-        """The values of *paths* on the rows where all of them are
-        present (arrays shared with whoever holds the vector's: never
-        written).  Pending attributes on one presence pattern hand their
-        present rows over as stored; anything else masks and indexes the
-        padded images."""
+        """The values of *paths* on the rows where all of them are present
+        (shared arrays, never written): as stored when the attributes are
+        pending on one presence pattern, else masked out of the padded images."""
         paths = [kp(path) for path in paths]
-        held = [self._pending.get(path) for path in paths]
+        pending = self._pending
+        held = [pending.get(path) for path in paths]
         if held and all(column is not None for column in held):
             values, patterns = zip(*(column.rows() for column in held))
             first = patterns[0]
@@ -279,7 +273,6 @@ class StructuredVector:
 
     def project(self, path: Keypath | str, out: Keypath | str | None = None) -> "StructuredVector":
         """Extract the substructure at *path*, re-rooted at *out* (Project)."""
-        self._settle()
         path = kp(path)
         leaves = self.resolve(path)
         out = kp(out) if out is not None else None
@@ -308,7 +301,6 @@ class StructuredVector:
         runinfo: RunInfo | None = None,
     ) -> "StructuredVector":
         """Copy with attribute *path* replaced or inserted (Upsert)."""
-        self._settle()
         path = kp(path)
         columns = dict(self._columns)
         present = dict(self._present)
@@ -323,7 +315,6 @@ class StructuredVector:
         return StructuredVector(self._length, columns, present, infos, lazy=lazy)
 
     def without_attr(self, path: Keypath | str) -> "StructuredVector":
-        self._settle()
         path = kp(path)
         leaves = self.resolve(path)
         columns = {p: a for p, a in self._columns.items() if p not in leaves}
@@ -342,7 +333,6 @@ class StructuredVector:
         infos: dict[Keypath, RunInfo] = {}
         lazy: dict[Keypath, object] = {}
         for side in (self, other):
-            side._settle()
             for path in side._paths:
                 if path in columns or path in lazy:
                     raise SchemaError(f"Zip would duplicate attribute {path}")
@@ -365,7 +355,6 @@ class StructuredVector:
         same deterministic-ε contract as :func:`repro.interpreter.semantics.gather`
         — raw arrays stay comparable across backends.
         """
-        self._settle()
         positions = np.asarray(positions)
         valid = (positions >= 0) & (positions < self._length)
         safe = np.where(valid, positions, 0).astype(np.int64)
@@ -388,7 +377,6 @@ class StructuredVector:
         return StructuredVector(len(positions), columns, present)
 
     def head(self, n: int) -> "StructuredVector":
-        self._settle()
         n = min(n, self._length)
         columns = {p: a[:n] for p, a in self._columns.items()}
         present = {p: (None if m is None else m[:n]) for p, m in self._present.items()}
@@ -404,7 +392,6 @@ class StructuredVector:
         cut (values are unaffected — the interpreter only uses RunInfo
         as derivation metadata).
         """
-        self._settle()
         lo = max(0, min(lo, self._length))
         hi = max(lo, min(hi, self._length))
         columns = {p: a[lo:hi] for p, a in self._columns.items()}

@@ -15,6 +15,7 @@ chunk workers cannot change under a reader.
 
 import sys
 import threading
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -26,6 +27,7 @@ from repro.compiler.rt_fast import FusedVal, fused_slice, to_fused
 from repro.core import StructuredVector
 from repro.core.controlvector import IDENTITY, RunInfo, constant_run
 from repro.core.keypath import kp
+from repro.errors import SchemaError
 from repro.storage import make_segments
 from repro.storage.columnstore import Column as StoredColumn
 
@@ -195,6 +197,8 @@ def check_against_pad(column: Column, array: np.ndarray, mask: np.ndarray, where
     """Every protocol answer of *column*, against its padded image."""
     n = len(array)
     assert column.dtype == array.dtype and len(column) == n, where
+    once, there = column.once()  # (first: on a cold column nothing is read yet)
+    assert same(once, array) and (mask.all() if there is None else same(there, mask)), (*where, "once")
     for upto in (None, 0, 1, n // 2, n, n + 3):
         want = np.count_nonzero(mask if upto is None else mask[:upto])
         assert column.present(upto) == want, (*where, "present", upto)
@@ -215,6 +219,9 @@ def check_against_pad(column: Column, array: np.ndarray, mask: np.ndarray, where
             assert mask[index].all() if present is None else same(present, mask[index]), where
     again, _ = column.pad()
     assert again is column.pad()[0], (*where, "pad is memoized")
+    settled = column.resolved()
+    assert settled is column or isinstance(column, Taken), (*where, "resolved")
+    assert not isinstance(settled, Taken) and same(settled.pad()[0], array), (*where, "resolved")
 
 
 def cuts(n: int):
@@ -301,6 +308,8 @@ def test_a_taken_pads_to_the_gathered_rows(source, index, on_slots):
         column = taken(source, index, on_slots)
         if warm:
             column.rows()
+        elif column.slots is None:  # one pass over a dense gather keeps nothing
+            assert same(column.once()[0], array) and column._column is None
         check_against_pad(column, array, mask, (source, index, on_slots, warm))
         assert same(column.pad()[0], array)
 
@@ -604,17 +613,30 @@ def test_a_forced_vector_pads_what_is_read_when_it_is_read(monkeypatch):
     assert val.column(kp(".t"))._column is not None, "rows are resolved inside force"
     assert len(vector) == 12 and vector.paths == want.paths and vector.schema == want.schema
     assert "float64" in repr(vector) and vector.resolve(".a") == (kp(".a"),)
-    assert not pads
+    assert vector.is_dense(".run") and not vector.is_dense(".b") and not vector.is_dense(".masked")
+    assert not pads, "what a vector is, it answers from its columns"
     assert same(vector.attr(".b"), want.attr(".b"))
-    assert pads == [Compact]
-    assert same(vector.present(".masked"), want.present(".masked")) and len(pads) == 2
-    assert vector.attr(".b") is vector.attr(".b") and not vector.is_dense(".b")
-    assert vector.is_dense(".run") and len(pads) == 3
+    assert len(pads) == len(vector.paths), "the first padded read settles the vector"
+    assert same(vector.present(".masked"), want.present(".masked"))
+    assert vector.attr(".b") is vector.attr(".b")
     assert_same_vector(want, vector)
+    assert len(pads) == len(vector.paths), "... once"
     with pytest.raises(Exception, match="no attribute"):
         vector.attr(".missing")
     with pytest.raises(Exception, match="no attribute"):
         vector.present(".missing")
+
+
+def test_a_forced_vector_holds_rows_not_gathers():
+    source = np.arange(40.0)
+    gone = weakref.ref(source)
+    val = FusedVal(4, {kp(".t"): Taken(Dense(source), np.array([3, 3, 39, 0]))})
+    vector = FusedRuntime({}).force(val)
+    del val, source
+    assert gone() is None, "a result keeps the source of a gather alive"
+    assert same(vector.attr(".t"), np.array([3.0, 3.0, 39.0, 0.0]))
+    with pytest.raises(SchemaError, match="length"):
+        StructuredVector.over(5, {kp(".t"): Dense(np.arange(4))})
 
 
 @pytest.mark.parametrize("first", (None, ".other", ".run"))
