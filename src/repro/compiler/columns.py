@@ -41,7 +41,9 @@ a :class:`Deferred`, the rows of a :class:`Taken` — each published by one
 attribute assignment of a
 complete result (a racing reader computes it again, to the same bits),
 so columns are shared freely between values and between chunk workers.
-Masks and arrays are shared likewise and never written.
+Masks and arrays are shared likewise and never written — and the ones a
+plan carries from run to run (a ``Constant``'s) are read-only arrays, so
+a write raises.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.compiler import kernels
-from repro.core.controlvector import RunInfo, derive_runinfo
+from repro.core.controlvector import RunInfo
 from repro.interpreter.engine import apply_binary
 
 #: Dense addressing — one scratch slot per bucket or destination instead of
@@ -124,6 +126,9 @@ class Column:
 
     #: the group structure whose ranking a :class:`Deferred` column defers
     groups = None
+    #: the run metadata a :class:`Run` column is (control-vector
+    #: arithmetic derives from it and never materializes)
+    info = None
 
     def mask(self) -> np.ndarray | None:
         return None
@@ -173,8 +178,11 @@ class Column:
         None — the runs depend on data (every kind but :class:`Run`)."""
         return None
 
-    def derive(self, fn: str, other: int) -> "Column | None":
-        """``fn(column, other)`` as control-vector arithmetic (:class:`Run`)."""
+    def whole(self) -> np.ndarray | None:
+        """The column as the one full-length array it is — every slot
+        present, nothing cheaper to map than all of it (an unmasked
+        :class:`Dense`, a :class:`Lazy` without RLE runs, a dense gather):
+        the operand a full-length map hands NumPy as is."""
         return None
 
     def map_runs(self, fn: str, other: np.ndarray) -> np.ndarray | None:
@@ -219,6 +227,9 @@ class Dense(Column):
 
     def pad(self):
         return self.array, self._mask
+
+    def whole(self):
+        return self.array if self._mask is None else None
 
 
 class Compact(Column):
@@ -324,16 +335,16 @@ def on_slots(slots: Slots | None, values: np.ndarray, fill: np.ndarray) -> Colum
 class Run(Column):
     """A control vector kept as its :class:`RunInfo` (paper section 3.1.1):
     int64, every slot present, materialised only when something reads
-    the values."""
+    the values (*array*: them, when the maker has them — a constant)."""
 
     __slots__ = ("info", "length", "_array")
 
     dtype = np.dtype(np.int64)
 
-    def __init__(self, info: RunInfo, length: int):
+    def __init__(self, info: RunInfo, length: int, array: np.ndarray | None = None):
         self.info = info
         self.length = length
-        self._array: np.ndarray | None = None
+        self._array = array
 
     def __len__(self) -> int:
         return self.length
@@ -369,10 +380,6 @@ class Run(Column):
         run_length = self.info.run_length(self.length)
         return 0 if run_length >= self.length else run_length
 
-    def derive(self, fn, other):
-        derived = derive_runinfo(fn, self.info, other)
-        return None if derived is None else Run(derived, self.length)
-
 
 class Lazy(Column):
     """A storage column as its segment handle
@@ -382,13 +389,22 @@ class Lazy(Column):
     gathers read the segments directly (RLE runs fold without
     decompressing, positions resolve by random access)."""
 
-    __slots__ = ("handle", "_array")
+    __slots__ = ("handle", "_array", "_rle")
 
     def __init__(self, handle):
         self.handle = handle
         self._array: np.ndarray | None = None
+        self._rle: bool | None = None
 
     dtype = property(lambda self: np.dtype(self.handle.dtype))
+
+    def has_rle(self) -> bool:
+        """Does a stored segment hold runs?  (Asked by every map over the
+        column: one walk over the segments per column, not per map.)"""
+        rle = self._rle
+        if rle is None:
+            rle = self._rle = self.handle.has_rle()
+        return rle
 
     def __len__(self) -> int:
         return len(self.handle)
@@ -411,16 +427,19 @@ class Lazy(Column):
 
     pad = rows  # every slot is present: one answer to both
 
+    def whole(self):
+        return None if self.has_rle() else self.rows()[0]
+
     def map_runs(self, fn, other):
-        if not self.handle.has_rle():
+        if not self.has_rle():
             return None
         pieces = []
         for values, lengths in self.handle.run_pairs():
-            piece = apply_binary(fn, values, np.broadcast_to(other, (len(values),)))
+            piece = apply_binary(fn, values, other)
             pieces.append(piece if lengths is None else np.repeat(piece, lengths))
         if pieces:
             return np.concatenate(pieces)
-        return apply_binary(fn, self.handle.materialize(), np.broadcast_to(other, (0,)))
+        return apply_binary(fn, self.handle.materialize(), other)
 
     def fold(self, fn, run_length):
         if run_length:
@@ -494,6 +513,9 @@ class Taken(Column):
 
     def sparse(self):
         return self.resolved().sparse()
+
+    def whole(self):
+        return self.resolved().whole()
 
     def slice(self, lo, hi, cuts=None):
         return self.resolved().slice(lo, hi, cuts)

@@ -18,7 +18,7 @@ from repro.compiler.opencl_emit import emit_opencl
 from repro.compiler.optimizer import optimize
 from repro.compiler.options import CompilerOptions, ExecutionOptions
 from repro.compiler.pricing import Pricer
-from repro.compiler.runner import ProgramRunner, run_program
+from repro.compiler.runner import ProgramRunner, planned_nodes, run_program
 from repro.core.program import Program
 from repro.core.vector import StructuredVector
 from repro.hardware.cost import CostModel, CostReport
@@ -137,9 +137,13 @@ def compile_program(
         plan=plan,
         device=get_device(options.device),
     )
+    # what a run reads off the plan is built with the plan, while the
+    # metadata pass is at hand, so the first run does not repeat it: its
+    # constants and control-vector metadata (that run adds the structural
+    # routes, which depend on the storage schema) ...
+    planned_nodes(program, metadata)
     if compiled.native:
-        # plan the chain index now, while the metadata pass is at hand,
-        # so the first run does not repeat it
+        # ... and the chain index
         from repro.native.runner import chain_index
         chain_index(program, metadata)
     return compiled

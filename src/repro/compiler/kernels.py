@@ -48,6 +48,12 @@ from repro.interpreter.semantics import fold_fill
 # or the ``k`` present values of a column plus their sorted slot indices.
 
 
+def run_sizes(starts: np.ndarray, end: int) -> np.ndarray:
+    """Sizes of the runs beginning at *starts* in a sequence of *end*
+    items (``np.diff(starts, append=end)``, without its broadcast)."""
+    return np.append(starts[1:], end) - starts
+
+
 def select_slots(hits: np.ndarray, run_length: int, n: int) -> np.ndarray:
     """Output slot of every FoldSelect hit (sorted positions below *n*):
     hits compact to the start of their run (``run_length == 0``: one
@@ -58,7 +64,7 @@ def select_slots(hits: np.ndarray, run_length: int, n: int) -> np.ndarray:
         # are few, the hits many
         run_starts = np.arange(0, n, run_length, dtype=np.int64)
         first = np.searchsorted(hits, run_starts)
-        slots += np.repeat(run_starts - first, np.diff(first, append=len(hits)))
+        slots += np.repeat(run_starts - first, run_sizes(first, len(hits)))
     return slots
 
 

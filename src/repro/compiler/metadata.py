@@ -57,11 +57,9 @@ class MetadataPass:
         info = self.info(node, path)
         if info is None:
             return None
-        if info.step == 0 or info.cap == 1:
-            return 0
-        if info.step >= 1:
-            return 1
-        return int(Fraction(1) / info.step) if (Fraction(1) / info.step).denominator == 1 else None
+        # (1 / step is whole exactly when the reduced step is 1 / d)
+        whole = info.period <= 1 or info.step.numerator == 1
+        return info.period if whole else None
 
     # -- inference ---------------------------------------------------------------
 

@@ -9,7 +9,15 @@ operator below tries the fast path of the kind it hopes for (symbolic
 columns on shared slots, a fold straight off a :class:`Lazy` column's
 segments, the :class:`Groups` of a :class:`Deferred` ranking) and else
 asks for ``pad()`` — the full-length ``(array, mask)`` every kind can
-give.  Nothing moves a cell nobody reads: a gather, and a scatter that
+give.  A map tests the case the time is in first: operands that *are*
+one full-length array (:meth:`Column.whole`) or a present length-1 value
+go to NumPy as they are — it broadcasts the length-1 one itself, so
+nothing here calls ``np.broadcast_to``.  What an operator would derive
+from the program alone — a constant's value, the renaming a ``Project``
+or ``Zip`` does (:func:`route`), a constant operand and the control-vector
+arithmetic of a ``Binary`` (:class:`MapPlan`) — is handed in by the
+runner, which keeps it on the plan; the methods below apply it.  Nothing
+moves a cell nobody reads: a gather, and a scatter that
 lands, leave every mask-free column of their source a :class:`Taken` —
 the positions, kept as an annotation until a value of that column is
 read — and the output boundary (:meth:`FusedRuntime.force`) resolves the
@@ -47,7 +55,6 @@ output exactly — values, dtypes and ε masks — enforced by
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -66,7 +73,7 @@ from repro.compiler.columns import (
     on_slots,
     zero_fill,
 )
-from repro.core.controlvector import IDENTITY, RunInfo, constant_run
+from repro.core.controlvector import IDENTITY, RunInfo, constant_run, derive_runinfo
 from repro.core.keypath import Keypath
 from repro.core.vector import StructuredVector
 from repro.errors import ExecutionError
@@ -154,10 +161,17 @@ class FusedVal:
 
     def scalar(self, path: Keypath):
         """The value of a length-1 present attribute, else None."""
+        if self.length != 1:
+            return None
         column = self.columns.get(path)
-        if column is None or self.length != 1 or column.present() != 1:
+        if column is None or column.present() != 1:
             return None
         return column.pad()[0][0]
+
+    def integer(self, path: Keypath) -> int | None:
+        """:meth:`scalar` when it is an integer, as an int."""
+        scalar = self.scalar(path)
+        return int(scalar) if isinstance(scalar, (int, np.integer, bool)) else None
 
 
 def to_fused(vector: StructuredVector) -> FusedVal:
@@ -225,29 +239,29 @@ def fused_slice(val: FusedVal, lo: int, hi: int) -> FusedVal:
     })
 
 
-def _broadcast(a: np.ndarray, b: np.ndarray):
-    if len(a) == 1 and len(b) != 1:
-        return np.broadcast_to(a, (len(b),)), b, len(b)
-    if len(b) == 1 and len(a) != 1:
-        return a, np.broadcast_to(b, (len(a),)), len(a)
+def _fit(a: np.ndarray, b: np.ndarray):
+    """The operands at lengths NumPy maps as they are: equal, or one of
+    them 1 (it broadcasts inside the kernel, zero guards included) —
+    else both cut to the shorter."""
+    if len(a) == len(b) or len(a) == 1 or len(b) == 1:
+        return a, b
     n = min(len(a), len(b))
-    return a[:n], b[:n], n
+    return a[:n], b[:n]
 
 
 def _fit_mask(mask: np.ndarray | None, n: int) -> np.ndarray | None:
     if mask is None:
         return None
     if len(mask) == 1 and n != 1:
-        return np.broadcast_to(mask, (n,))
+        return np.repeat(mask, n)
     return mask[:n]
 
 
 def fused_binary(fn, a, ma, b, mb):
-    """One raw binary kernel: broadcast, apply, share-combine masks."""
-    a, b, n = _broadcast(a, b)
-    result = apply_binary(fn, a, b)
-    ma = _fit_mask(ma, n)
-    mb = _fit_mask(mb, n)
+    """One raw binary kernel: fit, apply, share-combine masks."""
+    result = apply_binary(fn, *_fit(a, b))
+    ma = _fit_mask(ma, len(result))
+    mb = _fit_mask(mb, len(result))
     if ma is None:
         mask = mb
     elif mb is None:
@@ -260,6 +274,68 @@ def fused_binary(fn, a, ma, b, mb):
 def literal(dtype: str, value) -> np.ndarray:
     """A length-1 constant operand (broadcasts)."""
     return np.array([value], dtype=np.dtype(dtype))
+
+
+def constant(out: Keypath, value, dtype: str) -> FusedVal:
+    """The value of a ``Constant``: built once per plan and read by every
+    run of it, so its array is read-only — an operator that writes a value
+    it was given fails on the spot instead of corrupting the next run."""
+    if isinstance(value, (int, bool)) and np.dtype(dtype).kind in "iub":
+        array = literal("int64", int(value))
+        column: Column = Run(constant_run(int(value)), 1, array)
+    else:
+        array = literal(dtype, value)
+        column = Dense(array)
+    array.setflags(write=False)
+    return FusedVal(1, {out: column})
+
+
+def route(columns: dict, kp: Keypath | None, out: Keypath | None) -> tuple | None:
+    """How a ``Project`` or one side of a ``Zip`` renames a value with
+    *columns*: ``((out path, in path), ...)`` for the attributes under
+    *kp*, re-rooted at *out* — None when the side passes through as it is.
+    A function of the program and the schema it runs over, so the plan
+    carries it (:class:`repro.compiler.runner.ProgramRunner`) and a warm
+    run renames by one dict comprehension."""
+    if kp is None:
+        return None
+    if kp in columns:  # a leaf is no struct: nothing else sits under it
+        return ((out, kp),)
+    pairs = tuple(
+        (path.rebase(kp, out), path) for path in columns if path.startswith(kp)
+    )
+    if not pairs:
+        raise ExecutionError(f"Zip/Project: keypath {kp} not found")
+    return pairs
+
+
+def zip_routes(left: dict, kp1, out1, right: dict, kp2, out2) -> tuple:
+    """Both sides' :func:`route` of a ``Zip`` over values with columns
+    *left* and *right* (their outputs must not collide)."""
+    routes = route(left, kp1, out1), route(right, kp2, out2)
+    outs: list = []
+    for columns, pairs in zip((left, right), routes):
+        outs.extend(columns if pairs is None else (out for out, _ in pairs))
+    if len(set(outs)) != len(outs):
+        twice = next(path for path in outs if outs.count(path) > 1)
+        raise ExecutionError(f"Zip would duplicate attribute {twice}")
+    return routes
+
+
+class MapPlan:
+    """What the program alone says about one ``Binary``: its right operand
+    when that is a ``Constant`` (``array``, the length-1 operand; ``scalar``,
+    its value when it is an integer) and the control-vector derivation the
+    node made last, ``(RunInfo in, scalar, RunInfo out | None)``."""
+
+    __slots__ = ("array", "scalar", "derived")
+
+    def __init__(self, constant: "FusedVal | None" = None, path: Keypath | None = None):
+        self.array = self.scalar = self.derived = None
+        # (a constant without the attribute: the map says so when it runs)
+        if constant is not None and path in constant.columns:
+            self.array = constant.column(path).pad()[0]
+            self.scalar = constant.integer(path)
 
 
 class FusedRuntime:
@@ -352,13 +428,8 @@ class FusedRuntime:
 
     # -- shape --------------------------------------------------------------
 
-    def range_(self, out: Keypath, start: int, step: int, length: int) -> FusedVal:
-        return FusedVal(length, {out: Run(RunInfo(start=start, step=Fraction(step)), length)})
-
-    def constant(self, out: Keypath, value, dtype: str) -> FusedVal:
-        if isinstance(value, (int, bool)) and np.dtype(dtype).kind in "iub":
-            return FusedVal(1, {out: Run(constant_run(int(value)), 1)})
-        return FusedVal(1, {out: Dense(literal(dtype, value))})
+    def range_(self, out: Keypath, info: RunInfo, length: int) -> FusedVal:
+        return FusedVal(length, {out: Run(info, length)})
 
     def cross(self, kp1: Keypath, left: FusedVal, kp2: Keypath, right: FusedVal) -> FusedVal:
         n = left.length * right.length
@@ -369,14 +440,31 @@ class FusedRuntime:
     # -- element-wise -------------------------------------------------------
 
     def binary(self, fn: str, out: Keypath, left: FusedVal, kp1: Keypath,
-               right: FusedVal, kp2: Keypath) -> FusedVal:
+               right: FusedVal, kp2: Keypath, plan: MapPlan) -> FusedVal:
         column = left.column(kp1)
-        rscalar = right.scalar(kp2)
-        if isinstance(rscalar, (int, np.integer, bool)):
-            # control-vector arithmetic never materializes
-            derived = column.derive(fn, int(rscalar))
-            if derived is not None:
-                return FusedVal(left.length, {out: derived})
+        a = column.whole()
+        if a is not None:
+            # where the time is: a full-length map asks both kinds once
+            # and hands NumPy the arrays
+            b = plan.array
+            if b is None:
+                other = right.column(kp2)
+                b = other.whole()
+                if b is None and right.length == 1 and other.present() == 1:
+                    b = other.pad()[0]
+            if b is not None:
+                result = apply_binary(fn, *_fit(a, b))
+                return FusedVal(len(result), {out: Dense(result)})
+        info = column.info
+        if info is not None:
+            scalar = plan.scalar if plan.array is not None else right.integer(kp2)
+            if scalar is not None:
+                # control-vector arithmetic never materializes
+                known = plan.derived
+                if known is None or known[0] is not info or known[1] != scalar:
+                    known = plan.derived = (info, scalar, derive_runinfo(fn, info, scalar))
+                if known[2] is not None:
+                    return FusedVal(left.length, {out: Run(known[2], left.length)})
         # present rows only: the ε slots all hold fn(fill, fill)
         operands = compact_operands(((left, kp1), (right, kp2)))
         if operands is not None:
@@ -416,44 +504,35 @@ class FusedRuntime:
 
     # -- structural ---------------------------------------------------------
 
-    def zip(self, left: FusedVal, kp1: Keypath | None, out1: Keypath | None,
-            right: FusedVal, kp2: Keypath | None, out2: Keypath | None) -> FusedVal:
-        sides = self._side(left, kp1, out1), self._side(right, kp2, out2)
-        n = min(side.length for side in sides)
+    def zip(self, left: FusedVal, right: FusedVal, routes: tuple) -> FusedVal:
+        """*routes*: :func:`zip_routes` of the two sides' paths."""
+        n = min(left.length, right.length)
         columns: dict = {}
-        for side in sides:
-            for path, column in fused_slice(side, 0, n).columns.items():
-                if path in columns:
-                    raise ExecutionError(f"Zip would duplicate attribute {path}")
-                columns[path] = column
+        for side, pairs in zip((left, right), routes):
+            columns.update(fused_slice(self.project(side, pairs), 0, n).columns)
         return FusedVal(n, columns)
 
-    def _side(self, val: FusedVal, kp: Keypath | None, out: Keypath | None) -> FusedVal:
-        if kp is None:
-            return val
-        columns = {
-            (out if path == kp else path.rebase(kp, out)): column
-            for path, column in val.columns.items() if path.startswith(kp)
-        }
-        if not columns:
-            raise ExecutionError(f"Zip/Project: keypath {kp} not found")
-        return FusedVal(val.length, columns)
-
-    def project(self, out: Keypath, source: FusedVal, kp: Keypath) -> FusedVal:
-        return self._side(source, kp, out)
+    def project(self, source: FusedVal, pairs: tuple | None) -> FusedVal:
+        """*pairs*: the :func:`route` of the source's paths."""
+        if pairs is None:
+            return source
+        columns = source.columns
+        return FusedVal(source.length, {out: columns[path] for out, path in pairs})
 
     def upsert(self, target: FusedVal, out: Keypath, value: FusedVal, kp: Keypath) -> FusedVal:
         target = self.materialize(target)
         n = target.length
         column = value.column(kp)
         if value.length == 1 and n > 1:
-            column = Dense(np.broadcast_to(column.pad()[0], (n,)).copy())
+            array = column.pad()[0]
+            column = Dense(np.full(n, array[0], dtype=array.dtype))
         elif value.length < n:
             raise ExecutionError(f"Upsert: value length {value.length} < target {n}")
         elif value.length > n:
             column = column.slice(0, n)
-        columns = {path: col for path, col in target.columns.items() if path != out}
-        columns[out] = column  # shared, whatever kind it is: nothing is decoded
+        columns = dict(target.columns)  # (a copy hashes no keypath again)
+        columns.pop(out, None)
+        columns[out] = column  # last; shared, whatever kind it is: nothing is decoded
         return FusedVal(n, columns)
 
     def gather(self, source: FusedVal, positions: FusedVal, pos_kp: Keypath) -> FusedVal:
@@ -772,5 +851,5 @@ class FusedRuntime:
             starts, at = kernels.run_segments(slots.index, run_length)
         else:  # dense: every run counts its own length
             starts = at = np.arange(0, n, run_length or max(n, 1), dtype=np.int64)
-        counts = np.diff(starts, append=n if slots is None else len(slots.index))
+        counts = kernels.run_sizes(starts, n if slots is None else len(slots.index))
         return FusedVal(n, {out: on_slots(Slots(at, n), counts, zero_fill(np.int64))})

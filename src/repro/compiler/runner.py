@@ -27,6 +27,19 @@ reading the values: :meth:`repro.compiler.pricing.Pricer.run`):
   partitioned data verifies at runtime that positions stay inside the
   chunk (raising :class:`ChunkCrossing` otherwise).
 
+What only the program determines is derived once per plan, not once
+per run (:func:`planned_nodes`): ``program.memo["nodes"]`` maps a node's
+id to a ``Constant``'s value (one read-only object every run reads), a
+``Range``'s ``RunInfo``, a ``Binary``'s constant right operand and last
+control-vector derivation (:class:`~repro.compiler.rt_fast.MapPlan`) —
+built in one pass with the plan — and a ``Project`` / ``Zip``'s *route*
+(the ``(out path, in path)`` pairs it renames by), derived when the node
+first runs and keyed by the paths of the value it renames, so that a
+storage with another schema derives again.  Whatever is published is a
+complete object, so racing first runs both derive and agree; a warm run
+constructs no keypath, no constant and no ``Fraction``
+(``tests/compiler/test_runner.py`` counts).
+
 ``native=True`` swaps the kernels, not the runner: the runtime's dense
 uniform-run sums come from :mod:`repro.native.runner`, and planned map
 chains are intercepted at their head and computed by one C kernel — over
@@ -43,12 +56,21 @@ boundaries that cut group-by runs.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Mapping
 
 import numpy as np
 
-from repro.compiler.rt_fast import FusedRuntime, FusedVal
+from repro.compiler.rt_fast import (
+    FusedRuntime,
+    FusedVal,
+    MapPlan,
+    constant,
+    route,
+    zip_routes,
+)
 from repro.core import ops
+from repro.core.controlvector import RunInfo
 from repro.core.program import Program
 from repro.core.vector import StructuredVector
 from repro.errors import ExecutionError
@@ -103,13 +125,45 @@ def consumer_sets(program: Program) -> tuple[frozenset, frozenset]:
     return sets
 
 
+def planned_nodes(program: Program, metadata=None) -> dict:
+    """``{node id: what the program alone determines about that node}``,
+    memoized on the program like :func:`consumer_sets`: a ``Constant``'s
+    value, a ``Range``'s ``RunInfo`` and a ``Binary``'s
+    :class:`~repro.compiler.rt_fast.MapPlan`, built in one pass by
+    whoever needs the table first (``compile_program``, so that a fresh
+    plan's first run finds them; else the first runner) and published
+    complete.  With the compiler's *metadata* pass at hand, control-vector
+    metadata is the pass's own objects — nothing it derived is derived
+    again by a run.  The routes of ``Project`` / ``Zip`` nodes join the
+    table as those nodes first run: they depend on the schema the program
+    runs over."""
+    table = program.memo.get("nodes")
+    if table is None:
+        table = {}
+        for node in program.order:
+            if isinstance(node, ops.Constant):
+                table[id(node)] = constant(node.out, node.value, node.dtype)
+            elif isinstance(node, ops.Range):
+                info = metadata and metadata.info(node, node.out)
+                table[id(node)] = info or RunInfo(node.start, Fraction(node.step))
+            elif isinstance(node, ops.Binary):
+                right = table[id(node.right)] if isinstance(node.right, ops.Constant) else None
+                plan = table[id(node)] = MapPlan(right, node.right_kp)
+                source = metadata and metadata.info(node.left, node.left_kp)
+                if source and plan.scalar is not None:
+                    plan.derived = (source, plan.scalar, metadata.info(node, node.out))
+        table = program.memo.setdefault("nodes", table)
+    return table
+
+
 class ProgramRunner:
     """Per-node dispatch of one program into the wall-clock runtime.
 
     Outputs are bit-identical to the interpreter's.  All per-program
-    derived state (the virtual-scatter set, the native chain index) is
-    memoized on ``program.memo``, so constructing a runner for a warm
-    program costs O(1) in program size.
+    derived state (the virtual-scatter set, the native chain index, the
+    per-node table of constants, routes and run metadata) is memoized on
+    ``program.memo``, so constructing a runner for a warm program costs
+    O(1) in program size and running it derives nothing twice.
     """
 
     _dispatch: dict[type, object] | None = None
@@ -127,6 +181,7 @@ class ProgramRunner:
         if storage is None:
             storage = {}
         self._methods = self._dispatch_table()
+        self._planned = planned_nodes(program)
         keep_virtual, self._scatter_only = consumer_sets(program)
         self._keep_virtual = keep_virtual if virtual_scatter else frozenset()
         self._forced: dict[int, StructuredVector] = {}
@@ -213,10 +268,10 @@ class ProgramRunner:
             node.size if node.size is not None
             else self._get(values, node.sizeref).length
         )
-        return self.rt.range_(node.out, node.start, node.step, length)
+        return self.rt.range_(node.out, self._planned[id(node)], length)
 
     def _eval_constant(self, node: ops.Constant, values) -> FusedVal:
-        return self.rt.constant(node.out, node.value, node.dtype)
+        return self._planned[id(node)]
 
     def _eval_cross(self, node: ops.Cross, values) -> FusedVal:
         return self.rt.cross(
@@ -230,7 +285,7 @@ class ProgramRunner:
         return self.rt.binary(
             node.fn, node.out,
             self._get(values, node.left), node.left_kp,
-            self._get(values, node.right), node.right_kp,
+            self._get(values, node.right), node.right_kp, self._planned[id(node)],
         )
 
     def _eval_unary(self, node: ops.Unary, values) -> FusedVal:
@@ -240,13 +295,24 @@ class ProgramRunner:
         )
 
     def _eval_zip(self, node: ops.Zip, values) -> FusedVal:
-        return self.rt.zip(
-            self._get(values, node.left), node.kp1, node.out1,
-            self._get(values, node.right), node.kp2, node.out2,
-        )
+        left, right = self._get(values, node.left), self._get(values, node.right)
+        # a route is keyed by the paths it renames: over another schema
+        # the node derives again
+        paths = tuple(left.columns), tuple(right.columns)
+        known = self._planned.get(id(node))
+        if known is None or known[0] != paths:
+            known = self._planned[id(node)] = (paths, zip_routes(
+                left.columns, node.kp1, node.out1, right.columns, node.kp2, node.out2))
+        return self.rt.zip(left, right, known[1])
 
     def _eval_project(self, node: ops.Project, values) -> FusedVal:
-        return self.rt.project(node.out, self._get(values, node.source), node.kp)
+        source = self._get(values, node.source)
+        paths = tuple(source.columns)
+        known = self._planned.get(id(node))
+        if known is None or known[0] != paths:
+            known = self._planned[id(node)] = (
+                paths, route(source.columns, node.kp, node.out))
+        return self.rt.project(source, known[1])
 
     def _eval_upsert(self, node: ops.Upsert, values) -> FusedVal:
         return self.rt.upsert(
@@ -345,8 +411,10 @@ class ChunkRunner(ProgramRunner):
         # row.  The RunInfo stays virtual — chunk-local uniform-run fold
         # kernels keep engaging because chunk boundaries are run-aligned.
         length = self._get(values, node.sizeref).length
-        return self.rt.range_(node.out, node.start + self.lo * node.step,
-                              node.step, length)
+        info = self._planned[id(node)]
+        if self.lo:
+            info = RunInfo(node.start + self.lo * node.step, info.step)
+        return self.rt.range_(node.out, info, length)
 
     def _eval_foldselect(self, node: ops.FoldSelect, values) -> FusedVal:
         result = super()._eval_foldselect(node, values)

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -120,6 +121,15 @@ class RunInfo:
 
     # -- derived parallelism parameters ----------------------------------------
 
+    @cached_property
+    def period(self) -> int:
+        """Positions per value-run, whatever the length (0: one run spans
+        everything).  Kept on the metadata it derives from: a plan carries
+        its ``RunInfo`` objects, so a warm run asks no ``Fraction``."""
+        if self.step == 0 or self.cap == 1:
+            return 0
+        return 1 if self.step >= 1 else math.ceil(1 / self.step)
+
     def run_length(self, length: int) -> int:
         """Length of the value-runs this control vector induces.
 
@@ -132,11 +142,7 @@ class RunInfo:
         """
         if length <= 0:
             return 0
-        if self.step == 0 or self.cap == 1:
-            return length
-        if self.step >= 1:
-            return 1
-        return min(length, math.ceil(1 / self.step))
+        return min(length, self.period) if self.period else length
 
     def run_count(self, length: int) -> int:
         run = self.run_length(length)
@@ -171,6 +177,9 @@ def derive_runinfo(fn: str, info: RunInfo, other: int) -> RunInfo | None:
 IDENTITY = RunInfo(start=0, step=Fraction(1), cap=None)
 
 
+_NO_STEP = Fraction(0)
+
+
 def constant_run(value: int) -> RunInfo:
     """Metadata for a constant vector (single run, any length)."""
-    return RunInfo(start=value, step=Fraction(0), cap=None)
+    return RunInfo(start=value, step=_NO_STEP, cap=None)

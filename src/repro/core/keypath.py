@@ -4,6 +4,14 @@ The paper (section 2.1) navigates nested record structure with *keypaths*,
 written with a leading dot: ``.value`` or ``.input.value``.  Because nested
 structs flatten naturally onto dotted leaf names, a keypath here is an
 immutable tuple of non-empty components with a canonical textual form.
+
+Components are validated where they enter (``Keypath(...)``, ``parse``,
+the new names of ``child``); a keypath built out of the components of
+other keypaths (``concat``, ``rebase``, ``strip_prefix``) trusts them.
+Keypaths are not interned — equal paths may be distinct objects — but the
+ones a program and a storage schema hold are the same objects run after
+run, so ``==`` answers identity first and a warm run constructs none
+(the plan carries its routes: :mod:`repro.compiler.runner`).
 """
 
 from __future__ import annotations
@@ -17,6 +25,13 @@ from repro.errors import KeypathError
 _COMPONENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
 
+def _validated(parts: tuple) -> tuple:
+    for part in parts:
+        if not _COMPONENT_RE.match(part):
+            raise KeypathError(f"invalid keypath component: {part!r}")
+    return parts
+
+
 @total_ordering
 class Keypath:
     """An immutable dotted path such as ``.lineitem.l_quantity``.
@@ -28,16 +43,21 @@ class Keypath:
     __slots__ = ("_components", "_hash")
 
     def __init__(self, components: Iterable[str]):
-        parts = tuple(components)
+        parts = _validated(tuple(components))
         if not parts:
             raise KeypathError("a keypath needs at least one component")
-        for part in parts:
-            if not _COMPONENT_RE.match(part):
-                raise KeypathError(f"invalid keypath component: {part!r}")
         self._components = parts
         self._hash = hash(parts)  # keypaths key every schema and interner lookup
 
     # -- construction -----------------------------------------------------
+
+    @classmethod
+    def _trusted(cls, parts: tuple[str, ...]) -> "Keypath":
+        """A keypath over components taken from validated keypaths."""
+        self = object.__new__(cls)
+        self._components = parts
+        self._hash = hash(parts)
+        return self
 
     @classmethod
     def parse(cls, text: str) -> "Keypath":
@@ -82,16 +102,16 @@ class Keypath:
 
     def child(self, *names: str) -> "Keypath":
         """Extend the path downward: ``Keypath.parse('.a').child('b')``."""
-        return Keypath(self._components + names)
+        return Keypath._trusted(self._components + _validated(names))
 
     def concat(self, other: "Keypath") -> "Keypath":
-        return Keypath(self._components + other._components)
+        return Keypath._trusted(self._components + other._components)
 
     def rebase(self, old_prefix: "Keypath", new_prefix: "Keypath") -> "Keypath":
         """Replace a leading *old_prefix* with *new_prefix*."""
         if not self.startswith(old_prefix):
             raise KeypathError(f"{self} does not start with {old_prefix}")
-        return Keypath(new_prefix._components + self._components[len(old_prefix) :])
+        return Keypath._trusted(new_prefix._components + self._components[len(old_prefix) :])
 
     def startswith(self, prefix: "Keypath") -> bool:
         return self._components[: len(prefix)] == prefix._components
@@ -99,12 +119,14 @@ class Keypath:
     def strip_prefix(self, prefix: "Keypath") -> "Keypath":
         if not self.startswith(prefix) or len(self) == len(prefix):
             raise KeypathError(f"{self} has no proper prefix {prefix}")
-        return Keypath(self._components[len(prefix) :])
+        return Keypath._trusted(self._components[len(prefix) :])
 
     # -- dunder ------------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Keypath) and self._components == other._components
+        return self is other or (
+            isinstance(other, Keypath) and self._components == other._components
+        )
 
     def __lt__(self, other: "Keypath") -> bool:
         if not isinstance(other, Keypath):

@@ -328,43 +328,41 @@ def _walk_op_classes(base: type):
         yield from _walk_op_classes(sub)
 
 
+def _divide(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    zero = b == 0
+    has_zero = bool(zero.any())
+    if a.dtype.kind in "iub" and b.dtype.kind in "iub":
+        with np.errstate(divide="ignore"):
+            return a // np.where(zero, 1, b) if has_zero else a // b
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if not has_zero:
+            return a / b
+        return np.where(zero, 0.0, a / np.where(zero, 1, b))
+
+
+#: the element-wise kernel of every :data:`repro.core.ops.BINARY_OPS` name;
+#: each broadcasts a length-1 operand itself, zero guards included
+_BINARY = {
+    "Add": np.add,
+    "Subtract": np.subtract,
+    "Multiply": np.multiply,
+    "Divide": _divide,
+    "Modulo": lambda a, b: a % np.where(b == 0, 1, b),
+    "BitShift": lambda a, b: np.left_shift(a.astype(np.int64), b.astype(np.int64)),
+    "LogicalAnd": lambda a, b: _truth(a) & _truth(b),
+    "LogicalOr": lambda a, b: _truth(a) | _truth(b),
+    "Greater": np.greater,
+    "GreaterEqual": np.greater_equal,
+    "Less": np.less,
+    "LessEqual": np.less_equal,
+    "Equals": np.equal,
+    "NotEquals": np.not_equal,
+}
+
+
 def apply_binary(fn: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Shared element-wise implementation of :data:`repro.core.ops.BINARY_OPS`."""
-    if fn == "Add":
-        return a + b
-    if fn == "Subtract":
-        return a - b
-    if fn == "Multiply":
-        return a * b
-    if fn == "Divide":
-        zero = b == 0
-        has_zero = bool(zero.any())
-        if a.dtype.kind in "iub" and b.dtype.kind in "iub":
-            with np.errstate(divide="ignore"):
-                return a // np.where(zero, 1, b) if has_zero else a // b
-        with np.errstate(divide="ignore", invalid="ignore"):
-            if not has_zero:
-                return a / b
-            return np.where(zero, 0.0, a / np.where(zero, 1, b))
-    if fn == "Modulo":
-        safe = np.where(b == 0, 1, b)
-        return a % safe
-    if fn == "BitShift":
-        return np.left_shift(a.astype(np.int64), b.astype(np.int64))
-    if fn == "LogicalAnd":
-        return _truth(a) & _truth(b)
-    if fn == "LogicalOr":
-        return _truth(a) | _truth(b)
-    if fn == "Greater":
-        return a > b
-    if fn == "GreaterEqual":
-        return a >= b
-    if fn == "Less":
-        return a < b
-    if fn == "LessEqual":
-        return a <= b
-    if fn == "Equals":
-        return a == b
-    if fn == "NotEquals":
-        return a != b
-    raise ExecutionError(f"unknown binary function {fn!r}")
+    kernel = _BINARY.get(fn)
+    if kernel is None:
+        raise ExecutionError(f"unknown binary function {fn!r}")
+    return kernel(a, b)

@@ -4,7 +4,7 @@
 backend grid — every ``CompilerOptions`` × ``ExecutionOptions`` ×
 workers combination that *executes* differently (knobs that only price —
 ``fuse``, ``selection``, ``slot_suppression`` — are covered by
-``tests/compiler/test_pricing.py``) — and checks two properties:
+``tests/compiler/test_pricing.py``) — and checks three properties:
 
 * **bit-identity with the reference**: every configuration must produce
   exactly the result of the paper's reference :class:`Interpreter`
@@ -13,6 +13,11 @@ workers combination that *executes* differently (knobs that only price —
   rows, NaN-for-NaN equal — including the ``tuned`` entry, whose knobs
   the adaptive auto-tuner (:mod:`repro.tuner`) picks per case, so
   whatever configuration tuning lands on is fuzzed too;
+* **a warm plan answers as a cold one** (kind ``"warm"``): every
+  configuration runs the query twice on its engine — the second is a
+  plan-cache hit served by what the first run left on the plan
+  (constants, structural routes, control-vector metadata) — and both
+  results must be the same bits;
 * **agreement with the oracle**: the reference result must match the
   independent NumPy oracle (:mod:`repro.testing.oracle`) — exactly for
   integers/booleans/strings, within a small tolerance for float
@@ -124,7 +129,7 @@ class CaseFailure:
 
     case: Case
     backend: str
-    kind: str          # "grid" | "oracle" | "error"
+    kind: str          # "grid" | "warm" | "oracle" | "error"
     detail: str
     path: Path | None = None
 
@@ -237,6 +242,7 @@ def run_case(
     for config in (None, *grid):
         name = ANCHOR if config is None else config.name
         chosen = ""
+        again: ResultTable | None = None
         try:
             with warnings.catch_warnings():
                 # adversarial NaN/Inf/overflow data makes NumPy chatty;
@@ -247,6 +253,9 @@ def run_case(
                 else:
                     with config.engine(case.store, case.grain) as engine:
                         table = engine.query(case.query)
+                        # a plan-cache hit: what the first run left on the
+                        # plan (:mod:`repro.compiler.runner`) serves this one
+                        again = engine.query(case.query)
                         if config.tuned:
                             # the tuner's pick is wall-clock-dependent: record
                             # it, or a dumped failure would not say which
@@ -257,6 +266,9 @@ def run_case(
         except Exception as exc:  # noqa: BLE001 - any crash is a finding
             problems.append((name, "error", f"{type(exc).__name__}: {exc}{chosen}"))
             continue
+        warm = None if again is None else compare_bitwise(table, again)
+        if warm:
+            problems.append((name, "warm", warm + chosen))
         if reference is None:
             # the first *succeeding* run anchors the bit-identity
             # comparison (the interpreter; a configuration if it crashed)

@@ -23,7 +23,7 @@ import pytest
 
 from repro.compiler import FusedRuntime
 from repro.compiler.columns import Column, Compact, Deferred, Dense, Lazy, Run, Slots, Taken
-from repro.compiler.rt_fast import FusedVal, fused_slice, to_fused
+from repro.compiler.rt_fast import FusedVal, fused_slice, route, to_fused
 from repro.core import StructuredVector
 from repro.core.controlvector import IDENTITY, RunInfo, constant_run
 from repro.core.keypath import kp
@@ -52,7 +52,7 @@ def deferred(key: Column, pivots: int, scatter_only: bool) -> Deferred:
     rt = FusedRuntime({})
     out = rt.partition(
         kp(".pos"), FusedVal(len(key), {kp(".k"): key}), kp(".k"),
-        rt.range_(kp(".p"), 0, 1, pivots), kp(".p"), scatter_only=scatter_only,
+        rt.range_(kp(".p"), IDENTITY, pivots), kp(".p"), scatter_only=scatter_only,
     ).column(kp(".pos"))
     assert type(out) is Deferred
     return out
@@ -210,6 +210,8 @@ def check_against_pad(column: Column, array: np.ndarray, mask: np.ndarray, where
         assert mask.all(), (*where, "rows", "slots")
     else:
         assert slots.length == n and same(slots.index, np.flatnonzero(mask)), (*where, "slots")
+    whole = column.whole()  # (None: no single array, or a cheaper way to map it)
+    assert whole is None or (mask.all() and same(whole, array)), (*where, "whole")
     rng = np.random.default_rng(n)
     for index in (np.zeros(0, dtype=np.int64), np.arange(n), np.arange(n)[::-1],
                   rng.integers(0, max(n, 1), 2 * n)[: 2 * n if n else 0]):
@@ -458,12 +460,12 @@ def test_reading_a_loaded_value_does_not_write_it():
         column.dtype, len(column), column.present(), column.present(7), column.mask()
         column.take(index), column.rows(), column.slice(5, 50), column.pad()
         column.sparse(), column.span(), column.runs(), column.shifted(2)
-        column.derive("Add", 1), column.fold("max", 0), column.fold("max", 4)
+        column.whole(), column.info, column.fold("max", 0), column.fold("max", 4)
         column.map_runs("Add", np.ones(1, dtype=np.int64))
         val.attr(path), val.mask(path), val.dtype_of(path), val.present_count(path)
         val.scalar(path)
     val.item_sizes(), val.paths(), fused_slice(val, 3, 9), rt.force(val)
-    rt._rows_at(val, index), rt.project(kp(".x"), val, kp(".rle"))
+    rt._rows_at(val, index), rt.project(val, route(val.columns, kp(".rle"), kp(".x")))
     assert val.columns is mapping and list(mapping) == list(columns)
     assert all(mapping[path] is column for path, column in columns.items())
     # the decode is the column's own: the storage vector still holds handles

@@ -26,13 +26,15 @@ from repro.compiler import CompilerOptions, FusedRuntime, compile_program, kerne
 from repro.compiler.pricing import Pricer
 from repro.compiler.columns import Dense, Lazy, Run
 from repro.compiler.rt_fast import DENSE_RATIO, Compact
-from repro.compiler.runner import ChunkRunner, ProgramRunner
+from repro.compiler.runner import ChunkRunner, ProgramRunner, run_program
 from repro.core import Builder, StructuredVector, ops
 from repro.interpreter import Interpreter, semantics
 from repro.native.runner import _INTERNAL  # what a C chain leaves for its inner steps
 from repro.parallel import PARTITIONED, ParallelInterpreter, merge
 from repro.relational import EngineConfig, VoodooEngine
 from repro.storage import ColumnStore, Table
+from repro.storage.columnstore import Column as StoredColumn
+from repro.storage.columnstore import resegment
 from repro.testing.qgen import generate_case
 from repro.tpch import QUERIES, build, generate
 
@@ -793,3 +795,152 @@ def test_a_warm_execute_moves_only_the_rows_it_reads(tpch_store, number, monkeyp
     assert len(padded) == 2 * inside, "run() padded an output"
     reference = Interpreter(vectors).run(compiled.program)["result"]
     assert_vectors_identical(reference, result, (number,))
+
+
+# -- what a warm run derives ---------------------------------------------------------
+
+#: what the program alone determines, and a warm run therefore reads off
+#: the plan (``program.memo["nodes"]``) instead of deriving: keypaths
+#: (routes hold them), constants, structural routes, control-vector
+#: metadata — and the broadcast NumPy does itself
+DERIVATIONS = ("Keypath", "constant", "route", "zip_routes", "derive_runinfo", "broadcast_to")
+
+
+def spy_on_derivations(monkeypatch) -> dict:
+    """Counts of every derivation in :data:`DERIVATIONS` from here on."""
+    from repro.compiler import runner as runner_module
+    from repro.compiler import rt_fast
+    from repro.core.keypath import Keypath
+
+    seen = dict.fromkeys(DERIVATIONS, 0)
+
+    def counting(name, plain):
+        def spy(*args, **kwargs):
+            seen[name] += 1
+            return plain(*args, **kwargs)
+        return spy
+
+    monkeypatch.setattr(Keypath, "__init__", counting("Keypath", Keypath.__init__))
+    monkeypatch.setattr(Keypath, "_trusted", classmethod(
+        lambda cls, parts, plain=Keypath._trusted: counting("Keypath", plain)(parts)))
+    monkeypatch.setattr(runner_module, "constant", counting("constant", rt_fast.constant))
+    monkeypatch.setattr(runner_module, "route", counting("route", rt_fast.route))
+    monkeypatch.setattr(runner_module, "zip_routes", counting("zip_routes", rt_fast.zip_routes))
+    monkeypatch.setattr(rt_fast, "derive_runinfo",
+                        counting("derive_runinfo", rt_fast.derive_runinfo))
+    monkeypatch.setattr(np, "broadcast_to", counting("broadcast_to", np.broadcast_to))
+    return seen
+
+
+def planned_constants(program) -> list:
+    """The arrays of the constants the plan of *program* carries."""
+    planned = program.memo["nodes"]
+    return [column.pad()[0]
+            for node in program.order if isinstance(node, ops.Constant)
+            for column in planned[id(node)].columns.values()]
+
+
+@pytest.mark.parametrize("number", [*sorted(QUERIES), *MICROS])
+def test_a_warm_run_derives_nothing(tpch_store, number, monkeypatch):
+    """Beside the pad, sort and row guards: a plan that has run once
+    carries its constants, routes and control-vector metadata, so a warm
+    ``run`` constructs no keypath, builds no constant, renames by no
+    prefix test, derives no ``RunInfo`` and leaves broadcasting to NumPy
+    — and still returns the interpreter's vector.  The constants it
+    carries are read-only and the same bytes run after run."""
+    store, query = _micro(number) if number in MICROS else (
+        tpch_store, build(tpch_store, number))
+    with VoodooEngine(store, config=EngineConfig(tracing=False)) as engine:
+        prepared = engine.prepare(query)
+        prepared.execute()
+        prepared.execute()
+        compiled, vectors = engine.compile(prepared.bind()), engine.vectors()
+        constants = planned_constants(compiled.program)
+        before = [array.tobytes() for array in constants]
+        seen = spy_on_derivations(monkeypatch)
+        inside: dict = {}
+        plain_run = type(compiled).run
+
+        def run(self, *args, **kwargs):
+            start = dict(seen)
+            try:
+                return plain_run(self, *args, **kwargs)
+            finally:
+                for name in seen:
+                    inside[name] = inside.get(name, 0) + seen[name] - start[name]
+
+        monkeypatch.setattr(type(compiled), "run", run)
+        prepared.execute()
+        assert inside and not any(inside.values()), (number, inside)
+        result = compiled.run(vectors, collect_trace=False)[0]["result"]
+        prepared.execute()
+        assert not any(inside.values()), (number, inside)
+        monkeypatch.undo()
+    reference = Interpreter(vectors).run(compiled.program)["result"]
+    assert_vectors_identical(reference, result, (number,))
+    assert constants and planned_constants(compiled.program) == constants  # the same objects
+    for array, image in zip(constants, before):
+        assert array.tobytes() == image and not array.flags.writeable, number
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1
+
+
+def _widened(store, vectors: dict) -> dict:
+    """*vectors*, every table with one more column in front of its own."""
+    out = dict(vectors)
+    for table in store.tables():
+        extra = StoredColumn("zz_unread", np.arange(len(table), dtype=np.int64))
+        out[table.name] = Table(table.name, [extra, *table.columns.values()]).to_vector()
+    return out
+
+
+@pytest.mark.parametrize("number", [*sorted(QUERIES), *MICROS])
+def test_a_plan_runs_over_other_storages(tpch_store, number, monkeypatch):
+    """What the plan carries is keyed by what it was derived from: the
+    same program object, warm, run over a storage with another schema
+    derives its routes again (and once more going back), over the same
+    schema on another segment grid and in chunks reuses them — and every
+    run returns the interpreter's vectors."""
+    store, query = _micro(number) if number in MICROS else (
+        tpch_store, build(tpch_store, number))
+    with VoodooEngine(store, config=EngineConfig(tracing=False)) as engine:
+        prepared = engine.prepare(query)
+        prepared.execute()
+        program, vectors = engine.compile(prepared.bind()).program, engine.vectors()
+    wide = _widened(store, vectors)
+    segmented = {**vectors, **resegment(store, encoding="auto", segment_rows=997).vectors()}
+    expected = Interpreter(vectors).run(program)
+    seen = spy_on_derivations(monkeypatch)
+
+    def routes_derived(run) -> int:
+        start = seen["route"] + seen["zip_routes"]
+        assert_bit_identical(expected, run(), (number,))
+        return seen["route"] + seen["zip_routes"] - start
+
+    assert routes_derived(lambda: run_program(program, vectors)) == 0
+    # (the extra column reaches no output: the same vectors are expected)
+    assert routes_derived(lambda: run_program(program, wide)) > 0
+    assert routes_derived(lambda: run_program(program, wide)) == 0
+    assert routes_derived(lambda: run_program(program, vectors)) > 0
+    assert routes_derived(lambda: run_program(program, segmented)) == 0
+    extent = max(len(vectors[node.name]) for node in program.loads())
+    with ParallelInterpreter(vectors, workers=2, grain=max(1, extent // 4)) as chunked:
+        assert routes_derived(lambda: chunked.run(program)) == 0
+        assert chunked.last_plan.parallel, number
+    assert seen["constant"] == 0, "a constant was built again"
+
+
+def test_a_route_follows_the_schema_it_runs_over():
+    """The case reuse would get wrong: a struct projection over a storage
+    that grew an attribute under the projected prefix — a route kept from
+    the narrower schema would drop it."""
+    b = Builder({"t": StructuredVector(3, {".s.a": np.arange(3), ".k": np.arange(3)}).schema})
+    t = b.load("t")
+    program = b.build(out=b.zip(t.project(".s", out=".r"), t.project(".k")))
+    narrow = {"t": StructuredVector(3, {".s.a": np.arange(3), ".k": np.arange(3) * 2})}
+    wider = {"t": StructuredVector(
+        3, {".s.a": np.arange(3), ".s.b": np.arange(3.0), ".k": np.arange(3) * 2})}
+    for storage in (narrow, wider, narrow, wider):
+        got = run_program(program, storage)
+        assert_bit_identical(Interpreter(storage).run(program), got, (len(storage["t"].paths),))
+    assert [str(path) for path in got["out"].paths] == [".r.a", ".r.b", ".k"]

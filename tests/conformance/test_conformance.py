@@ -153,6 +153,30 @@ class TestBrokenBackendIsCaught:
             "all backends share the bug; only the oracle should disagree"
         )
 
+    def test_a_plan_that_answers_differently_warm_is_caught(self, tmp_path, monkeypatch):
+        """Every configuration runs its query twice on one engine; a
+        second run (a plan-cache hit, served by what the first left on
+        the plan) that differs from the first is a ``"warm"`` failure —
+        invisible to the grid comparison, which reads the first."""
+        case = _find_grouped_sum_case()
+        plain = VoodooEngine.query
+        hits: dict = {}
+
+        def stale_when_warm(self, query, *args, **kwargs):
+            table = plain(self, query, *args, **kwargs)
+            hits[id(self)] = hits.get(id(self), 0) + 1
+            if hits[id(self)] == 2 and self.config.tracing is False:
+                table.arrays = {n: a[::-1].copy() for n, a in table.arrays.items()}
+            return table
+
+        monkeypatch.setattr(VoodooEngine, "query", stale_when_warm)
+        problems = run_case(case)
+        assert problems and {kind for _, kind, _ in problems} == {"warm"}, problems
+        assert {backend for backend, _, _ in problems} >= {"untraced-fused", "native"}
+        monkeypatch.setattr(VoodooEngine, "query", plain)
+        case.note = problems[0][2]
+        assert run_case(load_case(save_case(case, tmp_path / "warm.json"))) == []
+
     def test_broken_fold_select_rank_caught(self, monkeypatch):
         """Selection compaction bugs show up across the whole grid."""
         from repro.interpreter import semantics

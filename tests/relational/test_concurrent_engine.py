@@ -7,6 +7,7 @@ exactly the bits a single caller gets, and the only shared resource, the
 worker-pool lease, is taken once and returned by ``close()``.
 """
 
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -15,8 +16,10 @@ import pytest
 
 from repro import native
 from repro.compiler import ExecutionOptions
+from repro.core import ops
 from repro.parallel import REGISTRY, ParallelInterpreter
 from repro.relational import EngineConfig, VoodooEngine
+from repro.storage import ColumnStore, Table
 from repro.tpch import QUERIES, build, generate
 
 THREADS = 8
@@ -123,3 +126,60 @@ def test_racing_first_queries_take_exactly_one_lease(store):
     assert all(identical(tables[0], table) for table in tables[1:])
     assert REGISTRY.stats()["active_leases"] == before["active_leases"]
     assert backend._lease is None
+
+
+MICRO_GROUPBY = ("SELECT k, SUM(v1) AS s1, SUM(v2) AS s2, COUNT(*) AS cnt, MAX(w) AS top "
+                 "FROM facts WHERE w <= 95 GROUP BY k ORDER BY k")
+
+
+def micro_facts() -> ColumnStore:
+    rng = np.random.default_rng(3)
+    rows = 4_000
+    facts = ColumnStore()
+    facts.add(Table.from_arrays(
+        "facts", k=rng.integers(0, 12, rows), v1=rng.random(rows), v2=rng.random(rows),
+        w=rng.integers(0, 100, rows)))
+    return facts
+
+
+@pytest.mark.parametrize("name", ["q1", "q6", "q19", "micro.groupby"])
+def test_racing_first_runs_of_one_plan(store, name):
+    """What a plan carries (constants, routes, control-vector metadata:
+    ``program.memo["nodes"]``) is derived by its first run — here by
+    eight first runs at once, on a fresh engine, switching threads every
+    10 µs: each derives what it misses and publishes complete entries, so
+    every table is the lone engine's and the plan ends up fully furnished."""
+    data = micro_facts() if name == "micro.groupby" else store
+    query = MICRO_GROUPBY if name == "micro.groupby" else build(store, int(name[1:]))
+    with VoodooEngine(data, config=EngineConfig(tracing=False)) as lone:
+        expected = lone.prepare(query).execute().table
+    gate = threading.Barrier(THREADS)
+    tables: dict = {}
+
+    def first_run(thread: int) -> None:
+        gate.wait(timeout=30)
+        tables[thread] = prepared.execute().table
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with VoodooEngine(data, config=EngineConfig(tracing=False)) as engine:
+            prepared = engine.prepare(query)
+            callers = [threading.Thread(target=first_run, args=(i,)) for i in range(THREADS)]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+            assert not any(caller.is_alive() for caller in callers)
+            program = engine.compile(prepared.bind()).program
+            warm = prepared.execute().table
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(tables) == list(range(THREADS))
+    assert all(identical(expected, table) for table in tables.values())
+    assert identical(expected, warm)
+    planned = program.memo["nodes"]
+    carried = (ops.Constant, ops.Range, ops.Project, ops.Zip, ops.Binary)
+    missing = [node.opname for node in program.order
+               if isinstance(node, carried) and planned.get(id(node)) is None]
+    assert not missing and any(isinstance(node, carried) for node in program.order)
