@@ -2,8 +2,9 @@
 
 Each ``bench_*`` module regenerates one table/figure of the paper: the
 pytest-benchmark fixture times the real execution of our compiled kernels,
-and the test body prints the *simulated* series in the paper's layout
-(see EXPERIMENTS.md for the paper-vs-measured record).
+and the test body prints the *simulated* series in the paper's layout.
+Wall-clock comparisons between commits are ``perfbench/``'s job, not
+this suite's.
 
 Run with ``python -m pytest benchmarks`` from the repo root (collection
 is configured in pyproject.toml); ``-m "not slow"`` is the CI smoke set.

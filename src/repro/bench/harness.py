@@ -2,15 +2,13 @@
 
 Every experiment module in this package returns :class:`SeriesSet`
 objects; the ``benchmarks/`` pytest-benchmark wrappers print them in the
-layout of the corresponding paper figure and record paper-vs-measured in
-EXPERIMENTS.md.
+layout of the corresponding paper figure.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Iterable
 
 
 def dataset_record(store, **extra) -> dict:
@@ -139,16 +137,6 @@ class BarSet(_RecordsDatasets):
             lines.append(f"{group:>10} | " + " | ".join(cells))
         lines.append(f"(values in {unit}; lower is better)")
         return "\n".join(lines)
-
-
-def best_of(fn: Callable[[], object], repeats: int) -> float:
-    """Best wall-clock seconds of *repeats* calls of *fn*."""
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
 
 
 def geometric_mean(values: Iterable[float]) -> float:

@@ -11,7 +11,7 @@ Figure 12 (GPU): the same comparison on the GPU profile — Ocelot's
 materialization penalty mostly disappears behind 300 GB/s of bandwidth.
 
 The paper's measured milliseconds (SF 10, their hardware) are recorded in
-``PAPER_CPU_MS`` / ``PAPER_GPU_MS`` so EXPERIMENTS.md can show
+``PAPER_CPU_MS`` / ``PAPER_GPU_MS`` so the figure wrappers can print
 paper-vs-reproduction side by side; our absolute numbers are simulated at
 a smaller scale factor, so only ratios are comparable.
 """

@@ -86,7 +86,7 @@ class ExecutionOptions:
     ``workers`` is the multicore knob of the paper's tuning claim.  For the
     compiled/simulated path it overrides the device profile's hardware
     thread count, so trace events are priced with per-core compute spread
-    over exactly *workers* lanes (the scaling-curve benchmarks sweep it);
+    over exactly *workers* lanes (``examples/simd_vs_multicore.py`` sweeps it);
     for untraced runs it is the
     :class:`~repro.parallel.ParallelInterpreter` pool width, delivering
     real wall-clock parallelism.

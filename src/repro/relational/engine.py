@@ -21,6 +21,7 @@ from repro.hardware.trace import Trace
 from repro.parallel import ParallelInterpreter
 from repro.relational.algebra import Query
 from repro.relational.config import EngineConfig
+from repro.relational.eviction import evict_oldest
 from repro.relational.expressions import node_fields
 from repro.relational.prepared import PreparedQuery
 from repro.relational.translate import Translator
@@ -256,11 +257,6 @@ class VoodooEngine:
     #: otherwise grow a serving engine's memory without bound
     CACHE_CAPACITY = 256
 
-    @classmethod
-    def _evict(cls, cache: dict) -> None:
-        if len(cache) >= cls.CACHE_CAPACITY:
-            cache.pop(next(iter(cache)))
-
     def compile(
         self,
         query: Query,
@@ -285,7 +281,7 @@ class VoodooEngine:
                 return compiled
             self.plan_cache_misses += 1
             compiled = compile_program(self.translate(query), options)
-            self._evict(self._plan_cache)
+            evict_oldest(self._plan_cache, self.CACHE_CAPACITY)
             self._plan_cache[key] = compiled
             return compiled
 
@@ -336,7 +332,7 @@ class VoodooEngine:
         prepared = self._prepared.get(key)
         if prepared is None:
             prepared = PreparedQuery(self, query, fingerprint=key)
-            self._evict(self._prepared)
+            evict_oldest(self._prepared, self.CACHE_CAPACITY)
             self._prepared[key] = prepared
         return prepared
 

@@ -26,6 +26,7 @@ from typing import TYPE_CHECKING
 from repro.errors import ExecutionError
 from repro.relational import expressions as ex
 from repro.relational.algebra import Query
+from repro.relational.eviction import evict_oldest
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.relational.engine import QueryResult, ResultTable, VoodooEngine
@@ -130,8 +131,7 @@ class PreparedQuery:
         bound = self._bound.get(key)
         if bound is None:
             bound = bind_params(self.query, params)
-            if len(self._bound) >= self.BIND_CAPACITY:
-                self._bound.pop(next(iter(self._bound)))
+            evict_oldest(self._bound, self.BIND_CAPACITY)
             self._bound[key] = bound
         return bound
 

@@ -13,7 +13,7 @@ import asyncio
 import sys
 
 from repro.relational import EngineConfig
-from repro.serving.catalog import Catalog
+from repro.serving.catalog import Catalog, micro_store
 from repro.serving.scheduler import ServingConfig
 from repro.serving.server import VoodooServer
 
@@ -21,8 +21,6 @@ from repro.serving.server import VoodooServer
 def build_catalog(args: argparse.Namespace) -> Catalog:
     catalog = Catalog(config=EngineConfig(tracing=False))
     if args.micro:
-        from repro.bench.tuned_wallclock import micro_store
-
         catalog.add("micro", micro_store(args.micro))
     if args.tpch:
         from repro.tpch import generate

@@ -15,9 +15,30 @@ simulator).
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.errors import ServingError
 from repro.relational import EngineConfig, VoodooEngine
-from repro.storage import ColumnStore
+from repro.storage import ColumnStore, Table
+
+
+def micro_store(n: int, cards: int = 12, seed: int = 0) -> ColumnStore:
+    """The ``--micro`` dataset: one ``facts`` table for selection and
+    group-by queries (``k`` in ``[0, cards)``, two floats, ``w`` in
+    ``[0, 100)``)."""
+    rng = np.random.default_rng(seed)
+    store = ColumnStore(meta={
+        "generator": "repro.serving.catalog.micro_store",
+        "seed": int(seed), "n": int(n), "cards": int(cards),
+    })
+    store.add(Table.from_arrays(
+        "facts",
+        k=rng.integers(0, cards, n).astype(np.int64),
+        v1=rng.random(n),
+        v2=rng.random(n),
+        w=rng.integers(0, 100, n).astype(np.int64),
+    ))
+    return store
 
 
 class Catalog:

@@ -49,6 +49,7 @@ from operator import attrgetter
 from repro.compiler.options import ExecutionOptions
 from repro.errors import VoodooError
 from repro.relational.algebra import Query
+from repro.relational.eviction import evict_oldest
 from repro.storage.columnstore import ColumnStore
 from repro.tuner.cache import (
     TuningCache,
@@ -442,8 +443,7 @@ class AutoTuner:
             tuning_seconds=time.perf_counter() - start,
             measured_trials=self.measured_trials - trials_before,
         )
-        if len(self._reports) >= self.REPORT_CAPACITY:
-            self._reports.pop(next(iter(self._reports)))
+        evict_oldest(self._reports, self.REPORT_CAPACITY)
         self._reports[key.token()] = report
         self.cache.put(TuningEntry(
             key=key,

@@ -9,6 +9,7 @@ worker-pool lease, is taken once and returned by ``close()``.
 
 import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -19,6 +20,8 @@ from repro.compiler import ExecutionOptions
 from repro.core import ops
 from repro.parallel import REGISTRY, ParallelInterpreter
 from repro.relational import EngineConfig, VoodooEngine
+from repro.relational.engine import structural_fingerprint
+from repro.relational.prepared import PreparedQuery, bind_params
 from repro.storage import ColumnStore, Table
 from repro.tpch import QUERIES, build, generate
 
@@ -183,3 +186,58 @@ def test_racing_first_runs_of_one_plan(store, name):
     missing = [node.opname for node in program.order
                if isinstance(node, carried) and planned.get(id(node)) is None]
     assert not missing and any(isinstance(node, carried) for node in program.order)
+
+
+@pytest.mark.parametrize("site", ["prepare", "bind"])
+def test_racing_misses_evict_without_error(monkeypatch, site):
+    """``prepare()`` and ``bind()`` insert into their bounded caches under
+    no lock.  Eight threads cycling over more shapes / values than a
+    capacity of 2 holds keep both evicting at once: every call must still
+    return the right object, and the cache must come back under its cap."""
+    monkeypatch.setattr(VoodooEngine, "CACHE_CAPACITY", 2)
+    monkeypatch.setattr(PreparedQuery, "BIND_CAPACITY", 2)
+    data = micro_facts()
+    wrong: list[int] = []
+    errors: list[Exception] = []
+    deadline = time.monotonic() + 1.5
+
+    def caller(thread: int) -> None:
+        step = thread
+        try:
+            while time.monotonic() < deadline and not errors:
+                step += 3
+                value = step % 8
+                if site == "prepare":
+                    right = engine.prepare(shapes[value]).query is shapes[value]
+                else:
+                    right = structural_fingerprint(prepared.bind(w=value)) == bound[value]
+                if not right:
+                    wrong.append(step)
+        except Exception as exc:  # surfaced below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with VoodooEngine(data, config=EngineConfig(tracing=False)) as engine:
+            shapes = [engine.prepare(f"SELECT SUM(v1) AS s FROM facts WHERE w <= {w}").query
+                      for w in range(8)]
+            prepared = engine.prepare("SELECT SUM(v1) AS s FROM facts WHERE w <= :w")
+            bound = [structural_fingerprint(bind_params(prepared.query, {"w": w}))
+                     for w in range(8)]
+            callers = [threading.Thread(target=caller, args=(i,)) for i in range(THREADS)]
+            for thread in callers:
+                thread.start()
+            for thread in callers:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in callers)
+            engine.prepare(shapes[0])
+            prepared.bind(w=0)
+            assert len(engine._prepared) <= 2 and len(prepared._bound) <= 2
+            misses = engine.plan_cache_misses
+            total = engine.query(shapes[3]).column("s")[0]
+            assert engine.query(shapes[3]).column("s")[0] == total
+            assert (engine.plan_cache_misses, engine.plan_cache_hits) == (misses + 1, 1)
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == [] and wrong == []

@@ -12,7 +12,6 @@ import threading
 import numpy as np
 import pytest
 
-from repro.bench.tuned_wallclock import micro_store
 from repro.errors import AdmissionError, QueryTimeout, ServingError
 from repro.serving import (
     Catalog,
@@ -21,6 +20,7 @@ from repro.serving import (
     SessionManager,
     VoodooServer,
 )
+from repro.serving.catalog import micro_store
 
 SQL = "SELECT SUM(v2) AS total FROM facts WHERE v1 <= :theta"
 
@@ -383,6 +383,29 @@ class TestServedIdentity:
             assert np.array_equal(served.arrays[column],
                                   expected.arrays[column])
         catalog.close()
+
+    def test_served_tpch_matches_single_caller_engine(self):
+        """All 14 TPC-H queries through a catalog's shared engine: same
+        columns, dtypes and values as a fresh engine's."""
+        from repro.relational import EngineConfig, VoodooEngine
+        from repro.tpch import QUERIES, build, generate
+
+        store = generate(0.005, seed=42)
+        catalog = Catalog()
+        catalog.add("tpch", store)
+        try:
+            with VoodooEngine(store, config=EngineConfig(tracing=False)) as lone:
+                for number in sorted(QUERIES):
+                    query = build(store, number)
+                    served = catalog.engine("tpch").prepare(query).execute().table
+                    expected = lone.execute(query).table
+                    assert served.columns == expected.columns, number
+                    for column in expected.columns:
+                        assert served.arrays[column].dtype == expected.arrays[column].dtype
+                        assert np.array_equal(served.arrays[column],
+                                              expected.arrays[column]), (number, column)
+        finally:
+            catalog.close()
 
 
 class TestSessionManager:
