@@ -140,10 +140,6 @@ def compile_program(
     # what a run reads off the plan is built with the plan, while the
     # metadata pass is at hand, so the first run does not repeat it: its
     # constants and control-vector metadata (that run adds the structural
-    # routes, which depend on the storage schema) ...
+    # routes, which depend on the storage schema)
     planned_nodes(program, metadata)
-    if compiled.native:
-        # ... and the chain index
-        from repro.native.runner import chain_index
-        chain_index(program, metadata)
     return compiled

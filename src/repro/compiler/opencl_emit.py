@@ -9,11 +9,49 @@ the work-item index; seams become ``__global`` buffer writes.
 
 from __future__ import annotations
 
-from repro.compiler.clower import BINARY_C as _BINARY_C
-from repro.compiler.clower import c_name as _c_name
-from repro.compiler.clower import loop_header, unary_prefix
-from repro.compiler.fragments import FragmentPlan
+from repro.compiler.fragments import FULL, FragmentPlan
 from repro.core import ops
+from repro.core.keypath import Keypath
+
+_BINARY_C = {
+    "Add": "+", "Subtract": "-", "Multiply": "*", "Divide": "/", "Modulo": "%",
+    "BitShift": "<<", "LogicalAnd": "&&", "LogicalOr": "||", "Greater": ">",
+    "GreaterEqual": ">=", "Less": "<", "LessEqual": "<=", "Equals": "==",
+    "NotEquals": "!=",
+}
+
+_UNARY_C = {"LogicalNot": "!", "Negate": "-"}
+
+
+def _c_name(path: Keypath | None) -> str:
+    """Mangle a keypath into a C identifier component."""
+    return "val" if path is None else "_".join(path.components)
+
+
+def loop_header(intent: int) -> tuple[list[str], str, bool]:
+    """The work-item / run loop opening a fragment body:
+    ``(lines, body indent, needs a closing brace)``."""
+    if intent == FULL:
+        return (
+            [
+                "  // sequential fragment: single work item",
+                "  if (get_global_id(0) != 0) return;",
+                "  for (size_t i = 0; i < n; ++i) {",
+            ],
+            "    ",
+            True,
+        )
+    if intent > 1:
+        return (
+            [
+                f"  // partitioned fragment: runs of {intent}",
+                f"  size_t run = get_global_id(0) * {intent};",
+                f"  for (size_t i = run; i < run + {intent}; ++i) {{",
+            ],
+            "    ",
+            True,
+        )
+    return (["  size_t i = get_global_id(0);"], "  ", False)
 
 
 class OpenCLEmitter:
@@ -75,7 +113,8 @@ class OpenCLEmitter:
             operand = f"{self._ref(node.source)}.{_c_name(node.source_kp)}"
             if node.fn == "IsPresent":  # ε-ness has no C operator
                 return [f"auto {name} = is_present({operand});"]
-            return [f"auto {name} = {unary_prefix(node.fn, node.dtype)}{operand};"]
+            prefix = f"({node.dtype})" if node.fn == "Cast" else _UNARY_C[node.fn]
+            return [f"auto {name} = {prefix}{operand};"]
         if isinstance(node, ops.Gather):
             return [
                 f"auto {name} = {self._ref(node.source)}"

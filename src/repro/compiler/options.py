@@ -53,12 +53,12 @@ class CompilerOptions:
         run lands them accordingly.
     native:
         Execute untraced runs — sequential and partition-parallel alike —
-        on the native CPU tier (:mod:`repro.native`): map chains and
-        uniform-run folds are lowered to C, compiled with the system
-        compiler through an on-disk ``.so`` cache, and called over the
-        raw column buffers.  Bit-identical to the NumPy kernels; degrades
-        to them per kernel when the machine has no compiler or a dtype
-        is not servable.
+        with the native CPU tier's kernel (:mod:`repro.native`): per-run
+        float sums in C, compiled with the system compiler through an
+        on-disk ``.so`` cache and called over the raw column buffers;
+        every other operator runs as it does without it.  Bit-identical
+        to the NumPy kernel; degrades to it when the machine has no
+        compiler.
     """
 
     device: str = "cpu-mt"

@@ -187,15 +187,15 @@ def to_fused(vector: StructuredVector) -> FusedVal:
 
 
 def compact_operands(operands):
-    """``(slots, arrays, fills, scalars)`` when a map can run over present
-    rows only: every operand is compact on one shared :class:`Slots` or a
-    present length-1 value (which broadcasts; ``scalars`` says which).
+    """``(slots, arrays, fills)`` when a map can run over present rows
+    only: every operand is compact on one shared :class:`Slots` or a
+    present length-1 value (which broadcasts).
     None for any other pairing — a full-length dense operand would leave
     the ε slots of the result holding different values, so that map pads
     and runs over all slots.
     """
     slots = None
-    arrays, fills, scalars = [], [], []
+    arrays, fills = [], []
     for val, path in operands:
         column = val.column(path)
         sparse = column.sparse()
@@ -212,10 +212,9 @@ def compact_operands(operands):
             fills.append(array)
         else:
             return None
-        scalars.append(sparse is None)
     if slots is None:
         return None
-    return slots, arrays, fills, scalars
+    return slots, arrays, fills
 
 
 def from_padded(length: int, out: Keypath, array: np.ndarray,
@@ -345,7 +344,7 @@ class FusedRuntime:
     tier replaces (``fold_aggregate_segments`` over present rows,
     ``fold_aggregate_uniform`` over a dense column): the NumPy ones of
     :mod:`repro.compiler.kernels` by default, :mod:`repro.native.runner`
-    for C with a per-call NumPy fallback.
+    for a C float sum with a per-call NumPy fallback.
     """
 
     def __init__(self, storage, virtual_scatter: bool = True, kernels=kernels):
@@ -468,7 +467,7 @@ class FusedRuntime:
         # present rows only: the ε slots all hold fn(fill, fill)
         operands = compact_operands(((left, kp1), (right, kp2)))
         if operands is not None:
-            slots, (a, b), (fa, fb), _ = operands
+            slots, (a, b), (fa, fb) = operands
             mapped = Compact(slots, apply_binary(fn, a, b), apply_binary(fn, fa, fb))
             return FusedVal(slots.length, {out: mapped})
         b, mb = right.column(kp2).pad()

@@ -40,10 +40,9 @@ complete object, so racing first runs both derive and agree; a warm run
 constructs no keypath, no constant and no ``Fraction``
 (``tests/compiler/test_runner.py`` counts).
 
-``native=True`` swaps the kernels, not the runner: the runtime's dense
-uniform-run sums come from :mod:`repro.native.runner`, and planned map
-chains are intercepted at their head and computed by one C kernel — over
-the present rows when their inputs are compact.
+``native=True`` swaps one kernel, not the runner: the runtime's per-run
+float sums come from :mod:`repro.native.runner`; every node still
+evaluates here, one at a time.
 
 Chunk inputs are *views*: the driving vector's columns are sliced
 (``Column.slice``), never copied, before crossing the chunk boundary,
@@ -160,8 +159,8 @@ class ProgramRunner:
     """Per-node dispatch of one program into the wall-clock runtime.
 
     Outputs are bit-identical to the interpreter's.  All per-program
-    derived state (the virtual-scatter set, the native chain index, the
-    per-node table of constants, routes and run metadata) is memoized on
+    derived state (the virtual-scatter set, the per-node table of
+    constants, routes and run metadata) is memoized on
     ``program.memo``, so constructing a runner for a warm program costs
     O(1) in program size and running it derives nothing twice.
     """
@@ -185,17 +184,11 @@ class ProgramRunner:
         keep_virtual, self._scatter_only = consumer_sets(program)
         self._keep_virtual = keep_virtual if virtual_scatter else frozenset()
         self._forced: dict[int, StructuredVector] = {}
-        #: native tier: {chain head id: (chain, kernel)}, and the values
-        #: a head's kernel computed for the other members of its chain
-        self._chains: dict | None = None
-        self._stash: dict[int, FusedVal] = {}
         if native:
             # imported on demand: repro.native builds on this package
             from repro.native import runner as native_kernels
 
             self.rt = FusedRuntime(storage, virtual_scatter, kernels=native_kernels)
-            self._chains = native_kernels.chain_index(program)
-            self._eval_chain = native_kernels.eval_chain
         else:
             self.rt = FusedRuntime(storage, virtual_scatter)
 
@@ -211,19 +204,6 @@ class ProgramRunner:
         return cls._dispatch
 
     def eval(self, node: ops.Op, values: dict[int, FusedVal]) -> FusedVal:
-        if self._chains is not None:
-            # a chain head whose inputs are all evaluated computes every
-            # member in one C kernel and stashes the members' values, so
-            # their own eval just pops; otherwise (out-of-order scheduling)
-            # the head evaluates like any node — same results either way
-            stashed = self._stash.pop(id(node), None)
-            if stashed is not None:
-                return stashed
-            entry = self._chains.get(id(node))
-            if entry is not None:
-                head = self._eval_chain(entry, values, self._stash)
-                if head is not None:
-                    return head
         method = self._methods.get(type(node))
         if method is None:
             raise ExecutionError(f"the runner does not implement {node.opname}")

@@ -17,12 +17,7 @@ class NativeStats:
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self.kernels_compiled = 0
-        self.so_cache_hits = 0
-        self.memory_hits = 0
-        self.chain_calls = 0
-        self.fold_calls = 0
-        self.fallbacks: Counter[str] = Counter()
+        self.reset()
 
     def count(self, field: str, amount: int = 1) -> None:
         with self._lock:
@@ -39,7 +34,9 @@ class NativeStats:
                 "kernels_compiled": self.kernels_compiled,
                 "so_cache_hits": self.so_cache_hits,
                 "memory_hits": self.memory_hits,
-                "chain_calls": self.chain_calls,
+                # always 0: no map chain runs in C; the key stays for its
+                # last reader, perfbench/analytics.py
+                "chain_calls": 0,
                 "fold_calls": self.fold_calls,
                 "fallbacks": sum(self.fallbacks.values()),
                 "fallback_reasons": dict(self.fallbacks),
@@ -50,9 +47,8 @@ class NativeStats:
             self.kernels_compiled = 0
             self.so_cache_hits = 0
             self.memory_hits = 0
-            self.chain_calls = 0
             self.fold_calls = 0
-            self.fallbacks.clear()
+            self.fallbacks: Counter[str] = Counter()
 
 
 #: The process-wide counter block.

@@ -6,7 +6,7 @@ same ``run()`` contract, bit-identical outputs.  It is a *schedule* over
 the node runner (:mod:`repro.compiler.runner`), not another evaluator:
 it asks the :class:`~repro.parallel.planner.PartitionPlanner` how to
 split the program, evaluates the GLOBAL zone once, fans the chunked
-zones out over a persistent thread pool (NumPy and the native kernels
+zones out over a persistent thread pool (NumPy and the native kernel
 release the GIL) as :func:`~repro.compiler.runner.run_chunk` calls
 seeded with column/mask *views*, merges the chunk results as raw arrays,
 and finishes the SEQ zone over the merged values.  Everything that does
@@ -74,9 +74,8 @@ class ParallelInterpreter:
         ``FoldSelect`` positions rebased identically.
     native:
         Evaluate every zone — per-chunk and sequential — through the
-        native C tier (:mod:`repro.native`): chain kernels and
-        uniform-run folds run as compiled code, degrading per kernel to
-        NumPy.  Outputs stay bit-identical.
+        native C tier (:mod:`repro.native`): per-run float sums run as
+        compiled code, degrading to NumPy.  Outputs stay bit-identical.
 
     The underlying worker pool is persistent: created on first parallel
     ``run()``, reused by every later one.  ``close()`` (or ``with``)

@@ -40,7 +40,7 @@ class EngineConfig:
     native:
         Shorthand for ``options.native``, the native C execution tier
         (untraced sequential runs and parallel chunk workers alike
-        execute compiled chain/fold kernels).  ``None`` (default) leaves
+        sum floats with the compiled kernel).  ``None`` (default) leaves
         whatever ``options`` says.  Incompatible with
         ``tuning="auto"`` — the tuner explores the native axis itself.
     tuning:

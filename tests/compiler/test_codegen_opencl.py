@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.compiler import CompilerOptions, compile_program, emit_opencl
-from repro.compiler.fragments import FragmentPlan
+from repro.compiler import CompilerOptions, compile_program, emit_opencl, opencl_emit
+from repro.compiler.fragments import FULL, FragmentPlan
 from repro.core import Builder, Schema, StructuredVector, ops
+from repro.core.keypath import Keypath
 
 SCHEMAS = {"t": Schema({".g": "int64", ".v": "float64"})}
 
@@ -94,6 +95,61 @@ class TestOpenCLEmission:
         assert "get_global_id(0)" in text
         assert "// scatter" in text
         assert "persist(" in text
+
+    def test_map_fragment_golden(self):
+        """Operator spellings, a cast, a negation and the seam, pinned."""
+        b = Builder({"t": StructuredVector.from_arrays(v=np.arange(8)).schema})
+        t = b.load("t")
+        lo = b.greater_equal(t.project(".v"), b.constant(2), out=".lo")
+        hi = b.less(t.project(".v"), b.constant(6), out=".hi")
+        both = b.logical_and(lo, hi, out=".sel")
+        negated = b.negate(b.cast(both, "int64", out=".c"), out=".n")
+        assert compile_program(b.build(n=negated)).source == (
+            "// pseudo-OpenCL emitted by repro.compiler.opencl_emit\n"
+            "\n"
+            "__kernel void fragment_0(__global const void* t, const size_t n) {\n"
+            "  size_t i = get_global_id(0);\n"
+            "  auto v3 = v1.v >= 2.val;\n"
+            "  auto v5 = v1.v < 6.val;\n"
+            "  auto v6 = v3.lo && v5.hi;\n"
+            "  auto v7 = (int64)v6.sel;\n"
+            "  auto v8 = -v7.c;\n"
+            "  out_v8[i] = v8;  // fragment seam\n"
+            "}"
+        )
+
+    def test_golden_operator_tables(self):
+        """The C spellings of every binary and unary operator, pinned."""
+        assert opencl_emit._BINARY_C == {
+            "Add": "+", "Subtract": "-", "Multiply": "*", "Divide": "/",
+            "Modulo": "%", "BitShift": "<<", "LogicalAnd": "&&",
+            "LogicalOr": "||", "Greater": ">", "GreaterEqual": ">=",
+            "Less": "<", "LessEqual": "<=", "Equals": "==",
+            "NotEquals": "!=",
+        }
+        assert opencl_emit._UNARY_C == {"LogicalNot": "!", "Negate": "-"}
+
+    def test_keypath_mangling(self):
+        assert opencl_emit._c_name(None) == "val"
+        assert opencl_emit._c_name(Keypath.parse(".v")) == "v"
+        assert opencl_emit._c_name(Keypath.parse(".a.b")) == "a_b"
+
+    def test_full_intent_loop_header_is_one_sequential_work_item(self):
+        lines, indent, needs_close = opencl_emit.loop_header(FULL)
+        assert needs_close and indent == "    "
+        assert lines[1] == "  if (get_global_id(0) != 0) return;"
+        assert lines[2] == "  for (size_t i = 0; i < n; ++i) {"
+
+    def test_partitioned_and_parallel_loop_headers(self):
+        lines, indent, needs_close = opencl_emit.loop_header(64)
+        assert needs_close and indent == "    "
+        assert lines[1:] == [
+            "  size_t run = get_global_id(0) * 64;",
+            "  for (size_t i = run; i < run + 64; ++i) {",
+        ]
+        assert opencl_emit.loop_header(1) == (
+            ["  size_t i = get_global_id(0);"], "  ", False
+        )
 
     def test_emit_standalone(self):
         plan = FragmentPlan(full_width_program(), CompilerOptions())

@@ -29,7 +29,6 @@ from repro.compiler.rt_fast import DENSE_RATIO, Compact
 from repro.compiler.runner import ChunkRunner, ProgramRunner, run_program
 from repro.core import Builder, StructuredVector, ops
 from repro.interpreter import Interpreter, semantics
-from repro.native.runner import _INTERNAL  # what a C chain leaves for its inner steps
 from repro.parallel import PARTITIONED, ParallelInterpreter, merge
 from repro.relational import EngineConfig, VoodooEngine
 from repro.storage import ColumnStore, Table
@@ -72,8 +71,6 @@ def interpret_nodes(program, vectors) -> dict:
 def check_nodes(program, reference: dict, got: dict, rt, context) -> None:
     """Every node's runner value, padded, against the interpreter's."""
     for index, node in enumerate(program.order):
-        if got[id(node)] is _INTERNAL:
-            continue  # nothing outside the chain reads this step
         have = rt.force(got[id(node)])
         assert_vectors_identical(
             reference[id(node)], have, (*context, f"v{index}", node.opname)
@@ -132,12 +129,11 @@ def run_chunked(program, vectors, native: bool, reference, context, monkeypatch,
         else:
             whole[id(node)] = result
     for nid, parts in chunks.items():
-        if (plan.zones[index[nid]] == PARTITIONED and nid not in whole
-                and all(value is not _INTERNAL for _, value in parts)):
+        if plan.zones[index[nid]] == PARTITIONED and nid not in whole:
             parts.sort(key=lambda part: part[0])
             whole[nid] = merge.concat_fused([value for _, value in parts])
     compared = [node for node in program.order if id(node) in whole
-                and not isinstance(node, ops.Load) and whole[id(node)] is not _INTERNAL]
+                and not isinstance(node, ops.Load)]
     assert compared, context
     for node in compared:
         assert_vectors_identical(

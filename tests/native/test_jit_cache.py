@@ -16,6 +16,7 @@ from repro.compiler import CompilerOptions, compile_program
 from repro.core import Builder, StructuredVector
 from repro.interpreter import Interpreter
 from repro.native import cache_dir, find_compiler, have_compiler, jit, snapshot
+from repro.native import runner as native_runner
 from repro.native.jit import NativeCompileError, load_library, source_key
 
 needs_compiler = pytest.mark.skipif(
@@ -70,6 +71,27 @@ def test_changed_source_is_a_different_key_and_a_fresh_compile(fresh_cache):
     assert len(list(fresh_cache.glob("*.so"))) == 2
 
 
+def test_the_library_is_the_float_sum_alone():
+    """One fixed source: a kernel per float width, nothing per program."""
+    source = native_runner.library_source()
+    assert source.count("void ") == 2
+    assert "void fsum_f4(const float* vals" in source
+    assert "void fsum_f8(const double* vals" in source
+
+
+def test_the_kernel_declines_what_it_does_not_serve():
+    """Integer sums, min/max and an empty segment list go to NumPy: the
+    kernel answers None before it is ever loaded."""
+    starts = np.asarray([0, 2], dtype=np.int64)
+    floats = np.arange(4, dtype=np.float64)
+    assert native_runner.native_fold_segments("sum", np.arange(4), starts) is None
+    assert native_runner.native_fold_segments("max", floats, starts) is None
+    assert native_runner.native_fold_segments("min", floats, starts) is None
+    assert native_runner.native_fold_segments(
+        "sum", floats, np.zeros(0, dtype=np.int64)
+    ) is None
+
+
 def test_bogus_cc_means_no_compiler(monkeypatch):
     monkeypatch.setenv("CC", "/definitely/not/a/compiler")
     assert find_compiler() is None and not have_compiler()
@@ -88,10 +110,10 @@ def test_failing_compiler_raises_with_its_exit_status(fresh_cache, monkeypatch):
 
 
 def _pipeline():
-    """A program exercising both a map chain and the fold kernels."""
+    """A program whose per-chunk float sums are the C kernel's work."""
     rng = np.random.default_rng(17)
     store = {"t": StructuredVector.from_arrays(
-        v=rng.integers(-40, 40, 200).astype(np.int64)
+        v=rng.integers(-40, 40, 200).astype(np.float64)
     )}
     b = Builder({"t": store["t"].schema})
     t = b.load("t")
@@ -111,12 +133,10 @@ def test_no_compiler_degrades_to_bit_identical_results(tmp_path, monkeypatch):
     """The acceptance fallback: CC pointing nowhere, empty registry, no
     fold library — the native backend still answers, identically, and
     the reasons are counted."""
-    import repro.native.exec as native_exec
-
     monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))
     monkeypatch.setenv("CC", "/definitely/not/a/compiler")
     monkeypatch.setattr(jit, "_loaded", {})
-    monkeypatch.setattr(native_exec, "_fold_lib", None)
+    monkeypatch.setattr(native_runner, "_kernels", None)
 
     program, store = _pipeline()
     expected = Interpreter(store).run(program)
@@ -141,49 +161,43 @@ def test_no_compiler_degrades_to_bit_identical_results(tmp_path, monkeypatch):
 
 
 @needs_compiler
-def test_warm_program_compiles_nothing(fresh_cache):
+def test_warm_program_compiles_nothing(fresh_cache, monkeypatch):
     """Second and later runs of the same program: zero compiles, zero
     cache-dir churn — the steady-state serving contract at unit scale."""
-    import repro.native.exec as native_exec
-
+    # the library may be loaded from earlier tests against the real cache;
+    # force it through this one so counters line up
+    monkeypatch.setattr(native_runner, "_kernels", None)
     program, store = _pipeline()
     compiled = compile_program(program, CompilerOptions(native=True))
-    # fold library may be memoized from earlier tests against the real
-    # cache; force it through this one so counters line up
-    fold_lib_before = native_exec._fold_lib
-    native_exec._fold_lib = None
-    try:
-        compiled.run(store, collect_trace=False)  # cold: compiles
-        before = snapshot()
-        sos = sorted(fresh_cache.glob("*.so"))
-        for _ in range(3):
-            compiled.run(store, collect_trace=False)
-        after = snapshot()
-        assert after["kernels_compiled"] == before["kernels_compiled"]
-        assert after["so_cache_hits"] == before["so_cache_hits"]
-        assert after["chain_calls"] >= before["chain_calls"] + 3
-        assert sorted(fresh_cache.glob("*.so")) == sos
-    finally:
-        native_exec._fold_lib = fold_lib_before
+    compiled.run(store, collect_trace=False)  # cold: compiles
+    before = snapshot()
+    sos = sorted(fresh_cache.glob("*.so"))
+    assert len(sos) == 1  # one library, whatever the program
+    for _ in range(3):
+        compiled.run(store, collect_trace=False)
+    after = snapshot()
+    assert after["kernels_compiled"] == before["kernels_compiled"]
+    assert after["so_cache_hits"] == before["so_cache_hits"]
+    assert after["fold_calls"] >= before["fold_calls"] + 3
+    assert sorted(fresh_cache.glob("*.so")) == sos
 
 
 @needs_compiler
-def test_one_present_row_is_not_a_new_signature(fresh_cache):
-    """A chain over compact inputs runs on the k present rows, and k is
-    data: a selection with a single hit must reuse the kernel compiled
-    for many, not compile a "scalar" one in the request path."""
-    b = Builder({"t": StructuredVector.from_arrays(v=np.zeros(0, dtype=np.int64)).schema})
+def test_data_never_compiles_a_kernel(fresh_cache, monkeypatch):
+    """The library is one fixed source: a new program, a single present
+    row or none at all finds the kernel already loaded."""
+    monkeypatch.setattr(native_runner, "_kernels", None)
+    b = Builder({"t": StructuredVector.from_arrays(v=np.zeros(0)).schema})
     t = b.load("t")
-    keep = b.greater(t.project(".v"), b.constant(0), out=".sel")
+    keep = b.greater(t.project(".v"), b.constant(0.0, dtype="float64"), out=".sel")
     positions = b.fold_select(b.zip(t, keep), sel_kp=".sel", out=".pos")
     rows = b.gather(t, positions, pos_kp=".pos")
-    doubled = b.multiply(rows, b.constant(2), out=".d", left_kp=".v")
-    shifted = b.add(doubled, rows, out=".e", left_kp=".d", right_kp=".v")
-    program = b.build(out=shifted, total=b.fold_sum(shifted, agg_kp=".e", out=".s"))
+    doubled = b.multiply(rows, b.constant(2.0, dtype="float64"), out=".d", left_kp=".v")
+    program = b.build(out=doubled, total=b.fold_sum(doubled, agg_kp=".d", out=".s"))
     compiled = compile_program(program, CompilerOptions(native=True))
 
     def run(values):
-        store = {"t": StructuredVector.from_arrays(v=np.asarray(values, dtype=np.int64))}
+        store = {"t": StructuredVector.from_arrays(v=np.asarray(values, dtype=np.float64))}
         got, _ = compiled.run(store, collect_trace=False)
         want = Interpreter(store).run(program)
         for name, vector in want.items():
@@ -193,12 +207,12 @@ def test_one_present_row_is_not_a_new_signature(fresh_cache):
                 assert np.array_equal(vector.attr(path)[present],
                                       got[name].attr(path)[present])
 
-    run([3, 0, 5, 0, 7, 9, 0, 2])  # cold: compiles the chain for k rows
+    run([3, 0, 5, 0, 7, 9, 0, 2])  # cold: compiles the library
     before = snapshot()
-    assert before["chain_calls"] > 0
-    run([0, 0, 0, 4, 0, 0, 0, 0])  # k == 1
-    run([0] * 8)                   # k == 0
+    assert before["fold_calls"] > 0
+    run([0, 0, 0, 4, 0, 0, 0, 0])  # one present row
+    run([0] * 8)                   # none
     after = snapshot()
-    assert after["chain_calls"] >= before["chain_calls"] + 2
+    assert after["fold_calls"] >= before["fold_calls"] + 1
     assert after["kernels_compiled"] == before["kernels_compiled"]
     assert after["fallbacks"] == before["fallbacks"]

@@ -6,7 +6,8 @@ fused-path tests plus randomized arithmetic chains; every output of a
 ``CompilerOptions(native=True)`` run must match the interpreter exactly
 (values, dtypes, ε masks).  None of these tests require a compiler:
 graceful degradation to the fused NumPy kernels is part of the
-contract.  One compiler-gated test proves the C chains actually engage.
+contract.  One compiler-gated test proves the C fold kernel actually
+engages.
 """
 
 import numpy as np
@@ -55,8 +56,8 @@ def make_store(groups, values):
 groups_st = st.lists(st.integers(0, 4), min_size=1, max_size=80)
 values_st = st.lists(st.integers(-50, 50), min_size=80, max_size=80)
 
-#: binary ops a random chain draws from; Divide/Modulo exercise the
-#: guarded statement forms (and float Modulo the per-signature fallback)
+#: binary ops a random chain draws from (Divide/Modulo: NumPy's zero
+#: guard and flooring, int and float)
 CHAIN_OPS = ("add", "subtract", "multiply", "divide", "modulo")
 
 
@@ -65,7 +66,7 @@ CHAIN_OPS = ("add", "subtract", "multiply", "divide", "modulo")
           suppress_health_check=[HealthCheck.too_slow])
 def test_native_chunked_fold_pipeline(groups, values, grain):
     """Predicate -> chunk-controlled select -> gather -> two-level fold
-    (the fold/select/gather kernels of the native fold library)."""
+    (per-chunk float sums: the C kernel's segments)."""
     store = make_store(groups, values)
     b = Builder({"t": store["t"].schema})
     t = b.load("t")
@@ -125,8 +126,8 @@ def test_native_random_arithmetic_chains(groups, values, fns, k):
 @settings(max_examples=25, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 def test_native_masked_chains_and_scans(groups, values, grain):
-    """Chains over ε-masked gathered data, casts, scans: masks stay on
-    the Python side and must still match the interpreter bit for bit."""
+    """Maps over ε-masked gathered data, casts, scans on the native
+    tier: every mask must still match the interpreter bit for bit."""
     store = make_store(groups, values)
     b = Builder({"t": store["t"].schema})
     t = b.load("t")
@@ -148,19 +149,61 @@ def test_native_masked_chains_and_scans(groups, values, grain):
 
 
 @pytest.mark.skipif(not have_compiler(), reason="no C compiler on this host")
-def test_native_chains_actually_engage():
-    """With a compiler present the C kernels run — this is not a test
-    of the fallback path wearing a native label."""
+def test_native_fold_kernel_actually_engages():
+    """With a compiler present the C float sum runs — this is not a test
+    of the fallback path wearing a native label — and an integer sum,
+    which it does not serve, stays with NumPy."""
     rng = np.random.default_rng(5)
     store = make_store(rng.integers(0, 5, 128).tolist(),
                        rng.integers(-50, 50, 128).tolist())
     b = Builder({"t": store["t"].schema})
     t = b.load("t")
-    lo = b.greater_equal(t.project(".v"), b.constant(-20), out=".lo")
-    hi = b.less(t.project(".v"), b.constant(20), out=".hi")
-    keep = b.logical_and(lo, hi, out=".sel")
-    program = b.build(keep=keep)
+    ctrl = b.divide(b.range(t), b.constant(16), out=".chunk")
+    floats = b.fold_sum(b.zip(t, ctrl), agg_kp=".f", fold_kp=".chunk", out=".fs")
+    ints = b.fold_sum(t, agg_kp=".v", out=".vs")
     before = snapshot()
-    assert_native_identical(program, store)
+    assert_native_identical(b.build(floats=floats), store)
+    middle = snapshot()
+    assert_native_identical(b.build(ints=ints), store)
     after = snapshot()
-    assert after["chain_calls"] > before["chain_calls"]
+    assert middle["fold_calls"] > before["fold_calls"]
+    assert after["fold_calls"] == middle["fold_calls"]
+    assert after["chain_calls"] == 0  # no map runs in C
+
+
+#: what a float sum must add exactly as NumPy does: signed zeros, NaN,
+#: ±Inf, overflow to Inf and cancellation
+SUMMANDS = st.one_of(
+    st.floats(-1e6, 1e6),
+    st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf, 1e308, -1e308, 1e-310]),
+)
+
+
+@pytest.mark.skipif(not have_compiler(), reason="no C compiler on this host")
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@given(values=st.lists(SUMMANDS, min_size=1, max_size=200),
+       cuts=st.lists(st.integers(0, 199), max_size=12),
+       run_length=st.integers(0, 40))
+@settings(max_examples=60, deadline=None)
+def test_the_kernel_adds_what_numpy_adds(dtype, values, cuts, run_length):
+    """The C float sum against the NumPy kernel it replaces, bit for bit
+    (the bytes, so a -0.0 or a NaN sign counts): segments from arbitrary
+    cut points, and uniform runs of every length."""
+    from repro.compiler import kernels
+    from repro.native import runner as native_runner
+
+    with np.errstate(over="ignore"):
+        array = np.asarray(values, dtype=dtype)
+    k = len(array)
+    starts = np.unique(np.asarray([0, *cuts], dtype=np.int64).clip(0, k - 1))
+    before = snapshot()["fold_calls"]
+    pairs = [
+        (native_runner.fold_aggregate_segments("sum", array, starts),
+         kernels.fold_aggregate_segments("sum", array, starts)),
+        (native_runner.fold_aggregate_uniform("sum", array, run_length, k),
+         kernels.fold_aggregate_uniform("sum", array, run_length, k)),
+    ]
+    assert snapshot()["fold_calls"] == before + 2
+    for got, want in pairs:
+        assert got.dtype == want.dtype == np.float64
+        assert got.tobytes() == want.tobytes()

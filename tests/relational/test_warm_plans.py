@@ -1,11 +1,11 @@
 """Warm plans stay warm, however many of them there are.
 
-Everything an executor derives from a program — the native chain index
-and its kernel specializations, the partition plan, the runner's
-virtual-scatter set — is memoized on the program itself, so it lives
-exactly as long as the engine's plan-cache entry.  The side caches this
+Everything an executor derives from a program — the runner's table of
+planned nodes and virtual-scatter set, the partition plan — is memoized
+on the program itself, so it lives exactly as long as the engine's
+plan-cache entry.  The side caches this
 replaced held 64 programs against the plan cache's 256: at 80 warm plans
-(every lookup a plan-cache hit) each run re-planned and re-specialized.
+(every lookup a plan-cache hit) each run re-planned.
 Pinned by counting, never by timing.
 """
 
@@ -19,7 +19,7 @@ import pytest
 
 from repro import native
 from repro.compiler import ExecutionOptions, compile_program
-from repro.native.runner import chain_index
+from repro.compiler.runner import planned_nodes
 from repro.parallel import ParallelInterpreter, PartitionPlanner
 from repro.relational import EngineConfig, VoodooEngine, parse_sql
 from repro.storage import ColumnStore, Table
@@ -43,7 +43,7 @@ def store() -> ColumnStore:
 
 def queries(store, count=PLANS):
     """*count* plans that differ in one literal: distinct cache keys, and
-    each with a two-operator map chain (``v * w + v``) for the native tier."""
+    each with a float sum for the native tier's kernel."""
     return [
         parse_sql(f"SELECT SUM(v * w + v) AS s FROM t WHERE k < {100 + i}", store)
         for i in range(count)
@@ -74,7 +74,7 @@ def test_parallel_engine_plans_each_warm_program_once(store, monkeypatch):
 
 
 @pytest.mark.skipif(not native.have_compiler(), reason="no C compiler on this host")
-def test_native_engine_specializes_each_warm_chain_once(store):
+def test_native_engine_loads_nothing_in_a_warm_window(store):
     batch = queries(store)
     with VoodooEngine(store, config=EngineConfig(native=True, tracing=False)) as engine:
         first = lap(engine, batch)
@@ -82,7 +82,7 @@ def test_native_engine_specializes_each_warm_chain_once(store):
         before = native.snapshot()
         assert lap(engine, batch) == first
         after = native.snapshot()
-    assert after["chain_calls"] - before["chain_calls"] >= PLANS
+    assert after["fold_calls"] - before["fold_calls"] >= PLANS
     for counter in ("memory_hits", "so_cache_hits", "kernels_compiled"):
         assert after[counter] == before[counter], counter
 
@@ -97,7 +97,7 @@ def test_evicted_plan_takes_its_derived_state_along(store, monkeypatch, config):
     with VoodooEngine(store, config=config) as engine:
         engine.query(batch[0])
         program = engine.compile(batch[0]).program
-        assert program.memo  # chain index / partition plan live on it
+        assert program.memo  # planned nodes / partition plan live on it
         ref = weakref.ref(program)
         del program
         lap(engine, batch[1:])  # four more plans: the first is evicted
@@ -106,20 +106,21 @@ def test_evicted_plan_takes_its_derived_state_along(store, monkeypatch, config):
         assert ref() is None, "something outside the plan cache pins the program"
 
 
-def test_racing_first_runs_publish_one_chain_index_and_one_plan(store):
+def test_racing_first_runs_publish_one_node_table_and_one_plan(store):
     """More threads than cores, a short switch interval: whoever plans,
     everybody ends up holding the one published, fully built object."""
     with VoodooEngine(store, config=EngineConfig(tracing=False)) as engine:
         program = compile_program(engine.translate(queries(store, 1)[0])).program
         vectors = engine.vectors()
+    program.memo.pop("nodes")  # as a bare program's first runs find it
     threads, barrier = 8, threading.Barrier(8)
-    indexes, plans, errors = [], [], []
+    tables, plans, errors = [], [], []
     runner = ParallelInterpreter(workers=2)  # shared: a run keeps no state
 
     def first_run():
         try:
             barrier.wait(timeout=10)
-            indexes.append(chain_index(program))
+            tables.append(planned_nodes(program))
             plans.append(runner._plan(program, vectors, None))
         except Exception as exc:  # surfaced below, with the others
             errors.append(exc)
@@ -135,8 +136,8 @@ def test_racing_first_runs_publish_one_chain_index_and_one_plan(store):
     finally:
         sys.setswitchinterval(interval)
     assert not errors and not any(worker.is_alive() for worker in workers)
-    assert len(indexes) == threads and all(i is indexes[0] for i in indexes)
-    assert indexes[0] is program.memo["native_chains"]
+    assert len(tables) == threads and all(t is tables[0] for t in tables)
+    assert tables[0] is program.memo["nodes"]
     published = program.memo[("partition_plan", 2, None)][1]
     assert len(plans) == threads
     for plan in plans:  # a loser of the race may hold its own, equal plan
