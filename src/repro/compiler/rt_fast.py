@@ -366,11 +366,14 @@ class FusedRuntime:
         column's present rows resolved — here, inside the run — as a
         Structured Vector over the resolved columns (a result keeps no
         gather's source alive), padded when (and only if) something reads
-        a full-length image."""
+        a full-length image.  A :class:`Dense` column is skipped: its rows
+        are the array and mask it already holds, and a masked one's
+        ``rows()`` is not kept, so calling it here would be thrown away."""
         val = self.materialize(val)
         columns = {path: column.resolved() for path, column in val.columns.items()}
         for column in columns.values():
-            column.rows()
+            if not isinstance(column, Dense):
+                column.rows()
         return StructuredVector.over(val.length, columns)
 
     def materialize(self, source: FusedVal) -> FusedVal:

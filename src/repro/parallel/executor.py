@@ -5,14 +5,28 @@
 same ``run()`` contract, bit-identical outputs.  It is a *schedule* over
 the node runner (:mod:`repro.compiler.runner`), not another evaluator:
 it asks the :class:`~repro.parallel.planner.PartitionPlanner` how to
-split the program, evaluates the GLOBAL zone once, fans the chunked
-zones out over a persistent thread pool (NumPy and the native kernel
-release the GIL) as :func:`~repro.compiler.runner.run_chunk` calls
-seeded with column/mask *views*, merges the chunk results as raw arrays,
-and finishes the SEQ zone over the merged values.  Everything that does
-not split — one worker, a plan with a single chunk, a ``Gather`` that
-turns out to chase positions across chunk boundaries at runtime — is one
+split the program, evaluates the GLOBAL zone once, runs the chunked
+zones as :func:`~repro.compiler.runner.run_chunk` calls seeded with
+column/mask *views*, merges the chunk results and finishes the SEQ zone
+over the merged values.  Everything that does not split — one worker, a
+plan with a single chunk, a ``Gather`` that turns out to chase positions
+across chunk boundaries at runtime — is one
 :func:`~repro.compiler.runner.run_program` call.
+
+It pays only for what it uses:
+
+* **The pool, above a crossover.**  A plan's chunks go to a persistent
+  thread pool (NumPy and the native kernel release the GIL), and the SEQ
+  zone's ready folds fan out there, only when the planner found enough
+  work per chunk to pay for the hand-off (``plan.pool``,
+  :data:`~repro.parallel.planner.POOL_CROSSOVER`) and a second core
+  exists.  Otherwise the same chunks run inline, one after another —
+  the same plan, offsets and merges, so that path is always exercised.
+* **Merges that move only what the SEQ zone reads.**  The executor tells
+  the run's :class:`~repro.parallel.merge.Merger` what each chunk was
+  seeded with; a chunk column still that slice merges back to the
+  unsliced column, an unread gather of it to one unread gather, and
+  nothing merges twice (see :mod:`repro.parallel.merge`).
 
 The worker pool is leased lazily on first parallel run and **reused
 across runs**.  Call :meth:`ParallelInterpreter.close` (or use the
@@ -69,9 +83,9 @@ class ParallelInterpreter:
         Target rows per chunk (``ExecutionOptions.parallel_grain``).
         ``None`` (default) slices one chunk per worker.  The grain is
         honored regardless of how many cores actually execute the
-        chunks: on a single effective core the chunks run inline, at
-        exactly the same boundaries, with ``Range`` starts and
-        ``FoldSelect`` positions rebased identically.
+        chunks: on a single effective core, or below the pool crossover,
+        the chunks run inline, at exactly the same boundaries, with
+        ``Range`` starts and ``FoldSelect`` positions rebased identically.
     native:
         Evaluate every zone — per-chunk and sequential — through the
         native C tier (:mod:`repro.native`): per-run float sums run as
@@ -98,10 +112,11 @@ class ParallelInterpreter:
             raise ExecutionError(f"grain must be >= 1 or None, got {grain}")
         self.grain = grain
         self.native = bool(native)
-        #: hardware threads actually available; with one core the chunked
-        #: zones still execute chunk-by-chunk (same plans, same offsets,
-        #: same merges — the correctness path stays exercised) but inline,
-        #: skipping pointless pool handoffs
+        #: hardware threads actually available; with one core — or below
+        #: the planner's pool crossover — the chunked zones still execute
+        #: chunk-by-chunk (same plans, same offsets, same merges — the
+        #: correctness path stays exercised) but inline, skipping pool
+        #: hand-offs that would not pay
         self._effective = min(self.workers, os.cpu_count() or 1)
         self._lease: PoolLease | None = None
         self._lease_lock = threading.Lock()
@@ -221,19 +236,25 @@ class ParallelInterpreter:
         same shape must invalidate the cached zone classification — and
         the lazy storage columns' segment maps, which steer the chunk
         boundaries.  Dtypes come from the schema (never ``attr``): the
-        plan key must not materialize lazy columns.
+        plan key must not materialize lazy columns.  Only the vectors the
+        program's own ``Load``s read are keyed — the planner reads no
+        other, and a catalog holds many.
         """
-        shape = tuple(sorted(
+        names = program.memo.get("load_names")
+        if names is None:
+            names = program.memo.setdefault(
+                "load_names", tuple(sorted({node.name for node in program.loads()})))
+        shape = tuple(
             (
                 name,
                 len(vec),
-                tuple((str(p), dt.str) for p, dt in vec.schema.items()),
+                tuple(vec.schema.items()),
                 tuple(
-                    (str(p), h.boundaries()) for p, h in vec.lazy_items()
+                    (p, h.boundaries()) for p, h in vec.lazy_items()
                 ) if hasattr(vec, "lazy_items") else (),
-            )
-            for name, vec in storage.items()
-        ))
+            ) if vec is not None else (name,)
+            for name, vec in ((name, storage.get(name)) for name in names)
+        )
         key = ("partition_plan", self.workers, grain)
         cached = program.memo.get(key)
         if cached is not None and cached[0] == shape:
@@ -255,25 +276,26 @@ class ParallelInterpreter:
             if plan.zones[i] == GLOBAL:
                 values[id(node)] = runner.eval(node, values)
 
-        # 2. Fan the chunked zones out over the worker pool: the driving
-        #    vector is loaded once, cut per chunk, and read whole by SEQ.
+        # 2. The chunked zones, on the pool or inline (plan.pool): the
+        #    driving vector is loaded once, cut per chunk, and read whole by SEQ.
         values[id(order[plan.driving])] = runner.rt.load(order[plan.driving].name)
-        chunk_results = self._map_chunks(program, plan, values, runner)
+        merger = merge.Merger(len(plan.chunks))
+        chunk_results = self._map_chunks(program, plan, values, runner, merger)
 
-        # 3. Merge chunk results as raw arrays (no per-chunk wrapping).
+        # 3. Merge chunk results: moving only what the SEQ zone reads.
         for i in plan.frontier:
             node = order[i]
             if i == plan.driving:
                 continue
             chunks = [result[i] for result in chunk_results]
-            values[id(node)] = self._merge(plan.zones[i], node, chunks)
+            values[id(node)] = self._merge(plan.zones[i], node, chunks, merger)
 
         # 4. SEQ zone, over the merged full-length values.  A
         #    grouped query's aggregates are independent folds over one
-        #    shared scatter — fan ready folds out over the worker pool.
+        #    shared scatter — a pooled plan fans ready folds out there.
         self._run_seq(
             [i for i, zone in enumerate(plan.zones) if zone == SEQ],
-            order, values, runner,
+            order, values, runner, self._pooled(plan),
         )
 
         # 5. Outputs and Persists, forced.
@@ -285,8 +307,10 @@ class ParallelInterpreter:
         order,
         values: dict[int, FusedVal],
         runner: ProgramRunner,
+        fan_out: bool,
     ) -> None:
-        """Evaluate the SEQ zone, fanning independent kernels onto the pool.
+        """Evaluate the SEQ zone, fanning independent kernels onto the pool
+        (when *fan_out*: the plan's chunks went there too).
 
         A grouped query's aggregates are independent folds over one
         shared scatter (and its post-aggregation arithmetic is
@@ -301,19 +325,22 @@ class ParallelInterpreter:
         threads read them.
         """
         nodes = [order[i] for i in seq_indices]
+        if not fan_out:  # topological order, one node at a time
+            for node in nodes:
+                values[id(node)] = runner.eval(node, values)
+            return
         pending: set[int] = {id(node) for node in nodes}
 
         def ready(node: ops.Op) -> bool:
             return all(id(inp) in values for inp in node.inputs())
 
-        fan_out = self._effective > 1
         while pending:
             batch = [
                 node for node in nodes
                 if id(node) in pending
                 and isinstance(node, (ops.FoldOp, ops.Binary, ops.Unary))
                 and ready(node)
-            ] if fan_out else []
+            ]
             if len(batch) > 1:
                 deferred: list[ops.Op] = []
                 warmed: set[int] = set()
@@ -343,7 +370,11 @@ class ParallelInterpreter:
         plan: PartitionPlan,
         values: dict[int, FusedVal],
         runner: ProgramRunner,
+        merger: merge.Merger,
     ) -> list[dict[int, FusedVal]]:
+        """Every chunk's frontier values; *merger* learns what each chunk
+        was seeded with (a slice of the driving value or of a sliced
+        feed, or a feed handed over whole)."""
         order = program.order
         chunk_indices = plan.chunk_nodes()
         driving = values[id(order[plan.driving])]
@@ -356,12 +387,14 @@ class ParallelInterpreter:
             for j, mode in plan.global_feeds.items()
         }
         tasks = []
-        for lo, hi in plan.chunks:
-            seeded: dict[int, FusedVal] = {plan.driving: fused_slice(driving, lo, hi)}
-            for j, (mode, val) in feeds.items():
-                seeded[j] = fused_slice(val, lo, hi) if mode == "sliced" else val
+        for k, (lo, hi) in enumerate(plan.chunks):
+            seeded: dict[int, FusedVal] = {}
+            # (the driving value is one more sliced feed)
+            for j, (mode, val) in [(plan.driving, ("sliced", driving)), *feeds.items()]:
+                part = seeded[j] = fused_slice(val, lo, hi) if mode == "sliced" else val
+                merger.seed(k, val, part, lo if mode == "sliced" else 0)
             tasks.append((lo, hi, seeded))
-        if self._effective <= 1:
+        if not self._pooled(plan):
             return [
                 run_chunk(
                     program, chunk_indices, plan.frontier, seeded,
@@ -387,10 +420,16 @@ class ParallelInterpreter:
         ]
         return self._collect(futures)
 
+    def _pooled(self, plan: PartitionPlan) -> bool:
+        """Do *plan*'s chunks go to the pool?  Only above the planner's
+        crossover (``plan.pool``), and only with a second core to run on."""
+        return plan.pool and self._effective > 1
+
     @staticmethod
-    def _merge(zone: str, node: ops.Op, chunks: list[FusedVal]) -> FusedVal:
+    def _merge(zone: str, node: ops.Op, chunks: list[FusedVal],
+               merger: merge.Merger) -> FusedVal:
         if zone == PARTITIONED:
-            return merge.concat_fused(chunks)
+            return merger.concat(chunks)
         if zone == GSELECT:
             return merge.merge_select_fused(chunks, node.out)
         if zone == GFOLD:

@@ -8,7 +8,7 @@ and a storage context, it classifies every node into one of four zones
 
 * **GLOBAL** — not downstream of the driving (sliced) ``Load``; evaluated
   once, sequentially, before the workers start, and shared read-only.
-* **PARTITIONED** — evaluated per chunk on the worker pool.  Every slot of
+* **PARTITIONED** — evaluated per chunk.  Every slot of
   a partitioned value is bit-identical to the slot the sequential
   interpreter would produce, because the chunk worker offsets
   ``Range`` starts and ``FoldSelect`` positions by the chunk origin
@@ -28,6 +28,14 @@ run lengths of every partitioned fold's control vector (inferred by the
 compiler's :class:`~repro.compiler.metadata.MetadataPass`), so no control
 run is ever split across workers — the condition under which per-chunk
 folds equal the sequential ones bit for bit.
+
+The plan also says *where* the chunks run.  ``work`` is the rows of the
+longest chunk times the nodes a chunk evaluates, and ``pool`` is
+``work >= POOL_CROSSOVER``: a constant fitted from a measured size ladder
+(``examples/parallel_crossover.py``), below which the chunks run inline
+on the calling thread because a pool hand-off would cost more than the
+second core returns.  Either way the plan — zones, cuts, frontier — is
+the same.
 """
 
 from __future__ import annotations
@@ -50,6 +58,21 @@ SEQ = "seq"
 
 #: zones whose per-chunk outputs the workers must ship back for merging
 _CHUNKED_ZONES = (PARTITIONED, GFOLD, GSELECT)
+
+#: The chunks of a plan go to the worker pool only when one chunk carries
+#: at least this much partitioned work — rows per chunk times the nodes a
+#: chunk evaluates (:attr:`PartitionPlan.work`); below it they run inline
+#: on the calling thread, one after another, with the same plan, offsets
+#: and merges (and the SEQ zone's folds do not fan out either).  Two pool
+#: threads share one GIL: kernels too short to amortise handing it back
+#: and forth cost more than the second core returns.  Fitted with
+#: ``examples/parallel_crossover.py`` (2-CPU Xeon, 2 workers, 85 plans: the
+#: 3 micros over 2^14..2^22 rows, the 14 TPC-H queries at SF 0.005..0.2):
+#: below 2 M inline wins every plan, above 9 M the pool wins all but two
+#: (Q8 at SF 0.05 by 12 %, Q14 at SF 0.1 by 5 %), and between them the
+#: two trade places within noise; the constant that loses least to the
+#: slower schedule lies between 4.2 M and 6 M over three ladder runs.
+POOL_CROSSOVER = 6_000_000
 
 
 @dataclass
@@ -74,6 +97,10 @@ class PartitionPlan:
     frontier: list[int] = field(default_factory=list)
     #: indices of GLOBAL nodes the workers need, mapped to "full"/"sliced"
     global_feeds: dict[int, str] = field(default_factory=dict)
+    #: rows of the longest chunk x nodes a chunk evaluates (Loads aside)
+    work: int = 0
+    #: do the chunks go to the worker pool (``work >= POOL_CROSSOVER``)?
+    pool: bool = False
     #: human-readable reason when the plan is not parallel
     reason: str = ""
 
@@ -227,6 +254,12 @@ class PartitionPlanner:
             return self._sequential("driving vector too small to split", plan)
         plan.frontier = self._frontier(zones)
         plan.global_feeds = self._global_feeds(zones, feed_mode)
+        chunked = sum(
+            z in _CHUNKED_ZONES and not isinstance(node, ops.Load)
+            for node, z in zip(self.order, zones)
+        )
+        plan.work = max(hi - lo for lo, hi in plan.chunks) * chunked
+        plan.pool = plan.work >= POOL_CROSSOVER
         return plan
 
     def _sequential(self, reason: str, plan: PartitionPlan | None = None) -> PartitionPlan:

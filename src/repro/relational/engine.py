@@ -180,9 +180,11 @@ class VoodooEngine:
         #: prepared queries, memoized by structural fingerprint
         self._prepared: dict = {}
         self._closed = False
-        #: serving engines execute concurrently: misses compile under this
-        #: lock (hits stay lock-free); runs share no mutable state
+        #: serving engines execute concurrently: misses compile (and are
+        #: counted) under this lock, hits are counted under the second,
+        #: which no compile holds; runs share no mutable state
         self._compile_lock = threading.Lock()
+        self._count_lock = threading.Lock()
 
     def vectors(self):
         """The Load context: the store's memoized table vectors (unshared
@@ -271,19 +273,18 @@ class VoodooEngine:
             return compile_program(self.translate(query), options)
         key = self.cache_key(query, fingerprint, options, execution)
         compiled = self._plan_cache.get(key)
-        if compiled is not None:
+        if compiled is None:
+            with self._compile_lock:
+                compiled = self._plan_cache.get(key)
+                if compiled is None:  # (else: raced another thread's miss)
+                    self.plan_cache_misses += 1
+                    compiled = compile_program(self.translate(query), options)
+                    evict_oldest(self._plan_cache, self.CACHE_CAPACITY)
+                    self._plan_cache[key] = compiled
+                    return compiled
+        with self._count_lock:  # `+=` is a read and a write: racing hits would be lost
             self.plan_cache_hits += 1
-            return compiled
-        with self._compile_lock:
-            compiled = self._plan_cache.get(key)
-            if compiled is not None:  # raced another thread's miss
-                self.plan_cache_hits += 1
-                return compiled
-            self.plan_cache_misses += 1
-            compiled = compile_program(self.translate(query), options)
-            evict_oldest(self._plan_cache, self.CACHE_CAPACITY)
-            self._plan_cache[key] = compiled
-            return compiled
+        return compiled
 
     # -- auto-tuning ---------------------------------------------------------
 

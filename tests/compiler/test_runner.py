@@ -25,9 +25,10 @@ import pytest
 from repro.compiler import CompilerOptions, FusedRuntime, compile_program, kernels
 from repro.compiler.pricing import Pricer
 from repro.compiler.columns import Dense, Lazy, Run
-from repro.compiler.rt_fast import DENSE_RATIO, Compact
+from repro.compiler.rt_fast import DENSE_RATIO, Compact, FusedVal
 from repro.compiler.runner import ChunkRunner, ProgramRunner, run_program
 from repro.core import Builder, StructuredVector, ops
+from repro.core.keypath import Keypath
 from repro.interpreter import Interpreter, semantics
 from repro.parallel import PARTITIONED, ParallelInterpreter, merge
 from repro.relational import EngineConfig, VoodooEngine
@@ -103,8 +104,8 @@ def run_chunked(program, vectors, native: bool, reference, context, monkeypatch,
             evaluated.append((self, node, result))
         return result
 
-    def spy_merge(zone, node, chunks):
-        merged[id(node)] = result = plain_merge(zone, node, chunks)
+    def spy_merge(zone, node, chunks, merger):
+        merged[id(node)] = result = plain_merge(zone, node, chunks, merger)
         return result
 
     monkeypatch.setattr(ProgramRunner, "eval", spy_eval)
@@ -791,6 +792,60 @@ def test_a_warm_execute_moves_only_the_rows_it_reads(tpch_store, number, monkeyp
     assert len(padded) == 2 * inside, "run() padded an output"
     reference = Interpreter(vectors).run(compiled.program)["result"]
     assert_vectors_identical(reference, result, (number,))
+
+
+def test_the_output_boundary_reads_no_dense_rows(tpch_store, monkeypatch):
+    """``force`` resolves what a column keeps (an unread gather, a Partition's
+    ranking, a decode); a masked ``Dense`` keeps no rows, so selecting them
+    there would be a ``flatnonzero`` + take thrown away.  Its rows are
+    selected when — and each time — a reader asks."""
+    read: list = []
+    plain = Dense.rows
+    monkeypatch.setattr(Dense, "rows", lambda self: (read.append(len(self)), plain(self))[1])
+    path = Keypath.parse(".x")
+    array, mask = np.arange(6.0), np.array([True, False, True, True, False, True])
+    vector = FusedRuntime({}).force(FusedVal(6, {path: Dense(array, mask)}))
+    assert read == []
+    assert vector.rows([path])[0].tolist() == [0.0, 2.0, 3.0, 5.0] and read == [6]
+    assert np.array_equal(vector.present(path), mask)
+    read.clear()
+    with VoodooEngine(tpch_store, config=EngineConfig(tracing=False)) as engine:
+        program = engine.compile(build(tpch_store, 1)).program
+        runner = ProgramRunner(program, engine.vectors())
+        values: dict = {}
+        for node in program.order:
+            values[id(node)] = runner.eval(node, values)
+    read.clear()
+    runner.capture(values)
+    assert read == []
+
+
+def test_two_folds_over_one_virtual_scatter_gather_their_column_twice(monkeypatch):
+    """ROADMAP leftover: a column two folds of one virtual scatter aggregate
+    is gathered once per fold.  ``Column.once()`` keeps nothing, so a
+    group-by's gathered columns are live one at a time (PR 22's heap trade);
+    none of the benchmark's 17 ops aggregates one column twice.  Pinned so
+    that a change to it is a decision, not an accident."""
+    taken: list = []
+    plain = Lazy.take
+    monkeypatch.setattr(Lazy, "take", lambda self, index, found=None: (
+        taken.append(len(index)), plain(self, index, found))[1])
+
+    def rows_taken(sql: str) -> int:
+        store, _ = _micro("micro.groupby")
+        with VoodooEngine(store, config=EngineConfig(tracing=False)) as engine:
+            prepared = engine.prepare(sql)
+            prepared.execute()
+            taken.clear()
+            prepared.execute()
+        return sum(taken)
+
+    where = "FROM facts WHERE w <= 95 GROUP BY k ORDER BY k"
+    once = rows_taken(f"SELECT k, SUM(v1) AS s {where}")
+    twice = rows_taken(f"SELECT k, SUM(v1) AS s, MAX(v1) AS m {where}")
+    store, _ = _micro("micro.groupby")
+    selected = int(np.count_nonzero(store.vectors()["facts"].attr(".w") <= 95))
+    assert twice - once == selected  # the second fold gathers every selected v1 again
 
 
 # -- what a warm run derives ---------------------------------------------------------

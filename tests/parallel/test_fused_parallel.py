@@ -19,7 +19,7 @@ from repro.compiler import ExecutionOptions, FusedRuntime, compile_program, kern
 from repro.core import Builder, Schema, StructuredVector
 from repro.errors import ExecutionError
 from repro.interpreter import Interpreter
-from repro.parallel import ParallelInterpreter
+from repro.parallel import ParallelInterpreter, planner
 from repro.relational import EngineConfig, VoodooEngine
 from repro.tpch import QUERIES, build, generate
 
@@ -255,9 +255,10 @@ class TestPersistentPool:
         assert engine._parallel_backends == {}
 
 
-def test_forced_pool_submission_bit_identical():
+def test_forced_pool_submission_bit_identical(monkeypatch):
     """Chunk workers through a *real* pool — forced even on single-core
-    hosts, where chunk execution would otherwise stay inline."""
+    hosts and below the pool crossover, where chunk execution would
+    otherwise stay inline."""
     rng = np.random.default_rng(21)
     n = 20_000
     store = {
@@ -271,14 +272,15 @@ def test_forced_pool_submission_bit_identical():
     partial = b.fold_sum(b.zip(facts, ctrl), agg_kp=".v", fold_kp=".g", out=".p")
     program = b.build(total=b.fold_sum(partial, agg_kp=".p", out=".total"))
     seq = Interpreter(store).run(program)
+    monkeypatch.setattr(planner, "POOL_CROSSOVER", 0)
     with ParallelInterpreter(store, workers=2) as runner:
         runner._effective = 2  # bypass the single-core inline shortcut
         par = runner.run(program)
-        assert runner.last_plan.parallel
+        assert runner.last_plan.parallel and runner._lease is not None
     assert_bit_identical(seq, par)
 
 
-def test_forced_pool_groupby_seq_zone():
+def test_forced_pool_groupby_seq_zone(monkeypatch):
     """A grouped query's SEQ zone through a real pool: the fold fan-out
     shares the id-keyed values dict across pool threads."""
     rng = np.random.default_rng(22)
@@ -295,13 +297,15 @@ def test_forced_pool_groupby_seq_zone():
     }
     program = groupby_program(n, 1024, 8)
     seq = Interpreter(store).run(program)
+    monkeypatch.setattr(planner, "POOL_CROSSOVER", 0)
     with ParallelInterpreter(store, workers=2) as runner:
         runner._effective = 2
         par = runner.run(program)
+        assert runner._lease is not None
     assert_bit_identical(seq, par)
 
 
-def test_six_aggregates_share_one_group_structure_across_pool_threads():
+def test_six_aggregates_share_one_group_structure_across_pool_threads(monkeypatch):
     """The folds of one scatter run on pool threads after the first of
     each kind ran inline: the group structure, the result slots and the
     landed value they share must give workers=4 the bits of workers=1 —
@@ -324,12 +328,13 @@ def test_six_aggregates_share_one_group_structure_across_pool_threads():
     assert_bit_identical(Interpreter(store).run(program), one)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
+    monkeypatch.setattr(planner, "POOL_CROSSOVER", 0)
     try:
         with ParallelInterpreter(store, workers=4) as runner:
             runner._effective = 4  # a real pool, also on a 1-CPU host
             for attempt in range(40):
                 assert_bit_identical(one, runner.run(program), context=(attempt,))
-            assert runner.last_plan.parallel
+            assert runner.last_plan.parallel and runner._lease is not None
     finally:
         sys.setswitchinterval(interval)
 

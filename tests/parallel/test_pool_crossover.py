@@ -1,0 +1,274 @@
+"""Both schedules of the partition-parallel backend, and merges that move
+only what the sequential zone reads.
+
+A plan's chunks go to the worker pool above
+:data:`repro.parallel.planner.POOL_CROSSOVER` and run inline on the
+calling thread below it — same plan, same offsets, same merges — so
+with the constant forced to 0 (every plan pooled) and to infinity (none)
+every query returns the fused tier's bits.  A merge hands the SEQ zone
+the unsliced column for a chunk column that is still its seeded slice,
+and one unread gather for unread gathers over such slices.
+"""
+
+import numpy as np
+import pytest
+
+from repro.compiler import ExecutionOptions
+from repro.compiler.columns import Compact, Dense, Lazy, Slots, Taken, zero_fill
+from repro.compiler.rt_fast import FusedVal, fused_slice, to_fused
+from repro.core import Builder, Schema, StructuredVector
+from repro.core.keypath import kp
+from repro.parallel import REGISTRY, ParallelInterpreter, PartitionPlanner, planner
+from repro.parallel.merge import Merger
+from repro.relational import EngineConfig, VoodooEngine
+from repro.storage import ColumnStore, Table
+from repro.tpch import QUERIES, build, generate
+
+TWO_WORKERS = EngineConfig(execution=ExecutionOptions(workers=2))
+FUSED = EngineConfig(tracing=False)
+MICRO_SQL = {
+    "select": "SELECT SUM(v2) AS total FROM facts WHERE v1 <= 0.1",
+    "project": "SELECT SUM(v1 * v2 + w) AS total FROM facts WHERE v1 <= 0.2",
+    "groupby": ("SELECT k, SUM(v1) AS s1, SUM(v2) AS s2, COUNT(*) AS cnt, MAX(w) AS top "
+                "FROM facts WHERE w <= 95 GROUP BY k ORDER BY k"),
+}
+
+
+@pytest.fixture(scope="module")
+def tpch_store():
+    return generate(0.005, seed=5)
+
+
+def micro_facts(rows: int = 6_000) -> ColumnStore:
+    rng = np.random.default_rng(8)
+    store = ColumnStore()
+    store.add(Table.from_arrays(
+        "facts", k=rng.integers(0, 12, rows), v1=rng.random(rows), v2=rng.random(rows),
+        w=rng.integers(0, 100, rows)))
+    return store
+
+
+def identical(a, b) -> bool:
+    """dtype + bytes, NaN-for-NaN."""
+    if a.columns != b.columns:
+        return False
+    for name in a.columns:
+        x, y = a.column(name), b.column(name)
+        if x.dtype != y.dtype or len(x) != len(y):
+            return False
+        if x.dtype.kind == "O":
+            if x.tolist() != y.tolist():
+                return False
+        elif not np.array_equal(x, y, equal_nan=x.dtype.kind == "f"):
+            return False
+    return True
+
+
+def pooled_engine(store, monkeypatch, crossover) -> VoodooEngine:
+    """A 2-worker engine whose plans all go to the pool (crossover 0) or
+    all run inline (infinity), on any host."""
+    monkeypatch.setattr(planner, "POOL_CROSSOVER", crossover)
+    engine = VoodooEngine(store, config=TWO_WORKERS)
+    engine._parallel_backend(2)._effective = 2  # a real pool, also on a 1-CPU host
+    return engine
+
+
+# ------------------------------------------------------- both schedules
+
+
+@pytest.mark.parametrize("crossover", [0, float("inf")], ids=["pool", "inline"])
+def test_every_op_is_bit_identical_to_the_fused_tier_on_both_schedules(
+        tpch_store, monkeypatch, crossover):
+    facts = micro_facts()
+    cases = [(tpch_store, build(tpch_store, n)) for n in sorted(QUERIES)]
+    cases += [(facts, sql) for sql in MICRO_SQL.values()]
+    engines = {}
+    try:
+        for store, query in cases:
+            if id(store) not in engines:
+                engines[id(store)] = (VoodooEngine(store, config=FUSED),
+                                      pooled_engine(store, monkeypatch, crossover))
+            fused, parallel = engines[id(store)]
+            for _ in range(2):  # cold and warm plan
+                assert identical(fused.query(query), parallel.query(query)), query
+            plan = parallel._parallel_backend(2).last_plan
+            assert plan.parallel and plan.pool is (crossover == 0), query
+    finally:
+        for fused, parallel in engines.values():
+            fused.close()
+            parallel.close()
+
+
+@pytest.mark.parametrize("crossover", [0, float("inf")], ids=["pool", "inline"])
+def test_a_lease_is_taken_exactly_when_the_plan_says_pool(tpch_store, monkeypatch, crossover):
+    before = REGISTRY.stats()["active_leases"]
+    engine = pooled_engine(tpch_store, monkeypatch, crossover)
+    try:
+        engine.query(build(tpch_store, 6))
+        backend = engine._parallel_backend(2)
+        assert (backend._lease is not None) is (crossover == 0)
+    finally:
+        engine.close()
+    assert REGISTRY.stats()["active_leases"] == before
+
+
+def test_a_small_plan_takes_no_pool_lease(tpch_store):
+    """At the constant as shipped, a plan of a few thousand rows runs its
+    chunks inline — cut, offset and merged as on the pool."""
+    before = REGISTRY.stats()["active_leases"]
+    with VoodooEngine(tpch_store, config=TWO_WORKERS) as engine:
+        backend = engine._parallel_backend(2)
+        backend._effective = 2
+        for n in sorted(QUERIES):
+            engine.query(build(tpch_store, n))
+            plan = backend.last_plan
+            assert plan.parallel and not plan.pool and plan.work < planner.POOL_CROSSOVER
+        assert backend._lease is None
+        assert REGISTRY.stats()["active_leases"] == before
+
+
+def test_work_is_rows_per_chunk_times_chunked_nodes(tpch_store):
+    with VoodooEngine(tpch_store, config=FUSED) as engine:
+        program = engine.compile(build(tpch_store, 6)).program
+    plan = PartitionPlanner(program, tpch_store.vectors(), 2).plan()
+    chunked = [i for i in plan.chunk_nodes() if i != plan.driving]
+    assert plan.work == max(hi - lo for lo, hi in plan.chunks) * len(chunked) > 0
+    assert plan.pool is (plan.work >= planner.POOL_CROSSOVER)
+
+
+# ------------------------------------------------------------- merges
+
+
+def lazy_facts(rows: int = 1_000) -> FusedVal:
+    store = micro_facts(rows)
+    value = to_fused(store.vectors()["facts"])
+    assert all(isinstance(column, Lazy) for column in value.columns.values())
+    return value
+
+
+def seeded(value: FusedVal, cuts) -> tuple[Merger, list[FusedVal]]:
+    merger = Merger(len(cuts))
+    parts = []
+    for chunk, (lo, hi) in enumerate(cuts):
+        parts.append(fused_slice(value, lo, hi))
+        merger.seed(chunk, value, parts[-1], lo)
+    return merger, parts
+
+
+def test_a_pass_through_column_merges_back_to_the_unsliced_column():
+    whole = lazy_facts()
+    merger, parts = seeded(whole, [(0, 400), (400, 1_000)])
+    merged = merger.concat(parts)
+    assert merged.length == whole.length
+    for path, column in whole.columns.items():
+        assert merged.column(path) is column  # no copy: still Lazy, still the segments
+
+
+def test_a_slice_merged_out_of_order_or_in_part_is_copied():
+    whole = lazy_facts()
+    merger, parts = seeded(whole, [(0, 400), (400, 1_000)])
+    path = next(iter(whole.columns))
+    swapped = merger.concat([parts[1], parts[0]])
+    assert swapped.column(path) is not whole.column(path)
+    expected = np.concatenate([whole.attr(path)[400:], whole.attr(path)[:400]])
+    assert np.array_equal(swapped.attr(path), expected)
+    # an unseeded slice of the right column is no pass-through either
+    other = Merger(2).concat(parts)
+    assert other.column(path) is not whole.column(path)
+    assert np.array_equal(other.attr(path), whole.attr(path))
+
+
+def test_an_unread_gather_merges_unread_with_shifted_positions():
+    whole = lazy_facts()
+    merger, parts = seeded(whole, [(0, 400), (400, 1_000)])
+    rng = np.random.default_rng(3)
+    picks = [(np.sort(rng.choice(part.length, 150, replace=False)).astype(np.int64),
+              Slots(np.sort(rng.choice(part.length, 150, replace=False)), part.length))
+             for part in parts]
+
+    def gathers() -> list[FusedVal]:
+        return [FusedVal(part.length, {
+            path: Taken(column, index, slots) for path, column in part.columns.items()
+        }) for part, (index, slots) in zip(parts, picks)]
+
+    expected = gathers()
+    merged = merger.concat(gathers())
+    columns = list(merged.columns.values())
+    assert all(isinstance(c, Taken) and c._column is None for c in columns)
+    assert all(c.source is whole.column(path) for path, c in merged.columns.items())
+    # one position array and one slot pattern for every column of the gather
+    assert all(c.index is columns[0].index and c.slots is columns[0].slots for c in columns)
+    for path, column in merged.columns.items():
+        assert np.array_equal(column.pad()[0], np.concatenate([g.attr(path) for g in expected]))
+        assert np.array_equal(column.mask(), np.concatenate([g.mask(path) for g in expected]))
+
+
+def test_shared_chunk_columns_merge_once_and_keep_sharing_slots():
+    x, y, a = kp(".x"), kp(".y"), kp(".a")
+    slots = [Slots(np.array([0, 3]), 5), Slots(np.array([1, 4]), 5)]
+    dense = [Dense(np.arange(5.0)), Dense(np.arange(5.0, 10.0))]
+    first = [FusedVal(5, {
+        x: Compact(s, np.array([1.0, 2.0]), zero_fill(np.float64)),
+        y: Compact(s, np.array([3, 4]), zero_fill(np.int64)),
+        a: column,
+    }) for s, column in zip(slots, dense)]
+    second = [FusedVal(5, {x: f.column(x)}) for f in first]
+    merger = Merger(2)
+    one, two = merger.concat(first), merger.concat(second)
+    assert two.column(x) is one.column(x)  # merged once for both values
+    assert one.column(x).slots is one.column(y).slots  # same_as answers by identity
+    assert one.column(x).slots.index.tolist() == [0, 3, 6, 9]
+    assert np.array_equal(one.attr(a), np.arange(10.0))
+
+
+def test_merged_values_in_a_parallel_run_stay_lazy(tpch_store, monkeypatch):
+    """Through the executor: Q1's merged Upsert hands the SEQ zone its
+    untouched ``lineitem`` columns as the Load's own Lazy columns, and a
+    group-by's gathered columns as unread gathers of them."""
+    merged: list = []
+    plain = ParallelInterpreter._merge
+
+    def spy(zone, node, chunks, merger):
+        merged.append(result := plain(zone, node, chunks, merger))
+        return result
+
+    monkeypatch.setattr(ParallelInterpreter, "_merge", staticmethod(spy))
+    for crossover in (0, float("inf")):
+        monkeypatch.setattr(planner, "POOL_CROSSOVER", crossover)
+        merged.clear()
+        with VoodooEngine(tpch_store, config=TWO_WORKERS) as engine:
+            engine.query(build(tpch_store, 1))
+        kinds = [type(c).__name__ for value in merged for c in value.columns.values()]
+        assert kinds.count("Lazy") >= 9, kinds
+        merged.clear()
+        with VoodooEngine(micro_facts(), config=TWO_WORKERS) as engine:
+            engine.query(MICRO_SQL["groupby"])
+        gathers = [c for value in merged for c in value.columns.values() if isinstance(c, Taken)]
+        assert gathers and all(isinstance(c.source, Lazy) for c in gathers)
+
+
+# -------------------------------------------- forcing the pool by hand
+
+
+def forced_program(n: int = 20_000):
+    rng = np.random.default_rng(21)
+    store = {"facts": StructuredVector.single(".v", rng.integers(0, 100, n).astype(np.int64))}
+    b = Builder({"facts": Schema({".v": "int64"})})
+    facts = b.load("facts")
+    ctrl = b.divide(b.range(facts), b.constant(1024), out=".g")
+    partial = b.fold_sum(b.zip(facts, ctrl), agg_kp=".v", fold_kp=".g", out=".p")
+    return store, b.build(total=b.fold_sum(partial, agg_kp=".p", out=".total"))
+
+
+def test_forcing_effective_cores_reaches_the_pool_only_above_the_crossover(monkeypatch):
+    """Tests that force the pool set ``_effective`` *and* the crossover:
+    ``_effective`` alone no longer sends a small plan there."""
+    store, program = forced_program()
+    for crossover, pooled in ((float("inf"), False), (0, True)):
+        monkeypatch.setattr(planner, "POOL_CROSSOVER", crossover)
+        with ParallelInterpreter(store, workers=2) as runner:
+            runner._effective = 2
+            runner.run(program)
+            assert runner.last_plan.parallel
+            assert (runner._lease is not None) is pooled
+        program.memo.clear()  # re-plan under the next constant

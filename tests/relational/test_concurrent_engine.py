@@ -18,7 +18,7 @@ import pytest
 from repro import native
 from repro.compiler import ExecutionOptions
 from repro.core import ops
-from repro.parallel import REGISTRY, ParallelInterpreter
+from repro.parallel import REGISTRY, ParallelInterpreter, planner
 from repro.relational import EngineConfig, VoodooEngine
 from repro.relational.engine import structural_fingerprint
 from repro.relational.prepared import PreparedQuery, bind_params
@@ -105,8 +105,10 @@ def test_two_executions_are_in_flight_at_once(store, monkeypatch):
     assert identical(tables[0], tables[1])
 
 
-def test_racing_first_queries_take_exactly_one_lease(store):
-    """The lazy pool lease is created once under concurrent first use."""
+def test_racing_first_queries_take_exactly_one_lease(store, monkeypatch):
+    """The lazy pool lease is created once under concurrent first use
+    (every plan sent to the pool: the crossover forced to 0)."""
+    monkeypatch.setattr(planner, "POOL_CROSSOVER", 0)
     query = build(store, 1)
     before = REGISTRY.stats()
     gate = threading.Barrier(THREADS)
@@ -186,6 +188,37 @@ def test_racing_first_runs_of_one_plan(store, name):
     missing = [node.opname for node in program.order
                if isinstance(node, carried) and planned.get(id(node)) is None]
     assert not missing and any(isinstance(node, carried) for node in program.order)
+
+
+def test_every_execute_is_one_counted_plan_lookup_under_a_race():
+    """Eight threads execute four shapes, all starting at once on a cold
+    cache, switching threads every microsecond: every execute looks its
+    plan up once and is counted once — a miss for the one thread that
+    compiles a shape, a hit for every other (racing misses included)."""
+    shapes = [f"SELECT SUM(v1) AS s FROM facts WHERE w <= {w}" for w in (10, 30, 50, 70)]
+    gate = threading.Barrier(THREADS)
+
+    def caller(thread: int) -> None:
+        gate.wait(timeout=30)
+        for step in range(PER_THREAD):
+            prepared[(thread + step) % len(shapes)].execute()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with VoodooEngine(micro_facts(), config=EngineConfig(tracing=False)) as engine:
+            prepared = [engine.prepare(sql) for sql in shapes]
+            callers = [threading.Thread(target=caller, args=(i,)) for i in range(THREADS)]
+            for thread in callers:
+                thread.start()
+            for thread in callers:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in callers)
+            info = engine.cache_info()
+    finally:
+        sys.setswitchinterval(interval)
+    assert info["plan_misses"] == len(shapes)
+    assert info["plan_hits"] + info["plan_misses"] == THREADS * PER_THREAD
 
 
 @pytest.mark.parametrize("site", ["prepare", "bind"])
