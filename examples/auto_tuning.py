@@ -2,7 +2,7 @@
 
 One engine, one extra argument: ``VoodooEngine(store, config=EngineConfig(tuning="auto"))``.
 Per query, the tuner searches the knobs untraced execution reads —
-virtual scatter, worker count, chunk grain, the native C tier — with a
+virtual scatter, worker count, the native C tier — with a
 cost-model pruner followed by measured racing on a sampled store, then
 memoizes the winner so the search never repeats (persist it across
 restarts with ``tuning_cache="path.json"``).  The engine runs whatever

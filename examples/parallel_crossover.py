@@ -3,25 +3,24 @@
 The partition-parallel backend cuts a program into chunks along its
 control-vector runs (the paper's §3.1 controlled folding; Figures 3–4
 are one run per core).  Whether those chunks should run on the worker
-pool or one after another on the calling thread is a question of size:
-a pool hand-off costs thread wake-ups and GIL contention that only
-enough NumPy work per chunk pays back.  The planner answers it with one
-constant, :data:`repro.parallel.planner.POOL_CROSSOVER`, compared against
-each plan's ``work`` (rows per chunk x nodes a chunk evaluates).  This
-script measures the curve that constant is fitted from.
+pool at all, or the program run whole on the calling thread, is a
+question of size: a pool hand-off costs thread wake-ups and GIL
+contention that only enough NumPy work per chunk pays back.  The planner
+answers it with one constant, :data:`repro.parallel.planner.POOL_CROSSOVER`,
+compared against each plan's ``work`` (rows per chunk x nodes a chunk
+evaluates).  This script measures the curve that constant is fitted from.
 
 For every point of a size ladder — the three micro queries over 2^14 ..
 2^22 fact rows, the 14 TPC-H queries at SF 0.005 .. 0.2 — it times a
-warm ``execute()`` three ways, interleaved, and reports medians:
+warm ``execute()`` two ways, interleaved, and reports medians:
 
-* ``pool``   — a 2-worker engine whose plans send their chunks to the pool;
-* ``inline`` — a 2-worker engine whose plans run the same chunks inline;
-* ``fused``  — the sequential runner (no partition plan at all);
+* ``pool``  — a 2-worker engine whose plans send their chunks to the pool;
+* ``whole`` — a 2-worker engine whose programs all run whole;
 
-then the faster of pool and inline, the schedule the current constant
-chooses for that plan, and the constant that would have chosen best over
-the whole ladder.  Every result is checked bit-identical across the
-three engines.
+then the faster of the two, the schedule the current constant chooses
+for that plan, and the constant that would have chosen best over the
+whole ladder.  Every result is checked bit-identical across the two
+engines.
 
 Run:  python examples/parallel_crossover.py             the whole ladder (~10 min)
       python examples/parallel_crossover.py --smallest  one point per family (a smoke run)
@@ -30,7 +29,6 @@ Run:  python examples/parallel_crossover.py             the whole ladder (~10 mi
 from __future__ import annotations
 
 import argparse
-import contextlib
 import statistics
 import time
 
@@ -41,6 +39,7 @@ from repro.compiler import ExecutionOptions
 from repro.parallel import PartitionPlanner, planner
 from repro.relational import EngineConfig, VoodooEngine
 from repro.storage import ColumnStore, Table
+from repro.testing import crossover
 
 WORKERS = 2
 MICRO_ROWS = (1 << 14, 1 << 16, 1 << 18, 1 << 20, 1 << 22)
@@ -69,18 +68,6 @@ def micro_store(rows: int) -> ColumnStore:
     return store
 
 
-@contextlib.contextmanager
-def crossover(value):
-    """Plans made inside choose the pool (0) or inline (inf) outright
-    (None: the constant as it is)."""
-    saved = planner.POOL_CROSSOVER
-    planner.POOL_CROSSOVER = saved if value is None else value
-    try:
-        yield
-    finally:
-        planner.POOL_CROSSOVER = saved
-
-
 def same(a, b) -> bool:
     return a.columns == b.columns and all(
         np.array_equal(a.column(c), b.column(c), equal_nan=a.column(c).dtype.kind == "f")
@@ -92,8 +79,7 @@ def measure(store: ColumnStore, queries: dict, budget_s: float) -> list[dict]:
     parallel = EngineConfig(execution=ExecutionOptions(workers=WORKERS))
     engines = {
         "pool": (VoodooEngine(store, config=parallel), 0),
-        "inline": (VoodooEngine(store, config=parallel), float("inf")),
-        "fused": (VoodooEngine(store, config=EngineConfig(tracing=False)), None),
+        "whole": (VoodooEngine(store, config=parallel), float("inf")),
     }
     rows = []
     try:
@@ -103,22 +89,23 @@ def measure(store: ColumnStore, queries: dict, budget_s: float) -> list[dict]:
                 with crossover(value):
                     prepared[mode] = engine.prepare(query)
                     tables[mode] = prepared[mode].execute().table  # warm: plans made
-            assert same(tables["pool"], tables["fused"]), name
-            assert same(tables["inline"], tables["fused"]), name
-            program = prepared["fused"].execute().compiled.program
-            plan = PartitionPlanner(program, store.vectors(), WORKERS).plan()
+            assert same(tables["pool"], tables["whole"]), name
+            program = prepared["whole"].execute().compiled.program
+            with crossover(0):  # the work of the plan however it runs
+                plan = PartitionPlanner(program, store.vectors(), WORKERS).plan()
             samples: dict = {mode: [] for mode in engines}
             deadline = time.perf_counter() + budget_s
-            while len(samples["fused"]) < 3 or (
-                    len(samples["fused"]) < 15 and time.perf_counter() < deadline):
+            while len(samples["whole"]) < 3 or (
+                    len(samples["whole"]) < 15 and time.perf_counter() < deadline):
                 for mode, (engine, value) in engines.items():
                     with crossover(value):
                         start = time.perf_counter()
                         prepared[mode].execute()
                         samples[mode].append((time.perf_counter() - start) * 1e3)
             ms = {mode: statistics.median(times) for mode, times in samples.items()}
-            rows.append({"query": name, "work": plan.work if plan.parallel else 0,
-                         "chosen": "pool" if plan.pool else "inline", **ms})
+            work = plan.work if plan.parallel else 0
+            chosen = "pool" if work and work >= planner.POOL_CROSSOVER else "whole"
+            rows.append({"query": name, "work": work, "chosen": chosen, **ms})
     finally:
         for engine, _ in engines.values():
             engine.close()
@@ -130,11 +117,11 @@ def fit(rows: list[dict]) -> int:
     every measured plan (ties: the smallest such constant)."""
     chunked = [row for row in rows if row["work"]]
     works = sorted({row["work"] for row in chunked})
-    candidates = [0, *works, works[-1] + 1 if works else 1]  # (the last: every plan inline)
+    candidates = [0, *works, works[-1] + 1 if works else 1]  # (the last: every plan whole)
 
     def regret(limit: int) -> float:
-        return sum(row["pool" if row["work"] >= limit else "inline"]
-                   - min(row["pool"], row["inline"]) for row in chunked)
+        return sum(row["pool" if row["work"] >= limit else "whole"]
+                   - min(row["pool"], row["whole"]) for row in chunked)
 
     return min(candidates, key=lambda limit: (regret(limit), limit))
 
@@ -150,8 +137,7 @@ def main(argv=None) -> int:
     scales = TPCH_SCALES[:1] if args.smallest else TPCH_SCALES
 
     print(f"POOL_CROSSOVER = {planner.POOL_CROSSOVER:,}  ({WORKERS} workers; ms are medians)")
-    print(f"{'point':<14}{'query':<9}{'work':>13}{'pool':>9}{'inline':>9}{'fused':>9}"
-          f"  faster  chosen")
+    print(f"{'point':<14}{'query':<9}{'work':>13}{'pool':>9}{'whole':>9}  faster  chosen")
     def points():  # one store alive at a time
         for n in micro_rows:
             yield f"micro 2^{n.bit_length() - 1}", micro_store(n), MICRO_SQL
@@ -163,11 +149,11 @@ def main(argv=None) -> int:
     rows, off = [], 0
     for label, store, queries in points():
         for row in measure(store, queries, args.budget):
-            faster = "pool" if row["pool"] < row["inline"] else "inline"
+            faster = "pool" if row["pool"] < row["whole"] else "whole"
             miss = row[row["chosen"]] > NOISE * row[faster]
             off += miss
             print(f"{label:<14}{row['query']:<9}{row['work']:>13,}{row['pool']:>9.2f}"
-                  f"{row['inline']:>9.2f}{row['fused']:>9.2f}  {faster:<7} {row['chosen']}"
+                  f"{row['whole']:>9.2f}  {faster:<7} {row['chosen']}"
                   f"{'  <- off' if miss else ''}")
             rows.append(row)
     print(f"\nbest-fitting crossover over these {len(rows)} plans: {fit(rows):,}; "

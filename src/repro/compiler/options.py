@@ -91,28 +91,16 @@ class ExecutionOptions:
     :class:`~repro.parallel.ParallelInterpreter` pool width, delivering
     real wall-clock parallelism.
 
-    ``parallel_grain`` is the chunk-granularity knob of the
-    partition-parallel backend: target *rows per chunk* when slicing the
-    driving vector (rounded to the control-run alignment, so no run is
-    ever split).  ``None`` (the default) keeps the PR 1 policy of one
-    chunk per worker; a finer grain produces more chunks than workers
-    for load balancing — or, on a single effective core where chunks
-    execute inline, exercises exactly the chunked code path (offset
-    ``Range``, rebased ``FoldSelect``) at the requested granularity.
-    Results are bit-identical at every grain: the planner only chunks
-    exactly-associative merges.
+    A parallel run cuts one chunk per worker; it goes to the pool only
+    at or above :data:`repro.parallel.planner.POOL_CROSSOVER`, and
+    otherwise the program runs whole.
     """
 
     workers: int = 1
-    parallel_grain: int | None = None
 
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise CompilationError(f"workers must be >= 1, got {self.workers}")
-        if self.parallel_grain is not None and self.parallel_grain < 1:
-            raise CompilationError(
-                f"parallel_grain must be >= 1 or None, got {self.parallel_grain}"
-            )
 
     def with_(self, **changes) -> "ExecutionOptions":
         """A copy with the given fields replaced."""

@@ -7,26 +7,23 @@ the node runner (:mod:`repro.compiler.runner`), not another evaluator:
 it asks the :class:`~repro.parallel.planner.PartitionPlanner` how to
 split the program, evaluates the GLOBAL zone once, runs the chunked
 zones as :func:`~repro.compiler.runner.run_chunk` calls seeded with
-column/mask *views*, merges the chunk results and finishes the SEQ zone
-over the merged values.  Everything that does not split — one worker, a
-plan with a single chunk, a ``Gather`` that turns out to chase positions
-across chunk boundaries at runtime — is one
-:func:`~repro.compiler.runner.run_program` call.
+column/mask *views* on a persistent thread pool (NumPy and the native
+kernel release the GIL), merges the chunk results and finishes the SEQ
+zone over the merged values, its ready folds fanned out on the same pool.
 
-It pays only for what it uses:
+A program runs in exactly one of two ways.  With a second core present
+and enough work per chunk to pay for the hand-off
+(:data:`~repro.parallel.planner.POOL_CROSSOVER`), its chunks — one per
+worker — go to the pool.  Everything else — one core or worker, work
+below the crossover, a plan with a single chunk, a ``Gather`` that turns
+out to chase positions across chunk boundaries at runtime — is one
+:func:`~repro.compiler.runner.run_program` call: the program runs whole.
 
-* **The pool, above a crossover.**  A plan's chunks go to a persistent
-  thread pool (NumPy and the native kernel release the GIL), and the SEQ
-  zone's ready folds fan out there, only when the planner found enough
-  work per chunk to pay for the hand-off (``plan.pool``,
-  :data:`~repro.parallel.planner.POOL_CROSSOVER`) and a second core
-  exists.  Otherwise the same chunks run inline, one after another —
-  the same plan, offsets and merges, so that path is always exercised.
-* **Merges that move only what the SEQ zone reads.**  The executor tells
-  the run's :class:`~repro.parallel.merge.Merger` what each chunk was
-  seeded with; a chunk column still that slice merges back to the
-  unsliced column, an unread gather of it to one unread gather, and
-  nothing merges twice (see :mod:`repro.parallel.merge`).
+Merges move only what the SEQ zone reads.  The executor tells the run's
+:class:`~repro.parallel.merge.Merger` what each chunk was seeded with; a
+chunk column still that slice merges back to the unsliced column, an
+unread gather of it to one unread gather, and nothing merges twice (see
+:mod:`repro.parallel.merge`).
 
 The worker pool is leased lazily on first parallel run and **reused
 across runs**.  Call :meth:`ParallelInterpreter.close` (or use the
@@ -55,7 +52,7 @@ from repro.core import ops
 from repro.core.program import Program
 from repro.core.vector import StructuredVector
 from repro.errors import ExecutionError
-from repro.parallel import merge
+from repro.parallel import merge, planner
 from repro.parallel.planner import (
     GFOLD,
     GLOBAL,
@@ -77,15 +74,9 @@ class ParallelInterpreter:
         Named-vector Load context, as for the sequential interpreter:
         what a bare ``run(program)`` reads and leaves Persist results in.
     workers:
-        Worker-pool width; defaults to ``os.cpu_count()``.  ``workers=1``
+        Worker-pool width and chunks per plan; defaults to
+        ``os.cpu_count()``.  ``workers=1`` — or a host with one core —
         runs every program whole, without planning.
-    grain:
-        Target rows per chunk (``ExecutionOptions.parallel_grain``).
-        ``None`` (default) slices one chunk per worker.  The grain is
-        honored regardless of how many cores actually execute the
-        chunks: on a single effective core, or below the pool crossover,
-        the chunks run inline, at exactly the same boundaries, with
-        ``Range`` starts and ``FoldSelect`` positions rebased identically.
     native:
         Evaluate every zone — per-chunk and sequential — through the
         native C tier (:mod:`repro.native`): per-run float sums run as
@@ -101,22 +92,15 @@ class ParallelInterpreter:
         self,
         storage: Mapping[str, StructuredVector] | None = None,
         workers: int | None = None,
-        grain: int | None = None,
         native: bool = False,
     ):
         self._storage = dict(storage or {})
         self.workers = (os.cpu_count() or 1) if workers is None else int(workers)
         if self.workers < 1:
             raise ExecutionError(f"workers must be >= 1, got {self.workers}")
-        if grain is not None and grain < 1:
-            raise ExecutionError(f"grain must be >= 1 or None, got {grain}")
-        self.grain = grain
         self.native = bool(native)
-        #: hardware threads actually available; with one core — or below
-        #: the planner's pool crossover — the chunked zones still execute
-        #: chunk-by-chunk (same plans, same offsets, same merges — the
-        #: correctness path stays exercised) but inline, skipping pool
-        #: hand-offs that would not pay
+        #: hardware threads actually available; with one core every
+        #: program runs whole (a pool hand-off could not pay)
         self._effective = min(self.workers, os.cpu_count() or 1)
         self._lease: PoolLease | None = None
         self._lease_lock = threading.Lock()
@@ -183,7 +167,6 @@ class ParallelInterpreter:
         self,
         program: Program,
         storage: Mapping[str, StructuredVector] | None = None,
-        grain: int | None = None,
         native: bool | None = None,
         virtual_scatter: bool = True,
     ) -> dict[str, StructuredVector]:
@@ -191,16 +174,14 @@ class ParallelInterpreter:
 
         ``storage`` is this run's Load context and is only read; left
         out, the run reads the instance's own and leaves its Persist
-        results there (the :class:`Interpreter` contract).  ``grain``
-        and ``native`` default to the constructor's values.
+        results there (the :class:`Interpreter` contract).  ``native``
+        defaults to the constructor's value.
         """
         own = storage is None
         if own:
             storage = self._storage
         native = self.native if native is None else native
-        plan = None
-        if self.workers > 1:
-            plan = self._plan(program, storage, self.grain if grain is None else grain)
+        plan = self._plan(program, storage) if self._effective > 1 else None
         self.last_plan = plan
         outputs = None
         if plan is not None and plan.parallel:
@@ -222,7 +203,6 @@ class ParallelInterpreter:
         self,
         program: Program,
         storage: Mapping[str, StructuredVector],
-        grain: int | None,
     ) -> PartitionPlan:
         """Plan *program*, or reuse the plan memoized on it.
 
@@ -238,7 +218,9 @@ class ParallelInterpreter:
         boundaries.  Dtypes come from the schema (never ``attr``): the
         plan key must not materialize lazy columns.  Only the vectors the
         program's own ``Load``s read are keyed — the planner reads no
-        other, and a catalog holds many.
+        other, and a catalog holds many.  The memo key holds the pool
+        crossover the plan was made under: whether it is parallel
+        depends on it.
         """
         names = program.memo.get("load_names")
         if names is None:
@@ -255,11 +237,11 @@ class ParallelInterpreter:
             ) if vec is not None else (name,)
             for name, vec in ((name, storage.get(name)) for name in names)
         )
-        key = ("partition_plan", self.workers, grain)
+        key = ("partition_plan", self.workers, planner.POOL_CROSSOVER)
         cached = program.memo.get(key)
         if cached is not None and cached[0] == shape:
             return cached[1]
-        plan = PartitionPlanner(program, storage, self.workers, grain=grain).plan()
+        plan = PartitionPlanner(program, storage, self.workers).plan()
         program.memo[key] = (shape, plan)
         return plan
 
@@ -276,8 +258,8 @@ class ParallelInterpreter:
             if plan.zones[i] == GLOBAL:
                 values[id(node)] = runner.eval(node, values)
 
-        # 2. The chunked zones, on the pool or inline (plan.pool): the
-        #    driving vector is loaded once, cut per chunk, and read whole by SEQ.
+        # 2. The chunked zones, on the pool: the driving vector is
+        #    loaded once, cut per chunk, and read whole by SEQ.
         values[id(order[plan.driving])] = runner.rt.load(order[plan.driving].name)
         merger = merge.Merger(len(plan.chunks))
         chunk_results = self._map_chunks(program, plan, values, runner, merger)
@@ -292,10 +274,10 @@ class ParallelInterpreter:
 
         # 4. SEQ zone, over the merged full-length values.  A
         #    grouped query's aggregates are independent folds over one
-        #    shared scatter — a pooled plan fans ready folds out there.
+        #    shared scatter, fanned out on the pool.
         self._run_seq(
             [i for i, zone in enumerate(plan.zones) if zone == SEQ],
-            order, values, runner, self._pooled(plan),
+            order, values, runner,
         )
 
         # 5. Outputs and Persists, forced.
@@ -307,10 +289,8 @@ class ParallelInterpreter:
         order,
         values: dict[int, FusedVal],
         runner: ProgramRunner,
-        fan_out: bool,
     ) -> None:
-        """Evaluate the SEQ zone, fanning independent kernels onto the pool
-        (when *fan_out*: the plan's chunks went there too).
+        """Evaluate the SEQ zone, fanning independent kernels onto the pool.
 
         A grouped query's aggregates are independent folds over one
         shared scatter (and its post-aggregation arithmetic is
@@ -325,10 +305,6 @@ class ParallelInterpreter:
         threads read them.
         """
         nodes = [order[i] for i in seq_indices]
-        if not fan_out:  # topological order, one node at a time
-            for node in nodes:
-                values[id(node)] = runner.eval(node, values)
-            return
         pending: set[int] = {id(node) for node in nodes}
 
         def ready(node: ops.Op) -> bool:
@@ -386,44 +362,19 @@ class ParallelInterpreter:
             j: (mode, runner.rt.materialize(values[id(order[j])]))
             for j, mode in plan.global_feeds.items()
         }
-        tasks = []
+        pool = self._pool()
+        futures = []
         for k, (lo, hi) in enumerate(plan.chunks):
             seeded: dict[int, FusedVal] = {}
             # (the driving value is one more sliced feed)
             for j, (mode, val) in [(plan.driving, ("sliced", driving)), *feeds.items()]:
                 part = seeded[j] = fused_slice(val, lo, hi) if mode == "sliced" else val
                 merger.seed(k, val, part, lo if mode == "sliced" else 0)
-            tasks.append((lo, hi, seeded))
-        if not self._pooled(plan):
-            return [
-                run_chunk(
-                    program, chunk_indices, plan.frontier, seeded,
-                    plan.driving, lo, hi, plan.extent, **knobs,
-                )
-                for lo, hi, seeded in tasks
-            ]
-        pool = self._pool()
-        futures = [
-            pool.submit(
-                run_chunk,
-                program,
-                chunk_indices,
-                plan.frontier,
-                seeded,
-                plan.driving,
-                lo,
-                hi,
-                plan.extent,
-                **knobs,
-            )
-            for lo, hi, seeded in tasks
-        ]
+            futures.append(pool.submit(
+                run_chunk, program, chunk_indices, plan.frontier, seeded,
+                plan.driving, lo, hi, plan.extent, **knobs,
+            ))
         return self._collect(futures)
-
-    def _pooled(self, plan: PartitionPlan) -> bool:
-        """Do *plan*'s chunks go to the pool?  Only above the planner's
-        crossover (``plan.pool``), and only with a second core to run on."""
-        return plan.pool and self._effective > 1
 
     @staticmethod
     def _merge(zone: str, node: ops.Op, chunks: list[FusedVal],

@@ -29,13 +29,12 @@ compiler's :class:`~repro.compiler.metadata.MetadataPass`), so no control
 run is ever split across workers — the condition under which per-chunk
 folds equal the sequential ones bit for bit.
 
-The plan also says *where* the chunks run.  ``work`` is the rows of the
-longest chunk times the nodes a chunk evaluates, and ``pool`` is
-``work >= POOL_CROSSOVER``: a constant fitted from a measured size ladder
-(``examples/parallel_crossover.py``), below which the chunks run inline
-on the calling thread because a pool hand-off would cost more than the
-second core returns.  Either way the plan — zones, cuts, frontier — is
-the same.
+A plan is parallel only when it is worth the worker pool: ``work`` —
+the rows of the longest chunk times the nodes a chunk evaluates — must
+reach ``POOL_CROSSOVER``, a constant fitted from a measured size ladder
+(``examples/parallel_crossover.py``).  Below it the plan is sequential
+("below the pool crossover") and the program runs whole, because a pool
+hand-off would cost more than the second core returns.
 """
 
 from __future__ import annotations
@@ -59,20 +58,19 @@ SEQ = "seq"
 #: zones whose per-chunk outputs the workers must ship back for merging
 _CHUNKED_ZONES = (PARTITIONED, GFOLD, GSELECT)
 
-#: The chunks of a plan go to the worker pool only when one chunk carries
-#: at least this much partitioned work — rows per chunk times the nodes a
-#: chunk evaluates (:attr:`PartitionPlan.work`); below it they run inline
-#: on the calling thread, one after another, with the same plan, offsets
-#: and merges (and the SEQ zone's folds do not fan out either).  Two pool
-#: threads share one GIL: kernels too short to amortise handing it back
-#: and forth cost more than the second core returns.  Fitted with
-#: ``examples/parallel_crossover.py`` (2-CPU Xeon, 2 workers, 85 plans: the
-#: 3 micros over 2^14..2^22 rows, the 14 TPC-H queries at SF 0.005..0.2):
-#: below 2 M inline wins every plan, above 9 M the pool wins all but two
-#: (Q8 at SF 0.05 by 12 %, Q14 at SF 0.1 by 5 %), and between them the
-#: two trade places within noise; the constant that loses least to the
-#: slower schedule lies between 4.2 M and 6 M over three ladder runs.
-POOL_CROSSOVER = 6_000_000
+#: A plan goes to the worker pool only when one chunk carries at least
+#: this much partitioned work — rows per chunk times the nodes a chunk
+#: evaluates (:attr:`PartitionPlan.work`); below it the program runs
+#: whole.  Two pool threads share one GIL: kernels too short to amortise
+#: handing it back and forth cost more than the second core returns.
+#: Fitted with ``examples/parallel_crossover.py`` (2-CPU Xeon, 2 workers,
+#: 85 plans: the 3 micros over 2^14..2^22 rows, the 14 TPC-H queries at
+#: SF 0.005..0.2), timing the pool against the whole run: the plan work
+#: that loses least time to the slower of the two, summed over three
+#: ladder runs (each run alone fits 16.86 M or 16.97 M).  The pool was
+#: faster on 16 of the 85 plans (medians of the three runs), none below
+#: 8.4 M and most above 15 M; below 8.4 M the whole run won every plan.
+POOL_CROSSOVER = 16_859_136
 
 
 @dataclass
@@ -99,13 +97,13 @@ class PartitionPlan:
     global_feeds: dict[int, str] = field(default_factory=dict)
     #: rows of the longest chunk x nodes a chunk evaluates (Loads aside)
     work: int = 0
-    #: do the chunks go to the worker pool (``work >= POOL_CROSSOVER``)?
-    pool: bool = False
     #: human-readable reason when the plan is not parallel
     reason: str = ""
 
     @property
     def parallel(self) -> bool:
+        """Do the chunks go to the worker pool?  (A plan below the pool
+        crossover, or with one chunk, is sequential: the program runs whole.)"""
         return len(self.chunks) > 1
 
     def zone(self, index: int) -> str:
@@ -126,18 +124,14 @@ def chunk_ranges(
     n: int,
     workers: int,
     align: int = 1,
-    grain: int | None = None,
     boundaries: tuple[int, ...] | None = None,
 ) -> list[tuple[int, int]]:
     """Split ``[0, n)`` into contiguous ranges.
 
     Every boundary except the final ``n`` is a multiple of *align*, so no
-    aligned control run is split.  Without *grain* there are up to
-    *workers* chunks, as even as alignment allows; with *grain* (the
-    ``ExecutionOptions.parallel_grain`` knob) chunks target *grain* rows
-    each — possibly many more chunks than workers — with the grain
-    rounded down to a whole number of alignment units (never below one).
-    Fewer chunks come back when ``n`` is small (never an empty chunk).
+    aligned control run is split.  There are up to *workers* chunks — one
+    per worker — as even as alignment allows; fewer come back when ``n``
+    is small (never an empty chunk).
 
     *boundaries* is the driving vector's segment map (interior storage
     segment offsets): each interior cut snaps to the nearest boundary
@@ -150,11 +144,7 @@ def chunk_ranges(
         return [(0, n)] if n > 0 else []
     align = max(1, align)
     units = math.ceil(n / align)  # number of indivisible runs
-    if grain is not None:
-        units_per_chunk = max(1, int(grain) // align)
-        parts = math.ceil(units / units_per_chunk)
-    else:
-        parts = min(workers, units)
+    parts = min(workers, units)
     base, extra = divmod(units, parts)
     ranges: list[tuple[int, int]] = []
     start = 0
@@ -205,11 +195,10 @@ def _snap_to_boundaries(
 class PartitionPlanner:
     """Builds a :class:`PartitionPlan` for a program over a storage context."""
 
-    def __init__(self, program: Program, storage, workers: int, grain: int | None = None):
+    def __init__(self, program: Program, storage, workers: int):
         self.program = program
         self.storage = dict(storage)
         self.workers = max(1, int(workers))
-        self.grain = None if grain is None else max(1, int(grain))
         self.order = list(program.order)
         self.index = {id(node): i for i, node in enumerate(self.order)}
         self.metadata = MetadataPass(program)
@@ -246,20 +235,21 @@ class PartitionPlanner:
             for i, z in enumerate(zones)
         ):
             return self._sequential("no partitionable operators", plan)
-        plan.chunks = chunk_ranges(
-            extent, self.workers, align, self.grain,
-            boundaries=self._driving_boundaries(driving),
+        chunks = chunk_ranges(
+            extent, self.workers, align, boundaries=self._driving_boundaries(driving),
         )
-        if len(plan.chunks) <= 1:
+        if len(chunks) <= 1:
             return self._sequential("driving vector too small to split", plan)
-        plan.frontier = self._frontier(zones)
-        plan.global_feeds = self._global_feeds(zones, feed_mode)
         chunked = sum(
             z in _CHUNKED_ZONES and not isinstance(node, ops.Load)
             for node, z in zip(self.order, zones)
         )
-        plan.work = max(hi - lo for lo, hi in plan.chunks) * chunked
-        plan.pool = plan.work >= POOL_CROSSOVER
+        plan.work = max(hi - lo for lo, hi in chunks) * chunked
+        if plan.work < POOL_CROSSOVER:
+            return self._sequential("below the pool crossover", plan)
+        plan.chunks = chunks
+        plan.frontier = self._frontier(zones)
+        plan.global_feeds = self._global_feeds(zones, feed_mode)
         return plan
 
     def _sequential(self, reason: str, plan: PartitionPlan | None = None) -> PartitionPlan:
@@ -269,6 +259,7 @@ class PartitionPlanner:
             driving=plan.driving if plan else -1,
             extent=plan.extent if plan else 0,
             zones=[SEQ] * n,
+            work=plan.work if plan else 0,
             chunks=[],
             reason=reason,
         )

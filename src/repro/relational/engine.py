@@ -375,8 +375,8 @@ class VoodooEngine:
             # chunked over the persistent worker pool: real kernels on
             # real cores, no priced trace
             outputs = self._parallel_backend(execution.workers).run(
-                compiled.program, self.vectors(), grain=execution.parallel_grain,
-                native=compiled.native, virtual_scatter=options.virtual_scatter,
+                compiled.program, self.vectors(), native=compiled.native,
+                virtual_scatter=options.virtual_scatter,
             )
             mode = "native" if compiled.native else "numpy"
             trace = Trace()

@@ -170,7 +170,8 @@ class PreparedQuery:
         if engine.execution is not None and engine.execution.workers > 1:
             lines.append(
                 f"backend: node runner, {kernels} kernels, thread pool "
-                f"({engine.execution.workers} workers)"
+                f"({engine.execution.workers} workers) at or above the pool "
+                "crossover, otherwise whole"
             )
         elif engine.tracing:
             # (a traced run is whole-program on the NumPy kernels)

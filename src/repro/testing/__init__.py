@@ -17,7 +17,9 @@ package manufactures the evidence at scale instead of enumerating it:
 * :mod:`repro.testing.conformance` — the matrix runner executing every
   generated case across the whole ``ExecutionOptions`` ×
   ``CompilerOptions`` × workers grid and asserting bit-identity
-  (``python -m repro.testing.conformance --cases 200 --seed 0``);
+  (``python -m repro.testing.conformance --cases 200 --seed 0``), and
+  ``crossover``, which moves the pool crossover for the plans made
+  inside it;
 * :mod:`repro.testing.serialize` — self-contained JSON case files
   (``cases/``), shrink-friendly and replayable via
   ``python -m repro.testing.replay <case.json>``.
@@ -32,6 +34,7 @@ _EXPORTS = {
     "BACKEND_GRID": ("repro.testing.conformance", "BACKEND_GRID"),
     "BackendConfig": ("repro.testing.conformance", "BackendConfig"),
     "CaseFailure": ("repro.testing.conformance", "CaseFailure"),
+    "crossover": ("repro.testing.conformance", "crossover"),
     "run_case": ("repro.testing.conformance", "run_case"),
     "run_conformance": ("repro.testing.conformance", "run_conformance"),
     "oracle_evaluate": ("repro.testing.oracle", "evaluate"),

@@ -18,6 +18,10 @@ workers combination that *executes* differently (knobs that only price —
   plan-cache hit served by what the first run left on the plan
   (constants, structural routes, control-vector metadata) — and both
   results must be the same bits;
+* **chunks, whatever the size** — every ``workers > 1`` entry (and
+  ``tuned``) runs under :func:`crossover` ``(0)``, so its plans go to
+  the pool with one chunk per worker however small the case: the
+  chunked path is what those entries fuzz;
 * **agreement with the oracle**: the reference result must match the
   independent NumPy oracle (:mod:`repro.testing.oracle`) — exactly for
   integers/booleans/strings, within a small tolerance for float
@@ -37,6 +41,7 @@ exits non-zero if any case fails, writing one JSON per failing case.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 import time
 import warnings
@@ -47,10 +52,26 @@ import numpy as np
 
 from repro.compiler import CompilerOptions, ExecutionOptions
 from repro.interpreter import Interpreter
+from repro.parallel import planner
 from repro.relational import EngineConfig, VoodooEngine
 from repro.relational.engine import ResultTable
 from repro.testing import oracle as oracle_mod
 from repro.testing.serialize import Case, save_case
+
+
+@contextlib.contextmanager
+def crossover(value: float):
+    """Plans made inside go to the pool from *value* work up: ``0`` pools
+    every plan that splits, ``float("inf")`` runs every program whole.
+    It rebinds :data:`repro.parallel.planner.POOL_CROSSOVER` for the
+    whole process (plans are memoized per value, so none made inside is
+    reused outside)."""
+    saved = planner.POOL_CROSSOVER
+    planner.POOL_CROSSOVER = value
+    try:
+        yield
+    finally:
+        planner.POOL_CROSSOVER = saved
 
 
 @dataclass(frozen=True)
@@ -251,7 +272,8 @@ def run_case(
                 if config is None:
                     table = reference_table(case)
                 else:
-                    with config.engine(case.store, case.grain) as engine:
+                    # every parallel plan is chunked on the pool, however small
+                    with crossover(0), config.engine(case.store, case.grain) as engine:
                         table = engine.query(case.query)
                         # a plan-cache hit: what the first run left on the
                         # plan (:mod:`repro.compiler.runner`) serves this one

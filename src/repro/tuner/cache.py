@@ -25,9 +25,10 @@ from repro.errors import VoodooError
 from repro.tuner.space import TunedConfig
 
 #: older files name knobs the option classes reject (version 1:
-#: fastpath, pool, execution.native; version 2: options.parallel_grain);
-#: a version mismatch loads as empty and re-tunes
-_VERSION = 3
+#: fastpath, pool, execution.native; version 2: a chunk-grain knob in
+#: options; version 3: the same knob in execution); a version mismatch
+#: loads as empty and re-tunes
+_VERSION = 4
 
 
 def digest(obj) -> str:

@@ -20,16 +20,17 @@ knob                 paper section    search range
 ===================  ===============  ==================================
 ``virtual_scatter``  3.1.3            on | off
 ``workers``          2.2 / 5.3        1, 2, 4, ``cpu_count``
-``parallel_grain``   2.2 / 4 (F.4)    None (one chunk/worker) + sweep
 ``native``           4 (OpenCL)       C tier on | off (× sequential/parallel)
 ===================  ===============  ==================================
+
+A ``workers > 1`` candidate cuts one chunk per worker and runs them on
+the pool only at or above the planner's pool crossover; below it the
+program runs whole, as the default does.
 
 Also *not* here: the translator's control-vector ``grain``.
 Re-translating at a different grain changes the association order of
 float partial sums — a different (equally valid) result, which would
-break the tuner's bit-identity contract.  The swept grain is the
-partition-parallel ``parallel_grain``, whose chunking the planner only
-applies to exactly-associative merges.
+break the tuner's bit-identity contract.
 """
 
 from __future__ import annotations
@@ -67,8 +68,6 @@ class TunedConfig:
             parts.append("no-slot-suppression")
         if self.execution.workers > 1:
             parts.append(f"w{self.execution.workers}")
-            if self.execution.parallel_grain is not None:
-                parts.append(f"grain{self.execution.parallel_grain}")
         return "+".join(parts)
 
     def to_json(self) -> dict:
@@ -88,9 +87,6 @@ def default_config(device: str = "cpu-mt") -> TunedConfig:
     return TunedConfig(CompilerOptions(device=device), ExecutionOptions())
 
 
-#: parallel_grain sweep for the widest worker candidate (rows per chunk)
-GRAIN_SWEEP = (4096, 32768)
-
 #: worker-pool widths considered besides 1 (cpu_count is added per machine)
 WORKER_SWEEP = (2, 4)
 
@@ -98,7 +94,6 @@ WORKER_SWEEP = (2, 4)
 def knob_space(
     device: str = "cpu-mt",
     cpu_count: int | None = None,
-    grains: tuple[int, ...] = GRAIN_SWEEP,
 ) -> list[TunedConfig]:
     """The full candidate list for one machine.
 
@@ -112,21 +107,11 @@ def knob_space(
     candidates.append(
         TunedConfig(CompilerOptions(device=device, virtual_scatter=False), seq)
     )
-    # multicore: workers, plus a parallel_grain sweep at the widest
-    # width (grain only changes chunking when workers > 1)
+    # multicore: one candidate per pool width
     widths = sorted({w for w in (*WORKER_SWEEP, cpu_count) if w > 1})
     base = CompilerOptions(device=device)
     for workers in widths:
         candidates.append(TunedConfig(base, ExecutionOptions(workers=workers)))
-    if widths:
-        widest = max(widths)
-        for grain in grains:
-            candidates.append(
-                TunedConfig(
-                    base,
-                    ExecutionOptions(workers=widest, parallel_grain=grain),
-                )
-            )
     # the native C tier: sequential, and composed with the widest pool
     native = CompilerOptions(device=device, native=True)
     candidates.append(TunedConfig(native, seq))
@@ -143,9 +128,5 @@ def compact_space(device: str = "cpu-mt") -> list[TunedConfig]:
         default_config(device),
         TunedConfig(CompilerOptions(device=device, virtual_scatter=False), seq),
         TunedConfig(CompilerOptions(device=device), ExecutionOptions(workers=2)),
-        TunedConfig(
-            CompilerOptions(device=device),
-            ExecutionOptions(workers=2, parallel_grain=64),
-        ),
         TunedConfig(CompilerOptions(device=device, native=True), seq),
     ]

@@ -65,12 +65,10 @@ from repro.tuner.space import TunedConfig, knob_space
 #: spinning the pool up and handing one chunk over.  Deliberately rough —
 #: their only job is to keep hopeless parallel candidates (pools on tiny
 #: inputs, oversubscribed workers) out of the measured shortlist.
-#: They only apply when the pool is actually exercised: with a single
-#: effective core the backend executes chunks *inline* (no pool),
-#: leaving just a per-chunk dispatch cost.
+#: They only apply when the pool can be exercised: with a single
+#: effective core the backend runs every program whole.
 _POOL_STARTUP = 2e-3
 _CHUNK_OVERHEAD = 2e-4
-_INLINE_CHUNK_OVERHEAD = 5e-5
 
 
 @dataclass
@@ -262,7 +260,6 @@ class AutoTuner:
         """
         outcomes = [CandidateOutcome(config) for config in self.space]
         traced: dict = {}
-        sample_extent = self._sample_rows()
         for outcome in outcomes:
             # a traced run executes the NumPy kernels whatever ``native``
             # says; drop it so variants differing only there share one
@@ -278,17 +275,8 @@ class AutoTuner:
             seconds = compiled.price(
                 trace, execution=ExecutionOptions(workers=effective)
             ).seconds
-            execution = outcome.config.execution
-            if execution.workers > 1:
-                chunk = execution.parallel_grain or max(
-                    1, sample_extent // execution.workers
-                )
-                chunks = max(1, -(-sample_extent // chunk))
-                if effective > 1:
-                    seconds += _POOL_STARTUP + chunks * _CHUNK_OVERHEAD
-                else:
-                    # chunks execute inline: no pool is ever constructed
-                    seconds += chunks * _INLINE_CHUNK_OVERHEAD
+            if effective > 1:  # one chunk per worker
+                seconds += _POOL_STARTUP + outcome.config.workers * _CHUNK_OVERHEAD
             outcome.predicted_seconds = seconds
         return outcomes
 
@@ -303,9 +291,8 @@ class AutoTuner:
         picks = [0] + [i for i in ranked if i != 0][: self.shortlist]
         # diversity probes: the best-predicted parallel candidate and the
         # best-predicted native candidate are always raced — chunked
-        # execution has locality effects (and, inline on a single core,
-        # near-zero overhead) the trace model cannot see, and the cost
-        # model prices native identically to fused by construction
+        # execution has locality effects the trace model cannot see, and
+        # the cost model prices native identically to fused by construction
         parallel = [i for i in ranked if outcomes[i].config.workers > 1]
         if parallel and parallel[0] not in picks:
             picks.append(parallel[0])

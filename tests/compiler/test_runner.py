@@ -1,9 +1,9 @@
 """One untraced executor, three ways to reach it, one answer.
 
 ``CompiledProgram.run(collect_trace=False)`` (the whole-program entry of
-:mod:`repro.compiler.runner`) and ``ParallelInterpreter`` at a grain that
-forces at least three chunks (the chunk entry, the merges and the SEQ
-zone) must return exactly what the reference ``Interpreter`` returns —
+:mod:`repro.compiler.runner`) and ``ParallelInterpreter`` at four workers
+on the forced pool, which cuts up to four chunks (the chunk entry, the
+merges and the SEQ zone), must return exactly what the reference ``Interpreter`` returns —
 values, dtypes and ε masks — on every TPC-H program and on 200 generated
 ones, with the NumPy kernels and with the native ones.
 
@@ -35,6 +35,7 @@ from repro.relational import EngineConfig, VoodooEngine
 from repro.storage import ColumnStore, Table
 from repro.storage.columnstore import Column as StoredColumn
 from repro.storage.columnstore import resegment
+from repro.testing import crossover
 from repro.testing.qgen import generate_case
 from repro.tpch import QUERIES, build, generate
 
@@ -110,11 +111,9 @@ def run_chunked(program, vectors, native: bool, reference, context, monkeypatch,
 
     monkeypatch.setattr(ProgramRunner, "eval", spy_eval)
     monkeypatch.setattr(ParallelInterpreter, "_merge", staticmethod(spy_merge))
-    # the planner drives on the longest loaded vector: quarter *that*
-    extent = max(len(vectors[node.name]) for node in program.loads())
-    with ParallelInterpreter(
-        vectors, workers=2, grain=max(1, extent // 4), native=native
-    ) as runner:
+    # one chunk per worker, on the pool whatever the size or the host
+    with crossover(0), ParallelInterpreter(vectors, workers=4, native=native) as runner:
+        runner._effective = 4
         outputs = runner.run(program, virtual_scatter=virtual_scatter)
         plan = runner.last_plan
     monkeypatch.undo()
@@ -974,8 +973,8 @@ def test_a_plan_runs_over_other_storages(tpch_store, number, monkeypatch):
     assert routes_derived(lambda: run_program(program, wide)) == 0
     assert routes_derived(lambda: run_program(program, vectors)) > 0
     assert routes_derived(lambda: run_program(program, segmented)) == 0
-    extent = max(len(vectors[node.name]) for node in program.loads())
-    with ParallelInterpreter(vectors, workers=2, grain=max(1, extent // 4)) as chunked:
+    with crossover(0), ParallelInterpreter(vectors, workers=4) as chunked:
+        chunked._effective = 4
         assert routes_derived(lambda: chunked.run(program)) == 0
         assert chunked.last_plan.parallel, number
     assert seen["constant"] == 0, "a constant was built again"

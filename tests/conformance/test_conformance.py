@@ -17,9 +17,12 @@ import numpy as np
 import pytest
 
 from repro.compiler import kernels
+from repro.parallel import ParallelInterpreter
 from repro.relational import EngineConfig
 from repro.relational.engine import VoodooEngine
 from repro.testing import (
+    BACKEND_GRID,
+    Case,
     case_from_json,
     case_to_json,
     generate_case,
@@ -28,6 +31,7 @@ from repro.testing import (
     run_conformance,
 )
 from repro.testing.serialize import CASES_DIR, save_case
+from repro.tpch import build, generate
 
 COMMITTED_CASES = sorted(CASES_DIR.glob("*.json"))
 
@@ -48,6 +52,33 @@ class TestSmoke:
 
     def test_committed_cases_exist(self):
         assert len(COMMITTED_CASES) >= 3
+
+    def test_every_parallel_entry_runs_chunked_on_the_pool(self, monkeypatch):
+        """``run_case`` runs each ``workers > 1`` entry with the pool
+        crossover at 0: on a TPC-H case every run of such an entry is a
+        parallel plan with a pool lease — the entries fuzz chunks, not a
+        second copy of the whole run."""
+        store = generate(0.002, seed=3)
+        case = Case(seed=0, index=0, grain=4096, store=store, query=build(store, 6))
+        runs: list = []
+        plain = ParallelInterpreter.run
+
+        def spy(self, *args, **kwargs):
+            self._effective = self.workers  # a core per worker, on any host
+            outputs = plain(self, *args, **kwargs)
+            runs.append((self.last_plan, self._lease))
+            return outputs
+
+        monkeypatch.setattr(ParallelInterpreter, "run", spy)
+        parallel = [config for config in BACKEND_GRID if config.workers > 1]
+        assert len(parallel) == 5
+        for config in parallel:
+            runs.clear()
+            assert run_case(case, grid=(config,)) == [], config.name
+            assert len(runs) == 2, config.name  # cold and warm
+            for plan, lease in runs:
+                assert plan.parallel and 1 < len(plan.chunks) <= config.workers, config.name
+                assert lease is not None, config.name
 
 
 class TestSerialization:

@@ -72,17 +72,18 @@ class TestRemovedKnobs:
         lambda: ExecutionOptions(fastpath=False),
         lambda: ExecutionOptions(native=True),
         lambda: CompilerOptions(parallel_grain=4096),
+        lambda: ExecutionOptions(parallel_grain=4096),
     ], ids=["compiler-fastpath", "pool", "execution-fastpath", "execution-native",
-            "compiler-parallel-grain"])
+            "compiler-parallel-grain", "execution-parallel-grain"])
     def test_removed_option_is_a_type_error(self, build):
         with pytest.raises(TypeError):
             build()
 
-    def test_option_classes_have_eight_fields(self):
+    def test_option_classes_field_counts(self):
         import dataclasses
 
         assert len(dataclasses.fields(CompilerOptions)) == 6
-        assert len(dataclasses.fields(ExecutionOptions)) == 2
+        assert len(dataclasses.fields(ExecutionOptions)) == 1
         assert len(dataclasses.fields(EngineConfig)) == 9
 
     def test_grid_has_no_recorder_off_configuration(self):

@@ -6,6 +6,10 @@ sequential fused kernels and on the fused-parallel backend at workers=2
 and workers=4; a hypothesis property test covers chunk boundaries that
 cut group-by runs mid-group; and the engine-level satellites (persistent
 pool lifecycle, tracing × workers conflict) are locked in.
+
+Every test here runs with the pool crossover at 0 and as many cores as
+workers (:func:`pooled`), so each plan that splits goes to the pool — on
+any host, at any size.
 """
 
 import sys
@@ -19,12 +23,33 @@ from repro.compiler import ExecutionOptions, FusedRuntime, compile_program, kern
 from repro.core import Builder, Schema, StructuredVector
 from repro.errors import ExecutionError
 from repro.interpreter import Interpreter
-from repro.parallel import ParallelInterpreter, planner
+from repro.parallel import ParallelInterpreter
 from repro.relational import EngineConfig, VoodooEngine
+from repro.testing import crossover
 from repro.tpch import QUERIES, build, generate
 
 
 TWO_WORKERS = EngineConfig(execution=ExecutionOptions(workers=2))
+
+
+@pytest.fixture(autouse=True)
+def every_plan_pooled():
+    with crossover(0):
+        yield
+
+
+def pooled(storage=None, workers: int = 2) -> ParallelInterpreter:
+    """A *workers*-wide backend with a core per worker, on any host."""
+    runner = ParallelInterpreter(storage, workers=workers)
+    runner._effective = workers
+    return runner
+
+
+def pooled_engine(store, config: EngineConfig = TWO_WORKERS) -> VoodooEngine:
+    engine = VoodooEngine(store, config=config)
+    workers = config.execution.workers
+    engine._parallel_backend(workers)._effective = workers
+    return engine
 
 
 def assert_bit_identical(expected: dict, got: dict, context=()) -> None:
@@ -57,7 +82,7 @@ def test_tpch_fused_parallel_bit_identical(store, engine, number, workers):
     program = engine.translate(query)
     compiled = compile_program(program, engine.options)
     fused_seq, _ = compiled.run(store.vectors(), collect_trace=False)
-    runner = ParallelInterpreter(store.vectors(), workers=workers)
+    runner = pooled(store.vectors(), workers=workers)
     fused_par = runner.run(program)
     assert runner.last_plan is not None and runner.last_plan.parallel, (
         f"Q{number} did not parallelize: {runner.last_plan.reason}"
@@ -76,7 +101,7 @@ def test_tpch_parallel_without_virtual_scatter_bit_identical(store, engine, numb
     program = engine.translate(query)
     compiled = compile_program(program, engine.options)
     expected, _ = compiled.run(store.vectors(), collect_trace=False)
-    with ParallelInterpreter(workers=2) as runner:
+    with pooled() as runner:
         got = runner.run(program, store.vectors(), virtual_scatter=False)
         assert runner.last_plan.parallel
         assert runner._storage == {}
@@ -104,7 +129,7 @@ def test_parallel_engine_hands_virtual_scatter_to_every_runner(store, monkeypatc
     monkeypatch.setattr(ProgramRunner, "__init__", spy_runner)
     monkeypatch.setattr(FusedRuntime, "__init__", spy_runtime)
     config = TWO_WORKERS.with_(options=CompilerOptions(virtual_scatter=False))
-    with VoodooEngine(store, config=config) as parallel_engine:
+    with pooled_engine(store, config) as parallel_engine:
         table = parallel_engine.query(build(store, 1))
     assert len(runners) >= 3  # the zone runner and one per chunk
     assert not any(runners) and not any(runtimes)
@@ -117,7 +142,7 @@ def test_parallel_engine_hands_virtual_scatter_to_every_runner(store, monkeypatc
 def test_engine_fused_parallel_tables_agree(store, engine):
     """The parallelism= knob (fused chunks by default) returns the same
     result tables as the sequential traced engine."""
-    with VoodooEngine(store, config=TWO_WORKERS) as parallel_engine:
+    with pooled_engine(store) as parallel_engine:
         for number in sorted(QUERIES):
             reference = engine.execute(build(store, number)).table
             table = parallel_engine.execute(build(store, number)).table
@@ -187,7 +212,7 @@ def test_property_groupby_runs_split_mid_group(seed, workers, grain):
     }
     program = groupby_program(n, grain, cards)
     seq = Interpreter(store).run(program)
-    runner = ParallelInterpreter(store, workers=workers)
+    runner = pooled(store, workers=workers)
     par = runner.run(program)
     runner.close()
     assert_bit_identical(seq, par, context=(seed, workers))
@@ -213,18 +238,17 @@ class TestPersistentPool:
         }
 
     def test_pool_is_reused_across_runs(self):
-        runner = ParallelInterpreter(self._store(), workers=2)
+        runner = pooled(self._store())
         program = self._program()
         runner.run(program)
         first = runner._lease
         runner.run(program)
-        if first is not None:  # single-core hosts execute chunks inline
-            assert runner._lease is first
+        assert first is not None and runner._lease is first
         runner.close()
         assert runner._lease is None
 
     def test_close_is_idempotent_and_reopens(self):
-        runner = ParallelInterpreter(self._store(), workers=2)
+        runner = pooled(self._store())
         program = self._program()
         expected = runner.run(program)["total"].attr(".total")
         runner.close()
@@ -234,15 +258,17 @@ class TestPersistentPool:
         runner.close()
 
     def test_context_manager(self):
-        with ParallelInterpreter(self._store(), workers=2) as runner:
+        with pooled(self._store()) as runner:
             runner.run(self._program())
+            assert runner._lease is not None
         assert runner._lease is None
 
     def test_engine_reuses_backend_and_closes(self):
         store = generate(0.002, seed=3)
-        engine = VoodooEngine(store, config=TWO_WORKERS)
+        engine = pooled_engine(store)
         engine.execute(build(store, 6))
         (backend,) = engine._parallel_backends.values()
+        assert backend._lease is not None
         engine.execute(build(store, 6))
         assert engine._parallel_backend(2) is backend  # one backend, many queries
         engine.close()
@@ -255,10 +281,10 @@ class TestPersistentPool:
         assert engine._parallel_backends == {}
 
 
-def test_forced_pool_submission_bit_identical(monkeypatch):
+def test_forced_pool_submission_bit_identical():
     """Chunk workers through a *real* pool — forced even on single-core
-    hosts and below the pool crossover, where chunk execution would
-    otherwise stay inline."""
+    hosts and below the pool crossover, where the program would otherwise
+    run whole."""
     rng = np.random.default_rng(21)
     n = 20_000
     store = {
@@ -272,15 +298,13 @@ def test_forced_pool_submission_bit_identical(monkeypatch):
     partial = b.fold_sum(b.zip(facts, ctrl), agg_kp=".v", fold_kp=".g", out=".p")
     program = b.build(total=b.fold_sum(partial, agg_kp=".p", out=".total"))
     seq = Interpreter(store).run(program)
-    monkeypatch.setattr(planner, "POOL_CROSSOVER", 0)
-    with ParallelInterpreter(store, workers=2) as runner:
-        runner._effective = 2  # bypass the single-core inline shortcut
+    with pooled(store) as runner:
         par = runner.run(program)
         assert runner.last_plan.parallel and runner._lease is not None
     assert_bit_identical(seq, par)
 
 
-def test_forced_pool_groupby_seq_zone(monkeypatch):
+def test_forced_pool_groupby_seq_zone():
     """A grouped query's SEQ zone through a real pool: the fold fan-out
     shares the id-keyed values dict across pool threads."""
     rng = np.random.default_rng(22)
@@ -297,15 +321,13 @@ def test_forced_pool_groupby_seq_zone(monkeypatch):
     }
     program = groupby_program(n, 1024, 8)
     seq = Interpreter(store).run(program)
-    monkeypatch.setattr(planner, "POOL_CROSSOVER", 0)
-    with ParallelInterpreter(store, workers=2) as runner:
-        runner._effective = 2
+    with pooled(store) as runner:
         par = runner.run(program)
         assert runner._lease is not None
     assert_bit_identical(seq, par)
 
 
-def test_six_aggregates_share_one_group_structure_across_pool_threads(monkeypatch):
+def test_six_aggregates_share_one_group_structure_across_pool_threads():
     """The folds of one scatter run on pool threads after the first of
     each kind ran inline: the group structure, the result slots and the
     landed value they share must give workers=4 the bits of workers=1 —
@@ -328,10 +350,8 @@ def test_six_aggregates_share_one_group_structure_across_pool_threads(monkeypatc
     assert_bit_identical(Interpreter(store).run(program), one)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
-    monkeypatch.setattr(planner, "POOL_CROSSOVER", 0)
     try:
-        with ParallelInterpreter(store, workers=4) as runner:
-            runner._effective = 4  # a real pool, also on a 1-CPU host
+        with pooled(store, workers=4) as runner:
             for attempt in range(40):
                 assert_bit_identical(one, runner.run(program), context=(attempt,))
             assert runner.last_plan.parallel and runner._lease is not None
@@ -363,7 +383,7 @@ def test_parallel_grouped_folds_stay_direct(monkeypatch):
                         lambda *args: direct.append(args[0]) or plain_fold(*args))
     monkeypatch.setattr(FusedRuntime, "_apply_scatter",
                         lambda self, val: landed.append(val) or plain_land(self, val))
-    with ParallelInterpreter(store, workers=2) as runner:
+    with pooled(store) as runner:
         runner.run(groupby_program(n, 1024, 8))
         assert runner.last_plan.parallel
     assert sorted(direct) == ["max", "sum"] and not landed  # (the count reads bucket sizes)
@@ -381,9 +401,7 @@ def test_plan_memo_invalidated_on_dtype_change():
     program = b.build(
         total=b.fold_sum(b.load("facts"), agg_kp=".v", out=".total")
     )
-    with ParallelInterpreter(
-        {"facts": StructuredVector.single(".v", ints)}, workers=4
-    ) as runner:
+    with pooled({"facts": StructuredVector.single(".v", ints)}, workers=4) as runner:
         runner.run(program)
         assert runner.last_plan.parallel  # int sum: merged GFOLD partials
         runner.store("facts", StructuredVector.single(".v", floats))

@@ -3,7 +3,9 @@
 Includes the property test required by the backend's contract: on
 randomized programs (element-wise chains, chunked folds, selections,
 gathers, global folds), four workers produce exactly the vectors one
-worker does — values *and* ε masks.
+worker does — values *and* ε masks.  Every test runs with the pool
+crossover at 0 and a core per worker, so each plan that splits is
+chunked on the pool however small it is, on any host.
 """
 
 import numpy as np
@@ -16,6 +18,19 @@ from repro.core import Builder, Schema, StructuredVector
 from repro.interpreter import Interpreter
 from repro.parallel import ParallelInterpreter
 from repro.parallel.planner import SEQ
+from repro.testing import crossover
+
+
+@pytest.fixture(autouse=True)
+def every_plan_pooled():
+    with crossover(0):
+        yield
+
+
+def pooled(store, workers: int = 4) -> ParallelInterpreter:
+    runner = ParallelInterpreter(store, workers=workers)
+    runner._effective = workers  # a real pool, also on a 1-CPU host
+    return runner
 
 
 def assert_bit_identical(seq: dict, par: dict) -> None:
@@ -33,7 +48,7 @@ def assert_bit_identical(seq: dict, par: dict) -> None:
 
 def run_both(store, program, workers=4):
     seq = Interpreter(store).run(program)
-    parallel = ParallelInterpreter(store, workers=workers)
+    parallel = pooled(store, workers)
     par = parallel.run(program)
     return seq, par, parallel
 
@@ -161,7 +176,7 @@ class TestPipelines:
         store = {"facts": StructuredVector.single(".val", np.zeros(0, dtype=np.int64))}
         b = Builder({"facts": Schema({".val": "int64"})})
         doubled = b.multiply(b.load("facts"), b.constant(2), out=".val")
-        runner = ParallelInterpreter(store, workers=4)
+        runner = pooled(store)
         runner.run(b.build(out=b.persist("doubled", doubled)))
         assert not runner.last_plan.parallel  # empty table: sequential fallback
         b2 = Builder({"doubled": Schema({".val": "int64"})})
@@ -178,7 +193,7 @@ class TestPipelines:
         b = Builder({"facts": Schema({".val": "int64"})})
         doubled = b.multiply(b.load("facts"), b.constant(2), out=".val")
         program = b.build(out=b.persist("doubled", doubled))
-        parallel = ParallelInterpreter(store, workers=4)
+        parallel = pooled(store)
         outputs = parallel.run(program)
         assert parallel.last_plan.parallel
         expected = store["facts"].attr(".val") * 2
@@ -240,7 +255,7 @@ class TestEdges:
     def test_plan_summary_reports_zones(self):
         store = make_store(50_000, seed=12)
         program = selection_program(50_000, 0.4, "Branching")
-        engine = ParallelInterpreter(store, workers=4)
+        engine = pooled(store)
         engine.run(program)
         summary = engine.last_plan.summary()
         assert sum(summary.values()) == len(program)
@@ -304,5 +319,5 @@ def random_program(seed: int):
 def test_property_bit_identical(seed):
     store, program = random_program(seed)
     seq = Interpreter(store).run(program)
-    par = ParallelInterpreter(store, workers=4).run(program)
+    par = pooled(store).run(program)
     assert_bit_identical(seq, par)

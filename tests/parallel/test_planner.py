@@ -20,6 +20,7 @@ from repro.parallel import (
     merge_select_fused,
     to_fused,
 )
+from repro.testing import crossover
 
 
 def _forced(val) -> StructuredVector:
@@ -86,7 +87,8 @@ class TestChunkRanges:
 
 class TestZones:
     def _plan(self, store, program, workers=4):
-        return PartitionPlanner(program, store, workers).plan()
+        with crossover(0):  # the zones of a plan that splits, whatever its size
+            return PartitionPlanner(program, store, workers).plan()
 
     def test_selection_pipeline_zones(self):
         store = _store(100_000)

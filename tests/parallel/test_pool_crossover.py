@@ -1,13 +1,12 @@
-"""Both schedules of the partition-parallel backend, and merges that move
-only what the sequential zone reads.
+"""Both ways the partition-parallel backend runs a program, and merges
+that move only what the sequential zone reads.
 
-A plan's chunks go to the worker pool above
-:data:`repro.parallel.planner.POOL_CROSSOVER` and run inline on the
-calling thread below it — same plan, same offsets, same merges — so
-with the constant forced to 0 (every plan pooled) and to infinity (none)
-every query returns the fused tier's bits.  A merge hands the SEQ zone
-the unsliced column for a chunk column that is still its seeded slice,
-and one unread gather for unread gathers over such slices.
+A plan's chunks go to the worker pool at or above
+:data:`repro.parallel.planner.POOL_CROSSOVER`; below it the program runs
+whole — so with the constant forced to 0 (every plan pooled) and to
+infinity (none) every query returns the fused tier's bits.  A merge hands
+the SEQ zone the unsliced column for a chunk column that is still its
+seeded slice, and one unread gather for unread gathers over such slices.
 """
 
 import numpy as np
@@ -18,10 +17,11 @@ from repro.compiler.columns import Compact, Dense, Lazy, Slots, Taken, zero_fill
 from repro.compiler.rt_fast import FusedVal, fused_slice, to_fused
 from repro.core import Builder, Schema, StructuredVector
 from repro.core.keypath import kp
-from repro.parallel import REGISTRY, ParallelInterpreter, PartitionPlanner, planner
+from repro.parallel import REGISTRY, ParallelInterpreter, PartitionPlanner, executor, planner
 from repro.parallel.merge import Merger
 from repro.relational import EngineConfig, VoodooEngine
 from repro.storage import ColumnStore, Table
+from repro.testing import crossover
 from repro.tpch import QUERIES, build, generate
 
 TWO_WORKERS = EngineConfig(execution=ExecutionOptions(workers=2))
@@ -64,76 +64,102 @@ def identical(a, b) -> bool:
     return True
 
 
-def pooled_engine(store, monkeypatch, crossover) -> VoodooEngine:
-    """A 2-worker engine whose plans all go to the pool (crossover 0) or
-    all run inline (infinity), on any host."""
-    monkeypatch.setattr(planner, "POOL_CROSSOVER", crossover)
+def two_worker_engine(store) -> VoodooEngine:
+    """A 2-worker engine with a second core, on any host."""
     engine = VoodooEngine(store, config=TWO_WORKERS)
     engine._parallel_backend(2)._effective = 2  # a real pool, also on a 1-CPU host
     return engine
 
 
-# ------------------------------------------------------- both schedules
+# ------------------------------------------------------- pool or whole
 
 
-@pytest.mark.parametrize("crossover", [0, float("inf")], ids=["pool", "inline"])
-def test_every_op_is_bit_identical_to_the_fused_tier_on_both_schedules(
-        tpch_store, monkeypatch, crossover):
+@pytest.mark.parametrize("value", [0, float("inf")], ids=["pool", "whole"])
+def test_every_op_is_bit_identical_to_the_fused_tier_pooled_or_whole(tpch_store, value):
     facts = micro_facts()
     cases = [(tpch_store, build(tpch_store, n)) for n in sorted(QUERIES)]
     cases += [(facts, sql) for sql in MICRO_SQL.values()]
     engines = {}
     try:
-        for store, query in cases:
-            if id(store) not in engines:
-                engines[id(store)] = (VoodooEngine(store, config=FUSED),
-                                      pooled_engine(store, monkeypatch, crossover))
-            fused, parallel = engines[id(store)]
-            for _ in range(2):  # cold and warm plan
-                assert identical(fused.query(query), parallel.query(query)), query
-            plan = parallel._parallel_backend(2).last_plan
-            assert plan.parallel and plan.pool is (crossover == 0), query
+        with crossover(value):
+            for store, query in cases:
+                if id(store) not in engines:
+                    engines[id(store)] = (VoodooEngine(store, config=FUSED),
+                                          two_worker_engine(store))
+                fused, parallel = engines[id(store)]
+                for _ in range(2):  # cold and warm plan
+                    assert identical(fused.query(query), parallel.query(query)), query
+                plan = parallel._parallel_backend(2).last_plan
+                assert plan.parallel is (value == 0), query
     finally:
         for fused, parallel in engines.values():
             fused.close()
             parallel.close()
 
 
-@pytest.mark.parametrize("crossover", [0, float("inf")], ids=["pool", "inline"])
-def test_a_lease_is_taken_exactly_when_the_plan_says_pool(tpch_store, monkeypatch, crossover):
+@pytest.mark.parametrize("value", [0, float("inf")], ids=["pool", "whole"])
+def test_a_lease_is_taken_exactly_when_the_plan_is_parallel(tpch_store, value):
     before = REGISTRY.stats()["active_leases"]
-    engine = pooled_engine(tpch_store, monkeypatch, crossover)
+    engine = two_worker_engine(tpch_store)
     try:
-        engine.query(build(tpch_store, 6))
+        with crossover(value):
+            engine.query(build(tpch_store, 6))
         backend = engine._parallel_backend(2)
-        assert (backend._lease is not None) is (crossover == 0)
+        assert (backend._lease is not None) is (value == 0) is backend.last_plan.parallel
     finally:
         engine.close()
     assert REGISTRY.stats()["active_leases"] == before
 
 
-def test_a_small_plan_takes_no_pool_lease(tpch_store):
-    """At the constant as shipped, a plan of a few thousand rows runs its
-    chunks inline — cut, offset and merged as on the pool."""
+def test_a_small_plan_runs_whole_and_takes_no_pool_lease(tpch_store):
+    """At the constant as shipped, a plan of a few thousand rows is
+    sequential: the program runs whole, and no pool is leased."""
     before = REGISTRY.stats()["active_leases"]
-    with VoodooEngine(tpch_store, config=TWO_WORKERS) as engine:
+    with two_worker_engine(tpch_store) as engine:
         backend = engine._parallel_backend(2)
-        backend._effective = 2
         for n in sorted(QUERIES):
             engine.query(build(tpch_store, n))
             plan = backend.last_plan
-            assert plan.parallel and not plan.pool and plan.work < planner.POOL_CROSSOVER
+            assert not plan.parallel and plan.work < planner.POOL_CROSSOVER
+            assert plan.reason == "below the pool crossover", n
         assert backend._lease is None
         assert REGISTRY.stats()["active_leases"] == before
+
+
+def test_a_plan_below_the_crossover_makes_no_run_chunk_call(tpch_store, monkeypatch):
+    """Below the crossover the program is one ``run_program`` call; at or
+    above it, one ``run_chunk`` call per worker and no whole run."""
+    calls = []
+    run_chunk, run_program = executor.run_chunk, executor.run_program
+
+    def spy_chunk(*args, **kwargs):
+        calls.append("chunk")
+        return run_chunk(*args, **kwargs)
+
+    def spy_program(*args, **kwargs):
+        calls.append("whole")
+        return run_program(*args, **kwargs)
+
+    monkeypatch.setattr(executor, "run_chunk", spy_chunk)
+    monkeypatch.setattr(executor, "run_program", spy_program)
+    with two_worker_engine(tpch_store) as engine:
+        for value, expected in ((float("inf"), ["whole"]), (0, ["chunk", "chunk"])):
+            calls.clear()
+            with crossover(value):
+                engine.query(build(tpch_store, 6))
+            assert calls == expected, value
 
 
 def test_work_is_rows_per_chunk_times_chunked_nodes(tpch_store):
     with VoodooEngine(tpch_store, config=FUSED) as engine:
         program = engine.compile(build(tpch_store, 6)).program
-    plan = PartitionPlanner(program, tpch_store.vectors(), 2).plan()
+    with crossover(0):
+        plan = PartitionPlanner(program, tpch_store.vectors(), 2).plan()
     chunked = [i for i in plan.chunk_nodes() if i != plan.driving]
     assert plan.work == max(hi - lo for lo, hi in plan.chunks) * len(chunked) > 0
-    assert plan.pool is (plan.work >= planner.POOL_CROSSOVER)
+    shipped = PartitionPlanner(program, tpch_store.vectors(), 2).plan()
+    assert shipped.work == plan.work
+    assert shipped.parallel is (plan.work >= planner.POOL_CROSSOVER)
 
 
 # ------------------------------------------------------------- merges
@@ -233,18 +259,16 @@ def test_merged_values_in_a_parallel_run_stay_lazy(tpch_store, monkeypatch):
         return result
 
     monkeypatch.setattr(ParallelInterpreter, "_merge", staticmethod(spy))
-    for crossover in (0, float("inf")):
-        monkeypatch.setattr(planner, "POOL_CROSSOVER", crossover)
-        merged.clear()
-        with VoodooEngine(tpch_store, config=TWO_WORKERS) as engine:
+    with crossover(0):
+        with two_worker_engine(tpch_store) as engine:
             engine.query(build(tpch_store, 1))
         kinds = [type(c).__name__ for value in merged for c in value.columns.values()]
         assert kinds.count("Lazy") >= 9, kinds
         merged.clear()
-        with VoodooEngine(micro_facts(), config=TWO_WORKERS) as engine:
+        with two_worker_engine(micro_facts()) as engine:
             engine.query(MICRO_SQL["groupby"])
-        gathers = [c for value in merged for c in value.columns.values() if isinstance(c, Taken)]
-        assert gathers and all(isinstance(c.source, Lazy) for c in gathers)
+    gathers = [c for value in merged for c in value.columns.values() if isinstance(c, Taken)]
+    assert gathers and all(isinstance(c.source, Lazy) for c in gathers)
 
 
 # -------------------------------------------- forcing the pool by hand
@@ -260,15 +284,14 @@ def forced_program(n: int = 20_000):
     return store, b.build(total=b.fold_sum(partial, agg_kp=".p", out=".total"))
 
 
-def test_forcing_effective_cores_reaches_the_pool_only_above_the_crossover(monkeypatch):
+def test_forcing_effective_cores_reaches_the_pool_only_above_the_crossover():
     """Tests that force the pool set ``_effective`` *and* the crossover:
-    ``_effective`` alone no longer sends a small plan there."""
+    ``_effective`` alone does not send a small plan there.  (No memo is
+    cleared between the two: a plan is memoized per crossover.)"""
     store, program = forced_program()
-    for crossover, pooled in ((float("inf"), False), (0, True)):
-        monkeypatch.setattr(planner, "POOL_CROSSOVER", crossover)
-        with ParallelInterpreter(store, workers=2) as runner:
+    for value, pooled in ((float("inf"), False), (0, True)):
+        with crossover(value), ParallelInterpreter(store, workers=2) as runner:
             runner._effective = 2
             runner.run(program)
-            assert runner.last_plan.parallel
+            assert runner.last_plan.parallel is pooled
             assert (runner._lease is not None) is pooled
-        program.memo.clear()  # re-plan under the next constant

@@ -101,6 +101,7 @@ class TestEngineIntegration:
         from repro.parallel import REGISTRY
         from repro.relational import EngineConfig, VoodooEngine, parse_sql
         from repro.storage import ColumnStore, Table
+        from repro.testing import crossover
 
         store = ColumnStore()
         store.add(Table.from_arrays(
@@ -108,15 +109,11 @@ class TestEngineIntegration:
         q = "SELECT SUM(v) AS s FROM t"
         config = EngineConfig(execution=ExecutionOptions(workers=2))
         before = REGISTRY.stats()["live_pools"]
-        with VoodooEngine(store, config=config) as a:
-            with VoodooEngine(store, config=config) as b:
-                ra = a.query(parse_sql(q, store)).rows()
-                rb = b.query(parse_sql(q, store)).rows()
-                assert ra == rb
-                # on a multi-core host both backends hold the same leased
-                # executor; on a 1-core host chunks run inline (no pool)
-                backend_a = a._parallel_backend(2)
-                backend_b = b._parallel_backend(2)
-                if backend_a._lease is not None:
-                    assert backend_a._lease.executor is backend_b._lease.executor
+        # every plan pooled, a core per worker: both backends lease, on any host
+        with crossover(0), VoodooEngine(store, config=config) as a, \
+                VoodooEngine(store, config=config) as b:
+            backend_a, backend_b = a._parallel_backend(2), b._parallel_backend(2)
+            backend_a._effective = backend_b._effective = 2
+            assert a.query(parse_sql(q, store)).rows() == b.query(parse_sql(q, store)).rows()
+            assert backend_a._lease.executor is backend_b._lease.executor
         assert REGISTRY.stats()["live_pools"] == before

@@ -3,7 +3,9 @@
 The acceptance bar for the multicore backend: four workers produce
 exactly the vectors the sequential interpreter produces on every
 evaluated TPC-H query, and a ``workers=4`` relational engine
-returns the same result tables.
+returns the same result tables.  The pool crossover is 0 throughout, and
+every backend has a core per worker: each plan that splits is chunked on
+the pool, on any host.
 """
 
 import numpy as np
@@ -14,7 +16,14 @@ from repro.parallel import ParallelInterpreter
 from repro.compiler import ExecutionOptions
 from repro.relational import EngineConfig, VoodooEngine
 from repro.relational.translate import Translator
+from repro.testing import crossover
 from repro.tpch import QUERIES, build, generate
+
+
+@pytest.fixture(autouse=True)
+def every_plan_pooled():
+    with crossover(0):
+        yield
 
 
 @pytest.fixture(scope="module")
@@ -29,7 +38,10 @@ def engine(store):
 
 @pytest.fixture(scope="module")
 def parallel_engine(store):
-    return VoodooEngine(store, config=EngineConfig(execution=ExecutionOptions(workers=4)))
+    engine = VoodooEngine(store, config=EngineConfig(execution=ExecutionOptions(workers=4)))
+    engine._parallel_backend(4)._effective = 4
+    yield engine
+    engine.close()
 
 
 @pytest.mark.parametrize("number", sorted(QUERIES))
@@ -37,8 +49,9 @@ def test_query_bit_identical(store, number):
     query = build(store, number)  # may register LIKE membership aux vectors
     program = Translator(store).translate_query(query)
     seq = Interpreter(store.vectors()).run(program)
-    runner = ParallelInterpreter(store.vectors(), workers=4)
-    par = runner.run(program)
+    with ParallelInterpreter(store.vectors(), workers=4) as runner:
+        runner._effective = 4
+        par = runner.run(program)
     assert runner.last_plan is not None and runner.last_plan.parallel, (
         f"Q{number} did not parallelize: {runner.last_plan.reason}"
     )

@@ -4,7 +4,9 @@ A parallel run is a function of its arguments — the Load context and the
 per-run fields are handed to ``ParallelInterpreter.run`` — so nothing
 serialises the queries of a concurrent server: they overlap, they return
 exactly the bits a single caller gets, and the only shared resource, the
-worker-pool lease, is taken once and returned by ``close()``.
+worker-pool lease, is taken once and returned by ``close()``.  The pool
+crossover is 0 throughout and the engine has a core per worker, so every
+query's chunks go to the pool, on any host.
 """
 
 import sys
@@ -18,11 +20,12 @@ import pytest
 from repro import native
 from repro.compiler import ExecutionOptions
 from repro.core import ops
-from repro.parallel import REGISTRY, ParallelInterpreter, planner
+from repro.parallel import REGISTRY, ParallelInterpreter
 from repro.relational import EngineConfig, VoodooEngine
 from repro.relational.engine import structural_fingerprint
 from repro.relational.prepared import PreparedQuery, bind_params
 from repro.storage import ColumnStore, Table
+from repro.testing import crossover
 from repro.tpch import QUERIES, build, generate
 
 THREADS = 8
@@ -34,8 +37,17 @@ def store():
     return generate(0.005, seed=11)
 
 
-def parallel_config(use_native: bool) -> EngineConfig:
-    return EngineConfig(execution=ExecutionOptions(workers=2), native=use_native)
+@pytest.fixture(autouse=True)
+def every_plan_pooled():
+    with crossover(0):
+        yield
+
+
+def parallel_engine(store, use_native: bool) -> VoodooEngine:
+    engine = VoodooEngine(
+        store, config=EngineConfig(execution=ExecutionOptions(workers=2), native=use_native))
+    engine._parallel_backend(2)._effective = 2  # a real pool, also on a 1-CPU host
+    return engine
 
 
 def identical(a, b) -> bool:
@@ -74,7 +86,7 @@ def test_eight_threads_bit_identical_to_a_single_caller(store, use_native):
             done += 1
         return done
 
-    with VoodooEngine(store, config=parallel_config(use_native)) as engine:
+    with parallel_engine(store, use_native) as engine:
         with ThreadPoolExecutor(THREADS) as callers:
             done = sum(callers.map(caller, range(THREADS)))
         assert REGISTRY.stats()["active_leases"] <= leases + 1
@@ -96,7 +108,7 @@ def test_two_executions_are_in_flight_at_once(store, monkeypatch):
 
     monkeypatch.setattr(ParallelInterpreter, "_run_parallel", rendezvous)
     query = build(store, 6)
-    with VoodooEngine(store, config=parallel_config(False)) as engine:
+    with parallel_engine(store, False) as engine:
         with ThreadPoolExecutor(2) as callers:
             tables = [f.result(timeout=30) for f in [
                 callers.submit(engine.query, query) for _ in range(2)
@@ -105,10 +117,9 @@ def test_two_executions_are_in_flight_at_once(store, monkeypatch):
     assert identical(tables[0], tables[1])
 
 
-def test_racing_first_queries_take_exactly_one_lease(store, monkeypatch):
+def test_racing_first_queries_take_exactly_one_lease(store):
     """The lazy pool lease is created once under concurrent first use
     (every plan sent to the pool: the crossover forced to 0)."""
-    monkeypatch.setattr(planner, "POOL_CROSSOVER", 0)
     query = build(store, 1)
     before = REGISTRY.stats()
     gate = threading.Barrier(THREADS)
@@ -117,15 +128,15 @@ def test_racing_first_queries_take_exactly_one_lease(store, monkeypatch):
         gate.wait(timeout=10)
         return engine.query(query)
 
-    engine = VoodooEngine(store, config=parallel_config(False))
+    engine = parallel_engine(store, False)
     try:
         with ThreadPoolExecutor(THREADS) as callers:
             tables = list(callers.map(first_query, range(THREADS)))
         during = REGISTRY.stats()
         (backend,) = engine._parallel_backends.values()
-        if backend._lease is not None:  # single-core hosts run chunks inline
-            assert during["active_leases"] == before["active_leases"] + 1
-            assert during["pools"].get("chunks:2", 0) == before["pools"].get("chunks:2", 0) + 1
+        assert backend._lease is not None
+        assert during["active_leases"] == before["active_leases"] + 1
+        assert during["pools"].get("chunks:2", 0) == before["pools"].get("chunks:2", 0) + 1
     finally:
         engine.close()
     assert all(identical(tables[0], table) for table in tables[1:])

@@ -178,7 +178,8 @@ class TestSQLParams:
         (EngineConfig(tracing=False), "node runner, numpy kernels, inline"),
         (EngineConfig(native=True, tracing=False), "node runner, native kernels, inline"),
         (EngineConfig(execution=ExecutionOptions(workers=2)),
-         "node runner, numpy kernels, thread pool (2 workers)"),
+         "node runner, numpy kernels, thread pool (2 workers) at or above the pool "
+         "crossover, otherwise whole"),
         # fuse shapes the simulator only: untraced is the runner either way
         (EngineConfig(options=CompilerOptions(fuse=False), tracing=False),
          "node runner, numpy kernels, inline"),

@@ -23,6 +23,7 @@ from repro.compiler.runner import planned_nodes
 from repro.parallel import ParallelInterpreter, PartitionPlanner
 from repro.relational import EngineConfig, VoodooEngine, parse_sql
 from repro.storage import ColumnStore, Table
+from repro.testing import crossover
 
 PLANS = 80  # more than either side cache held (64), fewer than CACHE_CAPACITY
 
@@ -61,7 +62,8 @@ def test_parallel_engine_plans_each_warm_program_once(store, monkeypatch):
         PartitionPlanner, "plan", lambda self: calls.append(1) or plan(self))
     batch = queries(store)
     config = EngineConfig(execution=ExecutionOptions(workers=2))
-    with VoodooEngine(store, config=config) as engine:
+    with crossover(0), VoodooEngine(store, config=config) as engine:
+        engine._parallel_backend(2)._effective = 2  # a real pool, also on a 1-CPU host
         first = lap(engine, batch)
         assert len(calls) == PLANS
         assert engine._parallel_backend(2).last_plan.parallel
@@ -121,24 +123,25 @@ def test_racing_first_runs_publish_one_node_table_and_one_plan(store):
         try:
             barrier.wait(timeout=10)
             tables.append(planned_nodes(program))
-            plans.append(runner._plan(program, vectors, None))
+            plans.append(runner._plan(program, vectors))
         except Exception as exc:  # surfaced below, with the others
             errors.append(exc)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        workers = [threading.Thread(target=first_run) for _ in range(threads)]
-        for worker in workers:
-            worker.start()
-        for worker in workers:
-            worker.join(timeout=30)
+        with crossover(0):  # plans that split, however small the store
+            workers = [threading.Thread(target=first_run) for _ in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=30)
     finally:
         sys.setswitchinterval(interval)
     assert not errors and not any(worker.is_alive() for worker in workers)
     assert len(tables) == threads and all(t is tables[0] for t in tables)
     assert tables[0] is program.memo["nodes"]
-    published = program.memo[("partition_plan", 2, None)][1]
+    published = program.memo[("partition_plan", 2, 0)][1]
     assert len(plans) == threads
     for plan in plans:  # a loser of the race may hold its own, equal plan
         assert plan.parallel and plan.chunks == published.chunks

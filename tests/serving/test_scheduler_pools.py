@@ -3,7 +3,9 @@
 A query waits on the chunk tasks it submits.  When the scheduler's
 request pool and an engine's chunk pool were one ``REGISTRY`` entry
 (same width => same executor), N in-flight queries occupied every
-thread and the chunks they queued behind themselves never ran.
+thread and the chunks they queued behind themselves never ran.  The
+test sends every chunk to the pool (crossover 0, a core per worker), so
+that is what it exercises on any host.
 """
 
 import asyncio
@@ -14,6 +16,7 @@ from repro.compiler import ExecutionOptions
 from repro.parallel import REGISTRY
 from repro.relational import EngineConfig, VoodooEngine
 from repro.serving import QueryScheduler, ServingConfig
+from repro.testing import crossover
 from repro.tpch import build, generate
 
 
@@ -27,6 +30,7 @@ def test_serving_width_equal_to_engine_workers_completes(width):
         scheduler = QueryScheduler(ServingConfig(workers=width))
         engine = VoodooEngine(
             store, config=EngineConfig(execution=ExecutionOptions(workers=width)))
+        engine._parallel_backend(width)._effective = width
         try:
             expected = engine.query(query).rows()
             # hard timeout: a deadlocked pool must fail the test, not hang it
@@ -37,12 +41,14 @@ def test_serving_width_equal_to_engine_workers_completes(width):
                 timeout=20,
             )
             pools = scheduler.stats()["pool_registry"]["pools"]
+            assert engine._parallel_backend(width)._lease is not None
         finally:
             scheduler.close()
             engine.close()
         return expected, tables, pools
 
-    expected, tables, pools = asyncio.run(serve())
+    with crossover(0):
+        expected, tables, pools = asyncio.run(serve())
     assert len(tables) == 2 * width
     assert all(table.rows() == expected for table in tables)
     # /stats accounts for both pools, under their roles

@@ -41,6 +41,7 @@ from repro.storage import (
 )
 from repro.storage.columnstore import Column
 from repro.storage.segment import DEFAULT_SEGMENT_ROWS
+from repro.testing import crossover
 
 # -- strategies ---------------------------------------------------------------
 
@@ -402,7 +403,8 @@ class TestLayoutInvariance:
         ]
         execution = ExecutionOptions(workers=workers) if workers > 1 else None
         def run(store):
-            with VoodooEngine(store, config=EngineConfig(
+            # chunks on the pool (cut at segment boundaries) however small
+            with crossover(0), VoodooEngine(store, config=EngineConfig(
                     tracing=False, execution=execution)) as engine:
                 return [engine.query(sql) for sql in sqls]
         expect = run(base)

@@ -12,9 +12,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.compiler import CompilerOptions
+from repro.compiler import CompilerOptions, ExecutionOptions
 from repro.errors import ExecutionError
 from repro.relational import EngineConfig, VoodooEngine
+from repro.testing import crossover
 from repro.tpch import QUERIES, build, generate
 from repro.tuner import (
     AutoTuner,
@@ -56,13 +57,12 @@ def fast_tuner(store, **kwargs) -> AutoTuner:
 
 
 def runner_fields(config: TunedConfig) -> tuple:
-    """The four fields untraced execution reads (README, "Execution
+    """The three fields untraced execution reads (README, "Execution
     backends"): everything else shapes the simulator only."""
     return (
         config.options.native,
         config.options.virtual_scatter,
         config.execution.workers,
-        config.execution.parallel_grain,
     )
 
 
@@ -73,7 +73,24 @@ class TestKnobSpace:
         assert {c.execution.workers for c in space} >= {1, 2, 4}
         assert any(c.native and c.workers == 1 for c in space)
         assert any(c.native and c.workers > 1 for c in space)
-        assert any(c.execution.parallel_grain is not None for c in space)
+
+    def test_every_parallel_candidate_runs_one_chunk_per_worker_on_the_pool(self, store):
+        """Forced onto the pool, each ``workers > 1`` candidate cuts one
+        chunk per worker, leases its pool and returns the default's bits."""
+        query = build(store, 6)
+        with crossover(0), VoodooEngine(store, config=EngineConfig(tracing=False)) as engine:
+            expected = engine.query(query)
+            for config in knob_space(cpu_count=4):
+                if config.workers == 1:
+                    continue
+                backend = engine._parallel_backend(config.workers)
+                backend._effective = config.workers  # a real pool, also on a 1-CPU host
+                got = engine.run_as(query, config.options, config.execution).table
+                assert len(backend.last_plan.chunks) == config.workers, config.describe()
+                assert backend._lease is not None
+                assert got.columns == expected.columns
+                for column in expected.columns:
+                    assert np.array_equal(got.column(column), expected.column(column))
 
     @pytest.mark.parametrize("space", [
         knob_space(cpu_count=1), knob_space(cpu_count=2), knob_space(cpu_count=8),
@@ -94,8 +111,8 @@ class TestKnobSpace:
             assert config.options.fuse == simulator_only.fuse
 
     def test_space_sizes(self):
-        assert len(knob_space(cpu_count=2)) == 8
-        assert len(compact_space()) == 5
+        assert len(knob_space(cpu_count=2)) == 6
+        assert len(compact_space()) == 4
 
     def test_cpu_count_widens_worker_sweep(self):
         assert {c.execution.workers for c in knob_space(cpu_count=8)} >= {8}
@@ -171,26 +188,21 @@ class TestSearch:
         tuner = fast_tuner(store)
         assert tuner.tune(build(store, 19)) in tuner.space
 
-    def test_parallel_candidates_pruned_to_one_probe_on_single_core(self, store):
-        """Per-machine pruning: with cpu_count=1 the overhead priors keep
-        workers>1 candidates out of the shortlist — except the single
-        diversity probe the refiner always races (inline-chunked
-        execution can win on locality, which only measurement sees)."""
+    def test_parallel_candidates_price_as_their_sequential_twin_on_single_core(
+            self, store):
+        """With cpu_count=1 a ``workers > 1`` candidate runs whole — its
+        sequential twin's code — so stage 1 prices the two alike and adds
+        no pool overhead: only the measured race can tell them apart."""
         tuner = AutoTuner(store, space=knob_space(cpu_count=1), cpu_count=1,
                           sample_rows=2048, shortlist=3, repeats=1)
         report = tuner.explain(build(store, 6))
-        measured_parallel = [
-            outcome for outcome in report.candidates
-            if outcome.config.workers > 1 and outcome.measured_seconds is not None
-        ]
-        assert len(measured_parallel) <= 1
-        # the probe is the *best-predicted* parallel candidate
-        ranked = sorted(
-            (o for o in report.candidates if o.config.workers > 1),
-            key=lambda o: o.predicted_seconds,
-        )
-        if measured_parallel:
-            assert measured_parallel[0] is ranked[0]
+        predicted = {outcome.config: outcome.predicted_seconds
+                     for outcome in report.candidates}
+        parallel = [config for config in predicted if config.workers > 1]
+        assert parallel
+        for config in parallel:
+            twin = TunedConfig(config.options, ExecutionOptions())
+            assert predicted[config] == predicted[twin], config.describe()
 
     def test_report_renders(self, store):
         tuner = fast_tuner(store)

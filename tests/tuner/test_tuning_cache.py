@@ -82,7 +82,7 @@ class TestPersistence:
     def _entry(self) -> TuningEntry:
         config = TunedConfig(
             CompilerOptions(selection="branch-free", virtual_scatter=False),
-            ExecutionOptions(workers=4, parallel_grain=4096),
+            ExecutionOptions(workers=4),
         )
         return TuningEntry(
             key=_key(), config=config, predicted_ms=1.25, measured_ms=0.75, trials=3
@@ -130,25 +130,28 @@ class TestPersistence:
         cache = TuningCache(path=path)
         assert cache.entries == {} and cache.get(_key()) is None
         cache.put(self._entry())                 # and the file is rewritten
-        assert json.loads(path.read_text())["version"] == 3
+        assert json.loads(path.read_text())["version"] == 4
         assert TuningCache(path=path).get(_key()) is not None
 
-    @pytest.mark.parametrize("version", [2, 3], ids=["as-written", "relabelled"])
-    def test_version_2_file_naming_parallel_grain_retunes(self, tmp_path, version):
-        """A version-2 file's ``options`` JSON carries ``parallel_grain``,
-        a field ``CompilerOptions`` no longer has: it must degrade to
-        re-tune (by its version — and, were the version bumped by hand,
-        by the TypeError) instead of raising out of the constructor."""
+    @pytest.mark.parametrize("version, part", [
+        (2, "options"), (3, "execution"), (4, "options"), (4, "execution"),
+    ], ids=["v2-as-written", "v3-as-written", "v2-relabelled", "v3-relabelled"])
+    def test_file_naming_parallel_grain_retunes(self, tmp_path, version, part):
+        """A version-2 file's ``options`` JSON and a version-3 file's
+        ``execution`` JSON carry ``parallel_grain``, a field neither option
+        class has any more: it must degrade to re-tune (by its version —
+        and, were the version bumped by hand, by the TypeError) instead of
+        raising out of the constructor."""
         entry = self._entry().to_json()
-        entry["config"]["options"]["parallel_grain"] = None
+        entry["config"][part]["parallel_grain"] = 4096
         path = tmp_path / "tuning.json"
         path.write_text(json.dumps({"version": version, "entries": [entry]}))
         cache = TuningCache(path=path)
         assert cache.entries == {} and cache.get(_key()) is None
         cache.put(self._entry())
         document = json.loads(path.read_text())
-        assert document["version"] == 3
-        assert "parallel_grain" not in document["entries"][0]["config"]["options"]
+        assert document["version"] == 4
+        assert "parallel_grain" not in document["entries"][0]["config"][part]
 
     def test_invalid_knob_values_treated_as_empty(self, tmp_path):
         """A persisted entry whose knobs the options dataclasses reject
@@ -170,6 +173,6 @@ class TestPersistence:
         path = tmp_path / "tuning.json"
         TuningCache(path=path).put(self._entry())
         document = json.loads(path.read_text())
-        assert document["version"] == 3
+        assert document["version"] == 4
         assert len(document["entries"]) == 1
         assert document["entries"][0]["config"]["execution"]["workers"] == 4
