@@ -218,9 +218,7 @@ class ParallelInterpreter:
         boundaries.  Dtypes come from the schema (never ``attr``): the
         plan key must not materialize lazy columns.  Only the vectors the
         program's own ``Load``s read are keyed — the planner reads no
-        other, and a catalog holds many.  The memo key holds the pool
-        crossover the plan was made under: whether it is parallel
-        depends on it.
+        other, and a catalog holds many.
         """
         names = program.memo.get("load_names")
         if names is None:
@@ -237,6 +235,8 @@ class ParallelInterpreter:
             ) if vec is not None else (name,)
             for name, vec in ((name, storage.get(name)) for name in names)
         )
+        # the crossover is constant in a shipped process; it is in the key
+        # for ``repro.testing.crossover``, which moves it for the tests
         key = ("partition_plan", self.workers, planner.POOL_CROSSOVER)
         cached = program.memo.get(key)
         if cached is not None and cached[0] == shape:

@@ -18,10 +18,12 @@ workers combination that *executes* differently (knobs that only price —
   plan-cache hit served by what the first run left on the plan
   (constants, structural routes, control-vector metadata) — and both
   results must be the same bits;
-* **chunks, whatever the size** — every ``workers > 1`` entry (and
-  ``tuned``) runs under :func:`crossover` ``(0)``, so its plans go to
-  the pool with one chunk per worker however small the case: the
-  chunked path is what those entries fuzz;
+* **chunks, whatever the size** — every ``workers > 1`` entry runs
+  under :func:`crossover` ``(0)`` with a core per worker, so its plans
+  go to the pool with one chunk per worker however small the case and
+  however few cores the host has: the chunked path is what those
+  entries fuzz.  ``tuned`` runs under ``crossover(0)`` too, so its
+  parallel candidates race chunked wherever the host has the cores;
 * **agreement with the oracle**: the reference result must match the
   independent NumPy oracle (:mod:`repro.testing.oracle`) — exactly for
   integers/booleans/strings, within a small tolerance for float
@@ -272,8 +274,12 @@ def run_case(
                 if config is None:
                     table = reference_table(case)
                 else:
-                    # every parallel plan is chunked on the pool, however small
+                    # every parallel plan is chunked on the pool, however
+                    # small and on any host: a core per worker
                     with crossover(0), config.engine(case.store, case.grain) as engine:
+                        if config.workers > 1:
+                            backend = engine._parallel_backend(config.workers)
+                            backend._effective = config.workers
                         table = engine.query(case.query)
                         # a plan-cache hit: what the first run left on the
                         # plan (:mod:`repro.compiler.runner`) serves this one

@@ -25,7 +25,8 @@ knob                 paper section    search range
 
 A ``workers > 1`` candidate cuts one chunk per worker and runs them on
 the pool only at or above the planner's pool crossover; below it the
-program runs whole, as the default does.
+program runs whole, as the default does, and the tuner neither races
+nor confirms it.
 
 Also *not* here: the translator's control-vector ``grain``.
 Re-translating at a different grain changes the association order of

@@ -24,7 +24,10 @@ machine* in two stages:
    input size, which is exactly where the tuned benchmarks showed
    declined oracle wins.  Times are only ever compared at one scale:
    once confirmation laps ran, the choice is between the confirmed
-   candidates on their full-store times.
+   candidates on their full-store times.  A parallel candidate whose
+   plan on the sample runs whole (below the pool crossover) runs its
+   sequential twin's code there: it is priced as the twin and neither
+   raced nor confirmed.
 
 Every candidate of one search runs through **one engine per store** (the
 sample's, and the full store's when a confirmation is due): a
@@ -48,6 +51,7 @@ from operator import attrgetter
 
 from repro.compiler.options import ExecutionOptions
 from repro.errors import VoodooError
+from repro.parallel.planner import PartitionPlanner
 from repro.relational.algebra import Query
 from repro.relational.eviction import evict_oldest
 from repro.storage.columnstore import ColumnStore
@@ -63,10 +67,10 @@ from repro.tuner.space import TunedConfig, knob_space
 
 #: pool-overhead priors (seconds) the trace-based cost model cannot see:
 #: spinning the pool up and handing one chunk over.  Deliberately rough —
-#: their only job is to keep hopeless parallel candidates (pools on tiny
-#: inputs, oversubscribed workers) out of the measured shortlist.
-#: They only apply when the pool can be exercised: with a single
-#: effective core the backend runs every program whole.
+#: their only job is to keep hopeless parallel candidates (oversubscribed
+#: workers) out of the measured shortlist.  They only apply to a plan
+#: that goes to the pool: with a single effective core, or below the
+#: pool crossover, the backend runs the program whole.
 _POOL_STARTUP = 2e-3
 _CHUNK_OVERHEAD = 2e-4
 
@@ -82,6 +86,10 @@ class CandidateOutcome:
     confirmed_seconds: float | None = None
     trials: int = 0
     chosen: bool = False
+    #: a ``workers > 1`` candidate whose sample plan runs whole (one core,
+    #: or below the pool crossover): its sequential twin's code, so it
+    #: is neither raced nor confirmed
+    whole: bool = False
 
     def row(self) -> str:
         predicted = (
@@ -256,7 +264,9 @@ class AutoTuner:
         :class:`~repro.compiler.pricing.Pricer` reading its values — per
         distinct variant on the sample (through *engine*, the sample's);
         each candidate prices that trace with its worker count capped at
-        the machine's real cores, plus the pool-overhead priors.
+        the machine's real cores, plus the pool-overhead priors.  A
+        ``workers > 1`` candidate whose plan on the sample runs whole is
+        priced as what it runs: its sequential twin.
         """
         outcomes = [CandidateOutcome(config) for config in self.space]
         traced: dict = {}
@@ -269,14 +279,18 @@ class AutoTuner:
                 compiled = engine.compile(query, options=variant)
                 traced[variant] = compiled, compiled.run(engine.vectors())[1]
             compiled, trace = traced[variant]
-            effective = max(
-                1, min(outcome.config.workers, self.hardware["cpu_count"])
-            )
+            workers = outcome.config.workers
+            effective = max(1, min(workers, self.hardware["cpu_count"]))
+            if effective > 1 and not PartitionPlanner(
+                compiled.program, engine.vectors(), workers
+            ).plan().parallel:
+                effective = 1
+            outcome.whole = workers > 1 and effective == 1
             seconds = compiled.price(
                 trace, execution=ExecutionOptions(workers=effective)
             ).seconds
             if effective > 1:  # one chunk per worker
-                seconds += _POOL_STARTUP + outcome.config.workers * _CHUNK_OVERHEAD
+                seconds += _POOL_STARTUP + workers * _CHUNK_OVERHEAD
             outcome.predicted_seconds = seconds
         return outcomes
 
@@ -286,7 +300,8 @@ class AutoTuner:
         """Stage 2: race the shortlist on the sample in real wall-clock
         (through *engine*, the sample's)."""
         ranked = sorted(
-            range(len(outcomes)), key=lambda i: outcomes[i].predicted_seconds
+            (i for i in range(len(outcomes)) if not outcomes[i].whole),
+            key=lambda i: outcomes[i].predicted_seconds,
         )
         picks = [0] + [i for i in ranked if i != 0][: self.shortlist]
         # diversity probes: the best-predicted parallel candidate and the

@@ -55,16 +55,16 @@ class TestSmoke:
 
     def test_every_parallel_entry_runs_chunked_on_the_pool(self, monkeypatch):
         """``run_case`` runs each ``workers > 1`` entry with the pool
-        crossover at 0: on a TPC-H case every run of such an entry is a
-        parallel plan with a pool lease — the entries fuzz chunks, not a
-        second copy of the whole run."""
+        crossover at 0 and a core per worker: on a TPC-H case every run
+        of such an entry is a parallel plan with a pool lease, on any
+        host — the entries fuzz chunks, not a second copy of the whole
+        run."""
         store = generate(0.002, seed=3)
         case = Case(seed=0, index=0, grain=4096, store=store, query=build(store, 6))
         runs: list = []
         plain = ParallelInterpreter.run
 
         def spy(self, *args, **kwargs):
-            self._effective = self.workers  # a core per worker, on any host
             outputs = plain(self, *args, **kwargs)
             runs.append((self.last_plan, self._lease))
             return outputs

@@ -16,6 +16,7 @@ from repro.relational import EngineConfig, VoodooEngine
 from repro.relational.algebra import AggSpec, Filter, GroupBy, Query, Scan
 from repro.relational.expressions import Col, Lit
 from repro.storage import ColumnStore, Table
+from repro.testing import crossover
 from repro.testing.conformance import run_case
 from repro.testing.serialize import Case
 
@@ -33,6 +34,15 @@ def make_store(n: int = 40) -> ColumnStore:
         x=np.round(rng.uniform(-10, 10, n), 3),
     ))
     return store
+
+
+def pooled_engine(store: ColumnStore, config: EngineConfig) -> VoodooEngine:
+    """A parallel engine with a core per worker, on any host: run it
+    under ``crossover(0)`` and its plans go to the pool however small."""
+    engine = VoodooEngine(store, config=config)
+    workers = config.execution.workers
+    engine._parallel_backend(workers)._effective = workers
+    return engine
 
 
 def make_query(threshold: int = 50) -> Query:
@@ -109,11 +119,14 @@ class TestRemovedKnobs:
             init(self, program, storage, virtual_scatter, native)
 
         monkeypatch.setattr(ProgramRunner, "__init__", spy)
-        with VoodooEngine(make_store(), config=TWO_WORKERS.with_(native=True)) as engine:
+        config = TWO_WORKERS.with_(native=True)
+        with crossover(0), pooled_engine(make_store(), config) as engine:
             assert engine.options.native
             result = engine.execute(make_query())
             assert result.compiled.native
-            assert seen and all(seen)  # every runner of the run is native
+            backend = engine._parallel_backend(2)
+            assert backend.last_plan.parallel and backend._lease is not None
+            assert len(seen) > 1 and all(seen)  # every runner of the run is native
 
 
 class TestFoldSelectFullyFilteredChunk:
@@ -122,8 +135,8 @@ class TestFoldSelectFullyFilteredChunk:
     @staticmethod
     def _store_with_dead_chunk(n: int = 40, grain: int = 5) -> ColumnStore:
         v = np.tile(np.arange(grain, dtype=np.int64), n // grain) + 10
-        v[grain: 2 * grain] = 0         # chunk 1 is entirely filtered out
-        v[3 * grain] = 0                # chunk 3 partially filtered
+        v[n // 2:] = 0                  # the last chunk of 2 workers, last two of 4
+        v[grain] = 0                    # chunk 0 partially filtered
         store = ColumnStore()
         store.add(Table.from_arrays("fact", k=np.arange(n, dtype=np.int64), v=v))
         return store
@@ -144,8 +157,13 @@ class TestFoldSelectFullyFilteredChunk:
         query = Query(plan=plan, select=["c", "s"])
         sequential = VoodooEngine(store, config=EngineConfig(grain=5)).query(query)
         config = EngineConfig(grain=5, execution=ExecutionOptions(workers=workers))
-        with VoodooEngine(store, config=config) as engine:
+        with crossover(0), pooled_engine(store, config) as engine:
             parallel = engine.query(query)
+            backend = engine._parallel_backend(workers)
+            plan = backend.last_plan
+            assert plan.parallel and len(plan.chunks) == workers
+            assert plan.chunks[-1][0] >= 20  # a chunk with no surviving row
+            assert backend._lease is not None
         assert sequential.rows() == parallel.rows()
 
     def test_all_rows_filtered_everywhere_yields_empty_result(self):

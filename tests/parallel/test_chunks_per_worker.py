@@ -184,23 +184,3 @@ def test_engine_runs_workers_k_on_the_pool():
     assert got.columns == expected.columns
     for column in expected.columns:
         assert np.array_equal(got.column(column), expected.column(column))
-
-
-def test_engine_plan_cache_hit_replans_under_another_crossover():
-    """The engine's compiled plan does not depend on the crossover, so a
-    cache hit serves it under any value; the partition plan on it does,
-    and a plan pooled under one value is not reused under another."""
-    store = generate(0.002, seed=3)
-    config = EngineConfig(execution=ExecutionOptions(workers=2))
-    with VoodooEngine(store, config=config) as engine:
-        backend = engine._parallel_backend(2)
-        backend._effective = 2
-        with crossover(0):
-            pooled = engine.execute(build(store, 6))
-            assert backend.last_plan.parallel
-        with crossover(float("inf")):
-            whole = engine.execute(build(store, 6))
-            assert not backend.last_plan.parallel
-        assert whole.compiled is pooled.compiled  # a plan-cache hit
-    for column in pooled.table.columns:
-        assert np.array_equal(whole.table.column(column), pooled.table.column(column))

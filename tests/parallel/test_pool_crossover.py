@@ -15,7 +15,6 @@ import pytest
 from repro.compiler import ExecutionOptions
 from repro.compiler.columns import Compact, Dense, Lazy, Slots, Taken, zero_fill
 from repro.compiler.rt_fast import FusedVal, fused_slice, to_fused
-from repro.core import Builder, Schema, StructuredVector
 from repro.core.keypath import kp
 from repro.parallel import REGISTRY, ParallelInterpreter, PartitionPlanner, executor, planner
 from repro.parallel.merge import Merger
@@ -269,29 +268,3 @@ def test_merged_values_in_a_parallel_run_stay_lazy(tpch_store, monkeypatch):
             engine.query(MICRO_SQL["groupby"])
     gathers = [c for value in merged for c in value.columns.values() if isinstance(c, Taken)]
     assert gathers and all(isinstance(c.source, Lazy) for c in gathers)
-
-
-# -------------------------------------------- forcing the pool by hand
-
-
-def forced_program(n: int = 20_000):
-    rng = np.random.default_rng(21)
-    store = {"facts": StructuredVector.single(".v", rng.integers(0, 100, n).astype(np.int64))}
-    b = Builder({"facts": Schema({".v": "int64"})})
-    facts = b.load("facts")
-    ctrl = b.divide(b.range(facts), b.constant(1024), out=".g")
-    partial = b.fold_sum(b.zip(facts, ctrl), agg_kp=".v", fold_kp=".g", out=".p")
-    return store, b.build(total=b.fold_sum(partial, agg_kp=".p", out=".total"))
-
-
-def test_forcing_effective_cores_reaches_the_pool_only_above_the_crossover():
-    """Tests that force the pool set ``_effective`` *and* the crossover:
-    ``_effective`` alone does not send a small plan there.  (No memo is
-    cleared between the two: a plan is memoized per crossover.)"""
-    store, program = forced_program()
-    for value, pooled in ((float("inf"), False), (0, True)):
-        with crossover(value), ParallelInterpreter(store, workers=2) as runner:
-            runner._effective = 2
-            runner.run(program)
-            assert runner.last_plan.parallel is pooled
-            assert (runner._lease is not None) is pooled

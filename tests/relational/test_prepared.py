@@ -138,13 +138,18 @@ class TestBitIdentity:
 
     def test_parallel_engine_prepared_identity(self, store):
         from repro.compiler import ExecutionOptions
+        from repro.testing import crossover
 
         config = EngineConfig(execution=ExecutionOptions(workers=2))
-        with VoodooEngine(store, config=config) as parallel:
+        # chunks on the pool however small, with a core per worker on any host
+        with crossover(0), VoodooEngine(store, config=config) as parallel:
+            backend = parallel._parallel_backend(2)
+            backend._effective = 2
             with VoodooEngine(store) as sequential:
                 a = parallel.prepare(param_query(Param("x"))).table(x=0.5)
                 b = sequential.execute(param_query(Lit(0.5))).table
                 assert a.rows() == b.rows()
+            assert backend.last_plan.parallel and backend._lease is not None
 
 
 class TestSQLParams:

@@ -403,9 +403,12 @@ class TestLayoutInvariance:
         ]
         execution = ExecutionOptions(workers=workers) if workers > 1 else None
         def run(store):
-            # chunks on the pool (cut at segment boundaries) however small
+            # chunks on the pool (cut at segment boundaries) however small,
+            # with a core per worker on any host
             with crossover(0), VoodooEngine(store, config=EngineConfig(
                     tracing=False, execution=execution)) as engine:
+                if workers > 1:
+                    engine._parallel_backend(workers)._effective = workers
                 return [engine.query(sql) for sql in sqls]
         expect = run(base)
         for name, store in variants.items():

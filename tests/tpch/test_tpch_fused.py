@@ -13,6 +13,7 @@ import pytest
 from repro.compiler import ExecutionOptions, compile_program
 from repro.interpreter import Interpreter
 from repro.relational import EngineConfig, VoodooEngine
+from repro.testing import crossover
 from repro.tpch import QUERIES, build, generate
 
 
@@ -50,16 +51,22 @@ def test_query_fused_bit_identical(store, engine, number):
 
 @pytest.mark.parametrize("number", sorted(QUERIES))
 def test_engine_tables_agree_across_backends(store, engine, number):
-    """Traced, fused-untraced and workers=2 engines: same result tables."""
+    """Traced, fused-untraced and workers=2 engines: same result tables.
+    The workers=2 engine cuts its chunks on the pool (crossover 0, a
+    core per worker on any host) — at this size it would run whole."""
     reference = engine.execute(build(store, number)).table
     fused_engine = VoodooEngine(store, config=EngineConfig(tracing=False))
     parallel_engine = VoodooEngine(
         store, config=EngineConfig(execution=ExecutionOptions(workers=2))
     )
-    for other_engine in (fused_engine, parallel_engine):
-        table = other_engine.execute(build(store, number)).table
-        assert table.columns == reference.columns, number
-        for column in reference.columns:
-            assert np.array_equal(
-                table.column(column), reference.column(column)
-            ), (number, column)
+    backend = parallel_engine._parallel_backend(2)
+    backend._effective = 2
+    with crossover(0), parallel_engine:
+        for other_engine in (fused_engine, parallel_engine):
+            table = other_engine.execute(build(store, number)).table
+            assert table.columns == reference.columns, number
+            for column in reference.columns:
+                assert np.array_equal(
+                    table.column(column), reference.column(column)
+                ), (number, column)
+        assert backend.last_plan.parallel and backend._lease is not None, number

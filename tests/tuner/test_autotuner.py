@@ -188,21 +188,31 @@ class TestSearch:
         tuner = fast_tuner(store)
         assert tuner.tune(build(store, 19)) in tuner.space
 
-    def test_parallel_candidates_price_as_their_sequential_twin_on_single_core(
-            self, store):
-        """With cpu_count=1 a ``workers > 1`` candidate runs whole — its
-        sequential twin's code — so stage 1 prices the two alike and adds
-        no pool overhead: only the measured race can tell them apart."""
-        tuner = AutoTuner(store, space=knob_space(cpu_count=1), cpu_count=1,
-                          sample_rows=2048, shortlist=3, repeats=1)
-        report = tuner.explain(build(store, 6))
-        predicted = {outcome.config: outcome.predicted_seconds
-                     for outcome in report.candidates}
-        parallel = [config for config in predicted if config.workers > 1]
+    @pytest.mark.parametrize("cores, value", [(1, 0), (2, float("inf")), (2, 0)],
+                             ids=["one-core", "below-crossover", "pooled"])
+    def test_a_parallel_candidate_races_only_when_its_sample_plan_is_pooled(
+            self, store, cores, value):
+        """With one core, or below the crossover, a ``workers > 1``
+        candidate runs its sequential twin's code: stage 1 prices it as
+        the twin, with no pool prior, and it is neither raced nor
+        confirmed.  Pooled, it carries the prior and the best-predicted
+        one is raced."""
+        tuner = AutoTuner(store, space=knob_space(cpu_count=cores), cpu_count=cores,
+                          sample_rows=2048, shortlist=2, repeats=1,
+                          confirm_margin=1e9)  # every raced challenger is "near"
+        with crossover(value):
+            report = tuner.explain(build(store, 6))
+        pooled = cores > 1 and value == 0
+        predicted = {o.config: o.predicted_seconds for o in report.candidates}
+        parallel = [o for o in report.candidates if o.config.workers > 1]
         assert parallel
-        for config in parallel:
-            twin = TunedConfig(config.options, ExecutionOptions())
-            assert predicted[config] == predicted[twin], config.describe()
+        for outcome in parallel:
+            twin = TunedConfig(outcome.config.options, ExecutionOptions())
+            assert outcome.whole is not pooled
+            assert (predicted[outcome.config] == predicted[twin]) is not pooled
+        assert any(o.measured_seconds is not None for o in parallel) is pooled
+        if not pooled:
+            assert all(o.trials == 0 and o.confirmed_seconds is None for o in parallel)
 
     def test_report_renders(self, store):
         tuner = fast_tuner(store)
