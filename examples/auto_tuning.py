@@ -2,10 +2,11 @@
 
 One engine, one extra argument: ``VoodooEngine(store, config=EngineConfig(tuning="auto"))``.
 Per query, the tuner searches the knobs untraced execution reads —
-virtual scatter, worker count, the native C tier — with a
-cost-model pruner followed by measured racing on a sampled store, then
-memoizes the winner so the search never repeats (persist it across
-restarts with ``tuning_cache="path.json"``).  The engine runs whatever
+virtual scatter, worker count, the native C tier — by measurement
+alone: the candidates race in wall-clock on a sampled store, near-ties
+are confirmed on the full store, and the tuner then memoizes the
+winner so the search never repeats (persist it across restarts with
+``tuning_cache="path.json"``).  The engine runs whatever
 is chosen itself: a configuration is a value, not another engine.
 
 Run:  python examples/auto_tuning.py

@@ -91,8 +91,7 @@ class EngineConfig:
         if self.tuning == "auto" and self.execution is not None:
             raise ExecutionError(
                 "tuning=\"auto\" chooses ExecutionOptions itself; drop the "
-                "execution=/parallelism= argument (or pin the knobs with "
-                "tuning=\"off\")."
+                "execution= argument (or pin the knobs with tuning=\"off\")."
             )
         if self.tuning == "auto" and self.native is not None:
             raise ExecutionError(

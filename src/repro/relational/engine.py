@@ -300,8 +300,8 @@ class VoodooEngine:
         return self._tuner
 
     def explain_tuning(self, query: Query):
-        """The tuning evidence for *query*: candidates considered,
-        predicted vs measured times, and the chosen configuration
+        """The tuning evidence for *query*: candidates considered, their
+        measured and confirmed times, and the chosen configuration
         (a :class:`repro.tuner.TuningReport`; tunes on first call)."""
         if self.tuning != "auto":
             raise ExecutionError(

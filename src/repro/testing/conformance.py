@@ -108,11 +108,9 @@ class BackendConfig:
         if self.tuned:
             from repro.tuner import AutoTuner, compact_space
 
-            # compact space + single-lap refiner: per-case tuning cost
+            # compact space + single-lap race: per-case tuning cost
             # stays bounded while every knob family remains reachable
-            tuner = AutoTuner(
-                store, space=compact_space(), shortlist=2, repeats=1
-            )
+            tuner = AutoTuner(store, space=compact_space(), repeats=1)
             return VoodooEngine(store, config=EngineConfig(
                 grain=grain, tuning="auto", tuner=tuner))
         execution = ExecutionOptions(workers=self.workers) if self.workers > 1 else None

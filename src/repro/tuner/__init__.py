@@ -1,10 +1,10 @@
 """Adaptive knob auto-tuner: the paper's tuning space, searched per
 query, per machine (section 5.3, automated).
 
-Two-stage search — a cost-model pruner over :mod:`repro.hardware.cost`
-followed by a measured refiner with early-exit racing on a sampled
-store — memoized in a persistent :class:`TuningCache` keyed on query ×
-store × hardware.  Wired into the engine as
+One measured stage — every candidate that runs its own code races the
+static default in wall-clock on a sampled store, with early exit, and a
+near-tie is settled by full-store confirmation laps — memoized in a
+persistent :class:`TuningCache` keyed on query × store × hardware.  Wired into the engine as
 ``VoodooEngine(store, config=EngineConfig(tuning="auto"))``; inspect decisions with
 ``engine.explain_tuning(query)`` or ``python -m repro.tuner`` (smoke
 CLI: tune three TPC-H queries, prove the warm cache re-answers with

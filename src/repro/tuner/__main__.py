@@ -3,11 +3,12 @@
     python -m repro.tuner --queries 1 6 19 --scale 0.01 --cache /tmp/t.json
 
 Tunes the given TPC-H queries cold, prints each decision and the set it
-raced, and checks the decision by counting, not timing: the choice is a
-member of the knob space and — unless it won on confirmed full-store
-laps — not behind the default's sample lap by more than the keep-default
-margin.  Then proves the memoization contract: a second tuner loading
-the same cache answers every query with a **cache hit and zero measured
+raced, and checks the search by counting, not timing: every candidate
+that does not run whole was raced, and the choice is a member of the
+knob space and — unless it won on confirmed full-store laps — not behind
+the default's sample lap by more than ``AutoTuner.KEEP_DEFAULT_MARGIN``.
+Then proves the memoization contract: a second tuner loading the same
+cache answers every query with a **cache hit and zero measured
 trials**.  Exits non-zero if a check fails, a decision changes between
 the runs or the warm run measures anything.
 """
@@ -57,10 +58,15 @@ def main(argv: list[str] | None = None) -> int:
         print("       raced: " + ", ".join(
             c.config.describe() for c in report.candidates
             if c.measured_seconds is not None))
+        unraced = [c.config.describe() for c in report.candidates
+                   if not c.whole and c.measured_seconds is None]
+        if unraced:
+            print(f"FAIL Q{number}: not whole, yet never raced: {', '.join(unraced)}")
+            failures += 1
         default, winner = report.candidates[0], next(
             c for c in report.candidates if c.chosen)
         behind = winner.measured_seconds > default.measured_seconds * (
-            1 + cold.keep_default_margin)
+            1 + AutoTuner.KEEP_DEFAULT_MARGIN)
         if winner.config not in cold.space or (
                 behind and winner.confirmed_seconds is None):
             print(f"FAIL Q{number}: {winner.config.describe()} is outside the knob "

@@ -39,8 +39,9 @@ def digest(obj) -> str:
 
 def hardware_signature(device: str = "cpu-mt", cpu_count: int | None = None) -> dict:
     """What makes a tuning decision machine-specific: the core budget the
-    measured trials actually ran on, plus the device profile the
-    cost-model pruner priced against."""
+    measured trials actually ran on, plus the device profile — kept
+    because the candidates' options carry it, so a decision raced under
+    one device's options is not replayed under another's."""
     return {
         "cpu_count": int(cpu_count if cpu_count is not None else (os.cpu_count() or 1)),
         "device": device,
@@ -65,7 +66,6 @@ class TuningEntry:
 
     key: TuningKey
     config: TunedConfig
-    predicted_ms: float | None = None
     measured_ms: float | None = None
     trials: int = 0
 
@@ -74,7 +74,6 @@ class TuningEntry:
             "key": {"query": self.key.query, "store": self.key.store,
                     "hardware": self.key.hardware},
             "config": self.config.to_json(),
-            "predicted_ms": self.predicted_ms,
             "measured_ms": self.measured_ms,
             "trials": self.trials,
         }
@@ -85,7 +84,6 @@ class TuningEntry:
         return cls(
             key=key,
             config=TunedConfig.from_json(data["config"]),
-            predicted_ms=data.get("predicted_ms"),
             measured_ms=data.get("measured_ms"),
             trials=int(data.get("trials", 0)),
         )

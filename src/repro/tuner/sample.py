@@ -1,7 +1,7 @@
 """Scaled-down measurement stores for the tuner's wall-clock trials.
 
-Measuring every shortlisted configuration on the full dataset would make
-tuning cost more than it saves, so the refiner races candidates on a
+Measuring every candidate configuration on the full dataset would make
+tuning cost more than it saves, so the tuner races candidates on a
 *sample*: a prefix slice of every oversized table (the
 :mod:`repro.testing.datagen` convention — prefix slices preserve run
 structure, dtype, and dictionary encoding, which is what the knobs are

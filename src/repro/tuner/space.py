@@ -98,8 +98,9 @@ def knob_space(
 ) -> list[TunedConfig]:
     """The full candidate list for one machine.
 
-    Ordered so that ties in predicted/measured time resolve toward the
-    least surprising configuration: the static default comes first.
+    Ordered so that ties in measured time resolve toward the least
+    surprising configuration: the static default comes first, and the
+    tuner races the candidates in this order.
     """
     cpu_count = cpu_count or os.cpu_count() or 1
     seq = ExecutionOptions()

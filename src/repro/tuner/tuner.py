@@ -2,32 +2,25 @@
 
 Given a relational query and a :class:`~repro.storage.ColumnStore`, the
 tuner picks the fastest point of the knob space *for this query on this
-machine* in two stages:
+machine* by measurement alone:
 
-1. **Cost-model pruner** — every candidate is scored with the existing
-   :mod:`repro.hardware.cost` simulated-seconds model: one traced run
-   (the node runner with a pricer attached) per distinct *executed*
-   variant on a sampled slice of the store,
-   priced per candidate with the worker count capped at the machine's
-   real core budget, plus explicit pool-overhead priors the simulator
-   cannot see.  This cuts the grid to a shortlist without a single
-   wall-clock trial.
-2. **Measured refiner** — the shortlist (always including the static
-   default, which the winner must beat) races on the sampled store in
-   real wall-clock, with early exit: a candidate whose first lap is
-   hopelessly behind the leader forfeits its remaining repeats.  The
-   best-predicted parallel and native candidates are always raced
-   (diversity probes), and a near-tie between the default and a
-   parallel/native challenger is settled by one **full-scale
-   confirmation lap** of each — sample-scale races systematically
-   under-credit configurations whose fixed overheads amortize with
-   input size, which is exactly where the tuned benchmarks showed
-   declined oracle wins.  Times are only ever compared at one scale:
-   once confirmation laps ran, the choice is between the confirmed
-   candidates on their full-store times.  A parallel candidate whose
-   plan on the sample runs whole (below the pool crossover) runs its
-   sequential twin's code there: it is priced as the twin and neither
-   raced nor confirmed.
+* **Sample race** — the static default and every candidate that runs
+  its own code on the sample race in real wall-clock on a sampled
+  slice of the store, in knob-space order, with early exit: a candidate
+  whose first lap is hopelessly behind the leader forfeits its
+  remaining repeats.  A ``workers > 1`` candidate whose sample plan
+  runs whole (one effective core, or below the pool crossover) runs its
+  sequential twin's code there: it is marked ``whole`` and neither
+  raced nor confirmed.
+* **Full-store confirmation** — a near-tie between the default and a
+  parallel/native challenger is settled by one full-scale lap of each:
+  sample-scale races systematically under-credit configurations whose
+  fixed overheads amortize with input size.  Times are only ever
+  compared at one scale: once confirmation laps ran, the choice is
+  between the confirmed candidates on their full-store times.
+* **Keep-default rule** — the winner must beat the static default by
+  more than :attr:`AutoTuner.KEEP_DEFAULT_MARGIN`, otherwise the default
+  is kept.
 
 Every candidate of one search runs through **one engine per store** (the
 sample's, and the full store's when a confirmation is due): a
@@ -49,7 +42,6 @@ import time
 from dataclasses import dataclass, field
 from operator import attrgetter
 
-from repro.compiler.options import ExecutionOptions
 from repro.errors import VoodooError
 from repro.parallel.planner import PartitionPlanner
 from repro.relational.algebra import Query
@@ -65,22 +57,13 @@ from repro.tuner.cache import (
 from repro.tuner.sample import sample_store
 from repro.tuner.space import TunedConfig, knob_space
 
-#: pool-overhead priors (seconds) the trace-based cost model cannot see:
-#: spinning the pool up and handing one chunk over.  Deliberately rough —
-#: their only job is to keep hopeless parallel candidates (oversubscribed
-#: workers) out of the measured shortlist.  They only apply to a plan
-#: that goes to the pool: with a single effective core, or below the
-#: pool crossover, the backend runs the program whole.
-_POOL_STARTUP = 2e-3
-_CHUNK_OVERHEAD = 2e-4
 
 
 @dataclass
 class CandidateOutcome:
-    """One candidate's journey through the two stages."""
+    """One candidate's journey through the race and the confirmation."""
 
     config: TunedConfig
-    predicted_seconds: float | None = None
     measured_seconds: float | None = None
     #: full-store confirmation lap (near-tie challengers and the default)
     confirmed_seconds: float | None = None
@@ -92,12 +75,9 @@ class CandidateOutcome:
     whole: bool = False
 
     def row(self) -> str:
-        predicted = (
-            "        -" if self.predicted_seconds is None
-            else f"{self.predicted_seconds * 1e3:8.3f}ms"
-        )
         measured = (
-            "        -" if self.measured_seconds is None
+            "    whole" if self.whole
+            else "        -" if self.measured_seconds is None
             else f"{self.measured_seconds * 1e3:8.3f}ms"
         )
         confirmed = (
@@ -105,16 +85,14 @@ class CandidateOutcome:
             else f" | full {self.confirmed_seconds * 1e3:8.3f}ms"
         )
         mark = " <- chosen" if self.chosen else ""
-        return (
-            f"{self.config.describe():>42} | {predicted} | {measured}"
-            f"{confirmed}{mark}"
-        )
+        return f"{self.config.describe():>42} | {measured}{confirmed}{mark}"
 
 
 @dataclass
 class TuningReport:
     """Everything ``engine.explain_tuning`` shows: candidates considered,
-    predicted vs measured times, and the chosen configuration."""
+    their measured (sample) and confirmed (full-store) times, and the
+    chosen configuration."""
 
     key: TuningKey
     hardware: dict
@@ -136,7 +114,7 @@ class TuningReport:
                 f"(0 measured trials this run)"
             )
             return "\n".join(lines)
-        header = f"{'candidate':>42} | {'predicted':>10} | {'measured':>10}"
+        header = f"{'candidate':>42} | {'measured':>10}"
         lines += [header, "-" * len(header)]
         lines += [f"  {outcome.row()}" for outcome in self.candidates]
         lines.append(
@@ -157,39 +135,30 @@ class AutoTuner:
         A :class:`TuningCache`, a path for a persistent one, or ``None``
         for a process-local cache.
     device:
-        Device profile the cost-model pruner prices traces on.
+        Device profile of the default knob space's options.
     space:
         Candidate list; defaults to :func:`repro.tuner.space.knob_space`
         for this machine.  The first entry is treated as the baseline:
-        it is always measured, and wins ties (see keep_default_margin).
+        it is always measured, and wins ties (see ``KEEP_DEFAULT_MARGIN``).
     sample_rows:
         Row cap for the measurement sample (prefix slice per table).
-    shortlist:
-        How many cost-model survivors get wall-clock trials (the static
-        default is always raced in addition).
     repeats:
         Timed laps per measured candidate (best-of).
-    race_factor:
-        Early exit: a candidate whose first lap exceeds the best time so
-        far by this factor forfeits its remaining laps.
-    keep_default_margin:
-        The winner must beat the static default by more than this
-        relative margin, otherwise the default is kept — ties go to the
-        least surprising configuration, and sample-scale flukes are not
-        allowed to adopt configs that could regress at full scale.
-    confirm:
-        Settle near-ties with a full-scale lap (default on).  Parallel
-        and native candidates pay fixed per-query overheads the sample
-        race over-weights; when the best such challenger measures within
-        ``confirm_margin`` of the static default, one timed lap of each
-        on the *full* store decides (``confirmed_seconds``), instead of
-        letting the default-margin rule decline a real full-scale win.
-    confirm_margin:
-        How close (relative) a parallel/native challenger must race to
-        the default to earn a full-scale confirmation lap.
     cpu_count:
         Real core budget (tests override it to simulate other machines).
     """
+
+    #: early exit: a candidate whose first lap exceeds the best time so
+    #: far by this factor forfeits its remaining laps
+    RACE_FACTOR = 2.0
+    #: the winner must beat the static default by more than this relative
+    #: margin, otherwise the default is kept — ties go to the least
+    #: surprising configuration, and sample-scale flukes are not allowed
+    #: to adopt configs that could regress at full scale
+    KEEP_DEFAULT_MARGIN = 0.10
+    #: how close (relative) a parallel/native challenger must race to the
+    #: default on the sample to earn a full-store confirmation lap
+    CONFIRM_MARGIN = 0.35
 
     def __init__(
         self,
@@ -198,12 +167,7 @@ class AutoTuner:
         device: str = "cpu-mt",
         space: list[TunedConfig] | None = None,
         sample_rows: int = 65536,
-        shortlist: int = 3,
         repeats: int = 3,
-        race_factor: float = 2.0,
-        keep_default_margin: float = 0.10,
-        confirm: bool = True,
-        confirm_margin: float = 0.35,
         cpu_count: int | None = None,
     ):
         self.store = store
@@ -216,12 +180,7 @@ class AutoTuner:
         if not self.space:
             raise VoodooError("tuner needs a non-empty candidate space")
         self.sample_rows = sample_rows
-        self.shortlist = max(1, shortlist)
         self.repeats = max(1, repeats)
-        self.race_factor = race_factor
-        self.keep_default_margin = keep_default_margin
-        self.confirm = confirm
-        self.confirm_margin = confirm_margin
         #: timed wall-clock laps executed so far (0 on a warm cache)
         self.measured_trials = 0
         self._sample: ColumnStore | None = None
@@ -246,7 +205,7 @@ class AutoTuner:
             self._sample = sample_store(self.store, self.sample_rows)
         return self._sample
 
-    # -- the two stages ----------------------------------------------------
+    # -- the search --------------------------------------------------------
 
     @staticmethod
     def _engine(store: ColumnStore, grain: int | None):
@@ -257,76 +216,42 @@ class AutoTuner:
 
         return VoodooEngine(store, config=EngineConfig(grain=grain, tracing=False))
 
-    def _predict(self, query: Query, engine) -> list[CandidateOutcome]:
-        """Stage 1: score every candidate with the simulated cost model.
-
-        One traced run — the node runner with a
-        :class:`~repro.compiler.pricing.Pricer` reading its values — per
-        distinct variant on the sample (through *engine*, the sample's);
-        each candidate prices that trace with its worker count capped at
-        the machine's real cores, plus the pool-overhead priors.  A
-        ``workers > 1`` candidate whose plan on the sample runs whole is
-        priced as what it runs: its sequential twin.
-        """
-        outcomes = [CandidateOutcome(config) for config in self.space]
-        traced: dict = {}
-        for outcome in outcomes:
-            # a traced run executes the NumPy kernels whatever ``native``
-            # says; drop it so variants differing only there share one
-            # compile + traced run
-            variant = outcome.config.options.with_(native=False)
-            if variant not in traced:
-                compiled = engine.compile(query, options=variant)
-                traced[variant] = compiled, compiled.run(engine.vectors())[1]
-            compiled, trace = traced[variant]
-            workers = outcome.config.workers
-            effective = max(1, min(workers, self.hardware["cpu_count"]))
-            if effective > 1 and not PartitionPlanner(
-                compiled.program, engine.vectors(), workers
-            ).plan().parallel:
-                effective = 1
-            outcome.whole = workers > 1 and effective == 1
-            seconds = compiled.price(
-                trace, execution=ExecutionOptions(workers=effective)
-            ).seconds
-            if effective > 1:  # one chunk per worker
-                seconds += _POOL_STARTUP + workers * _CHUNK_OVERHEAD
-            outcome.predicted_seconds = seconds
-        return outcomes
-
-    def _measure(
-        self, query: Query, engine, outcomes: list[CandidateOutcome]
-    ) -> None:
-        """Stage 2: race the shortlist on the sample in real wall-clock
-        (through *engine*, the sample's)."""
-        ranked = sorted(
-            (i for i in range(len(outcomes)) if not outcomes[i].whole),
-            key=lambda i: outcomes[i].predicted_seconds,
+    def _runs_whole(self, query: Query, engine, config: TunedConfig) -> bool:
+        """Whether a ``workers > 1`` *config* runs its sequential twin's
+        code on *engine* (the sample's): one effective core, or a sample
+        plan that is not parallel.  The plan is made from the compile the
+        candidate's own warm-up lap would use (same plan-cache key)."""
+        if config.workers == 1:
+            return False
+        if self.hardware["cpu_count"] < 2:
+            return True
+        compiled = engine.compile(
+            query, options=config.options, execution=config.execution
         )
-        picks = [0] + [i for i in ranked if i != 0][: self.shortlist]
-        # diversity probes: the best-predicted parallel candidate and the
-        # best-predicted native candidate are always raced — chunked
-        # execution has locality effects the trace model cannot see, and
-        # the cost model prices native identically to fused by construction
-        parallel = [i for i in ranked if outcomes[i].config.workers > 1]
-        if parallel and parallel[0] not in picks:
-            picks.append(parallel[0])
-        native = [i for i in ranked if outcomes[i].config.native]
-        if native and native[0] not in picks:
-            picks.append(native[0])
+        return not PartitionPlanner(
+            compiled.program, engine.vectors(), config.workers
+        ).plan().parallel
+
+    def _race(self, query: Query, engine) -> list[CandidateOutcome]:
+        """Race every candidate that runs its own code on the sample in
+        real wall-clock, in space order (through *engine*, the sample's)."""
+        outcomes = [CandidateOutcome(config) for config in self.space]
         best = float("inf")
-        for index in picks:
-            outcome = outcomes[index]
+        for index, outcome in enumerate(outcomes):
+            outcome.whole = self._runs_whole(query, engine, outcome.config)
+            if outcome.whole:
+                continue
             self._lap(query, engine, outcome.config)  # warmup: compile, pool, plan
             elapsed = float("inf")
             for lap in range(self.repeats):
                 elapsed = min(elapsed, self._lap(query, engine, outcome.config))
                 outcome.trials += 1
                 self.measured_trials += 1
-                if lap == 0 and index != 0 and elapsed > best * self.race_factor:
+                if lap == 0 and index != 0 and elapsed > best * self.RACE_FACTOR:
                     break  # hopelessly behind: forfeit remaining laps
             outcome.measured_seconds = elapsed
             best = min(best, elapsed)
+        return outcomes
 
     @staticmethod
     def _lap(query: Query, engine, config: TunedConfig) -> float:
@@ -351,11 +276,11 @@ class AutoTuner:
         run's dispatch against a fraction of the real work, so configs
         that win at full scale can lose the sample race by a whisker and
         be declined by the keep-default margin.  When the best such
-        challenger measures within ``confirm_margin`` of the default,
+        challenger measures within ``CONFIRM_MARGIN`` of the default,
         one full-store lap of each decides (``confirmed_seconds``).
         """
         default = outcomes[0]
-        if not self.confirm or default.measured_seconds is None:
+        if default.measured_seconds is None:
             return
         challengers = [
             o for o in outcomes
@@ -363,7 +288,7 @@ class AutoTuner:
             and o.measured_seconds is not None
             and (o.config.workers > 1 or o.config.native)
             and o.measured_seconds
-            <= default.measured_seconds * (1 + self.confirm_margin)
+            <= default.measured_seconds * (1 + self.CONFIRM_MARGIN)
         ]
         if not challengers:
             return
@@ -387,7 +312,7 @@ class AutoTuner:
         default = outcomes[0]
         if (
             seconds(default) is not None
-            and seconds(default) <= seconds(winner) * (1 + self.keep_default_margin)
+            and seconds(default) <= seconds(winner) * (1 + self.KEEP_DEFAULT_MARGIN)
         ):
             winner = default  # ties go to the static default
         winner.chosen = True
@@ -399,7 +324,7 @@ class AutoTuner:
     REPORT_CAPACITY = 256
 
     def tune(self, query: Query, grain: int | None = None) -> TunedConfig:
-        """The decision: cached when warm, two-stage search when cold."""
+        """The decision: cached when warm, measured search when cold."""
         key = self.key_for(query, grain)
         entry = self.cache.get(key)
         if entry is not None:
@@ -427,12 +352,12 @@ class AutoTuner:
         return max((len(t) for t in self.sample.tables()), default=0)
 
     def _search(self, query: Query, grain: int | None, key: TuningKey) -> TuningReport:
-        """The cold path: both stages, the choice, and its memoization."""
+        """The cold path: the race, its confirmation, the choice, and its
+        memoization."""
         start = time.perf_counter()
         trials_before = self.measured_trials
         with self._engine(self.sample, grain) as engine:
-            outcomes = self._predict(query, engine)
-            self._measure(query, engine, outcomes)
+            outcomes = self._race(query, engine)
         self._confirm(query, grain, outcomes)
         winner = self._choose(outcomes)
         report = TuningReport(
@@ -450,10 +375,6 @@ class AutoTuner:
         self.cache.put(TuningEntry(
             key=key,
             config=winner.config,
-            predicted_ms=(
-                None if winner.predicted_seconds is None
-                else winner.predicted_seconds * 1e3
-            ),
             measured_ms=(
                 None if winner.measured_seconds is None
                 else winner.measured_seconds * 1e3

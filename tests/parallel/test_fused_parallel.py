@@ -140,8 +140,9 @@ def test_parallel_engine_hands_virtual_scatter_to_every_runner(store, monkeypatc
 
 
 def test_engine_fused_parallel_tables_agree(store, engine):
-    """The parallelism= knob (fused chunks by default) returns the same
-    result tables as the sequential traced engine."""
+    """An engine built with ``ExecutionOptions(workers=N)`` (fused chunks
+    by default) returns the same result tables as the sequential traced
+    engine."""
     with pooled_engine(store) as parallel_engine:
         for number in sorted(QUERIES):
             reference = engine.execute(build(store, number)).table

@@ -1,4 +1,4 @@
-"""The adaptive auto-tuner: space, two-stage search, memoization, and
+"""The adaptive auto-tuner: space, measured search, memoization, and
 engine integration.
 
 The headline property (mirrored by the conformance grid's ``tuned``
@@ -12,7 +12,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.compiler import CompilerOptions, ExecutionOptions
+from repro.compiler import CompilerOptions
 from repro.errors import ExecutionError
 from repro.relational import EngineConfig, VoodooEngine
 from repro.testing import crossover
@@ -48,7 +48,6 @@ def built(monkeypatch) -> list:
 def fast_tuner(store, **kwargs) -> AutoTuner:
     kwargs.setdefault("space", compact_space())
     kwargs.setdefault("sample_rows", 2048)
-    kwargs.setdefault("shortlist", 2)
     kwargs.setdefault("repeats", 1)
     return AutoTuner(store, **kwargs)
 
@@ -166,23 +165,33 @@ class TestSampleStore:
         assert full_aux and full_aux == sample_aux
 
 
-# ----------------------------------------------------- two-stage search
+# ----------------------------------------------------- measured search
+
+
+def raced(report) -> list:
+    return [c.config for c in report.candidates if c.measured_seconds is not None]
 
 
 class TestSearch:
-    def test_every_candidate_gets_a_prediction(self, store):
+    def test_every_candidate_not_whole_is_raced(self, store):
+        """Nothing is pruned: a candidate is raced unless it runs whole,
+        and a whole one pays no trial."""
         tuner = fast_tuner(store)
         report = tuner.explain(build(store, 6))
         assert len(report.candidates) == len(tuner.space)
-        assert all(c.predicted_seconds is not None for c in report.candidates)
+        for outcome in report.candidates:
+            if outcome.whole:
+                assert outcome.trials == 0 and outcome.measured_seconds is None
+            else:
+                assert outcome.trials >= 1 and outcome.measured_seconds is not None
 
-    def test_shortlist_plus_default_measured(self, store):
-        tuner = fast_tuner(store, shortlist=2)
+    def test_raced_set_is_the_space_minus_whole_candidates(self, store):
+        tuner = fast_tuner(store, space=knob_space(cpu_count=2))
         report = tuner.explain(build(store, 1))
-        measured = [c for c in report.candidates if c.measured_seconds is not None]
-        # default + shortlist + at most one parallel and one native probe
-        assert 2 <= len(measured) <= 5
-        assert report.candidates[0].measured_seconds is not None  # the default
+        whole = [c.config for c in report.candidates if c.whole]
+        assert raced(report) == [c for c in tuner.space if c not in whole]
+        assert raced(report)[0] == default_config()
+        assert all(config.workers > 1 for config in whole)
 
     def test_chosen_comes_from_the_space(self, store):
         tuner = fast_tuner(store)
@@ -191,33 +200,29 @@ class TestSearch:
     @pytest.mark.parametrize("cores, value", [(1, 0), (2, float("inf")), (2, 0)],
                              ids=["one-core", "below-crossover", "pooled"])
     def test_a_parallel_candidate_races_only_when_its_sample_plan_is_pooled(
-            self, store, cores, value):
+            self, store, cores, value, monkeypatch):
         """With one core, or below the crossover, a ``workers > 1``
-        candidate runs its sequential twin's code: stage 1 prices it as
-        the twin, with no pool prior, and it is neither raced nor
-        confirmed.  Pooled, it carries the prior and the best-predicted
-        one is raced."""
+        candidate runs its sequential twin's code: it is marked whole and
+        neither raced nor confirmed.  Pooled, every one is raced."""
+        monkeypatch.setattr(AutoTuner, "CONFIRM_MARGIN", 1e9)  # every challenger is "near"
         tuner = AutoTuner(store, space=knob_space(cpu_count=cores), cpu_count=cores,
-                          sample_rows=2048, shortlist=2, repeats=1,
-                          confirm_margin=1e9)  # every raced challenger is "near"
+                          sample_rows=2048, repeats=1)
         with crossover(value):
             report = tuner.explain(build(store, 6))
         pooled = cores > 1 and value == 0
-        predicted = {o.config: o.predicted_seconds for o in report.candidates}
         parallel = [o for o in report.candidates if o.config.workers > 1]
         assert parallel
         for outcome in parallel:
-            twin = TunedConfig(outcome.config.options, ExecutionOptions())
             assert outcome.whole is not pooled
-            assert (predicted[outcome.config] == predicted[twin]) is not pooled
-        assert any(o.measured_seconds is not None for o in parallel) is pooled
+            assert (outcome.measured_seconds is not None) is pooled
         if not pooled:
             assert all(o.trials == 0 and o.confirmed_seconds is None for o in parallel)
 
     def test_report_renders(self, store):
         tuner = fast_tuner(store)
         text = tuner.explain(build(store, 6)).render()
-        assert "predicted" in text and "measured" in text and "chosen" in text.lower()
+        assert "predicted" not in text
+        assert "measured" in text and "chosen" in text.lower()
 
 
 # ----------------------------------------------------- confirmation probe
@@ -299,7 +304,7 @@ class TestConfirmationProbe:
         assert winner is default and not bystander.chosen
 
     def test_sample_laps_decide_when_nothing_was_confirmed(self, store):
-        tuner = fast_tuner(store, confirm=False)
+        tuner = fast_tuner(store)
         outcomes = self._outcomes(tuner, sample_ms=10.0)
         fast = next(o for o in outcomes if o.config.workers > 1)
         fast.measured_seconds = 0.005
@@ -329,14 +334,23 @@ class TestConfirmationProbe:
         tuner._confirm(build(store, 6), None, outcomes)
         assert all(o.confirmed_seconds is None for o in outcomes)
 
-    def test_confirm_off_disables_the_probe(self, store, monkeypatch):
-        tuner = fast_tuner(store, confirm=False)
+    def test_confirm_margin_bounds_the_probe(self, store, monkeypatch):
+        """``CONFIRM_MARGIN`` is what the probe reads: a challenger just
+        outside it earns no lap, one just inside it does."""
+        monkeypatch.setattr(AutoTuner, "CONFIRM_MARGIN", 0.05)
+        tuner = fast_tuner(store)
         outcomes = self._outcomes(tuner)
         challenger = next(o for o in outcomes if o.config.native)
-        challenger.measured_seconds = outcomes[0].measured_seconds
+        challenger.measured_seconds = outcomes[0].measured_seconds * 1.06
         self._pin_full_times(monkeypatch, {})  # any lap would KeyError
         tuner._confirm(build(store, 6), None, outcomes)
         assert all(o.confirmed_seconds is None for o in outcomes)
+        challenger.measured_seconds = outcomes[0].measured_seconds * 1.04
+        self._pin_full_times(monkeypatch, {
+            id(outcomes[0].config): 0.020, id(challenger.config): 0.010,
+        })
+        tuner._confirm(build(store, 6), None, outcomes)
+        assert challenger.confirmed_seconds == 0.010
 
     def test_explain_runs_the_probe_end_to_end(self, store, monkeypatch):
         """Through the real entry point: pin full-scale laps so the
@@ -347,17 +361,16 @@ class TestConfirmationProbe:
             lambda self, query, engine, config:
                 1e-4 if config.native else 10.0,
         )
-        tuner = fast_tuner(store, confirm_margin=1e9)  # everyone is "near"
+        monkeypatch.setattr(AutoTuner, "CONFIRM_MARGIN", 1e9)  # everyone is "near"
+        tuner = fast_tuner(store)
         report = tuner.explain(build(store, 6))
         confirmed = [
             o for o in report.candidates if o.confirmed_seconds is not None
         ]
-        if any(
-            o.config.native and o.measured_seconds is not None
-            for o in report.candidates
-        ):
-            assert len(confirmed) == 2  # default + best challenger
-            assert "full" in report.render()
+        assert any(o.config.native for o in confirmed)  # always raced now
+        assert len(confirmed) == 2  # default + best challenger
+        assert report.chosen.native
+        assert "full" in report.render()
 
 
 # ----------------------------------------------------- memoization
@@ -380,7 +393,7 @@ class TestMemoization:
         tuner.tune(build(store, 6))
         other = generate(0.005, seed=9)
         tuner2 = AutoTuner(other, cache=tuner.cache, space=compact_space(),
-                           sample_rows=2048, shortlist=1, repeats=1)
+                           sample_rows=2048, repeats=1)
         tuner2.tune(build(other, 6))
         assert tuner2.measured_trials > 0  # miss: re-tuned
 
@@ -389,7 +402,7 @@ class TestMemoization:
         tuner = fast_tuner(store, cpu_count=1)
         tuner.tune(query)
         moved = AutoTuner(store, cache=tuner.cache, space=compact_space(),
-                          sample_rows=2048, shortlist=1, repeats=1, cpu_count=8)
+                          sample_rows=2048, repeats=1, cpu_count=8)
         moved.tune(query)
         assert moved.measured_trials > 0  # same query+store, new machine
 
@@ -490,7 +503,7 @@ class TestEngineIntegration:
         decision is memoized in the TuningCache alone."""
         monkeypatch.setattr(AutoTuner, "REPORT_CAPACITY", 8)
         tuner = AutoTuner(
-            store, space=[default_config()], sample_rows=64, repeats=1, confirm=False
+            store, space=[default_config()], sample_rows=64, repeats=1
         )
         for i in range(300):  # 300 distinct literals: 300 distinct keys
             query = dataclasses.replace(build(store, 6), limit=i + 1)

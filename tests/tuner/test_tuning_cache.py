@@ -6,13 +6,16 @@ zero-trials guarantee is built on them), and a persisted cache must
 round-trip bit-exactly through JSON.
 """
 
+import dataclasses
 import json
 
 import pytest
 
 from repro.compiler import CompilerOptions, ExecutionOptions
+from repro.relational.sql import parse_sql
 from repro.storage import ColumnStore, Table
 from repro.tuner import (
+    AutoTuner,
     TunedConfig,
     TuningCache,
     TuningEntry,
@@ -85,7 +88,7 @@ class TestPersistence:
             ExecutionOptions(workers=4),
         )
         return TuningEntry(
-            key=_key(), config=config, predicted_ms=1.25, measured_ms=0.75, trials=3
+            key=_key(), config=config, measured_ms=0.75, trials=3
         )
 
     def test_round_trip(self, tmp_path):
@@ -98,7 +101,6 @@ class TestPersistence:
         entry = reloaded.get(_key())
         assert entry is not None
         assert entry.config == self._entry().config  # dataclass equality: exact
-        assert entry.predicted_ms == 1.25
         assert entry.measured_ms == 0.75
         assert entry.trials == 3
         assert reloaded.hits == 1
@@ -133,21 +135,37 @@ class TestPersistence:
         assert json.loads(path.read_text())["version"] == 4
         assert TuningCache(path=path).get(_key()) is not None
 
-    @pytest.mark.parametrize("version, part", [
-        (2, "options"), (3, "execution"), (4, "options"), (4, "execution"),
-    ], ids=["v2-as-written", "v3-as-written", "v2-relabelled", "v3-relabelled"])
-    def test_file_naming_parallel_grain_retunes(self, tmp_path, version, part):
+    @pytest.mark.parametrize("version, part, name", [
+        (2, "options", "parallel_grain"), (3, "execution", "parallel_grain"),
+        (4, "options", "parallel_grain"), (4, "execution", "parallel_grain"),
+        (4, None, "predicted_ms"),
+    ], ids=["v2-as-written", "v3-as-written", "v2-relabelled", "v3-relabelled",
+            "v4-with-predicted-ms"])
+    def test_file_written_by_an_older_version(self, tmp_path, version, part, name):
         """A version-2 file's ``options`` JSON and a version-3 file's
         ``execution`` JSON carry ``parallel_grain``, a field neither option
         class has any more: it must degrade to re-tune (by its version —
         and, were the version bumped by hand, by the TypeError) instead of
-        raising out of the constructor."""
+        raising out of the constructor.  A version-4 file written while
+        the tuner still priced its candidates carries an entry-level
+        ``predicted_ms`` that nothing reads any more: it must load, and a
+        tuner over it must answer with a hit and zero measured trials."""
+        store = ColumnStore()
+        store.add(Table.from_arrays("t", x=[1, 2, 3]))
+        query = parse_sql("SELECT SUM(x) AS s FROM t", store)
+        key = AutoTuner(store).key_for(query)
         entry = self._entry().to_json()
-        entry["config"][part]["parallel_grain"] = 4096
+        entry["key"] = dataclasses.asdict(key)
+        (entry if part is None else entry["config"][part])[name] = 4096
         path = tmp_path / "tuning.json"
         path.write_text(json.dumps({"version": version, "entries": [entry]}))
+        if part is None:
+            tuner = AutoTuner(store, cache=TuningCache(path=path))
+            assert tuner.tune(query) == self._entry().config
+            assert (tuner.measured_trials, tuner.cache.hits) == (0, 1)
+            return
         cache = TuningCache(path=path)
-        assert cache.entries == {} and cache.get(_key()) is None
+        assert cache.entries == {} and cache.get(key) is None
         cache.put(self._entry())
         document = json.loads(path.read_text())
         assert document["version"] == 4
@@ -176,3 +194,4 @@ class TestPersistence:
         assert document["version"] == 4
         assert len(document["entries"]) == 1
         assert document["entries"][0]["config"]["execution"]["workers"] == 4
+        assert "predicted_ms" not in document["entries"][0]
