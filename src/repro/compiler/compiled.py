@@ -28,15 +28,27 @@ from repro.hardware.trace import Trace
 
 @dataclass
 class CompiledProgram:
-    """An executable compilation artifact."""
+    """An executable compilation artifact: the optimized program, its
+    control-vector metadata and the device it is priced on.
+
+    An untraced run reads the program and the options alone.  The
+    fragment plan (:attr:`plan`) is built from the compile's own
+    metadata pass the first time a traced run, :meth:`kernel_count`,
+    :attr:`source` or a caller reads it.
+    """
 
     program: Program
     options: CompilerOptions
-    plan: FragmentPlan
+    metadata: MetadataPass
     device: DeviceProfile
     #: no run executes generated source (repro.compiler.runner); last
     #: reader: perfbench/replay.py, which falls back to ``source``
     fused_source = None
+
+    @cached_property
+    def plan(self) -> FragmentPlan:
+        """Fragment assignment (extent/intent), built on first read."""
+        return FragmentPlan(self.program, self.options, self.metadata)
 
     @cached_property
     def source(self) -> str:
@@ -122,24 +134,24 @@ def compile_program(
     """Compile a Voodoo program for a device (the OpenCL-backend analogue).
 
     Pipeline: optimizer (CSE) → control-vector metadata inference →
-    fragment assignment (extent/intent).  Nothing is generated: every
-    run dispatches the program node by node, and the pseudo-OpenCL
-    rendering (:attr:`CompiledProgram.source`) waits until it is read.
+    planned nodes.  Nothing is generated: every run dispatches the
+    program node by node.  Fragment assignment (extent/intent,
+    :attr:`CompiledProgram.plan`) happens on first read — an untraced
+    run never reads it — and so does the pseudo-OpenCL rendering
+    (:attr:`CompiledProgram.source`).
     """
     if run_optimizer:
         program = optimize(program)
     options = options or CompilerOptions()
     metadata = MetadataPass(program)
-    plan = FragmentPlan(program, options, metadata)
-    compiled = CompiledProgram(
+    # what a run reads off the program is built while the metadata pass
+    # is at hand, so the first run does not repeat it: its constants and
+    # control-vector metadata (that run adds the structural routes, which
+    # depend on the storage schema)
+    planned_nodes(program, metadata)
+    return CompiledProgram(
         program=program,
         options=options,
-        plan=plan,
+        metadata=metadata,
         device=get_device(options.device),
     )
-    # what a run reads off the plan is built with the plan, while the
-    # metadata pass is at hand, so the first run does not repeat it: its
-    # constants and control-vector metadata (that run adds the structural
-    # routes, which depend on the storage schema)
-    planned_nodes(program, metadata)
-    return compiled

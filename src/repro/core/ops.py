@@ -58,19 +58,13 @@ class Op:
         return names
 
     def inputs(self) -> tuple["Op", ...]:
-        """Input nodes, in declaration order (split off the fields once:
-        nodes are frozen, so which fields hold nodes never changes)."""
+        """Input nodes, in declaration order (split off the fields once,
+        by :meth:`structural_key`: nodes are frozen, so which fields hold
+        nodes never changes)."""
         try:
             return self._inputs
         except AttributeError:
-            found: list[Op] = []
-            for name in self.field_names():
-                value = getattr(self, name)
-                if isinstance(value, Op):
-                    found.append(value)
-                elif isinstance(value, tuple) and value and all(isinstance(v, Op) for v in value):
-                    found.extend(value)
-            object.__setattr__(self, "_inputs", tuple(found))
+            self.structural_key()
             return self._inputs
 
     def params(self) -> dict[str, object]:
@@ -92,11 +86,24 @@ class Op:
         :func:`repro.compiler.optimizer.cse`).  Keypaths, names and None
         key as themselves (hashable, equal only to their own kind);
         numbers key by repr, which keeps 1 / 1.0 / True and 0.0 / -0.0
-        apart."""
+        apart.
+
+        The same pass over the fields splits off :meth:`inputs` and
+        keeps them on the (frozen) node, so interning a fresh node walks
+        its fields once."""
         key: list[object] = [type(self).__name__]
-        for value in self.params().values():
-            plain = value is None or isinstance(value, (Keypath, str))
-            key.append(value if plain else repr(value))
+        found: list[Op] = []
+        for name in self.field_names():
+            value = getattr(self, name)
+            if isinstance(value, Op):
+                found.append(value)
+            elif isinstance(value, tuple) and value and all(isinstance(v, Op) for v in value):
+                found.extend(value)
+            elif value is None or isinstance(value, (Keypath, str)):
+                key.append(value)
+            else:
+                key.append(repr(value))
+        object.__setattr__(self, "_inputs", tuple(found))
         return tuple(key)
 
     def walk(self) -> Iterator["Op"]:

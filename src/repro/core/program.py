@@ -26,7 +26,8 @@ class Interner:
 
     def intern(self, node: ops.Op) -> ops.Op:
         """The canonical node for *node*'s structure (*node* itself when
-        it is the first of its kind)."""
+        it is the first of its kind).  A fresh node's fields are walked
+        once: ``structural_key()`` splits off ``inputs()`` as it goes."""
         return self._table.setdefault(
             (node.structural_key(), tuple(map(id, node.inputs()))), node
         )

@@ -384,9 +384,10 @@ class ColumnStore:
         #: storage I/O accounting shared by every column of this store
         self.io = IOCounters()
         #: bumped by every table mutation (add, append); what
-        #: :meth:`fingerprint` and :meth:`vectors` derive from the tables
-        #: is memoized against it, so a warm execute rebuilds neither.
-        #: The auxiliary registry is in neither (read live, see
+        #: :meth:`fingerprint`, :meth:`vectors` and :meth:`schemas` derive
+        #: from the tables is memoized against it, so a warm execute
+        #: rebuilds none of them and a plan-cache miss builds no schema.
+        #: The auxiliary registry is in none (read live, see
         #: :meth:`vectors`), so registering a membership table costs none
         self._mutations = 0
         self._derived: dict[str, tuple] = {}
@@ -552,11 +553,14 @@ class ColumnStore:
 
     def schemas(self) -> dict[str, Schema]:
         """Load name -> schema (what :meth:`vectors` would carry), read
-        off the column dtypes without building a column view."""
-        out = {
+        off the column dtypes without building a column view.  The
+        table schemas are built once per mutation (schemas are
+        immutable, so every call shares them in a fresh dict);
+        auxiliary vectors are read live, as in :meth:`vectors`."""
+        out = dict(self._memoized("schemas", lambda: {
             name: Schema({Keypath([col.name]): col.dtype for col in table.columns.values()})
             for name, table in self._tables.items()
-        }
+        }))
         out.update({name: vector.schema for name, vector in self._aux.items()})
         return out
 

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.compiler import compile_program, cse, optimize
+from repro.compiler.fragments import FragmentPlan
 from repro.compiler.pricing import Pricer
 from repro.core import Builder, Schema, ops
 from repro.core import program as program_module
@@ -181,13 +182,15 @@ class TestCanonicalPrograms:
 
 class TestLazyTracedSource:
     """Simulation costs the runs that ask for it, and only while they run;
-    the one text left (``source``) is rendered when read."""
+    the fragment plan is built when first read and the one text left
+    (``source``) is rendered when read."""
 
     @pytest.fixture()
     def built(self, monkeypatch):
-        """How many pricers and trace recorders were constructed."""
+        """How many pricers, trace recorders and fragment plans were
+        constructed."""
         counts = Counter()
-        for cls in (Pricer, TraceRecorder):
+        for cls in (Pricer, TraceRecorder, FragmentPlan):
             def counting(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
                 counts[_name] += 1
                 _init(self, *args, **kwargs)
@@ -196,7 +199,8 @@ class TestLazyTracedSource:
         return counts
 
     def test_untraced_run_generates_no_source_at_all(self, store, engine, queries, built):
-        """... and builds no pricer and no trace recorder either."""
+        """... and builds no pricer, no trace recorder and no fragment
+        plan either."""
         compiled = compile_program(engine.translate(queries[6]), engine.options)
         compiled.run(engine.vectors(), collect_trace=False)
         engine.execute(queries[6])  # a plan-cache miss ...
@@ -205,6 +209,7 @@ class TestLazyTracedSource:
         assert compiled.fused_source is None
         for artifact in (compiled, engine.compile(queries[6])):
             assert "source" not in vars(artifact)
+            assert "plan" not in vars(artifact)
 
     def test_traced_run_builds_one_pricer_and_leaves_nothing_behind(
         self, store, queries, built
@@ -213,13 +218,25 @@ class TestLazyTracedSource:
             compiled = traced_engine.compile(queries[6])
             compiled.run(traced_engine.vectors(), collect_trace=False)
             artifact, memo = set(vars(compiled)), set(compiled.program.memo)
-            for runs in (1, 2):
+            assert built["FragmentPlan"] == 0
+            for runs, added in ((1, {"plan"}), (2, set())):
+                before = set(vars(compiled))
                 _, trace = compiled.run(traced_engine.vectors())
                 assert len(trace) > 0
-                assert built == {"Pricer": runs, "TraceRecorder": runs}
+                assert built == {"Pricer": runs, "TraceRecorder": runs, "FragmentPlan": 1}
+                # the first traced run builds the plan, the second reuses it
+                assert set(vars(compiled)) - before == added
             # per-program state is what the untraced runner memoizes, no more
-            assert set(vars(compiled)) == artifact
+            assert set(vars(compiled)) == artifact | {"plan"}
             assert set(compiled.program.memo) == memo
+
+    def test_plan_is_built_from_the_compile_metadata(self, engine, queries, built):
+        compiled = compile_program(engine.translate(queries[1]), engine.options)
+        assert built["FragmentPlan"] == 0
+        plan = compiled.plan
+        assert plan.metadata is compiled.metadata and plan.program is compiled.program
+        assert compiled.plan is plan and compiled.kernel_count() == plan.kernel_count()
+        assert built["FragmentPlan"] == 1
 
     @pytest.mark.parametrize("number", sorted(QUERIES))
     def test_source_is_rendered_on_first_read(self, engine, queries, number):

@@ -218,6 +218,57 @@ class TestDerivedMemo:
         assert all(v["t"].lazy_handle(".v") is handle for _, v in seen)
 
 
+class TestSchemasMemo:
+    """``schemas()`` builds the table schemas once per mutation and hands
+    them out in a fresh dict beside the live auxiliary registry."""
+
+    _store = staticmethod(TestDerivedMemo._store)
+
+    def test_warm_calls_share_the_schemas(self):
+        store = self._store()
+        first, second = store.schemas(), store.schemas()
+        assert first is not second and first == second
+        assert first["t"] is second["t"]
+        assert first["t"] == store.vectors()["t"].schema
+
+    def test_added_table_shows_in_the_next_call(self):
+        store = self._store()
+        assert set(store.schemas()) == {"t"}
+        store.add(Table.from_arrays("u", w=np.arange(3, dtype=np.float64)))
+        schemas = store.schemas()
+        assert set(schemas) == {"t", "u"}
+        assert schemas["u"] == store.vectors()["u"].schema
+
+    def test_aux_vector_shows_without_a_mutation(self):
+        from repro.core import StructuredVector
+
+        store = self._store()
+        table_schema = store.schemas()["t"]
+        vector = StructuredVector.single(".flag", np.ones(3, bool))
+        store.add_aux("aux:like", vector)
+        schemas = store.schemas()
+        assert schemas["aux:like"] == vector.schema
+        assert schemas["t"] is table_schema  # nothing rebuilt
+
+    def test_mutating_the_returned_dict_does_not_leak(self):
+        store = self._store()
+        schemas = store.schemas()
+        del schemas["t"]
+        schemas["ghost"] = None
+        assert set(store.schemas()) == {"t"}
+
+    def test_append_keeps_schemas_and_bumps_the_plan_key(self):
+        from repro.relational import Col, EngineConfig, Lit, Query, Scan, VoodooEngine
+
+        store = self._store()
+        query = Query(plan=Scan("t").filter(Col("v") > Lit(2)), select=["v"])
+        with VoodooEngine(store, config=EngineConfig(tracing=False)) as engine:
+            key, schemas = engine.cache_key(query), store.schemas()
+            store.append("t", {"v": [7], "s": ["z"]})
+            assert store.schemas() == schemas
+            assert engine.cache_key(query) != key
+
+
 class TestPersistence:
     def test_roundtrip(self, tmp_path):
         store = ColumnStore()
