@@ -14,8 +14,10 @@ execution share one code path:
     ready.explain(hi=10)            # how it would run
 
 Binding substitutes :class:`Param` nodes with :class:`Lit` values and is
-memoized per value tuple, so a steady-state serving workload cycling over
-a fixed parameter set re-executes cached plans and compiles nothing.
+memoized per value tuple together with the bound query's structural
+fingerprint, so a steady-state serving workload cycling over a fixed
+parameter set neither rebuilds nor re-walks its query: it looks up
+cached plans and compiles nothing.
 """
 
 from __future__ import annotations
@@ -92,9 +94,14 @@ class PreparedQuery:
     """One analyzed query bound to one engine.
 
     Obtained from :meth:`VoodooEngine.prepare`; ``params`` lists the bind
-    slots.  Bound queries are memoized per value tuple (capped), so
-    repeated executions with recurring parameters touch the engine's
-    plan cache directly.
+    slots.  A *binding* is ``(bound query, its structural fingerprint)``:
+    the fingerprint is the first part of the plan-cache key, so a caller
+    holding a binding reaches the cached plan without walking the query.
+    Bindings are memoized per value tuple (capped), so a warm execution
+    with recurring parameters binds nothing and fingerprints nothing.
+    :meth:`execute` is :meth:`binding` then :meth:`run`; the server calls
+    the two on different threads (bind on the event loop, run on a
+    worker).
     """
 
     #: memoized bound-query cap (mirrors the engine's cache capacity)
@@ -107,12 +114,18 @@ class PreparedQuery:
         #: ``engine.prepare`` — the plan-cache key of an identity bind
         self.fingerprint = fingerprint
         self.params: tuple[str, ...] = find_params(query)
-        self._bound: dict[tuple, Query] = {}
+        #: value tuple -> binding
+        self._bound: dict[tuple, tuple[Query, tuple]] = {}
 
     # -- binding -----------------------------------------------------------
 
     def bind(self, **params) -> Query:
         """The substituted :class:`Query` for these parameter values."""
+        return self.binding(**params)[0]
+
+    def binding(self, **params) -> tuple[Query, tuple]:
+        """``(bound query, structural_fingerprint(bound query))`` for these
+        parameter values; validates them, memoized per value tuple."""
         missing = [name for name in self.params if name not in params]
         if missing:
             raise ExecutionError(
@@ -126,23 +139,29 @@ class PreparedQuery:
                 f"{list(self.params) or 'no parameters'}"
             )
         if not self.params:
-            return self.query
-        key = tuple(params[name] for name in self.params)
-        bound = self._bound.get(key)
-        if bound is None:
+            return self.query, self.fingerprint
+        # keyed by type too: 1, 1.0 and True are equal dict keys but bind
+        # different literals
+        key = tuple((type(params[name]), params[name]) for name in self.params)
+        binding = self._bound.get(key)
+        if binding is None:
+            from repro.relational.engine import structural_fingerprint
+
             bound = bind_params(self.query, params)
+            binding = (bound, structural_fingerprint(bound))
             evict_oldest(self._bound, self.BIND_CAPACITY)
-            self._bound[key] = bound
-        return bound
+            self._bound[key] = binding
+        return binding
 
     # -- execution ---------------------------------------------------------
 
+    def run(self, binding: tuple[Query, tuple]) -> "QueryResult":
+        """Execute a :meth:`binding` through the engine's caches."""
+        return self.engine._execute_bound(*binding)
+
     def execute(self, **params) -> "QueryResult":
         """Bind and execute; the engine's caches serve repeated shapes."""
-        bound = self.bind(**params)
-        # a parameterless query binds to itself: its fingerprint is known
-        known = self.fingerprint if bound is self.query else None
-        return self.engine._execute_bound(bound, known)
+        return self.run(self.binding(**params))
 
     def table(self, **params) -> "ResultTable":
         """:meth:`execute`'s result table (the common serving call)."""
@@ -152,7 +171,7 @@ class PreparedQuery:
 
     def explain(self, **params) -> str:
         """How this query would execute: backend, cache state, kernels."""
-        bound = self.bind(**params)
+        bound, fingerprint = self.binding(**params)
         engine = self.engine
         lines = [
             f"prepared query: {len(self.params)} parameter(s) "
@@ -163,9 +182,9 @@ class PreparedQuery:
             return "\n".join(lines)
         cached = (
             engine._plan_cache is not None
-            and engine.cache_key(bound) in engine._plan_cache
+            and engine.cache_key(bound, fingerprint) in engine._plan_cache
         )
-        compiled = engine.compile(bound)
+        compiled = engine.compile(bound, fingerprint)
         kernels = "native" if compiled.native else "numpy"
         if engine.execution is not None and engine.execution.workers > 1:
             lines.append(

@@ -65,20 +65,46 @@ def _json_value(value):
     return value
 
 
+def _json_column(array: np.ndarray) -> list:
+    """One result column as Python values, in one pass: ``tolist()``
+    converts a bool, integer or (at most double-width) float column
+    exactly as :func:`_json_value` converts each of its cells; any other
+    column (decoded strings are ``object``) still goes cell by cell."""
+    if array.dtype.kind in "biuf" and array.dtype.itemsize <= 8:
+        return array.tolist()
+    return [_json_value(value) for value in array.tolist()]
+
+
 def table_to_json(table, elapsed_ms: float) -> dict:
-    """Serialize a :class:`~repro.relational.engine.ResultTable`."""
+    """Serialize a :class:`~repro.relational.engine.ResultTable` as
+    ``{"columns", "rows", "row_count", "elapsed_ms"}``, ``rows`` a list
+    of row lists.
+
+    One ``tolist()`` per column, zipped into rows: no per-cell NumPy
+    scalar is built on the event-loop thread.  The dict and its
+    ``json.dumps`` text are those of a per-cell :func:`_json_value`
+    conversion.
+    """
     columns = list(table.columns)
-    arrays = [table.arrays[c] for c in columns]
-    rows = [
-        [_json_value(a[i]) for a in arrays]
-        for i in range(len(table))
-    ]
+    if columns:
+        rows = list(map(list, zip(*(_json_column(table.arrays[c]) for c in columns))))
+    else:
+        rows = [[] for _ in range(len(table))]
     return {
         "columns": columns,
         "rows": rows,
         "row_count": len(table),
         "elapsed_ms": round(elapsed_ms, 3),
     }
+
+
+def _content_length(headers: dict) -> int | None:
+    """The request's body length (0 when absent); ``None`` when the
+    header is not a non-negative decimal integer."""
+    text = headers.get("content-length") or "0"
+    if not (text.isascii() and text.isdigit()):
+        return None
+    return int(text)
 
 
 class VoodooServer:
@@ -187,14 +213,13 @@ class VoodooServer:
         return params
 
     async def _run(self, prepared, params, timeout, session) -> dict:
-        # bind on the loop thread (cheap, and it validates the params
-        # before the request occupies a worker slot)
-        bound = prepared.bind(**params)
-        engine = prepared.engine
+        # bind on the loop thread (a memo hit when warm, and it validates
+        # the params before the request occupies a worker slot)
+        binding = prepared.binding(**params)
 
         def work():
             start = time.perf_counter()
-            table = engine._execute_bound(bound).table
+            table = prepared.run(binding).table
             return table, (time.perf_counter() - start) * 1000.0
 
         table, elapsed_ms = await self.scheduler.run(
@@ -239,6 +264,9 @@ class VoodooServer:
             payload = json.loads(body) if body else {}
         except json.JSONDecodeError as error:
             return 400, {"error": f"invalid JSON body: {error}"}
+        if not isinstance(payload, dict):
+            return 400, {"error": "request body must be a JSON object, "
+                                  f"got {type(payload).__name__}"}
         try:
             return 200, await self.dispatch(op, payload)
         except Exception as error:  # mapped, never a dropped connection
@@ -267,7 +295,13 @@ class VoodooServer:
                         break
                     name, _, value = line.decode("latin-1").partition(":")
                     headers[name.strip().lower()] = value.strip()
-                length = int(headers.get("content-length", "0") or 0)
+                length = _content_length(headers)
+                if length is None:
+                    await self._respond(writer, 400, {
+                        "error": "malformed Content-Length header "
+                                 f"{headers['content-length']!r}",
+                    }, keep_alive=False)
+                    break
                 body = await reader.readexactly(length) if length else b""
                 keep_alive = (
                     headers.get(
@@ -277,16 +311,7 @@ class VoodooServer:
                     != "close"
                 )
                 status, payload = await self.handle_request(method, path, body)
-                data = json.dumps(payload).encode()
-                head = (
-                    f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'Unknown')}\r\n"
-                    f"Content-Type: application/json\r\n"
-                    f"Content-Length: {len(data)}\r\n"
-                    f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n"
-                    f"\r\n"
-                ).encode("latin-1")
-                writer.write(head + data)
-                await writer.drain()
+                await self._respond(writer, status, payload, keep_alive)
                 if not keep_alive:
                     break
         except (asyncio.IncompleteReadError, ConnectionError):
@@ -297,6 +322,19 @@ class VoodooServer:
                 await writer.wait_closed()
             except (ConnectionError, asyncio.CancelledError):
                 pass  # loop teardown may cancel the close waiter
+
+    @staticmethod
+    async def _respond(writer, status: int, payload: dict, keep_alive: bool) -> None:
+        data = json.dumps(payload).encode()
+        head = (
+            f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'Unknown')}\r\n"
+            f"Content-Type: application/json\r\n"
+            f"Content-Length: {len(data)}\r\n"
+            f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n"
+            f"\r\n"
+        ).encode("latin-1")
+        writer.write(head + data)
+        await writer.drain()
 
     async def start(self, host: str | None = None, port: int | None = None):
         """Start listening; returns the ``asyncio.Server`` (caller owns
@@ -337,8 +375,11 @@ class VoodooServer:
                 continue
             try:
                 request = json.loads(line)
+                if not isinstance(request, dict):
+                    raise TypeError(
+                        f"expected a JSON object, got {type(request).__name__}")
                 op = request.pop("op")
-            except (json.JSONDecodeError, KeyError) as error:
+            except (json.JSONDecodeError, KeyError, TypeError) as error:
                 response = {"ok": False, "error": f"bad request line: {error}"}
             else:
                 if op == "quit":

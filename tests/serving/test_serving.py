@@ -126,6 +126,43 @@ class TestSessions:
         asyncio.run(run())
 
 
+    def test_warm_execute_walks_no_query(self, monkeypatch):
+        """A warm POST /execute carries the statement's memoized
+        fingerprint to the plan cache: zero structural_fingerprint calls."""
+        from repro.relational import engine as engine_module
+
+        calls = []
+        plain = engine_module.structural_fingerprint
+
+        def counted(obj):
+            calls.append(obj)
+            return plain(obj)
+
+        async def run():
+            server = make_server()
+            try:
+                opened = await server.dispatch("open", {"dataset": "micro"})
+                prepared = await server.dispatch(
+                    "prepare", {"session": opened["session"], "sql": SQL})
+                body = json.dumps({
+                    "session": opened["session"],
+                    "statement": prepared["statement"],
+                    "params": {"theta": 0.2},
+                }).encode()
+                status, cold = await server.handle_request("POST", "/execute", body)
+                assert status == 200
+                monkeypatch.setattr(engine_module, "structural_fingerprint", counted)
+                for _ in range(3):
+                    status, warm = await server.handle_request("POST", "/execute", body)
+                    assert status == 200 and warm["rows"] == cold["rows"]
+                assert calls == []
+                info = server.catalog.cache_info()["micro"]
+                assert (info["plan_misses"], info["plan_hits"]) == (1, 3)
+            finally:
+                server.close()
+        asyncio.run(run())
+
+
 class TestScheduler:
     def test_admission_rejects_beyond_capacity(self):
         """max_inflight=1: concurrent submissions past the first are
@@ -259,9 +296,9 @@ class TestHTTP:
             engine = server.catalog.engine("micro")
             plain = engine._execute_bound
 
-            def held(bound):
+            def held(*binding):
                 assert release.wait(30)
-                return plain(bound)
+                return plain(*binding)
 
             engine._execute_bound = held
             listener = await server.start("127.0.0.1", 0)
@@ -299,6 +336,10 @@ class TestHTTP:
                 status, _ = await server.handle_request(
                     "POST", "/query", b"{not json")
                 assert status == 400
+                for body in (b"[1]", b"null", b"3", b'"sql"'):
+                    status, error = await server.handle_request("POST", "/query", body)
+                    assert status == 400, body
+                    assert "must be a JSON object" in error["error"]
                 status, body = await server.handle_request(
                     "POST", "/query",
                     json.dumps({"dataset": "micro",
@@ -308,6 +349,39 @@ class TestHTTP:
             finally:
                 server.close()
         asyncio.run(run())
+
+    @pytest.mark.parametrize("length", ["abc", "-5", "+5", "1.5"])
+    def test_malformed_content_length_is_400_then_close(self, length):
+        unhandled = []
+
+        async def run():
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: unhandled.append(context))
+            server = make_server()
+            listener = await server.start("127.0.0.1", 0)
+            host, port = listener.sockets[0].getsockname()
+            try:
+                reader, writer = await asyncio.open_connection(host, port)
+                writer.write((
+                    f"POST /query HTTP/1.1\r\nHost: t\r\n"
+                    f"Content-Length: {length}\r\n\r\n{{}}"
+                ).encode())
+                await writer.drain()
+                response = await asyncio.wait_for(reader.read(), 10)  # to EOF
+                head, _, data = response.partition(b"\r\n\r\n")
+                assert head.split()[1] == b"400"
+                assert b"Connection: close" in head
+                assert "Content-Length" in json.loads(data)["error"]
+                writer.close()
+                await writer.wait_closed()
+                status, _ = await http(host, port, "GET", "/health")
+                assert status == 200
+            finally:
+                listener.close()
+                await listener.wait_closed()
+                server.close()
+        asyncio.run(run())
+        assert unhandled == []
 
     def test_keep_alive_reuses_one_connection(self):
         async def run():
@@ -349,6 +423,9 @@ class TestStdio:
                         "sql": "SELECT COUNT(*) AS n FROM facts"}),
             json.dumps({"op": "bogus"}),
             "not json",
+            "[1]",
+            "null",
+            json.dumps({"op": "health"}),
             json.dumps({"op": "quit"}),
         ]) + "\n")
         stdout = io.StringIO()
@@ -364,6 +441,12 @@ class TestStdio:
         assert responses[3]["ok"] is False
         assert responses[3]["status"] == 400
         assert responses[4]["ok"] is False     # bad JSON line reported
+        # valid JSON that is not an object: reported, and the loop serves on
+        for response in responses[5:7]:
+            assert response["ok"] is False
+            assert "expected a JSON object" in response["error"]
+        assert responses[7]["ok"] is True
+        assert len(responses) == 8
 
 
 class TestServedIdentity:
