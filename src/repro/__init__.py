@@ -11,7 +11,6 @@ from repro.hardware import CostModel, available_devices, get_device
 from repro.interpreter import Interpreter
 from repro.relational import EngineConfig, Param, PreparedQuery, Query, VoodooEngine, parse_sql
 from repro.storage import ColumnStore, Table
-from repro.tuner import AutoTuner, TuningCache
 
 __version__ = "1.0.0"
 
@@ -21,5 +20,5 @@ __all__ = [
     "CostModel", "available_devices", "get_device",
     "Interpreter", "Query", "VoodooEngine", "parse_sql",
     "EngineConfig", "Param", "PreparedQuery",
-    "ColumnStore", "Table", "AutoTuner", "TuningCache", "__version__",
+    "ColumnStore", "Table", "__version__",
 ]

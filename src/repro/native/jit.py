@@ -8,9 +8,12 @@ steady-state serving loads everything from the in-memory registry or
 the disk cache (``$REPRO_NATIVE_CACHE``, default
 ``~/.cache/voodoo-native``) and compiles nothing.
 
-No compiler, a broken ``$CC``, or a failed compile all raise
-:class:`NativeCompileError`; callers degrade to the fused NumPy path
-and the fallback is counted in :mod:`repro.native.stats`.
+A cached ``.so`` that does not load, or lacks a symbol its caller
+needs, is recompiled once in place.  No compiler, a broken ``$CC``, a
+failed compile or a cached file that cannot be rebuilt all raise
+:class:`NativeCompileError`, whose ``reason`` names which; callers
+degrade to the fused NumPy path and the fallback is counted in
+:mod:`repro.native.stats`.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import shutil
 import subprocess
 import tempfile
 import threading
+from _ctypes import dlclose
 from hashlib import sha256
 from pathlib import Path
 
@@ -37,7 +41,13 @@ _loaded: dict[str, ctypes.CDLL] = {}
 
 
 class NativeCompileError(RuntimeError):
-    """The machine cannot compile or load a native kernel."""
+    """The machine cannot compile or load a native kernel; ``reason``
+    is the fallback reason counted for it (``"no-compiler"``,
+    ``"compile-error"`` or ``"bad-cache"``)."""
+
+    def __init__(self, message: str, reason: str = "compile-error"):
+        super().__init__(message)
+        self.reason = reason
 
 
 def find_compiler() -> list[str] | None:
@@ -76,7 +86,9 @@ def source_key(source: str) -> str:
 def _compile(source: str, out: Path) -> None:
     compiler = find_compiler()
     if compiler is None:
-        raise NativeCompileError("no C compiler available (set $CC or install cc)")
+        raise NativeCompileError(
+            "no C compiler available (set $CC or install cc)", "no-compiler"
+        )
     out.parent.mkdir(parents=True, exist_ok=True)
     src = out.with_suffix(".c")
     src.write_text(source)
@@ -100,11 +112,26 @@ def _compile(source: str, out: Path) -> None:
             os.unlink(tmp)
 
 
-def load_library(source: str) -> ctypes.CDLL:
+def _open(path: Path, symbols: tuple[str, ...]) -> ctypes.CDLL | None:
+    """The library at *path* if it loads and has every one of *symbols*."""
+    try:
+        lib = ctypes.CDLL(str(path))
+    except OSError:
+        return None
+    if all(hasattr(lib, name) for name in symbols):
+        return lib
+    # unload it, or loading the rebuilt file at this path returns this handle
+    dlclose(lib._handle)
+    return None
+
+
+def load_library(source: str, symbols: tuple[str, ...] = ()) -> ctypes.CDLL:
     """The loaded shared object for a C source, compiling at most once.
 
     Resolution order: in-memory registry (``memory_hits``), on-disk .so
-    (``so_cache_hits``), fresh compile (``kernels_compiled``).
+    (``so_cache_hits``), fresh compile (``kernels_compiled``).  A cached
+    file that fails to load or lacks one of *symbols* is compiled again
+    in place; if that fails too, the error's reason is ``"bad-cache"``.
     """
     key = source_key(source)
     with _lock:
@@ -113,14 +140,20 @@ def load_library(source: str) -> ctypes.CDLL:
             STATS.count("memory_hits")
             return lib
         path = cache_dir() / f"{key}.so"
-        if path.exists():
+        cached = path.exists()
+        lib = _open(path, symbols) if cached else None
+        if lib is not None:
             STATS.count("so_cache_hits")
         else:
-            _compile(source, path)
-            STATS.count("kernels_compiled")
-        try:
-            lib = ctypes.CDLL(str(path))
-        except OSError as exc:
-            raise NativeCompileError(f"cannot load {path}: {exc}") from exc
+            try:
+                _compile(source, path)
+                STATS.count("kernels_compiled")
+                lib = _open(path, symbols)
+                if lib is None:
+                    raise NativeCompileError(f"cannot load {path} with {list(symbols)}")
+            except NativeCompileError as exc:
+                if not cached:
+                    raise
+                raise NativeCompileError(f"{path} is unusable: {exc}", "bad-cache") from exc
         _loaded[key] = lib
         return lib

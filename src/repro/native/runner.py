@@ -16,8 +16,9 @@ NumPy's calls on the same host.
 
 The library is one fixed source, compiled once per machine through
 :mod:`repro.native.jit` and loaded once per process.  Without a compiler
-(or with a broken one) the reason is counted once and every call returns
-the NumPy kernel's result — bit-identical either way.
+(or with a broken one, or a cached library that cannot be rebuilt) the
+reason is counted once and every call returns the NumPy kernel's result —
+bit-identical either way.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import threading
 import numpy as np
 
 from repro.compiler import kernels
-from repro.native.jit import NativeCompileError, find_compiler, load_library
+from repro.native.jit import NativeCompileError, load_library
 from repro.native.stats import STATS
 
 #: the value dtypes the kernel sums (kind + item size), with their C types
@@ -69,15 +70,15 @@ def _fsum_kernels() -> dict:
     if _kernels is None:
         with _lock:
             if _kernels is None:
+                names = tuple(f"fsum_{code}" for code in FSUM_TYPES)
                 try:
-                    library = load_library(library_source())
-                except NativeCompileError:
-                    STATS.fallback(
-                        "no-compiler" if find_compiler() is None else "compile-error"
-                    )
+                    library = load_library(library_source(), names)
+                except NativeCompileError as exc:
+                    STATS.fallback(exc.reason)
                     _kernels = {}
                 else:
-                    loaded = {code: getattr(library, f"fsum_{code}") for code in FSUM_TYPES}
+                    loaded = {code: getattr(library, name)
+                              for code, name in zip(FSUM_TYPES, names)}
                     for kernel in loaded.values():
                         kernel.restype = None
                     _kernels = loaded

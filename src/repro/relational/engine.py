@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.compiler import CompiledProgram, CompilerOptions, ExecutionOptions, compile_program
+from repro.compiler import CompiledProgram, compile_program
 from repro.core.keypath import Keypath
 from repro.errors import ExecutionError, TranslationError
 from repro.hardware.cost import CostReport
@@ -133,11 +133,12 @@ class VoodooEngine:
     :class:`~repro.errors.ExecutionError` instead of silently returning
     a trace that prices to zero.
 
-    The parallel backend owns nothing but its worker-pool lease and is
-    **reused across queries**; a run takes its Load context as an
-    argument, so parallel queries of concurrent callers overlap.  Call
-    :meth:`close` (or use the engine as a context manager) to shut the
-    pools down deterministically.
+    A parallel engine has one parallel backend, built with the engine.
+    It owns nothing but its worker-pool lease (taken on the first pooled
+    run) and is **reused across queries**; a run takes its Load context
+    as an argument, so parallel queries of concurrent callers overlap.
+    Call :meth:`close` (or use the engine as a context manager) to
+    release the lease deterministically.
 
     Compilation artifacts are memoized in a **plan cache** keyed on the
     relational query *structure* (not object identity), the store's
@@ -146,19 +147,6 @@ class VoodooEngine:
     workers).  A repeated query skips translate + optimize + fragment
     planning entirely; changing the schema or any knob invalidates the
     entry.
-
-    ``tuning="auto"`` hands the knobs to the adaptive auto-tuner
-    (:mod:`repro.tuner`): per query, the engine asks the tuner for the
-    best ``CompilerOptions`` × ``ExecutionOptions`` on *this* machine
-    and runs them as it would run its own (:meth:`run_as`: a
-    configuration is a value, not another engine).  The decision is
-    memoized once, in a :class:`~repro.tuner.TuningCache` keyed on
-    (query structure, store fingerprint, hardware) — persistent when
-    ``tuning_cache`` is a path, so a warm engine performs zero measured
-    trials; the plan lives in this engine's plan cache, keyed by the
-    chosen options.  ``explain_tuning(query)`` reports the evidence.  Results
-    are bit-identical to ``tuning="off"``: every config in the search
-    space preserves semantics, only latency changes.
     """
 
     def __init__(self, store: ColumnStore, config: EngineConfig | None = None):
@@ -169,14 +157,15 @@ class VoodooEngine:
         self.grain = config.grain
         self.execution = config.execution
         self.tracing = config.tracing
-        self.tuning = config.tuning
-        #: pool width -> parallel backend (each owns one pool lease)
-        self._parallel_backends: dict[int, ParallelInterpreter] = {}
+        #: the ``workers``-wide backend of a parallel engine (building one
+        #: leases nothing: its pool lease is taken on the first pooled run)
+        self._parallel_backend = (
+            ParallelInterpreter(workers=config.execution.workers)
+            if config.parallel else None
+        )
         self._plan_cache: dict | None = {} if config.plan_cache else None
         self.plan_cache_hits = 0
         self.plan_cache_misses = 0
-        self._tuner = config.tuner
-        self._tuning_cache_arg = config.tuning_cache
         #: prepared queries, memoized by structural fingerprint
         self._prepared: dict = {}
         self._closed = False
@@ -194,23 +183,16 @@ class VoodooEngine:
 
     # -- plan cache ----------------------------------------------------------
 
-    def cache_key(
-        self,
-        query: Query,
-        fingerprint: tuple | None = None,
-        options: CompilerOptions | None = None,
-        execution: ExecutionOptions | None = None,
-    ) -> tuple:
+    def cache_key(self, query: Query, fingerprint: tuple | None = None) -> tuple:
         """Everything a compiled plan depends on (satisfies invalidation:
-        schema changes and option changes produce different keys), under
-        ``options``/``execution`` (default: the engine's own); reuses
+        schema changes and option changes produce different keys); reuses
         *query*'s structural fingerprint when the caller already holds
         it (a prepared query does)."""
         return (
             fingerprint if fingerprint is not None else structural_fingerprint(query),
             self.store.fingerprint(),
-            self.options if options is None else options,
-            self.execution if execution is None else execution,
+            self.options,
+            self.execution,
             self.grain,
         )
 
@@ -229,8 +211,6 @@ class VoodooEngine:
             "size": size,
             "programs": 0,
         }
-        if self.tuning == "auto" and self._tuner is not None:
-            info.update(self._tuner.cache.info())
         # cumulative storage I/O of this engine's store (all queries, all
         # engines sharing the store): scanned = physical payload bytes
         # read, decompressed = logical bytes decoded from non-plain
@@ -259,55 +239,25 @@ class VoodooEngine:
     #: otherwise grow a serving engine's memory without bound
     CACHE_CAPACITY = 256
 
-    def compile(
-        self,
-        query: Query,
-        fingerprint: tuple | None = None,
-        options: CompilerOptions | None = None,
-        execution: ExecutionOptions | None = None,
-    ) -> CompiledProgram:
+    def compile(self, query: Query, fingerprint: tuple | None = None) -> CompiledProgram:
         """The compiled plan of *query*, through the one plan cache;
         arguments as for :meth:`cache_key`."""
-        options = self.options if options is None else options
         if self._plan_cache is None:
-            return compile_program(self.translate(query), options)
-        key = self.cache_key(query, fingerprint, options, execution)
+            return compile_program(self.translate(query), self.options)
+        key = self.cache_key(query, fingerprint)
         compiled = self._plan_cache.get(key)
         if compiled is None:
             with self._compile_lock:
                 compiled = self._plan_cache.get(key)
                 if compiled is None:  # (else: raced another thread's miss)
                     self.plan_cache_misses += 1
-                    compiled = compile_program(self.translate(query), options)
+                    compiled = compile_program(self.translate(query), self.options)
                     evict_oldest(self._plan_cache, self.CACHE_CAPACITY)
                     self._plan_cache[key] = compiled
                     return compiled
         with self._count_lock:  # `+=` is a read and a write: racing hits would be lost
             self.plan_cache_hits += 1
         return compiled
-
-    # -- auto-tuning ---------------------------------------------------------
-
-    def _ensure_tuner(self):
-        if self._tuner is None:
-            from repro.tuner import AutoTuner
-
-            self._tuner = AutoTuner(
-                self.store,
-                cache=self._tuning_cache_arg,
-                device=self.options.device,
-            )
-        return self._tuner
-
-    def explain_tuning(self, query: Query):
-        """The tuning evidence for *query*: candidates considered, their
-        measured and confirmed times, and the chosen configuration
-        (a :class:`repro.tuner.TuningReport`; tunes on first call)."""
-        if self.tuning != "auto":
-            raise ExecutionError(
-                'explain_tuning requires VoodooEngine(tuning="auto")'
-            )
-        return self._ensure_tuner().explain(query, grain=self.grain)
 
     # -- execution -----------------------------------------------------------
 
@@ -347,43 +297,24 @@ class VoodooEngine:
 
     def _execute_bound(self, query: Query, fingerprint: tuple | None = None) -> QueryResult:
         """Run one fully bound query (every execution funnels through
-        here: ad-hoc, prepared, static and tuned alike); ``fingerprint``
-        as in :meth:`cache_key`.  Which configuration runs is a value
-        resolved here: the engine's own, or the tuner's decision."""
-        self._check_open()
-        options, execution = self.options, self.execution
-        if self.tuning == "auto":
-            chosen = self._ensure_tuner().tune(query, grain=self.grain)
-            options, execution = chosen.options, chosen.execution
-        return self.run_as(query, options, execution, self.tracing, fingerprint)
-
-    def run_as(
-        self,
-        query: Query,
-        options: CompilerOptions,
-        execution: ExecutionOptions | None = None,
-        tracing: bool = False,
-        fingerprint: tuple | None = None,
-    ) -> QueryResult:
-        """Run one bound query under an explicit configuration: one
-        compile step (the plan cache, keyed by it) and one run step.
-        The tuner races its candidates through this on a single engine."""
+        here: ad-hoc and prepared alike): one compile step (the plan
+        cache) and one run step; ``fingerprint`` as in :meth:`cache_key`."""
         self._check_open()
         before = self.store.io.snapshot()
-        compiled = self.compile(query, fingerprint, options, execution)
-        if execution is not None and execution.workers > 1:
+        compiled = self.compile(query, fingerprint)
+        if self._parallel_backend is not None:
             # chunked over the persistent worker pool: real kernels on
             # real cores, no priced trace
-            outputs = self._parallel_backend(execution.workers).run(
+            outputs = self._parallel_backend.run(
                 compiled.program, self.vectors(), native=compiled.native,
-                virtual_scatter=options.virtual_scatter,
+                virtual_scatter=self.options.virtual_scatter,
             )
             mode = "native" if compiled.native else "numpy"
             trace = Trace()
-            cost = CostReport(device=f"{execution.workers}-core pool ({mode})")
-        elif not tracing:
+            cost = CostReport(device=f"{self.execution.workers}-core pool ({mode})")
+        elif not self.tracing:
             outputs, trace = compiled.run(self.vectors(), collect_trace=False)
-            cost = CostReport(device=f"{options.device} (untraced)")
+            cost = CostReport(device=f"{self.options.device} (untraced)")
         else:
             outputs, trace = compiled.run(self.vectors())
             cost = compiled.price(trace)
@@ -391,17 +322,6 @@ class VoodooEngine:
             table=self._extract(query, outputs["result"]), trace=trace, cost=cost,
             compiled=compiled, io=self.store.io.delta(before),
         )
-
-    def _parallel_backend(self, workers: int) -> ParallelInterpreter:
-        """The engine's *workers*-wide backend.  Building one leases
-        nothing, so racing first queries may each build one;
-        ``setdefault`` keeps exactly one."""
-        backend = self._parallel_backends.get(workers)
-        if backend is None:
-            backend = self._parallel_backends.setdefault(
-                workers, ParallelInterpreter(workers=workers)
-            )
-        return backend
 
     def close(self) -> None:
         """Release every worker-pool lease (idempotent, terminal).
@@ -416,9 +336,8 @@ class VoodooEngine:
         if self._closed:
             return
         self._closed = True
-        for backend in self._parallel_backends.values():
-            backend.close()
-        self._parallel_backends.clear()
+        if self._parallel_backend is not None:
+            self._parallel_backend.close()
         self._prepared.clear()
 
     @property

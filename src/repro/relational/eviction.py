@@ -1,5 +1,5 @@
 """The one eviction rule of the engine's bounded caches (plans,
-prepared queries, binds, tuning reports): oldest insertion first."""
+prepared queries, binds): oldest insertion first."""
 
 from __future__ import annotations
 

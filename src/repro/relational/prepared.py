@@ -3,8 +3,8 @@
 ``engine.prepare(query_or_sql)`` returns a :class:`PreparedQuery` — the
 query's structure analyzed once, its literal bind slots
 (:class:`~repro.relational.expressions.Param`, ``:name`` in SQL)
-discovered, and every execution routed through the engine's plan- and
-tuning-caches by structural fingerprint.  ``engine.query()`` /
+discovered, and every execution routed through the engine's plan cache
+by structural fingerprint.  ``engine.query()`` /
 ``engine.execute()`` are thin wrappers over it, so ad-hoc and prepared
 execution share one code path:
 
@@ -177,9 +177,6 @@ class PreparedQuery:
             f"prepared query: {len(self.params)} parameter(s) "
             f"{list(self.params)}"
         ]
-        if engine.tuning == "auto":
-            lines.append(engine.explain_tuning(bound).render())
-            return "\n".join(lines)
         cached = (
             engine._plan_cache is not None
             and engine.cache_key(bound, fingerprint) in engine._plan_cache

@@ -3,9 +3,9 @@
 A serving process owns a handful of :class:`~repro.storage.ColumnStore`s
 ("datasets").  Every session that opens against a dataset shares that
 dataset's single :class:`~repro.relational.VoodooEngine` — this is what
-makes the serving layer's steady state compile nothing: the plan cache,
-program cache, and tuning cache all live on the shared engine, so a
-query shape prepared by one client is a warm hit for every other client.
+makes the serving layer's steady state compile nothing: the plan cache
+and the prepared queries live on the shared engine, so a query shape
+prepared by one client is a warm hit for every other client.
 
 The engine is built lazily on first use with the catalog's
 :class:`~repro.relational.EngineConfig` (default: ``tracing=False`` so

@@ -20,10 +20,9 @@ choices hit them repeatedly).
 
 ``ColumnStore.append(batch)`` seals the batch into one new segment per
 column and bumps the table version (part of the store fingerprint), so
-every cached plan, tuning entry, and materialized result keyed on
-``fingerprint()`` invalidates.  Queries after an append recompute from
-scratch — the IVM delta path is future work, but this is the segment
-contract it needs.
+every cached plan and materialized result keyed on ``fingerprint()``
+invalidates.  Queries after an append recompute from scratch — the IVM
+delta path is future work, but this is the segment contract it needs.
 """
 
 from __future__ import annotations
@@ -417,14 +416,13 @@ class ColumnStore:
     def fingerprint(self) -> tuple:
         """Hashable structural summary of the base tables.
 
-        Keys the engine's plan cache and the tuner's store digest:
-        adding a table, appending a batch (version bump + extra
-        segment), or re-encoding segments all produce a different
-        fingerprint and invalidate cached plans/tunings.  Auxiliary
-        vectors are *derived* caches (LIKE membership tables registered
-        during translation) and are deliberately excluded — they are
-        deterministic functions of the tables and would otherwise
-        invalidate the cache on first use.
+        Keys the engine's plan cache: adding a table, appending a batch
+        (version bump + extra segment), or re-encoding segments all
+        produce a different fingerprint and invalidate cached plans.
+        Auxiliary vectors are *derived* caches (LIKE membership tables
+        registered during translation) and are deliberately excluded —
+        they are deterministic functions of the tables and would
+        otherwise invalidate the cache on first use.
 
         Contract: segments are immutable once sealed; the only mutation
         API is :meth:`append`, which replaces columns and bumps the
@@ -468,7 +466,7 @@ class ColumnStore:
         which is merged — order-preserving — when the batch introduces
         new values, remapping the existing segments' codes).  Bumps the
         table version, so the store fingerprint changes and every cached
-        plan / tuning / prepared result derived from the old contents
+        plan / prepared result derived from the old contents
         invalidates.  Full recompute for now; the IVM delta path (fold
         only the new segment, merge partials) builds on this contract.
         """
@@ -542,8 +540,9 @@ class ColumnStore:
 
         The table vectors are built once per mutation; every call hands
         out unshared copies of them, so what one query decodes is not
-        kept alive for the next.  Auxiliary vectors are read live (the
-        tuner's sampled stores alias this store's registry)."""
+        kept alive for the next.  Auxiliary vectors are read live: LIKE /
+        IN membership tables are registered at query build time, after
+        the table vectors may already be memoized."""
         tables = self._memoized("vectors", lambda: {
             name: table.to_vector() for name, table in self._tables.items()
         })

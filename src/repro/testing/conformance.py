@@ -10,9 +10,7 @@ workers combination that *executes* differently (knobs that only price —
   exactly the result of the paper's reference :class:`Interpreter`
   (:func:`reference_table`: the ``semantics.*`` kernels, nothing of the
   node runner every configuration executes on) — same dtypes, same
-  rows, NaN-for-NaN equal — including the ``tuned`` entry, whose knobs
-  the adaptive auto-tuner (:mod:`repro.tuner`) picks per case, so
-  whatever configuration tuning lands on is fuzzed too;
+  rows, NaN-for-NaN equal;
 * **a warm plan answers as a cold one** (kind ``"warm"``): every
   configuration runs the query twice on its engine — the second is a
   plan-cache hit served by what the first run left on the plan
@@ -22,8 +20,7 @@ workers combination that *executes* differently (knobs that only price —
   under :func:`crossover` ``(0)`` with a core per worker, so its plans
   go to the pool with one chunk per worker however small the case and
   however few cores the host has: the chunked path is what those
-  entries fuzz.  ``tuned`` runs under ``crossover(0)`` too, so its
-  parallel candidates race chunked wherever the host has the cores;
+  entries fuzz;
 * **agreement with the oracle**: the reference result must match the
   independent NumPy oracle (:mod:`repro.testing.oracle`) — exactly for
   integers/booleans/strings, within a small tolerance for float
@@ -84,10 +81,6 @@ class BackendConfig:
     options: CompilerOptions = CompilerOptions()
     workers: int = 1
     tracing: bool | None = None
-    #: run through the adaptive auto-tuner (``tuning="auto"``): whatever
-    #: configuration the tuner picks for this case must still bit-match
-    #: the reference — tuning may never change results
-    tuned: bool = False
     #: reseal the store before executing (``"plain-small"`` resegments
     #: every column into tiny plain segments, ``"auto"`` additionally
     #: lets RLE/FoR encodings engage): results must be invariant under
@@ -105,14 +98,6 @@ class BackendConfig:
                 encoding="plain" if self.resegment == "plain-small" else "auto",
                 segment_rows=17 if self.resegment == "plain-small" else 13,
             )
-        if self.tuned:
-            from repro.tuner import AutoTuner, compact_space
-
-            # compact space + single-lap race: per-case tuning cost
-            # stays bounded while every knob family remains reachable
-            tuner = AutoTuner(store, space=compact_space(), repeats=1)
-            return VoodooEngine(store, config=EngineConfig(
-                grain=grain, tuning="auto", tuner=tuner))
         execution = ExecutionOptions(workers=self.workers) if self.workers > 1 else None
         return VoodooEngine(store, config=EngineConfig(
             options=self.options,
@@ -136,7 +121,6 @@ BACKEND_GRID: tuple[BackendConfig, ...] = (
     BackendConfig("parallel-w2-no-virtual-scatter", CompilerOptions(virtual_scatter=False),
                   workers=2),
     BackendConfig("parallel-w4-fused", CompilerOptions(), workers=4),
-    BackendConfig("tuned", tuned=True),
     BackendConfig("segmented", CompilerOptions(), tracing=False,
                   resegment="plain-small"),
     BackendConfig("segmented-compressed", CompilerOptions(), workers=2,
@@ -262,7 +246,6 @@ def run_case(
     reference_name = ""
     for config in (None, *grid):
         name = ANCHOR if config is None else config.name
-        chosen = ""
         again: ResultTable | None = None
         try:
             with warnings.catch_warnings():
@@ -276,25 +259,17 @@ def run_case(
                     # small and on any host: a core per worker
                     with crossover(0), config.engine(case.store, case.grain) as engine:
                         if config.workers > 1:
-                            backend = engine._parallel_backend(config.workers)
-                            backend._effective = config.workers
+                            engine._parallel_backend._effective = config.workers
                         table = engine.query(case.query)
                         # a plan-cache hit: what the first run left on the
                         # plan (:mod:`repro.compiler.runner`) serves this one
                         again = engine.query(case.query)
-                        if config.tuned:
-                            # the tuner's pick is wall-clock-dependent: record
-                            # it, or a dumped failure would not say which
-                            # knobs failed
-                            chosen = " [tuner chose: " + engine.explain_tuning(
-                                case.query
-                            ).chosen.describe() + "]"
         except Exception as exc:  # noqa: BLE001 - any crash is a finding
-            problems.append((name, "error", f"{type(exc).__name__}: {exc}{chosen}"))
+            problems.append((name, "error", f"{type(exc).__name__}: {exc}"))
             continue
         warm = None if again is None else compare_bitwise(table, again)
         if warm:
-            problems.append((name, "warm", warm + chosen))
+            problems.append((name, "warm", warm))
         if reference is None:
             # the first *succeeding* run anchors the bit-identity
             # comparison (the interpreter; a configuration if it crashed)
@@ -302,7 +277,7 @@ def run_case(
             continue
         mismatch = compare_bitwise(reference, table)
         if mismatch:
-            problems.append((name, "grid", mismatch + chosen))
+            problems.append((name, "grid", mismatch))
     if reference is not None:
         try:
             with warnings.catch_warnings():

@@ -41,7 +41,7 @@ def pooled_engine(store: ColumnStore, config: EngineConfig) -> VoodooEngine:
     under ``crossover(0)`` and its plans go to the pool however small."""
     engine = VoodooEngine(store, config=config)
     workers = config.execution.workers
-    engine._parallel_backend(workers)._effective = workers
+    engine._parallel_backend._effective = workers
     return engine
 
 
@@ -94,7 +94,7 @@ class TestRemovedKnobs:
 
         assert len(dataclasses.fields(CompilerOptions)) == 6
         assert len(dataclasses.fields(ExecutionOptions)) == 1
-        assert len(dataclasses.fields(EngineConfig)) == 9
+        assert len(dataclasses.fields(EngineConfig)) == 6
 
     def test_grid_has_no_recorder_off_configuration(self):
         """Every run means the node runner, whatever ``fuse`` says: the
@@ -102,7 +102,7 @@ class TestRemovedKnobs:
         price (golden prices pin those) appear in none."""
         from repro.testing.conformance import BACKEND_GRID
 
-        assert len(BACKEND_GRID) == 11
+        assert len(BACKEND_GRID) == 10
         priced_only = {"fuse": True, "selection": "branching", "slot_suppression": True}
         for config in BACKEND_GRID:
             assert all(getattr(config.options, knob) == default
@@ -124,7 +124,7 @@ class TestRemovedKnobs:
             assert engine.options.native
             result = engine.execute(make_query())
             assert result.compiled.native
-            backend = engine._parallel_backend(2)
+            backend = engine._parallel_backend
             assert backend.last_plan.parallel and backend._lease is not None
             assert len(seen) > 1 and all(seen)  # every runner of the run is native
 
@@ -159,7 +159,7 @@ class TestFoldSelectFullyFilteredChunk:
         config = EngineConfig(grain=5, execution=ExecutionOptions(workers=workers))
         with crossover(0), pooled_engine(store, config) as engine:
             parallel = engine.query(query)
-            backend = engine._parallel_backend(workers)
+            backend = engine._parallel_backend
             plan = backend.last_plan
             assert plan.parallel and len(plan.chunks) == workers
             assert plan.chunks[-1][0] >= 20  # a chunk with no surviving row

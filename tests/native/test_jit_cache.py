@@ -12,7 +12,7 @@ import os
 import numpy as np
 import pytest
 
-from repro.compiler import CompilerOptions, compile_program
+from repro.compiler import CompilerOptions, compile_program, kernels
 from repro.core import Builder, StructuredVector
 from repro.interpreter import Interpreter
 from repro.native import cache_dir, find_compiler, have_compiler, jit, snapshot
@@ -107,6 +107,87 @@ def test_failing_compiler_raises_with_its_exit_status(fresh_cache, monkeypatch):
     assert find_compiler() == ["/bin/false"]
     with pytest.raises(NativeCompileError, match="failed"):
         load_library("void probe_e(void) {}\n")
+
+
+# -- a bad file at the cache path ----------------------------------------------
+
+GARBAGE = b"not an elf"
+
+
+def library_path(cache):
+    return cache / f"{source_key(native_runner.library_source())}.so"
+
+
+def sum_twice(monkeypatch):
+    """The float sum of a cold process, called twice: (result, the NumPy
+    kernel's result, counters before, counters after)."""
+    monkeypatch.setattr(native_runner, "_kernels", None)
+    rng = np.random.default_rng(5)
+    values = rng.standard_normal(1_000) * 10.0 ** rng.integers(-8, 8, 1_000)
+    starts = np.asarray([0, 10, 500, 999], dtype=np.int64)
+    expected = kernels.fold_aggregate_segments("sum", values, starts)
+    before = snapshot()
+    got = native_runner.fold_aggregate_segments("sum", values, starts)
+    again = native_runner.fold_aggregate_segments("sum", values, starts)
+    assert again.tobytes() == got.tobytes()
+    return got, expected, before, snapshot()
+
+
+def counted(before, after, key):
+    return after[key] - before[key]
+
+
+def reason(before, after, name):
+    return after["fallback_reasons"].get(name, 0) - before["fallback_reasons"].get(name, 0)
+
+
+def assert_rebuilt(path, before, after):
+    assert counted(before, after, "kernels_compiled") == 1
+    assert counted(before, after, "fallbacks") == 0
+    assert counted(before, after, "fold_calls") == 2
+    payload = path.read_bytes()
+    assert payload.startswith(b"\x7fELF") and b"fsum_f4" in payload and b"fsum_f8" in payload
+
+
+def test_garbage_at_the_cache_path_is_rebuilt_in_place(fresh_cache, monkeypatch):
+    path = library_path(fresh_cache)
+    path.write_bytes(GARBAGE)
+    got, expected, before, after = sum_twice(monkeypatch)
+    assert got.tobytes() == expected.tobytes()
+    if have_compiler():
+        assert_rebuilt(path, before, after)
+    else:
+        assert counted(before, after, "fallbacks") == 1
+        assert reason(before, after, "bad-cache") == 1
+
+
+@needs_compiler
+def test_a_foreign_library_at_the_cache_path_is_rebuilt_in_place(fresh_cache, monkeypatch):
+    """A loadable ``.so`` without the kernel's symbols is not the kernel."""
+    foreign = fresh_cache / "foreign.so"
+    jit._compile("int other(void){return 1;}\n", foreign)
+    path = library_path(fresh_cache)
+    os.replace(foreign, path)
+    got, expected, before, after = sum_twice(monkeypatch)
+    assert got.tobytes() == expected.tobytes()
+    assert_rebuilt(path, before, after)
+
+
+@pytest.mark.skipif(
+    not os.access("/bin/false", os.X_OK), reason="needs /bin/false"
+)
+def test_a_corrupt_cache_that_cannot_be_rebuilt_falls_back_once(fresh_cache, monkeypatch):
+    monkeypatch.setenv("CC", "/bin/false")
+    path = library_path(fresh_cache)
+    path.write_bytes(GARBAGE)
+    got, expected, before, after = sum_twice(monkeypatch)
+    assert got.tobytes() == expected.tobytes()
+    assert counted(before, after, "kernels_compiled") == 0
+    assert counted(before, after, "fold_calls") == 0
+    assert counted(before, after, "fallbacks") == 1
+    assert reason(before, after, "bad-cache") == 1
+    assert path.read_bytes() == GARBAGE  # the failed rebuild replaced nothing
+    assert list(fresh_cache.glob("*.so")) == [path]
 
 
 def _pipeline():

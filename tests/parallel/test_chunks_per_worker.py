@@ -172,7 +172,7 @@ def test_engine_runs_workers_k_on_the_pool():
     store = generate(0.005, seed=7)
     with crossover(0), VoodooEngine(store) as reference, VoodooEngine(
             store, config=EngineConfig(execution=ExecutionOptions(workers=3))) as parallel:
-        backend = parallel._parallel_backend(3)
+        backend = parallel._parallel_backend
         backend._effective = 3
         expected = reference.query(build(store, 6))
         result = parallel.execute(build(store, 6))

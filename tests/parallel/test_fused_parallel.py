@@ -48,7 +48,7 @@ def pooled(storage=None, workers: int = 2) -> ParallelInterpreter:
 def pooled_engine(store, config: EngineConfig = TWO_WORKERS) -> VoodooEngine:
     engine = VoodooEngine(store, config=config)
     workers = config.execution.workers
-    engine._parallel_backend(workers)._effective = workers
+    engine._parallel_backend._effective = workers
     return engine
 
 
@@ -267,19 +267,19 @@ class TestPersistentPool:
     def test_engine_reuses_backend_and_closes(self):
         store = generate(0.002, seed=3)
         engine = pooled_engine(store)
+        backend = engine._parallel_backend
         engine.execute(build(store, 6))
-        (backend,) = engine._parallel_backends.values()
         assert backend._lease is not None
         engine.execute(build(store, 6))
-        assert engine._parallel_backend(2) is backend  # one backend, many queries
+        assert engine._parallel_backend is backend  # one backend, many queries
         engine.close()
-        assert engine._parallel_backends == {} and backend._lease is None
+        assert engine._parallel_backend is backend and backend._lease is None
 
     def test_engine_context_manager(self):
         store = generate(0.002, seed=3)
         with VoodooEngine(store, config=TWO_WORKERS) as engine:
             engine.query(build(store, 6))
-        assert engine._parallel_backends == {}
+        assert engine.closed and engine._parallel_backend._lease is None
 
 
 def test_forced_pool_submission_bit_identical():

@@ -66,7 +66,7 @@ def identical(a, b) -> bool:
 def two_worker_engine(store) -> VoodooEngine:
     """A 2-worker engine with a second core, on any host."""
     engine = VoodooEngine(store, config=TWO_WORKERS)
-    engine._parallel_backend(2)._effective = 2  # a real pool, also on a 1-CPU host
+    engine._parallel_backend._effective = 2  # a real pool, also on a 1-CPU host
     return engine
 
 
@@ -88,7 +88,7 @@ def test_every_op_is_bit_identical_to_the_fused_tier_pooled_or_whole(tpch_store,
                 fused, parallel = engines[id(store)]
                 for _ in range(2):  # cold and warm plan
                     assert identical(fused.query(query), parallel.query(query)), query
-                plan = parallel._parallel_backend(2).last_plan
+                plan = parallel._parallel_backend.last_plan
                 assert plan.parallel is (value == 0), query
     finally:
         for fused, parallel in engines.values():
@@ -103,7 +103,7 @@ def test_a_lease_is_taken_exactly_when_the_plan_is_parallel(tpch_store, value):
     try:
         with crossover(value):
             engine.query(build(tpch_store, 6))
-        backend = engine._parallel_backend(2)
+        backend = engine._parallel_backend
         assert (backend._lease is not None) is (value == 0) is backend.last_plan.parallel
     finally:
         engine.close()
@@ -115,7 +115,7 @@ def test_a_small_plan_runs_whole_and_takes_no_pool_lease(tpch_store):
     sequential: the program runs whole, and no pool is leased."""
     before = REGISTRY.stats()["active_leases"]
     with two_worker_engine(tpch_store) as engine:
-        backend = engine._parallel_backend(2)
+        backend = engine._parallel_backend
         for n in sorted(QUERIES):
             engine.query(build(tpch_store, n))
             plan = backend.last_plan

@@ -112,7 +112,7 @@ class TestEngineIntegration:
         # every plan pooled, a core per worker: both backends lease, on any host
         with crossover(0), VoodooEngine(store, config=config) as a, \
                 VoodooEngine(store, config=config) as b:
-            backend_a, backend_b = a._parallel_backend(2), b._parallel_backend(2)
+            backend_a, backend_b = a._parallel_backend, b._parallel_backend
             backend_a._effective = backend_b._effective = 2
             assert a.query(parse_sql(q, store)).rows() == b.query(parse_sql(q, store)).rows()
             assert backend_a._lease.executor is backend_b._lease.executor

@@ -39,7 +39,7 @@ def engine(store):
 @pytest.fixture(scope="module")
 def parallel_engine(store):
     engine = VoodooEngine(store, config=EngineConfig(execution=ExecutionOptions(workers=4)))
-    engine._parallel_backend(4)._effective = 4
+    engine._parallel_backend._effective = 4
     yield engine
     engine.close()
 

@@ -46,7 +46,7 @@ def every_plan_pooled():
 def parallel_engine(store, use_native: bool) -> VoodooEngine:
     engine = VoodooEngine(
         store, config=EngineConfig(execution=ExecutionOptions(workers=2), native=use_native))
-    engine._parallel_backend(2)._effective = 2  # a real pool, also on a 1-CPU host
+    engine._parallel_backend._effective = 2  # a real pool, also on a 1-CPU host
     return engine
 
 
@@ -133,7 +133,7 @@ def test_racing_first_queries_take_exactly_one_lease(store):
         with ThreadPoolExecutor(THREADS) as callers:
             tables = list(callers.map(first_query, range(THREADS)))
         during = REGISTRY.stats()
-        (backend,) = engine._parallel_backends.values()
+        backend = engine._parallel_backend  # one backend per engine
         assert backend._lease is not None
         assert during["active_leases"] == before["active_leases"] + 1
         assert during["pools"].get("chunks:2", 0) == before["pools"].get("chunks:2", 0) + 1

@@ -35,7 +35,7 @@ class TestValidation:
     def test_default_config_resolves(self):
         config = EngineConfig().resolved()
         assert config.grain == 4096          # cpu default
-        assert config.tracing is True        # sequential, untuned
+        assert config.tracing is True        # sequential
 
     def test_gpu_grain_default(self):
         config = EngineConfig(options=CompilerOptions(device="gpu")).resolved()
@@ -46,10 +46,6 @@ class TestValidation:
         assert config.tracing is False
         assert config.parallel is True
 
-    def test_bad_tuning_mode(self):
-        with pytest.raises(ExecutionError, match="tuning"):
-            EngineConfig(tuning="sometimes").validate()
-
     def test_bad_grain(self):
         with pytest.raises(ExecutionError, match="grain"):
             EngineConfig(grain=0).validate()
@@ -58,16 +54,6 @@ class TestValidation:
         with pytest.raises(ExecutionError, match="tracing"):
             EngineConfig(
                 execution=ExecutionOptions(workers=2), tracing=True
-            ).validate()
-
-    def test_auto_tuning_tracing_conflict(self):
-        with pytest.raises(ExecutionError, match="tracing"):
-            EngineConfig(tuning="auto", tracing=True).validate()
-
-    def test_auto_tuning_execution_conflict(self):
-        with pytest.raises(ExecutionError, match="ExecutionOptions"):
-            EngineConfig(
-                tuning="auto", execution=ExecutionOptions(workers=2)
             ).validate()
 
     def test_with_replaces_fields(self):

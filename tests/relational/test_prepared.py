@@ -211,7 +211,7 @@ class TestBitIdentity:
         config = EngineConfig(execution=ExecutionOptions(workers=2))
         # chunks on the pool however small, with a core per worker on any host
         with crossover(0), VoodooEngine(store, config=config) as parallel:
-            backend = parallel._parallel_backend(2)
+            backend = parallel._parallel_backend
             backend._effective = 2
             with VoodooEngine(store) as sequential:
                 a = parallel.prepare(param_query(Param("x"))).table(x=0.5)

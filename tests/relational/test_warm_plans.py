@@ -63,10 +63,10 @@ def test_parallel_engine_plans_each_warm_program_once(store, monkeypatch):
     batch = queries(store)
     config = EngineConfig(execution=ExecutionOptions(workers=2))
     with crossover(0), VoodooEngine(store, config=config) as engine:
-        engine._parallel_backend(2)._effective = 2  # a real pool, also on a 1-CPU host
+        engine._parallel_backend._effective = 2  # a real pool, also on a 1-CPU host
         first = lap(engine, batch)
         assert len(calls) == PLANS
-        assert engine._parallel_backend(2).last_plan.parallel
+        assert engine._parallel_backend.last_plan.parallel
         lap(engine, batch)
         del calls[:]
         assert lap(engine, batch) == first

@@ -30,7 +30,7 @@ def test_serving_width_equal_to_engine_workers_completes(width):
         scheduler = QueryScheduler(ServingConfig(workers=width))
         engine = VoodooEngine(
             store, config=EngineConfig(execution=ExecutionOptions(workers=width)))
-        engine._parallel_backend(width)._effective = width
+        engine._parallel_backend._effective = width
         try:
             expected = engine.query(query).rows()
             # hard timeout: a deadlocked pool must fail the test, not hang it
@@ -41,7 +41,7 @@ def test_serving_width_equal_to_engine_workers_completes(width):
                 timeout=20,
             )
             pools = scheduler.stats()["pool_registry"]["pools"]
-            assert engine._parallel_backend(width)._lease is not None
+            assert engine._parallel_backend._lease is not None
         finally:
             scheduler.close()
             engine.close()

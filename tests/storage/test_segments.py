@@ -408,7 +408,7 @@ class TestLayoutInvariance:
             with crossover(0), VoodooEngine(store, config=EngineConfig(
                     tracing=False, execution=execution)) as engine:
                 if workers > 1:
-                    engine._parallel_backend(workers)._effective = workers
+                    engine._parallel_backend._effective = workers
                 return [engine.query(sql) for sql in sqls]
         expect = run(base)
         for name, store in variants.items():

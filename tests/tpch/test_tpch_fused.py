@@ -59,7 +59,7 @@ def test_engine_tables_agree_across_backends(store, engine, number):
     parallel_engine = VoodooEngine(
         store, config=EngineConfig(execution=ExecutionOptions(workers=2))
     )
-    backend = parallel_engine._parallel_backend(2)
+    backend = parallel_engine._parallel_backend
     backend._effective = 2
     with crossover(0), parallel_engine:
         for other_engine in (fused_engine, parallel_engine):
