@@ -9,7 +9,8 @@ control vector is generated — ``Divide`` by a partition size versus
 The ``workers`` knob extends the same idea to *real* cores: the
 partition-parallel backend splits the multithreaded program along its
 control-vector runs and executes the chunks on a worker pool
-(``ParallelInterpreter(storage, workers=N)``), while
+(``ParallelInterpreter(storage, workers=N)``) once a plan carries enough
+work to pay for the hand-off — this small input runs whole — while
 ``ExecutionOptions(workers=N)`` re-prices the compiled kernels' trace on
 an N-core device profile.  Both are demonstrated below.
 
@@ -77,8 +78,11 @@ def main():
     got = out.attr(".total")[out.present(".total")][0]
     assert got == expected, (got, expected)
     plan = parallel.last_plan
-    print(f"\nParallelInterpreter(workers=4): result {got} OK | "
-          f"chunks {plan.chunks} (boundaries on control-vector runs)")
+    if plan is not None and plan.parallel:
+        how = f"chunks {plan.chunks} (boundaries on control-vector runs)"
+    else:  # too little work to pay for the pool, or one core: the program ran whole
+        how = f"ran whole ({plan.reason if plan is not None else 'one core'})"
+    print(f"\nParallelInterpreter(workers=4): result {got} OK | {how}")
 
     compiled = compile_program(program, CompilerOptions(device="cpu-mt"))
     for w in (1, 4):

@@ -44,9 +44,6 @@ class MetadataPass:
     def is_virtual(self, node: ops.Op) -> bool:
         return id(node) in self.virtual
 
-    def constant_value(self, node: ops.Op) -> int | float | bool | None:
-        return self.constants.get(id(node))
-
     def static_run_length(self, node: ops.Op, path: Keypath) -> int | None:
         """Run length of a control attribute, independent of vector size.
 

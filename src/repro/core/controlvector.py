@@ -148,9 +148,6 @@ class RunInfo:
         run = self.run_length(length)
         return 0 if length == 0 else math.ceil(length / run)
 
-    def describes_runs_of(self, length: int, expected: int) -> bool:
-        return self.run_length(length) == expected
-
     def __str__(self) -> str:  # compact form used by the SSA printer
         cap = "" if self.cap is None else f" mod {self.cap}"
         return f"<{self.start} + i*{self.step}{cap}>"

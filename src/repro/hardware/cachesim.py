@@ -63,9 +63,6 @@ class SetAssociativeCache:
             resident.pop(0)
         return False
 
-    def reset_stats(self) -> None:
-        self.stats = CacheStats()
-
 
 @dataclass
 class HierarchyResult:

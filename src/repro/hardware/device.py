@@ -63,12 +63,6 @@ class DeviceProfile:
         """Total scalar lanes available (threads x SIMD width)."""
         return self.threads * self.simd_width
 
-    def peak_int_ops(self) -> float:
-        return self.clock_hz * self.lanes() / self.int_op_cycles
-
-    def peak_float_ops(self) -> float:
-        return self.clock_hz * self.lanes() / self.float_op_cycles
-
     def last_level_cache(self) -> CacheLevel:
         return self.cache_levels[-1]
 

@@ -3,9 +3,10 @@
 The paper's section 4 argues the same vector algebra re-targets from SIMD
 to multicore purely through how control vectors partition the data.  This
 package makes the multicore half real: a planner that classifies a
-program into per-chunk / global / sequential zones along ``Partition``-
-style control-vector semantics, and an executor that runs the chunks on a
-worker pool and merges results bit-identically to the sequential
+program into three zones — global (once, up front), partitioned (per
+chunk of the driving vector, cut along control-vector runs) and
+sequential — and an executor that runs the chunks on a worker pool and
+concatenates their results bit-identically to the sequential
 interpreter.  The executor is a schedule, not an evaluator: every zone
 and every chunk runs on the node runner of :mod:`repro.compiler.runner`.
 """
@@ -13,11 +14,9 @@ and every chunk runs on the node runner of :mod:`repro.compiler.runner`.
 from repro.compiler.rt_fast import to_fused
 from repro.compiler.runner import ChunkCrossing
 from repro.parallel.executor import ParallelInterpreter
-from repro.parallel.merge import concat_fused, merge_fold_fused, merge_select_fused
+from repro.parallel.merge import concat_fused
 from repro.parallel.planner import (
-    GFOLD,
     GLOBAL,
-    GSELECT,
     PARTITIONED,
     SEQ,
     PartitionPlan,
@@ -33,12 +32,8 @@ __all__ = [
     "PoolRegistry",
     "ParallelInterpreter",
     "concat_fused",
-    "merge_fold_fused",
-    "merge_select_fused",
     "to_fused",
-    "GFOLD",
     "GLOBAL",
-    "GSELECT",
     "PARTITIONED",
     "SEQ",
     "PartitionPlan",

@@ -5,11 +5,12 @@
 same ``run()`` contract, bit-identical outputs.  It is a *schedule* over
 the node runner (:mod:`repro.compiler.runner`), not another evaluator:
 it asks the :class:`~repro.parallel.planner.PartitionPlanner` how to
-split the program, evaluates the GLOBAL zone once, runs the chunked
-zones as :func:`~repro.compiler.runner.run_chunk` calls seeded with
-column/mask *views* on a persistent thread pool (NumPy and the native
-kernel release the GIL), merges the chunk results and finishes the SEQ
-zone over the merged values, its ready folds fanned out on the same pool.
+split the program, evaluates the GLOBAL zone once, runs the PARTITIONED
+zone as :func:`~repro.compiler.runner.run_chunk` calls seeded with a
+column/mask *view* of the driving vector and the global feeds whole, on a
+persistent thread pool (NumPy and the native kernel release the GIL),
+concatenates the chunk results and finishes the SEQ zone over the merged
+values, its ready folds fanned out on the same pool.
 
 A program runs in exactly one of two ways.  With a second core present
 and enough work per chunk to pay for the hand-off
@@ -36,7 +37,7 @@ through one instance at once (a concurrent server's engine does).
 Correctness is structural, not statistical: every partitioned slot is the
 very slot sequential execution would produce (chunk workers offset
 ``Range`` starts and ``FoldSelect`` positions by the chunk origin, and
-chunk boundaries never split a control run), so merging is exact.
+chunk boundaries never split a control run), so concatenation is exact.
 """
 
 from __future__ import annotations
@@ -53,15 +54,7 @@ from repro.core.program import Program
 from repro.core.vector import StructuredVector
 from repro.errors import ExecutionError
 from repro.parallel import merge, planner
-from repro.parallel.planner import (
-    GFOLD,
-    GLOBAL,
-    GSELECT,
-    PARTITIONED,
-    SEQ,
-    PartitionPlan,
-    PartitionPlanner,
-)
+from repro.parallel.planner import GLOBAL, SEQ, PartitionPlan, PartitionPlanner
 from repro.parallel.registry import REGISTRY, PoolLease
 
 
@@ -211,28 +204,20 @@ class ParallelInterpreter:
         measurable on short queries.  The plan is kept on the program
         (``program.memo``) beside the storage shape it was made for,
         which covers everything the planner reads from storage: names,
-        lengths, per-attribute dtypes — a float sum is only exact
-        sequentially, so swapping an int column for a float one of the
-        same shape must invalidate the cached zone classification — and
-        the lazy storage columns' segment maps, which steer the chunk
-        boundaries.  Dtypes come from the schema (never ``attr``): the
-        plan key must not materialize lazy columns.  Only the vectors the
-        program's own ``Load``s read are keyed — the planner reads no
-        other, and a catalog holds many.
+        lengths and per-attribute dtypes — a chunked float prefix sum
+        rounds differently, so swapping an int column for a float one of
+        the same shape must invalidate the cached zone classification.
+        Dtypes come from the schema (never ``attr``): the plan key must
+        not materialize lazy columns.  Only the vectors the program's own
+        ``Load``s read are keyed — the planner reads no other, and a
+        catalog holds many.
         """
         names = program.memo.get("load_names")
         if names is None:
             names = program.memo.setdefault(
                 "load_names", tuple(sorted({node.name for node in program.loads()})))
         shape = tuple(
-            (
-                name,
-                len(vec),
-                tuple(vec.schema.items()),
-                tuple(
-                    (p, h.boundaries()) for p, h in vec.lazy_items()
-                ) if hasattr(vec, "lazy_items") else (),
-            ) if vec is not None else (name,)
+            (name, len(vec), tuple(vec.schema.items())) if vec is not None else (name,)
             for name, vec in ((name, storage.get(name)) for name in names)
         )
         # the crossover is constant in a shipped process; it is in the key
@@ -258,7 +243,7 @@ class ParallelInterpreter:
             if plan.zones[i] == GLOBAL:
                 values[id(node)] = runner.eval(node, values)
 
-        # 2. The chunked zones, on the pool: the driving vector is
+        # 2. The PARTITIONED zone, on the pool: the driving vector is
         #    loaded once, cut per chunk, and read whole by SEQ.
         values[id(order[plan.driving])] = runner.rt.load(order[plan.driving].name)
         merger = merge.Merger(len(plan.chunks))
@@ -266,11 +251,8 @@ class ParallelInterpreter:
 
         # 3. Merge chunk results: moving only what the SEQ zone reads.
         for i in plan.frontier:
-            node = order[i]
-            if i == plan.driving:
-                continue
-            chunks = [result[i] for result in chunk_results]
-            values[id(node)] = self._merge(plan.zones[i], node, chunks, merger)
+            if i != plan.driving:
+                values[id(order[i])] = merger.concat([result[i] for result in chunk_results])
 
         # 4. SEQ zone, over the merged full-length values.  A
         #    grouped query's aggregates are independent folds over one
@@ -349,41 +331,25 @@ class ParallelInterpreter:
         merger: merge.Merger,
     ) -> list[dict[int, FusedVal]]:
         """Every chunk's frontier values; *merger* learns what each chunk
-        was seeded with (a slice of the driving value or of a sliced
-        feed, or a feed handed over whole)."""
+        was seeded with (a slice of the driving value, or a global feed
+        handed over whole)."""
         order = program.order
         chunk_indices = plan.chunk_nodes()
         driving = values[id(order[plan.driving])]
         knobs = {"native": runner.native, "virtual_scatter": runner.virtual_scatter}
         # global feeds are readied once: pending scatters land here, not
-        # once per chunk; a feed handed over whole is one value read by
-        # every worker (values are never written once built)
-        feeds = {
-            j: (mode, runner.rt.materialize(values[id(order[j])]))
-            for j, mode in plan.global_feeds.items()
-        }
+        # once per chunk; a feed is one value read by every worker
+        # (values are never written once built)
+        feeds = {j: runner.rt.materialize(values[id(order[j])]) for j in plan.global_feeds}
         pool = self._pool()
         futures = []
         for k, (lo, hi) in enumerate(plan.chunks):
-            seeded: dict[int, FusedVal] = {}
-            # (the driving value is one more sliced feed)
-            for j, (mode, val) in [(plan.driving, ("sliced", driving)), *feeds.items()]:
-                part = seeded[j] = fused_slice(val, lo, hi) if mode == "sliced" else val
-                merger.seed(k, val, part, lo if mode == "sliced" else 0)
+            seeded = {plan.driving: fused_slice(driving, lo, hi), **feeds}
+            merger.seed(k, driving, seeded[plan.driving], lo)
+            for val in feeds.values():
+                merger.seed(k, val, val, 0)
             futures.append(pool.submit(
                 run_chunk, program, chunk_indices, plan.frontier, seeded,
                 plan.driving, lo, hi, plan.extent, **knobs,
             ))
         return self._collect(futures)
-
-    @staticmethod
-    def _merge(zone: str, node: ops.Op, chunks: list[FusedVal],
-               merger: merge.Merger) -> FusedVal:
-        if zone == PARTITIONED:
-            return merger.concat(chunks)
-        if zone == GSELECT:
-            return merge.merge_select_fused(chunks, node.out)
-        if zone == GFOLD:
-            fn = "sum" if isinstance(node, ops.FoldCount) else node.fn
-            return merge.merge_fold_fused(fn, chunks, node.out)
-        raise ExecutionError(f"cannot merge zone {zone!r}")  # pragma: no cover

@@ -1,32 +1,23 @@
 """Merging per-chunk results back into full vectors.
 
-Three merge kinds, matching the planner's zones, over the raw
+There is one merge, concatenation, over the raw
 :class:`~repro.compiler.rt_fast.FusedVal` chunks the workers return —
 each asked, column by column, for its present rows or its padded image
 (the protocol of :mod:`repro.compiler.columns`), never round-tripped
-through a Structured Vector:
-
-* **concat** — partitioned values are slot-for-slot identical to the
-  sequential result, so merging is pure concatenation (ε masks included:
-  a dense chunk contributes all-True; a merged mask that ends up fully
-  dense is re-suppressed, exactly as sequential execution would).
-* **select** — a global ``FoldSelect`` compacts qualifying positions from
-  slot 0.  Chunk partials already hold *global* positions (the chunk
-  runner offsets them), so the merge concatenates the present values
-  of every chunk, in chunk order, from slot 0 — a stable remap.
-* **fold** — a global aggregate re-folds the per-chunk partials.  Only
-  exactly-associative combinations reach this path (the planner keeps
-  float sums sequential): integer sums wrap associatively, ``max``/``min``
-  are order-insensitive, counts are integer sums.
+through a Structured Vector.  Partitioned values are slot-for-slot
+identical to the sequential result, so merging is pure concatenation (ε
+masks included: a dense chunk contributes all-True; a merged mask that
+ends up fully dense is re-suppressed, exactly as sequential execution
+would).
 
 A concatenation moves only what the sequential zone would not have had
 to move either (a :class:`Merger` holds what one run's merges share):
 
-1. a chunk column that is still the slice the executor seeded the chunk
-   with — of the driving value or of a ``"sliced"`` global feed — merges
-   back to the unsliced column itself, with no copy (a storage column
-   stays :class:`~repro.compiler.columns.Lazy`: its RLE folds and
-   segment reads still engage in the SEQ zone);
+1. a chunk column that is still the slice of the driving value the
+   executor seeded the chunk with merges back to the unsliced column
+   itself, with no copy (a storage column stays
+   :class:`~repro.compiler.columns.Lazy`: its RLE folds and segment
+   reads still engage in the SEQ zone);
 2. an unread :class:`~repro.compiler.columns.Taken` over such a slice (or
    over a global fed whole) merges to one unread gather of the unsliced
    column, its positions shifted by the chunk origins: a gather nobody
@@ -41,12 +32,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.compiler.columns import Column, Compact, Dense, Run, Slots, Taken, on_slots, zero_fill
+from repro.compiler.columns import Column, Dense, Slots, Taken, on_slots
 from repro.compiler.rt_fast import FusedVal
-from repro.core.controlvector import IDENTITY
-from repro.core.keypath import Keypath
 from repro.errors import ExecutionError
-from repro.interpreter.semantics import _AGG_UFUNC as _COMBINE
 
 
 class Merger:
@@ -188,48 +176,3 @@ def _shifted(arrays: list[np.ndarray], shifts: list[int]) -> np.ndarray:
 def concat_fused(chunks: list[FusedVal]) -> FusedVal:
     """:meth:`Merger.concat` outside a run: nothing seeded, nothing shared."""
     return Merger(len(chunks)).concat(chunks)
-
-
-def merge_select_fused(chunks: list[FusedVal], path: Keypath) -> FusedVal:
-    """Global-fold-select partials, merged: all hits from slot 0.
-
-    Chunk partials hold *global* positions (the chunk runner offsets
-    them) on chunk-local slots; the merge keeps the positions, in chunk
-    order, and renumbers the slots."""
-    length = sum(c.length for c in chunks)
-    hits = np.concatenate(
-        [np.zeros(0, dtype=np.int64)] + [c.column(path).rows()[0] for c in chunks]
-    )
-    if len(hits) == length:  # every chunk kept every row
-        return FusedVal(length, {path: Run(IDENTITY, length)})
-    slots = Slots(np.arange(len(hits), dtype=np.int64), length)
-    return FusedVal(length, {path: Compact(slots, hits, zero_fill(np.int64))})
-
-
-def merge_fold_fused(fn: str, chunks: list[FusedVal], path: Keypath) -> FusedVal:
-    """Re-fold per-chunk partial aggregates (result at global slot 0).
-
-    Each chunk carries its partial at local slot 0 (ε when the chunk had
-    no present input slot).  Combination is a left fold in chunk order —
-    bit-identical to sequential execution for every combination the
-    planner routes here.
-    """
-    try:
-        combine = _COMBINE[fn]
-    except KeyError:
-        raise ExecutionError(f"merge: unknown fold combiner {fn!r}") from None
-    length = sum(c.length for c in chunks)
-    partials = []
-    for c in chunks:
-        values, slots = c.column(path).rows()
-        if len(values) and (slots is None or slots.index[0] == 0):
-            partials.append(values[0])
-    dtype = chunks[0].dtype_of(path)
-    total = np.zeros(0, dtype=dtype)
-    if partials:
-        total = partials[0]
-        for value in partials[1:]:
-            total = combine(total, value)
-        total = np.asarray(total, dtype=dtype).reshape(1)
-    slots = Slots(np.arange(len(total), dtype=np.int64), length)
-    return FusedVal(length, {path: on_slots(slots, total, zero_fill(dtype))})

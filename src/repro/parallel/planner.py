@@ -4,24 +4,22 @@ The paper's central tuning claim is that *control vectors* partition the
 data and thereby determine how a Voodoo program parallelizes (sections 2.2
 and 4).  This pass turns that idea into an executable plan for the
 partition-parallel backend: given a :class:`~repro.core.program.Program`
-and a storage context, it classifies every node into one of four zones
+and a storage context, it classifies every node into one of three zones
 
 * **GLOBAL** — not downstream of the driving (sliced) ``Load``; evaluated
-  once, sequentially, before the workers start, and shared read-only.
+  once, sequentially, before the workers start, and shared read-only.  A
+  worker reads a global value whole: either a length-1 broadcast operand
+  or the source of a ``Gather``.
 * **PARTITIONED** — evaluated per chunk.  Every slot of
   a partitioned value is bit-identical to the slot the sequential
   interpreter would produce, because the chunk worker offsets
   ``Range`` starts and ``FoldSelect`` positions by the chunk origin
   (:class:`repro.compiler.runner.ChunkRunner`, which keeps the offset
   ``Range`` symbolic so uniform-run fold kernels engage inside chunks).
-* **GFOLD / GSELECT** — folds whose single run spans the whole vector.
-  Workers compute per-chunk *partials* which the executor re-folds
-  (``sum``/``max``/``min``/count) or re-compacts (select positions).  Only
-  exactly-associative combinations are planned this way — a float ``sum``
-  is *not* (chunked rounding differs), so it degrades to SEQ instead.
 * **SEQ** — everything else (scatters, partitions, data-dependent folds,
-  consumers of global-fold results, …); evaluated sequentially after the
-  chunk results have been merged back into full vectors.
+  folds whose one run spans the whole vector, element-wise reads of a
+  full-length global, …); evaluated sequentially after the chunk results
+  have been concatenated back into full vectors.  SEQ is always correct.
 
 Chunk boundaries are aligned to the least common multiple of the static
 run lengths of every partitioned fold's control vector (inferred by the
@@ -39,7 +37,6 @@ hand-off would cost more than the second core returns.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -51,12 +48,7 @@ from repro.core.typecheck import TypeChecker
 
 GLOBAL = "global"
 PARTITIONED = "partitioned"
-GFOLD = "gfold"
-GSELECT = "gselect"
 SEQ = "seq"
-
-#: zones whose per-chunk outputs the workers must ship back for merging
-_CHUNKED_ZONES = (PARTITIONED, GFOLD, GSELECT)
 
 #: A plan goes to the worker pool only when one chunk carries at least
 #: this much partitioned work — rows per chunk times the nodes a chunk
@@ -91,10 +83,10 @@ class PartitionPlan:
     chunks: list[tuple[int, int]] = field(default_factory=list)
     #: chunk boundary alignment (lcm of partitioned-fold run lengths)
     align: int = 1
-    #: indices of chunk-zone nodes whose values must be merged
+    #: indices of PARTITIONED nodes whose values must be merged
     frontier: list[int] = field(default_factory=list)
-    #: indices of GLOBAL nodes the workers need, mapped to "full"/"sliced"
-    global_feeds: dict[int, str] = field(default_factory=dict)
+    #: indices of GLOBAL nodes the workers read (each fed whole)
+    global_feeds: list[int] = field(default_factory=list)
     #: rows of the longest chunk x nodes a chunk evaluates (Loads aside)
     work: int = 0
     #: human-readable reason when the plan is not parallel
@@ -106,12 +98,9 @@ class PartitionPlan:
         crossover, or with one chunk, is sequential: the program runs whole.)"""
         return len(self.chunks) > 1
 
-    def zone(self, index: int) -> str:
-        return self.zones[index]
-
     def chunk_nodes(self) -> list[int]:
         """Indices of nodes the workers evaluate, in topological order."""
-        return [i for i, z in enumerate(self.zones) if z in _CHUNKED_ZONES]
+        return [i for i, z in enumerate(self.zones) if z == PARTITIONED]
 
     def summary(self) -> dict[str, int]:
         counts: dict[str, int] = {}
@@ -120,25 +109,13 @@ class PartitionPlan:
         return counts
 
 
-def chunk_ranges(
-    n: int,
-    workers: int,
-    align: int = 1,
-    boundaries: tuple[int, ...] | None = None,
-) -> list[tuple[int, int]]:
+def chunk_ranges(n: int, workers: int, align: int = 1) -> list[tuple[int, int]]:
     """Split ``[0, n)`` into contiguous ranges.
 
     Every boundary except the final ``n`` is a multiple of *align*, so no
     aligned control run is split.  There are up to *workers* chunks — one
     per worker — as even as alignment allows; fewer come back when ``n``
     is small (never an empty chunk).
-
-    *boundaries* is the driving vector's segment map (interior storage
-    segment offsets): each interior cut snaps to the nearest boundary
-    that is also a multiple of *align*, so chunks cover whole segments
-    and workers decode (or RLE-fold) segments without splitting them.
-    A cut only moves while the chunks stay balanced — never by more than
-    half a chunk — and run alignment always wins over segment alignment.
     """
     if n <= 0 or workers <= 1:
         return [(0, n)] if n > 0 else []
@@ -156,40 +133,7 @@ def chunk_ranges(
         if end > start:
             ranges.append((start, end))
         start = end
-    if boundaries:
-        ranges = _snap_to_boundaries(ranges, n, align, boundaries)
     return ranges
-
-
-def _snap_to_boundaries(
-    ranges: list[tuple[int, int]],
-    n: int,
-    align: int,
-    boundaries: tuple[int, ...],
-) -> list[tuple[int, int]]:
-    """Move interior cuts onto the nearest eligible segment boundary."""
-    eligible = sorted({b for b in boundaries if 0 < b < n and b % align == 0})
-    if not eligible or len(ranges) <= 1:
-        return ranges
-    span = max(1, n // len(ranges))
-    cuts: list[int] = []
-    for _, hi in ranges[:-1]:
-        i = bisect.bisect_left(eligible, hi)
-        nearest = min(
-            (b for b in eligible[max(0, i - 1):i + 1]),
-            key=lambda b: abs(b - hi),
-            default=None,
-        )
-        # only snap while chunks stay balanced (a lone far-away segment
-        # boundary must not collapse the parallelism)
-        cut = nearest if nearest is not None and 2 * abs(nearest - hi) <= span else hi
-        if not cuts or cut > cuts[-1]:
-            cuts.append(cut)
-    return [
-        (lo, hi)
-        for lo, hi in zip([0, *cuts], [*cuts, n])
-        if hi > lo
-    ]
 
 
 class PartitionPlanner:
@@ -222,7 +166,7 @@ class PartitionPlanner:
         if driving is None:
             return self._sequential("no partitionable Load input")
         extent = len(self.storage[self.order[driving].name])
-        zones, align, feed_mode = self._classify(driving, extent)
+        zones, align = self._classify(driving, extent)
         plan = PartitionPlan(
             program=self.program,
             driving=driving,
@@ -230,26 +174,21 @@ class PartitionPlanner:
             zones=zones,
             align=align,
         )
-        if not any(
-            z in _CHUNKED_ZONES and not isinstance(self.order[i], ops.Load)
-            for i, z in enumerate(zones)
-        ):
-            return self._sequential("no partitionable operators", plan)
-        chunks = chunk_ranges(
-            extent, self.workers, align, boundaries=self._driving_boundaries(driving),
-        )
-        if len(chunks) <= 1:
-            return self._sequential("driving vector too small to split", plan)
         chunked = sum(
-            z in _CHUNKED_ZONES and not isinstance(node, ops.Load)
+            z == PARTITIONED and not isinstance(node, ops.Load)
             for node, z in zip(self.order, zones)
         )
+        if not chunked:
+            return self._sequential("no partitionable operators", plan)
+        chunks = chunk_ranges(extent, self.workers, align)
+        if len(chunks) <= 1:
+            return self._sequential("driving vector too small to split", plan)
         plan.work = max(hi - lo for lo, hi in chunks) * chunked
         if plan.work < POOL_CROSSOVER:
             return self._sequential("below the pool crossover", plan)
         plan.chunks = chunks
         plan.frontier = self._frontier(zones)
-        plan.global_feeds = self._global_feeds(zones, feed_mode)
+        plan.global_feeds = self._global_feeds(zones)
         return plan
 
     def _sequential(self, reason: str, plan: PartitionPlan | None = None) -> PartitionPlan:
@@ -263,24 +202,6 @@ class PartitionPlanner:
             chunks=[],
             reason=reason,
         )
-
-    def _driving_boundaries(self, driving: int) -> tuple[int, ...] | None:
-        """Segment map of the driving vector (interior storage offsets).
-
-        Only boundaries shared by every still-lazy storage column count:
-        a cut there splits no column's segment.  Materialized vectors
-        (and fully materialized lazy ones) have no map — ``None``.
-        """
-        vec = self.storage.get(self.order[driving].name)
-        if vec is None or not hasattr(vec, "lazy_items"):
-            return None
-        shared: set[int] | None = None
-        for _, handle in vec.lazy_items():
-            bounds = set(handle.boundaries())
-            shared = bounds if shared is None else shared & bounds
-            if not shared:
-                return None
-        return tuple(sorted(shared)) if shared else None
 
     # -- driving-load selection ------------------------------------------------
 
@@ -297,15 +218,9 @@ class PartitionPlanner:
 
     # -- zone classification ------------------------------------------------------
 
-    def _classify(self, driving: int, extent: int) -> tuple[list[str], int, dict[int, str]]:
+    def _classify(self, driving: int, extent: int) -> tuple[list[str], int]:
         zones: list[str] = []
         align = 1
-        #: GLOBAL node index -> "full" | "sliced": how workers may consume
-        #: it.  The first consumer's claim wins; a conflicting later
-        #: consumer demotes itself to SEQ.  This dict is the single source
-        #: of truth _global_feeds reads back.
-        feed_mode: dict[int, str] = {}
-
         for i, node in enumerate(self.order):
             inputs = [self.index[id(x)] for x in node.inputs()]
             if i == driving:
@@ -316,115 +231,66 @@ class PartitionPlanner:
                 # dimension-side values): evaluated once, up front
                 zones.append(GLOBAL)
                 continue
-            if any(zones[j] in (SEQ, GFOLD, GSELECT) for j in inputs):
+            if SEQ in (zones[j] for j in inputs):
                 # consumers of merged results always run after the merge
                 zones.append(SEQ)
                 continue
-            zone, run = self._classify_downstream(node, zones, feed_mode, extent)
+            zone, run = self._classify_downstream(node, zones, extent)
             if run > 1:
                 align = align * run // math.gcd(align, run)
             zones.append(zone)
-        return zones, align, feed_mode
+        return zones, align
 
     def _classify_downstream(
-        self, node: ops.Op, zones: list[str], feed_mode: dict[int, str], extent: int
+        self, node: ops.Op, zones: list[str], extent: int
     ) -> tuple[str, int]:
-        """Zone of a node with at least one PARTITIONED input (run length
-        of its fold control in the second slot, 1 when not a fold)."""
-        if isinstance(node, (ops.Scatter, ops.Partition, ops.Cross)):
-            return SEQ, 1
-        if isinstance(node, (ops.Materialize, ops.Break, ops.Persist)):
-            # value-identity pass-throughs: follow the data source
-            return (
-                (PARTITIONED, 1)
-                if zones[self.index[id(node.source)]] == PARTITIONED
-                else (SEQ, 1)
-            )
+        """Zone of a node whose inputs are PARTITIONED (at least one) or
+        GLOBAL (run length of its fold control in the second slot, 1 when
+        not a fold)."""
         if isinstance(node, ops.Range):
-            sizeref = node.sizeref
-            if sizeref is not None and zones[self.index[id(sizeref)]] == PARTITIONED:
-                return PARTITIONED, 1  # chunk runner offsets the start
-            return SEQ, 1
+            return PARTITIONED, 1  # sized by a chunk: the chunk runner offsets the start
         if isinstance(node, ops.Gather):
-            src, pos = self.index[id(node.source)], self.index[id(node.positions)]
-            if zones[pos] != PARTITIONED:
+            if zones[self.index[id(node.positions)]] != PARTITIONED:
                 return SEQ, 1
-            if zones[src] == PARTITIONED:
-                return PARTITIONED, 1  # worker checks positions stay in-chunk
-            if zones[src] == GLOBAL:
-                if feed_mode.setdefault(src, "full") != "full":
-                    return SEQ, 1  # already promised sliced to someone else
-                return PARTITIONED, 1
-            return SEQ, 1
+            # a partitioned source: the worker checks positions stay in-chunk;
+            # a global one is fed whole
+            return PARTITIONED, 1
         if isinstance(node, ops.FoldOp):
-            return self._classify_fold(node, zones, extent)
+            return self._classify_fold(node, extent)
         if isinstance(node, (ops.Binary, ops.Unary, ops.Zip, ops.Project, ops.Upsert)):
-            return self._classify_elementwise(node, zones, feed_mode, extent)
+            return self._classify_elementwise(node, zones)
+        # scatters, partitions, crosses, pass-throughs
         return SEQ, 1
 
-    def _classify_elementwise(
-        self, node: ops.Op, zones: list[str], feed_mode: dict[int, str], extent: int
-    ) -> tuple[str, int]:
+    def _classify_elementwise(self, node: ops.Op, zones: list[str]) -> tuple[str, int]:
         """Element-wise ops partition when every input is either chunked or
-        a broadcast/sliceable global (slot *i* depends on slot *i* only)."""
+        a broadcast global (slot *i* depends on slot *i* only)."""
         for inp in node.inputs():
-            j = self.index[id(inp)]
-            if zones[j] == PARTITIONED:
+            if zones[self.index[id(inp)]] == PARTITIONED:
                 continue
-            if zones[j] != GLOBAL:
-                return SEQ, 1
-            length = self._static_length(inp)
             #: output length follows these inputs, so a scalar here would
-            #: shrink the result to length 1 — only a full-extent slice works
+            #: shrink the result to length 1
             sets_length = isinstance(node, ops.Zip) or (
                 isinstance(node, ops.Upsert) and inp is node.target
             )
-            if length == 1 and not sets_length:
-                continue  # scalar broadcast
-            if length == extent:
-                if feed_mode.setdefault(j, "sliced") != "sliced":
-                    return SEQ, 1  # someone else needs this global whole
-                continue
-            return SEQ, 1
+            if sets_length or self._static_length(inp) != 1:
+                return SEQ, 1
         return PARTITIONED, 1
 
-    def _classify_fold(
-        self, node: ops.FoldOp, zones: list[str], extent: int
-    ) -> tuple[str, int]:
-        if zones[self.index[id(node.source)]] != PARTITIONED:
+    def _classify_fold(self, node: ops.FoldOp, extent: int) -> tuple[str, int]:
+        run = (
+            None if node.fold_kp is None
+            else self.metadata.static_run_length(node.source, node.fold_kp)
+        )
+        if not run or run >= extent:
+            # data-dependent control (None) cannot prove alignment; one run
+            # spanning the vector (0) has nothing to split
             return SEQ, 1
-        run = self._fold_run_length(node, extent)
-        if run is None:
-            return SEQ, 1  # data-dependent control: cannot prove alignment
-        if run == 0 or run >= extent:
-            return self._classify_global_fold(node)
         if isinstance(node, ops.FoldScan) and self._is_float(node.source, node.s_kp):
             # chunked float prefix sums round differently than one long
             # cumsum; integer scans are exact, floats re-run sequentially
             return SEQ, 1
         return PARTITIONED, run
-
-    def _classify_global_fold(self, node: ops.FoldOp) -> tuple[str, int]:
-        """A single run spanning the whole vector: merge partials when the
-        combination is exactly associative, else recompute sequentially."""
-        if isinstance(node, ops.FoldSelect):
-            return GSELECT, 1
-        if isinstance(node, ops.FoldCount):
-            return GFOLD, 1  # counts are int64 sums: exact
-        if isinstance(node, ops.FoldAggregate):
-            if node.fn in ("max", "min"):
-                return GFOLD, 1
-            # sum: exact for integers (wrapping), not for floats
-            if not self._is_float(node.source, node.agg_kp):
-                return GFOLD, 1
-        return SEQ, 1
-
-    def _fold_run_length(self, node: ops.FoldOp, extent: int) -> int | None:
-        """Static run length of the fold control: 0 = one global run,
-        ``None`` = unknown (data-dependent)."""
-        if node.fold_kp is None:
-            return 0
-        return self.metadata.static_run_length(node.source, node.fold_kp)
 
     def _is_float(self, node: ops.Op, path) -> bool | None:
         """True when attribute dtype is floating (None ⇒ assume float)."""
@@ -449,8 +315,6 @@ class PartitionPlanner:
             if node.size is not None:
                 return node.size
             return self._static_length(node.sizeref)
-        if isinstance(node, (ops.Materialize, ops.Break, ops.Persist)):
-            return self._static_length(node.source)
         if isinstance(node, (ops.Project, ops.Upsert, ops.Unary)):
             src = node.source if not isinstance(node, ops.Upsert) else node.target
             return self._static_length(src)
@@ -459,38 +323,20 @@ class PartitionPlanner:
     # -- frontier & feeds ----------------------------------------------------------
 
     def _frontier(self, zones: list[str]) -> list[int]:
-        """Chunk-zone nodes whose merged value the sequential side needs."""
-        needed: set[int] = set()
-        for i, node in enumerate(self.order):
-            if zones[i] in (GFOLD, GSELECT):
-                needed.add(i)  # always merged (partials are not per-slot values)
-            if isinstance(node, ops.Persist) and zones[i] in _CHUNKED_ZONES:
-                needed.add(i)  # run() captures every Persist into storage
-            if zones[i] != SEQ:
-                continue
-            for inp in node.inputs():
-                j = self.index[id(inp)]
-                if zones[j] in _CHUNKED_ZONES:
-                    needed.add(j)
-        for out in self.program.outputs.values():
-            j = self.index[id(out)]
-            if zones[j] in _CHUNKED_ZONES:
-                needed.add(j)
-        return sorted(needed)
+        """PARTITIONED nodes whose merged value the sequential side needs:
+        inputs of SEQ nodes, and program outputs."""
+        needed = {
+            self.index[id(inp)]
+            for node, zone in zip(self.order, zones) if zone == SEQ
+            for inp in node.inputs()
+        }
+        needed.update(self.index[id(out)] for out in self.program.outputs.values())
+        return sorted(j for j in needed if zones[j] == PARTITIONED)
 
-    def _global_feeds(self, zones: list[str], feed_mode: dict[int, str]) -> dict[int, str]:
-        """GLOBAL values the workers read, and whether to pre-slice them.
-
-        The slice/full decision was already made (and enforced) during
-        classification; nodes with no recorded claim (length-1 constants,
-        pass-through controls) are fed whole.
-        """
-        feeds: dict[int, str] = {}
-        for i, node in enumerate(self.order):
-            if zones[i] not in _CHUNKED_ZONES:
-                continue
-            for inp in node.inputs():
-                j = self.index[id(inp)]
-                if zones[j] == GLOBAL:
-                    feeds[j] = feed_mode.get(j, "full")
-        return feeds
+    def _global_feeds(self, zones: list[str]) -> list[int]:
+        """GLOBAL values the workers read."""
+        return sorted({
+            self.index[id(inp)]
+            for node, zone in zip(self.order, zones) if zone == PARTITIONED
+            for inp in node.inputs() if zones[self.index[id(inp)]] == GLOBAL
+        })

@@ -208,15 +208,6 @@ class Column:
         np.cumsum([s.length for s in self.segments], out=starts[1:])
         return starts
 
-    def row_offsets(self) -> tuple[int, ...]:
-        """Interior segment boundaries (the planner's natural morsels)."""
-        out = []
-        offset = 0
-        for seg in self.segments[:-1]:
-            offset += seg.length
-            out.append(offset)
-        return tuple(out)
-
     # -- sizes / catalog -------------------------------------------------------
 
     @property
@@ -330,17 +321,6 @@ class Table:
             {},
             lazy={Keypath([c.name]): c.view() for c in self.columns.values()},
         )
-
-    def segment_boundaries(self) -> tuple[int, ...]:
-        """Interior segment boundaries shared by this table's columns.
-
-        All columns of a table are sealed on the same row grid (initial
-        segmentation and appends both split every column identically),
-        so the first column speaks for the table.
-        """
-        if not self.columns:
-            return ()
-        return next(iter(self.columns.values())).row_offsets()
 
     def __len__(self) -> int:
         return self.n_rows

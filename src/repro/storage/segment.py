@@ -40,8 +40,7 @@ from repro.errors import StorageError
 
 ENCODINGS = ("plain", "rle", "for")
 
-#: default rows per sealed segment (also the natural morsel size the
-#: partition planner snaps chunk boundaries to)
+#: default rows per sealed segment
 DEFAULT_SEGMENT_ROWS = 1 << 18
 
 #: accept RLE only when the run payload is at most this fraction of plain
@@ -378,11 +377,6 @@ class ColumnData:
             positions = np.asarray(positions, dtype=np.int64) + self.lo
         return self.column.take(positions)
 
-    def has_compressed(self) -> bool:
-        return any(
-            seg.encoding != "plain" for seg, _, _ in self._pieces()
-        )
-
     def has_rle(self) -> bool:
         return any(seg.encoding == "rle" for seg, _, _ in self._pieces())
 
@@ -420,16 +414,6 @@ class ColumnData:
                 if seg.encoding != "plain":
                     counters.bytes_decompressed += values.nbytes
                 yield values, None
-
-    def boundaries(self) -> tuple[int, ...]:
-        """Segment boundaries interior to this view, view-local."""
-        out = []
-        offset = 0
-        for seg in self.column.segments:
-            offset += seg.length
-            if self.lo < offset < self.hi:
-                out.append(offset - self.lo)
-        return tuple(out)
 
     def fold(self, fn: str):
         """Fold ``sum``/``min``/``max`` directly over the segments.

@@ -73,9 +73,6 @@ class TableInfo:
     def col(self, name: str) -> ColInfo:
         return next(c for c in self.cols if c.name == name)
 
-    def by_kind(self, *kinds: str) -> list[ColInfo]:
-        return [c for c in self.cols if c.kind in kinds]
-
 
 @dataclass
 class StoreInfo:

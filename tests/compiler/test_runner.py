@@ -92,12 +92,13 @@ def run_whole(program, vectors, native: bool, reference, context,
 def run_chunked(program, vectors, native: bool, reference, context, monkeypatch,
                 virtual_scatter: bool = True):
     """A parallel run with every node evaluation and every merge spied
-    on: partitioned nodes are compared after concatenating their chunks
-    in chunk order, global folds after their merge, the rest as is."""
+    on: partitioned nodes are compared as the SEQ zone received them (the
+    frontier) or after concatenating their chunks in chunk order, the rest
+    as is."""
     evaluated: list = []
     merged: dict = {}
     lock = threading.Lock()
-    plain_eval, plain_merge = ProgramRunner.eval, ParallelInterpreter._merge
+    plain_eval, plain_concat = ProgramRunner.eval, merge.Merger.concat
 
     def spy_eval(self, node, values):
         result = plain_eval(self, node, values)
@@ -105,12 +106,13 @@ def run_chunked(program, vectors, native: bool, reference, context, monkeypatch,
             evaluated.append((self, node, result))
         return result
 
-    def spy_merge(zone, node, chunks, merger):
-        merged[id(node)] = result = plain_merge(zone, node, chunks, merger)
+    def spy_concat(self, chunks):
+        # keyed by the chunk values merged (kept alive by `evaluated`)
+        merged[tuple(map(id, chunks))] = result = plain_concat(self, chunks)
         return result
 
     monkeypatch.setattr(ProgramRunner, "eval", spy_eval)
-    monkeypatch.setattr(ParallelInterpreter, "_merge", staticmethod(spy_merge))
+    monkeypatch.setattr(merge.Merger, "concat", spy_concat)
     # one chunk per worker, on the pool whatever the size or the host
     with crossover(0), ParallelInterpreter(vectors, workers=4, native=native) as runner:
         runner._effective = 4
@@ -119,8 +121,9 @@ def run_chunked(program, vectors, native: bool, reference, context, monkeypatch,
     monkeypatch.undo()
     if not plan.parallel:
         return outputs, 0
+    assert merged or all(i == plan.driving for i in plan.frontier), context
     index = {id(node): i for i, node in enumerate(program.order)}
-    whole: dict = dict(merged)
+    whole: dict = {}
     chunks: dict = {}
     rt = FusedRuntime(vectors)
     for runner, node, result in evaluated:
@@ -131,7 +134,9 @@ def run_chunked(program, vectors, native: bool, reference, context, monkeypatch,
     for nid, parts in chunks.items():
         if plan.zones[index[nid]] == PARTITIONED and nid not in whole:
             parts.sort(key=lambda part: part[0])
-            whole[nid] = merge.concat_fused([value for _, value in parts])
+            values = [value for _, value in parts]
+            frontier = merged.get(tuple(map(id, values)))
+            whole[nid] = merge.concat_fused(values) if frontier is None else frontier
     compared = [node for node in program.order if id(node) in whole
                 and not isinstance(node, ops.Load)]
     assert compared, context

@@ -23,7 +23,7 @@ from repro.compiler import ExecutionOptions, FusedRuntime, compile_program, kern
 from repro.core import Builder, Schema, StructuredVector
 from repro.errors import ExecutionError
 from repro.interpreter import Interpreter
-from repro.parallel import ParallelInterpreter
+from repro.parallel import PARTITIONED, SEQ, ParallelInterpreter
 from repro.relational import EngineConfig, VoodooEngine
 from repro.testing import crossover
 from repro.tpch import QUERIES, build, generate
@@ -392,21 +392,25 @@ def test_parallel_grouped_folds_stay_direct(monkeypatch):
 
 def test_plan_memo_invalidated_on_dtype_change():
     """Regression: the executor's plan memo must key on dtypes, not just
-    shapes — a float sum is only exact sequentially, so swapping an int
-    column for floats of the same length must re-plan (GFOLD -> SEQ)."""
+    shapes — a chunked float prefix sum rounds differently, so swapping an
+    int column for floats of the same length must re-plan a run-aligned
+    ``FoldScan`` from PARTITIONED to SEQ."""
     n = 50_001
     rng = np.random.default_rng(33)
     ints = rng.integers(0, 100, n).astype(np.int64)
     floats = rng.random(n).astype(np.float64)
     b = Builder({"facts": Schema({".v": "int64"})})
-    program = b.build(
-        total=b.fold_sum(b.load("facts"), agg_kp=".v", out=".total")
-    )
+    facts = b.load("facts")
+    runs = b.divide(b.range(facts), b.constant(1024), out=".run")
+    scan = b.fold_scan(b.zip(facts, runs), s_kp=".v", fold_kp=".run", out=".scan")
+    program = b.build(scan=scan)
+    index = next(i for i, node in enumerate(program.order) if node.opname == "FoldScan")
     with pooled({"facts": StructuredVector.single(".v", ints)}, workers=4) as runner:
         runner.run(program)
-        assert runner.last_plan.parallel  # int sum: merged GFOLD partials
+        assert runner.last_plan.zones[index] == PARTITIONED  # int scan: exact per chunk
         runner.store("facts", StructuredVector.single(".v", floats))
         par = runner.run(program)
+        assert runner.last_plan.zones[index] == SEQ
         seq = Interpreter({"facts": StructuredVector.single(".v", floats)}).run(program)
         assert_bit_identical(seq, par)
 

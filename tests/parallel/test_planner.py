@@ -1,26 +1,26 @@
-"""Partition planner: chunk geometry, zone classification, merge helpers."""
+"""Partition planner: chunk geometry, zone classification, the merge."""
 
 import numpy as np
 import pytest
 
 from repro.compiler.rt_fast import FusedRuntime
 from repro.core import Builder, StructuredVector
-from repro.core.keypath import Keypath
 from repro.errors import ExecutionError
+from repro.interpreter import Interpreter
 from repro.parallel import (
-    GFOLD,
     GLOBAL,
-    GSELECT,
     PARTITIONED,
     SEQ,
+    ParallelInterpreter,
     PartitionPlanner,
     chunk_ranges,
     concat_fused,
-    merge_fold_fused,
-    merge_select_fused,
+    executor,
     to_fused,
 )
+from repro.relational import EngineConfig, VoodooEngine
 from repro.testing import crossover
+from repro.tpch import build, generate
 
 
 def _forced(val) -> StructuredVector:
@@ -34,12 +34,15 @@ def concat_chunks(chunks):
     return _forced(concat_fused([to_fused(c) for c in chunks]))
 
 
-def merge_select(chunks, path):
-    return _forced(merge_select_fused([to_fused(c) for c in chunks], path))
-
-
-def merge_fold(fn, chunks, path):
-    return _forced(merge_fold_fused(fn, [to_fused(c) for c in chunks], path))
+def assert_bit_identical(expected: dict, got: dict) -> None:
+    assert expected.keys() == got.keys()
+    for name in expected:
+        a, b = expected[name], got[name]
+        assert len(a) == len(b) and set(a.paths) == set(b.paths), name
+        for p in a.paths:
+            assert a.attr(p).dtype == b.attr(p).dtype, (name, str(p))
+            assert np.array_equal(a.attr(p), b.attr(p)), (name, str(p), "values")
+            assert np.array_equal(a.present(p), b.present(p)), (name, str(p), "masks")
 
 
 def _store(n: int, dtype="int64", seed: int = 0) -> dict:
@@ -117,37 +120,39 @@ class TestZones:
         )
         assert plan.zones[fold_idx] == SEQ  # float sum: chunked rounding differs
 
-    def test_global_int_sum_refolds(self):
+    def _pooled_sequential(self, store, program, opname):
+        """The *opname* node is SEQ in a split plan, and the pooled run
+        returns the interpreter's bits."""
+        plan = self._plan(store, program)
+        idx = next(i for i, node in enumerate(plan.program.order) if node.opname == opname)
+        assert plan.parallel and plan.zones[idx] == SEQ
+        with crossover(0), ParallelInterpreter(store, workers=4) as runner:
+            runner._effective = 4
+            got = runner.run(program)
+            assert runner.last_plan.parallel
+        assert_bit_identical(Interpreter(store).run(program), got)
+
+    def test_global_int_sum_is_sequential(self):
         store = _store(100_000, dtype="int64")
         b = _builder(store)
-        total = b.fold_sum(b.load("facts"), agg_kp=".val", out=".total")
-        plan = self._plan(store, b.build(total=total))
-        order = list(plan.program.order)
-        fold_idx = next(
-            i for i, node in enumerate(order) if node.opname == "FoldAggregate"
-        )
-        assert plan.zones[fold_idx] == GFOLD
+        doubled = b.multiply(b.load("facts"), b.constant(2), out=".val")
+        total = b.fold_sum(doubled, agg_kp=".val", out=".total")
+        self._pooled_sequential(store, b.build(total=total), "FoldAggregate")
 
-    def test_global_float_max_refolds(self):
+    def test_global_float_max_is_sequential(self):
         store = _store(100_000, dtype="float64")
         b = _builder(store)
-        top = b.fold_max(b.load("facts"), agg_kp=".val", out=".top")
-        plan = self._plan(store, b.build(top=top))
-        order = list(plan.program.order)
-        fold_idx = next(
-            i for i, node in enumerate(order) if node.opname == "FoldAggregate"
-        )
-        assert plan.zones[fold_idx] == GFOLD  # max is exactly associative
+        halved = b.multiply(b.load("facts"), b.constant(0.5), out=".val")
+        top = b.fold_max(halved, agg_kp=".val", out=".top")
+        self._pooled_sequential(store, b.build(top=top), "FoldAggregate")
 
-    def test_global_select_merges(self):
+    def test_global_select_is_sequential(self):
         store = _store(100_000)
         b = _builder(store)
-        pred = b.less_equal(b.load("facts"), b.constant(50), out=".sel")
-        sel = b.fold_select(b.zip(b.load("facts"), pred), sel_kp=".sel", out=".pos")
-        plan = self._plan(store, b.build(out=sel))
-        order = list(plan.program.order)
-        idx = next(i for i, node in enumerate(order) if node.opname == "FoldSelect")
-        assert plan.zones[idx] == GSELECT
+        facts = b.load("facts")
+        pred = b.less_equal(facts, b.constant(50), out=".sel")
+        sel = b.fold_select(b.zip(facts, pred), sel_kp=".sel", out=".pos")
+        self._pooled_sequential(store, b.build(out=sel), "FoldSelect")
 
     def test_scatter_blocks_partitioning(self):
         store = _store(100_000)
@@ -176,7 +181,7 @@ class TestZones:
             if node.opname == "Load" and node.name == "dim"
         )
         assert plan.zones[dim_idx] == GLOBAL
-        assert plan.global_feeds.get(dim_idx) == "full"
+        assert dim_idx in plan.global_feeds  # fed whole
 
     def test_empty_table_not_parallel(self):
         store = {"facts": StructuredVector(0, {".val": np.zeros(0, dtype=np.int64)})}
@@ -223,69 +228,40 @@ class TestMerge:
         with pytest.raises(ExecutionError):
             concat_chunks([])
 
-    def test_merge_select_stable_remap(self):
-        path = Keypath(["pos"])
-        a = StructuredVector(
-            4, {path: np.array([7, 9, 0, 0])},
-            {path: np.array([True, True, False, False])},
-        )
-        b = StructuredVector(
-            3, {path: np.array([12, 0, 0])}, {path: np.array([True, False, False])}
-        )
-        merged = merge_select([a, b], path)
-        assert len(merged) == 7
-        assert np.array_equal(merged.attr(path)[:3], [7, 9, 12])
-        assert np.array_equal(
-            merged.present(path), [True, True, True, False, False, False, False]
-        )
-        assert np.array_equal(merged.attr(path)[3:], np.zeros(4, dtype=np.int64))
 
-    def test_merge_select_no_hits(self):
-        path = Keypath(["pos"])
-        a = StructuredVector(
-            2, {path: np.zeros(2, dtype=np.int64)}, {path: np.zeros(2, dtype=bool)}
-        )
-        merged = merge_select([a, a], path)
-        assert not merged.present(path).any()
+# -- the TPC-H plans ----------------------------------------------------------
 
-    def test_merge_fold_sum(self):
-        path = Keypath(["total"])
-        chunks = [
-            StructuredVector(
-                2, {path: np.array([10, 0])}, {path: np.array([True, False])}
-            ),
-            StructuredVector(
-                2, {path: np.array([32, 0])}, {path: np.array([True, False])}
-            ),
-        ]
-        merged = merge_fold("sum", chunks, path)
-        assert merged.attr(path)[0] == 42
-        assert np.array_equal(merged.present(path), [True, False, False, False])
+#: (partitioned, global, seq) node counts of each TPC-H plan at SF 0.01
+#: (seed 42) on 2 workers, every plan split
+TPCH_ZONES = {
+    1: (39, 5, 36), 4: (15, 22, 17), 5: (51, 22, 5), 6: (29, 6, 1), 7: (57, 29, 9),
+    8: (73, 31, 9), 9: (54, 39, 7), 10: (46, 29, 15), 11: (25, 14, 15), 12: (53, 12, 7),
+    14: (40, 12, 6), 15: (24, 13, 24), 19: (87, 30, 1), 20: (29, 48, 43),
+}
 
-    def test_merge_fold_skips_epsilon_partials(self):
-        path = Keypath(["top"])
-        chunks = [
-            StructuredVector(
-                2, {path: np.array([0.0, 0.0])}, {path: np.zeros(2, dtype=bool)}
-            ),
-            StructuredVector(
-                2, {path: np.array([3.5, 0.0])}, {path: np.array([True, False])}
-            ),
-        ]
-        merged = merge_fold("max", chunks, path)
-        assert merged.attr(path)[0] == 3.5
-        assert merged.present(path)[0]
 
-    def test_merge_fold_all_epsilon(self):
-        path = Keypath(["total"])
-        chunk = StructuredVector(
-            2, {path: np.zeros(2, dtype=np.int64)}, {path: np.zeros(2, dtype=bool)}
-        )
-        merged = merge_fold("sum", [chunk, chunk], path)
-        assert not merged.present(path).any()
+@pytest.fixture(scope="module")
+def tpch_store():
+    return generate(0.01, seed=42)
 
-    def test_merge_fold_unknown_combiner(self):
-        path = Keypath(["x"])
-        chunk = StructuredVector.single(path, np.array([1]))
-        with pytest.raises(ExecutionError):
-            merge_fold("median", [chunk], path)
+
+@pytest.mark.parametrize("number", sorted(TPCH_ZONES))
+def test_tpch_plan_zones_pinned(tpch_store, number, monkeypatch):
+    with VoodooEngine(tpch_store, config=EngineConfig(tracing=False)) as engine:
+        program = engine.compile(build(tpch_store, number)).program
+    sliced: list = []
+    plain = executor.fused_slice
+    monkeypatch.setattr(executor, "fused_slice",
+                        lambda value, lo, hi: sliced.append(value) or plain(value, lo, hi))
+    with crossover(0), ParallelInterpreter(tpch_store.vectors(), workers=2) as runner:
+        runner._effective = 2
+        runner.run(program)
+        plan = runner.last_plan
+    assert plan.parallel
+    zones = plan.summary()
+    assert (zones.get(PARTITIONED, 0), zones.get(GLOBAL, 0), zones.get(SEQ, 0)) \
+        == TPCH_ZONES[number]
+    # every global feed is fed whole: the driving vector is the one value
+    # cut, once per chunk
+    assert all(plan.zones[j] == GLOBAL for j in plan.global_feeds)
+    assert len(sliced) == len(plan.chunks) and all(v is sliced[0] for v in sliced)

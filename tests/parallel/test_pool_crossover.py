@@ -16,7 +16,7 @@ from repro.compiler import ExecutionOptions
 from repro.compiler.columns import Compact, Dense, Lazy, Slots, Taken, zero_fill
 from repro.compiler.rt_fast import FusedVal, fused_slice, to_fused
 from repro.core.keypath import kp
-from repro.parallel import REGISTRY, ParallelInterpreter, PartitionPlanner, executor, planner
+from repro.parallel import REGISTRY, PartitionPlanner, executor, planner
 from repro.parallel.merge import Merger
 from repro.relational import EngineConfig, VoodooEngine
 from repro.storage import ColumnStore, Table
@@ -251,13 +251,13 @@ def test_merged_values_in_a_parallel_run_stay_lazy(tpch_store, monkeypatch):
     untouched ``lineitem`` columns as the Load's own Lazy columns, and a
     group-by's gathered columns as unread gathers of them."""
     merged: list = []
-    plain = ParallelInterpreter._merge
+    plain = Merger.concat
 
-    def spy(zone, node, chunks, merger):
-        merged.append(result := plain(zone, node, chunks, merger))
+    def spy(self, chunks):
+        merged.append(result := plain(self, chunks))
         return result
 
-    monkeypatch.setattr(ParallelInterpreter, "_merge", staticmethod(spy))
+    monkeypatch.setattr(Merger, "concat", spy)
     with crossover(0):
         with two_worker_engine(tpch_store) as engine:
             engine.query(build(tpch_store, 1))

@@ -11,8 +11,7 @@ integration points:
 * ``ColumnStore.append`` seals new segments, merges dictionaries, and
   invalidates the plan-cache fingerprint;
 * ``total_bytes`` honestly accounts segments + dictionaries + aux;
-* ``chunk_ranges`` snaps morsel cuts to segment boundaries without
-  breaking run alignment or balance;
+* ``chunk_ranges`` cuts on run alignment, covering every row once;
 * queries are invariant under physical layout (plain vs segmented vs
   compressed vs mmap-loaded), and RLE folds run without decompressing.
 """
@@ -40,7 +39,6 @@ from repro.storage import (
     save,
 )
 from repro.storage.columnstore import Column
-from repro.storage.segment import DEFAULT_SEGMENT_ROWS
 from repro.testing import crossover
 
 # -- strategies ---------------------------------------------------------------
@@ -285,7 +283,7 @@ class TestAppend:
         store.append("t", {"v": np.arange(10, 14, dtype=np.int64)})
         assert store.fingerprint() != before
         assert len(store.table("t")) == 14
-        assert store.table("t").column("v").row_offsets() == (10,)
+        assert [seg.length for seg in store.table("t").column("v").segments] == [10, 4]
         assert bit_equal(store.table("t").column("v").data,
                          np.concatenate([np.arange(10), np.arange(10, 14)]))
 
@@ -346,30 +344,13 @@ class TestChunkBoundaries:
     def test_no_boundaries_unchanged(self):
         assert chunk_ranges(100, 4) == [(0, 25), (25, 50), (50, 75), (75, 100)]
 
-    def test_snaps_to_nearby_boundaries(self):
-        assert chunk_ranges(100, 4, boundaries=(24, 52, 74)) == [
-            (0, 24), (24, 52), (52, 74), (74, 100)]
-
-    def test_balance_guard(self):
-        # a lone far-away segment boundary must not collapse parallelism
-        assert chunk_ranges(1000, 2, boundaries=(10,)) == [(0, 500), (500, 1000)]
-
-    def test_run_alignment_wins(self):
-        # boundaries that would split an aligned control run are ignored
-        assert chunk_ranges(100, 4, align=10, boundaries=(23, 55)) == [
-            (0, 30), (30, 60), (60, 80), (80, 100)]
-        assert chunk_ranges(100, 4, align=10, boundaries=(20, 60)) == [
-            (0, 20), (20, 60), (60, 80), (80, 100)]
-
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_invariants(self, data):
         n = data.draw(st.integers(1, 500))
         workers = data.draw(st.integers(1, 8))
         align = data.draw(st.integers(1, 16))
-        bounds = tuple(sorted(data.draw(
-            st.sets(st.integers(1, max(1, n - 1)), max_size=10))))
-        ranges = chunk_ranges(n, workers, align, boundaries=bounds)
+        ranges = chunk_ranges(n, workers, align)
         assert ranges[0][0] == 0 and ranges[-1][1] == n
         assert all(hi > lo for lo, hi in ranges)
         assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
