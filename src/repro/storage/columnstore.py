@@ -52,7 +52,8 @@ class Column:
 
     __slots__ = (
         "name", "dictionary", "segments", "counters",
-        "_dtype", "_length", "_min", "_max", "_cache", "_whole", "cacheable",
+        "_dtype", "_length", "_min", "_max", "_cache", "_whole", "_starts",
+        "cacheable",
     )
 
     def __init__(
@@ -71,6 +72,7 @@ class Column:
         self.cacheable = cacheable
         self._cache: np.ndarray | None = None
         self._whole: np.ndarray | None = None
+        self._starts: np.ndarray | None = None
         if segments is None:
             arr = np.asarray(data)
             check_dtype(arr.dtype)
@@ -149,41 +151,66 @@ class Column:
         return out
 
     def materialize_range(self, lo: int, hi: int) -> np.ndarray:
-        """Decoded values of rows ``[lo, hi)`` (zero-copy when possible)."""
+        """Decoded values of rows ``[lo, hi)`` (zero-copy when possible).
+
+        Each overlapping segment piece decodes once, straight into its
+        slice of the result; a range inside one segment is that
+        segment's own decode (a view for plain).
+        """
         if self._cache is not None:
             return self._cache[lo:hi]
         if self._whole is not None:
             out = self._whole[lo:hi]
             self.counters.bytes_scanned += out.nbytes
             return out
-        if len(self.segments) == 1 and self.segments[0].encoding == "plain":
-            out = self.segments[0].payload["values"][lo:hi]
-            self.counters.bytes_scanned += out.nbytes
-            return out
-        out = np.empty(hi - lo, dtype=self._dtype)
-        cursor = 0
+        pieces = list(self.pieces(lo, hi))
+        if len(pieces) == 1:
+            seg, a, b = pieces[0]
+            out = seg.decode_range(a, b)
+        else:
+            out = np.empty(hi - lo, dtype=self._dtype)
+            cursor = 0
+            for seg, a, b in pieces:
+                seg.decode_into(a, b, out[cursor:cursor + b - a])
+                cursor += b - a
+        self._count_decode(pieces)
+        return out
+
+    def _count_decode(self, pieces: list[tuple[Segment, int, int]]) -> None:
+        """Account the decode of ``(segment, local lo, local hi)`` pieces:
+        a plain piece scans its rows; a compressed one scans its share of
+        the stored payload and decompresses its rows."""
+        itemsize = self._dtype.itemsize
+        scanned = decompressed = 0
+        for seg, a, b in pieces:
+            if seg.encoding == "plain":
+                scanned += (b - a) * itemsize
+            else:
+                scanned += round(seg.physical_nbytes * (b - a) / max(seg.length, 1))
+                decompressed += (b - a) * itemsize
+        self.counters.bytes_scanned += scanned
+        self.counters.bytes_decompressed += decompressed
+
+    def pieces(self, lo: int, hi: int):
+        """Yields ``(segment, local lo, local hi)`` per segment sharing at
+        least one row with ``[lo, hi)``, in row order."""
         offset = 0
         for seg in self.segments:
             seg_lo, seg_hi = offset, offset + seg.length
             offset = seg_hi
-            if seg_hi <= lo or seg_lo >= hi:
-                continue
-            a = max(lo, seg_lo) - seg_lo
-            b = min(hi, seg_hi) - seg_lo
-            piece = seg.decode_range(a, b)
-            out[cursor:cursor + (b - a)] = piece
-            cursor += b - a
-            if seg.encoding == "plain":
-                self.counters.bytes_scanned += piece.nbytes
-            else:
-                self.counters.bytes_scanned += round(
-                    seg.physical_nbytes * (b - a) / max(seg.length, 1)
-                )
-                self.counters.bytes_decompressed += piece.nbytes
-        return out
+            if min(hi, seg_hi) > max(lo, seg_lo):
+                yield seg, max(lo, seg_lo) - seg_lo, min(hi, seg_hi) - seg_lo
 
     def take(self, positions: np.ndarray) -> np.ndarray:
-        """Random access by global row position, without a full decode."""
+        """Random access by global row position, without a full decode.
+
+        Positions must lie in ``[0, len(self))``; one past the end raises
+        ``IndexError`` (and so does a negative one, once the column has
+        several segments).  Ascending positions (what a selection
+        yields) are cut once at the segment starts and each slice of
+        them is gathered straight into its slice of the result;
+        unsorted positions are routed segment by segment.
+        """
         if self._cache is not None:
             return self._cache[positions]
         positions = np.asarray(positions, dtype=np.int64)
@@ -191,22 +218,40 @@ class Column:
             out = self._whole[positions]
             self.counters.bytes_scanned += out.nbytes
             return out
+        self.counters.bytes_scanned += len(positions) * self._dtype.itemsize
+        if len(self.segments) == 1:
+            return self.segments[0].take(positions)
         starts = self._segment_starts()
         out = np.empty(len(positions), dtype=self._dtype)
-        self.counters.bytes_scanned += out.nbytes
-        if len(self.segments) == 1:
-            out[:] = self.segments[0].take(positions)
+        if not len(positions):
             return out
-        seg_of = np.searchsorted(starts, positions, side="right") - 1
-        for si in np.unique(seg_of):
-            hit = seg_of == si
-            out[hit] = self.segments[si].take(positions[hit] - starts[si])
+        ascending = bool((positions[1:] >= positions[:-1]).all())
+        low, high = ((positions[0], positions[-1]) if ascending
+                     else (positions.min(), positions.max()))
+        if low < 0 or high >= self._length:
+            raise IndexError(
+                f"column {self.name!r}: position out of range [0, {self._length})"
+            )
+        if ascending:
+            cuts = np.searchsorted(positions, starts).tolist()
+            for seg, start, c0, c1 in zip(self.segments, starts.tolist(), cuts, cuts[1:]):
+                if c0 < c1:
+                    seg.take(positions[c0:c1] - start, out=out[c0:c1])
+        else:
+            seg_of = np.searchsorted(starts, positions, side="right") - 1
+            for si in np.unique(seg_of):
+                hit = seg_of == si
+                out[hit] = self.segments[si].take(positions[hit] - starts[si])
         return out
 
     def _segment_starts(self) -> np.ndarray:
-        starts = np.zeros(len(self.segments) + 1, dtype=np.int64)
-        np.cumsum([s.length for s in self.segments], out=starts[1:])
-        return starts
+        """First global row of every segment, plus the column length
+        (memoized: a column's segments never change)."""
+        if self._starts is None:
+            starts = np.zeros(len(self.segments) + 1, dtype=np.int64)
+            np.cumsum([s.length for s in self.segments], out=starts[1:])
+            self._starts = starts
+        return self._starts
 
     # -- sizes / catalog -------------------------------------------------------
 

@@ -4,30 +4,37 @@ Layout (catalog version 2): ``catalog.json`` describes tables, column
 dtypes, dictionaries, and — per column — an ordered list of segments
 with their encoding, length, **seal-time min/max stats** (so a loaded
 store never rescans data to answer catalog queries) and the byte extents
-of their payload buffers inside one ``<table>.<column>.bin`` file per
-column.  Buffer offsets are 64-byte aligned, except that an all-plain
-column's payloads are packed back-to-back so the whole column is one
-contiguous extent (the zero-copy whole-column view).
+of their payload buffers inside one ``<table>.<column>.g<N>.bin`` file
+per column, where ``N`` is the save's generation.  Buffer offsets are
+64-byte aligned, except that an all-plain column's payloads are packed
+back-to-back so the whole column is one contiguous extent (the
+zero-copy whole-column view).
 
-All writes are **atomic**: every ``.bin`` and the catalog itself are
-written to a temp file in the target directory and ``os.replace``\\ d
-into place (the same pattern the native tier uses for compiled ``.so``
-files), so a crash mid-save can never leave a torn catalog — readers
-see the old store or the new one, nothing in between.
+A save is **one swap**: every column file of the new generation is
+written under a name no catalog uses yet (each through a temp file and
+``os.replace``, the pattern the native tier uses for compiled ``.so``
+files), then the catalog is ``os.replace``\\ d last, and only then are
+the old catalog's ``.bin`` files unlinked, with any generation-named
+``.bin`` a failed save left behind.  Until the catalog swap the old
+catalog still names the old generation's untouched files, so a crash or
+a failed write at any point leaves readers the old store or the new
+one, never a mix.
 
 Loading with ``mmap=True`` (the default) maps, never copies: each
 column file becomes one ``np.memmap`` and every segment payload is a
 view into it.  Plain segments then serve queries straight off the page
-cache — the out-of-core path — while compressed segments decode into
-scratch on demand.  ``mmap=False`` reads everything into RAM.
-
-Version-1 catalogs (whole-``.npy``-per-column) are still loadable.
+cache — the out-of-core path — while compressed segments decode on
+demand, in one pass, into the query's buffer.  ``mmap=False`` reads
+everything into RAM.  ``load`` follows each column's ``file`` field, so
+catalogs written before generations (``<table>.<column>.bin``) and
+version-1 catalogs (whole-``.npy``-per-column) still load.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 import tempfile
 from pathlib import Path
 
@@ -39,6 +46,8 @@ from repro.storage.dictionary import StringDictionary
 from repro.storage.segment import Segment, SegmentStats, make_segments
 
 _CATALOG = "catalog.json"
+#: a column file name this module writes: ``<table>.<column>.g<N>.bin``
+_GENERATION_FILE = re.compile(r".+\.g[0-9]+\.bin")
 _ALIGN = 64
 
 #: payload buffer names in serialization order, per encoding
@@ -66,7 +75,9 @@ def save(
     encoding: str | None = None,
     segment_rows: int | None = None,
 ) -> Path:
-    """Persist every table of *store* under *directory* (atomically).
+    """Persist every table of *store* under *directory* as one new
+    generation: its column files first, the catalog swap last, then the
+    old generation's files go (see the module docstring).
 
     By default columns keep their current segmentation; passing
     *encoding* (``plain``/``rle``/``for``/``auto``) and/or
@@ -75,9 +86,12 @@ def save(
     """
     root = Path(directory)
     root.mkdir(parents=True, exist_ok=True)
+    previous, previous_files = _previous_catalog(root)
+    generation = previous + 1
     # dataset provenance (generator/seed/scale) must survive persistence,
     # or results computed from a re-loaded store lose their replay seed
-    catalog: dict = {"version": 2, "meta": dict(store.meta), "tables": {}}
+    catalog: dict = {"version": 2, "generation": generation,
+                     "meta": dict(store.meta), "tables": {}}
     for table in store.tables():
         entry: dict = {"version": table.version, "columns": {}}
         for col in table.columns.values():
@@ -85,7 +99,7 @@ def save(
             if encoding is not None or segment_rows is not None:
                 segments = make_segments(col.data, encoding=encoding or "plain",
                                          segment_rows=segment_rows)
-            filename = f"{table.name}.{col.name}.bin"
+            filename = f"{table.name}.{col.name}.g{generation}.bin"
             seg_meta, chunks = _layout_column(segments)
             _atomic_write_bytes(root / filename, chunks)
             entry["columns"][col.name] = {
@@ -101,7 +115,29 @@ def save(
             }
         catalog["tables"][table.name] = entry
     _atomic_write_bytes(root / _CATALOG, [json.dumps(catalog, indent=2).encode()])
+    # only files the old catalog named or that carry a generation name:
+    # other files in the directory are not the store's
+    named = _column_files(catalog)
+    for path in root.glob("*.bin"):
+        if path.name not in named and (path.name in previous_files
+                                       or _GENERATION_FILE.fullmatch(path.name)):
+            path.unlink(missing_ok=True)
     return root
+
+
+def _column_files(catalog: dict) -> set[str]:
+    return {col["file"] for entry in catalog["tables"].values()
+            for col in entry["columns"].values()}
+
+
+def _previous_catalog(root: Path) -> tuple[int, set[str]]:
+    """(generation, column file names) of the catalog in *root*; (0, none)
+    when there is none or it cannot be read."""
+    try:
+        catalog = json.loads((root / _CATALOG).read_text())
+        return int(catalog.get("generation", 0)), _column_files(catalog)
+    except (OSError, ValueError, TypeError, KeyError, AttributeError):
+        return 0, set()
 
 
 def _layout_column(segments: list[Segment]) -> tuple[list[dict], list[bytes]]:

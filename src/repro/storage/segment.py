@@ -117,7 +117,8 @@ def _bitwise(values: np.ndarray) -> np.ndarray:
 class Segment:
     """One immutable, sealed run of column values."""
 
-    __slots__ = ("encoding", "dtype", "length", "stats", "payload", "meta", "_offsets")
+    __slots__ = ("encoding", "dtype", "length", "stats", "payload", "meta",
+                 "physical_nbytes", "_reference", "_offsets")
 
     def __init__(
         self,
@@ -136,6 +137,11 @@ class Segment:
         self.stats = stats
         self.payload = payload
         self.meta = meta or {}
+        #: stored payload bytes (sealed: never changes)
+        self.physical_nbytes = sum(int(a.nbytes) for a in payload.values())
+        #: the FoR reference as a scalar of the column dtype
+        self._reference = (self.dtype.type(self.meta["reference"])
+                           if encoding == "for" else None)
         self._offsets: np.ndarray | None = None
 
     # -- construction --------------------------------------------------------
@@ -156,10 +162,6 @@ class Segment:
     # -- sizes ---------------------------------------------------------------
 
     @property
-    def physical_nbytes(self) -> int:
-        return sum(int(a.nbytes) for a in self.payload.values())
-
-    @property
     def logical_nbytes(self) -> int:
         return self.length * self.dtype.itemsize
 
@@ -167,23 +169,36 @@ class Segment:
 
     def values(self) -> np.ndarray:
         """The decoded values (zero-copy for plain segments)."""
-        if self.encoding == "plain":
-            return self.payload["values"]
-        if self.encoding == "rle":
-            return np.repeat(self.payload["values"], self.payload["lengths"])
-        reference = self.meta["reference"]
-        return self.payload["packed"].astype(self.dtype) + self.dtype.type(reference)
+        return self.decode_into(0, self.length)
 
     def decode_range(self, lo: int, hi: int) -> np.ndarray:
-        """Decoded values of local rows ``[lo, hi)``."""
-        if self.encoding == "plain":
-            return self.payload["values"][lo:hi]
+        """Decoded values of local rows ``[lo, hi)`` (a view for plain)."""
+        return self.decode_into(lo, hi)
+
+    def decode_into(self, lo: int, hi: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Decode local rows ``[lo, hi)`` into *out* (length ``hi - lo``,
+        this segment's dtype) and return it; without *out*, a plain
+        segment returns a view and the others a fresh array.
+
+        One pass per encoding: plain copies the slice; ``for`` adds the
+        reference to the packed deltas in the column dtype, so each row
+        reads its packed code and writes its value once; ``rle`` expands
+        its clipped runs through ``np.repeat`` (which has no ``out=``).
+        """
         if self.encoding == "for":
-            reference = self.meta["reference"]
-            packed = self.payload["packed"][lo:hi]
-            return packed.astype(self.dtype) + self.dtype.type(reference)
-        values, lengths = self.run_slice(lo, hi)
-        return np.repeat(values, lengths)
+            return self._add_reference(self.payload["packed"][lo:hi], out)
+        if self.encoding == "plain":
+            values = self.payload["values"][lo:hi]
+        else:
+            values = np.repeat(*self.run_slice(lo, hi))
+        if out is None:
+            return values
+        out[...] = values
+        return out
+
+    def _add_reference(self, packed: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """``packed + reference`` computed in the column dtype (FoR decode)."""
+        return np.add(packed, self._reference, out=out, dtype=self.dtype, casting="unsafe")
 
     def run_slice(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
         """(run values, run lengths) covering local rows ``[lo, hi)`` of
@@ -209,20 +224,22 @@ class Segment:
             )
         return self._offsets
 
-    def take(self, positions: np.ndarray) -> np.ndarray:
+    def take(self, positions: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Random access by local position — no full decode for any encoding.
 
-        ``rle`` binary-searches the run offsets; ``for`` fancy-indexes
-        the packed deltas.  Returns a fresh array.
+        ``rle`` binary-searches the run offsets; ``for`` gathers the
+        packed deltas and adds the reference in one pass.  Writes into
+        *out* when given, else returns a fresh array; a position past
+        the end raises ``IndexError``.
         """
-        if self.encoding == "plain":
-            return self.payload["values"][positions]
         if self.encoding == "for":
-            reference = self.meta["reference"]
-            return (self.payload["packed"][positions].astype(self.dtype)
-                    + self.dtype.type(reference))
-        runs = np.searchsorted(self.run_offsets(), positions, side="right")
-        return self.payload["values"][runs]
+            return self._add_reference(self.payload["packed"][positions], out)
+        index = positions
+        if self.encoding == "rle":
+            index = np.searchsorted(self.run_offsets(), positions, side="right")
+        if out is None:
+            return self.payload["values"][index]
+        return np.take(self.payload["values"], index, out=out)
 
     # -- buffer management ---------------------------------------------------
 
@@ -276,7 +293,9 @@ def _encode_for(values: np.ndarray) -> tuple[np.ndarray, int, int] | None:
     span = hi - lo
     for width, packed_dtype in ((8, np.uint8), (16, np.uint16), (32, np.uint32)):
         if span < (1 << width) and width < values.dtype.itemsize * 8:
-            packed = (values.astype(np.int64) - lo).astype(packed_dtype)
+            # deltas in the column's own dtype: a uint64 value past the
+            # int64 range has no int64 image
+            packed = (values - values.dtype.type(lo)).astype(packed_dtype)
             return packed, lo, width
     return None
 
@@ -378,17 +397,24 @@ class ColumnData:
         return self.column.take(positions)
 
     def has_rle(self) -> bool:
-        return any(seg.encoding == "rle" for seg, _, _ in self._pieces())
+        return any(seg.encoding == "rle" for seg, _, _ in self.column.pieces(self.lo, self.hi))
 
-    def _pieces(self):
-        """Yields (segment, local lo, local hi) covering this view."""
-        offset = 0
-        for seg in self.column.segments:
-            seg_lo, seg_hi = offset, offset + seg.length
-            offset = seg_hi
-            if seg_hi <= self.lo or seg_lo >= self.hi:
-                continue
-            yield seg, max(self.lo, seg_lo) - seg_lo, min(self.hi, seg_hi) - seg_lo
+    def _runs(self, seg: Segment, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """An RLE piece's clipped runs, their bytes accounted as scanned."""
+        values, lengths = seg.run_slice(lo, hi)
+        self.column.counters.bytes_scanned += values.nbytes + lengths.nbytes
+        return values, lengths
+
+    def _decoded(self, seg: Segment, lo: int, hi: int) -> np.ndarray:
+        """A plain or FoR piece's values (one decode pass), accounted."""
+        values = seg.decode_range(lo, hi)
+        counters = self.column.counters
+        if seg.encoding == "plain":
+            counters.bytes_scanned += values.nbytes
+        else:
+            counters.bytes_scanned += (hi - lo) * seg.payload["packed"].dtype.itemsize
+            counters.bytes_decompressed += values.nbytes
+        return values
 
     def run_pairs(self):
         """Yields ``(values, lengths_or_None)`` per covered segment piece.
@@ -399,21 +425,11 @@ class ColumnData:
         accounted; nothing is counted as decompressed unless a non-plain
         piece actually expands.
         """
-        counters = self.column.counters
-        for seg, lo, hi in self._pieces():
+        for seg, lo, hi in self.column.pieces(self.lo, self.hi):
             if seg.encoding == "rle":
-                values, lengths = seg.run_slice(lo, hi)
-                counters.bytes_scanned += values.nbytes + lengths.nbytes
-                yield values, lengths
+                yield self._runs(seg, lo, hi)
             else:
-                values = seg.decode_range(lo, hi)
-                counters.bytes_scanned += (
-                    values.nbytes if seg.encoding == "plain"
-                    else (hi - lo) * seg.payload["packed"].dtype.itemsize
-                )
-                if seg.encoding != "plain":
-                    counters.bytes_decompressed += values.nbytes
-                yield values, None
+                yield self._decoded(seg, lo, hi), None
 
     def fold(self, fn: str):
         """Fold ``sum``/``min``/``max`` directly over the segments.
@@ -432,22 +448,8 @@ class ColumnData:
             return None
         if fn == "sum" and self.dtype.kind == "f":
             return None
-        counters = self.column.counters
-        partials = []
-        for seg, lo, hi in self._pieces():
-            if seg.encoding == "rle":
-                values, lengths = seg.run_slice(lo, hi)
-                counters.bytes_scanned += values.nbytes + lengths.nbytes
-                partials.append(kernels.fold_runs(fn, values, lengths))
-            else:
-                values = seg.decode_range(lo, hi)
-                counters.bytes_scanned += (
-                    values.nbytes if seg.encoding == "plain"
-                    else (hi - lo) * seg.payload["packed"].dtype.itemsize
-                )
-                if seg.encoding != "plain":
-                    counters.bytes_decompressed += values.nbytes
-                partials.append(kernels.fold_runs(fn, values, None))
+        partials = [kernels.fold_runs(fn, values, lengths)
+                    for values, lengths in self.run_pairs()]
         if not partials:
             return None
         return kernels.combine_fold_partials(fn, partials)
@@ -471,9 +473,8 @@ class ColumnData:
         if run_length <= 0 or n == 0 or not self.has_rle():
             return None
         out = np.zeros(-(-n // run_length), dtype=np.int64)
-        counters = self.column.counters
         base = 0  # view-local row offset of the current piece
-        for seg, lo, hi in self._pieces():
+        for seg, lo, hi in self.column.pieces(self.lo, self.hi):
             piece_len = hi - lo
             c0 = base // run_length
             c1 = (base + piece_len - 1) // run_length
@@ -482,8 +483,7 @@ class ColumnData:
             cuts = np.arange(c0, c1 + 2, dtype=np.int64) * run_length
             cuts = np.clip(cuts, base, base + piece_len) - base
             if seg.encoding == "rle":
-                values, lengths = seg.run_slice(lo, hi)
-                counters.bytes_scanned += values.nbytes + lengths.nbytes
+                values, lengths = self._runs(seg, lo, hi)
                 runs = lengths.astype(np.int64)
                 ends = np.cumsum(runs)
                 vals = values.astype(np.int64)
@@ -495,13 +495,7 @@ class ColumnData:
                 upto = prefix[r] - vals[r] * (ends[r] - cuts)
                 partial = upto[1:] - upto[:-1]
             else:
-                values = seg.decode_range(lo, hi)
-                counters.bytes_scanned += (
-                    values.nbytes if seg.encoding == "plain"
-                    else piece_len * seg.payload["packed"].dtype.itemsize
-                )
-                if seg.encoding != "plain":
-                    counters.bytes_decompressed += values.nbytes
+                values = self._decoded(seg, lo, hi)
                 partial = np.add.reduceat(
                     values.astype(np.int64, copy=False), cuts[:-1]
                 )

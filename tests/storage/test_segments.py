@@ -35,6 +35,7 @@ from repro.storage import (
     encode_segment,
     load,
     make_segments,
+    persist,
     resegment,
     save,
 )
@@ -110,6 +111,13 @@ class TestEncodingRoundTrip:
     def test_for_refuses_floats(self):
         assert encode_segment(np.ones(100), "for").encoding == "plain"
 
+    def test_for_packs_uint64_past_the_int64_range(self):
+        values = np.array([2**64 - 1, 2**64 - 3, 2**64 - 200], dtype=np.uint64)
+        seg = encode_segment(values, "for")
+        assert seg.encoding == "for"
+        assert bit_equal(seg.values(), values)
+        assert bit_equal(seg.take(np.array([2, 0])), values[[2, 0]])
+
     @given(values=any_values, data=st.data())
     @settings(max_examples=40, deadline=None)
     def test_decode_range_and_take(self, values, data):
@@ -161,6 +169,32 @@ class TestColumnView:
             )
             assert folded is not None
             assert folded.item() == expect
+
+    @pytest.mark.parametrize("encoding", ["plain", "rle", "for"])
+    def test_empty_view_folds_nothing(self, encoding):
+        values = np.repeat(np.arange(5, dtype=np.int64), 4)
+        col = Column("c", segments=make_segments(values, encoding, 8),
+                     dtype=values.dtype)
+        for lo in (0, 3, 8, 20):
+            view = col.view().slice(lo, lo)
+            assert list(view.run_pairs()) == []
+            for fn in ("sum", "min", "max"):
+                assert view.fold(fn) is None
+
+    def test_take_spans_every_segment(self):
+        values = np.repeat(np.arange(1000, 1025, dtype=np.int64), 4)
+        encodings = ["rle", "for", "plain", "for"]
+        col = Column("c", dtype=values.dtype, segments=[
+            encode_segment(values[lo:lo + 25], enc)
+            for lo, enc in zip(range(0, 100, 25), encodings)
+        ])
+        assert col.encodings() == tuple(encodings)
+        for positions in (np.arange(100), np.array([0, 0, 24, 25, 26, 99, 99]),
+                          np.array([30, 31]), np.array([99]), np.array([99, 0, 50, 50])):
+            assert bit_equal(col.take(positions), values[positions])
+        for bad in ([3, 100], [100, 3], [-1, 3], [3, -1]):
+            with pytest.raises(IndexError):
+                col.take(np.array(bad))
 
     def test_float_sum_fold_declines(self):
         values = np.repeat(np.array([0.1, 0.2], dtype=np.float64), 50)
@@ -270,6 +304,79 @@ class TestPersistence:
             loaded = load(tmp)
             assert bit_equal(loaded.table("t").column("wide").data,
                              store.table("t").column("wide").data)
+
+    @staticmethod
+    def _two_column_store(n: int, seed: int) -> ColumnStore:
+        rng = np.random.default_rng(seed)
+        store = ColumnStore()
+        store.add(Table.from_arrays(
+            "t",
+            k=np.repeat(rng.integers(0, 50, n // 10 + 1), 10)[:n].astype(np.int64),
+            x=rng.standard_normal(n),
+        ))
+        return resegment(store, encoding="auto", segment_rows=256)
+
+    def test_failed_catalog_swap_loads_the_first_store(self, monkeypatch):
+        """A re-save whose catalog write fails must leave the first store
+        loadable bit for bit: its column files are never overwritten."""
+        first = self._two_column_store(1000, seed=1)
+        second = self._two_column_store(1200, seed=2)
+        real_write = persist._atomic_write_bytes
+
+        def failing_catalog(path, chunks):
+            if path.name == "catalog.json":
+                raise OSError("injected: catalog write failed")
+            real_write(path, chunks)
+
+        with tempfile.TemporaryDirectory() as tmp:
+            save(first, tmp)
+            monkeypatch.setattr(persist, "_atomic_write_bytes", failing_catalog)
+            with pytest.raises(OSError, match="injected"):
+                save(second, tmp)
+            monkeypatch.undo()
+            for mmap in (True, False):
+                loaded = load(tmp, mmap=mmap)
+                assert loaded.fingerprint() == first.fingerprint()
+                for name, col in first.table("t").columns.items():
+                    assert bit_equal(loaded.table("t").column(name).data, col.data)
+                del loaded
+
+    def test_resave_keeps_only_the_named_files(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            (Path(tmp) / "notes.bin").write_bytes(b"not the store's")
+            (Path(tmp) / "t.k.g7.bin").write_bytes(b"a failed save's leftover")
+            for n, seed in ((1000, 1), (1200, 2), (300, 3)):
+                store = self._two_column_store(n, seed)
+                save(store, tmp)
+                catalog = json.loads((Path(tmp) / "catalog.json").read_text())
+                named = {col["file"] for col in catalog["tables"]["t"]["columns"].values()}
+                assert {f.name for f in Path(tmp).iterdir()} == {
+                    "catalog.json", "notes.bin", *named}
+                loaded = load(tmp)
+                assert bit_equal(loaded.table("t").column("x").data,
+                                 store.table("t").column("x").data)
+
+    def test_catalog_without_generations_loads_and_resaves(self):
+        """A catalog written before generation-suffixed file names (one
+        ``<table>.<column>.bin`` per column) loads, and the next save
+        replaces its files."""
+        store = self._two_column_store(500, seed=4)
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            save(store, root)
+            catalog = json.loads((root / "catalog.json").read_text())
+            del catalog["generation"]
+            for name, col in catalog["tables"]["t"]["columns"].items():
+                legacy = f"t.{name}.bin"
+                (root / col["file"]).rename(root / legacy)
+                col["file"] = legacy
+            (root / "catalog.json").write_text(json.dumps(catalog))
+            for name, col in store.table("t").columns.items():
+                assert bit_equal(load(root).table("t").column(name).data, col.data)
+            save(store, root)
+            assert not list(root.glob("t.?.bin"))
+            assert bit_equal(load(root).table("t").column("k").data,
+                             store.table("t").column("k").data)
 
 
 # -- append -------------------------------------------------------------------

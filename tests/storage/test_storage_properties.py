@@ -6,17 +6,25 @@ behaviors; these properties pin the *contracts* over arbitrary inputs:
 * dictionary encode/decode is a lossless, order-preserving bijection;
 * ``persist.save``/``load`` round-trips every column bit-exactly
   (including NaN/±Inf payloads and dictionary attachments) and
-  preserves the plan-cache fingerprint.
+  preserves the plan-cache fingerprint;
+* every read path of a segmented column — ``materialize_range``,
+  ``take``, and a view's ``run_pairs`` / ``fold`` / ``fold_grained`` —
+  equals slicing the concatenation of its segments' ``values()`` in
+  dtype, shape and bytes, over any mix of plain / RLE / FoR segments,
+  1-row appended tails included, in RAM and mmap-loaded; and the I/O
+  counters one fixed layout charges are pinned.
 """
 
 import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.storage import ColumnStore, Table, load, save
+from repro.storage import ColumnStore, Table, encode_segment, load, save
+from repro.storage.columnstore import Column
 from repro.storage.dictionary import StringDictionary
 
 text = st.text(
@@ -102,3 +110,174 @@ class TestPersistProperties:
             loaded = load(save(store, Path(tmp) / "db"))
         assert (loaded.table("t").column("s").decoded()
                 == store.table("t").column("s").decoded())
+
+
+# -- decode paths ---------------------------------------------------------------
+
+DTYPES = ("int8", "int16", "int32", "int64", "uint8", "uint16", "uint32", "uint64",
+          "float32", "float64", "bool")
+FLOATS = (0.0, 1.5, -2.25, 3.0, 1e30, -np.inf, np.inf, np.nan)
+
+
+def _segment_values(rng: np.random.Generator, dtype: np.dtype, n: int,
+                    max_run: int, span: int) -> np.ndarray:
+    """*n* values of *dtype* in runs of 1..*max_run*, ints drawn from a
+    band of *span* values (a narrow band is what FoR packs)."""
+    if dtype.kind == "b":
+        run_values = rng.random(n) < 0.5
+    elif dtype.kind == "f":
+        run_values = rng.choice(np.array(FLOATS, dtype=dtype), n)
+    else:
+        info = np.iinfo(dtype)
+        # uint64 past the int64 range: test_segments.py pins its FoR codes
+        top = min(int(info.max), 2**63 - 1)
+        span = min(span, top - int(info.min))
+        low = int(rng.choice([int(info.min), max(int(info.min), 0), top - span]))
+        low = min(low, top - span)
+        run_values = rng.integers(low, low + span, n, dtype=dtype, endpoint=True)
+    lengths = rng.integers(1, max_run + 1, n)
+    return np.repeat(run_values, lengths)[:n]
+
+
+@st.composite
+def layouts(draw):
+    """(dtype, [(values, encoding)] per segment) — 0, 1 or many segments,
+    each encoded on its own, with optional 1-row appended tails."""
+    dtype = np.dtype(draw(st.sampled_from(DTYPES)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sizes = draw(st.lists(st.integers(1, 300), max_size=4))
+    sizes += [1] * draw(st.integers(0, 3))
+    encodings = st.sampled_from(("plain", "rle", "for", "auto"))
+    max_run = draw(st.sampled_from((1, 4, 40)))
+    span = draw(st.sampled_from((0, 200, 60_000, 2**40)))
+    return dtype, [(_segment_values(rng, dtype, size, max_run, span), draw(encodings))
+                   for size in sizes]
+
+
+def _columns(dtype, pieces, tmp):
+    """The layout as an in-RAM column and as its mmap-loaded twin."""
+    segments = [encode_segment(values, encoding) for values, encoding in pieces]
+    column = Column("v", segments=segments, dtype=dtype)
+    store = ColumnStore()
+    store.add(Table("t", [column]))
+    loaded = load(save(store, Path(tmp) / "db"), mmap=True)
+    return {"ram": column, "mmap": loaded.table("t").column("v")}
+
+
+def _expected(column: Column) -> np.ndarray:
+    if not column.segments:
+        return np.empty(0, dtype=column.dtype)
+    return np.concatenate([s.values() for s in column.segments])
+
+
+def _same(got: np.ndarray, want: np.ndarray) -> None:
+    got = np.asarray(got)
+    assert got.dtype == want.dtype
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def _ranges(column: Column, rng: np.random.Generator) -> list[tuple[int, int]]:
+    """Empty, within-segment, cross-boundary and full row ranges."""
+    n = len(column)
+    out = [(0, 0), (n, n), (0, n)]
+    start = 0
+    for seg in column.segments:
+        out.append((start, start + seg.length))           # one whole segment
+        out.append((start + seg.length // 2, start + seg.length))
+        if start:
+            out.append((start - 1, min(n, start + 1)))      # across a boundary
+        start += seg.length
+    lo = int(rng.integers(0, n + 1))
+    out.append((lo, int(rng.integers(lo, n + 1))))
+    return out
+
+
+def _positions(n: int, rng: np.random.Generator) -> list[np.ndarray]:
+    """Sorted, unsorted, duplicate and empty gathers over ``[0, n)``."""
+    empty = np.empty(0, dtype=np.int64)
+    if n == 0:
+        return [empty]
+    unsorted = rng.integers(0, n, 2 * n)
+    return [np.sort(unsorted), unsorted, np.repeat(unsorted[:5], 3),
+            np.sort(np.repeat(unsorted[:5], 3)), np.arange(n), empty,
+            np.array([n - 1, 0])]
+
+
+class TestDecodePaths:
+    @given(layout=layouts(), seed=st.integers(0, 2**16))
+    @settings(max_examples=60, deadline=None)
+    def test_every_read_path_matches_the_concatenated_segments(self, layout, seed):
+        dtype, pieces = layout
+        rng = np.random.default_rng(seed)
+        with tempfile.TemporaryDirectory() as tmp:
+            for column in _columns(dtype, pieces, tmp).values():
+                want = _expected(column)
+                n = len(want)
+                for lo, hi in _ranges(column, rng):
+                    _same(column.materialize_range(lo, hi), want[lo:hi])
+                    view = column.view().slice(lo, hi)
+                    expanded = [v if lengths is None else np.repeat(v, lengths)
+                                for v, lengths in view.run_pairs()]
+                    _same(np.concatenate(expanded) if expanded
+                          else np.empty(0, dtype=dtype), want[lo:hi])
+                    self._check_folds(view, want[lo:hi])
+                for positions in _positions(n, rng):
+                    _same(column.take(positions), want[positions])
+                for bad in ([n], [0, n], [n + 5, 0]):
+                    with pytest.raises(IndexError):
+                        column.take(np.array(bad, dtype=np.int64))
+
+    @staticmethod
+    def _check_folds(view, want: np.ndarray) -> None:
+        if len(want) == 0:
+            return  # an empty view: test_segments.py::test_empty_view_folds_nothing
+        for fn in ("sum", "min", "max"):
+            got = view.fold(fn)
+            if fn == "sum" and want.dtype.kind == "f":
+                assert got is None
+            elif fn == "sum":
+                _same(got, np.asarray(want.astype(np.int64).sum()))
+            else:
+                ufunc = np.maximum if fn == "max" else np.minimum
+                _same(got, np.asarray(ufunc.reduce(want)))
+        grained = view.fold_grained("sum", 3)
+        if grained is not None:
+            starts = np.arange(0, len(want), 3)
+            _same(grained, np.add.reduceat(want.astype(np.int64), starts))
+
+
+def _pinned_layout() -> list[tuple[np.ndarray, str]]:
+    """int32 rows: an RLE segment, a FoR segment, a plain segment and a
+    1-row (FoR) appended tail."""
+    return [
+        (np.repeat(np.arange(10, dtype=np.int32), 20), "rle"),
+        (np.arange(1000, 1150, dtype=np.int32), "for"),
+        (np.arange(-70_000, 70_000, 1000, dtype=np.int32), "plain"),
+        (np.array([7], dtype=np.int32), "for"),
+    ]
+
+
+@pytest.mark.parametrize("where", ["ram", "mmap"])
+def test_io_counters_of_a_fixed_layout(where, tmp_path):
+    pieces = _pinned_layout()
+    assert [encode_segment(v, e).encoding for v, e in pieces] == ["rle", "for", "plain", "for"]
+    column = _columns(np.dtype(np.int32), pieces, tmp_path)[where]
+    counters = column.counters
+
+    def charged(read):
+        before = counters.snapshot()
+        read()
+        return counters.delta(before)
+
+    view = column.view()
+    assert charged(lambda: column.materialize_range(0, len(column))) == {
+        "bytes_scanned": 791, "bytes_decompressed": 1404}
+    assert charged(lambda: column.materialize_range(190, 360)) == {
+        "bytes_scanned": 194, "bytes_decompressed": 640}
+    assert charged(lambda: column.take(np.array([5, 250, 400, 490]))) == {
+        "bytes_scanned": 16, "bytes_decompressed": 0}
+    assert charged(lambda: list(view.slice(150, 491).run_pairs())) == {
+        "bytes_scanned": 747, "bytes_decompressed": 604}
+    assert charged(lambda: view.fold("max")) == {
+        "bytes_scanned": 831, "bytes_decompressed": 604}
