@@ -85,13 +85,11 @@ class CompiledProgram:
         (:mod:`repro.compiler.runner`); a traced run shows each node's
         values to a :class:`~repro.compiler.pricing.Pricer` on the way.
         With ``collect_trace=False`` there is nothing to simulate: the
-        same outputs, an empty trace and no accounting.
+        same outputs, an empty trace and no accounting, and fold-only
+        scatters stay virtual whatever the plan prices.
         """
         if not collect_trace:
-            outputs = run_program(
-                self.program, storage, native=self.native,
-                virtual_scatter=self.options.virtual_scatter,
-            )
+            outputs = run_program(self.program, storage, native=self.native)
             return outputs, Trace()
         # scatters stay virtual where the plan keeps them virtual (an
         # operator-at-a-time plan keeps none), so their facts are observed

@@ -19,14 +19,13 @@ SELECTION_STRATEGIES = ("branching", "branch-free")
 class CompilerOptions:
     """Hardware-specific code generation choices.
 
-    Two fields *execute*: ``virtual_scatter`` and ``native`` select what
-    the node runner does.  Four only *price*: ``device``, ``selection``,
-    ``slot_suppression`` and ``fuse`` describe the simulated device and
-    its strategies — they are read by the fragment planner
-    (:mod:`repro.compiler.fragments`) and the pricing pass
-    (:mod:`repro.compiler.pricing`), and by nothing under
-    :mod:`repro.compiler.runner` / :mod:`repro.compiler.rt_fast`: every
-    run, traced or not, executes the same operators.
+    One field *executes*: ``native`` selects the runner's float sum.
+    ``fuse`` and ``virtual_scatter`` *shape the plan*
+    (:mod:`repro.compiler.fragments`): what the pricing pass charges and
+    where a traced run lands scatters.  ``device``, ``selection`` and
+    ``slot_suppression`` only *price*.  An untraced run reads none of
+    these five — it keeps fold-only scatters virtual — and every run,
+    traced or not, executes the same operators.
 
     Attributes
     ----------
@@ -37,8 +36,8 @@ class CompilerOptions:
         (if-statements, costs mispredictions) or ``branch-free`` (cursor
         arithmetic / predication [Ross 28], costs extra writes).
     virtual_scatter:
-        Keep fold-only scatters virtual until materialization (section
-        3.1.3) — executed that way, and priced that way.
+        Plan fold-only scatters virtual until materialization (section
+        3.1.3): priced, and run by a traced run, that way.
     slot_suppression:
         The simulator's *price* for empty-slot suppression (3.1.2): with
         it a materialization is charged ``nbytes × present fraction``

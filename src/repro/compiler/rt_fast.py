@@ -347,9 +347,8 @@ class FusedRuntime:
     for a C float sum with a per-call NumPy fallback.
     """
 
-    def __init__(self, storage, virtual_scatter: bool = True, kernels=kernels):
+    def __init__(self, storage, *, kernels=kernels):
         self.storage = storage
-        self.virtual_scatter_enabled = virtual_scatter
         self.kernels = kernels
 
     # -- maintenance --------------------------------------------------------
@@ -625,7 +624,7 @@ class FusedRuntime:
         # *data* past the last position land nowhere either)
         rows = data if slots is None else self._rows_at(data, slots.index, slots)
         val = FusedVal(rows.length, rows.columns, VirtualScatter(pos, size, groups))
-        if keep_virtual and self.virtual_scatter_enabled:
+        if keep_virtual:
             return val
         return self.materialize(val)
 

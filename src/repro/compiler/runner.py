@@ -42,7 +42,8 @@ constructs no keypath, no constant and no ``Fraction``
 
 ``native=True`` swaps one kernel, not the runner: the runtime's per-run
 float sums come from :mod:`repro.native.runner`; every node still
-evaluates here, one at a time.
+evaluates here, one at a time.  It is all an untraced run reads: both
+entry points keep every fold-only scatter virtual (section 3.1.3).
 
 Chunk inputs are *views*: the driving vector's columns are sliced
 (``Column.slice``), never copied, before crossing the chunk boundary,
@@ -163,6 +164,9 @@ class ProgramRunner:
     constants, routes and run metadata) is memoized on
     ``program.memo``, so constructing a runner for a warm program costs
     O(1) in program size and running it derives nothing twice.
+
+    ``virtual_scatter=False`` lands every scatter: only a traced run of a
+    plan that keeps none virtual passes it, so the pricer observes them.
     """
 
     _dispatch: dict[type, object] | None = None
@@ -175,8 +179,6 @@ class ProgramRunner:
         native: bool = False,
     ):
         self.program = program
-        self.native = native
-        self.virtual_scatter = virtual_scatter
         if storage is None:
             storage = {}
         self._methods = self._dispatch_table()
@@ -188,9 +190,9 @@ class ProgramRunner:
             # imported on demand: repro.native builds on this package
             from repro.native import runner as native_kernels
 
-            self.rt = FusedRuntime(storage, virtual_scatter, kernels=native_kernels)
+            self.rt = FusedRuntime(storage, kernels=native_kernels)
         else:
-            self.rt = FusedRuntime(storage, virtual_scatter)
+            self.rt = FusedRuntime(storage)
 
     @classmethod
     def _dispatch_table(cls) -> dict[type, object]:
@@ -370,9 +372,8 @@ class ChunkRunner(ProgramRunner):
         hi: int,
         extent: int,
         native: bool = False,
-        virtual_scatter: bool = True,
     ):
-        super().__init__(program, virtual_scatter=virtual_scatter, native=native)
+        super().__init__(program, native=native)
         self._driving_slice = driving_slice
         self._driving_id = driving_id
         self._chunked_ids = chunked_ids
@@ -434,10 +435,9 @@ def run_program(
     program: Program,
     storage: Mapping[str, StructuredVector],
     native: bool = False,
-    virtual_scatter: bool = True,
 ) -> dict[str, StructuredVector]:
     """Evaluate a whole program untraced: named outputs plus Persists."""
-    runner = ProgramRunner(program, storage, virtual_scatter, native)
+    runner = ProgramRunner(program, storage, native=native)
     values: dict[int, FusedVal] = {}
     for node in program.order:
         values[id(node)] = runner.eval(node, values)
@@ -454,7 +454,6 @@ def run_chunk(
     hi: int,
     extent: int,
     native: bool = False,
-    virtual_scatter: bool = True,
 ) -> dict[int, FusedVal]:
     """Worker body: evaluate the chunk subgraph, return frontier values
     (keyed, like the plan, by topological-order indices)."""
@@ -468,7 +467,6 @@ def run_chunk(
         hi=hi,
         extent=extent,
         native=native,
-        virtual_scatter=virtual_scatter,
     )
     values: dict[int, FusedVal] = {id(order[i]): val for i, val in seeded.items()}
     for i in chunk_indices:

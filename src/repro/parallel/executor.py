@@ -30,7 +30,7 @@ The worker pool is leased lazily on first parallel run and **reused
 across runs**.  Call :meth:`ParallelInterpreter.close` (or use the
 instance as a context manager) for deterministic shutdown.
 
-A run is a function of its arguments: ``run(program, storage, ...)``
+A run is a function of its arguments: ``run(program, storage)``
 only reads what it is handed, so any number of threads may run programs
 through one instance at once (a concurrent server's engine does).
 
@@ -74,6 +74,9 @@ class ParallelInterpreter:
         Evaluate every zone — per-chunk and sequential — through the
         native C tier (:mod:`repro.native`): per-run float sums run as
         compiled code, degrading to NumPy.  Outputs stay bit-identical.
+
+    That is the whole configuration: a run takes a program and a Load
+    context, and keeps fold-only scatters virtual (section 3.1.3).
 
     The underlying worker pool is persistent: created on first parallel
     ``run()``, reused by every later one.  ``close()`` (or ``with``)
@@ -160,32 +163,28 @@ class ParallelInterpreter:
         self,
         program: Program,
         storage: Mapping[str, StructuredVector] | None = None,
-        native: bool | None = None,
-        virtual_scatter: bool = True,
     ) -> dict[str, StructuredVector]:
         """Execute and return named outputs, bit-identical to sequential.
 
         ``storage`` is this run's Load context and is only read; left
         out, the run reads the instance's own and leaves its Persist
-        results there (the :class:`Interpreter` contract).  ``native``
-        defaults to the constructor's value.
+        results there (the :class:`Interpreter` contract).
         """
         own = storage is None
         if own:
             storage = self._storage
-        native = self.native if native is None else native
         plan = self._plan(program, storage) if self._effective > 1 else None
         self.last_plan = plan
         outputs = None
         if plan is not None and plan.parallel:
             try:
                 outputs = self._run_parallel(
-                    program, plan, ProgramRunner(program, storage, virtual_scatter, native)
+                    program, plan, ProgramRunner(program, storage, native=self.native)
                 )
             except ChunkCrossing:
                 pass  # proven wrong at runtime: the whole-program run is always right
         if outputs is None:
-            outputs = run_program(program, storage, native, virtual_scatter)
+            outputs = run_program(program, storage, self.native)
         if own:  # Persist results are visible to later bare run() calls
             for node in program.order:
                 if isinstance(node, ops.Persist) and node.name in outputs:
@@ -336,7 +335,6 @@ class ParallelInterpreter:
         order = program.order
         chunk_indices = plan.chunk_nodes()
         driving = values[id(order[plan.driving])]
-        knobs = {"native": runner.native, "virtual_scatter": runner.virtual_scatter}
         # global feeds are readied once: pending scatters land here, not
         # once per chunk; a feed is one value read by every worker
         # (values are never written once built)
@@ -350,6 +348,6 @@ class ParallelInterpreter:
                 merger.seed(k, val, val, 0)
             futures.append(pool.submit(
                 run_chunk, program, chunk_indices, plan.frontier, seeded,
-                plan.driving, lo, hi, plan.extent, **knobs,
+                plan.driving, lo, hi, plan.extent, self.native,
             ))
         return self._collect(futures)

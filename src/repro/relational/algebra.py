@@ -164,3 +164,8 @@ class Query:
     limit: int | None = None
     #: column name -> (table, column) for dictionary decoding of codes
     decode: dict[str, tuple[str, str]] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        limit = self.limit
+        if limit is not None and (type(limit) is not int or limit < 0):
+            raise TranslationError(f"limit must be a non-negative int, got {limit!r}")

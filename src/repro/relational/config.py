@@ -13,11 +13,14 @@ from dataclasses import dataclass, field, replace
 
 from repro.compiler.options import CompilerOptions, ExecutionOptions
 from repro.errors import ExecutionError
+from repro.hardware.device import available_devices
 
 
 @dataclass(frozen=True)
 class EngineConfig:
     """A frozen, validated description of one engine configuration.
+
+    An engine reads it once, when built; nothing per query overrides it.
 
     Attributes
     ----------
@@ -33,8 +36,6 @@ class EngineConfig:
         Collect the priced operation trace.  ``None`` resolves to the
         historical default: on for sequential engines, off for parallel
         ones.
-    plan_cache:
-        Memoize compiled plans per query structure.
     native:
         Shorthand for ``options.native``, the native C execution tier
         (untraced sequential runs and parallel chunk workers alike
@@ -47,14 +48,17 @@ class EngineConfig:
     execution: ExecutionOptions | None = None
     native: bool | None = None
     tracing: bool | None = None
-    plan_cache: bool = True
 
     @property
     def parallel(self) -> bool:
         return self.execution is not None and self.execution.workers > 1
 
     def validate(self) -> "EngineConfig":
-        """Raise :class:`ExecutionError` on any conflicting knob pair."""
+        """Raise :class:`ExecutionError` on an unknown device or any
+        conflicting knob pair."""
+        if self.options.device not in available_devices():
+            raise ExecutionError(f"unknown device {self.options.device!r}; "
+                                 f"available: {list(available_devices())}")
         if self.grain is not None and self.grain < 1:
             raise ExecutionError(f"grain must be >= 1 or None, got {self.grain}")
         if self.tracing and self.parallel:

@@ -141,12 +141,11 @@ class VoodooEngine:
     release the lease deterministically.
 
     Compilation artifacts are memoized in a **plan cache** keyed on the
-    relational query *structure* (not object identity), the store's
-    schema fingerprint, and every option that influences code generation
-    or execution (device, selection strategy, fuse, native, grain,
-    workers).  A repeated query skips translate + optimize + fragment
-    planning entirely; changing the schema or any knob invalidates the
-    entry.
+    relational query *structure* (not object identity) and the store's
+    schema fingerprint; options, execution and grain are the engine's
+    own, fixed when it is built.  A repeated query skips translate +
+    optimize + fragment planning entirely; changing the schema
+    invalidates the entry.
     """
 
     def __init__(self, store: ColumnStore, config: EngineConfig | None = None):
@@ -160,10 +159,11 @@ class VoodooEngine:
         #: the ``workers``-wide backend of a parallel engine (building one
         #: leases nothing: its pool lease is taken on the first pooled run)
         self._parallel_backend = (
-            ParallelInterpreter(workers=config.execution.workers)
+            ParallelInterpreter(workers=config.execution.workers,
+                                native=config.options.native)
             if config.parallel else None
         )
-        self._plan_cache: dict | None = {} if config.plan_cache else None
+        self._plan_cache: dict = {}
         self.plan_cache_hits = 0
         self.plan_cache_misses = 0
         #: prepared queries, memoized by structural fingerprint
@@ -184,22 +184,18 @@ class VoodooEngine:
     # -- plan cache ----------------------------------------------------------
 
     def cache_key(self, query: Query, fingerprint: tuple | None = None) -> tuple:
-        """Everything a compiled plan depends on (satisfies invalidation:
-        schema changes and option changes produce different keys); reuses
+        """What a compiled plan of this engine depends on: the query's
+        structure and the store's schema (the configuration is fixed); reuses
         *query*'s structural fingerprint when the caller already holds
         it (a prepared query does)."""
         return (
             fingerprint if fingerprint is not None else structural_fingerprint(query),
             self.store.fingerprint(),
-            self.options,
-            self.execution,
-            self.grain,
         )
 
     def cache_info(self) -> dict[str, int]:
         """Hit/miss counters and size of the plan cache every backend —
         sequential and parallel — compiles through."""
-        size = len(self._plan_cache) if self._plan_cache is not None else 0
         info = {
             "plan_hits": self.plan_cache_hits,
             "plan_misses": self.plan_cache_misses,
@@ -208,7 +204,7 @@ class VoodooEngine:
             # hit ratio
             "program_hits": 0,
             "program_misses": 0,
-            "size": size,
+            "size": len(self._plan_cache),
             "programs": 0,
         }
         # cumulative storage I/O of this engine's store (all queries, all
@@ -226,8 +222,7 @@ class VoodooEngine:
         return info
 
     def clear_plan_cache(self) -> None:
-        if self._plan_cache is not None:
-            self._plan_cache.clear()
+        self._plan_cache.clear()
 
     # -- compilation ---------------------------------------------------------
 
@@ -242,8 +237,6 @@ class VoodooEngine:
     def compile(self, query: Query, fingerprint: tuple | None = None) -> CompiledProgram:
         """The compiled plan of *query*, through the one plan cache;
         arguments as for :meth:`cache_key`."""
-        if self._plan_cache is None:
-            return compile_program(self.translate(query), self.options)
         key = self.cache_key(query, fingerprint)
         compiled = self._plan_cache.get(key)
         if compiled is None:
@@ -305,10 +298,7 @@ class VoodooEngine:
         if self._parallel_backend is not None:
             # chunked over the persistent worker pool: real kernels on
             # real cores, no priced trace
-            outputs = self._parallel_backend.run(
-                compiled.program, self.vectors(), native=compiled.native,
-                virtual_scatter=self.options.virtual_scatter,
-            )
+            outputs = self._parallel_backend.run(compiled.program, self.vectors())
             mode = "native" if compiled.native else "numpy"
             trace = Trace()
             cost = CostReport(device=f"{self.execution.workers}-core pool ({mode})")

@@ -177,10 +177,7 @@ class PreparedQuery:
             f"prepared query: {len(self.params)} parameter(s) "
             f"{list(self.params)}"
         ]
-        cached = (
-            engine._plan_cache is not None
-            and engine.cache_key(bound, fingerprint) in engine._plan_cache
-        )
+        cached = engine.cache_key(bound, fingerprint) in engine._plan_cache
         compiled = engine.compile(bound, fingerprint)
         kernels = "native" if compiled.native else "numpy"
         if engine.execution is not None and engine.execution.workers > 1:

@@ -153,7 +153,10 @@ class Parser:
 
         limit = None
         if self._accept_kw("limit"):
-            limit = int(self._next().text)
+            token = self._next()
+            if token.kind != "num" or not token.text.isdigit():
+                raise SQLError(f"LIMIT takes a non-negative integer, got {token.text!r}")
+            limit = int(token.text)
 
         if self._peek() is not None:
             raise SQLError(f"trailing tokens starting at {self._peek().text!r}")

@@ -42,7 +42,6 @@ from repro.errors import (
     ServingError,
     VoodooError,
 )
-from repro.relational import EngineConfig
 from repro.serving.catalog import Catalog
 from repro.serving.scheduler import QueryScheduler, ServingConfig
 from repro.serving.session import SessionManager
@@ -114,9 +113,8 @@ class VoodooServer:
         self,
         catalog: Catalog | None = None,
         serving: ServingConfig | None = None,
-        engine_config: EngineConfig | None = None,
     ):
-        self.catalog = catalog or Catalog(config=engine_config)
+        self.catalog = catalog or Catalog()
         self.sessions = SessionManager()
         self.scheduler = QueryScheduler(serving)
         self.started = time.time()

@@ -118,8 +118,6 @@ BACKEND_GRID: tuple[BackendConfig, ...] = (
     BackendConfig("native", CompilerOptions(native=True), tracing=False),
     BackendConfig("parallel-w2-fused", CompilerOptions(), workers=2),
     BackendConfig("parallel-w2-native", CompilerOptions(native=True), workers=2),
-    BackendConfig("parallel-w2-no-virtual-scatter", CompilerOptions(virtual_scatter=False),
-                  workers=2),
     BackendConfig("parallel-w4-fused", CompilerOptions(), workers=4),
     BackendConfig("segmented", CompilerOptions(), tracing=False,
                   resegment="plain-small"),

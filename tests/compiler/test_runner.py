@@ -89,8 +89,7 @@ def run_whole(program, vectors, native: bool, reference, context,
     return runner.capture(values)
 
 
-def run_chunked(program, vectors, native: bool, reference, context, monkeypatch,
-                virtual_scatter: bool = True):
+def run_chunked(program, vectors, native: bool, reference, context, monkeypatch):
     """A parallel run with every node evaluation and every merge spied
     on: partitioned nodes are compared as the SEQ zone received them (the
     frontier) or after concatenating their chunks in chunk order, the rest
@@ -116,7 +115,7 @@ def run_chunked(program, vectors, native: bool, reference, context, monkeypatch,
     # one chunk per worker, on the pool whatever the size or the host
     with crossover(0), ParallelInterpreter(vectors, workers=4, native=native) as runner:
         runner._effective = 4
-        outputs = runner.run(program, virtual_scatter=virtual_scatter)
+        outputs = runner.run(program)
         plan = runner.last_plan
     monkeypatch.undo()
     if not plan.parallel:
@@ -152,7 +151,10 @@ def check_all_paths(program, vectors, native: bool, context, monkeypatch,
                     virtual_scatter: bool = True) -> int:
     """Interpreter vs whole-program runner vs chunked runner, node by
     node; returns the number of chunks the parallel run was cut into
-    (0: it ran whole)."""
+    (0: it ran whole).  Untraced runs keep fold-only scatters virtual:
+    ``virtual_scatter=False`` steps the whole program with a runner that
+    lands every scatter (what a traced run of a landing plan does) and
+    runs no chunks."""
     expected = Interpreter(vectors).run(program)
     options = replace(EngineConfig(native=native).resolved().options,
                       virtual_scatter=virtual_scatter)
@@ -165,9 +167,11 @@ def check_all_paths(program, vectors, native: bool, context, monkeypatch,
     stepped = run_whole(compiled.program, vectors, native, reference,
                         (*context, "whole"), virtual_scatter)
     assert_bit_identical(expected, stepped, (*context, "whole", "stepped"))
+    if not virtual_scatter:
+        return 0
     chunked, chunks = run_chunked(
         compiled.program, vectors, native, reference, (*context, "chunked"),
-        monkeypatch, virtual_scatter,
+        monkeypatch,
     )
     assert_bit_identical(expected, chunked, (*context, "chunked"))
     return chunks

@@ -71,7 +71,7 @@ class TestSmoke:
 
         monkeypatch.setattr(ParallelInterpreter, "run", spy)
         parallel = [config for config in BACKEND_GRID if config.workers > 1]
-        assert len(parallel) == 5
+        assert len(parallel) == 4
         for config in parallel:
             runs.clear()
             assert run_case(case, grid=(config,)) == [], config.name

@@ -10,11 +10,14 @@ nothing.
 import numpy as np
 import pytest
 
-from repro.compiler import CompilerOptions, ExecutionOptions
+from repro.compiler import CompilerOptions, ExecutionOptions, FusedRuntime
+from repro.compiler.runner import ChunkRunner, run_chunk, run_program
 from repro.errors import ExecutionError
+from repro.parallel import ParallelInterpreter
 from repro.relational import EngineConfig, VoodooEngine
 from repro.relational.algebra import AggSpec, Filter, GroupBy, Query, Scan
 from repro.relational.expressions import Col, Lit
+from repro.serving import VoodooServer
 from repro.storage import ColumnStore, Table
 from repro.testing import crossover
 from repro.testing.conformance import run_case
@@ -83,8 +86,25 @@ class TestRemovedKnobs:
         lambda: ExecutionOptions(native=True),
         lambda: CompilerOptions(parallel_grain=4096),
         lambda: ExecutionOptions(parallel_grain=4096),
+        # untraced runs always keep fold-only scatters virtual
+        lambda: run_program(None, {}, virtual_scatter=False),
+        lambda: run_chunk(None, [], [], {}, 0, 0, 0, 0, virtual_scatter=False),
+        lambda: ChunkRunner(None, None, 0, frozenset(), 0, 0, 0, virtual_scatter=False),
+        lambda: ParallelInterpreter(workers=1).run(None, {}, virtual_scatter=False),
+        lambda: FusedRuntime({}, virtual_scatter=False),
+        lambda: FusedRuntime({}, False),
+        # a parallel backend reads `native` once, when built
+        lambda: ParallelInterpreter(workers=1).run(None, {}, native=True),
+        # every engine has a plan cache
+        lambda: EngineConfig(plan_cache=False),
+        # a server's catalog carries the engine configuration
+        lambda: VoodooServer(engine_config=EngineConfig()),
     ], ids=["compiler-fastpath", "pool", "execution-fastpath", "execution-native",
-            "compiler-parallel-grain", "execution-parallel-grain"])
+            "compiler-parallel-grain", "execution-parallel-grain",
+            "run-program-virtual-scatter", "run-chunk-virtual-scatter",
+            "chunk-runner-virtual-scatter", "parallel-run-virtual-scatter",
+            "runtime-virtual-scatter", "runtime-positional-virtual-scatter",
+            "parallel-run-native", "plan-cache", "server-engine-config"])
     def test_removed_option_is_a_type_error(self, build):
         with pytest.raises(TypeError):
             build()
@@ -94,7 +114,8 @@ class TestRemovedKnobs:
 
         assert len(dataclasses.fields(CompilerOptions)) == 6
         assert len(dataclasses.fields(ExecutionOptions)) == 1
-        assert len(dataclasses.fields(EngineConfig)) == 6
+        assert len(dataclasses.fields(EngineConfig)) == 5
+        assert not hasattr(FusedRuntime({}), "virtual_scatter_enabled")
 
     def test_grid_has_no_recorder_off_configuration(self):
         """Every run means the node runner, whatever ``fuse`` says: the
@@ -102,7 +123,7 @@ class TestRemovedKnobs:
         price (golden prices pin those) appear in none."""
         from repro.testing.conformance import BACKEND_GRID
 
-        assert len(BACKEND_GRID) == 10
+        assert len(BACKEND_GRID) == 9
         priced_only = {"fuse": True, "selection": "branching", "slot_suppression": True}
         for config in BACKEND_GRID:
             assert all(getattr(config.options, knob) == default

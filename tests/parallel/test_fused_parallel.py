@@ -92,51 +92,48 @@ def test_tpch_fused_parallel_bit_identical(store, engine, number, workers):
 
 
 @pytest.mark.parametrize("number", sorted(QUERIES))
-def test_tpch_parallel_without_virtual_scatter_bit_identical(store, engine, number):
-    """The per-run fields are arguments of one shared, stateless
-    instance: ``virtual_scatter=False`` (scatters land eagerly, in every
-    zone and chunk) and a storage handed to ``run`` change no bit, and
-    the instance's own Load context is neither read nor written."""
+def test_tpch_pooled_run_over_a_foreign_storage_bit_identical(store, engine, number):
+    """A run's Load context is an argument of one shared, stateless
+    instance: a storage handed to ``run`` changes no bit, and the
+    instance's own Load context is neither read nor written."""
     query = build(store, number)
     program = engine.translate(query)
     compiled = compile_program(program, engine.options)
     expected, _ = compiled.run(store.vectors(), collect_trace=False)
     with pooled() as runner:
-        got = runner.run(program, store.vectors(), virtual_scatter=False)
+        got = runner.run(program, store.vectors())
         assert runner.last_plan.parallel
         assert runner._storage == {}
-    assert_bit_identical(expected, got, context=(number, "no-virtual-scatter"))
+    assert_bit_identical(expected, got, context=(number, "foreign storage"))
 
 
-def test_parallel_engine_hands_virtual_scatter_to_every_runner(store, monkeypatch):
-    """``CompilerOptions.virtual_scatter`` reaches the node runner on the
-    parallel schedule too (it used to be silently always-on there)."""
+def test_pooled_runs_keep_fold_only_scatters_virtual(store, monkeypatch):
+    """Every runner of a pooled run — the zone runner and one per chunk —
+    keeps the program's fold-only scatters virtual, whatever the plan
+    prices: ``CompilerOptions.virtual_scatter=False`` changes what a
+    traced run lands, not what an untraced one executes."""
     from repro.compiler import CompilerOptions
-    from repro.compiler.rt_fast import FusedRuntime
     from repro.compiler.runner import ProgramRunner
 
-    runners, runtimes = [], []
-    runner_init, runtime_init = ProgramRunner.__init__, FusedRuntime.__init__
+    runners = []
+    runner_init = ProgramRunner.__init__
 
-    def spy_runner(self, program, storage=None, virtual_scatter=True, native=False):
-        runners.append(virtual_scatter)
-        runner_init(self, program, storage, virtual_scatter, native)
-
-    def spy_runtime(self, storage, virtual_scatter=True, **kwargs):
-        runtimes.append(virtual_scatter)
-        runtime_init(self, storage, virtual_scatter, **kwargs)
+    def spy_runner(self, *args, **kwargs):
+        runner_init(self, *args, **kwargs)
+        runners.append(self)
 
     monkeypatch.setattr(ProgramRunner, "__init__", spy_runner)
-    monkeypatch.setattr(FusedRuntime, "__init__", spy_runtime)
     config = TWO_WORKERS.with_(options=CompilerOptions(virtual_scatter=False))
     with pooled_engine(store, config) as parallel_engine:
-        table = parallel_engine.query(build(store, 1))
+        result = parallel_engine.execute(build(store, 1))
+        assert parallel_engine._parallel_backend.last_plan.parallel
+    assert not result.compiled.plan.virtual_scatters  # the plan prices them landed
     assert len(runners) >= 3  # the zone runner and one per chunk
-    assert not any(runners) and not any(runtimes)
+    assert all(runner._keep_virtual for runner in runners)
     reference = VoodooEngine(store, config=EngineConfig(tracing=False)).query(
         build(store, 1))
     for column in reference.columns:
-        assert np.array_equal(table.column(column), reference.column(column))
+        assert np.array_equal(result.table.column(column), reference.column(column))
 
 
 def test_engine_fused_parallel_tables_agree(store, engine):

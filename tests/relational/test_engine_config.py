@@ -50,6 +50,20 @@ class TestValidation:
         with pytest.raises(ExecutionError, match="grain"):
             EngineConfig(grain=0).validate()
 
+    def test_unknown_device_fails_at_build_time(self, store):
+        """A device no profile answers to is a configuration error: the
+        engine and the serving catalog refuse it when built, not at the
+        first query (a server would send that to a client as 400)."""
+        from repro.serving.catalog import Catalog
+
+        config = EngineConfig(options=CompilerOptions(device="gpu2"))
+        with pytest.raises(ExecutionError, match="unknown device 'gpu2'"):
+            config.validate()
+        with pytest.raises(ExecutionError, match="unknown device"):
+            VoodooEngine(store, config=config)
+        with pytest.raises(ExecutionError, match="unknown device"):
+            Catalog(config=config)
+
     def test_tracing_parallel_conflict(self):
         with pytest.raises(ExecutionError, match="tracing"):
             EngineConfig(

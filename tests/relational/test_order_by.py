@@ -96,3 +96,34 @@ def test_engine_orders_bool_and_uint_columns_end_to_end(columns):
     expected = reference_order(columns, order_by)
     for name, values in columns.items():
         np.testing.assert_array_equal(table.column(name), values[expected])
+
+
+@pytest.mark.parametrize("limit", [-1, -10, 2.5, True, np.int64(3), "3"])
+def test_a_limit_that_is_not_a_non_negative_int_is_refused(limit):
+    """``arr[:-1]`` would drop the last row instead of failing: a negative
+    (or non-``int``) limit never reaches the extractor."""
+    from repro.errors import TranslationError
+
+    with pytest.raises(TranslationError, match="limit"):
+        Query(plan=Scan("t"), select=["a"], limit=limit)
+
+
+@pytest.mark.parametrize("limit", [0, 3, 10, 50])
+def test_limit_keeps_the_first_rows(columns, limit):
+    store = ColumnStore()
+    store.add(Table.from_arrays("t", a=columns["a"][:10]))
+    with VoodooEngine(store, config=EngineConfig(tracing=False)) as engine:
+        table = engine.query(Query(plan=Scan("t"), select=["a"], limit=limit))
+    np.testing.assert_array_equal(table.column("a"), columns["a"][:10][:limit])
+
+
+@pytest.mark.parametrize("text", ["-1", "2.5", ":n", "k", ""])
+def test_sql_limit_takes_a_non_negative_integer_literal(text):
+    from repro.errors import SQLError
+    from repro.relational import parse_sql
+
+    store = ColumnStore()
+    store.add(Table.from_arrays("t", k=np.arange(10, dtype=np.int64)))
+    with pytest.raises(SQLError):
+        parse_sql(f"select k from t limit {text}", store)
+    assert parse_sql("select k from t limit 0", store).limit == 0

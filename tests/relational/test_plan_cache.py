@@ -1,6 +1,6 @@
 """The engine's plan cache: hits on structural equality, invalidation on
-schema/option changes (ISSUE 2 satellite: the cache key must cover the
-ColumnStore schema and the engine's device/workers/fuse knobs)."""
+schema changes; the key is the query's structure and the store's schema,
+and engines of different configurations never share a plan."""
 
 import numpy as np
 
@@ -66,17 +66,6 @@ class TestPlanCache:
         engine.execute(other)
         assert engine.cache_info()["plan_misses"] == 2
 
-    def test_disabled_cache(self):
-        engine = VoodooEngine(make_store(), config=EngineConfig(plan_cache=False))
-        engine.execute(make_query())
-        engine.execute(make_query())
-        assert engine.cache_info() == {
-            "plan_hits": 0, "plan_misses": 0,
-            "program_hits": 0, "program_misses": 0,
-            "size": 0, "programs": 0,
-            "storage_bytes_scanned": 0, "storage_bytes_decompressed": 0,
-        }
-
     def test_parallel_path_shares_the_plan_cache(self):
         """A parallel engine compiles through the same cache, reports
         under the same counters, and hands its plan back on the result."""
@@ -102,11 +91,6 @@ class TestPlanCache:
         assert engine.cache_info()["plan_misses"] == 2
 
 
-def key_under(store, **config) -> tuple:
-    """The plan-cache key of ``make_query()`` on an engine so configured."""
-    return VoodooEngine(store, config=EngineConfig(**config)).cache_key(make_query())
-
-
 class TestInvalidation:
     def test_schema_change_invalidates(self):
         """Regression: adding a table changes the store fingerprint."""
@@ -125,45 +109,36 @@ class TestInvalidation:
         assert a.fingerprint() != b.fingerprint()
         assert make_store(n=64).fingerprint() == a.fingerprint()
 
-    def test_device_and_fuse_in_key(self):
+    def test_engines_of_different_configurations_share_no_plan(self):
+        """The key is the query's structure and the store's schema and
+        nothing else: the configuration is fixed when an engine is built,
+        and each engine holds its own cache, so engines that differ in
+        any knob — on one store — never hand each other a plan."""
         store = make_store()
-        keys = {
-            key_under(store, options=CompilerOptions()),
-            key_under(store, options=CompilerOptions(device="gpu")),
-            key_under(store, options=CompilerOptions(fuse=False)),
-            key_under(store, options=CompilerOptions(native=True)),
-            key_under(store, options=CompilerOptions(selection="branch-free")),
-        }
-        assert len(keys) == 5
-
-    def test_workers_and_grain_in_key(self):
-        store = make_store()
-        keys = {
-            key_under(store),
-            key_under(store, execution=ExecutionOptions(workers=4)),
-            key_under(store, grain=128),
-        }
-        assert len(keys) == 3
-
-    def test_workers_only_change_invalidates(self):
-        """Regression: two engines differing ONLY in ExecutionOptions.workers
-        (same store, same options, same grain) must not share cache keys."""
-        store = make_store()
-        keys = {
-            key_under(store, execution=ExecutionOptions(workers=2)),
-            key_under(store, execution=ExecutionOptions(workers=4)),
-        }
-        assert len(keys) == 2
-
-    def test_kernel_provider_in_key_of_a_parallel_engine(self):
-        """numpy | native is part of a parallel plan's identity too."""
-        store = make_store()
-        execution = ExecutionOptions(workers=2)
-        keys = {
-            key_under(store, execution=execution),
-            key_under(store, execution=execution, native=True),
-        }
-        assert len(keys) == 2
+        configs = [
+            EngineConfig(),
+            EngineConfig(options=CompilerOptions(device="gpu")),
+            EngineConfig(options=CompilerOptions(fuse=False)),
+            EngineConfig(options=CompilerOptions(selection="branch-free")),
+            EngineConfig(options=CompilerOptions(virtual_scatter=False)),
+            EngineConfig(native=True),
+            EngineConfig(grain=128),
+            EngineConfig(execution=ExecutionOptions(workers=2)),
+            EngineConfig(execution=ExecutionOptions(workers=4)),
+            EngineConfig(execution=ExecutionOptions(workers=2), native=True),
+        ]
+        compiled, keys = [], set()
+        for config in configs:
+            with VoodooEngine(store, config=config) as engine:
+                key = engine.cache_key(make_query())
+                assert key == (structural_fingerprint(make_query()), store.fingerprint())
+                keys.add(key)
+                result = engine.execute(make_query())
+                assert result.compiled.options == engine.options
+                assert engine.execute(make_query()).compiled is result.compiled
+                compiled.append(result.compiled)
+        assert len(keys) == 1
+        assert len({id(plan) for plan in compiled}) == len(configs)
 
     def test_aux_vectors_do_not_thrash_the_cache(self):
         """LIKE membership tables registered during translation must not

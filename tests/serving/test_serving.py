@@ -350,6 +350,28 @@ class TestHTTP:
                 server.close()
         asyncio.run(run())
 
+    @pytest.mark.parametrize("limit", ["-1", "2.5", ":n", "k"])
+    def test_a_bad_limit_is_400(self, limit):
+        """``LIMIT`` takes a non-negative integer literal; anything else
+        is the client's SQL error, not a server fault."""
+        async def run():
+            server = make_server(rows=1_000)
+            try:
+                status, body = await server.handle_request(
+                    "POST", "/query",
+                    json.dumps({"dataset": "micro",
+                                "sql": f"select k from facts limit {limit}"}).encode())
+                assert status == 400, body
+                assert body["type"] == "SQLError" and "LIMIT" in body["error"]
+                status, body = await server.handle_request(
+                    "POST", "/query",
+                    json.dumps({"dataset": "micro",
+                                "sql": "select k from facts limit 3"}).encode())
+                assert status == 200 and body["row_count"] == 3
+            finally:
+                server.close()
+        asyncio.run(run())
+
     @pytest.mark.parametrize("length", ["abc", "-5", "+5", "1.5"])
     def test_malformed_content_length_is_400_then_close(self, length):
         unhandled = []
