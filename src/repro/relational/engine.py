@@ -145,7 +145,10 @@ class VoodooEngine:
     schema fingerprint; options, execution and grain are the engine's
     own, fixed when it is built.  A repeated query skips translate +
     optimize + fragment planning entirely; changing the schema
-    invalidates the entry.
+    invalidates the entry, an append does not.  Each entry also records
+    the version of every table whose contents its translation read (a
+    positional join's build key); once one moves, the next lookup
+    recompiles and counts a miss.
     """
 
     def __init__(self, store: ColumnStore, config: EngineConfig | None = None):
@@ -185,9 +188,9 @@ class VoodooEngine:
 
     def cache_key(self, query: Query, fingerprint: tuple | None = None) -> tuple:
         """What a compiled plan of this engine depends on: the query's
-        structure and the store's schema (the configuration is fixed); reuses
-        *query*'s structural fingerprint when the caller already holds
-        it (a prepared query does)."""
+        structure and the store's schema (the configuration is fixed, and
+        contents are checked per entry); reuses *query*'s structural
+        fingerprint when the caller already holds it (a prepared query does)."""
         return (
             fingerprint if fingerprint is not None else structural_fingerprint(query),
             self.store.fingerprint(),
@@ -231,22 +234,34 @@ class VoodooEngine:
 
     #: entry cap per cache; the key includes literal constants, so a
     #: parameterized workload (same shape, different thresholds) would
-    #: otherwise grow a serving engine's memory without bound
+    #: otherwise grow a serving engine's memory without bound (appends
+    #: add no entries: the key holds the schema, not the contents)
     CACHE_CAPACITY = 256
+
+    def _cached(self, key: tuple) -> CompiledProgram | None:
+        """The plan cached under *key*, unless a table whose contents its
+        translation read has been appended to since (``None`` then)."""
+        entry = self._plan_cache.get(key)
+        if entry is None or any(self.store.table(name).version != version
+                                for name, version in entry[1]):
+            return None
+        return entry[0]
 
     def compile(self, query: Query, fingerprint: tuple | None = None) -> CompiledProgram:
         """The compiled plan of *query*, through the one plan cache;
         arguments as for :meth:`cache_key`."""
         key = self.cache_key(query, fingerprint)
-        compiled = self._plan_cache.get(key)
+        compiled = self._cached(key)
         if compiled is None:
             with self._compile_lock:
-                compiled = self._plan_cache.get(key)
+                compiled = self._cached(key)
                 if compiled is None:  # (else: raced another thread's miss)
                     self.plan_cache_misses += 1
-                    compiled = compile_program(self.translate(query), self.options)
+                    translator = Translator(self.store, grain=self.grain)
+                    compiled = compile_program(translator.translate_query(query), self.options)
+                    self._plan_cache.pop(key, None)  # a stale entry is replaced
                     evict_oldest(self._plan_cache, self.CACHE_CAPACITY)
-                    self._plan_cache[key] = compiled
+                    self._plan_cache[key] = (compiled, tuple(translator.reads.items()))
                     return compiled
         with self._count_lock:  # `+=` is a read and a write: racing hits would be lost
             self.plan_cache_hits += 1

@@ -177,7 +177,7 @@ class PreparedQuery:
             f"prepared query: {len(self.params)} parameter(s) "
             f"{list(self.params)}"
         ]
-        cached = engine.cache_key(bound, fingerprint) in engine._plan_cache
+        cached = engine._cached(engine.cache_key(bound, fingerprint)) is not None
         compiled = engine.compile(bound, fingerprint)
         kernels = "native" if compiled.native else "numpy"
         if engine.execution is not None and engine.execution.workers > 1:

@@ -69,6 +69,9 @@ class Translator:
         self._plan_cache: dict[int, V] = {}
         self._fresh = 0
         self._needed: set[str] | None = None
+        #: table -> version of every table whose *contents* (not schema)
+        #: this translation read; its program is valid while they are current
+        self.reads: dict[str, int] = {}
 
     # -- public entry points ---------------------------------------------------
 
@@ -342,10 +345,12 @@ class Translator:
 
     def _positional_build(self, plan: ra.Join) -> bool:
         """True when the build side is a base table positionally addressed
-        by a dense, sorted, unique key (no build phase needed)."""
+        by a dense, sorted, unique key (no build phase needed).  Reads the
+        key's values, so the table's version goes to :attr:`reads`."""
         if not isinstance(plan.build, ra.Scan) or not isinstance(plan.dim_key, ex.Col):
             return False
         table = self.store.table(plan.build.table)
+        self.reads[table.name] = table.version
         column = table.column(plan.dim_key.name)
         data = column.data
         if len(data) == 0:

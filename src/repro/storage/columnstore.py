@@ -19,10 +19,10 @@ column — never recomputed on access (translation's value-dependent plan
 choices hit them repeatedly).
 
 ``ColumnStore.append(batch)`` seals the batch into one new segment per
-column and bumps the table version (part of the store fingerprint), so
-every cached plan and materialized result keyed on ``fingerprint()``
-invalidates.  Queries after an append recompute from scratch — the IVM
-delta path is future work, but this is the segment contract it needs.
+column and bumps the table version; the store ``fingerprint()`` is the
+schema only, so cached plans keyed on it survive (see :meth:`append`)
+and rerun over every segment — the IVM delta path is future work, but
+this is the segment contract it needs.
 """
 
 from __future__ import annotations
@@ -270,10 +270,6 @@ class Column:
         values = self.dictionary.values()
         return sum(len(s.encode("utf-8", "replace")) for s in values) + 8 * len(values)
 
-    def segment_signature(self) -> tuple:
-        """Layout summary for the store fingerprint: count + encodings."""
-        return (len(self.segments), tuple(s.encoding for s in self.segments))
-
     def encodings(self) -> tuple[str, ...]:
         return tuple(s.encoding for s in self.segments)
 
@@ -322,7 +318,8 @@ class Table:
         self.name = name
         self.columns: dict[str, Column] = {c.name: c for c in columns}
         self.n_rows = lengths.pop()
-        #: bumped by ``ColumnStore.append`` — part of the store fingerprint
+        #: bumped by ``ColumnStore.append``; a cached plan whose translation
+        #: read this table's contents is valid while it stays put
         self.version = version
 
     @classmethod
@@ -439,32 +436,19 @@ class ColumnStore:
         return entry[1]
 
     def fingerprint(self) -> tuple:
-        """Hashable structural summary of the base tables.
+        """Hashable schema of the base tables: table names, column names
+        and dtypes — exactly what translation reads through
+        :meth:`schemas`.
 
-        Keys the engine's plan cache: adding a table, appending a batch
-        (version bump + extra segment), or re-encoding segments all
-        produce a different fingerprint and invalidate cached plans.
-        Auxiliary vectors are *derived* caches (LIKE membership tables
-        registered during translation) and are deliberately excluded —
-        they are deterministic functions of the tables and would
-        otherwise invalidate the cache on first use.
-
-        Contract: segments are immutable once sealed; the only mutation
-        API is :meth:`append`, which replaces columns and bumps the
-        table version.  Mutating a segment's buffer *in place* is out of
-        contract — it would neither change this fingerprint nor
-        invalidate cached plans.
+        The store part of the engine's plan-cache key: adding a table
+        changes it; an append (rows, versions, segments) or re-encoding
+        does not, so plans survive them.  Auxiliary vectors are *derived*
+        caches (LIKE membership tables registered while building a
+        query) and are deliberately excluded — they would otherwise
+        change the key on first use.
         """
         return self._memoized("fingerprint", lambda: tuple(
-            (
-                name,
-                len(table),
-                table.version,
-                tuple(
-                    (col_name, str(col.dtype), col.segment_signature())
-                    for col_name, col in table.columns.items()
-                ),
-            )
+            (name, tuple((col_name, str(col.dtype)) for col_name, col in table.columns.items()))
             for name, table in sorted(self._tables.items())
         ))
 
@@ -490,10 +474,11 @@ class ColumnStore:
         take strings (dictionary-encoded against the column dictionary,
         which is merged — order-preserving — when the batch introduces
         new values, remapping the existing segments' codes).  Bumps the
-        table version, so the store fingerprint changes and every cached
-        plan / prepared result derived from the old contents
-        invalidates.  Full recompute for now; the IVM delta path (fold
-        only the new segment, merge partials) builds on this contract.
+        table version: the schema, hence :meth:`fingerprint`, stays, so
+        cached plans survive except those whose translation read this
+        table's contents.  Auxiliary vectors are dropped.  Queries rerun
+        over every segment for now; the IVM delta path (fold only the new
+        segment, merge partials) builds on this contract.
         """
         table = self.table(table_name)
         if isinstance(batch, Table):

@@ -16,6 +16,10 @@ workers combination that *executes* differently (knobs that only price —
   plan-cache hit served by what the first run left on the plan
   (constants, structural routes, control-vector metadata) — and both
   results must be the same bits;
+* **a plan outlives an append** (kind ``"append"``): each entry then
+  appends rows resampled from its query's first-scanned table (stats
+  and dictionaries stay) to its own copy of the store and reruns the
+  query, matching the interpreter on an identical appended copy;
 * **chunks, whatever the size** — every ``workers > 1`` entry runs
   under :func:`crossover` ``(0)`` with a core per worker, so its plans
   go to the pool with one chunk per worker however small the case and
@@ -44,7 +48,7 @@ import contextlib
 import sys
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -53,7 +57,9 @@ from repro.compiler import CompilerOptions, ExecutionOptions
 from repro.interpreter import Interpreter
 from repro.parallel import planner
 from repro.relational import EngineConfig, VoodooEngine
+from repro.relational import algebra as ra
 from repro.relational.engine import ResultTable
+from repro.storage.columnstore import ColumnStore, resegment
 from repro.testing import oracle as oracle_mod
 from repro.testing.serialize import Case, save_case
 
@@ -88,16 +94,15 @@ class BackendConfig:
     resegment: str | None = None
 
     def engine(self, store, grain: int) -> VoodooEngine:
-        if self.resegment is not None:
-            from repro.storage.columnstore import resegment
-
-            # deliberately tiny, non-round segments: cases are small, and
-            # odd boundaries fuzz segment-spanning slices/takes/folds
-            store = resegment(
-                store,
-                encoding="plain" if self.resegment == "plain-small" else "auto",
-                segment_rows=17 if self.resegment == "plain-small" else 13,
-            )
+        """An engine of this configuration on its own copy of *store*, so
+        an append reaches no other entry."""
+        # segmented entries reseal on deliberately tiny, non-round
+        # segments: cases are small, and odd boundaries fuzz
+        # segment-spanning slices/takes/folds
+        encoding, segment_rows = {
+            None: ("plain", None), "plain-small": ("plain", 17), "auto": ("auto", 13),
+        }[self.resegment]
+        store = resegment(store, encoding=encoding, segment_rows=segment_rows)
         execution = ExecutionOptions(workers=self.workers) if self.workers > 1 else None
         return VoodooEngine(store, config=EngineConfig(
             options=self.options,
@@ -132,7 +137,7 @@ class CaseFailure:
 
     case: Case
     backend: str
-    kind: str          # "grid" | "warm" | "oracle" | "error"
+    kind: str          # "grid" | "warm" | "append" | "oracle" | "error"
     detail: str
     path: Path | None = None
 
@@ -225,6 +230,22 @@ def compare_oracle(
 ANCHOR = "interpreter"
 
 
+def append_resampled(store: ColumnStore, case: Case) -> None:
+    """Append to *store*, a copy of ``case.store``, rows resampled
+    (seeded by the case) from the table ``case.query`` scans first."""
+    plan = case.query.plan
+    while not isinstance(plan, ra.Scan):
+        plan = plan.child
+    table = store.table(plan.table)
+    if len(table):
+        rng = np.random.default_rng([abs(case.seed), abs(case.index)])
+        rows = rng.integers(0, len(table), (len(table) + 1) // 2)
+        store.append(table.name, {
+            name: np.asarray(col.decoded(), dtype=object if col.dictionary else None)[rows]
+            for name, col in table.columns.items()
+        })
+
+
 def reference_table(case: Case) -> ResultTable:
     """The anchor of the bit-identity comparison: the engine's translated
     program evaluated by the reference interpreter over the plain store,
@@ -241,6 +262,7 @@ def run_case(
     """Run one case over the grid; returns (backend, kind, detail) triples."""
     problems: list[tuple[str, str, str]] = []
     reference: ResultTable | None = None
+    grown_reference: ResultTable | None = None  # the reference after the append
     reference_name = ""
     for config in (None, *grid):
         name = ANCHOR if config is None else config.name
@@ -252,6 +274,9 @@ def run_case(
                 warnings.simplefilter("ignore", RuntimeWarning)
                 if config is None:
                     table = reference_table(case)
+                    grown_store = resegment(case.store, encoding="plain")
+                    append_resampled(grown_store, case)
+                    grown = reference_table(replace(case, store=grown_store))
                 else:
                     # every parallel plan is chunked on the pool, however
                     # small and on any host: a core per worker
@@ -262,6 +287,9 @@ def run_case(
                         # a plan-cache hit: what the first run left on the
                         # plan (:mod:`repro.compiler.runner`) serves this one
                         again = engine.query(case.query)
+                        # the plans of the engine's store outlive an append
+                        append_resampled(engine.store, case)
+                        grown = engine.query(case.query)
         except Exception as exc:  # noqa: BLE001 - any crash is a finding
             problems.append((name, "error", f"{type(exc).__name__}: {exc}"))
             continue
@@ -271,11 +299,14 @@ def run_case(
         if reference is None:
             # the first *succeeding* run anchors the bit-identity
             # comparison (the interpreter; a configuration if it crashed)
-            reference, reference_name = table, name
+            reference, reference_name, grown_reference = table, name, grown
             continue
         mismatch = compare_bitwise(reference, table)
         if mismatch:
             problems.append((name, "grid", mismatch))
+        mismatch = compare_bitwise(grown_reference, grown)
+        if mismatch:
+            problems.append((name, "append", mismatch))
     if reference is not None:
         try:
             with warnings.catch_warnings():

@@ -75,7 +75,7 @@ class TestSmoke:
         for config in parallel:
             runs.clear()
             assert run_case(case, grid=(config,)) == [], config.name
-            assert len(runs) == 2, config.name  # cold and warm
+            assert len(runs) == 3, config.name  # cold, warm, after the append
             for plan, lease in runs:
                 assert plan.parallel and 1 < len(plan.chunks) <= config.workers, config.name
                 assert lease is not None, config.name
@@ -207,6 +207,23 @@ class TestBrokenBackendIsCaught:
         monkeypatch.setattr(VoodooEngine, "query", plain)
         case.note = problems[0][2]
         assert run_case(load_case(save_case(case, tmp_path / "warm.json"))) == []
+
+    def test_a_plan_that_misses_the_appended_rows_is_caught(self, monkeypatch):
+        """After its warm run every configuration appends to its own copy
+        of the store and runs the query again; a third run that answers
+        as before the append is an ``"append"`` failure, against the
+        interpreter on an identical appended copy."""
+        case = _find_grouped_sum_case()
+        plain = VoodooEngine.query
+
+        def first_answer_forever(self, query, *args, **kwargs):
+            table = plain(self, query, *args, **kwargs)
+            return self.__dict__.setdefault("_first_table", table)
+
+        monkeypatch.setattr(VoodooEngine, "query", first_answer_forever)
+        problems = run_case(case)
+        assert problems and {kind for _, kind, _ in problems} == {"append"}, problems
+        assert {backend for backend, _, _ in problems} == {c.name for c in BACKEND_GRID}
 
     def test_broken_fold_select_rank_caught(self, monkeypatch):
         """Selection compaction bugs show up across the whole grid."""

@@ -1,12 +1,15 @@
 """The engine's plan cache: hits on structural equality, invalidation on
 schema changes; the key is the query's structure and the store's schema,
-and engines of different configurations never share a plan."""
+and engines of different configurations never share a plan.  An append
+keeps every plan except those whose translation read the appended
+table's contents."""
 
 import numpy as np
 
 from repro.compiler import CompilerOptions, ExecutionOptions
+from repro.core.printer import to_ssa
 from repro.relational import EngineConfig, VoodooEngine
-from repro.relational.algebra import AggSpec, GroupBy, KeySpec, Query, Scan
+from repro.relational.algebra import AggSpec, GroupBy, Join, KeySpec, Query, Scan
 from repro.relational.engine import structural_fingerprint
 from repro.relational.expressions import Col, Lit
 from repro.storage import ColumnStore, Table
@@ -104,10 +107,15 @@ class TestInvalidation:
         assert engine.cache_info()["plan_misses"] == 2
         assert engine.cache_info()["plan_hits"] == 0
 
-    def test_store_fingerprint_covers_shapes(self):
-        a, b = make_store(n=64), make_store(n=65)
-        assert a.fingerprint() != b.fingerprint()
-        assert make_store(n=64).fingerprint() == a.fingerprint()
+    def test_store_fingerprint_is_the_schema(self):
+        """Row counts and contents are not in the key; names and dtypes are."""
+        a, b = make_store(n=64), make_store(n=65, seed=1)
+        assert a.fingerprint() == b.fingerprint()
+        narrow = ColumnStore()
+        narrow.add(Table.from_arrays("t", k=np.zeros(64, np.int32), v=np.zeros(64)))
+        renamed = ColumnStore()
+        renamed.add(Table.from_arrays("t", k=np.zeros(64, np.int64), w=np.zeros(64)))
+        assert len({a.fingerprint(), narrow.fingerprint(), renamed.fingerprint()}) == 3
 
     def test_engines_of_different_configurations_share_no_plan(self):
         """The key is the query's structure and the store's schema and
@@ -149,3 +157,77 @@ class TestInvalidation:
         from repro.core.vector import StructuredVector
         store.add_aux("aux_like", StructuredVector.from_arrays(m=np.zeros(4, dtype=bool)))
         assert engine.cache_key(make_query()) == key
+
+
+def join_store():
+    store = ColumnStore()
+    store.add(Table.from_arrays(
+        "f", fk=np.array([0, 3, 9, 5, 3], np.int64), x=np.arange(5.0)))
+    store.add(Table.from_arrays(
+        "d", dk=np.arange(10, dtype=np.int64), y=np.arange(10, dtype=np.int64) * 10))
+    return store
+
+
+def join_query():
+    """Built for a key domain of 20 while ``d`` holds keys 0-9: a hash
+    join until ``d`` grows to all 20 keys, a positional one from then on
+    (translation reads ``d.dk`` to choose)."""
+    return Query(plan=Join(Scan("f"), Scan("d"), Col("fk"), Col("dk"), {"y": "y"},
+                           domain=20), select=["x", "y"])
+
+
+def grow_d(store):
+    store.append("d", {"dk": np.arange(10, 20), "y": np.arange(10, 20) * 10})
+
+
+def assert_same_table(a, b):
+    assert a.columns == b.columns
+    for column in a.columns:
+        assert a.column(column).dtype == b.column(column).dtype
+        assert np.array_equal(a.column(column), b.column(column))
+
+
+class TestAppends:
+    """The key holds no contents: a plan survives an append unless its
+    translation read the appended table, which it records."""
+
+    def test_append_to_the_probe_side_keeps_the_plan(self):
+        store = join_store()
+        engine = VoodooEngine(store)
+        first = engine.execute(join_query())
+        store.append("f", {"fk": [9], "x": [5.0]})
+        again = engine.execute(join_query())
+        assert again.compiled is first.compiled
+        assert engine.cache_info()["plan_misses"] == 1
+        assert_same_table(again.table, VoodooEngine(store).query(join_query()))
+
+    def test_kept_query_recompiles_once_its_build_table_grows(self):
+        store = join_store()
+        engine = VoodooEngine(store)
+        query = join_query()
+        first = engine.execute(query)
+        assert "Scatter(" in to_ssa(first.compiled.program)  # a hash join
+        grow_d(store)
+        grown = engine.execute(query)
+        assert (engine.cache_info()["plan_misses"], engine.cache_info()["size"]) == (2, 1)
+        assert "Scatter(" not in to_ssa(grown.compiled.program)  # positional now
+        fresh = VoodooEngine(store).execute(query)
+        assert to_ssa(grown.compiled.program) == to_ssa(fresh.compiled.program)
+        assert_same_table(grown.table, fresh.table)
+        assert engine.execute(query).compiled is grown.compiled
+        assert engine.cache_info()["plan_misses"] == 2
+
+    def test_kept_prepared_query_explains_then_recompiles(self):
+        """``explain`` reports an entry the version check rejects as not
+        cached; the lookup it makes compiles the replacement."""
+        store = join_store()
+        engine = VoodooEngine(store)
+        prepared = engine.prepare(join_query())
+        prepared.execute()
+        assert "cached before this call: True" in prepared.explain()
+        grow_d(store)
+        assert "cached before this call: False" in prepared.explain()
+        assert engine.cache_info()["plan_misses"] == 2
+        assert "cached before this call: True" in prepared.explain()
+        assert_same_table(prepared.table(), VoodooEngine(store).query(join_query()))
+        assert engine.cache_info()["plan_misses"] == 2

@@ -9,7 +9,7 @@ integration points:
 * seal-time min/max stats answer catalog queries without touching
   payload bytes;
 * ``ColumnStore.append`` seals new segments, merges dictionaries, and
-  invalidates the plan-cache fingerprint;
+  bumps the table version under an unchanged schema fingerprint;
 * ``total_bytes`` honestly accounts segments + dictionaries + aux;
 * ``chunk_ranges`` cuts on run alignment, covering every row once;
 * queries are invariant under physical layout (plain vs segmented vs
@@ -71,6 +71,16 @@ any_values = st.one_of(runny_ints, wide_ints, floats, bools, narrow)
 def bit_equal(a: np.ndarray, b: np.ndarray) -> bool:
     """Exact bit identity: NaN payloads and -0.0 vs 0.0 distinguished."""
     return a.dtype == b.dtype and len(a) == len(b) and a.tobytes() == b.tobytes()
+
+
+def layout(store: ColumnStore) -> dict:
+    """Per table: rows, version and every column's segment encodings —
+    the physical facts the schema fingerprint leaves out."""
+    return {
+        name: (table["rows"], table["version"],
+               {col: info["encodings"] for col, info in table["columns"].items()})
+        for name, table in store.memory_report()["tables"].items()
+    }
 
 
 # -- encodings ---------------------------------------------------------------
@@ -252,7 +262,8 @@ class TestPersistence:
         with tempfile.TemporaryDirectory() as tmp:
             save(store, tmp, encoding="auto", segment_rows=64)
             loaded = load(tmp, mmap=mmap)
-            assert loaded.fingerprint() != store.fingerprint()  # resealed
+            assert loaded.fingerprint() == store.fingerprint()  # same schema
+            assert layout(loaded) != layout(store)  # resealed
             for table in store.tables():
                 for col in table.columns.values():
                     other = loaded.table(table.name).column(col.name)
@@ -266,7 +277,9 @@ class TestPersistence:
         store = _mixed_store()
         with tempfile.TemporaryDirectory() as tmp:
             save(store, tmp)
-            assert load(tmp, mmap=True).fingerprint() == store.fingerprint()
+            loaded = load(tmp, mmap=True)
+            assert loaded.fingerprint() == store.fingerprint()
+            assert layout(loaded) == layout(store)
 
     def test_mmap_load_is_lazy(self):
         """Loading and reading catalog stats must not scan payload bytes."""
@@ -336,7 +349,8 @@ class TestPersistence:
             monkeypatch.undo()
             for mmap in (True, False):
                 loaded = load(tmp, mmap=mmap)
-                assert loaded.fingerprint() == first.fingerprint()
+                assert layout(loaded) == layout(first)
+                assert layout(loaded) != layout(second)
                 for name, col in first.table("t").columns.items():
                     assert bit_equal(loaded.table("t").column(name).data, col.data)
                 del loaded
@@ -383,12 +397,13 @@ class TestPersistence:
 
 
 class TestAppend:
-    def test_append_seals_segment_and_bumps_fingerprint(self):
+    def test_append_seals_segment_and_bumps_version(self):
         store = ColumnStore()
         store.add(Table.from_arrays("t", v=np.arange(10, dtype=np.int64)))
         before = store.fingerprint()
         store.append("t", {"v": np.arange(10, 14, dtype=np.int64)})
-        assert store.fingerprint() != before
+        assert store.fingerprint() == before  # the schema is unchanged
+        assert layout(store) == {"t": (14, 1, {"v": ["plain", "plain"]})}
         assert len(store.table("t")) == 14
         assert [seg.length for seg in store.table("t").column("v").segments] == [10, 4]
         assert bit_equal(store.table("t").column("v").data,

@@ -6,7 +6,7 @@ behaviors; these properties pin the *contracts* over arbitrary inputs:
 * dictionary encode/decode is a lossless, order-preserving bijection;
 * ``persist.save``/``load`` round-trips every column bit-exactly
   (including NaN/±Inf payloads and dictionary attachments) and
-  preserves the plan-cache fingerprint;
+  preserves the schema fingerprint, row counts, versions and encodings;
 * every read path of a segmented column — ``materialize_range``,
   ``take``, and a view's ``run_pairs`` / ``fold`` / ``fold_grained`` —
   equals slicing the concatenation of its segments' ``values()`` in
@@ -89,6 +89,11 @@ class TestPersistProperties:
             save(store, Path(tmp) / "db")
             loaded = load(Path(tmp) / "db")
         assert loaded.fingerprint() == store.fingerprint()
+        for name, table in store.memory_report()["tables"].items():
+            other = loaded.memory_report()["tables"][name]
+            assert (other["rows"], other["version"]) == (table["rows"], table["version"])
+            assert {c: info["encodings"] for c, info in other["columns"].items()} == \
+                {c: info["encodings"] for c, info in table["columns"].items()}
         assert loaded.meta == store.meta          # provenance survives disk
         for table in store.tables():
             other = loaded.table(table.name)
