@@ -1,4 +1,4 @@
-"""Ablations of the compiler's design choices (see DESIGN.md).
+"""Ablations of the compiler's design choices.
 
 Quantifies what each backend mechanism buys by turning it off: fragment
 fusion (→ operator-at-a-time), virtual scatter (→ materialized partition

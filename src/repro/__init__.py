@@ -1,8 +1,8 @@
 """Reproduction of Voodoo — a vector algebra for portable database
 performance on modern hardware (Pirk et al., VLDB 2016).
 
-Top-level convenience re-exports; see README.md for the architecture and
-DESIGN.md for the system inventory and substitutions.
+Top-level convenience re-exports; see README.md for the architecture,
+the execution backends and the simulated cost model.
 """
 
 from repro.compiler import CompiledProgram, CompilerOptions, compile_program

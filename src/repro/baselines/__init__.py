@@ -1,7 +1,7 @@
 """Comparison baselines: HyPeR-like (pipelined) and Ocelot-like (bulk)."""
 
-from repro.baselines.engine import BaselineEngine, Rows
+from repro.baselines.engine import BaselineEngine
 from repro.baselines.hyper import HyperEngine
 from repro.baselines.ocelot import OcelotEngine
 
-__all__ = ["BaselineEngine", "Rows", "HyperEngine", "OcelotEngine"]
+__all__ = ["BaselineEngine", "HyperEngine", "OcelotEngine"]

@@ -2,368 +2,49 @@
 
 The paper compares Voodoo against HyPeR [18] (pipelined, compiled,
 CPU-targeted) and MonetDB/Ocelot [13] (operator-at-a-time bulk processing,
-GPU-targeted).  This reproduction implements both as independent engines
-over the same relational plans and the same data, differing in exactly
-the dimension the paper isolates — the *materialization strategy* — and
-traced by the same cost model as the Voodoo backend (see DESIGN.md).
-
-``BaselineEngine`` evaluates plans directly with NumPy (no Voodoo IR),
-keeping rows as (columns, valid-mask) pairs, and delegates the per-
-operator traffic accounting to the concrete engine subclass.
+GPU-targeted).  This reproduction evaluates both with the NumPy reference
+evaluator (:mod:`repro.testing.oracle`) over the same relational plans and
+the same data, and prices them by the same cost model as the Voodoo
+backend.  The engines differ in exactly the dimension the paper isolates —
+the *materialization strategy* — which is the traffic each one's
+``on_<operator>`` hooks charge for the counts the evaluator reports
+(pipeline extent, live rows, row width).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
-from repro.compiler.kernels import pack_keys
-from repro.errors import ExecutionError
 from repro.hardware.cost import CostModel, CostReport
 from repro.hardware.device import DeviceProfile, get_device
 from repro.hardware.trace import Trace, TraceEvent, TraceRecorder
-from repro.interpreter.semantics import fold_fill
 from repro.relational import algebra as ra
-from repro.relational import expressions as ex
 from repro.storage import ColumnStore
-
-
-@dataclass
-class Rows:
-    """A relation during baseline evaluation: columns + row validity."""
-
-    columns: dict[str, np.ndarray]
-    valid: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.valid)
-
-    def with_column(self, name: str, values: np.ndarray) -> "Rows":
-        cols = dict(self.columns)
-        cols[name] = values
-        return Rows(cols, self.valid)
-
-    def nbytes(self, names=None) -> int:
-        names = names if names is not None else self.columns.keys()
-        return sum(self.columns[n].nbytes for n in names)
+from repro.testing.oracle import Oracle
 
 
 class BaselineEngine:
-    """Plan evaluator shared by the HyPeR-like and Ocelot-like baselines."""
-
-    #: overridden: "pipelined" (fuse until breaker) or "bulk" (materialize all)
-    strategy = "abstract"
+    """Runs a query on the reference evaluator with this engine observing,
+    and prices the trace its hooks recorded."""
 
     def __init__(self, store: ColumnStore, device: str | DeviceProfile = "cpu-mt"):
         self.store = store
         self.device = device if isinstance(device, DeviceProfile) else get_device(device)
-        self.recorder = TraceRecorder()
-
-    # -- public API -----------------------------------------------------------
 
     def execute(self, query: ra.Query) -> tuple[list[dict], Trace, CostReport]:
         self.recorder = TraceRecorder()
-        self._kernel_counter = 0
+        self._kernels = 0
         self.recorder.begin_kernel(0, extent=0, intent=1)
-        rows = self.evaluate(query.plan)
-        result = self._present(query, rows)
+        arrays = Oracle(self.store, observer=self).query(query)
+        rows = [dict(zip(arrays, values)) for values in zip(*arrays.values())]
         trace = self.recorder.trace
-        return result, trace, CostModel(self.device).price(trace)
+        return rows, trace, CostModel(self.device).price(trace)
 
     def milliseconds(self, query: ra.Query) -> float:
         return self.execute(query)[2].milliseconds
 
-    # -- plan evaluation ----------------------------------------------------------
-
-    def evaluate(self, plan: ra.Plan) -> Rows:
-        method = getattr(self, f"_eval_{type(plan).__name__.lower()}", None)
-        if method is None:
-            raise ExecutionError(f"baseline cannot evaluate {type(plan).__name__}")
-        return method(plan)
-
-    def _eval_scan(self, plan: ra.Scan) -> Rows:
-        table = self.store.table(plan.table)
-        columns = {name: col.data for name, col in table.columns.items()}
-        self.on_scan(table.n_rows)
-        return Rows(columns, np.ones(table.n_rows, dtype=bool))
-
-    def _eval_filter(self, plan: ra.Filter) -> Rows:
-        rows = self.evaluate(plan.child)
-        pred, pvalid = self.expr(plan.pred, rows)
-        keep = rows.valid & (pred != 0) & pvalid
-        self.on_filter(rows, keep, n_cols=self.pred_columns(plan.pred))
-        return self.apply_filter(rows, keep)
-
-    def _eval_map(self, plan: ra.Map) -> Rows:
-        rows = self.evaluate(plan.child)
-        for name, expr in plan.cols.items():
-            values, valid = self.expr(expr, rows)
-            rows = self.with_valid(rows.with_column(name, values), rows.valid & valid)
-            self.on_map(rows)
-        return rows
-
-    def _eval_join(self, plan: ra.Join) -> Rows:
-        rows = self.evaluate(plan.child)
-        build = self.evaluate(plan.build)
-        fact_key, fvalid = self.expr(plan.fact_key, rows)
-        dim_key, dvalid = self.expr(plan.dim_key, build)
-
-        table_pos = np.full(plan.domain, -1, dtype=np.int64)
-        build_idx = np.flatnonzero(build.valid & dvalid)
-        table_pos[dim_key[build_idx] - plan.offset] = build_idx
-        self.on_build(build, plan.pull)
-
-        probe = np.clip(fact_key - plan.offset, 0, plan.domain - 1)
-        hit = table_pos[probe]
-        matched = (hit >= 0) & rows.valid & fvalid
-        safe = np.where(matched, hit, 0)
-        out = rows
-        for out_name, dim_col in plan.pull.items():
-            out = out.with_column(out_name, build.columns[dim_col][safe])
-        self.on_probe(rows, build, plan)
-        return self.with_valid(out, matched)
-
-    def _eval_semijoin(self, plan: ra.SemiJoin) -> Rows:
-        rows = self.evaluate(plan.child)
-        build = self.evaluate(plan.build)
-        fact_key, fvalid = self.expr(plan.fact_key, rows)
-        dim_key, dvalid = self.expr(plan.dim_key, build)
-        member = np.zeros(plan.domain, dtype=bool)
-        member[dim_key[build.valid & dvalid] - plan.offset] = True
-        self.on_build(build, {"__member": ""})
-        probe = np.clip(fact_key - plan.offset, 0, plan.domain - 1)
-        hit = member[probe] & fvalid
-        if plan.negated:
-            hit = ~hit & fvalid
-        keep = rows.valid & hit
-        self.on_probe(rows, build, plan)
-        self.on_filter(rows, keep)
-        return self.apply_filter(rows, keep)
-
-    def _eval_groupby(self, plan: ra.GroupBy) -> Rows:
-        rows = self.evaluate(plan.child)
-        agg_values: dict[str, tuple[np.ndarray | None, np.ndarray]] = {}
-        for out_name, spec in plan.aggs.items():
-            if spec.expr is None:
-                agg_values[out_name] = (None, rows.valid)
-            else:
-                values, valid = self.expr(spec.expr, rows)
-                agg_values[out_name] = (values, rows.valid & valid)
-
-        if not plan.keys:
-            out_cols: dict[str, np.ndarray] = {}
-            for out_name, spec in plan.aggs.items():
-                values, valid = agg_values[out_name]
-                out_cols[out_name] = np.array([self._reduce(spec.fn, values, valid)])
-            self.on_aggregate(rows, groups=1, n_aggs=len(plan.aggs))
-            return Rows(out_cols, np.ones(1, dtype=bool))
-
-        domain = 1
-        for key in plan.keys:
-            domain *= key.card
-        key_columns = [self.expr(key.expr, rows)[0] for key in plan.keys]
-        gid = pack_keys(
-            key_columns,
-            [key.card for key in plan.keys],
-            [key.offset for key in plan.keys],
-        )
-        gid = np.where(rows.valid, gid, 0)
-
-        present = np.zeros(domain, dtype=bool)
-        present[gid[rows.valid]] = True
-        group_ids = np.flatnonzero(present)
-        remap = np.zeros(domain, dtype=np.int64)
-        remap[group_ids] = np.arange(len(group_ids))
-        dense = remap[gid]
-
-        out_cols = {}
-        for out_name, spec in plan.aggs.items():
-            values, valid = agg_values[out_name]
-            out_cols[out_name] = self._reduce_groups(
-                spec.fn, values, valid, dense, len(group_ids)
-            )
-        carried = dict.fromkeys(list(plan.carry) + [k.name for k in plan.keys])
-        for name in carried:
-            source = name if name in rows.columns else None
-            if source is None:
-                for key in plan.keys:
-                    if key.name == name and isinstance(key.expr, ex.Col):
-                        source = key.expr.name
-            col = np.zeros(len(group_ids), dtype=rows.columns[source].dtype)
-            col[dense[rows.valid]] = rows.columns[source][rows.valid]
-            out_cols[name] = col
-        self.on_aggregate(rows, groups=len(group_ids), n_aggs=len(plan.aggs))
-        return Rows(out_cols, np.ones(len(group_ids), dtype=bool))
-
-    # -- aggregation helpers ---------------------------------------------------------
-
-    @staticmethod
-    def _reduce(fn: str, values: np.ndarray | None, valid: np.ndarray):
-        if fn == "count":
-            return int(valid.sum())
-        data = values[valid]
-        if len(data) == 0:
-            return 0.0
-        return {"sum": np.sum, "min": np.min, "max": np.max, "avg": np.mean}[fn](data)
-
-    @staticmethod
-    def _reduce_groups(fn: str, values, valid, dense, n_groups):
-        if fn == "count":
-            out = np.zeros(n_groups, dtype=np.int64)
-            np.add.at(out, dense[valid], 1)
-            return out
-        data = values[valid]
-        idx = dense[valid]
-        if fn in ("sum", "avg"):
-            out = np.zeros(n_groups, dtype=np.float64 if values.dtype.kind == "f" else np.int64)
-            np.add.at(out, idx, data)
-            if fn == "avg":
-                counts = np.zeros(n_groups, dtype=np.int64)
-                np.add.at(counts, idx, 1)
-                return out / np.maximum(counts, 1)
-            return out
-        # shared ±inf fold identity: finfo.min/max would clamp genuine
-        # infinities, diverging from the engine on ±Inf data
-        out = np.full(n_groups, fold_fill(fn, np.dtype(np.float64)))
-        ufunc = np.maximum if fn == "max" else np.minimum
-        ufunc.at(out, idx, data.astype(np.float64))
-        return out
-
-    # -- expressions ---------------------------------------------------------------------
-
-    def expr(self, expr: ex.Expr, rows: Rows) -> tuple[np.ndarray, np.ndarray]:
-        """(values, validity) of an expression over the relation."""
-        ones = np.ones(len(rows), dtype=bool)
-        if isinstance(expr, ex.Col):
-            return rows.columns[expr.name], ones
-        if isinstance(expr, ex.Lit):
-            return np.broadcast_to(np.asarray(expr.value), (len(rows),)), ones
-        if isinstance(expr, ex.Arith):
-            a, va = self.expr(expr.left, rows)
-            b, vb = self.expr(expr.right, rows)
-            self.on_compute(len(rows))
-            if expr.op == "add":
-                return a + b, va & vb
-            if expr.op == "sub":
-                return a - b, va & vb
-            if expr.op == "mul":
-                return a * b, va & vb
-            if expr.op == "idiv":
-                return a // np.where(b == 0, 1, b), va & vb
-            if expr.op == "mod":
-                return a % np.where(b == 0, 1, b), va & vb
-            return a / np.where(b == 0, 1, b), va & vb
-        if isinstance(expr, ex.Cmp):
-            a, va = self.expr(expr.left, rows)
-            b, vb = self.expr(expr.right, rows)
-            self.on_compute(len(rows))
-            op = {"gt": np.greater, "ge": np.greater_equal, "lt": np.less,
-                  "le": np.less_equal, "eq": np.equal, "ne": np.not_equal}[expr.op]
-            return op(a, b), va & vb
-        if isinstance(expr, ex.And):
-            a, va = self.expr(expr.left, rows)
-            b, vb = self.expr(expr.right, rows)
-            return (a != 0) & (b != 0), va & vb
-        if isinstance(expr, ex.Or):
-            a, va = self.expr(expr.left, rows)
-            b, vb = self.expr(expr.right, rows)
-            return (a != 0) | (b != 0), va & vb
-        if isinstance(expr, ex.Not):
-            a, va = self.expr(expr.operand, rows)
-            return ~(a != 0), va
-        if isinstance(expr, ex.InSet):
-            a, va = self.expr(expr.operand, rows)
-            self.on_compute(len(rows) * len(expr.values))
-            return np.isin(a, np.asarray(expr.values)), va
-        if isinstance(expr, ex.Membership):
-            a, va = self.expr(expr.operand, rows)
-            aux = self.store.vectors()[expr.aux_name]
-            flags = aux.attr(aux.paths[0])
-            idx = np.clip(a - expr.offset, 0, len(flags) - 1)
-            self.on_gather(len(rows), flags.nbytes)
-            return flags[idx], va
-        if isinstance(expr, ex.IfThenElse):
-            c, vc = self.expr(expr.cond, rows)
-            t, vt = self.expr(expr.then, rows)
-            e, ve = self.expr(expr.otherwise, rows)
-            self.on_compute(len(rows))
-            return np.where(c != 0, t, e), vc & vt & ve
-        if isinstance(expr, ex.Cast):
-            a, va = self.expr(expr.operand, rows)
-            return a.astype(np.dtype(expr.dtype)), va
-        if isinstance(expr, ex.ScalarOf):
-            sub = self.evaluate(expr.plan)
-            value = sub.columns[expr.column][sub.valid][0]
-            return np.broadcast_to(np.asarray(value), (len(rows),)), ones
-        raise ExecutionError(f"baseline cannot evaluate expression {type(expr).__name__}")
-
-    # -- result presentation ------------------------------------------------------------
-
-    def _present(self, query: ra.Query, rows: Rows) -> list[dict]:
-        arrays = {name: rows.columns[name][rows.valid] for name in query.select}
-        if query.order_by:
-            keys = []
-            for name, desc in reversed(query.order_by):
-                col = arrays[name]
-                keys.append(-col if desc else col)
-            order = np.lexsort(keys)
-            arrays = {n: a[order] for n, a in arrays.items()}
-        if query.limit is not None:
-            arrays = {n: a[: query.limit] for n, a in arrays.items()}
-        decoded = {}
-        for name, arr in arrays.items():
-            source = query.decode.get(name)
-            if source is not None:
-                decoded[name] = self.store.table(source[0]).dictionary(source[1]).decode(arr)
-            else:
-                decoded[name] = arr
-        n = len(next(iter(decoded.values()))) if decoded else 0
-        return [
-            {name: decoded[name][i] for name in query.select} for i in range(n)
-        ]
-
-    # -- strategy hooks, overridden by subclasses -------------------------------------------
-
-    def apply_filter(self, rows: Rows, keep: np.ndarray) -> Rows:
-        raise NotImplementedError
-
-    def with_valid(self, rows: Rows, valid: np.ndarray) -> Rows:
-        return Rows(rows.columns, valid)
-
-    def on_scan(self, n_rows: int) -> None:
-        raise NotImplementedError
-
-    def on_filter(self, rows: Rows, keep: np.ndarray, n_cols: int = 1) -> None:
-        raise NotImplementedError
-
-    def on_map(self, rows: Rows) -> None:
-        raise NotImplementedError
-
-    def on_build(self, build: Rows, pull: dict) -> None:
-        raise NotImplementedError
-
-    def on_probe(self, rows: Rows, build: Rows, plan) -> None:
-        raise NotImplementedError
-
-    def on_aggregate(self, rows: Rows, groups: int, n_aggs: int) -> None:
-        raise NotImplementedError
-
-    def on_compute(self, n: int) -> None:
-        raise NotImplementedError
-
-    def on_gather(self, n: int, footprint: int) -> None:
-        raise NotImplementedError
-
     def new_kernel(self) -> None:
         """Start a new kernel (a launch/barrier in the cost model)."""
-        self._kernel_counter = getattr(self, "_kernel_counter", 0) + 1
-        self.recorder.begin_kernel(self._kernel_counter, extent=0, intent=1)
+        self._kernels += 1
+        self.recorder.begin_kernel(self._kernels, extent=0, intent=1)
 
     def emit(self, **kwargs) -> None:
         self.recorder.emit(TraceEvent(**kwargs))
-
-    @staticmethod
-    def pred_columns(expr: ex.Expr) -> int:
-        from repro.relational.expressions import columns_used
-        return max(1, len(columns_used(expr)))

@@ -12,9 +12,7 @@ shortcut) — this is why Voodoo pulls ahead on the lookup-heavy queries 5,
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.baselines.engine import BaselineEngine, Rows
+from repro.baselines.engine import BaselineEngine
 
 #: extra integer work per probe for real hashing + collision handling,
 #: compared to Voodoo's metadata-derived identity hashing (section 5.2)
@@ -22,24 +20,24 @@ _HASH_OPS_PER_PROBE = 6
 
 
 class HyperEngine(BaselineEngine):
-    """Pipelined execution: selection vectors, no intermediate columns."""
+    """Pipelined execution: selection vectors, no intermediate columns.
 
-    strategy = "pipelined"
-
-    # Pipelined engines carry a selection mask instead of compacting rows.
-    def apply_filter(self, rows: Rows, keep: np.ndarray) -> Rows:
-        return Rows(rows.columns, keep)
+    A pipelined engine carries a selection mask instead of compacting
+    rows, so every step runs over the pipeline's extent; only the steps
+    that touch a row's values count the live rows.
+    """
 
     # -- traffic accounting ---------------------------------------------------
 
-    def on_scan(self, n_rows: int) -> None:
+    def on_scan(self, extent: int, live: int, width: int) -> None:
         # Columns are charged lazily by the operators that touch them; the
         # scan itself is free in a pipelined engine.
-        self.emit(label="scan", elements=n_rows, extent=n_rows, simd=False)
+        self.emit(label="scan", elements=extent, extent=extent, simd=False)
 
-    def on_filter(self, rows: Rows, keep: np.ndarray, n_cols: int = 1) -> None:
-        n = len(rows)
-        selectivity = float(keep.sum()) / n if n else 0.0
+    def on_filter(self, extent: int, live: int, width: int, kept: int,
+                  n_cols: int) -> None:
+        n = extent
+        selectivity = float(kept) / n if n else 0.0
         # tuple-at-a-time predicate evaluation: one branch per tuple,
         # reading every predicate column from memory
         self.emit(
@@ -53,43 +51,42 @@ class HyperEngine(BaselineEngine):
             simd=False,
         )
 
-    def on_map(self, rows: Rows) -> None:
-        n = int(rows.valid.sum())
-        self.emit(label="map", elements=n, int_ops=n, extent=len(rows), simd=False)
+    def on_map(self, extent: int, live: int, width: int) -> None:
+        self.emit(label="map", elements=live, int_ops=live, extent=extent, simd=False)
 
-    def on_build(self, build: Rows, pull: dict) -> None:
+    def on_build(self, extent: int, live: int, width: int, pulled: int) -> None:
         self.new_kernel()  # hash-table build ends the pipeline
-        n = int(build.valid.sum())
-        width = max(1, len(pull)) * 8 + 8
+        n = live
+        entry = pulled * 8 + 8
         self.emit(
             label="join.build",
             elements=n,
             int_ops=_HASH_OPS_PER_PROBE * n,
             random_writes=n,
-            random_write_footprint=max(64, n * width),
-            bytes_read_seq=n * width,
-            extent=len(build),
+            random_write_footprint=max(64, n * entry),
+            bytes_read_seq=n * entry,
+            extent=extent,
             simd=False,
         )
 
-    def on_probe(self, rows: Rows, build: Rows, plan) -> None:
-        n = int(rows.valid.sum())
-        width = (len(getattr(plan, "pull", {})) or 1) * 8 + 8
-        footprint = max(64, int(build.valid.sum()) * width)
+    def on_probe(self, extent: int, live: int, width: int, build_live: int,
+                 pulled: int) -> None:
+        n = live
         self.emit(
             label="join.probe",
             elements=n,
             int_ops=(_HASH_OPS_PER_PROBE + 1) * n,
             bytes_read_seq=8 * n,
             random_reads=n,
-            random_read_footprint=footprint,
-            extent=len(rows),
+            random_read_footprint=max(64, build_live * (pulled * 8 + 8)),
+            extent=extent,
             simd=False,
         )
 
-    def on_aggregate(self, rows: Rows, groups: int, n_aggs: int) -> None:
+    def on_aggregate(self, extent: int, live: int, width: int, groups: int,
+                     n_aggs: int) -> None:
         self.new_kernel()  # aggregation is a pipeline breaker
-        n = int(rows.valid.sum())
+        n = live
         self.emit(
             label="aggregate",
             elements=n,
@@ -97,14 +94,16 @@ class HyperEngine(BaselineEngine):
             bytes_read_seq=8 * n * n_aggs,
             random_writes=n * n_aggs,
             random_write_footprint=max(64, groups * 8 * (n_aggs + 1)),
-            extent=len(rows),
+            extent=extent,
             simd=False,
         )
 
-    def on_compute(self, n: int) -> None:
+    def on_compute(self, extent: int, live: int, width: int, per_row: int) -> None:
+        n = extent * per_row
         self.emit(label="compute", elements=n, int_ops=n, extent=n, simd=False)
 
-    def on_gather(self, n: int, footprint: int) -> None:
+    def on_gather(self, extent: int, live: int, width: int, footprint: int) -> None:
+        n = extent
         self.emit(
             label="gather", elements=n, int_ops=n,
             random_reads=n, random_read_footprint=max(64, footprint), extent=n,

@@ -11,30 +11,17 @@ fall out of the traffic accounting below with no special-casing.
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.baselines.engine import BaselineEngine, Rows
+from repro.baselines.engine import BaselineEngine
 
 
 class OcelotEngine(BaselineEngine):
-    """Bulk execution: full materialization between operators."""
+    """Bulk execution: full materialization between operators.
 
-    strategy = "bulk"
-
-    #: Ocelot kernels are massively data-parallel (GPU-style), so they keep
-    #: SIMD/warp efficiency — their cost is the memory traffic.
-    def apply_filter(self, rows: Rows, keep: np.ndarray) -> Rows:
-        # Bulk engines compact eagerly: build a new column set.
-        idx = np.flatnonzero(keep)
-        columns = {name: col[idx] for name, col in rows.columns.items()}
-        return Rows(columns, np.ones(len(idx), dtype=bool))
-
-    def with_valid(self, rows: Rows, valid: np.ndarray) -> Rows:
-        if valid.all():
-            return rows
-        idx = np.flatnonzero(valid)
-        columns = {name: col[idx] for name, col in rows.columns.items()}
-        return Rows(columns, np.ones(len(idx), dtype=bool))
+    A bulk engine compacts eagerly after every filter and join, so every
+    operator runs over the live rows.  Ocelot kernels are massively
+    data-parallel (GPU-style), so they keep SIMD/warp efficiency — their
+    cost is the memory traffic.
+    """
 
     # -- traffic accounting: read everything, write everything ------------------
 
@@ -52,52 +39,47 @@ class OcelotEngine(BaselineEngine):
             **extra,
         )
 
-    def on_scan(self, n_rows: int) -> None:
-        self.emit(label="scan", elements=n_rows, extent=n_rows)
+    def on_scan(self, extent: int, live: int, width: int) -> None:
+        self.emit(label="scan", elements=live, extent=live)
 
-    def on_filter(self, rows: Rows, keep: np.ndarray, n_cols: int = 1) -> None:
-        n = len(rows)
-        hits = int(keep.sum())
-        width = rows.nbytes() // max(1, n)
+    def on_filter(self, extent: int, live: int, width: int, kept: int,
+                  n_cols: int) -> None:
+        n, hits = live, kept
         # one pass producing the selection vector + one pass per column to
         # compact the qualifying rows (classic MonetDB candidate lists)
         self._bulk(
             "filter.select", read=8 * n * n_cols, written=8 * hits, elements=n,
         )
         self._bulk(
-            "filter.compact", read=rows.nbytes() + 8 * hits,
+            "filter.compact", read=n * width + 8 * hits,
             written=hits * width, elements=n,
         )
 
-    def on_map(self, rows: Rows) -> None:
-        n = len(rows)
-        self._bulk("map", read=8 * n, written=8 * n, elements=n)
+    def on_map(self, extent: int, live: int, width: int) -> None:
+        self._bulk("map", read=8 * live, written=8 * live, elements=live)
 
-    def on_build(self, build: Rows, pull: dict) -> None:
-        n = len(build)
-        width = max(1, len(pull)) * 8 + 8
-        self._bulk(
-            "join.build", read=n * width, written=n * width, elements=n,
-        )
+    def on_build(self, extent: int, live: int, width: int, pulled: int) -> None:
+        entry = pulled * 8 + 8
+        self._bulk("join.build", read=live * entry, written=live * entry, elements=live)
 
-    def on_probe(self, rows: Rows, build: Rows, plan) -> None:
-        n = len(rows)
-        pulled = (len(getattr(plan, "pull", {})) or 1) * 8
-        footprint = max(64, len(build) * (pulled + 8))
+    def on_probe(self, extent: int, live: int, width: int, build_live: int,
+                 pulled: int) -> None:
+        n = live
         self.emit(
             label="join.probe",
             elements=n,
             int_ops=2 * n,
             bytes_read_seq=8 * n,
-            bytes_written_seq=n * pulled,  # materialized join result
+            bytes_written_seq=n * pulled * 8,  # materialized join result
             random_reads=n,
-            random_read_footprint=footprint,
+            random_read_footprint=max(64, build_live * (pulled * 8 + 8)),
             extent=n,
             barrier=True,
         )
 
-    def on_aggregate(self, rows: Rows, groups: int, n_aggs: int) -> None:
-        n = len(rows)
+    def on_aggregate(self, extent: int, live: int, width: int, groups: int,
+                     n_aggs: int) -> None:
+        n = live
         self._bulk(
             "aggregate", read=8 * n * n_aggs, written=8 * groups * (n_aggs + 1),
             elements=n, int_ops=n * n_aggs,
@@ -105,11 +87,13 @@ class OcelotEngine(BaselineEngine):
             random_write_footprint=max(64, groups * 8 * (n_aggs + 1)),
         )
 
-    def on_compute(self, n: int) -> None:
+    def on_compute(self, extent: int, live: int, width: int, per_row: int) -> None:
         # every scalar sub-expression is its own bulk operator
+        n = live * per_row
         self._bulk("compute", read=16 * n, written=8 * n, elements=n)
 
-    def on_gather(self, n: int, footprint: int) -> None:
+    def on_gather(self, extent: int, live: int, width: int, footprint: int) -> None:
+        n = live
         self.emit(
             label="gather", elements=n, int_ops=n,
             bytes_read_seq=8 * n, bytes_written_seq=8 * n,

@@ -4,7 +4,7 @@ The paper motivates (but does not separately chart) several backend
 mechanisms; these experiments quantify each one by switching it off:
 
 * **fragment fusion** (`fuse`) — operator-at-a-time vs fused kernels
-  (DESIGN.md: the HyPeR-inherited pipelining, section 3.1.1);
+  (the HyPeR-inherited pipelining, section 3.1.1);
 * **virtual scatter** (`virtual_scatter`) — annotation vs materialized
   partition-scatter before grouped aggregation (section 3.1.3, Fig. 11);
 * **empty-slot suppression** (`slot_suppression`) — compact vs padded

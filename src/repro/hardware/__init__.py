@@ -1,7 +1,7 @@
 """Hardware substrate: device profiles, cache/branch models, cost model.
 
 This package is the reproduction's substitute for the paper's physical
-CPU/GPU testbed (see DESIGN.md "Substitutions"): executing kernels emit
+CPU/GPU testbed (README, "Execution backends"): executing kernels emit
 :class:`~repro.hardware.trace.Trace` records of what the generated machine
 code would do, and :class:`~repro.hardware.cost.CostModel` prices those
 records on a :class:`~repro.hardware.device.DeviceProfile`.

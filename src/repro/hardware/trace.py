@@ -9,7 +9,7 @@ given :class:`~repro.hardware.device.DeviceProfile`.
 
 This is the reproduction's substitute for running on real silicon: costs
 are derived from actual data-dependent statistics measured during
-execution, not from hard-coded curves (see DESIGN.md, Substitutions).
+execution, not from hard-coded curves.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """Segmented column storage with catalog metadata.
 
-The MonetDB substitute (DESIGN.md): tables are collections of typed
+The MonetDB substitute (README, "Storage"): tables are collections of typed
 columns; strings are dictionary encoded; the catalog tracks per-column
 min/max statistics — the metadata the paper's backend "aggressively
 exploits" to size hash tables and bypass collision handling (section 5.2).

@@ -1,11 +1,20 @@
-"""Independent NumPy reference oracle for relational queries.
+"""The NumPy reference evaluator of relational queries.
 
 This evaluator shares **no execution code** with the interpreter, the
 compiled backends, or the parallel runtime: it interprets the relational
 plan directly over ``(values, mask)`` column pairs, the way one would
-write the query by hand in NumPy.  It is the third opinion of the
-conformance matrix — if every backend agrees *with each other* but all
-share a bug, the oracle is what catches it.
+write the query by hand in NumPy.  It has two users:
+
+* the conformance matrix, where it is the third opinion — if every
+  backend agrees *with each other* but all share a bug, the oracle is
+  what catches it;
+* the HyPeR-like and Ocelot-like baselines (:mod:`repro.baselines`),
+  which price a query by passing an *observer*: at every operator the
+  oracle calls the observer's ``on_<operator>`` hook with the
+  relation's pipeline extent (rows since its scan or group-by, the
+  length a selection-vector engine carries), its live rows (rows with
+  no ε column, what a compacting engine carries) and its row width
+  (bytes), plus the operator's own counts.
 
 It deliberately implements the *documented engine contracts* (not the
 engine code) where SQL leaves them open:
@@ -20,8 +29,13 @@ engine code) where SQL leaves them open:
 * conditionals are *predication*: ``cond*then + (1-cond)*otherwise``,
   so NaN/Inf in the untaken branch contaminates the result exactly as
   it does on a branch-free device.
-* scatter build collisions: later writes win; group-by output rows are
-  ordered by ascending linearized group id.
+* keys outside a join's, semi-join's or membership table's domain find
+  nothing (an out-of-range gather is ε); scatter build collisions:
+  later writes win; group-by output rows are ordered by ascending
+  linearized group id.
+* ORDER BY is a stable sort (ties keep result order); a DESC key sorts
+  by its negated dense rank, and NaN ranks as the largest value in both
+  directions.  LIMIT keeps the first rows after the sort.
 
 Float aggregates are compared with a small tolerance by the conformance
 runner (the oracle sums with ``np.sum``'s pairwise order, the backends
@@ -34,6 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.errors import ExecutionError
 from repro.relational import algebra as ra
 from repro.relational import expressions as ex
 from repro.storage.columnstore import ColumnStore
@@ -41,17 +56,20 @@ from repro.storage.columnstore import ColumnStore
 
 @dataclass
 class _Rel:
-    """A relation: equal-length value arrays plus per-column ε masks."""
+    """A relation: equal-length value arrays plus per-column ε masks, and
+    the extent of the pipeline it flows in."""
 
     n: int
     cols: dict[str, np.ndarray]
     masks: dict[str, np.ndarray]
+    extent: int
 
     def subset(self, keep: np.ndarray) -> "_Rel":
         return _Rel(
             int(keep.sum()) if keep.dtype == bool else len(keep),
             {name: arr[keep] for name, arr in self.cols.items()},
             {name: m[keep] for name, m in self.masks.items()},
+            self.extent,
         )
 
     def first_visible_mask(self) -> np.ndarray:
@@ -59,6 +77,14 @@ class _Rel:
         for name, mask in self.masks.items():
             return mask
         return np.zeros(self.n, dtype=bool)
+
+    def live(self) -> int:
+        """Rows with no ε column: the rows an engine that drops a row at
+        its first failed filter or join probe still carries."""
+        alive = np.ones(self.n, dtype=bool)
+        for mask in self.masks.values():
+            alive &= mask
+        return int(alive.sum())
 
 
 def _lit_array(value, n: int) -> np.ndarray:
@@ -79,13 +105,32 @@ def _divide(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.where(zero, 0.0, a / np.where(zero, 1, b))
 
 
+def _sort_order(query: ra.Query, arrays: dict[str, np.ndarray]) -> np.ndarray | None:
+    """Row permutation for ORDER BY (stable; DESC by negated dense rank)."""
+    if not query.order_by:
+        return None
+    keys = []
+    for name, desc in reversed(query.order_by):  # lexsort: last key is primary
+        col = arrays[name]
+        keys.append(-np.unique(col, return_inverse=True)[1] if desc else col)
+    return np.lexsort(keys)
+
+
 class Oracle:
-    def __init__(self, store: ColumnStore):
+    def __init__(self, store: ColumnStore, observer=None):
         self.store = store
+        #: receives the ``on_*`` operator hooks (see the module docstring)
+        self.observer = observer
         #: per-column magnitude of float sum/avg contributions (Σ|v|),
         #: aligned with the *group* rows of the final aggregation —
         #: consumed by the conformance comparison's tolerance
         self.scales: dict[str, np.ndarray] = {}
+
+    def _note(self, hook: str, rel: _Rel, *counts) -> None:
+        """Tell the observer, if any, an operator ran over *rel*."""
+        if self.observer is not None:
+            width = sum(arr.dtype.itemsize for arr in rel.cols.values())
+            getattr(self.observer, hook)(rel.extent, rel.live(), width, *counts)
 
     # -- expressions --------------------------------------------------------
 
@@ -100,6 +145,7 @@ class Oracle:
         if isinstance(e, ex.Cmp):
             lv, lm = self.expr(e.left, rel)
             rv, rm = self.expr(e.right, rel)
+            self._note("on_compute", rel, 1)
             fn = {"gt": np.greater, "ge": np.greater_equal, "lt": np.less,
                   "le": np.less_equal, "eq": np.equal, "ne": np.not_equal}[e.op]
             with np.errstate(invalid="ignore"):
@@ -115,11 +161,20 @@ class Oracle:
             return ~(v != 0), m
         if isinstance(e, ex.InSet):
             v, m = self.expr(e.operand, rel)
+            self._note("on_compute", rel, len(e.values))
             hit = np.zeros(n, dtype=bool)
             with np.errstate(invalid="ignore"):
                 for value in e.values:
                     hit |= v == value
             return hit, m
+        if isinstance(e, ex.Membership):
+            aux = self.store.vectors()[e.aux_name]
+            flags = aux.attr(aux.paths[0])
+            pos, valid = self._probe(e.operand, rel, e.offset, len(flags))
+            self._note("on_gather", rel, flags.nbytes)
+            taken = flags[pos]
+            taken[~valid] = 0                # ε slots are zero-filled
+            return taken, valid
         if isinstance(e, ex.IfThenElse):
             return self._if_then_else(e, rel)
         if isinstance(e, ex.Cast):
@@ -127,11 +182,12 @@ class Oracle:
             return v.astype(np.dtype(e.dtype)), m
         if isinstance(e, ex.ScalarOf):
             return self._scalar_of(e, rel)
-        raise NotImplementedError(f"oracle: expression {type(e).__name__}")
+        raise ExecutionError(f"oracle cannot evaluate expression {type(e).__name__}")
 
     def _arith(self, e: ex.Arith, rel: _Rel) -> tuple[np.ndarray, np.ndarray]:
         lv, lm = self.expr(e.left, rel)
         rv, rm = self.expr(e.right, rel)
+        self._note("on_compute", rel, 1)
         mask = lm & rm
         with np.errstate(all="ignore"):
             if e.op == "add":
@@ -147,10 +203,12 @@ class Oracle:
             if e.op == "mod":  # floored remainder, zero divisor inert
                 return lv % np.where(rv == 0, 1, rv), mask
             return _divide(lv, rv), mask  # idiv
+
     def _if_then_else(self, e: ex.IfThenElse, rel: _Rel):
         cv, cm = self.expr(e.cond, rel)
         tv, tm = self.expr(e.then, rel)
         ev, em = self.expr(e.otherwise, rel)
+        self._note("on_compute", rel, 1)
         c = cv.astype(np.int64)
         with np.errstate(all="ignore"):
             return c * tv + (1 - c) * ev, cm & tm & em
@@ -173,24 +231,31 @@ class Oracle:
             table = self.store.table(p.table)
             cols = {c.name: c.data for c in table.columns.values()}
             masks = {name: np.ones(table.n_rows, dtype=bool) for name in cols}
-            return _Rel(table.n_rows, cols, masks)
+            rel = _Rel(table.n_rows, cols, masks, table.n_rows)
+            self._note("on_scan", rel)
+            return rel
         if isinstance(p, ra.Filter):
             rel = self.plan(p.child)
             v, m = self.expr(p.pred, rel)
-            return rel.subset(m & (v != 0))
+            out = rel.subset(m & (v != 0))
+            if self.observer is not None:
+                columns = max(1, len(ex.columns_used(p.pred)))
+                self._note("on_filter", rel, out.live(), columns)
+            return out
         if isinstance(p, ra.Map):
             rel = self.plan(p.child)
             cols, masks = dict(rel.cols), dict(rel.masks)
             for name, e in p.cols.items():
                 cols[name], masks[name] = self.expr(e, rel)
-            return _Rel(rel.n, cols, masks)
+                self._note("on_map", rel)
+            return _Rel(rel.n, cols, masks, rel.extent)
         if isinstance(p, ra.Join):
             return self._join(p)
         if isinstance(p, ra.SemiJoin):
             return self._semijoin(p)
         if isinstance(p, ra.GroupBy):
             return self._groupby(p)
-        raise NotImplementedError(f"oracle: plan {type(p).__name__}")
+        raise ExecutionError(f"oracle cannot evaluate plan {type(p).__name__}")
 
     def _probe(self, key: ex.Expr, rel: _Rel, offset: int, domain: int):
         """(in-domain position, valid) for a probe/build key expression."""
@@ -203,10 +268,13 @@ class Oracle:
     def _join(self, p: ra.Join) -> _Rel:
         rel = self.plan(p.child)
         build = self.plan(p.build)
+        ppos, pvalid = self._probe(p.fact_key, rel, p.offset, p.domain)
         bpos, bvalid = self._probe(p.dim_key, build, p.offset, p.domain)
+        pulled = max(1, len(p.pull))  # a build table holds a column per key at least
+        self._note("on_build", build, pulled)
+        self._note("on_probe", rel, build.live(), pulled)
         src = np.flatnonzero(bvalid)
         dst = bpos[src]                      # duplicate keys: later writes win
-        ppos, pvalid = self._probe(p.fact_key, rel, p.offset, p.domain)
         cols, masks = dict(rel.cols), dict(rel.masks)
         for out, dim_col in p.pull.items():
             table = np.zeros(p.domain, dtype=build.cols[dim_col].dtype)
@@ -217,24 +285,24 @@ class Oracle:
             taken[~pvalid] = 0               # ε slots are zero-filled
             cols[out] = taken
             masks[out] = pvalid & filled[ppos]
-        return _Rel(rel.n, cols, masks)
+        return _Rel(rel.n, cols, masks, rel.extent)
 
     def _semijoin(self, p: ra.SemiJoin) -> _Rel:
         rel = self.plan(p.child)
         build = self.plan(p.build)
+        ppos, pvalid = self._probe(p.fact_key, rel, p.offset, p.domain)
         bpos, bvalid = self._probe(p.dim_key, build, p.offset, p.domain)
+        self._note("on_build", build, 1)
+        self._note("on_probe", rel, build.live(), 1)
         membership = np.zeros(p.domain, dtype=bool)
         membership[bpos[bvalid]] = True
-        ppos, pvalid = self._probe(p.fact_key, rel, p.offset, p.domain)
         exists = pvalid & membership[ppos]
-        return rel.subset(~exists if p.negated else exists)
+        out = rel.subset(~exists if p.negated else exists)
+        if self.observer is not None:
+            self._note("on_filter", rel, out.live(), 1)
+        return out
 
     # -- aggregation --------------------------------------------------------
-
-    def _agg_input(self, spec: ra.AggSpec, rel: _Rel, star_mask: np.ndarray):
-        if spec.expr is None:                # count(*): every real row counts
-            return np.ones(rel.n, dtype=np.int64), star_mask
-        return self.expr(spec.expr, rel)
 
     @staticmethod
     def _fold(fn: str, vals: np.ndarray, mask: np.ndarray):
@@ -253,7 +321,7 @@ class Oracle:
             reducer = np.min if fn == "min" else np.max
             value = reducer(picked) if present else vals.dtype.type(0)
             return value, present, vals.dtype
-        raise NotImplementedError(fn)
+        raise ExecutionError(f"oracle cannot fold {fn!r}")
 
     @staticmethod
     def _sum_scale(vals: np.ndarray, mask: np.ndarray) -> float:
@@ -269,13 +337,12 @@ class Oracle:
             finite = picked[np.isfinite(picked)]
             return float(np.abs(finite).sum()) if len(finite) else 0.0
 
-    def _agg_columns(self, p: ra.GroupBy, rel: _Rel, groups: list[np.ndarray]):
+    def _agg_columns(self, p: ra.GroupBy, inputs: dict, groups: list[np.ndarray]):
         """Per aggregate: (values, mask) over the row groups, filling
         ``self.scales[name]`` for order-sensitive float sums/avgs."""
-        star = rel.first_visible_mask() if not p.keys else np.ones(rel.n, dtype=bool)
         out: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         for name, spec in p.aggs.items():
-            vals, vmask = self._agg_input(spec, rel, star)
+            vals, vmask = inputs[name]
             if spec.fn == "avg":
                 cells, masks, scales = [], [], []
                 for rows in groups:
@@ -305,14 +372,17 @@ class Oracle:
 
     def _groupby(self, p: ra.GroupBy) -> _Rel:
         rel = self.plan(p.child)
+        # count(*): every real row counts
+        star = rel.first_visible_mask() if not p.keys else np.ones(rel.n, dtype=bool)
+        inputs = {name: self.expr(spec.expr, rel) if spec.expr is not None
+                  else (np.ones(rel.n, dtype=np.int64), star)
+                  for name, spec in p.aggs.items()}
         if not p.keys:
-            groups = [np.arange(rel.n)]
-            out = self._agg_columns(p, rel, groups)
-            cols = {name: vals for name, (vals, _) in out.items()}
-            masks = {name: m for name, (_, m) in out.items()}
-            return _Rel(1 if rel.n else 0,
-                        {k: v[: 1 if rel.n else 0] for k, v in cols.items()},
-                        {k: v[: 1 if rel.n else 0] for k, v in masks.items()})
+            self._note("on_aggregate", rel, 1, len(p.aggs))
+            n = 1 if rel.n else 0
+            out = self._agg_columns(p, inputs, [np.arange(rel.n)])
+            return _Rel(n, {name: vals[:n] for name, (vals, _) in out.items()},
+                        {name: m[:n] for name, (_, m) in out.items()}, 1)
 
         key_vals, valid = [], np.ones(rel.n, dtype=bool)
         for key in p.keys:
@@ -332,8 +402,9 @@ class Oracle:
         bounds = np.append(starts, len(sorted_rows))
         groups = [sorted_rows[bounds[i]: bounds[i + 1]]
                   for i in range(len(unique_gids))]
+        self._note("on_aggregate", rel, len(groups), len(p.aggs))
 
-        out = self._agg_columns(p, rel, groups)
+        out = self._agg_columns(p, inputs, groups)
         cols = {name: vals for name, (vals, _) in out.items()}
         masks = {name: m for name, (_, m) in out.items()}
 
@@ -355,33 +426,31 @@ class Oracle:
                     present.append(False)
             cols[out_name] = np.array(cells, dtype=src_vals.dtype)
             masks[out_name] = np.array(present, dtype=bool)
-        return _Rel(len(groups), cols, masks)
+        return _Rel(len(groups), cols, masks, len(groups))
 
     # -- entry point --------------------------------------------------------
 
     def query(self, query: ra.Query) -> dict[str, np.ndarray]:
-        if query.order_by or query.limit is not None:
-            raise NotImplementedError("oracle: order_by/limit not supported")
         self.scales = {}
         rel = self.plan(query.plan)
         keep = np.ones(rel.n, dtype=bool)
         for name in query.select:
             keep &= rel.masks[name]
-        arrays: dict[str, np.ndarray] = {}
-        for name in query.select:
-            arr = rel.cols[name][keep]
-            source = query.decode.get(name)
-            if source is not None:
-                dictionary = self.store.table(source[0]).dictionary(source[1])
-                arr = np.array(dictionary.decode(arr), dtype=object)
-            arrays[name] = arr
+        arrays = {name: rel.cols[name][keep] for name in query.select}
         # keep only scales still aligned with the final relation (a
         # nested aggregation's scales no longer describe output cells)
-        self.scales = {
-            name: scale[keep]
-            for name, scale in self.scales.items()
-            if name in query.select and len(scale) == rel.n
-        }
+        scales = {name: scale[keep] for name, scale in self.scales.items()
+                  if name in query.select and len(scale) == rel.n}
+        rows = slice(None, query.limit)
+        order = _sort_order(query, arrays)
+        if order is not None:
+            rows = order[rows]
+        arrays = {name: arr[rows] for name, arr in arrays.items()}
+        self.scales = {name: scale[rows] for name, scale in scales.items()}
+        for name, source in query.decode.items():
+            if name in arrays:
+                dictionary = self.store.table(source[0]).dictionary(source[1])
+                arrays[name] = np.array(dictionary.decode(arrays[name]), dtype=object)
         return arrays
 
 

@@ -4,8 +4,9 @@ Given the :class:`~repro.testing.datagen.StoreInfo` describing a random
 database, this module emits *valid* :mod:`repro.relational.algebra`
 plans: nested boolean/arithmetic filter predicates, computed columns,
 equi-joins and semi-joins against the dim tables, and global or
-multi-key grouped aggregation — the full surface the TPC-H plans
-exercise, but over adversarial data and in random combinations.
+multi-key grouped aggregation, under an optional ORDER BY and LIMIT —
+the full surface the TPC-H plans exercise, but over adversarial data and
+in random combinations.
 
 Validity invariants the generator maintains (everything else is free):
 
@@ -15,7 +16,10 @@ Validity invariants the generator maintains (everything else is free):
 * min/max/sum/avg aggregate inputs are numeric expressions (never raw
   booleans, whose dtype has no fold identity);
 * output names never collide (``m*`` mapped, ``j*`` pulled, ``a*``
-  aggregated columns; base columns keep their table-prefixed names).
+  aggregated columns; base columns keep their table-prefixed names);
+* ORDER BY keys are selected columns with exact values: never a sum or
+  an average, whose pairwise (oracle) and sequential (backend) float
+  additions may order near-ties differently.
 
 ``generate_case(seed, index)`` is the single entry point: one
 ``(seed, index)`` pair deterministically yields one
@@ -24,7 +28,7 @@ Validity invariants the generator maintains (everything else is free):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -60,6 +64,9 @@ from repro.testing.serialize import Case
 GRAINS = (3, 5, 16, 64, 4096)
 
 AGG_FNS = ("sum", "min", "max", "count", "avg")
+
+#: a LIMIT past the end of any result (tables hold at most 320 rows)
+PAST_THE_END = 1000
 
 
 @dataclass
@@ -209,8 +216,10 @@ class _QueryGen:
         if self._p(0.25):
             plan = self._edge_filter(plan)
         if self._p(0.55):
-            return self._group_query(plan, grain)
-        return self._projection_query(plan)
+            query, inexact = self._group_query(plan, grain)
+        else:
+            query, inexact = self._projection_query(plan), set()
+        return self._order_and_limit(query, inexact)
 
     def _step(self, plan: Plan) -> Plan:
         if self._p(0.45):
@@ -282,7 +291,7 @@ class _QueryGen:
 
     # -- query heads --------------------------------------------------------
 
-    def _group_query(self, plan: Plan, grain: int) -> Query:
+    def _group_query(self, plan: Plan, grain: int) -> tuple[Query, set[str]]:
         groupable = [c for c in self.env if c.groupable and c.kind != "num"]
         keys: list[KeySpec] = []
         domain = 1
@@ -324,7 +333,8 @@ class _QueryGen:
             col = next((c for c in self.env if c.name == name and c.kind == "str"), None)
             if col is not None and col.origin and self._p(0.7):
                 decode[name] = col.origin
-        return Query(plan=plan, select=select, decode=decode)
+        inexact = {name for name, spec in aggs.items() if spec.fn in ("sum", "avg")}
+        return Query(plan=plan, select=select, decode=decode), inexact
 
     def _projection_query(self, plan: Plan) -> Query:
         select = self._select_from([c.name for c in self.env])
@@ -334,6 +344,20 @@ class _QueryGen:
             if col.kind == "str" and col.origin and self._p(0.7):
                 decode[name] = col.origin
         return Query(plan=plan, select=select, decode=decode)
+
+    def _order_and_limit(self, query: Query, inexact: set[str]) -> Query:
+        """ORDER BY one or two selected columns in mixed directions (ties
+        and NaN come with the data), and LIMIT 0, a few rows or past the
+        end of the result."""
+        keys = [name for name in query.select if name not in inexact]
+        order_by = []
+        if keys and self._p(0.4):
+            picked = self.rng.permutation(len(keys))[: int(self.rng.integers(1, 3))]
+            order_by = [(keys[int(i)], self._p(0.5)) for i in picked]
+        limit = None
+        if self._p(0.3):
+            limit = self._choice([0, int(self.rng.integers(1, 9)), PAST_THE_END])
+        return replace(query, order_by=order_by, limit=limit)
 
     def _select_from(self, names: list[str]) -> list[str]:
         count = int(self.rng.integers(1, min(4, len(names)) + 1))

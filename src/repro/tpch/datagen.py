@@ -3,9 +3,9 @@
 Follows the specification's cardinality ratios, key structure (dense
 surrogate keys starting at 1, 4 suppliers per part, 1-7 lines per order)
 and value distributions (uniform quantities/discounts, date windows, the
-part/supplier association formula), seeded for reproducibility.  See
-DESIGN.md "Substitutions" for the two deliberate deviations: a flat
-365-day calendar and dense (not sparse) order keys.
+part/supplier association formula), seeded for reproducibility, with
+two deliberate deviations: a flat 365-day calendar and dense (not
+sparse) order keys.
 """
 
 from __future__ import annotations

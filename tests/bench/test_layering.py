@@ -1,7 +1,9 @@
 """``repro.bench`` prices the paper's figures and sits on top of the
 engine: nothing else in the package may import it, and the serving CLI —
 the one production path that once borrowed a dataset from a benchmark
-module — still starts and answers without it.
+module — still starts and answers without it.  The reference evaluator
+(``repro.testing.oracle``) is an independent opinion on the engine: it
+imports none of the engine's execution code.
 """
 
 import ast
@@ -34,6 +36,17 @@ def test_nothing_outside_bench_imports_repro_bench():
         for module in imported_modules(path)
         if module == "repro.bench" or module.startswith("repro.bench.")
     })
+    assert offenders == []
+
+
+def test_reference_evaluator_imports_no_engine_code():
+    engine_code = ("repro.compiler", "repro.interpreter", "repro.parallel", "repro.native",
+                   "repro.relational.translate", "repro.relational.engine")
+    modules = set(imported_modules(PACKAGE / "testing" / "oracle.py"))
+    assert "repro.relational.algebra" in modules  # the walk read the evaluator
+    offenders = sorted(module for module in modules
+                       if any(module == code or module.startswith(code + ".")
+                              for code in engine_code))
     assert offenders == []
 
 
