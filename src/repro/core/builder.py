@@ -16,7 +16,9 @@ attribute, it is used; every operator's output attribute has a
 conventional default (``.val``, ``.pos``, …).  All nodes are hash-consed
 through an :class:`~repro.core.program.Interner`, so structurally identical
 subexpressions are shared (common-subexpression elimination by
-construction — the paper's "Minimal" design principle).
+construction — the paper's "Minimal" design principle), and typed when
+they are made: an ill-typed node raises :class:`~repro.errors.TypeCheckError`
+where it is built.
 """
 
 from __future__ import annotations
@@ -39,17 +41,15 @@ COUNT = Keypath(["count"])
 
 
 class V:
-    """A handle to an operator node, with sugar for chained construction."""
+    """A handle to an operator node and its schema (inferred when the node
+    was made), with sugar for chained construction."""
 
-    __slots__ = ("node", "_builder")
+    __slots__ = ("node", "schema", "_builder")
 
-    def __init__(self, node: ops.Op, builder: "Builder"):
+    def __init__(self, node: ops.Op, schema: Schema, builder: "Builder"):
         self.node = node
+        self.schema = schema
         self._builder = builder
-
-    @property
-    def schema(self) -> Schema:
-        return self._builder.schema_of(self)
 
     def only_attr(self) -> Keypath:
         """The single attribute of this vector (error if ambiguous)."""
@@ -130,10 +130,11 @@ class Builder:
     # -- plumbing -----------------------------------------------------------
 
     def _wrap(self, node: ops.Op) -> V:
-        return V(self._interner.intern(node), self)
-
-    def schema_of(self, v: V) -> Schema:
-        return self._checker.schema_of(v.node)
+        """Intern *node* and type the canonical node (a fresh one now, a
+        shared one was typed when it was made): every node of the builder
+        is made — keyed, interned, typed — in one pass."""
+        canonical = self._interner.intern(node)
+        return V(canonical, self._checker.schema_of(canonical), self)
 
     def _coerce(self, value) -> V:
         """Accept V handles or Python literals (auto-wrapped as Constant)."""

@@ -17,7 +17,7 @@ run, so ``==`` answers identity first and a warm run constructs none
 from __future__ import annotations
 
 import re
-from functools import total_ordering
+from functools import lru_cache, total_ordering
 from typing import Iterable, Iterator
 
 from repro.errors import KeypathError
@@ -149,5 +149,14 @@ class Keypath:
 
 
 def kp(text: "str | Keypath") -> Keypath:
-    """Shorthand coercion used throughout the library."""
-    return text if isinstance(text, Keypath) else Keypath.parse(text)
+    """Shorthand coercion used throughout the library; each distinct
+    string is parsed once (keypaths are immutable, so one object serves
+    every caller)."""
+    if isinstance(text, Keypath):
+        return text
+    return _parsed(text) if type(text) is str else Keypath.parse(text)
+
+
+@lru_cache(maxsize=4096)
+def _parsed(text: str) -> Keypath:
+    return Keypath.parse(text)

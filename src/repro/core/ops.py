@@ -33,6 +33,13 @@ from repro.errors import ProgramError
 
 # --------------------------------------------------------------------------- base
 
+#: field kinds of :meth:`Op.layout`
+INPUT, KEYPATH, VALUE = 0, 1, 2
+#: annotation (as written: this module defers annotations) -> field kind
+_FIELD_KINDS = {"Op": INPUT, "Op | None": INPUT, "Keypath": KEYPATH, "Keypath | None": KEYPATH}
+#: operator class -> its layout (see :meth:`Op.layout`)
+_LAYOUTS: dict[type, tuple[tuple[str, int], ...]] = {}
+
 
 @dataclass(frozen=True, eq=False)
 class Op:
@@ -51,32 +58,58 @@ class Op:
     @classmethod
     def field_names(cls) -> tuple[str, ...]:
         """Declared field names in declaration order, reflected once per class."""
-        names = cls.__dict__.get("_field_names")
-        if names is None:
-            names = tuple(f.name for f in fields(cls))
-            cls._field_names = names
-        return names
+        return tuple(name for name, _ in cls.layout())
+
+    @classmethod
+    def layout(cls) -> tuple[tuple[str, int], ...]:
+        """``(name, kind)`` of every declared field in declaration order,
+        classified once per class from its annotation: :data:`INPUT` (an
+        ``Op`` or ``Op | None`` field), :data:`KEYPATH` (a keypath that
+        keys as itself) or :data:`VALUE` (any other parameter)."""
+        layout = _LAYOUTS.get(cls)
+        if layout is None:
+            layout = _LAYOUTS[cls] = tuple(
+                (f.name, _FIELD_KINDS.get(f.type, VALUE)) for f in fields(cls)
+            )
+        return layout
+
+    def __post_init__(self) -> None:
+        """Check the node, then split its fields into its structural key
+        and its inputs in one pass led by the class's :meth:`layout` —
+        once: nodes are frozen, so neither ever changes."""
+        self._check()
+        state = self.__dict__  # read and written directly: this runs per node made
+        key: list[object] = [type(self).__name__]
+        found: list[Op] = []
+        for name, kind in _LAYOUTS.get(type(self)) or self.layout():
+            value = state[name]
+            if kind == INPUT:
+                if value is None:
+                    key.append(None)
+                else:
+                    found.append(value)
+            elif kind == KEYPATH or value is None or isinstance(value, (Keypath, str)):
+                key.append(value)
+            else:
+                key.append(repr(value))
+        state["_key"] = tuple(key)
+        state["_inputs"] = tuple(found)
+
+    def _check(self) -> None:
+        """Reject invalid parameters (raise); nothing to check by default."""
 
     def inputs(self) -> tuple["Op", ...]:
-        """Input nodes, in declaration order (split off the fields once,
-        by :meth:`structural_key`: nodes are frozen, so which fields hold
-        nodes never changes)."""
-        try:
-            return self._inputs
-        except AttributeError:
-            self.structural_key()
-            return self._inputs
+        """Input nodes, in declaration order."""
+        return self._inputs
 
     def params(self) -> dict[str, object]:
-        """Non-node parameters, for printing and diagnostics."""
+        """Non-node parameters (an absent optional input as ``None``), for
+        printing and diagnostics."""
         out: dict[str, object] = {}
-        for name in self.field_names():
+        for name, kind in self.layout():
             value = getattr(self, name)
-            if isinstance(value, Op):
-                continue
-            if isinstance(value, tuple) and value and all(isinstance(v, Op) for v in value):
-                continue
-            out[name] = value
+            if kind != INPUT or value is None:
+                out[name] = value
         return out
 
     def structural_key(self) -> tuple:
@@ -86,25 +119,8 @@ class Op:
         :func:`repro.compiler.optimizer.cse`).  Keypaths, names and None
         key as themselves (hashable, equal only to their own kind);
         numbers key by repr, which keeps 1 / 1.0 / True and 0.0 / -0.0
-        apart.
-
-        The same pass over the fields splits off :meth:`inputs` and
-        keeps them on the (frozen) node, so interning a fresh node walks
-        its fields once."""
-        key: list[object] = [type(self).__name__]
-        found: list[Op] = []
-        for name in self.field_names():
-            value = getattr(self, name)
-            if isinstance(value, Op):
-                found.append(value)
-            elif isinstance(value, tuple) and value and all(isinstance(v, Op) for v in value):
-                found.extend(value)
-            elif value is None or isinstance(value, (Keypath, str)):
-                key.append(value)
-            else:
-                key.append(repr(value))
-        object.__setattr__(self, "_inputs", tuple(found))
-        return tuple(key)
+        apart.  Computed when the node was made."""
+        return self._key
 
     def walk(self) -> Iterator["Op"]:
         """Pre-order traversal visiting every reachable node exactly once."""
@@ -183,7 +199,7 @@ class Binary(Op):
     right_kp: Keypath
     category: ClassVar[str] = "data-parallel"
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.fn not in BINARY_OPS:
             raise ProgramError(f"unknown binary operator {self.fn!r}")
 
@@ -202,7 +218,7 @@ class Unary(Op):
 
     VALID: ClassVar[frozenset] = frozenset({"LogicalNot", "Negate", "Cast", "IsPresent"})
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.fn not in self.VALID:
             raise ProgramError(f"unknown unary operator {self.fn!r}")
         if self.fn == "Cast" and self.dtype is None:
@@ -227,7 +243,7 @@ class Zip(Op):
     kp2: Keypath | None
     category: ClassVar[str] = "data-parallel"
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if (self.out1 is None) != (self.kp1 is None) or (self.out2 is None) != (self.kp2 is None):
             raise ProgramError("Zip: out and kp must be both set or both omitted per side")
 
@@ -359,7 +375,7 @@ class FoldSelect(FoldOp):
     out: Keypath = None  # type: ignore[assignment]
     sel_kp: Keypath = None  # type: ignore[assignment]
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.out is None or self.sel_kp is None:
             raise ProgramError("FoldSelect requires out and sel_kp")
 
@@ -374,7 +390,7 @@ class FoldAggregate(FoldOp):
 
     VALID: ClassVar[frozenset] = frozenset({"sum", "max", "min"})
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.fn not in self.VALID:
             raise ProgramError(f"unknown fold aggregate {self.fn!r}")
         if self.out is None or self.agg_kp is None:
@@ -389,7 +405,7 @@ class FoldScan(FoldOp):
     s_kp: Keypath = None  # type: ignore[assignment]
     inclusive: bool = True
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.out is None or self.s_kp is None:
             raise ProgramError("FoldScan requires out and s_kp")
 
@@ -401,7 +417,7 @@ class FoldCount(FoldOp):
     out: Keypath = None  # type: ignore[assignment]
     counted_kp: Keypath | None = None
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.out is None:
             raise ProgramError("FoldCount requires out")
 
@@ -425,7 +441,7 @@ class Range(Op):
     step: int
     category: ClassVar[str] = "shape"
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if (self.sizeref is None) == (self.size is None):
             raise ProgramError("Range needs exactly one of sizeref / size")
         if self.size is not None and self.size < 0:
@@ -441,7 +457,7 @@ class Constant(Op):
     dtype: str
     category: ClassVar[str] = "shape"
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         np.dtype(self.dtype)  # raises on nonsense early
 
 

@@ -26,11 +26,9 @@ class Interner:
 
     def intern(self, node: ops.Op) -> ops.Op:
         """The canonical node for *node*'s structure (*node* itself when
-        it is the first of its kind).  A fresh node's fields are walked
-        once: ``structural_key()`` splits off ``inputs()`` as it goes."""
-        return self._table.setdefault(
-            (node.structural_key(), tuple(map(id, node.inputs()))), node
-        )
+        it is the first of its kind), by the key and inputs the node
+        split off its fields when it was made."""
+        return self._table.setdefault((node._key, tuple(map(id, node._inputs))), node)
 
     def owns(self, nodes: Iterable[ops.Op]) -> bool:
         """True when every one of *nodes* is a canonical object of this
@@ -43,29 +41,32 @@ class Interner:
 
 
 def topological_order(roots: Iterable[ops.Op]) -> list[ops.Op]:
-    """All reachable nodes, inputs before consumers (deterministic)."""
+    """All reachable nodes, inputs before consumers (deterministic: a
+    depth-first post-order, inputs in declaration order)."""
     order: list[ops.Op] = []
-    seen: set[int] = set()
-    # Iterative DFS to survive deep programs without hitting the recursion limit.
-    stack: list[tuple[ops.Op, bool]] = [(r, False) for r in reversed(list(roots))]
-    on_path: set[int] = set()
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            on_path.discard(id(node))
-            if id(node) not in seen:
-                seen.add(id(node))
+    #: id -> whether the node is finished (False: on the current path)
+    done: dict[int, bool] = {}
+    for root in roots:
+        if id(root) in done:
+            continue
+        done[id(root)] = False
+        # iterative, to survive deep programs without hitting the
+        # recursion limit; each frame resumes its node's inputs
+        stack = [(root, iter(root._inputs))]
+        while stack:
+            node, pending = stack[-1]
+            for child in pending:
+                finished = done.get(id(child))
+                if finished is None:
+                    done[id(child)] = False
+                    stack.append((child, iter(child._inputs)))
+                    break
+                if not finished:
+                    raise ProgramError(f"cycle detected through {child.opname}")
+            else:
+                stack.pop()
+                done[id(node)] = True
                 order.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        if id(node) in on_path:
-            raise ProgramError(f"cycle detected through {node.opname}")
-        on_path.add(id(node))
-        stack.append((node, True))
-        for child in reversed(node.inputs()):
-            if id(child) not in seen:
-                stack.append((child, False))
     return order
 
 
@@ -165,12 +166,7 @@ def clone_with_inputs(node: ops.Op, new_inputs: tuple[ops.Op, ...]) -> ops.Op:
         return node
     mapping = {id(old): new for old, new in zip(old_inputs, new_inputs)}
     kwargs: dict[str, object] = {}
-    for name in node.field_names():
+    for name, kind in node.layout():
         value = getattr(node, name)
-        if isinstance(value, ops.Op):
-            kwargs[name] = mapping[id(value)]
-        elif isinstance(value, tuple) and value and all(isinstance(v, ops.Op) for v in value):
-            kwargs[name] = tuple(mapping[id(v)] for v in value)
-        else:
-            kwargs[name] = value
+        kwargs[name] = mapping[id(value)] if kind == ops.INPUT and value is not None else value
     return type(node)(**kwargs)

@@ -94,6 +94,14 @@ class Schema:
     def __len__(self) -> int:
         return len(self._fields)
 
+    def leaf(self, path: Keypath | str) -> np.dtype | None:
+        """The dtype of leaf *path*, or ``None`` when *path* is no leaf
+        (a struct prefix, or absent)."""
+        dtype = self._fields.get(path)
+        if dtype is None and not isinstance(path, Keypath):
+            return self._fields.get(kp(path))
+        return dtype
+
     def items(self) -> Iterable[tuple[Keypath, np.dtype]]:
         return self._fields.items()
 

@@ -8,6 +8,7 @@ validate programs before execution and to allocate outputs (the paper's
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Mapping
 
 import numpy as np
@@ -19,6 +20,17 @@ from repro.core.schema import Schema
 from repro.errors import TypeCheckError
 
 POSITION_DTYPE = np.dtype(np.int64)
+_BOOL = np.dtype(bool)
+_INT64 = np.dtype(np.int64)
+_FLOAT64 = np.dtype(np.float64)
+
+
+@lru_cache(maxsize=4096)
+def single(path: Keypath, dtype) -> Schema:
+    """The one-field schema ``{path: dtype}``, validated once and shared
+    by every node (of every program) that produces it — most operators
+    produce one attribute, under a handful of names."""
+    return Schema({path: dtype})
 
 
 def promote(a: np.dtype, b: np.dtype) -> np.dtype:
@@ -45,39 +57,45 @@ class TypeChecker:
 
     def schema_of(self, node: ops.Op) -> Schema:
         cache = self._cache
-        if id(node) not in cache:
-            # inputs-first walk over the *untyped* ancestors only: typed
-            # nodes end the walk, so a program typed while it is built
-            # infers every node once and never re-walks what it has seen
-            stack = [node]
-            while stack:
-                top = stack[-1]
-                untyped = [c for c in top.inputs() if id(c) not in cache]
-                if untyped:
-                    stack.extend(untyped)
-                    continue
-                stack.pop()
-                if id(top) not in cache:
-                    cache[id(top)] = self._infer(top)
+        schema = cache.get(id(node))
+        if schema is not None:
+            return schema
+        for child in node._inputs:
+            if id(child) not in cache:
+                break
+        else:  # a node made by a builder: its inputs were typed when made
+            schema = cache[id(node)] = self._infer(node)
+            return schema
+        # inputs-first walk over the *untyped* ancestors only: typed
+        # nodes end the walk, so a program typed while it is built
+        # infers every node once and never re-walks what it has seen
+        stack = [node]
+        while stack:
+            top = stack[-1]
+            untyped = [c for c in top.inputs() if id(c) not in cache]
+            if untyped:
+                stack.extend(untyped)
+                continue
+            stack.pop()
+            if id(top) not in cache:
+                cache[id(top)] = self._infer(top)
         return cache[id(node)]
 
     # -- per-operator rules -------------------------------------------------
 
-    def _in(self, node: ops.Op) -> Schema:
-        return self._cache[id(node)]
-
     def _scalar(self, schema: Schema, path: Keypath, who: str) -> np.dtype:
-        leaves = schema.resolve(path)
-        if len(leaves) != 1 or leaves[0] != path:
+        dtype = schema.leaf(path)
+        if dtype is None:  # not a leaf: say whether it names a struct or nothing
+            schema.resolve(path)
             raise TypeCheckError(f"{who}: keypath {path} must name a scalar leaf")
-        return schema[path]
+        return dtype
 
     def _infer(self, node: ops.Op) -> Schema:
-        method = getattr(self, f"_infer_{type(node).__name__.lower()}", None)
-        if method is None:
+        rule = _RULES.get(type(node))
+        if rule is None:
             raise TypeCheckError(f"no type rule for operator {node.opname}")
         try:
-            return method(node)
+            return rule(self, node)
         except TypeCheckError:
             raise
         except Exception as exc:  # keep the node context in the error
@@ -90,119 +108,141 @@ class TypeChecker:
             raise TypeCheckError(f"Load: unknown vector {node.name!r}") from None
 
     def _infer_persist(self, node: ops.Persist) -> Schema:
-        return self._in(node.source)
+        return self._cache[id(node.source)]
 
     def _infer_binary(self, node: ops.Binary) -> Schema:
-        left = self._scalar(self._in(node.left), node.left_kp, node.opname)
-        right = self._scalar(self._in(node.right), node.right_kp, node.opname)
+        left = self._scalar(self._cache[id(node.left)], node.left_kp, node.opname)
+        right = self._scalar(self._cache[id(node.right)], node.right_kp, node.opname)
         if node.fn in ops.COMPARISON_OPS or node.fn in ops.LOGICAL_OPS:
-            dtype = np.dtype(bool)
-        elif node.fn == "Divide" and left.kind in "iu" and right.kind in "iu":
-            dtype = promote(left, right)  # integer division stays integral
-        else:
+            dtype = _BOOL
+        else:  # (an integer Divide stays integral: promotion keeps it so)
             dtype = promote(left, right)
-        return Schema({node.out: dtype})
+        return single(node.out, dtype)
 
     def _infer_unary(self, node: ops.Unary) -> Schema:
-        src = self._scalar(self._in(node.source), node.source_kp, node.fn)
+        src = self._scalar(self._cache[id(node.source)], node.source_kp, node.fn)
         if node.fn in ("LogicalNot", "IsPresent"):
-            dtype = np.dtype(bool)
+            dtype = _BOOL
         elif node.fn == "Cast":
-            dtype = np.dtype(node.dtype)
+            dtype = node.dtype
         else:  # Negate
-            dtype = src if src.kind != "u" else np.dtype(np.int64)
-        return Schema({node.out: dtype})
+            dtype = src if src.kind != "u" else _INT64
+        return single(node.out, dtype)
 
     def _rerooted(self, schema: Schema, path: Keypath, out: Keypath) -> Schema:
-        sub = schema.subschema(path) if path not in schema else None
-        if sub is None:  # scalar leaf
-            return Schema({out: schema[path]})
-        return sub.nest(out)
+        dtype = schema.leaf(path)
+        if dtype is not None:  # scalar leaf
+            return single(out, dtype)
+        return schema.subschema(path).nest(out)
 
     def _infer_zip(self, node: ops.Zip) -> Schema:
         left = (
-            self._in(node.left)
+            self._cache[id(node.left)]
             if node.kp1 is None
-            else self._rerooted(self._in(node.left), node.kp1, node.out1)
+            else self._rerooted(self._cache[id(node.left)], node.kp1, node.out1)
         )
         right = (
-            self._in(node.right)
+            self._cache[id(node.right)]
             if node.kp2 is None
-            else self._rerooted(self._in(node.right), node.kp2, node.out2)
+            else self._rerooted(self._cache[id(node.right)], node.kp2, node.out2)
         )
-        overlap = set(left.paths()) & set(right.paths())
-        if overlap:
+        merged = left.merge(right)
+        if len(merged) < len(left) + len(right):
+            overlap = [path for path in right.paths() if path in left]
             raise TypeCheckError(f"Zip output attributes collide: {sorted(map(str, overlap))}")
-        return left.merge(right)
+        return merged
 
     def _infer_project(self, node: ops.Project) -> Schema:
-        return self._rerooted(self._in(node.source), node.kp, node.out)
+        return self._rerooted(self._cache[id(node.source)], node.kp, node.out)
 
     def _infer_upsert(self, node: ops.Upsert) -> Schema:
-        base = self._in(node.target)
-        dtype = self._scalar(self._in(node.value), node.kp, "Upsert")
+        base = self._cache[id(node.target)]
+        dtype = self._scalar(self._cache[id(node.value)], node.kp, "Upsert")
         fields = {p: d for p, d in base.items() if p != node.out}
         fields[node.out] = dtype
         return Schema.of_fields(fields)
 
     def _infer_gather(self, node: ops.Gather) -> Schema:
-        self._scalar(self._in(node.positions), node.pos_kp, "Gather")
-        return self._in(node.source)
+        self._scalar(self._cache[id(node.positions)], node.pos_kp, "Gather")
+        return self._cache[id(node.source)]
 
     def _infer_scatter(self, node: ops.Scatter) -> Schema:
-        self._scalar(self._in(node.positions), node.pos_kp, "Scatter")
-        return self._in(node.data)
+        self._scalar(self._cache[id(node.positions)], node.pos_kp, "Scatter")
+        return self._cache[id(node.data)]
 
     def _infer_materialize(self, node: ops.Materialize) -> Schema:
         if node.control is not None and node.control_kp is not None:
-            self._scalar(self._in(node.control), node.control_kp, "Materialize")
-        return self._in(node.source)
+            self._scalar(self._cache[id(node.control)], node.control_kp, "Materialize")
+        return self._cache[id(node.source)]
 
     def _infer_break(self, node: ops.Break) -> Schema:
-        return self._in(node.source)
+        return self._cache[id(node.source)]
 
     def _infer_partition(self, node: ops.Partition) -> Schema:
-        self._scalar(self._in(node.source), node.kp, "Partition")
-        self._scalar(self._in(node.pivots), node.pivot_kp, "Partition")
-        return Schema({node.out: POSITION_DTYPE})
+        self._scalar(self._cache[id(node.source)], node.kp, "Partition")
+        self._scalar(self._cache[id(node.pivots)], node.pivot_kp, "Partition")
+        return single(node.out, POSITION_DTYPE)
 
     def _infer_foldselect(self, node: ops.FoldSelect) -> Schema:
         self._fold_control(node)
-        self._scalar(self._in(node.source), node.sel_kp, "FoldSelect")
-        return Schema({node.out: POSITION_DTYPE})
+        self._scalar(self._cache[id(node.source)], node.sel_kp, "FoldSelect")
+        return single(node.out, POSITION_DTYPE)
 
     def _infer_foldaggregate(self, node: ops.FoldAggregate) -> Schema:
         self._fold_control(node)
-        dtype = self._scalar(self._in(node.source), node.agg_kp, f"Fold{node.fn}")
+        dtype = self._scalar(self._cache[id(node.source)], node.agg_kp, f"Fold{node.fn}")
         if node.fn == "sum":
             # Sums widen to avoid overflow, like every real engine.
-            dtype = np.dtype(np.float64) if dtype.kind == "f" else np.dtype(np.int64)
-        return Schema({node.out: dtype})
+            dtype = _FLOAT64 if dtype.kind == "f" else _INT64
+        return single(node.out, dtype)
 
     def _infer_foldscan(self, node: ops.FoldScan) -> Schema:
         self._fold_control(node)
-        dtype = self._scalar(self._in(node.source), node.s_kp, "FoldScan")
-        dtype = np.dtype(np.float64) if dtype.kind == "f" else np.dtype(np.int64)
-        return Schema({node.out: dtype})
+        dtype = self._scalar(self._cache[id(node.source)], node.s_kp, "FoldScan")
+        return single(node.out, _FLOAT64 if dtype.kind == "f" else _INT64)
 
     def _infer_foldcount(self, node: ops.FoldCount) -> Schema:
         self._fold_control(node)
         if node.counted_kp is not None:
-            self._scalar(self._in(node.source), node.counted_kp, "FoldCount")
-        return Schema({node.out: POSITION_DTYPE})
+            self._scalar(self._cache[id(node.source)], node.counted_kp, "FoldCount")
+        return single(node.out, POSITION_DTYPE)
 
     def _fold_control(self, node: ops.FoldOp) -> None:
         if node.fold_kp is not None:
-            self._scalar(self._in(node.source), node.fold_kp, node.opname)
+            self._scalar(self._cache[id(node.source)], node.fold_kp, node.opname)
 
     def _infer_range(self, node: ops.Range) -> Schema:
-        return Schema({node.out: POSITION_DTYPE})
+        return single(node.out, POSITION_DTYPE)
 
     def _infer_constant(self, node: ops.Constant) -> Schema:
-        return Schema({node.out: np.dtype(node.dtype)})
+        return single(node.out, node.dtype)
 
     def _infer_cross(self, node: ops.Cross) -> Schema:
         return Schema({node.kp1: POSITION_DTYPE, node.kp2: POSITION_DTYPE})
+
+
+#: operator class -> its type rule (looked up per node, by exact class)
+_RULES = {
+    ops.Load: TypeChecker._infer_load,
+    ops.Persist: TypeChecker._infer_persist,
+    ops.Binary: TypeChecker._infer_binary,
+    ops.Unary: TypeChecker._infer_unary,
+    ops.Zip: TypeChecker._infer_zip,
+    ops.Project: TypeChecker._infer_project,
+    ops.Upsert: TypeChecker._infer_upsert,
+    ops.Gather: TypeChecker._infer_gather,
+    ops.Scatter: TypeChecker._infer_scatter,
+    ops.Materialize: TypeChecker._infer_materialize,
+    ops.Break: TypeChecker._infer_break,
+    ops.Partition: TypeChecker._infer_partition,
+    ops.FoldSelect: TypeChecker._infer_foldselect,
+    ops.FoldAggregate: TypeChecker._infer_foldaggregate,
+    ops.FoldScan: TypeChecker._infer_foldscan,
+    ops.FoldCount: TypeChecker._infer_foldcount,
+    ops.Range: TypeChecker._infer_range,
+    ops.Constant: TypeChecker._infer_constant,
+    ops.Cross: TypeChecker._infer_cross,
+}
 
 
 def infer_schemas(program: Program, load_schemas: Mapping[str, Schema]) -> dict[int, Schema]:

@@ -30,7 +30,7 @@ from repro.relational.expressions import (
 )
 from repro.relational.prepared import PreparedQuery
 from repro.relational.sql import parse_sql
-from repro.relational.translate import Translator, translate_query
+from repro.relational.translate import Translator
 
 __all__ = [
     "AggSpec", "Filter", "GroupBy", "Join", "KeySpec", "Map", "Plan", "Query",
@@ -38,5 +38,4 @@ __all__ = [
     "EngineConfig", "PreparedQuery",
     "Arith", "Cast", "Cmp", "Col", "Expr", "IfThenElse", "InSet", "Lit",
     "Membership", "Not", "Param", "ScalarOf", "parse_sql", "Translator",
-    "translate_query",
 ]

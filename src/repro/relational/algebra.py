@@ -17,29 +17,31 @@ disappears ("indexed foreign-key join", the paper's positional lookup).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Mapping
 
 from repro.errors import TranslationError
-from repro.relational.expressions import Expr
+from repro.relational.expressions import Expr, Node
 
 
-class Plan:
-    """Base class for relational plan nodes."""
+class Plan(Node):
+    """Base class for relational plan nodes: immutable values that key
+    themselves when built (see :class:`~repro.relational.expressions.Node`)."""
 
     def filter(self, pred: Expr) -> "Filter":
         return Filter(self, pred)
 
     def map(self, **cols: Expr) -> "Map":
-        return Map(self, dict(cols))
+        return Map(self, cols)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Scan(Plan):
     """Scan a base table (all columns visible by name)."""
 
     table: str
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Filter(Plan):
     """Keep rows satisfying *pred* (non-qualifying rows become ε)."""
 
@@ -47,15 +49,15 @@ class Filter(Plan):
     pred: Expr
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Map(Plan):
     """Attach computed columns; existing columns stay visible."""
 
     child: Plan
-    cols: dict[str, Expr]
+    cols: Mapping[str, Expr]
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Join(Plan):
     """Equi-join pulling *pull* columns from the build side into the child.
 
@@ -69,18 +71,18 @@ class Join(Plan):
     build: Plan
     fact_key: Expr
     dim_key: Expr
-    pull: dict[str, str]            # output name -> build-side column
+    pull: Mapping[str, str]         # output name -> build-side column
     domain: int
     offset: int = 0
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.domain <= 0:
             raise TranslationError(f"Join domain must be positive, got {self.domain}")
         if not self.pull:
             raise TranslationError("Join must pull at least one column")
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SemiJoin(Plan):
     """EXISTS / NOT EXISTS: keep child rows with (no) build-side match."""
 
@@ -92,13 +94,13 @@ class SemiJoin(Plan):
     offset: int = 0
     negated: bool = False
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.domain <= 0:
             raise TranslationError(f"SemiJoin domain must be positive, got {self.domain}")
 
 
-@dataclass(frozen=True)
-class KeySpec:
+@dataclass(frozen=True, eq=False)
+class KeySpec(Node):
     """One group-by key: a named expression with its integer domain."""
 
     name: str
@@ -106,13 +108,13 @@ class KeySpec:
     card: int        # number of distinct values the (shifted) key can take
     offset: int = 0  # subtract before linearization
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.card <= 0:
             raise TranslationError(f"key {self.name!r}: card must be positive")
 
 
-@dataclass(frozen=True)
-class AggSpec:
+@dataclass(frozen=True, eq=False)
+class AggSpec(Node):
     """One aggregate: fn in sum/min/max/count/avg over an expression."""
 
     fn: str
@@ -120,14 +122,14 @@ class AggSpec:
 
     VALID = ("sum", "min", "max", "count", "avg")
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.fn not in self.VALID:
             raise TranslationError(f"unknown aggregate {self.fn!r}")
         if self.fn != "count" and self.expr is None:
             raise TranslationError(f"aggregate {self.fn} needs an expression")
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class GroupBy(Plan):
     """Grouped aggregation via Partition → (virtual) Scatter → Folds.
 
@@ -139,33 +141,36 @@ class GroupBy(Plan):
     """
 
     child: Plan
-    keys: list[KeySpec]
-    aggs: dict[str, AggSpec]
-    carry: list[str] = field(default_factory=list)
+    keys: tuple[KeySpec, ...]
+    aggs: Mapping[str, AggSpec]
+    carry: tuple[str, ...] = ()
     #: intent of the partial-aggregation control vector for global folds
     grain: int = 4096
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not self.aggs:
             raise TranslationError("GroupBy needs at least one aggregate")
 
 
-@dataclass
-class Query:
+@dataclass(frozen=True, eq=False)
+class Query(Node):
     """A complete query: plan + presentation (applied outside Voodoo).
 
     The paper omitted order-by/limit in Voodoo (section 5.2); they are
-    post-processing over the (small) result here as well.
+    post-processing over the (small) result here as well.  A query is a
+    value: its hash and equality are its structure's (the plan-cache key)
+    and ``param_names`` lists its bind slots, both computed when it is
+    built.
     """
 
     plan: Plan
-    select: list[str]
-    order_by: list[tuple[str, bool]] = field(default_factory=list)  # (col, desc)
+    select: tuple[str, ...]
+    order_by: tuple[tuple[str, bool], ...] = ()  # (col, desc)
     limit: int | None = None
     #: column name -> (table, column) for dictionary decoding of codes
-    decode: dict[str, tuple[str, str]] = field(default_factory=dict)
+    decode: Mapping[str, tuple[str, str]] = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         limit = self.limit
         if limit is not None and (type(limit) is not int or limit < 0):
             raise TranslationError(f"limit must be a non-negative int, got {limit!r}")

@@ -22,38 +22,9 @@ from repro.parallel import ParallelInterpreter
 from repro.relational.algebra import Query
 from repro.relational.config import EngineConfig
 from repro.relational.eviction import evict_oldest
-from repro.relational.expressions import node_fields
 from repro.relational.prepared import PreparedQuery
 from repro.relational.translate import Translator
 from repro.storage.columnstore import ColumnStore
-
-
-def structural_fingerprint(obj) -> tuple:
-    """Hashable structural identity of a plan/expression tree.
-
-    Two independently built but structurally identical :class:`Query`
-    objects fingerprint equal — this, not object identity, is what lets
-    the plan cache serve repeated queries.  Works over the dataclass
-    nodes of :mod:`repro.relational.algebra` / ``expressions`` (including
-    nested plans inside ``ScalarOf``) plus primitive leaves.
-    """
-    if isinstance(obj, (str, int, float, bool, frozenset, bytes)) or obj is None:
-        return (type(obj).__name__, obj)
-    names = node_fields(type(obj))
-    if names is not None:
-        return (
-            type(obj).__name__,
-            tuple((name, structural_fingerprint(getattr(obj, name))) for name in names),
-        )
-    if isinstance(obj, dict):
-        return ("dict", tuple(
-            (structural_fingerprint(k), structural_fingerprint(v)) for k, v in obj.items()
-        ))
-    if isinstance(obj, (list, tuple)):
-        return ("seq", tuple(structural_fingerprint(v) for v in obj))
-    if isinstance(obj, np.ndarray):
-        return ("ndarray", obj.dtype.str, obj.shape, obj.tobytes())
-    return ("repr", repr(obj))
 
 
 @dataclass
@@ -141,9 +112,10 @@ class VoodooEngine:
     release the lease deterministically.
 
     Compilation artifacts are memoized in a **plan cache** keyed on the
-    relational query *structure* (not object identity) and the store's
-    schema fingerprint; options, execution and grain are the engine's
-    own, fixed when it is built.  A repeated query skips translate +
+    relational query *structure* (not object identity: a query keys
+    itself when it is built) and the store's schema fingerprint;
+    options, execution and grain are the engine's own, fixed when it is
+    built.  A repeated query skips translate +
     optimize + fragment planning entirely; changing the schema
     invalidates the entry, an append does not.  Each entry also records
     the version of every table whose contents its translation read (a
@@ -169,7 +141,7 @@ class VoodooEngine:
         self._plan_cache: dict = {}
         self.plan_cache_hits = 0
         self.plan_cache_misses = 0
-        #: prepared queries, memoized by structural fingerprint
+        #: prepared queries, memoized by query structure
         self._prepared: dict = {}
         self._closed = False
         #: serving engines execute concurrently: misses compile (and are
@@ -186,15 +158,12 @@ class VoodooEngine:
 
     # -- plan cache ----------------------------------------------------------
 
-    def cache_key(self, query: Query, fingerprint: tuple | None = None) -> tuple:
+    def cache_key(self, query: Query) -> tuple:
         """What a compiled plan of this engine depends on: the query's
-        structure and the store's schema (the configuration is fixed, and
-        contents are checked per entry); reuses *query*'s structural
-        fingerprint when the caller already holds it (a prepared query does)."""
-        return (
-            fingerprint if fingerprint is not None else structural_fingerprint(query),
-            self.store.fingerprint(),
-        )
+        structure (the query itself, which hashes in O(1)) and the store's
+        schema (the configuration is fixed, and contents are checked per
+        entry)."""
+        return query, self.store.fingerprint()
 
     def cache_info(self) -> dict[str, int]:
         """Hit/miss counters and size of the plan cache every backend —
@@ -247,10 +216,9 @@ class VoodooEngine:
             return None
         return entry[0]
 
-    def compile(self, query: Query, fingerprint: tuple | None = None) -> CompiledProgram:
-        """The compiled plan of *query*, through the one plan cache;
-        arguments as for :meth:`cache_key`."""
-        key = self.cache_key(query, fingerprint)
+    def compile(self, query: Query) -> CompiledProgram:
+        """The compiled plan of *query*, through the one plan cache."""
+        key = self.cache_key(query)
         compiled = self._cached(key)
         if compiled is None:
             with self._compile_lock:
@@ -280,19 +248,18 @@ class VoodooEngine:
 
     def prepare(self, query: Query | str) -> PreparedQuery:
         """Analyze *query* (a :class:`Query` or SQL text) once for repeated
-        execution; memoized by structural fingerprint, so preparing the
-        same shape twice returns the same object."""
+        execution; memoized by query structure, so preparing the same
+        shape twice returns the same object."""
         self._check_open()
         if isinstance(query, str):
             from repro.relational.sql import parse_sql
 
             query = parse_sql(query, self.store)
-        key = structural_fingerprint(query)
-        prepared = self._prepared.get(key)
+        prepared = self._prepared.get(query)
         if prepared is None:
-            prepared = PreparedQuery(self, query, fingerprint=key)
+            prepared = PreparedQuery(self, query)
             evict_oldest(self._prepared, self.CACHE_CAPACITY)
-            self._prepared[key] = prepared
+            self._prepared[query] = prepared
         return prepared
 
     def execute(self, query: Query | str, **params) -> QueryResult:
@@ -303,13 +270,13 @@ class VoodooEngine:
     def query(self, query: Query | str, **params) -> ResultTable:
         return self.execute(query, **params).table
 
-    def _execute_bound(self, query: Query, fingerprint: tuple | None = None) -> QueryResult:
+    def _execute_bound(self, query: Query) -> QueryResult:
         """Run one fully bound query (every execution funnels through
         here: ad-hoc and prepared alike): one compile step (the plan
-        cache) and one run step; ``fingerprint`` as in :meth:`cache_key`."""
+        cache) and one run step."""
         self._check_open()
         before = self.store.io.snapshot()
-        compiled = self.compile(query, fingerprint)
+        compiled = self.compile(query)
         if self._parallel_backend is not None:
             # chunked over the persistent worker pool: real kernels on
             # real cores, no priced trace

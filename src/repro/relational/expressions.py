@@ -15,29 +15,123 @@ translations:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass, fields
 from functools import cache
+from types import MappingProxyType
 from typing import TYPE_CHECKING
+
+import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.relational.algebra import Plan
 
+_INTEGERS = (bool, int, np.bool_, np.integer)
 
 
 @cache
-def node_fields(cls: type) -> tuple[str, ...] | None:
+def node_fields(cls: type) -> tuple[str, ...]:
     """Field names of a plan/expression node class in declaration order,
-    reflected once per class; ``None`` for every other type.  What the
-    walkers over query trees (structural fingerprint, parameter
-    discovery, binding) consult per node instead of ``dataclasses.fields``."""
-    return tuple(f.name for f in fields(cls)) if is_dataclass(cls) else None
+    reflected once per class."""
+    return tuple(f.name for f in fields(cls))
+
+
+def _merged(first: tuple[str, ...], second: tuple[str, ...]) -> tuple[str, ...]:
+    """*first*, then the names of *second* it lacks."""
+    return first + tuple(name for name in second if name not in first) if first else second
+
+
+def _frozen(value) -> tuple[object, object, tuple[str, ...]]:
+    """``(value, key, Param names)`` of one field value.  Lists become
+    tuples and dicts read-only copies; a node or a string keys as itself;
+    numbers key by type and value — floats by type and repr, which keeps
+    0.0 and -0.0 apart (and a NaN equal to a NaN of its type) — so 1,
+    1.0, True and the NumPy scalar types key apart; arrays key by dtype,
+    shape and bytes."""
+    if isinstance(value, Node):
+        return value, value, value.param_names
+    kind = type(value)
+    if value is None or kind is str:
+        return value, value, ()
+    if isinstance(value, _INTEGERS):
+        return value, (kind, value), ()
+    if isinstance(value, (float, np.floating)):
+        return value, (kind, repr(value)), ()
+    if kind is dict or kind is MappingProxyType:
+        items, key, names = _frozen(tuple(value.items()))
+        return MappingProxyType(dict(items)), ("map", key), names
+    if kind is list or kind is tuple:
+        frozen: list = []
+        key: list = ["seq"]
+        names: tuple[str, ...] = ()
+        for item in value:
+            item, item_key, found = (item, item, ()) if type(item) is str else _frozen(item)
+            frozen.append(item)
+            key.append(item_key)
+            if found:
+                names = _merged(names, found)
+        return tuple(frozen), tuple(key), names
+    if isinstance(value, np.ndarray):
+        return value, ("ndarray", value.dtype.str, value.shape, value.tobytes()), ()
+    if isinstance(value, (frozenset, bytes)):
+        return value, (kind, value), ()
+    return value, ("repr", repr(value)), ()
+
+
+class Node:
+    """A plan or expression node: an immutable value.
+
+    Construction checks the node (:meth:`_check`), freezes its lists and
+    dicts (tuples, read-only mappings) and computes, from its children's,
+    the two things every query-level cache needs: its structural key —
+    the node type and its fields in declaration order, each child keyed
+    by the child itself — with the key's hash, and ``param_names``, the
+    :class:`Param` bind slots below it in discovery order.  Equality and
+    hashing are the key's, so two independently built but structurally
+    identical queries are equal, and hashing one is O(1) however deep it
+    is.
+    """
+
+    def __post_init__(self) -> None:
+        self._check()
+        state = self.__dict__  # read and written directly: this runs per node built
+        key: list[object] = [type(self).__name__]
+        names: tuple[str, ...] = ()
+        for name in node_fields(type(self)):
+            value = state[name]
+            if type(value) is str or value is None:
+                key.append(value)
+            elif isinstance(value, Node):
+                key.append(value)
+                if value.param_names:
+                    names = _merged(names, value.param_names)
+            else:
+                state[name], field_key, found = _frozen(value)
+                key.append(field_key)
+                if found:
+                    names = _merged(names, found)
+        state["_key"] = key_tuple = tuple(key)
+        state["_hash"] = hash(key_tuple)
+        state["param_names"] = names
+
+    def _check(self) -> None:
+        """Reject an invalid node (raise); nothing to check by default."""
+
+    def __eq__(self, other: object) -> bool:
+        return self is other or (
+            type(other) is type(self)
+            and self._hash == other._hash  # type: ignore[attr-defined]
+            and self._key == other._key  # type: ignore[attr-defined]
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 ARITH_OPS = frozenset({"add", "sub", "mul", "div", "idiv", "mod"})
 CMP_OPS = frozenset({"gt", "ge", "lt", "le", "eq", "ne"})
 
 
-class Expr:
+class Expr(Node):
     """Base class for scalar expressions."""
 
     # operator sugar --------------------------------------------------------
@@ -99,21 +193,21 @@ def wrap(value) -> Expr:
     raise TypeError(f"cannot use {value!r} in a relational expression")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Col(Expr):
     """Reference to a visible column of the current relation."""
 
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Lit(Expr):
     """A numeric/boolean literal (dates are encoded as int days upstream)."""
 
     value: int | float | bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Param(Expr):
     """A literal bind slot of a prepared query (``:name`` in SQL).
 
@@ -125,8 +219,12 @@ class Param(Expr):
 
     name: str
 
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        object.__setattr__(self, "param_names", (self.name,))
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class Arith(Expr):
     """Arithmetic; ``div`` promotes integer operands to float (SQL
     semantics), ``idiv`` is integer floor division (date/year math)."""
@@ -135,52 +233,52 @@ class Arith(Expr):
     left: Expr
     right: Expr
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.op not in ARITH_OPS:
             raise ValueError(f"unknown arithmetic op {self.op!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Cmp(Expr):
     op: str
     left: Expr
     right: Expr
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.op not in CMP_OPS:
             raise ValueError(f"unknown comparison op {self.op!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class And(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Or(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Not(Expr):
     operand: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InSet(Expr):
     """Membership in a small literal set (unrolled to Equals/Or chains)."""
 
     operand: Expr
     values: tuple
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not self.values:
             raise ValueError("InSet needs at least one value")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Membership(Expr):
     """Probe of a pre-built boolean table (``aux`` vector in the store).
 
@@ -193,7 +291,7 @@ class Membership(Expr):
     offset: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IfThenElse(Expr):
     """Predicated conditional: ``cond*then + (1-cond)*otherwise``."""
 
@@ -202,13 +300,13 @@ class IfThenElse(Expr):
     otherwise: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Cast(Expr):
     operand: Expr
     dtype: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScalarOf(Expr):
     """The single value of column *column* of a one-row sub-plan.
 
@@ -220,29 +318,11 @@ class ScalarOf(Expr):
     plan: "Plan"
     column: str
 
-    def __hash__(self) -> int:  # Plan is unhashable; identity suffices
-        return hash((id(self.plan), self.column))
-
 
 def columns_used(expr: Expr) -> set[str]:
-    """All column names referenced by an expression tree."""
-    out: set[str] = set()
-
-    def visit(e: Expr) -> None:
-        if isinstance(e, Col):
-            out.add(e.name)
-        elif isinstance(e, (Arith, Cmp, And, Or)):
-            visit(e.left)
-            visit(e.right)
-        elif isinstance(e, Not):
-            visit(e.operand)
-        elif isinstance(e, (InSet, Membership, Cast)):
-            visit(e.operand)
-        elif isinstance(e, IfThenElse):
-            visit(e.cond)
-            visit(e.then)
-            visit(e.otherwise)
-        # Lit, Param, ScalarOf: no outer columns
-
-    visit(expr)
-    return out
+    """All column names referenced by an expression tree (a scalar
+    subquery's plan references none of the outer relation's)."""
+    if isinstance(expr, Col):
+        return {expr.name}
+    children = (getattr(expr, name) for name in node_fields(type(expr)))
+    return set().union(*(columns_used(child) for child in children if isinstance(child, Expr)))

@@ -1,12 +1,12 @@
 """Prepared queries: the engine's single execution entry point.
 
 ``engine.prepare(query_or_sql)`` returns a :class:`PreparedQuery` — the
-query's structure analyzed once, its literal bind slots
-(:class:`~repro.relational.expressions.Param`, ``:name`` in SQL)
-discovered, and every execution routed through the engine's plan cache
-by structural fingerprint.  ``engine.query()`` /
-``engine.execute()`` are thin wrappers over it, so ad-hoc and prepared
-execution share one code path:
+query with its literal bind slots
+(:class:`~repro.relational.expressions.Param`, ``:name`` in SQL), which
+the query listed when it was built, and every execution routed through
+the engine's plan cache.  ``engine.query()`` / ``engine.execute()`` are
+thin wrappers over it, so ad-hoc and prepared execution share one code
+path:
 
     ready = engine.prepare("select sum(v) as total from t where k <= :hi")
     ready.execute(hi=10).table      # binds, executes through the caches
@@ -14,15 +14,15 @@ execution share one code path:
     ready.explain(hi=10)            # how it would run
 
 Binding substitutes :class:`Param` nodes with :class:`Lit` values and is
-memoized per value tuple together with the bound query's structural
-fingerprint, so a steady-state serving workload cycling over a fixed
-parameter set neither rebuilds nor re-walks its query: it looks up
-cached plans and compiles nothing.
+memoized per value tuple, so a steady-state serving workload cycling
+over a fixed parameter set rebuilds no query: it looks up cached plans
+(a bound query hashes in O(1)) and compiles nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
+from types import MappingProxyType
 from typing import TYPE_CHECKING
 
 from repro.errors import ExecutionError
@@ -34,36 +34,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.relational.engine import QueryResult, ResultTable, VoodooEngine
 
 
-def find_params(obj) -> tuple[str, ...]:
-    """Names of all :class:`Param` bind slots in a query tree, in
-    discovery order (deduplicated — one slot may appear many times)."""
-    seen: list[str] = []
-
-    def visit(node) -> None:
-        if isinstance(node, ex.Param):
-            if node.name not in seen:
-                seen.append(node.name)
-        elif isinstance(node, dict):
-            for value in node.values():
-                visit(value)
-        elif isinstance(node, (list, tuple)):
-            for value in node:
-                visit(value)
-        else:
-            for name in ex.node_fields(type(node)) or ():
-                visit(getattr(node, name))
-
-    visit(obj)
-    return tuple(seen)
-
-
 def bind_params(query: Query, values: dict) -> Query:
     """*query* with every :class:`Param` replaced by a bound ``Lit``.
 
     Structurally identical to hand-building the query with the literals
-    in place — the resulting fingerprint (hence plan-cache key) is the
-    same, which is what lets prepared executions share cache entries
-    with ad-hoc ones.
+    in place — the resulting key (hence plan-cache key) is the same,
+    which is what lets prepared executions share cache entries with
+    ad-hoc ones.  Subtrees without a bind slot are shared, not rebuilt.
     """
     for name, value in values.items():
         if not isinstance(value, (int, float, bool)):
@@ -76,30 +53,27 @@ def bind_params(query: Query, values: dict) -> Query:
     def rebuild(node):
         if isinstance(node, ex.Param):
             return ex.Lit(values[node.name])
-        names = ex.node_fields(type(node))
-        if names is not None:
-            return replace(node, **{name: rebuild(getattr(node, name)) for name in names})
-        if isinstance(node, dict):
-            return {key: rebuild(value) for key, value in node.items()}
+        if isinstance(node, ex.Node):
+            if not node.param_names:
+                return node
+            return replace(node, **{name: rebuild(getattr(node, name))
+                                    for name in ex.node_fields(type(node))})
         if isinstance(node, tuple):
-            return tuple(rebuild(value) for value in node)
-        if isinstance(node, list):
-            return [rebuild(value) for value in node]
+            return tuple(map(rebuild, node))
+        if isinstance(node, MappingProxyType):
+            return {key: rebuild(value) for key, value in node.items()}
         return node
 
     return rebuild(query)
 
 
 class PreparedQuery:
-    """One analyzed query bound to one engine.
+    """One query bound to one engine.
 
     Obtained from :meth:`VoodooEngine.prepare`; ``params`` lists the bind
-    slots.  A *binding* is ``(bound query, its structural fingerprint)``:
-    the fingerprint is the first part of the plan-cache key, so a caller
-    holding a binding reaches the cached plan without walking the query.
-    Bindings are memoized per value tuple (capped), so a warm execution
-    with recurring parameters binds nothing and fingerprints nothing.
-    :meth:`execute` is :meth:`binding` then :meth:`run`; the server calls
+    slots.  Bound queries are memoized per value tuple (capped), so a
+    warm execution with recurring parameters binds nothing.
+    :meth:`execute` is :meth:`bind` then :meth:`run`; the server calls
     the two on different threads (bind on the event loop, run on a
     worker).
     """
@@ -107,25 +81,18 @@ class PreparedQuery:
     #: memoized bound-query cap (mirrors the engine's cache capacity)
     BIND_CAPACITY = 256
 
-    def __init__(self, engine: "VoodooEngine", query: Query, fingerprint: tuple):
+    def __init__(self, engine: "VoodooEngine", query: Query):
         self.engine = engine
         self.query = query
-        #: structural fingerprint of the (unbound) query, computed by
-        #: ``engine.prepare`` — the plan-cache key of an identity bind
-        self.fingerprint = fingerprint
-        self.params: tuple[str, ...] = find_params(query)
-        #: value tuple -> binding
-        self._bound: dict[tuple, tuple[Query, tuple]] = {}
+        self.params: tuple[str, ...] = query.param_names
+        #: value tuple -> bound query
+        self._bound: dict[tuple, Query] = {}
 
     # -- binding -----------------------------------------------------------
 
     def bind(self, **params) -> Query:
-        """The substituted :class:`Query` for these parameter values."""
-        return self.binding(**params)[0]
-
-    def binding(self, **params) -> tuple[Query, tuple]:
-        """``(bound query, structural_fingerprint(bound query))`` for these
-        parameter values; validates them, memoized per value tuple."""
+        """The substituted :class:`Query` for these parameter values;
+        validates them, memoized per value tuple."""
         missing = [name for name in self.params if name not in params]
         if missing:
             raise ExecutionError(
@@ -139,29 +106,26 @@ class PreparedQuery:
                 f"{list(self.params) or 'no parameters'}"
             )
         if not self.params:
-            return self.query, self.fingerprint
+            return self.query
         # keyed by type too: 1, 1.0 and True are equal dict keys but bind
         # different literals
         key = tuple((type(params[name]), params[name]) for name in self.params)
-        binding = self._bound.get(key)
-        if binding is None:
-            from repro.relational.engine import structural_fingerprint
-
+        bound = self._bound.get(key)
+        if bound is None:
             bound = bind_params(self.query, params)
-            binding = (bound, structural_fingerprint(bound))
             evict_oldest(self._bound, self.BIND_CAPACITY)
-            self._bound[key] = binding
-        return binding
+            self._bound[key] = bound
+        return bound
 
     # -- execution ---------------------------------------------------------
 
-    def run(self, binding: tuple[Query, tuple]) -> "QueryResult":
-        """Execute a :meth:`binding` through the engine's caches."""
-        return self.engine._execute_bound(*binding)
+    def run(self, bound: Query) -> "QueryResult":
+        """Execute a query :meth:`bind` returned through the engine's caches."""
+        return self.engine._execute_bound(bound)
 
     def execute(self, **params) -> "QueryResult":
         """Bind and execute; the engine's caches serve repeated shapes."""
-        return self.run(self.binding(**params))
+        return self.run(self.bind(**params))
 
     def table(self, **params) -> "ResultTable":
         """:meth:`execute`'s result table (the common serving call)."""
@@ -171,14 +135,14 @@ class PreparedQuery:
 
     def explain(self, **params) -> str:
         """How this query would execute: backend, cache state, kernels."""
-        bound, fingerprint = self.binding(**params)
+        bound = self.bind(**params)
         engine = self.engine
         lines = [
             f"prepared query: {len(self.params)} parameter(s) "
             f"{list(self.params)}"
         ]
-        cached = engine._cached(engine.cache_key(bound, fingerprint)) is not None
-        compiled = engine.compile(bound, fingerprint)
+        cached = engine._cached(engine.cache_key(bound)) is not None
+        compiled = engine.compile(bound)
         kernels = "native" if compiled.native else "numpy"
         if engine.execution is not None and engine.execution.workers > 1:
             lines.append(

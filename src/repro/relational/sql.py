@@ -346,7 +346,7 @@ class Parser:
                         decode=decode)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _PendingString(ex.Expr):
     """A string literal awaiting dictionary resolution."""
 

@@ -24,6 +24,9 @@ through control vectors rather than hardware constructs:
 
 from __future__ import annotations
 
+from functools import lru_cache
+from types import MappingProxyType
+
 import numpy as np
 
 from repro.core.builder import Builder, V
@@ -55,7 +58,9 @@ _V = Keypath(["__v"])
 _W = Keypath(["__w"])
 
 
+@lru_cache(maxsize=4096)
 def _col(name: str) -> Keypath:
+    """The keypath of column *name* (validated once per name)."""
     return Keypath([name])
 
 
@@ -363,7 +368,7 @@ class Translator:
             and bool(np.all(np.diff(data) == 1))
         )
 
-    def _group_id(self, keys: list[ra.KeySpec], rel: V):
+    def _group_id(self, keys: tuple[ra.KeySpec, ...], rel: V):
         """Row-major linearization of composite keys into one group id."""
         for key in keys:
             if not isinstance(key.expr, ex.Col):
@@ -499,55 +504,33 @@ class Translator:
         return scalar, _col(expr.column)
 
 
-def translate_query(store: ColumnStore, query: ra.Query, grain: int = 4096) -> Program:
-    """Convenience wrapper used by the engine."""
-    return Translator(store, grain=grain).translate_query(query)
-
-
 def collect_needed_columns(query: ra.Query) -> set[str]:
-    """Every column name the query can possibly touch (for scan pruning)."""
+    """Every column name the query can possibly touch (for scan pruning):
+    its selected columns, every column an expression reads, what joins
+    pull and what group-bys carry — scalar subqueries' plans included."""
     needed: set[str] = set(query.select)
     seen: set[int] = set()
+    composite = (ex.Node, tuple, MappingProxyType)  # what holds more than a leaf value
 
-    def expr_cols(expr: ex.Expr) -> None:
-        needed.update(columns_used(expr))
-        if isinstance(expr, ex.ScalarOf):
-            visit(expr.plan)
-        for attr in getattr(expr, "__dataclass_fields__", {}):
-            value = getattr(expr, attr)
-            if isinstance(value, ex.Expr):
-                expr_cols(value)
-
-    def visit(plan: ra.Plan) -> None:
-        if id(plan) in seen:
-            return
-        seen.add(id(plan))
-        if isinstance(plan, ra.Filter):
-            expr_cols(plan.pred)
-            visit(plan.child)
-        elif isinstance(plan, ra.Map):
-            for expr in plan.cols.values():
-                expr_cols(expr)
-            visit(plan.child)
-        elif isinstance(plan, ra.Join):
-            expr_cols(plan.fact_key)
-            expr_cols(plan.dim_key)
-            needed.update(plan.pull.values())
-            visit(plan.child)
-            visit(plan.build)
-        elif isinstance(plan, ra.SemiJoin):
-            expr_cols(plan.fact_key)
-            expr_cols(plan.dim_key)
-            visit(plan.child)
-            visit(plan.build)
-        elif isinstance(plan, ra.GroupBy):
-            for key in plan.keys:
-                expr_cols(key.expr)
-            for spec in plan.aggs.values():
-                if spec.expr is not None:
-                    expr_cols(spec.expr)
-            needed.update(plan.carry)
-            visit(plan.child)
+    def visit(value) -> None:
+        if isinstance(value, ex.Col):
+            needed.add(value.name)
+        elif isinstance(value, ex.Node):
+            if id(value) in seen:
+                return
+            seen.add(id(value))
+            if isinstance(value, ra.Join):
+                needed.update(value.pull.values())
+            elif isinstance(value, ra.GroupBy):
+                needed.update(value.carry)
+            for name in ex.node_fields(type(value)):
+                child = getattr(value, name)
+                if isinstance(child, composite):
+                    visit(child)
+        else:
+            for item in (value.values() if isinstance(value, MappingProxyType) else value):
+                if isinstance(item, composite):
+                    visit(item)
 
     visit(query.plan)
     return needed

@@ -213,11 +213,11 @@ class VoodooServer:
     async def _run(self, prepared, params, timeout, session) -> dict:
         # bind on the loop thread (a memo hit when warm, and it validates
         # the params before the request occupies a worker slot)
-        binding = prepared.binding(**params)
+        bound = prepared.bind(**params)
 
         def work():
             start = time.perf_counter()
-            table = prepared.run(binding).table
+            table = prepared.run(bound).table
             return table, (time.perf_counter() - start) * 1000.0
 
         table, elapsed_ms = await self.scheduler.run(

@@ -305,25 +305,6 @@ class Oracle:
     # -- aggregation --------------------------------------------------------
 
     @staticmethod
-    def _fold(fn: str, vals: np.ndarray, mask: np.ndarray):
-        """(value, present, dtype) of one aggregate over selected rows."""
-        picked = vals[mask]
-        present = bool(mask.any())
-        if fn == "count":
-            return np.int64(mask.sum()), present, np.int64
-        if fn == "sum":
-            if vals.dtype.kind == "f":
-                return np.float64(picked.sum()) if present else np.float64(0), \
-                    present, np.float64
-            return (np.int64(picked.astype(np.int64).sum()) if present
-                    else np.int64(0)), present, np.int64
-        if fn in ("min", "max"):
-            reducer = np.min if fn == "min" else np.max
-            value = reducer(picked) if present else vals.dtype.type(0)
-            return value, present, vals.dtype
-        raise ExecutionError(f"oracle cannot fold {fn!r}")
-
-    @staticmethod
     def _sum_scale(vals: np.ndarray, mask: np.ndarray) -> float:
         """Magnitude of a float sum's contributions (Σ|v| over the rows).
 
@@ -337,37 +318,71 @@ class Oracle:
             finite = picked[np.isfinite(picked)]
             return float(np.abs(finite).sum()) if len(finite) else 0.0
 
-    def _agg_columns(self, p: ra.GroupBy, inputs: dict, groups: list[np.ndarray]):
-        """Per aggregate: (values, mask) over the row groups, filling
-        ``self.scales[name]`` for order-sensitive float sums/avgs."""
+    @staticmethod
+    def _segments(ufunc, values: np.ndarray, starts: np.ndarray) -> np.ndarray:
+        """*ufunc* reduced over each group's rows (the groups are the
+        consecutive runs of *values* beginning at *starts*).  Only a
+        global aggregate over no rows has an empty group: it reduces to
+        zero, the value every absent cell takes."""
+        if not len(values):
+            return np.zeros(len(starts), dtype=values.dtype)
+        return ufunc.reduceat(values, starts)
+
+    def _extreme(self, fn: str, vals: np.ndarray, mask: np.ndarray, starts, present):
+        """Per-group min or max of the present rows (0 where none is)."""
+        ufunc = np.minimum if fn == "min" else np.maximum
+        kind = vals.dtype.kind
+        if kind == "f":
+            fill = np.inf if fn == "min" else -np.inf
+        elif kind == "b":
+            fill = fn == "min"
+        else:
+            info = np.iinfo(vals.dtype)
+            fill = info.max if fn == "min" else info.min
+        folded = self._segments(ufunc, np.where(mask, vals, vals.dtype.type(fill)), starts)
+        return np.where(present, folded, vals.dtype.type(0)).astype(vals.dtype, copy=False)
+
+    def _sums(self, vals: np.ndarray, mask: np.ndarray, starts, bounds):
+        """Per-group sums of the present rows: integers exactly in one
+        pass, floats one pairwise ``np.sum`` per group (``reduceat`` adds
+        sequentially, which the Σ|v| tolerance does not describe)."""
+        if vals.dtype.kind != "f":
+            return self._segments(np.add, np.where(mask, vals.astype(np.int64), 0), starts)
+        return np.array([vals[lo:hi][mask[lo:hi]].sum()
+                         for lo, hi in zip(bounds[:-1], bounds[1:])], dtype=np.float64)
+
+    def _scales(self, vals: np.ndarray, mask: np.ndarray, bounds) -> np.ndarray:
+        return np.array([self._sum_scale(vals[lo:hi], mask[lo:hi])
+                         for lo, hi in zip(bounds[:-1], bounds[1:])], dtype=np.float64)
+
+    def _agg_columns(self, p: ra.GroupBy, inputs: dict, rows: np.ndarray, bounds: np.ndarray):
+        """Per aggregate: (values, mask) over the groups — group ``i`` is
+        ``rows[bounds[i]:bounds[i + 1]]`` — filling ``self.scales[name]``
+        for order-sensitive float sums/avgs."""
+        starts = bounds[:-1]
         out: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         for name, spec in p.aggs.items():
             vals, vmask = inputs[name]
-            if spec.fn == "avg":
-                cells, masks, scales = [], [], []
-                for rows in groups:
-                    m = vmask[rows]
-                    s, present, _ = self._fold("sum", vals[rows], m)
-                    c = m.sum()
-                    with np.errstate(all="ignore"):
-                        cells.append(np.float64(s) / c if present else 0.0)
-                    masks.append(present)
-                    scales.append(self._sum_scale(vals[rows], m) / max(int(c), 1))
-                out[name] = (np.array(cells, dtype=np.float64),
-                             np.array(masks, dtype=bool))
-                self.scales[name] = np.array(scales, dtype=np.float64)
-                continue
-            cells, masks, dtype = [], [], np.int64
-            for rows in groups:
-                value, present, dtype = self._fold(spec.fn, vals[rows], vmask[rows])
-                cells.append(value)
-                masks.append(present)
-            out[name] = (np.array(cells, dtype=dtype), np.array(masks, dtype=bool))
-            if spec.fn == "sum" and vals.dtype.kind == "f":
-                self.scales[name] = np.array(
-                    [self._sum_scale(vals[rows], vmask[rows]) for rows in groups],
-                    dtype=np.float64,
-                )
+            vals, vmask = vals[rows], vmask[rows]
+            counts = self._segments(np.add, vmask.astype(np.int64), starts)
+            present = counts > 0
+            if spec.fn == "count":
+                out[name] = (counts, present)
+            elif spec.fn in ("min", "max"):
+                out[name] = (self._extreme(spec.fn, vals, vmask, starts, present), present)
+            elif spec.fn in ("sum", "avg"):
+                sums = self._sums(vals, vmask, starts, bounds)
+                if spec.fn == "sum":
+                    out[name] = (sums, present)
+                    if vals.dtype.kind == "f":
+                        self.scales[name] = self._scales(vals, vmask, bounds)
+                    continue
+                with np.errstate(all="ignore"):
+                    means = np.where(present, sums.astype(np.float64) / counts, 0.0)
+                out[name] = (means, present)
+                self.scales[name] = self._scales(vals, vmask, bounds) / np.maximum(counts, 1)
+            else:
+                raise ExecutionError(f"oracle cannot fold {spec.fn!r}")
         return out
 
     def _groupby(self, p: ra.GroupBy) -> _Rel:
@@ -380,7 +395,7 @@ class Oracle:
         if not p.keys:
             self._note("on_aggregate", rel, 1, len(p.aggs))
             n = 1 if rel.n else 0
-            out = self._agg_columns(p, inputs, [np.arange(rel.n)])
+            out = self._agg_columns(p, inputs, np.arange(rel.n), np.array([0, rel.n]))
             return _Rel(n, {name: vals[:n] for name, (vals, _) in out.items()},
                         {name: m[:n] for name, (_, m) in out.items()}, 1)
 
@@ -398,13 +413,12 @@ class Oracle:
         order = np.argsort(gid[rows_all], kind="stable")
         sorted_rows = rows_all[order]
         sorted_gids = gid[sorted_rows]
-        unique_gids, starts = np.unique(sorted_gids, return_index=True)
+        _, starts = np.unique(sorted_gids, return_index=True)
         bounds = np.append(starts, len(sorted_rows))
-        groups = [sorted_rows[bounds[i]: bounds[i + 1]]
-                  for i in range(len(unique_gids))]
-        self._note("on_aggregate", rel, len(groups), len(p.aggs))
+        groups = len(starts)
+        self._note("on_aggregate", rel, groups, len(p.aggs))
 
-        out = self._agg_columns(p, inputs, groups)
+        out = self._agg_columns(p, inputs, sorted_rows, bounds)
         cols = {name: vals for name, (vals, _) in out.items()}
         masks = {name: m for name, (_, m) in out.items()}
 
@@ -414,19 +428,11 @@ class Oracle:
         for key in p.keys:
             carried.setdefault(key.name, key.expr.name)  # type: ignore[union-attr]
         for out_name, src in carried.items():
-            src_vals, src_mask = rel.cols[src], rel.masks[src]
-            cells, present = [], []
-            for rows in groups:
-                m = src_mask[rows]
-                if m.any():
-                    cells.append(np.max(src_vals[rows][m]))
-                    present.append(True)
-                else:
-                    cells.append(src_vals.dtype.type(0))
-                    present.append(False)
-            cols[out_name] = np.array(cells, dtype=src_vals.dtype)
-            masks[out_name] = np.array(present, dtype=bool)
-        return _Rel(len(groups), cols, masks, len(groups))
+            src_vals, src_mask = rel.cols[src][sorted_rows], rel.masks[src][sorted_rows]
+            present = self._segments(np.logical_or, src_mask, starts)
+            cols[out_name] = self._extreme("max", src_vals, src_mask, starts, present)
+            masks[out_name] = present
+        return _Rel(groups, cols, masks, groups)
 
     # -- entry point --------------------------------------------------------
 

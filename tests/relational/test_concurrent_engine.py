@@ -22,7 +22,6 @@ from repro.compiler import ExecutionOptions
 from repro.core import ops
 from repro.parallel import REGISTRY, ParallelInterpreter
 from repro.relational import EngineConfig, VoodooEngine
-from repro.relational.engine import structural_fingerprint
 from repro.relational.prepared import PreparedQuery, bind_params
 from repro.storage import ColumnStore, Table
 from repro.testing import crossover
@@ -254,7 +253,7 @@ def test_racing_misses_evict_without_error(monkeypatch, site):
                 if site == "prepare":
                     right = engine.prepare(shapes[value]).query is shapes[value]
                 else:
-                    right = structural_fingerprint(prepared.bind(w=value)) == bound[value]
+                    right = prepared.bind(w=value) == bound[value]
                 if not right:
                     wrong.append(step)
         except Exception as exc:  # surfaced below
@@ -267,8 +266,7 @@ def test_racing_misses_evict_without_error(monkeypatch, site):
             shapes = [engine.prepare(f"SELECT SUM(v1) AS s FROM facts WHERE w <= {w}").query
                       for w in range(8)]
             prepared = engine.prepare("SELECT SUM(v1) AS s FROM facts WHERE w <= :w")
-            bound = [structural_fingerprint(bind_params(prepared.query, {"w": w}))
-                     for w in range(8)]
+            bound = [bind_params(prepared.query, {"w": w}) for w in range(8)]
             callers = [threading.Thread(target=caller, args=(i,)) for i in range(THREADS)]
             for thread in callers:
                 thread.start()

@@ -10,7 +10,6 @@ from repro.compiler import CompilerOptions, ExecutionOptions
 from repro.core.printer import to_ssa
 from repro.relational import EngineConfig, VoodooEngine
 from repro.relational.algebra import AggSpec, GroupBy, Join, KeySpec, Query, Scan
-from repro.relational.engine import structural_fingerprint
 from repro.relational.expressions import Col, Lit
 from repro.storage import ColumnStore, Table
 
@@ -36,15 +35,17 @@ def make_query():
     return Query(plan=grouped, select=["k", "total", "n"], order_by=[("k", False)])
 
 
-class TestStructuralFingerprint:
+class TestStructuralKey:
     def test_equal_for_rebuilt_queries(self):
-        assert structural_fingerprint(make_query()) == structural_fingerprint(make_query())
+        first, second = make_query(), make_query()
+        assert first is not second
+        assert first == second and hash(first) == hash(second)
 
     def test_differs_on_literal_change(self):
         other = Query(
             plan=Scan("t").filter(Col("v") > Lit(0.5)), select=["k"]
         )
-        assert structural_fingerprint(make_query()) != structural_fingerprint(other)
+        assert make_query() != other
 
 
 class TestPlanCache:
@@ -139,7 +140,7 @@ class TestInvalidation:
         for config in configs:
             with VoodooEngine(store, config=config) as engine:
                 key = engine.cache_key(make_query())
-                assert key == (structural_fingerprint(make_query()), store.fingerprint())
+                assert key == (make_query(), store.fingerprint())
                 keys.add(key)
                 result = engine.execute(make_query())
                 assert result.compiled.options == engine.options

@@ -1,9 +1,10 @@
 """PreparedQuery: binding, cache sharing, and bit-identity.
 
 The redesign's claim: a parameterized query bound to values is
-*indistinguishable* from the same query hand-built with literals — same
-structural fingerprint, same plan-cache entry, bit-identical results —
-so a serving steady state re-compiles nothing.
+*indistinguishable* from the same query hand-built with literals — an
+equal query (so the same plan-cache entry), bit-identical results — so
+a serving steady state re-compiles nothing.  How queries key, and that
+a warm execution walks none, is ``test_query_keys.py``.
 """
 
 import numpy as np
@@ -106,7 +107,7 @@ class TestCacheSharing:
         assert info["plan_hits"] >= 1
         engine.close()
 
-    def test_prepare_is_memoized_by_fingerprint(self, store):
+    def test_prepare_is_memoized_by_structure(self, store):
         engine = VoodooEngine(store)
         first = engine.prepare(param_query(Param("theta")))
         second = engine.prepare(param_query(Param("theta")))
@@ -120,74 +121,6 @@ class TestCacheSharing:
         engine.query(q)
         assert engine.prepare(q) in engine._prepared.values()
         engine.close()
-
-
-@pytest.fixture
-def fingerprint_calls(monkeypatch) -> list:
-    """Every ``structural_fingerprint`` call from here on, recursive
-    ones included (the walk recurses through the module global)."""
-    from repro.relational import engine as engine_module
-
-    calls = []
-    plain = engine_module.structural_fingerprint
-
-    def counted(obj):
-        calls.append(obj)
-        return plain(obj)
-
-    monkeypatch.setattr(engine_module, "structural_fingerprint", counted)
-    return calls
-
-
-class TestCarriedFingerprint:
-    """A binding carries its bound query's fingerprint, so a warm
-    execution reaches the cached plan without walking the query."""
-
-    @pytest.mark.parametrize("config", [EngineConfig(), EngineConfig(tracing=False)])
-    def test_warm_bound_statement_walks_nothing(self, store, config, fingerprint_calls):
-        with VoodooEngine(store, config=config) as engine:
-            prepared = engine.prepare(param_query(Param("theta")))
-            fingerprint_calls.clear()
-            prepared.execute(theta=0.25)  # cold: binds and fingerprints once
-            assert fingerprint_calls and fingerprint_calls[0] is prepared.bind(theta=0.25)
-            fingerprint_calls.clear()
-            for _ in range(3):
-                prepared.execute(theta=0.25)
-            assert fingerprint_calls == []
-            assert engine.cache_info()["plan_hits"] == 3
-
-    def test_memoized_fingerprint_is_the_bound_querys(self, store):
-        from repro.relational.engine import structural_fingerprint
-
-        with VoodooEngine(store) as engine:
-            prepared = engine.prepare(param_query(Param("theta")))
-            bound, fingerprint = prepared.binding(theta=0.25)
-            assert fingerprint == structural_fingerprint(bound)
-            assert fingerprint == structural_fingerprint(param_query(Lit(0.25)))
-            assert prepared.binding(theta=0.25) == (bound, fingerprint)
-            assert prepared.binding(theta=0.25)[1] is fingerprint
-            plain = engine.prepare(param_query(Lit(0.25)))
-            assert plain.binding() == (plain.query, plain.fingerprint)
-
-    def test_equal_values_of_other_types_bind_their_own_literal(self, store):
-        """1, 1.0 and True are equal dict keys; each binds its own Lit."""
-        from repro.relational.engine import structural_fingerprint
-
-        with VoodooEngine(store) as engine:
-            prepared = engine.prepare(param_query(Param("theta")))
-            for value in (1, 1.0, True):
-                bound, fingerprint = prepared.binding(theta=value)
-                assert fingerprint == structural_fingerprint(param_query(Lit(value)))
-                assert fingerprint == structural_fingerprint(bound)
-
-    def test_adhoc_literal_and_prepared_bind_share_one_plan(self, store):
-        with VoodooEngine(store) as engine:
-            prepared = engine.prepare("SELECT SUM(v) AS s FROM t WHERE v <= :theta")
-            bound = prepared.table(theta=0.5)
-            adhoc = engine.query("SELECT SUM(v) AS s FROM t WHERE v <= 0.5")
-            assert bound.rows() == adhoc.rows()
-            info = engine.cache_info()
-            assert (info["plan_misses"], info["plan_hits"], info["size"]) == (1, 1, 1)
 
 
 class TestBitIdentity:

@@ -127,16 +127,22 @@ class TestSessions:
 
 
     def test_warm_execute_walks_no_query(self, monkeypatch):
-        """A warm POST /execute carries the statement's memoized
-        fingerprint to the plan cache: zero structural_fingerprint calls."""
-        from repro.relational import engine as engine_module
+        """A warm POST /execute reaches the plan cache with the
+        statement's memoized bound query: no node is built and no
+        query tree is walked."""
+        from repro.relational import expressions as ex
 
         calls = []
-        plain = engine_module.structural_fingerprint
+        build_node = ex.Node.__post_init__
+        fields_of = ex.node_fields
 
-        def counted(obj):
-            calls.append(obj)
-            return plain(obj)
+        def counted_build(node):
+            calls.append(node)
+            build_node(node)
+
+        def counted_fields(cls):
+            calls.append(cls)
+            return fields_of(cls)
 
         async def run():
             server = make_server()
@@ -151,7 +157,8 @@ class TestSessions:
                 }).encode()
                 status, cold = await server.handle_request("POST", "/execute", body)
                 assert status == 200
-                monkeypatch.setattr(engine_module, "structural_fingerprint", counted)
+                monkeypatch.setattr(ex.Node, "__post_init__", counted_build)
+                monkeypatch.setattr(ex, "node_fields", counted_fields)
                 for _ in range(3):
                     status, warm = await server.handle_request("POST", "/execute", body)
                     assert status == 200 and warm["rows"] == cold["rows"]

@@ -57,3 +57,58 @@ def test_unknown_plan_node_rejected():
 
     with pytest.raises(ExecutionError):
         Oracle(ColumnStore()).plan(Weird())
+
+
+def _loop_fold(fn: str, vals: np.ndarray, mask: np.ndarray):
+    """One group's (value, present) the way the oracle folded before its
+    folds went segment-wise: one NumPy call per group."""
+    picked = vals[mask]
+    present = bool(mask.any())
+    if fn == "count":
+        return np.int64(mask.sum()), present
+    if fn in ("sum", "avg"):
+        total = picked.sum() if vals.dtype.kind == "f" else picked.astype(np.int64).sum()
+        if fn == "sum":
+            return total if present else total.dtype.type(0), present
+        with np.errstate(all="ignore"):
+            return (np.float64(total) / mask.sum() if present else 0.0), present
+    reducer = np.min if fn == "min" else np.max
+    return (reducer(picked) if present else vals.dtype.type(0)), present
+
+
+@pytest.mark.parametrize("dtype", ["int32", "int64", "uint8", "float64", "bool"])
+def test_grouped_folds_match_the_per_group_loop(dtype):
+    """The segment-wise folds (``reduceat``; float sums one pairwise
+    ``np.sum`` per group) give exactly what a per-group loop gives:
+    values, dtypes, presence and float-sum scales, ε rows and groups with
+    no present row included."""
+    from repro.relational.algebra import AggSpec, GroupBy, Scan
+    from repro.relational.expressions import Col
+
+    rng = np.random.default_rng(5)
+    sizes = rng.integers(1, 9, 60)
+    bounds = np.concatenate([[0], np.cumsum(sizes)])
+    n = int(bounds[-1])
+    vals = (rng.normal(0, 100, n) if dtype == "float64" else rng.integers(0, 200, n)).astype(dtype)
+    if dtype == "float64":
+        vals[rng.random(n) < 0.05] = np.nan
+    mask = rng.random(n) < 0.7
+    mask[bounds[3]:bounds[4]] = False  # a group whose every row is ε
+    rows = rng.permutation(n)  # groups are runs of these rows
+    fns = ("count", "sum", "avg", "min", "max")
+    plan = GroupBy(Scan("t"), keys=[], aggs={fn: AggSpec(fn, Col("x")) for fn in fns})
+    oracle = Oracle(ColumnStore())
+    inputs = {fn: (vals, mask) for fn in fns}
+    out = oracle._agg_columns(plan, inputs, rows, bounds)
+    for fn in fns:
+        expected = [_loop_fold(fn, vals[rows[lo:hi]], mask[rows[lo:hi]])
+                    for lo, hi in zip(bounds[:-1], bounds[1:])]
+        got_vals, got_present = out[fn]
+        want_vals = np.array([value for value, _ in expected])
+        assert got_vals.dtype == want_vals.dtype, fn
+        assert np.array_equal(got_vals, want_vals, equal_nan=True), fn
+        assert got_present.tolist() == [present for _, present in expected], fn
+    if dtype == "float64":
+        scales = [Oracle._sum_scale(vals[rows[lo:hi]], mask[rows[lo:hi]])
+                  for lo, hi in zip(bounds[:-1], bounds[1:])]
+        assert oracle.scales["sum"].tolist() == scales
