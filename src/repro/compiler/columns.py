@@ -185,9 +185,14 @@ class Column:
         the operand a full-length map hands NumPy as is."""
         return None
 
-    def map_runs(self, fn: str, other: np.ndarray) -> np.ndarray | None:
-        """``fn(column, other)`` for a length-1 *other*, evaluated per
-        stored run and expanded (:class:`Lazy` over RLE segments)."""
+    def stored(self) -> bool:
+        """Is the column a compressed storage column nothing has decoded
+        yet (:class:`Lazy`)?  Asked by every map: O(1) for every kind."""
+        return False
+
+    def map_stored(self, fn: str, other) -> np.ndarray | None:
+        """``fn(column, other)`` read off the stored segments — FoR codes,
+        RLE runs — instead of a decode (:class:`Lazy`)."""
         return None
 
     def fold(self, fn: str, run_length: int) -> np.ndarray | None:
@@ -387,24 +392,17 @@ class Lazy(Column):
     decoded when something reads all of it — once per column, so every
     value the column travels through sees the one decode.  Folds and
     gathers read the segments directly (RLE runs fold without
-    decompressing, positions resolve by random access)."""
+    decompressing, positions resolve by random access), and so do
+    comparisons (:meth:`map_stored`: FoR codes against a shifted
+    threshold)."""
 
-    __slots__ = ("handle", "_array", "_rle")
+    __slots__ = ("handle", "_array")
 
     def __init__(self, handle):
         self.handle = handle
         self._array: np.ndarray | None = None
-        self._rle: bool | None = None
 
     dtype = property(lambda self: np.dtype(self.handle.dtype))
-
-    def has_rle(self) -> bool:
-        """Does a stored segment hold runs?  (Asked by every map over the
-        column: one walk over the segments per column, not per map.)"""
-        rle = self._rle
-        if rle is None:
-            rle = self._rle = self.handle.has_rle()
-        return rle
 
     def __len__(self) -> int:
         return len(self.handle)
@@ -428,24 +426,53 @@ class Lazy(Column):
     pad = rows  # every slot is present: one answer to both
 
     def whole(self):
-        return None if self.has_rle() else self.rows()[0]
+        return None if "rle" in self.handle.column.encoded else self.rows()[0]
 
-    def map_runs(self, fn, other):
-        if not self.has_rle():
+    def stored(self):
+        return self._array is None and self.handle.column.stored()
+
+    def map_stored(self, fn: str, other) -> np.ndarray | None:
+        """``fn(column, other)`` read off the stored segments, or None
+        when one decode of the whole column is no dearer.
+
+        *other* is a length-1 operand or a :class:`Lazy` column of the
+        same length.  Against a length-1 integer, a comparison reads FoR
+        pieces on their codes; any map evaluates RLE pieces per run and
+        expands the results (both bit-identical: the maps are
+        element-wise and integer comparisons exact).  Two FoR columns on
+        one piece grid compare code differences.  A float operand, a
+        column other than signed integers, or an unsigned 64-bit side
+        take the decode."""
+        encoded = self.handle.column.encoded
+        ufunc = _COMPARE.get(fn)
+        exact = (ufunc is not None and "for" in encoded
+                 and _exact(self.dtype, np.dtype(other.dtype)))
+        if isinstance(other, Lazy):
+            if not exact or not other.stored():
+                return None
+            return self.handle.compare_stored(ufunc, other.handle)
+        if not exact and "rle" not in encoded:
             return None
-        pieces = []
-        for values, lengths in self.handle.run_pairs():
-            piece = apply_binary(fn, values, other)
-            pieces.append(piece if lengths is None else np.repeat(piece, lengths))
-        if pieces:
-            return np.concatenate(pieces)
-        return apply_binary(fn, self.handle.materialize(), other)
+        return self.handle.map_stored(lambda values: apply_binary(fn, values, other),
+                                      (ufunc, int(other[0])) if exact else None)
 
     def fold(self, fn, run_length):
         if run_length:
             return self.handle.fold_grained(fn, run_length)
         folded = self.handle.fold(fn)
         return None if folded is None else folded.reshape(1)
+
+
+#: the comparisons a storage column answers on its FoR codes
+_COMPARE = {"Less": np.less, "LessEqual": np.less_equal, "Greater": np.greater,
+            "GreaterEqual": np.greater_equal, "Equals": np.equal, "NotEquals": np.not_equal}
+
+
+def _exact(column: np.dtype, other: np.dtype) -> bool:
+    """Does NumPy compare a signed integer *column* with *other* exactly
+    (an integer promotion — a uint64 or float side promotes to float)?"""
+    return (column.kind == "i" and other.kind in "iub"
+            and np.result_type(column, other).kind in "iu")
 
 
 class Taken(Column):

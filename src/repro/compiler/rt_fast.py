@@ -443,6 +443,19 @@ class FusedRuntime:
     def binary(self, fn: str, out: Keypath, left: FusedVal, kp1: Keypath,
                right: FusedVal, kp2: Keypath, plan: MapPlan) -> FusedVal:
         column = left.column(kp1)
+        if column.stored():
+            # a compressed storage column nothing has decoded: answered
+            # from its stored form when that is cheaper than the decode
+            other = plan.array
+            if other is None:
+                other = right.column(kp2)
+                if right.length == 1 and other.mask() is None:
+                    other = other.pad()[0]
+                elif right.length != left.length or not isinstance(other, Lazy):
+                    other = None
+            result = None if other is None else column.map_stored(fn, other)
+            if result is not None:
+                return FusedVal(len(result), {out: Dense(result)})
         a = column.whole()
         if a is not None:
             # where the time is: a full-length map asks both kinds once
@@ -473,13 +486,6 @@ class FusedRuntime:
             mapped = Compact(slots, apply_binary(fn, a, b), apply_binary(fn, fa, fb))
             return FusedVal(slots.length, {out: mapped})
         b, mb = right.column(kp2).pad()
-        if left.length > 1 and right.length == 1 and mb is None:
-            # an RLE-backed storage column against a length-1 operand
-            # evaluates per *run* and expands the results — bit-identical
-            # (elementwise kernels) without ever decompressing the column
-            result = column.map_runs(fn, b)
-            if result is not None:
-                return FusedVal(len(result), {out: Dense(result)})
         a, ma = column.pad()
         result, mask = fused_binary(fn, a, ma, b, mb)
         return FusedVal(len(result), {out: Dense(result, mask)})

@@ -18,11 +18,13 @@ Column min/max are computed once at segment seal time and combined per
 column — never recomputed on access (translation's value-dependent plan
 choices hit them repeatedly).
 
-``ColumnStore.append(batch)`` seals the batch into one new segment per
-column and bumps the table version; the store ``fingerprint()`` is the
-schema only, so cached plans keyed on it survive (see :meth:`append`)
-and rerun over every segment — the IVM delta path is future work, but
-this is the segment contract it needs.
+``ColumnStore.append(batch)`` writes the batch into each column's open
+tail — an in-RAM plain segment that grows, O(batch) amortised, until it
+is as long as the column's sealed segments — and bumps the table
+version; the store ``fingerprint()`` is the schema only, so cached plans
+keyed on it survive (see :meth:`append`) and rerun over every segment —
+the IVM delta path is future work, but this is the segment contract it
+needs.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from repro.core.vector import StructuredVector
 from repro.errors import StorageError
 from repro.storage.dictionary import StringDictionary
 from repro.storage.segment import (
+    DEFAULT_SEGMENT_ROWS,
     ColumnData,
     IOCounters,
     Segment,
@@ -47,13 +50,16 @@ from repro.storage.segment import (
 )
 
 
+_PLAIN = frozenset(("plain",))
+
+
 class Column:
     """One typed column: an ordered list of immutable sealed segments."""
 
     __slots__ = (
         "name", "dictionary", "segments", "counters",
         "_dtype", "_length", "_min", "_max", "_cache", "_whole", "_starts",
-        "cacheable",
+        "cacheable", "encoded",
     )
 
     def __init__(
@@ -92,19 +98,31 @@ class Column:
             else:
                 raise StorageError(f"column {name!r}: empty segments need a dtype")
             check_dtype(self._dtype)
-        self._length = sum(s.length for s in self.segments)
-        self._min, self._max = self._combine_stats()
+        # one pass over the segments: every append builds a column
+        length, encoded, mins, maxs = 0, set(), [], []
+        for seg in self.segments:
+            length += seg.length
+            encoded.add(seg.encoding)
+            if seg.stats.count:
+                mins.append(seg.stats.min)
+                maxs.append(seg.stats.max)
+        self._length = length
+        self._min, self._max = self._combine_stats(mins, maxs)
+        #: the encodings its segments use (a column never changes its
+        #: segments: an append makes a new column), so :meth:`stored`
+        #: costs O(1) however many segments there are
+        self.encoded = frozenset(encoded)
 
-    def _combine_stats(self):
+    def _combine_stats(self, mins: list, maxs: list):
         """Column min/max from the seal-time per-segment statistics."""
-        per = [s.stats for s in self.segments if s.stats.count]
-        if not per:
+        if not mins:
             return None, None
+        if self._dtype.kind in "iub":  # Python ints and bools: exact as they are
+            return min(mins), max(maxs)
         # reduce through the column dtype so float NaN propagates exactly
         # as a whole-array ``.min()`` would have
-        mins = np.array([s.min for s in per], dtype=self._dtype)
-        maxs = np.array([s.max for s in per], dtype=self._dtype)
-        return np.minimum.reduce(mins).item(), np.maximum.reduce(maxs).item()
+        return (np.minimum.reduce(np.array(mins, dtype=self._dtype)).item(),
+                np.maximum.reduce(np.array(maxs, dtype=self._dtype)).item())
 
     def __len__(self) -> int:
         return self._length
@@ -125,6 +143,12 @@ class Column:
     def data(self) -> np.ndarray:
         """The whole column as one array (materializes; cached when in-RAM)."""
         return self.materialize()
+
+    def stored(self) -> bool:
+        """Would reading the column whole decode (a compressed segment
+        and no cached decode)?  What a comparison asks, once per map,
+        before it reads the stored form instead."""
+        return self._cache is None and self.encoded != _PLAIN
 
     def view(self) -> ColumnData:
         """The lazy handle execution backends fold/slice/gather through."""
@@ -173,10 +197,10 @@ class Column:
             for seg, a, b in pieces:
                 seg.decode_into(a, b, out[cursor:cursor + b - a])
                 cursor += b - a
-        self._count_decode(pieces)
+        self.count_decode(pieces)
         return out
 
-    def _count_decode(self, pieces: list[tuple[Segment, int, int]]) -> None:
+    def count_decode(self, pieces) -> None:
         """Account the decode of ``(segment, local lo, local hi)`` pieces:
         a plain piece scans its rows; a compressed one scans its share of
         the stored payload and decompresses its rows."""
@@ -468,12 +492,15 @@ class ColumnStore:
 
     def append(self, table_name: str, batch: Mapping[str, Sequence] | Table,
                encoding: str = "plain") -> None:
-        """Seal *batch* as one new segment per column of *table_name*.
+        """Append *batch* to the columns of *table_name*.
 
-        The batch must cover exactly the table's columns; string columns
-        take strings (dictionary-encoded against the column dictionary,
-        which is merged — order-preserving — when the batch introduces
-        new values, remapping the existing segments' codes).  Bumps the
+        A ``plain`` batch extends each column's open tail (see
+        :func:`appended`); any other *encoding* seals it as one new
+        segment per column.  The batch must cover exactly the table's
+        columns; string columns take strings (dictionary-encoded against
+        the column dictionary, which is merged — order-preserving — when
+        the batch introduces new values, remapping the existing
+        segments' codes; the remapped tail is sealed).  Bumps the
         table version: the schema, hence :meth:`fingerprint`, stays, so
         cached plans survive except those whose translation read this
         table's contents.  Auxiliary vectors are dropped.  Queries rerun
@@ -498,14 +525,12 @@ class ColumnStore:
         for name, col in table.columns.items():
             values = batch[name]
             if col.dictionary is not None:
-                new_col = self._append_strings(col, [str(v) for v in values], encoding)
+                new_col = self._append_strings(col, list(map(str, values)), encoding)
             else:
                 arr = np.asarray(values)
                 if arr.dtype != col.dtype:
                     arr = arr.astype(col.dtype)
-                new_col = col.with_segments(
-                    [*col.segments, encode_segment(arr, encoding)]
-                )
+                new_col = col.with_segments(appended(col.segments, arr, encoding))
             replacements[name] = new_col
         table.columns.update(replacements)
         table.n_rows += n_new
@@ -527,14 +552,14 @@ class ColumnStore:
         merged, remap = col.dictionary.merged(values)
         new_codes = merged.encode(values)
         if remap is None:
-            segments = list(col.segments)
+            segments = col.segments
         else:
             segments = [
                 encode_segment(remap[seg.values()], seg.encoding)
                 for seg in col.segments
             ]
-        segments.append(encode_segment(new_codes, encoding))
-        return col.with_segments(segments, dictionary=merged)
+        return col.with_segments(appended(segments, new_codes, encoding),
+                                 dictionary=merged)
 
     # -- auxiliary vectors (membership tables for IN/LIKE, etc.) ------------------
 
@@ -639,6 +664,28 @@ class ColumnStore:
             "total_bytes": report["total_bytes"],
             "io": self.io.snapshot(),
         }
+
+
+def appended(segments: Sequence[Segment], values: np.ndarray,
+             encoding: str = "plain") -> list[Segment]:
+    """*segments* followed by *values* (of their dtype).
+
+    ``plain`` values extend the last segment when it is an open tail
+    with room left, else start a new open tail that may grow as long as
+    the longest segment so far
+    (:data:`~repro.storage.segment.DEFAULT_SEGMENT_ROWS` when there is
+    none); a column therefore reads a few pieces however many small
+    appends it took.  Any other encoding seals the values as a segment
+    of their own.
+    """
+    if encoding != "plain":
+        return [*segments, encode_segment(values, encoding)]
+    if segments and segments[-1].is_open():
+        grown = segments[-1].extended(values)
+        if grown is not None:
+            return [*segments[:-1], grown]
+    limit = max((seg.length for seg in segments), default=DEFAULT_SEGMENT_ROWS)
+    return [*segments, Segment.open_tail(np.ascontiguousarray(values), limit)]
 
 
 def _vector_nbytes(vec: StructuredVector) -> int:

@@ -41,7 +41,7 @@ class StringDictionary:
 
     def encode(self, strings: Sequence[str]) -> np.ndarray:
         try:
-            return np.array([self._code_of[s] for s in strings], dtype=np.int64)
+            return np.array(list(map(self._code_of.__getitem__, strings)), dtype=np.int64)
         except KeyError as exc:
             raise StorageError(f"string {exc.args[0]!r} not in dictionary") from None
 
@@ -71,7 +71,7 @@ class StringDictionary:
         segments.  ``None`` remap means every string was already present
         and existing codes are unchanged.
         """
-        new = [s for s in strings if s not in self._code_of]
+        new = set(strings).difference(self._code_of)
         if not new:
             return self, None
         merged = StringDictionary(self._values + tuple(new))

@@ -21,10 +21,14 @@ a failed write at any point leaves readers the old store or the new
 one, never a mix.
 
 Loading with ``mmap=True`` (the default) maps, never copies: each
-column file becomes one ``np.memmap`` and every segment payload is a
-view into it.  Plain segments then serve queries straight off the page
-cache — the out-of-core path — while compressed segments decode on
-demand, in one pass, into the query's buffer.  ``mmap=False`` reads
+column file is mapped once and every segment payload is a plain
+``np.ndarray`` view into the mapping (``np.memmap``'s Python hooks
+would otherwise run on every slice and every ufunc result; the mapping
+is found through ``.base``, see
+:func:`~repro.storage.segment.mapping_of`).  Plain segments then serve
+queries straight off the page cache — the out-of-core path — while
+compressed segments decode on demand, in one pass, into the query's
+buffer, or are compared on their codes.  ``mmap=False`` reads
 everything into RAM.  ``load`` follows each column's ``file`` field, so
 catalogs written before generations (``<table>.<column>.bin``) and
 version-1 catalogs (whole-``.npy``-per-column) still load.
@@ -205,7 +209,7 @@ def load(directory: str | Path, mmap: bool = True) -> ColumnStore:
             )
             path = root / meta["file"]
             if meta["segments"]:
-                raw = (np.memmap(path, dtype=np.uint8, mode="r") if mmap
+                raw = (np.memmap(path, dtype=np.uint8, mode="r").view(np.ndarray) if mmap
                        else np.fromfile(path, dtype=np.uint8))
             else:
                 raw = np.empty(0, dtype=np.uint8)

@@ -9,8 +9,8 @@ A :class:`Segment` is a sealed, immutable run of column values carrying
   dictionary encoding for strings (codes compress like any integers);
 * **seal-time statistics** (min / max / count) computed exactly once,
   when the segment is created — never recomputed on access;
-* a **backing buffer** that is either in-RAM or an ``np.memmap`` view
-  into a persisted segment file (see :mod:`repro.storage.persist`).
+* a **backing buffer** that is either in-RAM or a view into the
+  ``mmap`` of a persisted segment file (see :mod:`repro.storage.persist`).
 
 Encodings are *lossless at the bit level*: run detection on float
 columns compares the underlying bit patterns (``NaN != NaN`` and
@@ -22,6 +22,16 @@ by binary search over the run offsets, ``for`` fancy-indexes the packed
 deltas — the basis of the fused runtime's gather-without-decompress
 path.  Per-segment fold partials over RLE runs live in
 :mod:`repro.compiler.kernels` (:func:`~repro.compiler.kernels.fold_runs`).
+A comparison against an integer never decodes a ``for`` segment either:
+it compares the packed codes against the threshold shifted by the
+reference (:meth:`Segment.compare_codes`, :meth:`Segment.compare_pair`).
+
+An append grows an **open tail** (:meth:`Segment.open_tail`,
+:meth:`Segment.extended`): a plain segment over a prefix of a buffer
+with spare capacity.  Extending it writes the new rows past the prefix
+and returns a new segment over the longer prefix of the same buffer, so
+every segment stays an immutable value — an older tail never sees rows
+it did not hold — and an append costs O(batch), amortised.
 
 ``IOCounters`` tracks the two numbers every out-of-core report needs:
 ``bytes_scanned`` (physical stored bytes read from segment payloads)
@@ -33,6 +43,8 @@ scans without decompressing.
 from __future__ import annotations
 
 import mmap as _mmap_mod
+import operator
+import threading
 
 import numpy as np
 
@@ -45,6 +57,17 @@ DEFAULT_SEGMENT_ROWS = 1 << 18
 
 #: accept RLE only when the run payload is at most this fraction of plain
 _RLE_ACCEPT_RATIO = 0.5
+
+#: rows an open tail's buffer holds at least when the tail opens
+_TAIL_MIN_CAPACITY = 1024
+
+#: a comparison ufunc and the same comparison of two Python ints (what a
+#: FoR piece whose codes all lie on one side of the threshold answers)
+COMPARISONS = {
+    np.less: operator.lt, np.less_equal: operator.le,
+    np.greater: operator.gt, np.greater_equal: operator.ge,
+    np.equal: operator.eq, np.not_equal: operator.ne,
+}
 
 
 class IOCounters:
@@ -94,8 +117,10 @@ class SegmentStats:
             return cls(None, None, 0)
         # NaN-propagating min/max, matching what ``array.min()`` reported
         # before stats were cached (translation's plan choices see the
-        # same values they always did)
-        return cls(values.min().item(), values.max().item(), len(values))
+        # same values they always did) — the ufunc reductions ``min()``
+        # wraps, called without the wrapper: every append seals a batch
+        return cls(np.minimum.reduce(values).item(), np.maximum.reduce(values).item(),
+                   len(values))
 
     def to_json(self) -> dict:
         return {"min": self.min, "max": self.max, "count": self.count}
@@ -103,6 +128,20 @@ class SegmentStats:
     @classmethod
     def from_json(cls, data: dict) -> "SegmentStats":
         return cls(data["min"], data["max"], data["count"])
+
+    def merged(self, other: "SegmentStats", dtype: np.dtype) -> "SegmentStats":
+        """The stats of both segments' rows, reduced through *dtype* so a
+        float NaN propagates as a whole-array ``.min()`` would."""
+        if not other.count:
+            return self
+        if not self.count:
+            return other
+        count = self.count + other.count
+        if dtype.kind in "iub":  # Python ints and bools: exact as they are
+            return SegmentStats(min(self.min, other.min), max(self.max, other.max), count)
+        pair = np.array([(self.min, other.min), (self.max, other.max)], dtype=dtype)
+        return SegmentStats(np.minimum.reduce(pair[0]).item(),
+                            np.maximum.reduce(pair[1]).item(), count)
 
 
 def _bitwise(values: np.ndarray) -> np.ndarray:
@@ -118,7 +157,7 @@ class Segment:
     """One immutable, sealed run of column values."""
 
     __slots__ = ("encoding", "dtype", "length", "stats", "payload", "meta",
-                 "physical_nbytes", "_reference", "_offsets")
+                 "physical_nbytes", "_reference", "_offsets", "_tail")
 
     def __init__(
         self,
@@ -143,6 +182,8 @@ class Segment:
         self._reference = (self.dtype.type(self.meta["reference"])
                            if encoding == "for" else None)
         self._offsets: np.ndarray | None = None
+        #: an open tail's buffer (:class:`_TailBuffer`); None once sealed
+        self._tail: _TailBuffer | None = None
 
     # -- construction --------------------------------------------------------
 
@@ -158,6 +199,45 @@ class Segment:
         return cls("rle", run_values.dtype, int(run_lengths.sum()), stats,
                    {"values": np.ascontiguousarray(run_values),
                     "lengths": np.ascontiguousarray(run_lengths)})
+
+    @classmethod
+    def open_tail(cls, values: np.ndarray, limit: int) -> "Segment":
+        """A plain segment of *values* that appends may grow to *limit*
+        rows, over a buffer with spare capacity (an append's tail)."""
+        n = len(values)
+        buffer = np.empty(max(2 * n, _TAIL_MIN_CAPACITY), dtype=values.dtype)
+        buffer[:n] = values
+        segment = cls("plain", values.dtype, n, SegmentStats.seal(values),
+                      {"values": buffer[:n]})
+        segment._tail = _TailBuffer(buffer, n, limit)
+        return segment
+
+    def extended(self, values: np.ndarray) -> "Segment | None":
+        """This open tail followed by *values* (of its dtype), as a new
+        open tail; None when that would pass the tail's row limit.
+        Writes past this segment's rows into the shared buffer when it
+        has room and no longer tail holds those rows; otherwise copies
+        into a buffer twice the size.  The stats merge this segment's
+        with the new rows' (O(batch), never a rescan)."""
+        tail, n, k = self._tail, self.length, len(values)
+        if n + k > tail.limit:
+            return None
+        with tail.lock:  # one writer claims the rows past n
+            claimed = tail.filled == n and len(tail.buffer) >= n + k
+            if claimed:
+                tail.filled = n + k
+        if not claimed:
+            tail = _TailBuffer(np.empty(2 * (n + k), dtype=self.dtype), n + k, tail.limit)
+            tail.buffer[:n] = self.payload["values"]
+        tail.buffer[n:n + k] = values
+        stats = self.stats.merged(SegmentStats.seal(values), self.dtype)
+        segment = Segment("plain", self.dtype, n + k, stats, {"values": tail.buffer[:n + k]})
+        segment._tail = tail
+        return segment
+
+    def is_open(self) -> bool:
+        """Is this an append's open tail (a plain segment that can grow)?"""
+        return self._tail is not None
 
     # -- sizes ---------------------------------------------------------------
 
@@ -199,6 +279,44 @@ class Segment:
     def _add_reference(self, packed: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """``packed + reference`` computed in the column dtype (FoR decode)."""
         return np.add(packed, self._reference, out=out, dtype=self.dtype, casting="unsafe")
+
+    def compare_codes(self, ufunc, lo: int, hi: int, threshold: int,
+                      out: np.ndarray) -> int:
+        """``ufunc(values[lo:hi], threshold)`` of a ``for`` segment into the
+        bool array *out*, read off the packed codes: ``p + r OP c`` is
+        ``p OP c - r``, computed in Python ints and compared in the packed
+        dtype (never against a Python int, whose promotion differs
+        between NumPy versions).  A shifted threshold outside
+        ``[0, max code]`` puts every code on one side of it: the piece is
+        all true or all false and nothing is read.  Returns the packed
+        bytes read."""
+        reference = self.meta["reference"]
+        shifted = threshold - reference
+        if not 0 <= shifted <= self.stats.max - reference:
+            out[...] = COMPARISONS[ufunc](0, shifted)
+            return 0
+        packed = self.payload["packed"][lo:hi]
+        ufunc(packed, packed.dtype.type(shifted), out=out)
+        return packed.nbytes
+
+    def compare_pair(self, ufunc, lo: int, hi: int, other: "Segment",
+                     other_lo: int, out: np.ndarray) -> int:
+        """``ufunc(values[lo:hi], other values)`` of two ``for`` segments
+        (as many rows of *other* from *other_lo*) into *out*, on their
+        codes: ``p_a + r_a OP p_b + r_b`` is ``p_a - p_b OP r_b - r_a``,
+        the code difference taken in int32 (int64 past 16-bit codes).
+        A reference gap outside the difference's range answers the piece
+        without reading it.  Returns the packed bytes read."""
+        gap = other.meta["reference"] - self.meta["reference"]
+        low = -(other.stats.max - other.meta["reference"])
+        if not low <= gap <= self.stats.max - self.meta["reference"]:
+            out[...] = COMPARISONS[ufunc](0, gap)
+            return 0
+        a = self.payload["packed"][lo:hi]
+        b = other.payload["packed"][other_lo:other_lo + hi - lo]
+        wide = np.dtype(np.int64 if max(a.itemsize, b.itemsize) > 2 else np.int32)
+        ufunc(np.subtract(a, b, dtype=wide), wide.type(gap), out=out)
+        return a.nbytes + b.nbytes
 
     def run_slice(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
         """(run values, run lengths) covering local rows ``[lo, hi)`` of
@@ -244,7 +362,7 @@ class Segment:
     # -- buffer management ---------------------------------------------------
 
     def is_mapped(self) -> bool:
-        return any(isinstance(a, np.memmap) for a in self.payload.values())
+        return any(mapping_of(a) is not None for a in self.payload.values())
 
     def release(self) -> None:
         """Advise the kernel to drop this segment's resident file pages.
@@ -253,12 +371,36 @@ class Segment:
         set bounded to the segments currently being read.
         """
         for array in self.payload.values():
-            mapped = getattr(array, "_mmap", None)
+            mapped = mapping_of(array)
             if mapped is not None and hasattr(mapped, "madvise"):
                 try:
                     mapped.madvise(_mmap_mod.MADV_DONTNEED)
                 except (ValueError, OSError):  # closed or platform-limited
                     pass
+
+
+class _TailBuffer:
+    """The buffer under an open tail, how many of its rows some tail
+    holds (only the tail holding all of them may write past them) and
+    how many rows the tail may grow to."""
+
+    __slots__ = ("buffer", "filled", "limit", "lock")
+
+    def __init__(self, buffer: np.ndarray, filled: int, limit: int):
+        self.buffer = buffer
+        self.filled = filled
+        self.limit = limit
+        self.lock = threading.Lock()
+
+
+def mapping_of(array: np.ndarray) -> _mmap_mod.mmap | None:
+    """The ``mmap`` an array views (found through its ``.base`` chain),
+    or None for an in-RAM array.  Payloads are plain ndarray views of the
+    file, so slicing them runs none of ``np.memmap``'s Python hooks."""
+    base = array
+    while isinstance(base, np.ndarray):
+        base = base.base
+    return base if isinstance(base, _mmap_mod.mmap) else None
 
 
 # ---------------------------------------------------------------- encoding
@@ -283,14 +425,14 @@ def _encode_rle(values: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     return run_values, run_lengths
 
 
-def _encode_for(values: np.ndarray) -> tuple[np.ndarray, int, int] | None:
+def _encode_for(values: np.ndarray,
+                stats: SegmentStats) -> tuple[np.ndarray, int, int] | None:
     """(packed deltas, reference, width bits) or ``None`` when FoR does
     not apply (non-integers, empty, or no narrower packed dtype)."""
     if values.dtype.kind not in "iu" or len(values) == 0:
         return None
-    lo = int(values.min())
-    hi = int(values.max())
-    span = hi - lo
+    lo = int(stats.min)
+    span = int(stats.max) - lo
     for width, packed_dtype in ((8, np.uint8), (16, np.uint16), (32, np.uint32)):
         if span < (1 << width) and width < values.dtype.itemsize * 8:
             # deltas in the column's own dtype: a uint64 value past the
@@ -303,32 +445,33 @@ def _encode_for(values: np.ndarray) -> tuple[np.ndarray, int, int] | None:
 def encode_segment(values: np.ndarray, encoding: str = "plain") -> Segment:
     """Seal *values* into one segment with the requested encoding.
 
-    ``auto`` picks the cheapest applicable encoding (RLE when runs pay,
-    else FoR for narrow integer ranges, else plain); asking explicitly
-    for ``rle``/``for`` falls back to plain when the encoding does not
-    apply — encodings are an optimization, never a requirement.
+    ``auto`` stores the smallest of RLE, FoR and plain: RLE applies when
+    its runs take at most half the plain bytes, FoR to integers whose
+    range fits a narrower unsigned dtype, and a tie goes to FoR (its
+    read is one add, an RLE read a ``np.repeat``), then to RLE.  Asking
+    explicitly for ``rle``/``for`` falls back to plain when the encoding
+    does not apply — encodings are an optimization, never a requirement.
     """
+    if encoding not in ENCODINGS and encoding != "auto":
+        raise StorageError(f"unknown encoding {encoding!r}")
     values = np.ascontiguousarray(values)
     stats = SegmentStats.seal(values)
-    if encoding in ("rle", "auto"):
-        encoded = _encode_rle(values)
-        if encoded is not None:
-            return Segment.rle(encoded[0], encoded[1], stats)
-        if encoding == "rle":
-            return Segment.plain(values, stats)
+    candidates = []
     if encoding in ("for", "auto"):
-        packed = _encode_for(values)
+        packed = _encode_for(values, stats)
         if packed is not None:
-            return Segment(
+            candidates.append(Segment(
                 "for", values.dtype, len(values), stats,
                 {"packed": packed[0]},
                 {"reference": packed[1], "width": packed[2]},
-            )
-        if encoding == "for":
-            return Segment.plain(values, stats)
-    if encoding in ("plain", "auto", "rle", "for"):
+            ))
+    if encoding in ("rle", "auto"):
+        runs = _encode_rle(values)
+        if runs is not None:
+            candidates.append(Segment.rle(runs[0], runs[1], stats))
+    if not candidates:
         return Segment.plain(values, stats)
-    raise StorageError(f"unknown encoding {encoding!r}")
+    return min(candidates, key=lambda segment: segment.physical_nbytes)
 
 
 def make_segments(
@@ -396,9 +539,6 @@ class ColumnData:
             positions = np.asarray(positions, dtype=np.int64) + self.lo
         return self.column.take(positions)
 
-    def has_rle(self) -> bool:
-        return any(seg.encoding == "rle" for seg, _, _ in self.column.pieces(self.lo, self.hi))
-
     def _runs(self, seg: Segment, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
         """An RLE piece's clipped runs, their bytes accounted as scanned."""
         values, lengths = seg.run_slice(lo, hi)
@@ -406,15 +546,56 @@ class ColumnData:
         return values, lengths
 
     def _decoded(self, seg: Segment, lo: int, hi: int) -> np.ndarray:
-        """A plain or FoR piece's values (one decode pass), accounted."""
+        """A piece's values (one decode pass), accounted as the column's
+        own decode would be."""
         values = seg.decode_range(lo, hi)
-        counters = self.column.counters
-        if seg.encoding == "plain":
-            counters.bytes_scanned += values.nbytes
-        else:
-            counters.bytes_scanned += (hi - lo) * seg.payload["packed"].dtype.itemsize
-            counters.bytes_decompressed += values.nbytes
+        self.column.count_decode(((seg, lo, hi),))
         return values
+
+    def map_stored(self, apply, compare=None) -> np.ndarray | None:
+        """``apply`` (an element-wise map of an array) over the view, read
+        piece by piece in stored form: an RLE piece maps its runs and
+        expands the results, a ``for`` piece compares its packed codes
+        when *compare* — ``(comparison ufunc, integer threshold)`` — is
+        given and decodes otherwise, a plain piece maps as it is.  None
+        for an empty view."""
+        pieces = []
+        counters = self.column.counters
+        for seg, lo, hi in self.column.pieces(self.lo, self.hi):
+            if seg.encoding == "rle":
+                values, lengths = self._runs(seg, lo, hi)
+                pieces.append(np.repeat(apply(values), lengths))
+            elif seg.encoding == "for" and compare is not None:
+                out = np.empty(hi - lo, dtype=bool)
+                counters.bytes_scanned += seg.compare_codes(compare[0], lo, hi, compare[1], out)
+                pieces.append(out)
+            else:
+                pieces.append(apply(self._decoded(seg, lo, hi)))
+        if len(pieces) > 1:
+            return np.concatenate(pieces)
+        return pieces[0] if pieces else None
+
+    def compare_stored(self, ufunc, other: "ColumnData") -> np.ndarray | None:
+        """``ufunc(self, other)`` (a comparison) over two views of one
+        length whose segment pieces line up: a pair of ``for`` pieces
+        compares codes (:meth:`Segment.compare_pair`), any other pair
+        decodes both.  None when the pieces do not line up."""
+        mine = list(self.column.pieces(self.lo, self.hi))
+        theirs = list(other.column.pieces(other.lo, other.hi))
+        if len(self) != len(other) or len(mine) != len(theirs) or any(
+                hi - lo != b - a for (_, lo, hi), (_, a, b) in zip(mine, theirs)):
+            return None
+        out = np.empty(len(self), dtype=bool)
+        at = 0
+        for (seg, lo, hi), (theirs_seg, a, b) in zip(mine, theirs):
+            piece = out[at:at + hi - lo]
+            at += hi - lo
+            if seg.encoding == theirs_seg.encoding == "for":
+                self.column.counters.bytes_scanned += seg.compare_pair(
+                    ufunc, lo, hi, theirs_seg, a, piece)
+            else:
+                ufunc(self._decoded(seg, lo, hi), other._decoded(theirs_seg, a, b), out=piece)
+        return out
 
     def run_pairs(self):
         """Yields ``(values, lengths_or_None)`` per covered segment piece.
@@ -470,7 +651,7 @@ class ColumnData:
         n = len(self)
         if fn != "sum" or self.dtype.kind not in "iub":
             return None
-        if run_length <= 0 or n == 0 or not self.has_rle():
+        if run_length <= 0 or n == 0 or "rle" not in self.column.encoded:
             return None
         out = np.zeros(-(-n // run_length), dtype=np.int64)
         base = 0  # view-local row offset of the current piece

@@ -461,7 +461,7 @@ def test_reading_a_loaded_value_does_not_write_it():
         column.take(index), column.rows(), column.slice(5, 50), column.pad()
         column.sparse(), column.span(), column.runs(), column.shifted(2)
         column.whole(), column.info, column.fold("max", 0), column.fold("max", 4)
-        column.map_runs("Add", np.ones(1, dtype=np.int64))
+        column.stored(), column.map_stored("Add", np.ones(1, dtype=np.int64))
         val.attr(path), val.mask(path), val.dtype_of(path), val.present_count(path)
         val.scalar(path)
     val.item_sizes(), val.paths(), fused_slice(val, 3, 9), rt.force(val)

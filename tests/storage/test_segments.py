@@ -8,8 +8,11 @@ integration points:
   (both ``mmap`` modes);
 * seal-time min/max stats answer catalog queries without touching
   payload bytes;
-* ``ColumnStore.append`` seals new segments, merges dictionaries, and
-  bumps the table version under an unchanged schema fingerprint;
+* ``auto`` seals the smallest of RLE, FoR and plain;
+* ``load(mmap=True)`` payloads are plain ndarray views of the mapping;
+* ``ColumnStore.append`` grows one open tail per column (sealing a new
+  segment for a compressed batch), merges dictionaries, and bumps the
+  table version under an unchanged schema fingerprint;
 * ``total_bytes`` honestly accounts segments + dictionaries + aux;
 * ``chunk_ranges`` cuts on run alignment, covering every row once;
 * queries are invariant under physical layout (plain vs segmented vs
@@ -120,6 +123,31 @@ class TestEncodingRoundTrip:
 
     def test_for_refuses_floats(self):
         assert encode_segment(np.ones(100), "for").encoding == "plain"
+
+    def test_auto_stores_the_smallest_encoding(self):
+        """FoR for short runs of small integers (4-row runs cost 12 B a run
+        in RLE, 1 B a row in FoR), RLE for long runs, RLE for a float
+        column with runs (FoR packs integers only), plain otherwise."""
+        rng = np.random.default_rng(3)
+        short = np.repeat(rng.integers(0, 200, 250), 4)
+        long = np.repeat(rng.integers(0, 200, 5), 200)
+        cases = {
+            "for": short, "rle": long,
+            "plain": rng.uniform(size=1000),
+        }
+        for want, values in cases.items():
+            assert encode_segment(values, "auto").encoding == want, want
+        assert encode_segment(np.repeat(rng.uniform(size=10), 100), "auto").encoding == "rle"
+
+    @given(values=any_values)
+    @settings(max_examples=60, deadline=None)
+    def test_auto_is_the_smallest_of_rle_for_and_plain(self, values):
+        sizes = {enc: encode_segment(values, enc).physical_nbytes
+                 for enc in ("plain", "rle", "for")}
+        auto = encode_segment(values, "auto")
+        assert auto.physical_nbytes == min(sizes.values())
+        if auto.encoding != "for" and sizes["for"] == auto.physical_nbytes:
+            assert encode_segment(values, "for").encoding == "plain"  # a tie goes to FoR
 
     def test_for_packs_uint64_past_the_int64_range(self):
         values = np.array([2**64 - 1, 2**64 - 3, 2**64 - 200], dtype=np.uint64)
@@ -273,6 +301,47 @@ class TestPersistence:
             assert loaded.meta["generator"] == "test"
             loaded.release()
 
+    def test_mmap_payloads_are_plain_views_of_the_mapping(self, monkeypatch):
+        """No payload is an ``np.memmap`` (whose Python hooks would run per
+        slice and per ufunc result); the mapping is still found, so
+        ``is_mapped`` holds and ``release`` reaches ``madvise``."""
+        import mmap
+
+        from repro.storage import segment as segment_mod
+
+        advised = []
+
+        class Spy:
+            def __init__(self, mapped):
+                self.mapped = mapped
+
+            def madvise(self, flag):
+                advised.append(flag)
+                return self.mapped.madvise(flag)
+
+        real = segment_mod.mapping_of
+        store = _mixed_store()
+        with tempfile.TemporaryDirectory() as tmp:
+            save(store, tmp, encoding="auto", segment_rows=64)
+            for mmap_mode in (True, False):
+                loaded = load(tmp, mmap=mmap_mode)
+                segments = [seg for table in loaded.tables()
+                            for col in table.columns.values() for seg in col.segments]
+                assert segments
+                for seg in segments:
+                    assert seg.is_mapped() is mmap_mode
+                    for array in seg.payload.values():
+                        assert type(array) is np.ndarray
+                        assert isinstance(real(array), mmap.mmap) is mmap_mode
+                monkeypatch.setattr(segment_mod, "mapping_of",
+                                    lambda a: None if real(a) is None else Spy(real(a)))
+                advised.clear()
+                loaded.release()
+                assert len(advised) == (sum(len(s.payload) for s in segments)
+                                        if mmap_mode else 0)
+                monkeypatch.setattr(segment_mod, "mapping_of", real)
+                del loaded, segments
+
     def test_same_layout_same_fingerprint(self):
         store = _mixed_store()
         with tempfile.TemporaryDirectory() as tmp:
@@ -408,6 +477,86 @@ class TestAppend:
         assert [seg.length for seg in store.table("t").column("v").segments] == [10, 4]
         assert bit_equal(store.table("t").column("v").data,
                          np.concatenate([np.arange(10), np.arange(10, 14)]))
+
+    def test_appends_grow_one_open_tail(self):
+        """Small appends extend one in-RAM tail, O(batch) each — the rows
+        go into the tail's spare capacity — until it is as long as the
+        sealed segment; then a new tail opens.  An older column never
+        sees the rows appended after it."""
+        store = ColumnStore()
+        store.add(Table.from_arrays("t", v=np.arange(100, dtype=np.int64)))
+        seen = []
+        for lap in range(20):
+            store.append("t", {"v": np.arange(7, dtype=np.int64) + 1000 * lap})
+            seen.append(store.table("t").column("v"))
+        column = seen[-1]
+        assert [seg.length for seg in column.segments] == [100, 98, 42]
+        assert [seg.is_open() for seg in column.segments] == [False, True, True]
+        first, second = seen[0].segments[-1], seen[1].segments[-1]
+        assert np.shares_memory(first.payload["values"], second.payload["values"])
+        expected = np.concatenate([np.arange(100)] + [np.arange(7) + 1000 * lap
+                                                      for lap in range(20)])
+        assert bit_equal(column.data, expected)
+        assert bit_equal(seen[0].data, expected[:107])  # unchanged by later laps
+        assert (column.min, column.max) == (0, 19_006)
+        assert column.segments[1].stats.count == 98
+
+    def test_a_tail_shared_by_two_columns_is_copied_not_overwritten(self):
+        from repro.storage.columnstore import appended
+
+        base = appended([], np.arange(3, dtype=np.int32))
+        left = appended(base, np.array([10], dtype=np.int32))
+        right = appended(base, np.array([20], dtype=np.int32))
+        assert [int(v) for v in left[-1].values()] == [0, 1, 2, 10]
+        assert [int(v) for v in right[-1].values()] == [0, 1, 2, 20]
+        assert [int(v) for v in base[-1].values()] == [0, 1, 2]
+
+    def test_threads_extending_one_tail_each_keep_their_rows(self):
+        """Eight threads extend the same open tail at once: one claims the
+        rows past it in the shared buffer, the others copy, and every
+        result holds the tail's rows and its own — none sees another
+        thread's batch.  The buffer's ``len()`` yields the interpreter
+        inside the claim, so a second writer gets there unless the claim
+        is serialised."""
+        import threading
+        import time
+
+        from repro.storage.columnstore import appended
+
+        class Yielding(np.ndarray):
+            def __len__(self):
+                time.sleep(0.001)
+                return super().__len__()
+
+        def extend(base, k: int, start, results) -> None:
+            start.wait(timeout=30)
+            batch = np.full(3, 1000 + k, dtype=np.int64)
+            tail = appended(base, batch)[-1]
+            results[k] = bool((tail.values()[:50] == np.arange(50)).all()
+                              and (tail.values()[50:] == batch).all())
+
+        for _ in range(10):
+            base = appended([], np.arange(50, dtype=np.int64))
+            base[-1]._tail.buffer = base[-1]._tail.buffer.view(Yielding)
+            start, results = threading.Barrier(8), {}
+            threads = [threading.Thread(target=extend, args=(base, k, start, results))
+                       for k in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert results == dict.fromkeys(range(8), True)
+
+    def test_a_compressed_batch_seals_a_segment(self):
+        store = ColumnStore()
+        store.add(Table.from_arrays("t", v=np.arange(10, dtype=np.int64)))
+        store.append("t", {"v": np.arange(2)})
+        store.append("t", {"v": np.zeros(40, dtype=np.int64)}, encoding="auto")
+        store.append("t", {"v": np.arange(3)})
+        assert layout(store) == {"t": (55, 3, {"v": ["plain", "plain", "rle", "plain"]})}
+        assert [seg.is_open() for seg in store.table("t").column("v").segments] == \
+            [False, True, False, True]
 
     def test_append_merges_dictionary(self):
         store = ColumnStore()
@@ -562,9 +711,12 @@ class TestLayoutInvariance:
     def test_a_storage_column_is_decoded_once_per_run(self, monkeypatch):
         """The decode memo lives on the runner's ``Lazy`` column, which
         ``Zip`` / ``Project`` / ``Upsert`` pass on unchanged: TPC-H Q1 reads
-        7 lineitem columns whole and decodes each once per execute (9
+        6 lineitem columns whole and decodes each once per execute (9
         decodes when the memo lived on whichever value was read first) —
-        and again on the next execute: nothing decoded outlives a run."""
+        and again on the next execute: nothing decoded outlives a run.
+        The seventh column Q1 reads, ``l_shipdate``, is only compared
+        against a date: the comparison runs on its FoR codes (7 decodes
+        before comparisons read the stored form)."""
         from collections import Counter
 
         from repro.storage.segment import ColumnData
@@ -584,8 +736,39 @@ class TestLayoutInvariance:
             monkeypatch.setattr(ColumnData, "materialize", spy)
             for executes in (1, 2):
                 prepared.execute()
-                assert len(decodes) == 7 and set(decodes.values()) == {executes}, decodes
+                assert len(decodes) == 6 and set(decodes.values()) == {executes}, decodes
+                assert "l_shipdate" not in decodes
 
+
+    def test_q6_compares_its_fixed_point_columns_on_their_codes(self, monkeypatch):
+        """TPC-H Q6 filters ``l_shipdate`` (a date range) and
+        ``l_quantity`` (``< 24``) on an ``auto`` store: both are FoR and
+        compared on their packed codes, so neither is materialized, and
+        their comparisons decompress nothing."""
+        from collections import Counter
+
+        from repro.storage.segment import ColumnData
+        from repro.tpch import build, generate
+
+        store = resegment(generate(0.005, seed=7), encoding="auto", segment_rows=4096)
+        lineitem = store.table("lineitem")
+        assert {"for"} == lineitem.column("l_shipdate").encoded \
+            == lineitem.column("l_quantity").encoded
+        decodes: Counter = Counter()
+        plain = ColumnData.materialize
+
+        def spy(self):
+            decodes[self.column.name] += 1
+            return plain(self)
+
+        with VoodooEngine(store, config=EngineConfig(tracing=False)) as engine:
+            prepared = engine.prepare(build(store, 6))
+            want = prepared.execute().table
+            monkeypatch.setattr(ColumnData, "materialize", spy)
+            got = prepared.execute().table
+        assert decodes and not {"l_shipdate", "l_quantity"} & set(decodes), decodes
+        for name in want.columns:
+            assert bit_equal(np.asarray(got.column(name)), np.asarray(want.column(name)))
 
     def test_query_io_counts_only_the_rows_something_read(self, monkeypatch):
         """A gathered column nobody reads is never fetched, so it is not

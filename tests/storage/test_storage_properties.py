@@ -12,7 +12,13 @@ behaviors; these properties pin the *contracts* over arbitrary inputs:
   equals slicing the concatenation of its segments' ``values()`` in
   dtype, shape and bytes, over any mix of plain / RLE / FoR segments,
   1-row appended tails included, in RAM and mmap-loaded; and the I/O
-  counters one fixed layout charges are pinned.
+  counters one fixed layout charges are pinned;
+* a comparison the runner answers from the stored form — FoR codes
+  against a shifted threshold, two FoR columns on their code
+  difference, RLE runs, plain pieces as they are — equals
+  decode-then-``apply_binary`` in dtype and bytes, over every piece
+  layout, open appended tails included, and a packed compare
+  decompresses nothing.
 """
 
 import tempfile
@@ -23,6 +29,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.compiler.columns import Dense, Lazy
+from repro.compiler.rt_fast import FusedRuntime, FusedVal, MapPlan
+from repro.core.keypath import Keypath
+from repro.interpreter.engine import apply_binary
 from repro.storage import ColumnStore, Table, encode_segment, load, save
 from repro.storage.columnstore import Column
 from repro.storage.dictionary import StringDictionary
@@ -286,3 +296,147 @@ def test_io_counters_of_a_fixed_layout(where, tmp_path):
         "bytes_scanned": 747, "bytes_decompressed": 604}
     assert charged(lambda: view.fold("max")) == {
         "bytes_scanned": 831, "bytes_decompressed": 604}
+
+
+# -- comparisons on the stored form ---------------------------------------------
+
+COMPARISONS = ("Less", "LessEqual", "Greater", "GreaterEqual", "Equals", "NotEquals")
+SIGNED = ("int8", "int16", "int32", "int64")
+#: what must fall back to the decode: an unsigned or float column
+FALLBACK = ("uint8", "uint32", "uint64", "float64")
+A, B = Keypath(["a"]), Keypath(["b"])
+
+
+@st.composite
+def compare_layouts(draw):
+    """(dtype, [(a values, b values, encoding)] per sealed segment,
+    [(a rows, b rows)] per append): columns ``a`` and ``b`` of one table,
+    0-4 sealed segments on one grid, then 0-3 appended batches."""
+    dtype = np.dtype(draw(st.sampled_from(SIGNED * 3 + FALLBACK)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    max_run = draw(st.sampled_from((1, 4, 40)))
+    span = draw(st.sampled_from((0, 1, 200, 60_000)))
+    sealed = [(_segment_values(rng, dtype, size, max_run, span),
+               _segment_values(rng, dtype, size, max_run, span),
+               draw(st.sampled_from(("plain", "rle", "for", "auto"))))
+              for size in draw(st.lists(st.integers(1, 200), max_size=4))]
+    batches = [(_segment_values(rng, dtype, size, max_run, span),
+                _segment_values(rng, dtype, size, max_run, span))
+               for size in draw(st.lists(st.integers(1, 40), max_size=3))]
+    return dtype, sealed, batches
+
+
+def _compare_stores(dtype, sealed, batches, tmp) -> dict[str, ColumnStore]:
+    """The layout in RAM and mmap-loaded, each then taking the appends."""
+    columns = [Column(name, segments=[encode_segment(piece[i], encoding)
+                                      for *piece, encoding in sealed], dtype=dtype)
+               for i, name in enumerate("ab")]
+    store = ColumnStore()
+    store.add(Table("t", columns))
+    stores = {"ram": store, "mmap": load(save(store, Path(tmp) / "db"), mmap=True)}
+    for each in stores.values():
+        for a, b in batches:
+            each.append("t", {"a": a, "b": b})
+    return stores
+
+
+def _thresholds(column: Column, rng: np.random.Generator) -> list[int]:
+    """At, just inside and just outside every FoR segment's packed range
+    (its reference and its top code), the column's ends and a random
+    value."""
+    out = {0, int(rng.integers(-300, 300))}
+    for seg in column.segments:
+        if seg.encoding == "for":
+            reference, top = seg.meta["reference"], seg.stats.max
+            out.update((reference - 1, reference, reference + 1, top - 1, top, top + 1))
+    if len(column) and column.dtype.kind in "iu":
+        out.update((column.min - 1, column.min, column.max, column.max + 1))
+    return sorted(out)
+
+
+def _operands(value: int, dtype: np.dtype) -> list[np.ndarray]:
+    """*value* as a length-1 operand of the column's dtype (when it fits),
+    int64, uint64 (when it fits) and float64 (the last two: the decode)."""
+    out = [np.array([value], dtype=np.float64)]
+    for kind in dict.fromkeys((dtype, np.dtype(np.int64), np.dtype(np.uint64))):
+        if kind.kind in "iu" and np.iinfo(kind).min <= value <= np.iinfo(kind).max:
+            out.append(np.array([value], dtype=kind))
+    return out
+
+
+def _decoded(column: Column) -> np.ndarray:
+    if not column.segments:
+        return np.empty(0, dtype=column.dtype)
+    return np.concatenate([s.values() for s in column.segments])
+
+
+def _compare(fn: str, left: FusedVal, right: FusedVal, plan: MapPlan, counters):
+    """The runner's ``fn(left.a, right.<b>)`` and what it decompressed."""
+    before = counters.snapshot()
+    out = FusedRuntime({}).binary(fn, B, left, A, right, B, plan)
+    result = out.column(B).pad()[0]
+    return result, counters.delta(before)["bytes_decompressed"]
+
+
+class TestStoredComparisons:
+    @given(layout=compare_layouts(), seed=st.integers(0, 2**16))
+    @settings(max_examples=80, deadline=None)
+    def test_a_stored_form_comparison_equals_the_decoded_one(self, layout, seed):
+        dtype, sealed, batches = layout
+        rng = np.random.default_rng(seed)
+        with tempfile.TemporaryDirectory() as tmp:
+            for store in _compare_stores(dtype, sealed, batches, tmp).values():
+                table = store.table("t")
+                a, b = table.column("a"), table.column("b")
+                want_a, want_b = _decoded(a), _decoded(b)
+                counters = a.counters
+                n = len(want_a)
+                for value in _thresholds(a, rng):
+                    for operand in _operands(value, dtype):
+                        for fn in COMPARISONS:
+                            left = FusedVal(n, {A: Lazy(a.view())})
+                            constant = FusedVal(1, {B: Dense(operand)})
+                            for plan in (MapPlan(), MapPlan(constant, B)):
+                                got, decompressed = _compare(fn, left, constant, plan, counters)
+                                _same(got, apply_binary(fn, want_a, operand))
+                                if _packed(a, operand):
+                                    assert decompressed == 0, (fn, value, operand.dtype)
+                for fn in COMPARISONS:
+                    left = FusedVal(n, {A: Lazy(a.view())})
+                    right = FusedVal(n, {B: Lazy(b.view())})
+                    got, _ = _compare(fn, left, right, MapPlan(), counters)
+                    _same(got, apply_binary(fn, want_a, want_b))
+
+    def test_a_packed_pair_compare_decompresses_nothing(self):
+        """Two FoR columns with different references on one grid, one
+        piece of them out of each other's range."""
+        a = np.array([5, 9, 7, 100, 101, 103], dtype=np.int32)
+        b = np.array([1_000, 4, 7, 99, 102, 103], dtype=np.int32)
+        columns = [Column(name, segments=[encode_segment(v[:3], "for"),
+                                          encode_segment(v[3:], "for")])
+                   for name, v in (("a", a), ("b", b))]
+        references = [[s.meta["reference"] for s in c.segments] for c in columns]
+        assert references == [[5, 100], [4, 99]]
+        for fn in COMPARISONS:
+            left = FusedVal(6, {A: Lazy(columns[0].view())})
+            right = FusedVal(6, {B: Lazy(columns[1].view())})
+            got, decompressed = _compare(fn, left, right, MapPlan(), columns[0].counters)
+            _same(got, apply_binary(fn, a, b))
+            assert decompressed == 0
+
+    def test_misaligned_pieces_take_the_decode(self):
+        a = Column("a", segments=[encode_segment(np.arange(4, dtype=np.int32), "for"),
+                                  encode_segment(np.arange(4, 8, dtype=np.int32), "for")])
+        b = Column("b", segments=[encode_segment(np.arange(3, dtype=np.int32), "for"),
+                                  encode_segment(np.arange(5, 10, dtype=np.int32), "for")])
+        assert Lazy(a.view()).map_stored("Less", Lazy(b.view())) is None
+        left = FusedVal(8, {A: Lazy(a.view())})
+        right = FusedVal(8, {B: Lazy(b.view())})
+        got, _ = _compare("Less", left, right, MapPlan(), a.counters)
+        _same(got, np.less(a.data, b.data))
+
+
+def _packed(column: Column, operand: np.ndarray) -> bool:
+    """Must a comparison of *column* with *operand* read no decode?"""
+    return (column.dtype.kind == "i" and operand.dtype.kind in "iu"
+            and np.result_type(column.dtype, operand.dtype).kind in "iu")
