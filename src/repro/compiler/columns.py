@@ -1,12 +1,12 @@
-"""The columns of a runner value: six kinds, one protocol.
+"""The columns of a runner value: seven kinds, one protocol.
 
 A :class:`~repro.compiler.rt_fast.FusedVal` is one ``{keypath: column}``
 mapping — the paper's Structured Vector, whose attributes may be
 ε-padded (section 3.1.2) or never materialised (control vectors, the
 deferred ranking of a ``Partition``, the rows a ``Gather`` or a landing
-``Scatter`` would move — an annotation until something reads them,
-section 3.1.3).  Every column here answers the same questions, whatever
-stores it:
+``Scatter`` would move, the comparisons of a compressed column — an
+annotation until something reads them, section 3.1.3).  Every column
+here answers the same questions, whatever stores it:
 
 ``dtype``, ``len()``
     what it holds, over how many slots;
@@ -36,9 +36,9 @@ tries it and takes the ``pad()`` path when it gets None.
 
 **Columns and values are immutable once built.**  Derived state lives on
 the column it derives from — the padded image of a :class:`Compact`, the
-materialised :class:`Run`, the decode of a :class:`Lazy`, the ranking of
-a :class:`Deferred`, the rows of a :class:`Taken` — each published by one
-attribute assignment of a
+materialised :class:`Run`, the decode of a :class:`Lazy`, the bools of a
+:class:`Compared`, the ranking of a :class:`Deferred`, the rows of a
+:class:`Taken` — each published by one attribute assignment of a
 complete result (a racing reader computes it again, to the same bits),
 so columns are shared freely between values and between chunk workers.
 Masks and arrays are shared likewise and never written — and the ones a
@@ -431,13 +431,14 @@ class Lazy(Column):
     def stored(self):
         return self._array is None and self.handle.column.stored()
 
-    def map_stored(self, fn: str, other) -> np.ndarray | None:
+    def map_stored(self, fn: str, other) -> Column | None:
         """``fn(column, other)`` read off the stored segments, or None
         when one decode of the whole column is no dearer.
 
-        *other* is a length-1 operand or a :class:`Lazy` column of the
-        same length.  Against a length-1 integer, a comparison reads FoR
-        pieces on their codes; any map evaluates RLE pieces per run and
+        *other* is a length-1 operand or an unread column of the same
+        length (only a :class:`Lazy` one is read here).  A comparison
+        against a length-1 integer is a :class:`Compared` column, read on
+        its first use; any other map evaluates RLE pieces per run and
         expands the results (both bit-identical: the maps are
         element-wise and integer comparisons exact).  Two FoR columns on
         one piece grid compare code differences.  A float operand, a
@@ -447,14 +448,16 @@ class Lazy(Column):
         ufunc = _COMPARE.get(fn)
         exact = (ufunc is not None and "for" in encoded
                  and _exact(self.dtype, np.dtype(other.dtype)))
-        if isinstance(other, Lazy):
-            if not exact or not other.stored():
+        if isinstance(other, Column):
+            if not (exact and isinstance(other, Lazy) and other.stored()):
                 return None
-            return self.handle.compare_stored(ufunc, other.handle)
-        if not exact and "rle" not in encoded:
+            compared = self.handle.compare_stored(ufunc, other.handle)
+            return None if compared is None else Dense(compared)
+        if exact and len(self.handle):
+            return Compared(self.handle, None, ((fn, other),))
+        if "rle" not in encoded or not len(self.handle):
             return None
-        return self.handle.map_stored(lambda values: apply_binary(fn, values, other),
-                                      (ufunc, int(other[0])) if exact else None)
+        return Dense(self.handle.map_stored(lambda values: apply_binary(fn, values, other)))
 
     def fold(self, fn, run_length):
         if run_length:
@@ -462,6 +465,110 @@ class Lazy(Column):
         folded = self.handle.fold(fn)
         return None if folded is None else folded.reshape(1)
 
+
+class Compared(Column):
+    """Comparisons of one compressed storage column against integer
+    literals (:meth:`Lazy.map_stored`), read when something first reads
+    a value: every slot present, one bool per row.
+
+    Until then the comparisons combine: an ``And`` of two bounds is one
+    window and an ``Or`` of ``Equals`` one membership test, so a range or
+    an IN-list reads each FoR piece's codes in one routine into one bool
+    array (:meth:`Segment.range_codes`, :meth:`Segment.member_codes`)
+    where each comparison would read them again and each ``And`` /
+    ``Or`` make one more array.  ``terms`` are the ``(fn, operand)``
+    comparisons and ``op`` the ``LogicalAnd`` / ``LogicalOr`` joining
+    them (None for one): a plain or RLE piece applies them as written,
+    so every piece equals the decode-then-map result bit for bit."""
+
+    __slots__ = ("handle", "op", "terms", "_array")
+
+    def __init__(self, handle, op: str | None, terms: tuple):
+        self.handle = handle
+        self.op = op
+        self.terms = terms
+        self._array: np.ndarray | None = None
+
+    dtype = property(lambda self: np.dtype(bool))
+
+    def __len__(self) -> int:
+        return len(self.handle)
+
+    def rows(self):
+        array = self._array
+        if array is None:
+            array = self.handle.map_stored(self._apply, self._codes())
+            if array is None:  # an empty view
+                array = np.zeros(0, dtype=bool)
+            self._array = array
+        return array, None
+
+    pad = rows  # every slot is present: one answer to both
+
+    def whole(self):
+        return self.rows()[0]
+
+    def take(self, index, found=None):
+        return self.rows()[0][index], None
+
+    def slice(self, lo, hi, cuts=None):
+        if self._array is not None:
+            return Dense(self._array[lo:hi])
+        return Compared(self.handle.slice(lo, hi), self.op, self.terms)
+
+    def stored(self):
+        return self._array is None
+
+    def map_stored(self, fn: str, other) -> Column | None:
+        """The ``And`` of two bounds or the ``Or`` of equalities, unread,
+        when *other* compares the same rows; else None."""
+        mine, theirs = self.handle, getattr(other, "handle", None)
+        if not isinstance(other, Compared) or other._array is not None or not (
+                theirs.column is mine.column and (theirs.lo, theirs.hi) == (mine.lo, mine.hi)):
+            return None
+        if fn == "LogicalAnd" and self.op is other.op is None and (
+                self.terms[0][0] in _BOUNDS and other.terms[0][0] in _BOUNDS):
+            return Compared(self.handle, fn, self.terms + other.terms)
+        if fn == "LogicalOr" and all(
+                term[0] == "Equals" for term in self.terms + other.terms) and (
+                self.op in (None, fn) and other.op in (None, fn)):
+            return Compared(self.handle, fn, self.terms + other.terms)
+        return None
+
+    def _apply(self, values: np.ndarray) -> np.ndarray:
+        (fn, operand), *rest = self.terms
+        out = apply_binary(fn, values, operand)
+        for fn, operand in rest:
+            out = apply_binary(self.op, out, apply_binary(fn, values, operand))
+        return out
+
+    def _codes(self):
+        """What a FoR piece answers from its codes: the one comparison,
+        the window of the two bounds or the membership test."""
+        if self.op is None:
+            (fn, operand), = self.terms
+            ufunc, threshold = _COMPARE[fn], int(operand[0])
+            return lambda seg, lo, hi, out: seg.compare_codes(ufunc, lo, hi, threshold, out)
+        if self.op == "LogicalOr":
+            values = [int(operand[0]) for _, operand in self.terms]
+            return lambda seg, lo, hi, out: seg.member_codes(lo, hi, values, out)
+        low = high = None
+        for fn, operand in self.terms:
+            at_least, at_most = _BOUNDS[fn](int(operand[0]))
+            if at_least is not None:
+                low = at_least if low is None else max(low, at_least)
+            if at_most is not None:
+                high = at_most if high is None else min(high, at_most)
+        return lambda seg, lo, hi, out: seg.range_codes(lo, hi, low, high, out)
+
+
+#: the comparisons a window of integers answers: ``c`` -> (least, most)
+#: value passing (None: unbounded)
+_BOUNDS = {
+    "Less": lambda c: (None, c - 1), "LessEqual": lambda c: (None, c),
+    "Greater": lambda c: (c + 1, None), "GreaterEqual": lambda c: (c, None),
+    "Equals": lambda c: (c, c),
+}
 
 #: the comparisons a storage column answers on its FoR codes
 _COMPARE = {"Less": np.less, "LessEqual": np.less_equal, "Greater": np.greater,

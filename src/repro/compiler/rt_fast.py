@@ -444,18 +444,19 @@ class FusedRuntime:
                right: FusedVal, kp2: Keypath, plan: MapPlan) -> FusedVal:
         column = left.column(kp1)
         if column.stored():
-            # a compressed storage column nothing has decoded: answered
-            # from its stored form when that is cheaper than the decode
+            # a compressed storage column nothing has decoded (or its
+            # comparisons, unread): answered from its stored form when
+            # that is cheaper than the decode
             other = plan.array
             if other is None:
                 other = right.column(kp2)
                 if right.length == 1 and other.mask() is None:
                     other = other.pad()[0]
-                elif right.length != left.length or not isinstance(other, Lazy):
+                elif right.length != left.length or not other.stored():
                     other = None
-            result = None if other is None else column.map_stored(fn, other)
-            if result is not None:
-                return FusedVal(len(result), {out: Dense(result)})
+            mapped = None if other is None else column.map_stored(fn, other)
+            if mapped is not None:
+                return FusedVal(left.length, {out: mapped})
         a = column.whole()
         if a is not None:
             # where the time is: a full-length map asks both kinds once

@@ -322,7 +322,13 @@ class ScalarOf(Expr):
 def columns_used(expr: Expr) -> set[str]:
     """All column names referenced by an expression tree (a scalar
     subquery's plan references none of the outer relation's)."""
-    if isinstance(expr, Col):
-        return {expr.name}
-    children = (getattr(expr, name) for name in node_fields(type(expr)))
-    return set().union(*(columns_used(child) for child in children if isinstance(child, Expr)))
+    found: set[str] = set()
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        if type(node) is Col:
+            found.add(node.name)
+            continue
+        stack += [child for name in node_fields(type(node))
+                  if isinstance(child := getattr(node, name), Expr)]
+    return found

@@ -29,6 +29,8 @@ from repro.errors import ExecutionError
 from repro.relational import expressions as ex
 from repro.relational.algebra import Query
 from repro.relational.eviction import evict_oldest
+from repro.relational.sinking import describe
+from repro.relational.translate import Translator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.relational.engine import QueryResult, ResultTable, VoodooEngine
@@ -134,7 +136,9 @@ class PreparedQuery:
     # -- observability -----------------------------------------------------
 
     def explain(self, **params) -> str:
-        """How this query would execute: backend, cache state, kernels."""
+        """How this query would execute: backend, cache state, kernels,
+        and one line per filter conjunct the translation moved below a
+        join (:mod:`repro.relational.sinking`)."""
         bound = self.bind(**params)
         engine = self.engine
         lines = [
@@ -160,6 +164,9 @@ class PreparedQuery:
             lines.append(f"backend: node runner, {kernels} kernels, inline")
         lines.append(f"compiled plan cached before this call: {cached}")
         lines.append(f"kernels: {compiled.kernel_count()}")
+        translator = Translator(engine.store, grain=engine.grain)
+        translator.translate_query(bound)
+        lines += [describe(conjunct, join) for conjunct, join in translator.sinking.moves]
         return "\n".join(lines)
 
     def __repr__(self) -> str:

@@ -36,6 +36,7 @@ from repro.errors import TranslationError
 from repro.relational import algebra as ra
 from repro.relational import expressions as ex
 from repro.relational.expressions import columns_used
+from repro.relational.sinking import Sinking
 from repro.storage.columnstore import ColumnStore
 
 
@@ -74,6 +75,9 @@ class Translator:
         self._plan_cache: dict[int, V] = {}
         self._fresh = 0
         self._needed: set[str] | None = None
+        #: the filter-sinking rewrite every plan this translator lowers
+        #: from a query passes through (``sinking.moves``: what it moved)
+        self.sinking = Sinking(store)
         #: table -> version of every table whose *contents* (not schema)
         #: this translation read; its program is valid while they are current
         self.reads: dict[str, int] = {}
@@ -82,7 +86,7 @@ class Translator:
 
     def translate_query(self, query: ra.Query, output: str = "result") -> Program:
         self._needed = collect_needed_columns(query)
-        rel = self.translate(query.plan)
+        rel = self.translate(self.sinking.plan(query.plan))
         return self.b.build(**{output: rel})
 
     def translate(self, plan: ra.Plan) -> V:
@@ -498,7 +502,7 @@ class Translator:
         return out, _V
 
     def _emit_scalar_of(self, expr: ex.ScalarOf):
-        sub_rel = self.translate(expr.plan)
+        sub_rel = self.translate(self.sinking.plan(expr.plan))
         first = self.b.range(1, out=_ONE)
         scalar = self.b.gather(sub_rel, first, pos_kp=_ONE)
         return scalar, _col(expr.column)

@@ -1,7 +1,7 @@
 """The column kinds against one oracle, and the never-written value.
 
 A runner value is a ``{keypath: column}`` mapping and a column is one of
-six kinds (:mod:`repro.compiler.columns`).  Every kind answers the same
+seven kinds (:mod:`repro.compiler.columns`).  Every kind answers the same
 protocol, and every answer is a function of the column's padded image:
 ``pad()`` is the oracle here, the other methods are checked against it
 mechanically — kinds x methods x shapes (ε-heavy, all-ε, empty,
@@ -22,7 +22,9 @@ import numpy as np
 import pytest
 
 from repro.compiler import FusedRuntime
-from repro.compiler.columns import Column, Compact, Deferred, Dense, Lazy, Run, Slots, Taken
+from repro.compiler.columns import (
+    Column, Compact, Compared, Deferred, Dense, Lazy, Run, Slots, Taken,
+)
 from repro.compiler.rt_fast import FusedVal, fused_slice, route, to_fused
 from repro.core import StructuredVector
 from repro.core.controlvector import IDENTITY, RunInfo, constant_run
@@ -31,7 +33,7 @@ from repro.errors import SchemaError
 from repro.storage import make_segments
 from repro.storage.columnstore import Column as StoredColumn
 
-KINDS = (Dense, Compact, Run, Lazy, Deferred, Taken)
+KINDS = (Dense, Compact, Run, Lazy, Compared, Deferred, Taken)
 
 
 def handle(values: np.ndarray, encoding: str = "auto", rows: int = 7):
@@ -58,10 +60,19 @@ def deferred(key: Column, pivots: int, scatter_only: bool) -> Deferred:
     return out
 
 
-def decoded(values, encoding):
-    column = Lazy(handle(values, encoding))
+def compared(values, encoding, op, *terms, rows: int = 7) -> Compared:
+    """Comparisons of a storage column against integer literals."""
+    return Compared(handle(values, encoding, rows), op,
+                    tuple((fn, np.array([value])) for fn, value in terms))
+
+
+def read(column: Column) -> Column:
     column.pad()
     return column
+
+
+def decoded(values, encoding):
+    return read(Lazy(handle(values, encoding)))
 
 
 #: what a Taken reads through, name -> (a fresh mask-free 40-row column, its values)
@@ -158,6 +169,16 @@ def cases():
         "lazy, decoded": lambda: decoded(runny, "rle"),
         "lazy, empty": lambda: Lazy(handle(ints[:0])),
         "lazy, one row": lambda: Lazy(handle(ints[:1])),
+        "compared, for": lambda: compared(ints, "for", None, ("Less", 3)),
+        "compared, range": lambda: compared(ints, "for", "LogicalAnd",
+                                            ("Greater", -20), ("LessEqual", 17)),
+        "compared, in-list over runs": lambda: compared(runny, "auto", "LogicalOr",
+                                                        ("Equals", 2), ("Equals", 5)),
+        "compared, sliced handle": lambda: Compared(
+            handle(ints, "for").slice(5, 31), None, (("NotEquals", np.array([0])),)),
+        "compared, read": lambda: read(compared(ints, "for", None, ("GreaterEqual", 0))),
+        "compared, empty": lambda: compared(ints[:0], "for", None, ("Equals", 1)),
+        "compared, one row": lambda: compared(ints[:1], "for", None, ("Equals", int(ints[0]))),
         "deferred": lambda: deferred(Dense(keys), 6, False),
         "deferred, keys past the pivots": lambda: deferred(Dense(keys), 3, False),
         "deferred, compact key": lambda: deferred(compact(40, hits, keys[hits], 0), 6, True),

@@ -16,7 +16,10 @@ the price the way ``tests/bench/test_figures.py::TestAblations`` asserts.
 
 Regenerate (only when a price is *meant* to move; say why in CHANGES.md)::
 
-    PYTHONPATH=src python tests/compiler/test_pricing.py
+    PYTHONPATH=src python tests/compiler/test_pricing.py "why they moved"
+
+which rewrites every entry, keeps ``commit`` and records the reason in
+``rerecorded`` for each entry that moved (it refuses without one).
 """
 
 import json
@@ -216,13 +219,23 @@ def test_reads_are_charged_per_kernel_and_per_stored_column():
 
 
 if __name__ == "__main__":
+    # PYTHONPATH=src python tests/compiler/test_pricing.py "why the moved entries moved"
+    import sys
+
+    before = json.loads(GOLDEN.read_text())
     tpch = generate(0.01, seed=42)
     recorded = micro_entries()
     for number in sorted(QUERIES):
         for variant, (_, record) in tpch_entries(tpch, number)[1].items():
             recorded[f"tpch/q{number}/{variant}"] = record
-    commit = subprocess.run(["git", "rev-parse", "HEAD"], capture_output=True, text=True,
-                            cwd=Path(__file__).parent).stdout.strip()
-    GOLDEN.write_text(json.dumps(
-        {"commit": commit, "entries": dict(sorted(recorded.items()))}, indent=1) + "\n")
-    print(f"wrote {len(recorded)} entries at {commit} to {GOLDEN}")
+    recorded = json.loads(json.dumps(recorded))  # as the file holds them
+    moved = [key for key, record in recorded.items() if before["entries"].get(key) != record]
+    reason = " ".join(sys.argv[1:])
+    if moved and not reason:
+        sys.exit(f"{len(moved)} entries moved ({', '.join(moved)}): pass the reason")
+    # the commit stays the one whose traced runs the unmoved entries pin
+    GOLDEN.write_text(json.dumps({
+        "commit": before["commit"], "entries": dict(sorted(recorded.items())),
+        "rerecorded": {**before.get("rerecorded", {}), **dict.fromkeys(moved, reason)},
+    }, indent=1) + "\n")
+    print(f"wrote {len(recorded)} entries to {GOLDEN}, {len(moved)} moved: {moved}")

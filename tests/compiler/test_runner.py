@@ -755,7 +755,9 @@ ROWS_TAKEN = {
     4: 27_758,
     5: 71_162,
     6: 1_216,
-    7: 150_250,  # five gathers of two columns, one read each
+    # five gathers of two columns, one read each, over the rows of the
+    # l_shipdate window, which runs below the joins (150 250 above them)
+    7: 100_005,
     8: 31_450,
     9: 38_950,
     10: 55_018,
@@ -763,7 +765,7 @@ ROWS_TAKEN = {
     12: 489,
     14: 1_695,
     15: 3_749,
-    19: 89_940,
+    19: 19_683,  # the lineitem conjuncts run below the part join (89 940 above it)
     20: 27_587,
     "micro.select": 444,
     "micro.project": 2_406,  # both gathered columns are aggregated

@@ -191,12 +191,14 @@ class TestBrokenBackendIsCaught:
         invisible to the grid comparison, which reads the first."""
         case = _find_grouped_sum_case()
         plain = VoodooEngine.query
+        #: keyed by the engine itself: holding it keeps a closed engine's
+        #: address from being reused by the next configuration's engine
         hits: dict = {}
 
         def stale_when_warm(self, query, *args, **kwargs):
             table = plain(self, query, *args, **kwargs)
-            hits[id(self)] = hits.get(id(self), 0) + 1
-            if hits[id(self)] == 2 and self.config.tracing is False:
+            hits[self] = hits.get(self, 0) + 1
+            if hits[self] == 2 and self.config.tracing is False:
                 table.arrays = {n: a[::-1].copy() for n, a in table.arrays.items()}
             return table
 

@@ -18,7 +18,9 @@ behaviors; these properties pin the *contracts* over arbitrary inputs:
   difference, RLE runs, plain pieces as they are — equals
   decode-then-``apply_binary`` in dtype and bytes, over every piece
   layout, open appended tails included, and a packed compare
-  decompresses nothing.
+  decompresses nothing; so do a range (two bounds under one ``And``) and
+  an IN-list (an ``Or`` chain of ``Equals``), which read each packed
+  piece in one routine.
 """
 
 import tempfile
@@ -29,7 +31,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compiler.columns import Dense, Lazy
+from repro.compiler.columns import Compared, Dense, Lazy
 from repro.compiler.rt_fast import FusedRuntime, FusedVal, MapPlan
 from repro.core.keypath import Keypath
 from repro.interpreter.engine import apply_binary
@@ -424,6 +426,98 @@ class TestStoredComparisons:
             _same(got, apply_binary(fn, a, b))
             assert decompressed == 0
 
+    @given(layout=compare_layouts(), seed=st.integers(0, 2**16))
+    @settings(max_examples=60, deadline=None)
+    def test_a_range_and_an_in_list_equal_the_decoded_ones(self, layout, seed):
+        """The ``And`` of two bounds and the ``Or`` chain of ``Equals`` the
+        translator emits for an ``InSet``, each over one stored column:
+        combined before anything reads them (one window, one membership
+        test per FoR piece) when every operand is an exact integer, and
+        equal to decode-then-``apply_binary`` either way."""
+        dtype, sealed, batches = layout
+        rng = np.random.default_rng(seed)
+        with tempfile.TemporaryDirectory() as tmp:
+            for store in _compare_stores(dtype, sealed, batches, tmp).values():
+                a = store.table("t").column("a")
+                want, n = _decoded(a), len(a)
+                thresholds = _thresholds(a, rng)
+                if n and dtype.kind == "i":  # windows closing on values the column holds
+                    thresholds += [int(v) for v in rng.choice(want, 6)]
+
+                def operand(value):
+                    choices = _operands(value, dtype)
+                    return choices[int(rng.integers(len(choices)))]
+
+                for _ in range(12):
+                    low, high = operand(int(rng.choice(thresholds))), operand(
+                        int(rng.choice(thresholds)))
+                    lower = str(rng.choice(["Greater", "GreaterEqual", "Equals"]))
+                    upper = str(rng.choice(["Less", "LessEqual", "Equals", "NotEquals"]))
+                    got, decompressed = _chain("LogicalAnd", [(lower, low), (upper, high)],
+                                               a, n)
+                    _same(got, np.logical_and(apply_binary(lower, want, low),
+                                              apply_binary(upper, want, high)))
+                    if upper != "NotEquals" and _packed(a, low) and _packed(a, high):
+                        assert decompressed == 0, (lower, low, upper, high)
+                    members = [("Equals", operand(int(v)))
+                               for v in rng.choice(thresholds, int(rng.integers(1, 6)))]
+                    got, decompressed = _chain("LogicalOr", members, a, n)
+                    expected = apply_binary("Equals", want, members[0][1])
+                    for _, value in members[1:]:
+                        expected = np.logical_or(expected, apply_binary("Equals", want, value))
+                    _same(got, expected)
+                    if all(_packed(a, value) for _, value in members):
+                        assert decompressed == 0, members
+
+    def test_a_range_reads_each_packed_piece_once(self):
+        """A window over two FoR pieces (4 one-byte codes each): the two
+        bounds combine into one unread column whose read scans each
+        piece's codes once (twice when each bound is read on its own) —
+        or not at all when the window misses the piece.
+        An IN-list scans a piece once per run of consecutive member codes
+        it holds — the values outside the piece drop — into one array."""
+        values = np.array([5, 9, 7, 8, 100, 101, 103, 102], dtype=np.int32)
+        column = Column("a", segments=[encode_segment(values[:4], "for"),
+                                       encode_segment(values[4:], "for")])
+        assert [seg.payload["packed"].nbytes for seg in column.segments] == [4, 4]
+        counters = column.counters
+        for terms, op, scanned in (([("GreaterEqual", 7), ("Less", 102)], "LogicalAnd", 8),
+                                   ([("Greater", 6), ("LessEqual", 8)], "LogicalAnd", 4),
+                                   ([("Equals", 8), ("Equals", 9), ("Equals", 101)],
+                                    "LogicalOr", 8),
+                                   ([("Equals", 5), ("Equals", 7), ("Equals", 101)],
+                                    "LogicalOr", 12),
+                                   ([("Equals", 1), ("Equals", 200)], "LogicalOr", 0)):
+            terms = [(fn, np.array([value], dtype=np.int64)) for fn, value in terms]
+            before = counters.snapshot()
+            got, _ = _chain(op, terms, column, len(values))
+            assert counters.delta(before)["bytes_scanned"] == scanned, terms
+            want = apply_binary(terms[0][0], values, terms[0][1])
+            for fn, value in terms[1:]:
+                want = apply_binary(op, want, apply_binary(fn, values, value))
+            _same(got, want)
+            combined = _chain(op, terms, column, len(values), read=False)
+            assert type(combined) is Compared and combined.op == op
+
+    def test_a_stored_column_meets_an_unread_comparison(self):
+        """``b OR i != 83`` with ``b`` a stored RLE bool column and the
+        comparison an unread :class:`Compared` of another column: the
+        stored column does not map over the comparison object, both are
+        read, and the result is the decoded one (a conformance-fuzzer
+        finding)."""
+        flags = np.repeat([True, False, False, True], 60)
+        ints = np.arange(240, dtype=np.int32) % 100 + 70
+        b = Column("b", segments=[encode_segment(flags, "rle")])
+        i = Column("i", segments=[encode_segment(ints, "for")])
+        assert b.stored() and i.stored()
+        rt = FusedRuntime({})
+        compared = rt.binary("NotEquals", B, FusedVal(240, {A: Lazy(i.view())}), A,
+                             FusedVal(1, {B: Dense(np.array([83]))}), B, MapPlan())
+        assert type(compared.column(B)) is Compared
+        for fn in ("LogicalOr", "LogicalAnd", "Equals"):
+            got = rt.binary(fn, B, FusedVal(240, {A: Lazy(b.view())}), A, compared, B, MapPlan())
+            _same(got.column(B).pad()[0], apply_binary(fn, flags, ints != 83))
+
     def test_misaligned_pieces_take_the_decode(self):
         a = Column("a", segments=[encode_segment(np.arange(4, dtype=np.int32), "for"),
                                   encode_segment(np.arange(4, 8, dtype=np.int32), "for")])
@@ -434,6 +528,22 @@ class TestStoredComparisons:
         right = FusedVal(8, {B: Lazy(b.view())})
         got, _ = _compare("Less", left, right, MapPlan(), a.counters)
         _same(got, np.less(a.data, b.data))
+
+
+def _chain(op: str, terms, column: Column, n: int, read: bool = True):
+    """The runner's ``fn(a, value)`` per term, joined left to right by
+    *op*; with *read*, the result and what reading it decompressed."""
+    rt = FusedRuntime({})
+    left = FusedVal(n, {A: Lazy(column.view())})
+    before = column.counters.snapshot()
+    acc = None
+    for fn, value in terms:
+        term = rt.binary(fn, B, left, A, FusedVal(1, {B: Dense(value)}), B, MapPlan())
+        acc = term if acc is None else rt.binary(op, B, acc, B, term, B, MapPlan())
+    if not read:
+        return acc.column(B)
+    result = acc.column(B).pad()[0]
+    return result, column.counters.delta(before)["bytes_decompressed"]
 
 
 def _packed(column: Column, operand: np.ndarray) -> bool:
