@@ -1,5 +1,5 @@
 """Benchmark harness and per-figure experiment modules."""
 
-from repro.bench.harness import BarSet, Series, SeriesSet, geometric_mean
+from repro.bench.harness import BarSet, Series, SeriesSet
 
-__all__ = ["BarSet", "Series", "SeriesSet", "geometric_mean"]
+__all__ = ["BarSet", "Series", "SeriesSet"]

@@ -8,29 +8,6 @@ layout of the corresponding paper figure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
-
-
-def dataset_record(store, **extra) -> dict:
-    """Provenance record for one generated dataset.
-
-    Merges the store's own ``.meta`` (generator, seed, scale — stamped
-    by e.g. :func:`repro.tpch.generate`) with caller extras; the single
-    place the record shape is defined for every figure type.
-    """
-    return {**getattr(store, "meta", {}), **extra}
-
-
-class _RecordsDatasets:
-    """Mixin: ``meta["datasets"]`` provenance for figure containers."""
-
-    def record_dataset(self, store, **extra) -> None:
-        """Attach a dataset's provenance (its ``.meta`` seed record);
-        exact-duplicate records (same dataset measured twice) collapse."""
-        record = dataset_record(store, **extra)
-        datasets = self.meta.setdefault("datasets", [])
-        if record not in datasets:
-            datasets.append(record)
 
 
 @dataclass
@@ -48,29 +25,15 @@ class Series:
     def y_at(self, x: float) -> float:
         return self.ys[self.xs.index(float(x))]
 
-    @property
-    def max_y(self) -> float:
-        return max(self.ys)
-
-    @property
-    def min_y(self) -> float:
-        return min(self.ys)
-
 
 @dataclass
-class SeriesSet(_RecordsDatasets):
-    """All series of one figure panel, plus presentation metadata.
-
-    ``meta`` records provenance — most importantly the RNG seed of every
-    generated dataset the figure measured (see :meth:`record_dataset`),
-    so a published number can be replayed exactly.
-    """
+class SeriesSet:
+    """All series of one figure panel, plus presentation metadata."""
 
     title: str
     x_label: str
     y_label: str
     series: dict[str, Series] = field(default_factory=dict)
-    meta: dict = field(default_factory=dict)
 
     def line(self, label: str) -> Series:
         if label not in self.series:
@@ -104,13 +67,12 @@ class SeriesSet(_RecordsDatasets):
 
 
 @dataclass
-class BarSet(_RecordsDatasets):
+class BarSet:
     """A bar-chart figure (the TPC-H comparisons): groups x systems."""
 
     title: str
     groups: list[str] = field(default_factory=list)          # e.g. query names
     systems: dict[str, dict[str, float]] = field(default_factory=dict)
-    meta: dict = field(default_factory=dict)
 
     def set(self, system: str, group: str, value: float) -> None:
         self.systems.setdefault(system, {})[group] = value
@@ -137,13 +99,3 @@ class BarSet(_RecordsDatasets):
             lines.append(f"{group:>10} | " + " | ".join(cells))
         lines.append(f"(values in {unit}; lower is better)")
         return "\n".join(lines)
-
-
-def geometric_mean(values: Iterable[float]) -> float:
-    values = [v for v in values if v > 0]
-    if not values:
-        return 0.0
-    product = 1.0
-    for v in values:
-        product *= v
-    return product ** (1.0 / len(values))

@@ -13,11 +13,10 @@ a traced run also shows each node's values to the pricing pass
 :mod:`repro.hardware` prices for the plan's device and strategies.
 """
 
-from repro.compiler.compiled import CompiledProgram, compile_program
+from repro.compiler.compiled import CompiledProgram, compile_program, optimize
 from repro.compiler.fragments import FULL, Fragment, FragmentPlan
 from repro.compiler.metadata import MetadataPass
 from repro.compiler.opencl_emit import emit_opencl
-from repro.compiler.optimizer import cse, optimize
 from repro.compiler.options import CompilerOptions, ExecutionOptions
 from repro.compiler.rt_fast import FusedRuntime, FusedVal
 
@@ -29,7 +28,6 @@ __all__ = [
     "FragmentPlan",
     "MetadataPass",
     "emit_opencl",
-    "cse",
     "optimize",
     "CompilerOptions",
     "ExecutionOptions",

@@ -15,7 +15,6 @@ from typing import Mapping
 from repro.compiler.fragments import FragmentPlan
 from repro.compiler.metadata import MetadataPass
 from repro.compiler.opencl_emit import emit_opencl
-from repro.compiler.optimizer import optimize
 from repro.compiler.options import CompilerOptions, ExecutionOptions
 from repro.compiler.pricing import Pricer
 from repro.compiler.runner import ProgramRunner, planned_nodes, run_program
@@ -26,9 +25,21 @@ from repro.hardware.device import DeviceProfile, get_device
 from repro.hardware.trace import Trace
 
 
+def optimize(program: Program) -> Program:
+    """*program* itself: there is no program-level pass to run.
+
+    Every program the product compiles comes from a
+    :class:`~repro.core.builder.Builder`, whose interner hash-conses each
+    node when it is made (common-subexpression elimination by
+    construction), so nothing is left to merge.  Kept, like
+    ``compile_program``'s ``run_optimizer``, for callers that time an
+    optimize stage of their own."""
+    return program
+
+
 @dataclass
 class CompiledProgram:
-    """An executable compilation artifact: the optimized program, its
+    """An executable compilation artifact: the program, its
     control-vector metadata and the device it is priced on.
 
     An untraced run reads the program and the options alone.  The
@@ -131,15 +142,14 @@ def compile_program(
 ) -> CompiledProgram:
     """Compile a Voodoo program for a device (the OpenCL-backend analogue).
 
-    Pipeline: optimizer (CSE) → control-vector metadata inference →
-    planned nodes.  Nothing is generated: every run dispatches the
-    program node by node.  Fragment assignment (extent/intent,
-    :attr:`CompiledProgram.plan`) happens on first read — an untraced
-    run never reads it — and so does the pseudo-OpenCL rendering
-    (:attr:`CompiledProgram.source`).
+    Pipeline: control-vector metadata inference → planned nodes.  The
+    program arrives hash-consed from its Builder, so ``run_optimizer`` is
+    accepted and changes nothing (see :func:`optimize`).  Nothing is
+    generated: every run dispatches the program node by node.  Fragment
+    assignment (extent/intent, :attr:`CompiledProgram.plan`) happens on
+    first read — an untraced run never reads it — and so does the
+    pseudo-OpenCL rendering (:attr:`CompiledProgram.source`).
     """
-    if run_optimizer:
-        program = optimize(program)
     options = options or CompilerOptions()
     metadata = MetadataPass(program)
     # what a run reads off the program is built while the metadata pass

@@ -28,8 +28,9 @@ Two kinds of kernel live here:
   replaces), so it is bit-identical by construction; :func:`group_slots`
   places each bucket's result without ranking a row; and
   :func:`group_positions` ranks the rows — the one sort left — only when
-  a scatter has to land.  :func:`pack_keys` linearizes composite keys
-  for the row-engine baselines.
+  a scatter has to land.  (Composite group keys are linearized into
+  one bucket id by the relational translator, as a Subtract/Multiply/Add
+  chain of Voodoo operators, before they reach these kernels.)
 """
 
 from __future__ import annotations
@@ -326,33 +327,3 @@ def combine_fold_partials(fn: str, partials: list[np.ndarray]) -> np.ndarray:
     ufunc = np.maximum if fn == "max" else np.minimum
     return np.asarray(ufunc.reduce(stacked))
 
-
-# ------------------------------------------------------- composite keys
-
-
-def pack_keys(
-    columns: list[np.ndarray],
-    cards: list[int],
-    offsets: list[int] | None = None,
-) -> np.ndarray:
-    """Row-major linearization of composite group keys into one id.
-
-    ``gid = Σ (column_i - offset_i) * stride_i`` with strides derived
-    from the key cardinalities — the same arithmetic the relational
-    translator lowers to a ``Subtract``/``Multiply``/``Add`` chain and
-    the row-engine baselines inline by hand, as a single int64 kernel.
-    """
-    if not columns or len(columns) != len(cards):
-        raise ValueError("pack_keys needs one cardinality per key column")
-    offsets = offsets or [0] * len(columns)
-    stride = 1
-    for card in cards:
-        stride *= card
-    gid = np.zeros(len(columns[0]), dtype=np.int64)
-    for col, card, offset in zip(columns, cards, offsets):
-        stride //= card
-        term = col.astype(np.int64, copy=False)
-        if offset:
-            term = term - offset
-        gid += term * stride if stride != 1 else term
-    return gid

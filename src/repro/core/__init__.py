@@ -17,7 +17,7 @@ from repro.core.controlvector import IDENTITY, RunInfo, constant_run
 from repro.core.keypath import Keypath, kp
 from repro.core.program import Interner, Program, topological_order
 from repro.core.schema import Schema
-from repro.core.typecheck import TypeChecker, infer_schemas
+from repro.core.typecheck import TypeChecker
 from repro.core.vector import StructuredVector
 
 __all__ = [
@@ -33,6 +33,5 @@ __all__ = [
     "topological_order",
     "Schema",
     "TypeChecker",
-    "infer_schemas",
     "StructuredVector",
 ]

@@ -199,9 +199,6 @@ class Builder:
     def modulo(self, l, r, out=VAL, left_kp=None, right_kp=None) -> V:
         return self._binary("Modulo", l, r, out, left_kp, right_kp)
 
-    def bitshift(self, l, r, out=VAL, left_kp=None, right_kp=None) -> V:
-        return self._binary("BitShift", l, r, out, left_kp, right_kp)
-
     def logical_and(self, l, r, out=VAL, left_kp=None, right_kp=None) -> V:
         return self._binary("LogicalAnd", l, r, out, left_kp, right_kp)
 
@@ -392,8 +389,7 @@ class Builder:
             raise ProgramError("build() needs at least one named output")
         nodes = dict(self._outputs)
         nodes.update({name: v.node for name, v in outputs.items()})
-        program = Program(nodes)
-        # every node hash-consed here: CSE by construction (handles of
-        # another builder can smuggle in structural twins)
-        program.canonical = self._interner.owns(program.order)
-        return program
+        # every node was hash-consed when it was made: CSE by construction
+        # (a handle of another builder may bring in a structural twin,
+        # which then runs twice — still a correct program)
+        return Program(nodes)

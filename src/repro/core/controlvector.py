@@ -144,10 +144,6 @@ class RunInfo:
             return 0
         return min(length, self.period) if self.period else length
 
-    def run_count(self, length: int) -> int:
-        run = self.run_length(length)
-        return 0 if length == 0 else math.ceil(length / run)
-
     def __str__(self) -> str:  # compact form used by the SSA printer
         cap = "" if self.cap is None else f" mod {self.cap}"
         return f"<{self.start} + i*{self.step}{cap}>"

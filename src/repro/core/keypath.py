@@ -69,13 +69,6 @@ class Keypath:
             raise KeypathError(f"empty keypath: {text!r}")
         return cls(stripped.split("."))
 
-    @classmethod
-    def of(cls, value: "Keypath | str") -> "Keypath":
-        """Coerce a string or keypath into a :class:`Keypath`."""
-        if isinstance(value, Keypath):
-            return value
-        return cls.parse(value)
-
     # -- accessors ---------------------------------------------------------
 
     @property
@@ -99,10 +92,6 @@ class Keypath:
         return iter(self._components)
 
     # -- combination -------------------------------------------------------
-
-    def child(self, *names: str) -> "Keypath":
-        """Extend the path downward: ``Keypath.parse('.a').child('b')``."""
-        return Keypath._trusted(self._components + _validated(names))
 
     def concat(self, other: "Keypath") -> "Keypath":
         return Keypath._trusted(self._components + other._components)

@@ -115,11 +115,10 @@ class Op:
     def structural_key(self) -> tuple:
         """Operator type plus parameters, in field order: with the
         identities of the (canonical) inputs it decides whether two nodes
-        are the same subexpression (:class:`~repro.core.program.Interner`,
-        :func:`repro.compiler.optimizer.cse`).  Keypaths, names and None
-        key as themselves (hashable, equal only to their own kind);
-        numbers key by repr, which keeps 1 / 1.0 / True and 0.0 / -0.0
-        apart.  Computed when the node was made."""
+        are the same subexpression (:class:`~repro.core.program.Interner`).
+        Keypaths, names and None key as themselves (hashable, equal only
+        to their own kind); numbers key by repr, which keeps 1 / 1.0 /
+        True and 0.0 / -0.0 apart.  Computed when the node was made."""
         return self._key
 
     def walk(self) -> Iterator["Op"]:

@@ -1,4 +1,4 @@
-"""Textual and DOT rendering of Voodoo programs.
+"""Textual rendering of Voodoo programs.
 
 The SSA form matches the paper's listings (Figure 3): one assignment per
 node, operands referenced by their SSA names, parameters inline.
@@ -9,10 +9,6 @@ from __future__ import annotations
 from repro.core.program import Program
 
 
-def _fmt_param(value: object) -> str:
-    return str(value)
-
-
 def to_ssa(program: Program) -> str:
     """Render the program one SSA assignment per line."""
     names: dict[int, str] = {}
@@ -21,42 +17,10 @@ def to_ssa(program: Program) -> str:
         name = f"v{i}"
         names[id(node)] = name
         args: list[str] = [names[id(child)] for child in node.inputs()]
-        args += [
-            f"{key}={_fmt_param(val)}"
-            for key, val in node.params().items()
-            if val is not None
-        ]
+        args += [f"{key}={val!s}" for key, val in node.params().items() if val is not None]
         lines.append(f"{name} := {node.opname}({', '.join(args)})")
     outs = ", ".join(f"{name}={names[id(node)]}" for name, node in program.outputs.items())
     lines.append(f"return {outs}")
-    return "\n".join(lines)
-
-
-def to_dot(program: Program) -> str:
-    """Render the DAG in Graphviz DOT format (for debugging / docs)."""
-    names: dict[int, str] = {}
-    lines = ["digraph voodoo {", "  rankdir=BT;", "  node [shape=box, fontname=monospace];"]
-    for i, node in enumerate(program.order):
-        name = f"n{i}"
-        names[id(node)] = name
-        params = ", ".join(
-            f"{k}={_fmt_param(v)}" for k, v in node.params().items() if v is not None
-        )
-        label = node.opname if not params else f"{node.opname}\\n{params}"
-        shape = {
-            "fold": "ellipse",
-            "shape": "diamond",
-            "maintenance": "cylinder",
-        }.get(node.category, "box")
-        lines.append(f'  {name} [label="{label}", shape={shape}];')
-    for node in program.order:
-        for child in node.inputs():
-            lines.append(f"  {names[id(child)]} -> {names[id(node)]};")
-    for out_name, node in program.outputs.items():
-        sink = f"out_{out_name}"
-        lines.append(f'  {sink} [label="{out_name}", shape=note];')
-        lines.append(f"  {names[id(node)]} -> {sink};")
-    lines.append("}")
     return "\n".join(lines)
 
 

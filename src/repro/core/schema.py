@@ -143,18 +143,6 @@ class Schema:
     def project(self, paths: Iterable[Keypath | str]) -> "Schema":
         return Schema.of_fields({p: self[p] for p in map(kp, paths)})
 
-    def rename(self, old: Keypath | str, new: Keypath | str) -> "Schema":
-        old, new = kp(old), kp(new)
-        out: dict[Keypath, np.dtype] = {}
-        for path, dtype in self._fields.items():
-            if path == old or path.startswith(old):
-                out[path.rebase(old, new)] = dtype
-            else:
-                out[path] = dtype
-        if len(out) != len(self._fields):
-            raise SchemaError(f"rename {old} -> {new} collides with existing fields")
-        return Schema.of_fields(out)
-
     def merge(self, other: "Schema") -> "Schema":
         """Union of two schemas; *other* wins on equal paths."""
         combined = dict(self._fields)
@@ -167,13 +155,6 @@ class Schema:
         return Schema.of_fields(
             {prefix.concat(path): dtype for path, dtype in self._fields.items()}
         )
-
-    # -- properties -------------------------------------------------------------
-
-    @property
-    def item_nbytes(self) -> int:
-        """Fixed record width in bytes (the paper's 'fixed size data item')."""
-        return sum(dtype.itemsize for dtype in self._fields.values())
 
     # -- dunder -------------------------------------------------------------------
 

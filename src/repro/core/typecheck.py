@@ -243,8 +243,3 @@ _RULES = {
     ops.Constant: TypeChecker._infer_constant,
     ops.Cross: TypeChecker._infer_cross,
 }
-
-
-def infer_schemas(program: Program, load_schemas: Mapping[str, Schema]) -> dict[int, Schema]:
-    """Convenience wrapper: infer the schema of every node in *program*."""
-    return TypeChecker(load_schemas).check(program)

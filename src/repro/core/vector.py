@@ -13,13 +13,12 @@ empty-slot suppression at the data-model level).
 
 Attributes may also be **lazy**: instead of an array, a leaf keypath can
 carry a column handle (anything with ``dtype``, ``__len__``,
-``materialize()``, ``slice(lo, hi)`` and ``take(positions)`` — in
-practice :class:`repro.storage.segment.ColumnData`).  The vector knows
-its full schema up front, but a lazy attribute's values are decoded only
-when ``attr()`` first touches them (then memoized).  ``project``,
-``slice``, ``head`` and ``zip`` compose lazily; ``take`` random-accesses
-through the handle without a full decode.  Lazy attributes are always
-dense — storage columns have no ε slots.
+``materialize()`` and ``slice(lo, hi)`` — in practice
+:class:`repro.storage.segment.ColumnData`).  The vector knows its full
+schema up front, but a lazy attribute's values are decoded only when
+``attr()`` first touches them (then memoized).  ``project`` and ``zip``
+compose lazily.  Lazy attributes are always dense — storage columns have
+no ε slots.
 
 The node runner's outputs are **pending** attributes (:meth:`over`): the
 runner's own columns, whose present rows :meth:`rows` reads as stored.
@@ -125,13 +124,6 @@ class StructuredVector:
         return cls(len(array), {kp(path): array})
 
     @classmethod
-    def empty(cls, length: int, schema: Schema) -> "StructuredVector":
-        """All-ε vector of the given schema (what a fresh Scatter target is)."""
-        columns = {p: np.zeros(length, dtype=d) for p, d in schema.items()}
-        masks = {p: np.zeros(length, dtype=bool) for p in schema}
-        return cls(length, columns, masks)
-
-    @classmethod
     def over(cls, length: int, columns: Mapping[Keypath, object]) -> "StructuredVector":
         """A vector over a runner's columns (anything with ``dtype``,
         ``len()``, ``present()``, ``rows()`` and ``pad()``), none padded yet."""
@@ -214,10 +206,6 @@ class StructuredVector:
     def lazy_handle(self, path: Keypath | str):
         """The not-yet-materialized handle for *path*, or ``None``."""
         return self._lazy.get(kp(path))
-
-    def lazy_items(self) -> tuple:
-        """(path, handle) pairs still unmaterialized, in path order."""
-        return tuple(self._lazy.items())
 
     def present(self, path: Keypath | str) -> np.ndarray:
         """Boolean presence mask for a leaf keypath (dense ⇒ all-True)."""
@@ -314,17 +302,6 @@ class StructuredVector:
             infos.pop(path, None)
         return StructuredVector(self._length, columns, present, infos, lazy=lazy)
 
-    def without_attr(self, path: Keypath | str) -> "StructuredVector":
-        path = kp(path)
-        leaves = self.resolve(path)
-        columns = {p: a for p, a in self._columns.items() if p not in leaves}
-        lazy = {p: h for p, h in self._lazy.items() if p not in leaves}
-        if not columns and not lazy:
-            raise SchemaError("cannot drop the last attribute of a vector")
-        present = {p: self._present.get(p) for p in columns}
-        infos = {p: i for p, i in self._runinfo.items() if p in columns}
-        return StructuredVector(self._length, columns, present, infos, lazy=lazy)
-
     def zip(self, other: "StructuredVector") -> "StructuredVector":
         """Positional combination of two vectors (Zip); length = min."""
         n = min(self._length, len(other))
@@ -347,71 +324,6 @@ class StructuredVector:
                 if path in side._runinfo:
                     infos[path] = side._runinfo[path]
         return StructuredVector(n, columns, present, infos, lazy=lazy)
-
-    def take(self, positions: np.ndarray) -> "StructuredVector":
-        """Positional gather; out-of-bounds positions yield ε slots.
-
-        ε slots are zero-filled (not left with clamped row-0 values), the
-        same deterministic-ε contract as :func:`repro.interpreter.semantics.gather`
-        — raw arrays stay comparable across backends.
-        """
-        positions = np.asarray(positions)
-        valid = (positions >= 0) & (positions < self._length)
-        safe = np.where(valid, positions, 0).astype(np.int64)
-        all_valid = bool(valid.all())
-        columns: dict[Keypath, np.ndarray] = {}
-        present: dict[Keypath, np.ndarray | None] = {}
-        for path in self._paths:
-            handle = self._lazy.get(path)
-            if handle is not None:
-                # random access through the handle — no full decode
-                taken = np.asarray(handle.take(safe))
-            else:
-                taken = self._columns[path][safe]
-            if not all_valid:
-                taken[~valid] = 0
-            columns[path] = taken
-            mask = self._present.get(path)
-            taken_mask = valid if mask is None else (valid & mask[safe])
-            present[path] = None if taken_mask.all() else taken_mask
-        return StructuredVector(len(positions), columns, present)
-
-    def head(self, n: int) -> "StructuredVector":
-        n = min(n, self._length)
-        columns = {p: a[:n] for p, a in self._columns.items()}
-        present = {p: (None if m is None else m[:n]) for p, m in self._present.items()}
-        lazy = {p: h.slice(0, n) for p, h in self._lazy.items()}
-        return StructuredVector(n, columns, present, self._runinfo, lazy=lazy)
-
-    def slice(self, lo: int, hi: int) -> "StructuredVector":
-        """Contiguous row range ``[lo, hi)`` (the partition-parallel chunk cut).
-
-        Views, not copies (lazy attributes stay lazy — a chunk cut of an
-        out-of-core column reads nothing); run metadata is dropped
-        because a RunInfo start offset would be wrong for a mid-vector
-        cut (values are unaffected — the interpreter only uses RunInfo
-        as derivation metadata).
-        """
-        lo = max(0, min(lo, self._length))
-        hi = max(lo, min(hi, self._length))
-        columns = {p: a[lo:hi] for p, a in self._columns.items()}
-        present = {p: (None if m is None else m[lo:hi]) for p, m in self._present.items()}
-        lazy = {p: h.slice(lo, hi) for p, h in self._lazy.items()}
-        return StructuredVector(hi - lo, columns, present, lazy=lazy)
-
-    # -- debugging ------------------------------------------------------------------
-
-    def to_records(self) -> list[dict[str, object]]:
-        """Python-native rows with ``None`` for ε slots (interpreter output)."""
-        rows: list[dict[str, object]] = []
-        arrays = {path: self.attr(path) for path in self._paths}
-        for i in range(self._length):
-            row: dict[str, object] = {}
-            for path, array in arrays.items():
-                mask = self._present.get(path)
-                row[str(path)] = array[i].item() if (mask is None or mask[i]) else None
-            rows.append(row)
-        return rows
 
     def __repr__(self) -> str:
         cols = ", ".join(f"{p}:{dt}" for p, dt in self.schema.items())

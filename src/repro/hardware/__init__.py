@@ -19,7 +19,6 @@ from repro.hardware.device import (
     DeviceProfile,
     available_devices,
     get_device,
-    register_device,
 )
 from repro.hardware.trace import KernelTrace, Trace, TraceEvent, TraceRecorder
 
@@ -40,7 +39,6 @@ __all__ = [
     "DeviceProfile",
     "available_devices",
     "get_device",
-    "register_device",
     "KernelTrace",
     "Trace",
     "TraceEvent",

@@ -59,10 +59,6 @@ class DeviceProfile:
     #: GPUs; 1.0 on CPUs where a scalar loop wastes nothing but SIMD)
     warp_serial_factor: float = 1.0
 
-    def lanes(self) -> int:
-        """Total scalar lanes available (threads x SIMD width)."""
-        return self.threads * self.simd_width
-
     def last_level_cache(self) -> CacheLevel:
         return self.cache_levels[-1]
 
@@ -147,13 +143,6 @@ def get_device(name: str) -> DeviceProfile:
         raise VoodooError(
             f"unknown device {name!r}; available: {sorted(_REGISTRY)}"
         ) from None
-
-
-def register_device(profile: DeviceProfile, replace: bool = False) -> None:
-    """Register a custom profile (for tuning experiments and tests)."""
-    if profile.name in _REGISTRY and not replace:
-        raise VoodooError(f"device {profile.name!r} already registered")
-    _REGISTRY[profile.name] = profile
 
 
 def available_devices() -> tuple[str, ...]:

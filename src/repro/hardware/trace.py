@@ -113,9 +113,6 @@ class Trace:
             for e in self.events()
         )
 
-    def total_branches(self) -> int:
-        return sum(e.branches for e in self.events())
-
     def summary(self) -> dict[str, float]:
         events = list(self.events())
         return {

@@ -53,13 +53,8 @@ class Interpreter:
         """Execute and return the named outputs (Persist ops also captured)."""
         values: dict[int, StructuredVector] = {}
         persisted: dict[str, StructuredVector] = {}
-        dispatch = self._dispatch_table()
         for node in program:
-            method = dispatch.get(type(node))
-            if method is None:
-                raise ExecutionError(f"interpreter does not implement {node.opname}")
-            result = method(self, node, values)
-            values[id(node)] = result
+            result = values[id(node)] = self._eval(node, values)
             if isinstance(node, ops.Persist):
                 persisted[node.name] = result
                 self._storage[node.name] = result

@@ -10,7 +10,7 @@ contract; the conformance grid enforces it.
 """
 
 from repro.native.jit import NativeCompileError, cache_dir, find_compiler, have_compiler
-from repro.native.stats import STATS, snapshot, stats_reset
+from repro.native.stats import STATS, snapshot
 
 __all__ = [
     "NativeCompileError",
@@ -19,5 +19,4 @@ __all__ = [
     "find_compiler",
     "have_compiler",
     "snapshot",
-    "stats_reset",
 ]

@@ -58,6 +58,3 @@ STATS = NativeStats()
 def snapshot() -> dict:
     return STATS.snapshot()
 
-
-def stats_reset() -> None:
-    STATS.reset()

@@ -115,8 +115,9 @@ class VoodooEngine:
     relational query *structure* (not object identity: a query keys
     itself when it is built) and the store's schema fingerprint;
     options, execution and grain are the engine's own, fixed when it is
-    built.  A repeated query skips translate +
-    optimize + fragment planning entirely; changing the schema
+    built.  A repeated query skips translation (which hash-conses every
+    node in its Builder: there is no separate optimize pass) and the
+    metadata and fragment planning entirely; changing the schema
     invalidates the entry, an append does not.  Each entry also records
     the version of every table whose contents its translation read (a
     positional join's build key); once one moves, the next lookup

@@ -168,9 +168,6 @@ class Expr(Node):
     def eq(self, other) -> "Expr":
         return Cmp("eq", self, wrap(other))
 
-    def ne(self, other) -> "Expr":
-        return Cmp("ne", self, wrap(other))
-
     def __and__(self, other) -> "Expr":
         return And(self, wrap(other))
 

@@ -64,11 +64,6 @@ class Catalog:
             self._engines.pop(name).close()
         self._stores[name] = store
 
-    def remove(self, name: str) -> None:
-        if name in self._engines:
-            self._engines.pop(name).close()
-        self._stores.pop(name, None)
-
     # -- lookup ------------------------------------------------------------
 
     def names(self) -> list[str]:

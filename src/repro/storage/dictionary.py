@@ -54,12 +54,6 @@ class StringDictionary:
     def decode(self, codes: np.ndarray) -> list[str]:
         return [self._values[int(c)] for c in codes]
 
-    def value(self, code: int) -> str:
-        try:
-            return self._values[code]
-        except IndexError:
-            raise StorageError(f"code {code} out of range (0..{len(self._values)-1})") from None
-
     def merged(
         self, strings: Sequence[str]
     ) -> tuple["StringDictionary", np.ndarray | None]:

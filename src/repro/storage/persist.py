@@ -30,8 +30,8 @@ queries straight off the page cache — the out-of-core path — while
 compressed segments decode on demand, in one pass, into the query's
 buffer, or are compared on their codes.  ``mmap=False`` reads
 everything into RAM.  ``load`` follows each column's ``file`` field, so
-catalogs written before generations (``<table>.<column>.bin``) and
-version-1 catalogs (whole-``.npy``-per-column) still load.
+catalogs written before generations (``<table>.<column>.bin``) still
+load; a catalog of any version but 2 raises :class:`StorageError`.
 """
 
 from __future__ import annotations
@@ -50,6 +50,8 @@ from repro.storage.dictionary import StringDictionary
 from repro.storage.segment import Segment, SegmentStats, make_segments
 
 _CATALOG = "catalog.json"
+#: the one catalog layout ``save`` writes and ``load`` reads
+_VERSION = 2
 #: a column file name this module writes: ``<table>.<column>.g<N>.bin``
 _GENERATION_FILE = re.compile(r".+\.g[0-9]+\.bin")
 _ALIGN = 64
@@ -94,7 +96,7 @@ def save(
     generation = previous + 1
     # dataset provenance (generator/seed/scale) must survive persistence,
     # or results computed from a re-loaded store lose their replay seed
-    catalog: dict = {"version": 2, "generation": generation,
+    catalog: dict = {"version": _VERSION, "generation": generation,
                      "meta": dict(store.meta), "tables": {}}
     for table in store.tables():
         entry: dict = {"version": table.version, "columns": {}}
@@ -196,8 +198,11 @@ def load(directory: str | Path, mmap: bool = True) -> ColumnStore:
     if not catalog_path.exists():
         raise StorageError(f"no catalog at {catalog_path}")
     catalog = json.loads(catalog_path.read_text())
-    if catalog.get("version") != 2:
-        return _load_v1(root, catalog)
+    if catalog.get("version") != _VERSION:
+        raise StorageError(
+            f"{catalog_path}: catalog version {catalog.get('version', 'none')!r} is not "
+            f"supported; this build reads version {_VERSION}"
+        )
     store = ColumnStore(meta=catalog.get("meta"))
     for table_name, entry in catalog["tables"].items():
         columns = []
@@ -247,23 +252,3 @@ def _load_segment(meta: dict, dtype: np.dtype, raw: np.ndarray, where: str) -> S
         payload, dict(meta.get("meta") or {}),
     )
 
-
-def _load_v1(root: Path, catalog: dict) -> ColumnStore:
-    """Read a version-1 (whole-``.npy``-per-column) catalog."""
-    store = ColumnStore(meta=catalog.get("meta"))
-    for table_name, entry in catalog["tables"].items():
-        columns = []
-        for col_name, meta in entry["columns"].items():
-            data = np.load(root / meta["file"])
-            if str(data.dtype) != meta["dtype"]:
-                raise StorageError(
-                    f"{table_name}.{col_name}: dtype mismatch "
-                    f"({data.dtype} on disk vs {meta['dtype']} in catalog)"
-                )
-            dictionary = (
-                StringDictionary(meta["dictionary"])
-                if meta["dictionary"] is not None else None
-            )
-            columns.append(Column(col_name, data, dictionary))
-        store.add(Table(table_name, columns))
-    return store

@@ -37,7 +37,6 @@ _EXPORTS = {
     "crossover": ("repro.testing.conformance", "crossover"),
     "run_case": ("repro.testing.conformance", "run_case"),
     "run_conformance": ("repro.testing.conformance", "run_conformance"),
-    "oracle_evaluate": ("repro.testing.oracle", "evaluate"),
     "generate_case": ("repro.testing.qgen", "generate_case"),
     "Case": ("repro.testing.serialize", "Case"),
     "case_from_json": ("repro.testing.serialize", "case_from_json"),

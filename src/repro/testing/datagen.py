@@ -70,9 +70,6 @@ class TableInfo:
     key_offset: int = 0
     key_domain: int = 0
 
-    def col(self, name: str) -> ColInfo:
-        return next(c for c in self.cols if c.name == name)
-
 
 @dataclass
 class StoreInfo:

@@ -460,16 +460,12 @@ class Oracle:
         return arrays
 
 
-def evaluate(store: ColumnStore, query: ra.Query) -> dict[str, np.ndarray]:
-    """Evaluate *query* over *store* with the independent oracle."""
-    return Oracle(store).query(query)
-
-
 def evaluate_with_scales(
     store: ColumnStore, query: ra.Query
 ) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
-    """Like :func:`evaluate`, also returning per-cell sum magnitudes
-    (Σ|v| of each float sum/avg cell) for tolerance-aware comparison."""
+    """Evaluate *query* over *store* with the independent oracle; also
+    returns per-cell sum magnitudes (Σ|v| of each float sum/avg cell) for
+    tolerance-aware comparison."""
     oracle = Oracle(store)
     arrays = oracle.query(query)
     return arrays, oracle.scales

@@ -43,10 +43,6 @@ def date(year: int, month: int, day: int) -> int:
     return (year - EPOCH_YEAR) * DAYS_PER_YEAR + _CUM_MONTH[month - 1] + (day - 1)
 
 
-def year_of(day: int) -> int:
-    return EPOCH_YEAR + day // DAYS_PER_YEAR
-
-
 REGIONS = ["AFRICA", "AMERICA", "ASIA", "EUROPE", "MIDDLE EAST"]
 
 #: (nation, region index) in nationkey order, straight from the spec

@@ -4,7 +4,6 @@ Replayability contract: a benchmark or conformance result must carry
 enough metadata to regenerate the exact dataset it measured.
 """
 
-from repro.bench.harness import BarSet, SeriesSet
 from repro.tpch import generate
 
 
@@ -13,21 +12,6 @@ def test_tpch_store_records_seed_and_scale():
     assert store.meta["seed"] == 7
     assert store.meta["scale_factor"] == 0.002
     assert store.meta["generator"] == "repro.tpch.datagen"
-
-
-def test_seriesset_records_dataset_provenance():
-    figure = SeriesSet(title="t", x_label="x", y_label="y")
-    figure.record_dataset(generate(0.002, seed=3))
-    figure.record_dataset({}, generator="micro", seed=0, n=64)
-    assert figure.meta["datasets"][0]["seed"] == 3
-    assert figure.meta["datasets"][1] == {"generator": "micro", "seed": 0, "n": 64}
-
-
-def test_barset_records_dataset_provenance():
-    figure = BarSet(title="t")
-    figure.record_dataset(generate(0.002, seed=5), section="tpch")
-    assert figure.meta["datasets"][0]["seed"] == 5
-    assert figure.meta["datasets"][0]["section"] == "tpch"
 
 
 def test_conformance_store_records_generator_seed():

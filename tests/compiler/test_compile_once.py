@@ -11,12 +11,11 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from repro.compiler import compile_program, cse, optimize
+from repro.compiler import compile_program, optimize
 from repro.compiler.fragments import FragmentPlan
 from repro.compiler.pricing import Pricer
-from repro.core import Builder, Schema, ops
+from repro.core import Builder, Schema, StructuredVector
 from repro.core import program as program_module
-from repro.core.keypath import Keypath
 from repro.core.program import Program
 from repro.core.typecheck import TypeChecker
 from repro.hardware import TraceRecorder
@@ -137,47 +136,47 @@ class TestOnePass:
         assert visited == size
 
 
-class TestCanonicalPrograms:
-    @pytest.mark.parametrize("number", sorted(QUERIES))
-    def test_optimize_returns_tpch_programs_unchanged(self, engine, queries, number):
-        program = engine.translate(queries[number])
-        assert program.canonical
-        assert optimize(program) is program
+def structural_twins(program: Program) -> list[str]:
+    """Nodes of *program* that repeat an earlier node's structure: the
+    same reference key (:meth:`~repro.core.ops.Op.structural_key`) over
+    the same input objects."""
+    seen: set[tuple] = set()
+    twins = []
+    for node in program.order:
+        key = (node.structural_key(), tuple(map(id, node.inputs())))
+        if key in seen:
+            twins.append(node.opname)
+        seen.add(key)
+    return twins
 
-    def test_optimize_returns_fuzzed_programs_unchanged(self):
+
+class TestHashConsedPrograms:
+    """The Builder's interner is the one hash-consing: what the engine
+    translates has no structural twins for a later pass to merge."""
+
+    @pytest.mark.parametrize("number", sorted(QUERIES))
+    def test_tpch_programs_have_no_structural_twins(self, engine, queries, number):
+        assert structural_twins(engine.translate(queries[number])) == []
+
+    def test_fuzzed_programs_have_no_structural_twins(self):
         for index in range(200):
             case = generate_case(12, index)
             with VoodooEngine(case.store, config=EngineConfig(grain=case.grain)) as engine:
                 program = engine.translate(case.query)
-            assert optimize(program) is program, f"case (12, {index})"
-            # and the mark is true: the full pass finds nothing to merge
-            program.canonical = False
-            assert len(cse(program)) == len(program), f"case (12, {index})"
+            assert structural_twins(program) == [], f"case (12, {index})"
 
-    def test_cse_still_merges_hand_assembled_duplicates(self):
-        val, out = Keypath(["val"]), Keypath(["out"])
-
-        def subtree():
-            load = ops.Load("t")
-            one = ops.Constant(out=val, value=1, dtype="int64")
-            return ops.Binary("Add", out, load, val, one, val)
-
-        total = ops.Binary("Multiply", out, subtree(), out, subtree(), out)
-        program = Program({"result": total})
-        assert not program.canonical and len(program) == 7
-        merged = optimize(program)
-        assert merged is not program and len(merged) == 4
-        assert merged.canonical and optimize(merged) is merged
-        left, right = merged.outputs["result"].inputs()
-        assert left is right
-
-    def test_handles_of_another_builder_are_not_trusted(self):
+    def test_handles_of_another_builder_give_a_correct_program(self):
         schemas = {"t": Schema({".val": "int64"})}
         mine, theirs = Builder(schemas), Builder(schemas)
         mixed = mine.add(mine.load("t"), theirs.load("t"))
         program = mine.build(result=mixed)
-        assert not program.canonical
-        assert len(optimize(program)) == len(program) - 1  # the two Loads merge
+        # the two Loads are structural twins, each loaded once
+        assert structural_twins(program) == ["Load"]
+        values = np.arange(5, dtype=np.int64)
+        storage = {"t": StructuredVector.from_arrays(val=values)}
+        outputs, _ = compile_program(program).run(storage, collect_trace=False)
+        assert np.array_equal(outputs["result"].attr(".val"), 2 * values)
+        assert optimize(program) is program
 
 
 class TestLazyTracedSource:

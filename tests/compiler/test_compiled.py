@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.compiler import CompilerOptions, compile_program, cse
+from repro.compiler import CompilerOptions, compile_program
 from repro.core import Builder, Schema, StructuredVector
-from repro.core import ops
 from repro.errors import CompilationError
 
 SCHEMAS = {"t": Schema({".g": "int64", ".v": "float64"})}
@@ -91,34 +90,6 @@ class TestExecution:
     def test_gpu_device_selected(self):
         compiled = compile_program(fig3_program(), CompilerOptions(device="gpu"))
         assert compiled.device.name == "gpu"
-
-
-class TestCSE:
-    def test_duplicates_merged(self):
-        # Build without interning: two structurally identical Binary nodes.
-        load = ops.Load(name="t")
-        from repro.core.keypath import kp
-        c = ops.Constant(out=kp(".c"), value=1, dtype="int64")
-        b1 = ops.Binary(fn="Add", out=kp(".x"), left=load, left_kp=kp(".v"),
-                        right=c, right_kp=kp(".c"))
-        b2 = ops.Binary(fn="Add", out=kp(".x"), left=load, left_kp=kp(".v"),
-                        right=c, right_kp=kp(".c"))
-        agg = ops.Binary(fn="Multiply", out=kp(".y"), left=b1, left_kp=kp(".x"),
-                         right=b2, right_kp=kp(".x"))
-        from repro.core.program import Program
-        program = Program({"out": agg})
-        assert len(program.order) == 5
-        optimized = cse(program)
-        assert len(optimized.order) == 4  # b1 and b2 merged
-
-    def test_persist_not_merged(self):
-        from repro.core.keypath import kp
-        from repro.core.program import Program
-        load = ops.Load(name="t")
-        p1 = ops.Persist(name="a", source=load)
-        p2 = ops.Persist(name="b", source=load)
-        program = Program({"a": p1, "b": p2})
-        assert len(cse(program).order) == 3
 
 
 class TestOptions:

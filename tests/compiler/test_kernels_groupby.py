@@ -1,10 +1,10 @@
 """The group-by kernels vs the ground-truth run machinery.
 
-``pack_keys`` must linearize composite keys exactly like the relational
-translator's Subtract/Multiply/Add chain, and the dense-addressing
-kernels — ``fold_aggregate_groups`` accumulating per bucket in input
-order, ``group_slots`` placing each bucket's result, ``group_positions``
-ranking the rows only on demand — must reproduce Partition -> Scatter ->
+The relational translator's Subtract/Multiply/Add chain must linearize
+composite group keys row-major, and the dense-addressing kernels —
+``fold_aggregate_groups`` accumulating per bucket in input order,
+``group_slots`` placing each bucket's result, ``group_positions`` ranking
+the rows only on demand — must reproduce Partition -> Scatter ->
 ``semantics.fold_aggregate`` bit for bit: float addition order, integer
 wrapping, ε fill values, empty groups and the ε rows a compact key leaves
 in its fill's bucket.
@@ -16,32 +16,55 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.compiler import kernels
-from repro.interpreter import semantics
+from repro.errors import TranslationError
+from repro.interpreter import Interpreter, semantics
+from repro.relational import Col, KeySpec, Lit, Scan, Translator
+from repro.storage import ColumnStore, Table
 
 
-class TestPackKeys:
+def group_ids(columns: list[np.ndarray], cards: list[int], offsets=None):
+    """The composite group id the relational translator lowers keys to
+    (its Subtract/Multiply/Add chain), run on the interpreter, and the
+    key domain it reports."""
+    offsets = offsets or [0] * len(columns)
+    store = ColumnStore()
+    store.add(Table.from_arrays("t", **{f"k{i}": c for i, c in enumerate(columns)}))
+    translator = Translator(store)
+    keys = tuple(KeySpec(f"k{i}", Col(f"k{i}"), card, offset)
+                 for i, (card, offset) in enumerate(zip(cards, offsets)))
+    gid, path, domain = translator._group_id(keys, translator.translate(Scan("t")))
+    outputs = Interpreter(store.vectors()).run(translator.b.build(gid=gid))
+    return outputs["gid"].attr(path), domain
+
+
+class TestCompositeGroupKeys:
     def test_matches_row_major_linearization(self):
         rng = np.random.default_rng(0)
         a = rng.integers(0, 4, 100).astype(np.int64)
         b = rng.integers(0, 7, 100).astype(np.int64)
-        got = kernels.pack_keys([a, b], [4, 7])
-        assert np.array_equal(got, a * 7 + b)
+        got, domain = group_ids([a, b], [4, 7])
+        assert np.array_equal(got, a * 7 + b) and domain == 28
 
     def test_offsets(self):
         a = np.array([3, 4, 5], dtype=np.int64)
         b = np.array([10, 11, 12], dtype=np.int64)
-        got = kernels.pack_keys([a, b], [3, 3], offsets=[3, 10])
-        assert np.array_equal(got, (a - 3) * 3 + (b - 10))
+        got, domain = group_ids([a, b], [3, 3], offsets=[3, 10])
+        assert np.array_equal(got, (a - 3) * 3 + (b - 10)) and domain == 9
 
     def test_single_key_identity(self):
         a = np.arange(5, dtype=np.int64)
-        assert np.array_equal(kernels.pack_keys([a], [5]), a)
+        got, domain = group_ids([a], [5])
+        assert np.array_equal(got, a) and domain == 5
 
-    def test_mismatched_cards_rejected(self):
-        with pytest.raises(ValueError):
-            kernels.pack_keys([np.zeros(3, dtype=np.int64)], [3, 4])
-        with pytest.raises(ValueError):
-            kernels.pack_keys([], [])
+    def test_bad_keys_rejected(self):
+        with pytest.raises(TranslationError, match="card must be positive"):
+            KeySpec("k", Col("k"), 0)
+        store = ColumnStore()
+        store.add(Table.from_arrays("t", k=np.arange(3, dtype=np.int64)))
+        translator = Translator(store)
+        computed = KeySpec("k", Col("k") + Lit(1), 4)
+        with pytest.raises(TranslationError, match="must reference a column"):
+            translator._group_id((computed,), translator.translate(Scan("t")))
 
 
 def grouped_case(seed: int):

@@ -23,7 +23,6 @@ which rewrites every entry, keeps ``commit`` and records the reason in
 """
 
 import json
-import subprocess
 from pathlib import Path
 
 import numpy as np

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import Builder, Schema
-from repro.core.printer import summarize, to_dot, to_ssa
+from repro.core.printer import summarize, to_ssa
 from repro.errors import ProgramError
 
 SCHEMAS = {"t": Schema({".v": "int64"}), "two": Schema({".a": "i8", ".b": "i8"})}
@@ -73,12 +73,6 @@ class TestPrinters:
         program = figure3_program()
         text = to_ssa(program)
         assert len(text.splitlines()) == len(program.order) + 1
-
-    def test_dot_contains_all_nodes(self):
-        program = figure3_program()
-        dot = to_dot(program)
-        assert dot.startswith("digraph voodoo")
-        assert dot.count("label=") >= len(program.order)
 
     def test_summarize(self):
         text = summarize(figure3_program())

@@ -86,12 +86,8 @@ class TestRunLengths:
     def test_run_length_clamped_to_length(self):
         assert IDENTITY.divide(1000).run_length(10) == 10
 
-    def test_run_count(self):
-        assert IDENTITY.divide(10).run_count(95) == 10
-
     def test_zero_length(self):
         assert IDENTITY.run_length(0) == 0
-        assert IDENTITY.run_count(0) == 0
 
 
 @given(st.integers(1, 2048), st.integers(1, 512))

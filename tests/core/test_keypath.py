@@ -40,13 +40,13 @@ class TestParsing:
     def test_of_coerces_string(self):
         assert kp(".x") == Keypath(["x"])
 
-    def test_of_passes_through(self):
+    def test_kp_passes_through(self):
         path = Keypath(["x"])
-        assert Keypath.of(path) is path
+        assert kp(path) is path
 
-    def test_of_rejects_other_types(self):
+    def test_kp_rejects_other_types(self):
         with pytest.raises(KeypathError):
-            Keypath.of(42)
+            kp(42)
 
 
 class TestStructure:
@@ -54,9 +54,6 @@ class TestStructure:
         path = Keypath.parse(".a.b.c")
         assert path.leaf == "c"
         assert path.root == "a"
-
-    def test_child(self):
-        assert Keypath.parse(".a").child("b", "c") == Keypath.parse(".a.b.c")
 
     def test_concat(self):
         assert kp(".a.b").concat(kp(".c")) == kp(".a.b.c")

@@ -1,10 +1,10 @@
-"""Program structure: topological order, interning, rewriting, validation."""
+"""Program structure: topological order, interning, validation."""
 
 import pytest
 
 from repro.core import Builder, Schema, kp
 from repro.core import ops
-from repro.core.program import Interner, Program, clone_with_inputs
+from repro.core.program import Interner, Program
 from repro.errors import ProgramError
 
 
@@ -71,12 +71,12 @@ class TestProgram:
         with pytest.raises(ProgramError):
             Program({})
 
-    def test_consumer_counts(self):
+    def test_shared_load_feeds_both_sides(self):
         program, _ = simple_program()
-        load = program.loads()[0]
-        # Load feeds both sides of the Add
-        assert program.consumers(load) == 2
-        assert program.is_shared(load)
+        (load,) = program.loads()
+        (add,) = [n for n in program if isinstance(n, ops.Binary)]
+        # one Load node, read by both sides of the Add
+        assert add.inputs() == (load, load)
 
     def test_duplicate_persist_rejected(self):
         b = Builder(schema())
@@ -87,46 +87,6 @@ class TestProgram:
         p2 = b.persist("x", q)
         with pytest.raises(ProgramError):
             b.build(a=p1, b=p2)
-
-    def test_rewrite_identity(self):
-        program, _ = simple_program()
-        rewritten = program.rewrite(lambda node, inputs: None)
-        assert len(rewritten.order) == len(program.order)
-
-    def test_rewrite_replaces(self):
-        program, _ = simple_program()
-
-        def swap(node, inputs):
-            if isinstance(node, ops.Binary) and node.fn == "Add":
-                return ops.Binary(fn="Multiply", out=node.out, left=inputs[0],
-                                  left_kp=node.left_kp, right=inputs[1],
-                                  right_kp=node.right_kp)
-            return None
-
-        rewritten = program.rewrite(swap)
-        fns = [n.fn for n in rewritten.order if isinstance(n, ops.Binary)]
-        assert fns == ["Multiply"]
-
-
-class TestCloneWithInputs:
-    def test_same_inputs_returns_original(self):
-        load = ops.Load(name="t")
-        agg = ops.FoldAggregate(source=load, fold_kp=None, fn="sum",
-                                out=kp(".s"), agg_kp=kp(".v"))
-        assert clone_with_inputs(agg, (load,)) is agg
-
-    def test_new_inputs_builds_copy(self):
-        load1, load2 = ops.Load(name="t"), ops.Load(name="u")
-        agg = ops.FoldAggregate(source=load1, fold_kp=None, fn="sum",
-                                out=kp(".s"), agg_kp=kp(".v"))
-        clone = clone_with_inputs(agg, (load2,))
-        assert clone.source is load2
-        assert clone.fn == "sum"
-
-    def test_wrong_arity_rejected(self):
-        load = ops.Load(name="t")
-        with pytest.raises(ProgramError):
-            clone_with_inputs(load, (load,))
 
 
 class TestOpBasics:

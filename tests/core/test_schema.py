@@ -75,21 +75,6 @@ class TestCombination:
         schema = Schema({".a": "i8", ".b": "i4", ".c": "f8"})
         assert set(map(str, schema.project([".a", ".c"]).paths())) == {".a", ".c"}
 
-    def test_rename_leaf(self):
-        schema = Schema({".a": "i8", ".b": "i4"})
-        renamed = schema.rename(".a", ".x")
-        assert ".x" in renamed and ".a" not in renamed
-
-    def test_rename_struct(self):
-        schema = Schema({".s.a": "i8", ".s.b": "i4"})
-        renamed = schema.rename(".s", ".t")
-        assert set(map(str, renamed.paths())) == {".t.a", ".t.b"}
-
-    def test_rename_collision_rejected(self):
-        schema = Schema({".a": "i8", ".b": "i4"})
-        with pytest.raises(SchemaError):
-            schema.rename(".a", ".b")
-
     def test_merge(self):
         merged = Schema({".a": "i8"}).merge(Schema({".b": "f8"}))
         assert len(merged) == 2
@@ -108,10 +93,6 @@ class TestCombination:
 
 
 class TestProperties:
-    def test_item_nbytes(self):
-        schema = Schema({".a": "i8", ".b": "f4", ".c": "bool"})
-        assert schema.item_nbytes == 8 + 4 + 1
-
     def test_equality_and_hash(self):
         a = Schema({".x": "i8"})
         b = Schema({".x": "int64"})

@@ -5,12 +5,11 @@
 key and the split the long way — ``params()`` for the key, a second walk
 over the fields for the inputs — and check every node of the TPC-H
 programs and of fuzzed programs against them, plus the merge count of
-the CSE pass that keys on them.
+the Builder's interner, which keys on the one-pass split.
 """
 
 import pytest
 
-from repro.compiler import cse
 from repro.core import ops
 from repro.core.keypath import Keypath
 from repro.core.program import Program
@@ -41,7 +40,7 @@ def reference_inputs(node: ops.Op) -> tuple:
 
 
 def reference_cse_size(program: Program) -> int:
-    """How many nodes CSE keeps, keyed on :func:`reference_key`."""
+    """How many nodes hash-consing keeps, keyed on :func:`reference_key`."""
     canonical: dict[tuple, ops.Op] = {}
     replacement: dict[int, ops.Op] = {}
     for node in program:
@@ -52,6 +51,18 @@ def reference_cse_size(program: Program) -> int:
         else:
             replacement[id(node)] = canonical[key] = node
     return len({id(node) for node in replacement.values()})
+
+
+def interned_size(program: Program) -> int:
+    """How many nodes the :class:`~repro.core.program.Interner` would keep:
+    classes of the key and inputs each node split off when it was made
+    (``_key``, ``_inputs``), inputs by their own class."""
+    table: dict[tuple, ops.Op] = {}
+    canonical: dict[int, ops.Op] = {}
+    for node in program:
+        key = (node._key, tuple(id(canonical[id(child)]) for child in node._inputs))
+        canonical[id(node)] = table.setdefault(key, node)
+    return len(table)
 
 
 def doubled(first: Program, second: Program) -> Program:
@@ -73,11 +84,12 @@ def check_program(program: Program) -> None:
 
 
 def check_merges(make_program) -> None:
-    """``cse`` merges what the reference key merges, on fresh nodes."""
+    """The interner's key merges what the reference key merges, on fresh
+    nodes."""
     program = doubled(make_program(), make_program())
     expected = reference_cse_size(doubled(make_program(), make_program()))
     assert expected < len(program)  # the second translation is all duplicates
-    assert len(cse(program)) == expected
+    assert interned_size(program) == expected
 
 
 @pytest.fixture(scope="module")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import Builder, Schema
-from repro.core.typecheck import infer_schemas
+from repro.core.typecheck import TypeChecker
 from repro.errors import TypeCheckError
 
 SCHEMAS = {
@@ -117,11 +117,11 @@ class TestStructural:
 
 
 class TestInferAll:
-    def test_infer_schemas_covers_program(self, b):
+    def test_check_covers_program(self, b):
         t = b.load("t")
         total = b.fold_sum(t, agg_kp=".f", out=".s")
         program = b.build(total=total)
-        schemas = infer_schemas(program, SCHEMAS)
+        schemas = TypeChecker(SCHEMAS).check(program)
         assert len(schemas) == len(program.order)
 
     def test_shared_dag_is_linear(self):

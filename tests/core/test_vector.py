@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from repro.core import Schema, StructuredVector
+from repro.core import StructuredVector
 from repro.core.controlvector import RunInfo
 from repro.errors import SchemaError, VoodooError
 
@@ -51,11 +51,6 @@ class TestConstruction:
         with pytest.raises(SchemaError):
             StructuredVector.from_arrays(x=np.arange(3), y=np.zeros(2))
 
-    def test_empty_factory(self):
-        v = StructuredVector.empty(3, Schema({".a": "int64"}))
-        assert not v.present(".a").any()
-
-
 class TestAccess:
     def test_attr_and_present(self, vec):
         assert vec.attr(".a").tolist() == [1, 2, 3, 4]
@@ -67,12 +62,6 @@ class TestAccess:
 
     def test_schema(self, vec):
         assert vec.schema[".a"] == np.dtype(np.int64)
-
-    def test_to_records_none_for_empty(self, vec):
-        records = vec.to_records()
-        assert records[1][".b"] is None
-        assert records[0][".b"] == 1.0
-
 
 class TestStructuralOps:
     def test_project_leaf(self, vec):
@@ -89,14 +78,6 @@ class TestStructuralOps:
         assert v2.attr(".a").tolist() == [9, 9, 9, 9]
         assert vec.attr(".a").tolist() == [1, 2, 3, 4]  # original untouched
 
-    def test_without_attr(self, vec):
-        v2 = vec.without_attr(".b")
-        assert list(map(str, v2.paths)) == [".a"]
-
-    def test_without_last_attr_rejected(self, vec):
-        with pytest.raises(SchemaError):
-            vec.without_attr(".a").without_attr(".a")
-
     def test_zip_truncates_to_min(self, vec):
         other = StructuredVector.single(".c", np.arange(2))
         z = vec.zip(other)
@@ -105,20 +86,6 @@ class TestStructuralOps:
     def test_zip_duplicate_attr_rejected(self, vec):
         with pytest.raises(SchemaError):
             vec.zip(vec)
-
-    def test_take_oob_becomes_empty(self, vec):
-        t = vec.take(np.array([0, 10, -1, 3]))
-        assert t.present(".a").tolist() == [True, False, False, True]
-        assert t.attr(".a")[0] == 1 and t.attr(".a")[3] == 4
-
-    def test_take_propagates_source_mask(self, vec):
-        t = vec.take(np.array([1, 2]))
-        assert t.present(".b").tolist() == [False, True]
-
-    def test_head(self, vec):
-        assert len(vec.head(2)) == 2
-        assert len(vec.head(10)) == 4
-
 
 class TestRunInfo:
     def test_runinfo_attached(self):

@@ -20,7 +20,6 @@ from repro.hardware import (
     get_device,
     hit_probability,
     mispredict_fraction,
-    register_device,
     simulate_mispredict_fraction,
 )
 from repro.hardware import cache
@@ -123,14 +122,6 @@ class TestDevices:
     def test_unknown_device(self):
         with pytest.raises(VoodooError):
             get_device("abacus")
-
-    def test_register_conflict(self):
-        with pytest.raises(VoodooError):
-            register_device(CPU_1T)
-
-    def test_lanes(self):
-        assert CPU_MT.lanes() == 64
-        assert GPU.lanes() == 3072
 
     def test_gpu_int_penalty(self):
         assert GPU.int_op_cycles > GPU.float_op_cycles

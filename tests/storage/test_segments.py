@@ -374,6 +374,24 @@ class TestPersistence:
             assert all("stats" in seg and "encoding" in seg
                        for seg in runs["segments"])
 
+    @pytest.mark.parametrize("version", ("missing", 1, 3))
+    def test_catalog_of_another_version_is_refused(self, version):
+        """Only version 2 loads; any other names itself and the supported
+        one instead of failing somewhere inside the payload reads."""
+        with tempfile.TemporaryDirectory() as tmp:
+            save(_mixed_store(), tmp)
+            path = Path(tmp) / "catalog.json"
+            catalog = json.loads(path.read_text())
+            if version == "missing":
+                del catalog["version"]
+            else:
+                catalog["version"] = version
+            path.write_text(json.dumps(catalog))
+            found = "'none'" if version == "missing" else str(version)
+            with pytest.raises(StorageError, match=f"version {found} is not supported; "
+                                                   "this build reads version 2"):
+                load(tmp)
+
     def test_failed_save_leaves_store_intact(self):
         store = _mixed_store()
         with tempfile.TemporaryDirectory() as tmp:

@@ -24,11 +24,6 @@ class TestStringDictionary:
         with pytest.raises(StorageError):
             d.encode(["z"])
 
-    def test_bad_code(self):
-        d = StringDictionary(["a"])
-        with pytest.raises(StorageError):
-            d.value(5)
-
     def test_codes_like(self):
         d = StringDictionary(["forest green", "misty rose", "forest khaki"])
         codes = d.codes_like("forest%")

@@ -6,7 +6,7 @@ import pytest
 
 from repro.relational import VoodooEngine
 from repro.tpch import CPU_QUERIES, GPU_QUERIES, QUERIES, REFERENCES, build, generate
-from repro.tpch.schema import date, year_of
+from repro.tpch.schema import date
 
 
 @pytest.fixture(scope="module")
@@ -22,10 +22,6 @@ def engine(store):
 class TestCalendar:
     def test_epoch(self):
         assert date(1992, 1, 1) == 0
-
-    def test_year_roundtrip(self):
-        for y in (1992, 1995, 1998):
-            assert year_of(date(y, 6, 15)) == y
 
     def test_month_offsets(self):
         assert date(1992, 2, 1) == 31
